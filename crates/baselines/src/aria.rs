@@ -10,8 +10,8 @@
 //! transactions carry over to the next batch.
 
 use crate::calvin::{batch_barrier_rtt, charge_replication, zone_surcharge};
-use crate::tags::{fresh, tag, untag};
 use lion_common::{FastMap, NodeId, OpKind, Phase, Time, TxnId};
+use lion_engine::tags::{fresh, tag, untag};
 use lion_engine::{Engine, Protocol, TxnClass};
 
 const K_COMMIT: u8 = 1;

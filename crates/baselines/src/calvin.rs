@@ -8,8 +8,8 @@
 //! all deterministic methods" — that single thread is exactly the
 //! scalability ceiling Fig. 11b shows.
 
-use crate::tags::{fresh, tag, untag};
 use lion_common::{FastMap, NodeId, OpKind, Phase, Time, TxnId};
+use lion_engine::tags::{fresh, tag, untag};
 use lion_engine::{ByteClass, Engine, MetricEvent, Protocol, TxnClass};
 use lion_sim::MultiServer;
 

@@ -11,9 +11,9 @@
 //! cluster never triggers repartitioning — Clay "can not eliminate all
 //! distributed transactions" (§II-B.1).
 
-use crate::standard::{most_primaries, RemoteAction, Standard, StandardPolicy};
+use crate::standard::most_primaries;
 use lion_common::{FastMap, NodeId, PartitionId, TxnId};
-use lion_engine::{Engine, TickKind};
+use lion_engine::{Engine, RemoteAction, StandardPolicy, TickKind};
 
 /// Clay's monitor policy over the standard 2PC machine.
 pub struct ClayPolicy {
@@ -126,7 +126,7 @@ impl StandardPolicy for ClayPolicy {
         "Clay"
     }
 
-    fn route(&mut self, eng: &Engine, txn: TxnId) -> NodeId {
+    fn route(&mut self, eng: &mut Engine, txn: TxnId) -> NodeId {
         most_primaries(eng, txn)
     }
 
@@ -158,11 +158,11 @@ impl StandardPolicy for ClayPolicy {
 }
 
 /// The Clay baseline protocol.
-pub type Clay = Standard<ClayPolicy>;
+pub type Clay = ClayPolicy;
 
 /// Builds Clay with default monitor settings.
 pub fn clay() -> Clay {
-    Standard::new(ClayPolicy::default())
+    ClayPolicy::default()
 }
 
 #[cfg(test)]
@@ -217,8 +217,7 @@ mod tests {
         let r = eng.run(&mut proto, 4 * SECOND);
         assert!(r.commits > 100);
         assert_eq!(
-            proto.policy().activations,
-            0,
+            proto.activations, 0,
             "balanced CPU must not trigger Clay even with 100% distributed txns"
         );
         assert!(

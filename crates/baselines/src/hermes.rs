@@ -9,8 +9,8 @@
 //! ranges (Fig. 10).
 
 use crate::calvin::{charge_replication, execute_deterministic, RowLocks};
-use crate::tags::{fresh, tag, untag};
 use lion_common::{NodeId, Phase, TxnId};
+use lion_engine::tags::{fresh, tag, untag};
 use lion_engine::{Engine, Protocol};
 use lion_sim::MultiServer;
 

@@ -4,7 +4,8 @@
 //! engine and primitives as Lion (the paper's "apples-to-apples, same
 //! framework" methodology):
 //!
-//! **Standard execution** (closed-loop):
+//! **Standard execution** (closed-loop; each is a `StandardPolicy` over the
+//! machine in `lion_engine::standard`, like Lion itself):
 //! * [`TwoPc`] — classic OCC + two-phase commit; never adapts placement;
 //! * [`Leap`] — aggressive on-demand migration: every remote partition is
 //!   pulled to the executing node before the operation runs;
@@ -27,12 +28,11 @@ pub mod hermes;
 pub mod lotus;
 pub mod standard;
 pub mod star;
-pub mod tags;
 
 pub use aria::Aria;
 pub use calvin::Calvin;
 pub use clay::{clay, Clay, ClayPolicy};
 pub use hermes::Hermes;
 pub use lotus::Lotus;
-pub use standard::{leap, two_pc, Leap, RemoteAction, Standard, StandardPolicy, TwoPc};
+pub use standard::{leap, two_pc, Leap, TwoPc};
 pub use star::Star;

@@ -9,8 +9,8 @@
 //! commit protocol for distributed transactions" at high cross ratios.
 
 use crate::calvin::{charge_replication, zone_surcharge};
-use crate::tags::{fresh, tag, untag};
 use lion_common::{FastMap, FastSet, NodeId, OpKind, Phase, Time, TxnId};
+use lion_engine::tags::{fresh, tag, untag};
 use lion_engine::{Engine, Protocol, TxnClass};
 
 const K_COMMIT: u8 = 1;

@@ -1,294 +1,9 @@
-//! The shared standard-execution machine: route → execute partition groups →
-//! local commit or 2PC (the flow of Fig. 1), parameterized by a
-//! [`StandardPolicy`] that decides routing and what to do about remote
-//! partitions. [`TwoPc`], [`crate::Leap`]-via-policy and [`crate::Clay`] are
-//! thin policies over this machine.
+//! The two baselines that are nothing but a [`StandardPolicy`] over the
+//! engine's standard-execution machine: classic 2PC and Leap. ([`crate::Clay`]
+//! is the third; Lion itself is the fourth, in `lion-core`.)
 
-use crate::tags::{fresh, tag, untag};
-use lion_common::{NodeId, PartitionId, Phase, TxnId};
-use lion_engine::{Engine, FaultNotice, OpFail, Protocol, TickKind, TxnClass};
-
-/// What to do with a partition group whose primary is not at the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemoteAction {
-    /// Execute remotely and commit with 2PC (the classic path).
-    TwoPc,
-    /// Migrate the partition to the executor first (Leap's aggressive
-    /// strategy), then execute locally.
-    Migrate,
-}
-
-/// Routing + remote-partition policy of a standard-execution protocol.
-pub trait StandardPolicy {
-    /// Legend name.
-    fn name(&self) -> &'static str;
-    /// Chooses the executor/coordinator node.
-    fn route(&mut self, eng: &Engine, txn: TxnId) -> NodeId;
-    /// Decides the remote-partition mechanism.
-    fn remote_action(&mut self, eng: &mut Engine, txn: TxnId, part: PartitionId) -> RemoteAction;
-    /// Periodic hook (Clay's load monitor).
-    fn on_tick(&mut self, _eng: &mut Engine, _kind: TickKind) {}
-    /// Topology-change hook (crash / recovery / failover completion).
-    fn on_fault(&mut self, _eng: &mut Engine, _notice: &FaultNotice) {}
-}
-
-/// Continuation kinds.
-const K_ROUTED: u8 = 1;
-/// Local group CPU done (idx 0) or remote group response (idx 1).
-const K_GROUP: u8 = 2;
-/// Slept on a blocked partition; retry the current group.
-const K_BLOCKED: u8 = 3;
-/// Prepare branch response (idx = participant index, 0xFFFF = coordinator).
-const K_PREP: u8 = 4;
-/// Prepare-log replication finished at a participant branch.
-const K_PREP_REPL: u8 = 5;
-/// Local single-node commit CPU done.
-const K_LOC_COMMIT: u8 = 6;
-/// Distributed commit install CPU done.
-const K_COMMIT: u8 = 7;
-
-const COORD_IDX: u16 = 0xFFFF;
-
-/// The standard-execution protocol frame.
-pub struct Standard<P: StandardPolicy> {
-    policy: P,
-}
-
-impl<P: StandardPolicy> Standard<P> {
-    /// Wraps a policy.
-    pub fn new(policy: P) -> Self {
-        Standard { policy }
-    }
-
-    /// Access to the policy (tests).
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
-    fn t(&self, eng: &Engine, txn: TxnId, kind: u8, idx: u16) -> u32 {
-        tag(kind, eng.txn(txn).attempts, idx)
-    }
-
-    /// Advances to the current partition group (ctx.step) or the commit
-    /// phase when all groups are done.
-    fn process_group(&mut self, eng: &mut Engine, txn: TxnId) {
-        // Honest split-brain: a transaction whose home side is cut off from
-        // some partition it needs parks until reachability returns instead
-        // of spinning retries against the cut.
-        if !eng.txn_reachable(txn) {
-            return eng.park_until_heal(txn);
-        }
-        let gi = eng.txn(txn).step as usize;
-        if gi >= eng.txn(txn).n_groups() {
-            return self.begin_commit(eng, txn);
-        }
-        let part = eng.txn(txn).group_part(gi);
-        let now = eng.now();
-
-        // A partition mid-remaster/migration blocks operations (§III).
-        let avail = eng.cluster.available_at(part);
-        if avail > now {
-            let t = self.t(eng, txn, K_BLOCKED, 0);
-            eng.sleep(avail - now + 1, Phase::Other, txn, t);
-            return;
-        }
-
-        let home = eng.txn(txn).home;
-        let primary = eng.cluster.placement.primary_of(part);
-        if primary == home {
-            // Local group: execute now, then occupy a worker for the cost.
-            // Index walk over the precomputed group — no per-wake clone.
-            for i in 0..eng.txn(txn).group_ops(gi).len() {
-                let op = eng.txn(txn).group_ops(gi)[i];
-                match eng.exec_op_at(home, txn, op) {
-                    Ok(()) => {}
-                    Err(OpFail::Locked) => return eng.abort_retry(txn),
-                    Err(_) => {
-                        // Placement/blocking raced: retry the group shortly.
-                        let t = self.t(eng, txn, K_BLOCKED, 0);
-                        return eng.sleep(10, Phase::Other, txn, t);
-                    }
-                }
-            }
-            let (reads, writes) = eng.txn(txn).group_reads_writes(gi);
-            let mut cost = eng.op_cpu(reads, writes);
-            if gi == 0 {
-                cost += eng.config().sim.cpu.txn_overhead_us;
-            }
-            let t = self.t(eng, txn, K_GROUP, 0);
-            eng.cpu(home, Phase::Execution, cost, txn, t);
-        } else {
-            match self.policy.remote_action(eng, txn, part) {
-                RemoteAction::TwoPc => {
-                    eng.txn_mut(txn).class = TxnClass::Distributed;
-                    if !eng.txn(txn).participants.contains(&primary) {
-                        eng.txn_mut(txn).participants.push(primary);
-                    }
-                    let (reads, writes) = eng.txn(txn).group_reads_writes(gi);
-                    let req = 24 * (reads + writes) as u32;
-                    let resp = 16 + (reads as u32) * eng.config().sim.value_size;
-                    let cpu = eng.op_cpu(reads, writes) + eng.config().sim.cpu.msg_handle_us;
-                    let t = self.t(eng, txn, K_GROUP, 1);
-                    let home = eng.txn(txn).home;
-                    eng.remote_round(home, primary, req, resp, cpu, Phase::Execution, txn, t);
-                }
-                RemoteAction::Migrate => {
-                    // Leap: pull the partition home, blocking until the move
-                    // lands, then retry the group locally.
-                    eng.txn_mut(txn).class = TxnClass::Distributed;
-                    let wait = match eng.migrate_async(part, home) {
-                        Ok(d) => d + 1,
-                        // Another migration in flight: wait it out and
-                        // re-examine (ping-pong emerges here).
-                        Err(_) => eng.cluster.available_at(part).saturating_sub(now).max(100) + 1,
-                    };
-                    let t = self.t(eng, txn, K_BLOCKED, 0);
-                    eng.sleep(wait, Phase::Other, txn, t);
-                }
-            }
-        }
-    }
-
-    fn finish_group(&mut self, eng: &mut Engine, txn: TxnId, remote: bool) {
-        if remote {
-            // The response returned: execute the ops against the (current)
-            // remote primary. Placement may have moved — retry if so.
-            let gi = eng.txn(txn).step as usize;
-            let part = eng.txn(txn).group_part(gi);
-            let primary = eng.cluster.placement.primary_of(part);
-            for i in 0..eng.txn(txn).group_ops(gi).len() {
-                let op = eng.txn(txn).group_ops(gi)[i];
-                match eng.exec_op_at(primary, txn, op) {
-                    Ok(()) => {}
-                    Err(OpFail::Locked) => return eng.abort_retry(txn),
-                    Err(_) => {
-                        let t = self.t(eng, txn, K_BLOCKED, 0);
-                        return eng.sleep(10, Phase::Other, txn, t);
-                    }
-                }
-            }
-        }
-        eng.txn_mut(txn).step += 1;
-        self.process_group(eng, txn);
-    }
-
-    fn begin_commit(&mut self, eng: &mut Engine, txn: TxnId) {
-        let home = eng.txn(txn).home;
-        let c = eng.config().sim.cpu;
-        if eng.txn(txn).participants.is_empty() {
-            // Single-node: validate + install in one commit slice; the
-            // prepare phase is skipped (§III case 1).
-            let t = self.t(eng, txn, K_LOC_COMMIT, 0);
-            eng.cpu(home, Phase::Commit, c.validate_us + c.install_us, txn, t);
-        } else {
-            // 2PC prepare: coordinator + every participant votes, each
-            // replicating its prepare log to its secondaries (§II-A).
-            let n = eng.txn(txn).participants.len() as u32 + 1;
-            eng.join_begin(txn, n);
-            let t = self.t(eng, txn, K_PREP, COORD_IDX);
-            eng.cpu(home, Phase::Commit, c.validate_us, txn, t);
-            let participants = eng.txn(txn).participants.clone();
-            for (i, p) in participants.into_iter().enumerate() {
-                let t = self.t(eng, txn, K_PREP, i as u16);
-                eng.remote_round(home, p, 48, 16, c.validate_us, Phase::Commit, txn, t);
-            }
-        }
-    }
-
-    fn prepare_branch(&mut self, eng: &mut Engine, txn: TxnId, idx: u16) {
-        let node = if idx == COORD_IDX {
-            eng.txn(txn).home
-        } else {
-            eng.txn(txn).participants[idx as usize]
-        };
-        if eng.validate_at(node, txn) {
-            // Vote yes: persist the prepare record on the secondaries.
-            let t = self.t(eng, txn, K_PREP_REPL, idx);
-            eng.replicate_prepare(node, txn, t);
-        } else {
-            self.branch_done(eng, txn, false);
-        }
-    }
-
-    fn branch_done(&mut self, eng: &mut Engine, txn: TxnId, ok: bool) {
-        match eng.join_arrive(txn, ok) {
-            None => {}
-            Some(true) => self.commit_phase(eng, txn),
-            Some(false) => {
-                // Abort: one-way aborts to participants; locks release in
-                // abort_retry.
-                let n = eng.txn(txn).participants.len() as u32;
-                for _ in 0..n {
-                    eng.net_fire_and_forget(16);
-                }
-                eng.abort_retry(txn);
-            }
-        }
-    }
-
-    fn commit_phase(&mut self, eng: &mut Engine, txn: TxnId) {
-        // Commit decisions travel one-way; installs apply at the decision
-        // (participant acks are not awaited, matching the ≥5-message flow).
-        let home = eng.txn(txn).home;
-        let participants = eng.txn(txn).participants.clone();
-        for p in participants {
-            eng.net_fire_and_forget(32);
-            eng.install_at(p, txn);
-        }
-        eng.install_at(home, txn);
-        let c = eng.config().sim.cpu;
-        let t = self.t(eng, txn, K_COMMIT, 0);
-        eng.cpu(home, Phase::Commit, c.install_us, txn, t);
-    }
-}
-
-impl<P: StandardPolicy> Protocol for Standard<P> {
-    fn name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    fn on_submit(&mut self, eng: &mut Engine, txn: TxnId) {
-        let home = self.policy.route(eng, txn);
-        eng.txn_mut(txn).home = home;
-        eng.txn_mut(txn).step = 0;
-        let bytes = 32 + 8 * eng.txn(txn).req.ops.len() as u32;
-        let t = self.t(eng, txn, K_ROUTED, 0);
-        eng.net(bytes, Phase::Scheduling, txn, t);
-    }
-
-    fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
-        let (kind, attempt, idx) = untag(tagv);
-        if !fresh(attempt, eng.txn(txn).attempts) {
-            return; // wake from an aborted attempt
-        }
-        match kind {
-            K_ROUTED => self.process_group(eng, txn),
-            K_GROUP => self.finish_group(eng, txn, idx == 1),
-            K_BLOCKED => self.process_group(eng, txn),
-            K_PREP => self.prepare_branch(eng, txn, idx),
-            K_PREP_REPL => self.branch_done(eng, txn, true),
-            K_LOC_COMMIT => {
-                let home = eng.txn(txn).home;
-                if eng.validate_at(home, txn) {
-                    eng.install_at(home, txn);
-                    eng.commit(txn);
-                } else {
-                    eng.abort_retry(txn);
-                }
-            }
-            K_COMMIT => eng.commit(txn),
-            _ => unreachable!("unknown continuation kind {kind}"),
-        }
-    }
-
-    fn on_tick(&mut self, eng: &mut Engine, kind: TickKind) {
-        self.policy.on_tick(eng, kind);
-    }
-
-    fn on_fault(&mut self, eng: &mut Engine, notice: &FaultNotice) {
-        self.policy.on_fault(eng, notice);
-    }
-}
+use lion_common::{NodeId, PartitionId, TxnId};
+use lion_engine::{Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind, TxnClass};
 
 // ---------------------------------------------------------------------
 // 2PC: the non-adaptive classic (§VI-A.2 "2PC")
@@ -380,7 +95,7 @@ impl StandardPolicy for TwoPcPolicy {
         "2PC"
     }
 
-    fn route(&mut self, eng: &Engine, txn: TxnId) -> NodeId {
+    fn route(&mut self, eng: &mut Engine, txn: TxnId) -> NodeId {
         most_primaries(eng, txn)
     }
 
@@ -435,11 +150,11 @@ pub fn most_primaries(eng: &Engine, txn: TxnId) -> NodeId {
 }
 
 /// The classic OCC + 2PC baseline.
-pub type TwoPc = Standard<TwoPcPolicy>;
+pub type TwoPc = TwoPcPolicy;
 
 /// Builds the 2PC baseline.
 pub fn two_pc() -> TwoPc {
-    Standard::new(TwoPcPolicy::default())
+    TwoPcPolicy::default()
 }
 
 // ---------------------------------------------------------------------
@@ -456,21 +171,33 @@ impl StandardPolicy for LeapPolicy {
         "Leap"
     }
 
-    fn route(&mut self, eng: &Engine, txn: TxnId) -> NodeId {
+    fn route(&mut self, eng: &mut Engine, txn: TxnId) -> NodeId {
         eng.origin_node(eng.txn(txn).client)
     }
 
-    fn remote_action(&mut self, _: &mut Engine, _: TxnId, _: PartitionId) -> RemoteAction {
-        RemoteAction::Migrate
+    /// Pull the partition home, blocking until the move lands, then retry
+    /// the group locally.
+    fn remote_action(&mut self, eng: &mut Engine, txn: TxnId, part: PartitionId) -> RemoteAction {
+        eng.txn_mut(txn).class = TxnClass::Distributed;
+        let home = eng.txn(txn).home;
+        RemoteAction::Wait(match eng.migrate_async(part, home) {
+            Ok(d) => d + 1,
+            // Another migration in flight: wait it out and re-examine
+            // (ping-pong emerges here).
+            Err(_) => {
+                let left = eng.cluster.available_at(part).saturating_sub(eng.now());
+                left.max(100) + 1
+            }
+        })
     }
 }
 
 /// The Leap baseline.
-pub type Leap = Standard<LeapPolicy>;
+pub type Leap = LeapPolicy;
 
 /// Builds the Leap baseline.
 pub fn leap() -> Leap {
-    Standard::new(LeapPolicy)
+    LeapPolicy
 }
 
 #[cfg(test)]
@@ -569,11 +296,7 @@ mod tests {
         let r = eng.run(&mut proto, 6 * SECOND);
         assert_eq!(r.crashes, 1);
         assert!(r.failovers > 0, "victim's primaries promoted away");
-        assert_eq!(
-            proto.policy().rebalances,
-            1,
-            "exactly one one-shot rebalance"
-        );
+        assert_eq!(proto.rebalances, 1, "exactly one one-shot rebalance");
         assert!(
             r.remasters > 0,
             "the rebalance works by remastering, not migration"

@@ -11,8 +11,8 @@
 //! barriers — node 0 saturating with the cross ratio is the bottleneck of
 //! Figs. 9 and 11b.
 
-use crate::tags::{fresh, tag, untag};
 use lion_common::{NodeId, PartitionId, Phase, Time, TxnId};
+use lion_engine::tags::{fresh, tag, untag};
 use lion_engine::{ByteClass, Engine, MetricEvent, OpFail, Protocol, TxnClass};
 
 const K_SINGLE: u8 = 1;

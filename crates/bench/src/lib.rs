@@ -2,9 +2,8 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of the
 //! paper's evaluation (§VI). `src/figures.rs` holds one experiment per
-//! table/figure; the `lion-bench` binary dispatches them; the Criterion
-//! benches under `benches/` micro-benchmark the planner, predictor, storage,
-//! and protocol hot paths.
+//! table/figure; the `lion-bench` binary dispatches them, and its `perf`
+//! subcommand self-times the protocol and event-queue hot paths.
 //!
 //! Absolute throughputs differ from the paper (the substrate is a calibrated
 //! simulator, not the authors' 10-node testbed); the *shapes* — who wins, by

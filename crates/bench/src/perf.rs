@@ -10,8 +10,8 @@
 //! the speedup is always visible in-tree.
 //!
 //! A self-timed micro-bench of the failover promotion-selection logic on a
-//! 12-node topology rides along (criterion is gated out offline; this
-//! covers the ROADMAP's promotion-selection bench item).
+//! 12-node topology rides along (it covers the ROADMAP's
+//! promotion-selection bench item).
 //!
 //! ```text
 //! lion-bench perf              # full matrix, refresh BENCH_perf.json

@@ -31,10 +31,6 @@ pub struct LionConfig {
     /// Batch execution with asynchronous remastering (Table II column
     /// "Batch Optimization", §IV-D).
     pub batch: bool,
-    /// Re-run the provision loop (Algorithm 1) as soon as a failover lands,
-    /// so the placement plan reflects the post-failure topology instead of
-    /// waiting for the next planner tick.
-    pub replan_on_failover: bool,
 }
 
 impl LionConfig {
@@ -54,7 +50,6 @@ impl LionConfig {
             partitioning: Partitioning::Rearrange,
             prediction: false,
             batch: false,
-            replan_on_failover: true,
         }
     }
 

@@ -11,36 +11,18 @@
 //! 3. otherwise → regular distributed transaction with 2PC. Remastering
 //!    conflicts (another transfer in flight toward a different node) also
 //!    fall back to 2PC, as §III prescribes.
+//!
+//! Cases 1 and 3 are the ordinary standard-execution flow, so Lion is a
+//! [`StandardPolicy`] over the engine's machine: it routes, and for a remote
+//! partition it decides between remastering (case 2) and 2PC.
 
 use crate::config::LionConfig;
 use crate::router::route_txn;
 use lion_cluster::AdaptorError;
-use lion_common::{FastMap, NodeId, Phase, Time, TxnId};
-use lion_engine::{Engine, FaultNotice, OpFail, Protocol, TickKind, TxnClass};
+use lion_common::{FastMap, NodeId, PartitionId, Time, TxnId};
+use lion_engine::{Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind, TxnClass};
 use lion_planner::TxnPlacementClass;
 use lion_predictor::WorkloadPredictor;
-
-// Continuation kinds (attempt-stamped, see lion-baselines::tags for the
-// packing scheme, re-implemented here to keep lion-core standalone).
-const K_ROUTED: u8 = 1;
-const K_GROUP: u8 = 2;
-const K_BLOCKED: u8 = 3;
-const K_PREP: u8 = 4;
-const K_PREP_REPL: u8 = 5;
-const K_LOC_COMMIT: u8 = 6;
-const K_COMMIT: u8 = 7;
-
-const COORD_IDX: u16 = 0xFFFF;
-
-#[inline]
-fn tag(kind: u8, attempt: u32, idx: u16) -> u32 {
-    ((kind as u32) << 24) | ((attempt & 0xFF) << 16) | idx as u32
-}
-
-#[inline]
-fn untag(t: u32) -> (u8, u32, u16) {
-    ((t >> 24) as u8, (t >> 16) & 0xFF, (t & 0xFFFF) as u16)
-}
 
 /// The Lion protocol.
 pub struct Lion {
@@ -98,10 +80,6 @@ impl Lion {
         &self.cfg
     }
 
-    fn t(&self, eng: &Engine, txn: TxnId, kind: u8, idx: u16) -> u32 {
-        tag(kind, eng.txn(txn).attempts, idx)
-    }
-
     /// Consensus affinity of a transaction's partitions: the planned
     /// destination when every accessed partition agrees on one.
     fn affinity_of(&self, eng: &Engine, txn: TxnId) -> Option<NodeId> {
@@ -118,17 +96,43 @@ impl Lion {
         dest
     }
 
-    /// Routes and dispatches one transaction (both modes).
-    fn submit_one(&mut self, eng: &mut Engine, txn: TxnId) {
+    /// §III case 2: makes `home` the primary of `part`, whose secondary it
+    /// holds — starts the remaster, or rides one already heading there.
+    /// Returns how long until the hand-off completes; `None` on a
+    /// remastering conflict (a transfer in flight toward another node), for
+    /// which §III prescribes 2PC.
+    fn remaster_to(eng: &mut Engine, txn: TxnId, part: PartitionId, home: NodeId) -> Option<Time> {
+        let wait = match eng.remaster_async(part, home) {
+            Ok(d) => d,
+            Err(AdaptorError::Busy(_))
+                if eng.cluster.parts[part.idx()].remastering == Some(home) =>
+            {
+                eng.cluster.available_at(part).saturating_sub(eng.now())
+            }
+            Err(_) => return None,
+        };
+        if eng.txn(txn).class == TxnClass::SingleNode {
+            eng.txn_mut(txn).class = TxnClass::Remastered;
+        }
+        Some(wait + 1)
+    }
+}
+
+impl StandardPolicy for Lion {
+    fn name(&self) -> &'static str {
+        self.cfg.name
+    }
+
+    fn batch(&self) -> bool {
+        self.cfg.batch
+    }
+
+    fn route(&mut self, eng: &mut Engine, txn: TxnId) -> NodeId {
         let (home, class) = match self.affinity_of(eng, txn) {
             Some(node) => {
                 // Deliberate routing to the planned clump destination.
                 let freq: Vec<f64> = (0..eng.cluster.placement.n_partitions())
-                    .map(|p| {
-                        eng.cluster
-                            .freq
-                            .normalized(lion_common::PartitionId(p as u32))
-                    })
+                    .map(|p| eng.cluster.freq.normalized(PartitionId(p as u32)))
                     .collect();
                 let (class, _) = lion_planner::execution_cost_zoned(
                     &eng.cluster.placement,
@@ -142,281 +146,46 @@ impl Lion {
             }
             None => route_txn(eng, txn, self.cfg.planner.weights),
         };
-        eng.txn_mut(txn).home = home;
-        eng.txn_mut(txn).step = 0;
 
         // Batch optimization (§IV-D): issue every needed remaster for this
         // transaction asynchronously, up front. The executor does not stall
-        // here — the partition-group walk below sleeps through any window
-        // that is still open when the group is reached.
-        if self.cfg.batch {
-            if let TxnPlacementClass::NeedsRemaster { .. } = class {
-                let parts = eng.txn(txn).parts.clone();
-                for part in parts {
-                    if eng.cluster.placement.is_primary(part, home)
-                        || !eng.cluster.placement.has_secondary(part, home)
-                        || self.affinity.get(&part.0).is_some_and(|&a| a != home)
-                    {
-                        continue;
-                    }
-                    match eng.remaster_async(part, home) {
-                        Ok(_) => {
-                            eng.txn_mut(txn).class = TxnClass::Remastered;
-                        }
-                        Err(AdaptorError::Busy(_))
-                            if eng.cluster.parts[part.idx()].remastering == Some(home) =>
-                        {
-                            // Another batch transaction already requested
-                            // the same transfer: ride along.
-                            eng.txn_mut(txn).class = TxnClass::Remastered;
-                        }
-                        Err(_) => {} // conflict: 2PC fallback at the group
-                    }
+        // here — the partition-group walk sleeps through any window that is
+        // still open when the group is reached, and a conflict falls back
+        // to 2PC there.
+        if self.cfg.batch && matches!(class, TxnPlacementClass::NeedsRemaster { .. }) {
+            let parts = eng.txn(txn).parts.clone();
+            for part in parts {
+                if !eng.cluster.placement.is_primary(part, home)
+                    && eng.cluster.placement.has_secondary(part, home)
+                    && self.affinity.get(&part.0).is_none_or(|&a| a == home)
+                {
+                    Self::remaster_to(eng, txn, part, home);
                 }
             }
         }
-
-        let bytes = 32 + 8 * eng.txn(txn).req.ops.len() as u32;
-        let t = self.t(eng, txn, K_ROUTED, 0);
-        eng.net(bytes, Phase::Scheduling, txn, t);
+        home
     }
 
-    /// Advances to the current partition group or to the commit phase.
-    fn process_group(&mut self, eng: &mut Engine, txn: TxnId) {
-        // Honest split-brain: park coordinators cut off from a partition
-        // they need until reachability returns (promotion or heal).
-        if !eng.txn_reachable(txn) {
-            return eng.park_until_heal(txn);
-        }
-        let gi = eng.txn(txn).step as usize;
-        if gi >= eng.txn(txn).n_groups() {
-            return self.begin_commit(eng, txn);
-        }
-        let part = eng.txn(txn).group_part(gi);
-        let now = eng.now();
-
-        let avail = eng.cluster.available_at(part);
-        if avail > now {
-            // Blocked by an in-flight remaster/migration: new operations
-            // wait for the hand-off window (§III).
-            let t = self.t(eng, txn, K_BLOCKED, 0);
-            eng.sleep(avail - now + 1, Phase::Other, txn, t);
-            return;
-        }
-
+    /// Standard mode remasters a local secondary inline, then executes the
+    /// group locally. Two guards prevent ping-pong remastering: a partition
+    /// whose planned destination is elsewhere is left alone (deliberate
+    /// routing), and a transaction whose home stopped being the router's
+    /// best choice while it waited (the placement moved underneath it)
+    /// executes the group via 2PC instead of dragging the primary back —
+    /// "otherwise, they will execute through 2PC" (§III). Batch mode asked
+    /// for its remasters at routing time; what is still remote runs as 2PC.
+    fn remote_action(&mut self, eng: &mut Engine, txn: TxnId, part: PartitionId) -> RemoteAction {
         let home = eng.txn(txn).home;
-        let primary = eng.cluster.placement.primary_of(part);
-        if primary == home {
-            // Index walk over the precomputed group — no per-wake clone.
-            for i in 0..eng.txn(txn).group_ops(gi).len() {
-                let op = eng.txn(txn).group_ops(gi)[i];
-                match eng.exec_op_at(home, txn, op) {
-                    Ok(()) => {}
-                    Err(OpFail::Locked) => return eng.abort_retry(txn),
-                    Err(_) => {
-                        let t = self.t(eng, txn, K_BLOCKED, 0);
-                        return eng.sleep(10, Phase::Other, txn, t);
-                    }
-                }
-            }
-            let (reads, writes) = eng.txn(txn).group_reads_writes(gi);
-            let mut cost = eng.op_cpu(reads, writes);
-            if gi == 0 {
-                cost += eng.config().sim.cpu.txn_overhead_us;
-            }
-            let t = self.t(eng, txn, K_GROUP, 0);
-            eng.cpu(home, Phase::Execution, cost, txn, t);
-        } else if !self.cfg.batch
+        if !self.cfg.batch
             && eng.cluster.placement.has_secondary(part, home)
             && self.affinity.get(&part.0).is_none_or(|&a| a == home)
             && route_txn(eng, txn, self.cfg.planner.weights).0 == home
         {
-            // §III case 2 (standard mode): remaster the local secondary
-            // inline, then execute the group locally. Two guards prevent
-            // ping-pong remastering: a partition whose planned destination
-            // is elsewhere is left alone (deliberate routing), and a
-            // transaction whose home stopped being the router's best choice
-            // while it waited (the placement moved underneath it) executes
-            // the group via 2PC instead of dragging the primary back —
-            // "otherwise, they will execute through 2PC" (§III).
-            match eng.remaster_async(part, home) {
-                Ok(d) => {
-                    if eng.txn(txn).class == TxnClass::SingleNode {
-                        eng.txn_mut(txn).class = TxnClass::Remastered;
-                    }
-                    let t = self.t(eng, txn, K_BLOCKED, 0);
-                    eng.sleep(d + 1, Phase::Other, txn, t);
-                }
-                Err(AdaptorError::Busy(_))
-                    if eng.cluster.parts[part.idx()].remastering == Some(home) =>
-                {
-                    if eng.txn(txn).class == TxnClass::SingleNode {
-                        eng.txn_mut(txn).class = TxnClass::Remastered;
-                    }
-                    let wait = eng.cluster.available_at(part).saturating_sub(now) + 1;
-                    let t = self.t(eng, txn, K_BLOCKED, 0);
-                    eng.sleep(wait, Phase::Other, txn, t);
-                }
-                Err(_) => {
-                    // Remastering conflict toward another node: "others
-                    // resort to committing as distributed transactions".
-                    self.remote_group(eng, txn, gi);
-                }
-            }
-        } else {
-            self.remote_group(eng, txn, gi);
-        }
-    }
-
-    /// §III case 3: remote execution at the partition's primary.
-    fn remote_group(&mut self, eng: &mut Engine, txn: TxnId, gi: usize) {
-        let part = eng.txn(txn).group_part(gi);
-        let primary = eng.cluster.placement.primary_of(part);
-        eng.txn_mut(txn).class = TxnClass::Distributed;
-        if !eng.txn(txn).participants.contains(&primary) {
-            eng.txn_mut(txn).participants.push(primary);
-        }
-        let (reads, writes) = eng.txn(txn).group_reads_writes(gi);
-        let req = 24 * (reads + writes) as u32;
-        let resp = 16 + (reads as u32) * eng.config().sim.value_size;
-        let cpu = eng.op_cpu(reads, writes) + eng.config().sim.cpu.msg_handle_us;
-        let t = self.t(eng, txn, K_GROUP, 1);
-        let home = eng.txn(txn).home;
-        eng.remote_round(home, primary, req, resp, cpu, Phase::Execution, txn, t);
-    }
-
-    fn finish_group(&mut self, eng: &mut Engine, txn: TxnId, remote: bool) {
-        if remote {
-            let gi = eng.txn(txn).step as usize;
-            let part = eng.txn(txn).group_part(gi);
-            let primary = eng.cluster.placement.primary_of(part);
-            for i in 0..eng.txn(txn).group_ops(gi).len() {
-                let op = eng.txn(txn).group_ops(gi)[i];
-                match eng.exec_op_at(primary, txn, op) {
-                    Ok(()) => {}
-                    Err(OpFail::Locked) => return eng.abort_retry(txn),
-                    Err(_) => {
-                        let t = self.t(eng, txn, K_BLOCKED, 0);
-                        return eng.sleep(10, Phase::Other, txn, t);
-                    }
-                }
+            if let Some(wait) = Self::remaster_to(eng, txn, part, home) {
+                return RemoteAction::Wait(wait);
             }
         }
-        eng.txn_mut(txn).step += 1;
-        self.process_group(eng, txn);
-    }
-
-    fn begin_commit(&mut self, eng: &mut Engine, txn: TxnId) {
-        let home = eng.txn(txn).home;
-        let c = eng.config().sim.cpu;
-        if eng.txn(txn).participants.is_empty() {
-            // Single-node: "the transaction can be directly committed,
-            // omitting the prepare phase" (§III).
-            let t = self.t(eng, txn, K_LOC_COMMIT, 0);
-            eng.cpu(home, Phase::Commit, c.validate_us + c.install_us, txn, t);
-        } else {
-            let n = eng.txn(txn).participants.len() as u32 + 1;
-            eng.join_begin(txn, n);
-            let t = self.t(eng, txn, K_PREP, COORD_IDX);
-            eng.cpu(home, Phase::Commit, c.validate_us, txn, t);
-            let participants = eng.txn(txn).participants.clone();
-            for (i, p) in participants.into_iter().enumerate() {
-                let t = self.t(eng, txn, K_PREP, i as u16);
-                eng.remote_round(home, p, 48, 16, c.validate_us, Phase::Commit, txn, t);
-            }
-        }
-    }
-
-    fn prepare_branch(&mut self, eng: &mut Engine, txn: TxnId, idx: u16) {
-        let node = if idx == COORD_IDX {
-            eng.txn(txn).home
-        } else {
-            eng.txn(txn).participants[idx as usize]
-        };
-        if eng.validate_at(node, txn) {
-            let t = self.t(eng, txn, K_PREP_REPL, idx);
-            eng.replicate_prepare(node, txn, t);
-        } else {
-            self.branch_done(eng, txn, false);
-        }
-    }
-
-    fn branch_done(&mut self, eng: &mut Engine, txn: TxnId, ok: bool) {
-        match eng.join_arrive(txn, ok) {
-            None => {}
-            Some(true) => self.commit_distributed(eng, txn),
-            Some(false) => {
-                let n = eng.txn(txn).participants.len() as u32;
-                for _ in 0..n {
-                    eng.net_fire_and_forget(16);
-                }
-                if self.cfg.batch {
-                    eng.abort_defer(txn);
-                } else {
-                    eng.abort_retry(txn);
-                }
-            }
-        }
-    }
-
-    fn commit_distributed(&mut self, eng: &mut Engine, txn: TxnId) {
-        let home = eng.txn(txn).home;
-        let participants = eng.txn(txn).participants.clone();
-        for p in participants {
-            eng.net_fire_and_forget(32);
-            eng.install_at(p, txn);
-        }
-        eng.install_at(home, txn);
-        let c = eng.config().sim.cpu;
-        let t = self.t(eng, txn, K_COMMIT, 0);
-        eng.cpu(home, Phase::Commit, c.install_us, txn, t);
-    }
-}
-
-impl Protocol for Lion {
-    fn name(&self) -> &'static str {
-        self.cfg.name
-    }
-
-    fn batch_mode(&self) -> bool {
-        self.cfg.batch
-    }
-
-    fn on_submit(&mut self, eng: &mut Engine, txn: TxnId) {
-        self.submit_one(eng, txn);
-    }
-
-    fn on_batch(&mut self, eng: &mut Engine, batch: &[TxnId]) {
-        for &t in batch {
-            self.submit_one(eng, t);
-        }
-    }
-
-    fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
-        let (kind, attempt, idx) = untag(tagv);
-        if attempt != (eng.txn(txn).attempts & 0xFF) {
-            return; // stale wake from an aborted attempt
-        }
-        match kind {
-            K_ROUTED => self.process_group(eng, txn),
-            K_GROUP => self.finish_group(eng, txn, idx == 1),
-            K_BLOCKED => self.process_group(eng, txn),
-            K_PREP => self.prepare_branch(eng, txn, idx),
-            K_PREP_REPL => self.branch_done(eng, txn, true),
-            K_LOC_COMMIT => {
-                let home = eng.txn(txn).home;
-                if eng.validate_at(home, txn) {
-                    eng.install_at(home, txn);
-                    eng.commit(txn);
-                } else if self.cfg.batch {
-                    eng.abort_defer(txn);
-                } else {
-                    eng.abort_retry(txn);
-                }
-            }
-            K_COMMIT => eng.commit(txn),
-            _ => unreachable!("unknown continuation kind {kind}"),
-        }
+        RemoteAction::TwoPc
     }
 
     fn on_tick(&mut self, eng: &mut Engine, kind: TickKind) {
@@ -432,9 +201,7 @@ impl Protocol for Lion {
                 // pinning transactions to it; drop those entries immediately
                 // and let the next provision round re-assign the clumps.
                 self.affinity.retain(|_, dest| dest != node);
-                if self.cfg.replan_on_failover {
-                    self.replan_pending = true;
-                }
+                self.replan_pending = true;
             }
             FaultNotice::FailoverComplete { .. } => {
                 // Re-run Algorithm 1 once promotions land: the surviving
@@ -457,10 +224,6 @@ impl Protocol for Lion {
         }
     }
 }
-
-/// Helper shared with tests: virtual time of one second.
-#[allow(dead_code)]
-pub(crate) const SECOND: Time = 1_000_000;
 
 #[cfg(test)]
 mod tests {

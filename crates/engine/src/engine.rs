@@ -1,6 +1,5 @@
 //! The discrete-event transaction engine.
 
-use crate::metrics::{FailoverRecord, Metrics};
 use crate::protocol::{Protocol, TickKind};
 use crate::report::RunReport;
 use crate::slab::TxnSlab;
@@ -14,6 +13,7 @@ use lion_durability::{DurabilityConfig, EpochManager, PendingAck};
 use lion_faults::{
     plan_failover, plan_heal, plan_split_promotions, FaultKind, FaultNotice, FaultPlan, SplitAction,
 };
+use lion_obs::run::{FailoverRecord, Metrics};
 use lion_obs::{ByteClass, CommitClass, MetricEvent, ObsHub, ObsMode};
 use lion_sim::CalendarQueue;
 use lion_storage::{LogEntry, OpOutcome, Table};
@@ -100,6 +100,19 @@ enum AdaptorFinish {
         then_remaster: bool,
     },
     Migrate(PartitionId, u64),
+}
+
+/// Where an aborted attempt waits for its next one.
+#[derive(Debug, Clone, Copy)]
+enum Requeue {
+    /// An `Ev::Retry` after the configured back-off.
+    Backoff,
+    /// The next batch (batch mode): joins the deferred list and counts
+    /// toward the current batch's barrier.
+    NextBatch,
+    /// The heal-waiter list, drained — filtered by reachability — at every
+    /// split promotion and fully at heal.
+    Heal,
 }
 
 /// Engine events.
@@ -551,9 +564,6 @@ impl Engine {
     /// partitions with no live replica until the node recovers).
     fn node_down(&mut self, proto: &mut dyn Protocol, node: NodeId) {
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] crash {node}");
-        }
         // The audit must read the dead node's log buffers *before*
         // `crash_node` drains them into the failover replay.
         self.audit_acked_unshipped(node);
@@ -565,7 +575,16 @@ impl Engine {
             zone,
         });
         self.abort_open_epochs();
-        self.fault_abort_touching(node);
+        // In flight on the dead node: coordinator, participant, or accessed
+        // primary.
+        self.fault_abort(self.requeue_after_fault(), |cluster, ctx| {
+            ctx.home == node
+                || ctx.participants.contains(&node)
+                || ctx
+                    .parts
+                    .iter()
+                    .any(|&p| cluster.placement.primary_of(p) == node)
+        });
         let mut replays: FastMap<u32, Vec<LogEntry>> =
             report.orphaned.into_iter().map(|(p, r)| (p.0, r)).collect();
         for d in plan_failover(&self.cluster, node) {
@@ -676,12 +695,6 @@ impl Engine {
             zone: None,
         });
         let to = self.cluster.placement.primary_of(part);
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!(
-                "[{now}] failover {part} {} -> {to} (lag {})",
-                pf.from, pf.lag
-            );
-        }
         self.emit(MetricEvent::Failover {
             record: FailoverRecord {
                 part,
@@ -711,9 +724,6 @@ impl Engine {
     /// the node as a secondary via background snapshot copies.
     fn node_up_event(&mut self, proto: &mut dyn Protocol, node: NodeId) {
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] recover {node}");
-        }
         let zone = self.cluster.zone(node);
         let report = self.cluster.recover_node(node, now);
         self.emit(MetricEvent::Recover {
@@ -735,51 +745,36 @@ impl Engine {
         proto.on_fault(self, &FaultNotice::NodeUp(node));
     }
 
-    /// Aborts every in-flight transaction whose coordinator, participant, or
-    /// accessed primary sits on the dead node. Retries ride the normal
-    /// abort paths (back-off in standard mode, defer in batch mode).
-    fn fault_abort_touching(&mut self, node: NodeId) {
-        let now = self.now();
+    /// Fault-aborts every in-flight transaction `touches` selects — the
+    /// ones a crash, a cut or a heal-time primary swap pulls the ground from
+    /// under — and requeues each at `to`.
+    fn fault_abort(&mut self, to: Requeue, touches: impl Fn(&Cluster, &TxnCtx) -> bool) {
         let mut victims = std::mem::take(&mut self.victim_buf);
         victims.clear();
         victims.extend(
             self.txns
                 .iter()
-                .filter(|ctx| {
-                    !ctx.parked
-                        && (ctx.home == node
-                            || ctx.participants.contains(&node)
-                            || ctx
-                                .parts
-                                .iter()
-                                .any(|&p| self.cluster.placement.primary_of(p) == node))
-                })
+                .filter(|ctx| !ctx.parked && touches(&self.cluster, ctx))
                 .map(|ctx| (ctx.seq, ctx.id)),
         );
         // Slab iteration follows slot order, which slot reuse decouples from
         // arrival order; sort by submission sequence for a deterministic
         // retry/defer sequence (same seed ⇒ identical recovery timeline).
         victims.sort_unstable();
-        let backoff = self.cfg.sim.retry_backoff_us;
         for &(_, txn) in &victims {
-            let home = self.txn(txn).home;
-            self.emit(MetricEvent::Abort {
-                at: now,
-                fault: true,
-                node: home,
-                zone: self.cluster.zone(home),
-            });
-            self.release_all(txn);
-            self.txn_mut(txn).reset_for_retry(now + backoff);
-            self.txn_mut(txn).parked = true;
-            if self.batch_mode {
-                self.deferred.push(txn);
-                self.batch_done_one();
-            } else {
-                self.queue.schedule(backoff, Ev::Retry(txn));
-            }
+            self.abort_attempt(txn, true, to);
         }
         self.victim_buf = victims; // recycle the allocation
+    }
+
+    /// Where a fault-aborted attempt retries from: the normal abort paths
+    /// (back-off in standard mode, the next batch in batch mode).
+    fn requeue_after_fault(&self) -> Requeue {
+        if self.batch_mode {
+            Requeue::NextBatch
+        } else {
+            Requeue::Backoff
+        }
     }
 
     // ----------------------------------------------------------------
@@ -792,14 +787,13 @@ impl Engine {
     /// transactions via [`Engine::park_until_heal`] instead of spinning
     /// retries against the cut.
     pub fn txn_reachable(&self, txn: TxnId) -> bool {
-        if !self.cluster.split_active() {
-            return true;
-        }
-        let ctx = self.txn(txn);
-        ctx.parts.iter().all(|&p| {
-            self.cluster
-                .same_side(ctx.home, self.cluster.placement.primary_of(p))
-        })
+        !self.cluster.split_active() || Self::reachable(&self.cluster, self.txn(txn))
+    }
+
+    fn reachable(cluster: &Cluster, ctx: &TxnCtx) -> bool {
+        ctx.parts
+            .iter()
+            .all(|&p| cluster.same_side(ctx.home, cluster.placement.primary_of(p)))
     }
 
     /// Parks `txn` until reachability returns: the attempt fault-aborts
@@ -809,21 +803,7 @@ impl Engine {
     /// fully at heal. The issuing client blocks with it: no goodput is
     /// faked while the partition the client needs sits across the cut.
     pub fn park_until_heal(&mut self, txn: TxnId) {
-        let now = self.now();
-        let home = self.txn(txn).home;
-        self.emit(MetricEvent::Abort {
-            at: now,
-            fault: true,
-            node: home,
-            zone: self.cluster.zone(home),
-        });
-        self.release_all(txn);
-        self.txn_mut(txn).reset_for_retry(now);
-        self.txn_mut(txn).parked = true;
-        self.heal_waiters.push(txn);
-        if self.batch_mode {
-            self.batch_done_one();
-        }
+        self.abort_attempt(txn, true, Requeue::Heal);
     }
 
     /// Re-admits parked heal waiters whose accessed partitions are all
@@ -863,9 +843,6 @@ impl Engine {
     fn begin_split_brain(&mut self, proto: &mut dyn Protocol, cut: Vec<NodeId>) {
         let _ = &proto; // topology is unchanged until promotions land
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] split-brain begin {cut:?}");
-        }
         self.split_seq += 1;
         self.split_began_at = now;
         self.emit(MetricEvent::PartitionBegin { at: now });
@@ -873,20 +850,8 @@ impl Engine {
         for part in aborted {
             self.replan_failover(part, now);
         }
-        // Park in-flight transactions the cut strands mid-protocol, in
-        // submission order for a deterministic recovery timeline.
-        let mut stranded: Vec<(u64, TxnId)> = self
-            .txns
-            .iter()
-            .filter(|ctx| !ctx.parked)
-            .map(|ctx| (ctx.seq, ctx.id))
-            .collect();
-        stranded.sort_unstable();
-        for (_, txn) in stranded {
-            if !self.txn_reachable(txn) {
-                self.park_until_heal(txn);
-            }
-        }
+        // Park in-flight transactions the cut strands mid-protocol.
+        self.fault_abort(Requeue::Heal, |cluster, ctx| !Self::reachable(cluster, ctx));
         let decisions = plan_split_promotions(&self.cluster);
         if decisions
             .iter()
@@ -932,6 +897,18 @@ impl Engine {
     /// parked on this partition re-admit.
     fn split_promote_event(&mut self, proto: &mut dyn Protocol, part: PartitionId, target: NodeId) {
         let now = self.now();
+        let landed = self.promote_across_cut(part, target);
+        self.emit(MetricEvent::UnavailEnd { at: now, part });
+        self.split_unavail_open.retain(|&p| p != part);
+        proto.on_fault(self, &landed);
+        self.resume_reachable_waiters();
+    }
+
+    /// Hands `part` to `target` on its quorum side (mid-window promotion, or
+    /// a shadow promotion applied at heal) and records the failover. Returns
+    /// the notice the protocol is owed.
+    fn promote_across_cut(&mut self, part: PartitionId, target: NodeId) -> FaultNotice {
+        let now = self.now();
         let from = self.cluster.placement.primary_of(part);
         let dead_head = self
             .cluster
@@ -944,9 +921,6 @@ impl Engine {
             .store(target, part)
             .map(|s| s.applied_lsn)
             .unwrap_or(0);
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] split-promote {part} {from} -> {target}");
-        }
         self.emit(MetricEvent::Failover {
             record: FailoverRecord {
                 part,
@@ -960,17 +934,11 @@ impl Engine {
             },
             replayed: 0,
         });
-        self.emit(MetricEvent::UnavailEnd { at: now, part });
-        self.split_unavail_open.retain(|&p| p != part);
-        proto.on_fault(
-            self,
-            &FaultNotice::FailoverComplete {
-                part,
-                from,
-                to: target,
-            },
-        );
-        self.resume_reachable_waiters();
+        FaultNotice::FailoverComplete {
+            part,
+            from,
+            to: target,
+        }
     }
 
     /// The cut heals: reconcile the divergence the window accumulated.
@@ -978,19 +946,16 @@ impl Engine {
     /// primary is about to swap (prepare-locks must release against the
     /// placement that granted them), (2) adopt the quorum timeline by
     /// applying the recorded shadow promotions, (3) audit every stale
-    /// replica's log for acked-then-lost work, then discard it and re-add
-    /// the replica via a background snapshot copy, (4) close promotion
-    /// windows the mid-window hand-off never closed, (5) abort the fenced
-    /// epochs and retry their parked clients, (6) end the window and
-    /// release every remaining parked waiter.
+    /// replica's log for acked-then-lost work, then discard it, (4) close
+    /// promotion windows the mid-window hand-off never closed, (5) abort
+    /// the fenced epochs and retry their parked clients, (6) end the
+    /// window, (7) re-add the discarded replicas via background snapshot
+    /// copies and release every remaining parked waiter.
     fn heal_split_brain(&mut self, proto: &mut dyn Protocol) {
         if !self.cluster.split_active() {
             return;
         }
         let now = self.now();
-        if std::env::var_os("LION_TRACE").is_some() {
-            eprintln!("[{now}] split-brain heal");
-        }
         self.emit(MetricEvent::PartitionHeal { at: now });
         let steps = plan_heal(&self.cluster);
         let swapping: Vec<PartitionId> = steps
@@ -999,46 +964,16 @@ impl Engine {
             .map(|s| s.part)
             .collect();
         if !swapping.is_empty() {
-            self.fault_abort_touching_parts(&swapping);
+            // Prepare-locks must release while the placement that granted
+            // them still routes there.
+            self.fault_abort(self.requeue_after_fault(), |_, ctx| {
+                ctx.parts.iter().any(|p| swapping.contains(p))
+            });
         }
         for step in &steps {
             if let Some(target) = step.shadow {
-                let from = self.cluster.placement.primary_of(step.part);
-                let dead_head = self
-                    .cluster
-                    .store(from, step.part)
-                    .map(|s| s.log.head_lsn())
-                    .unwrap_or(0);
-                self.cluster.split_promote(step.part, target, now);
-                let promoted_head = self
-                    .cluster
-                    .store(target, step.part)
-                    .map(|s| s.applied_lsn)
-                    .unwrap_or(0);
-                if std::env::var_os("LION_TRACE").is_some() {
-                    eprintln!("[{now}] heal-promote {} {from} -> {target}", step.part);
-                }
-                self.emit(MetricEvent::Failover {
-                    record: FailoverRecord {
-                        part: step.part,
-                        from,
-                        to: target,
-                        dead_head,
-                        promoted_head,
-                        lag: 0,
-                        crashed_at: self.split_began_at,
-                        completed_at: now,
-                    },
-                    replayed: 0,
-                });
-                proto.on_fault(
-                    self,
-                    &FaultNotice::FailoverComplete {
-                        part: step.part,
-                        from,
-                        to: target,
-                    },
-                );
+                let landed = self.promote_across_cut(step.part, target);
+                proto.on_fault(self, &landed);
             }
         }
         for step in &steps {
@@ -1052,7 +987,6 @@ impl Engine {
                     self.emit(MetricEvent::AckedThenLost { at: now, n: lost });
                 }
                 self.cluster.drop_stale_secondary(step.part, n);
-                let _ = self.add_replica_async(step.part, n, false);
             }
         }
         for part in std::mem::take(&mut self.split_unavail_open) {
@@ -1064,55 +998,29 @@ impl Engine {
                 at: now,
                 n: abort.epochs_aborted,
             });
-            let backoff = self.cfg.sim.retry_backoff_us;
-            let extra = self.retry_resubmit_cost(abort.retried.len());
-            for ack in abort.retried {
-                self.emit(MetricEvent::EpochRetriedAck { at: now });
-                if !self.batch_mode {
-                    self.queue
-                        .schedule(backoff + extra, Ev::ClientNext(ack.client));
+            self.retry_unacked(abort.retried);
+        }
+        self.cluster.end_split();
+        // Re-add the dropped replicas only now: a snapshot copy cannot cross
+        // an open cut, so any earlier every one of these would be refused.
+        // A node that died inside the window has nothing to copy onto.
+        for step in &steps {
+            for &n in &step.stale {
+                if !self.cluster.is_up(n) {
+                    continue;
+                }
+                match self.add_replica_async(step.part, n, false) {
+                    // The planner got there first: the copy is in flight.
+                    Ok(_) | Err(AdaptorError::AlreadyHosted { .. }) => {}
+                    Err(e) => {
+                        debug_assert!(false, "heal could not re-add {} on {n}: {e}", step.part);
+                        self.emit(MetricEvent::RemasterConflict { at: now });
+                    }
                 }
             }
         }
-        self.cluster.end_split();
         self.resume_reachable_waiters();
         debug_assert!(self.heal_waiters.is_empty(), "waiters survived the heal");
-    }
-
-    /// Aborts every in-flight transaction touching one of `parts` (the
-    /// heal is about to swap their serving primaries; prepare-locks must
-    /// release while the placement that granted them still routes there).
-    fn fault_abort_touching_parts(&mut self, parts: &[PartitionId]) {
-        let now = self.now();
-        let mut victims = std::mem::take(&mut self.victim_buf);
-        victims.clear();
-        victims.extend(
-            self.txns
-                .iter()
-                .filter(|ctx| !ctx.parked && ctx.parts.iter().any(|p| parts.contains(p)))
-                .map(|ctx| (ctx.seq, ctx.id)),
-        );
-        victims.sort_unstable();
-        let backoff = self.cfg.sim.retry_backoff_us;
-        for &(_, txn) in &victims {
-            let home = self.txn(txn).home;
-            self.emit(MetricEvent::Abort {
-                at: now,
-                fault: true,
-                node: home,
-                zone: self.cluster.zone(home),
-            });
-            self.release_all(txn);
-            self.txn_mut(txn).reset_for_retry(now + backoff);
-            self.txn_mut(txn).parked = true;
-            if self.batch_mode {
-                self.deferred.push(txn);
-                self.batch_done_one();
-            } else {
-                self.queue.schedule(backoff, Ev::Retry(txn));
-            }
-        }
-        self.victim_buf = victims; // recycle the allocation
     }
 
     fn create_txn(&mut self, client: ClientId) -> TxnId {
@@ -1163,10 +1071,6 @@ impl Engine {
                 let rt = &self.cluster.parts[part.idx()];
                 if rt.gen != gen || rt.remastering.is_none() {
                     return; // transfer canceled by a crash
-                }
-                let to = rt.remastering;
-                if std::env::var_os("LION_TRACE").is_some() {
-                    eprintln!("[{now}] remaster {part} -> {to:?}");
                 }
                 let bytes = self.cluster.finish_remaster(part, now);
                 self.emit(MetricEvent::Remaster { at: now, part });
@@ -1496,6 +1400,20 @@ impl Engine {
     /// instead — leaving them would poison the rows forever once the
     /// partition remasters back.
     pub fn install_at(&mut self, node: NodeId, txn: TxnId) {
+        self.install(txn, Some(node));
+    }
+
+    /// Installs `txn`'s writes directly at their current primaries without
+    /// prepare-locks. Used by protocols whose write phase is conflict-free by
+    /// construction (Star's serial single-master phase, deterministic
+    /// protocols whose lock schedule already serialized the writers).
+    pub fn install_unchecked(&mut self, txn: TxnId) {
+        self.install(txn, None);
+    }
+
+    /// Installs `txn`'s writes at their primaries — every one of them, or
+    /// with `only_at` just those primaried there.
+    fn install(&mut self, txn: TxnId, only_at: Option<NodeId>) {
         let value_size = self.cfg.sim.value_size;
         // Split borrow: the context is read in place (no write-set clone)
         // while the stores are mutated.
@@ -1508,7 +1426,8 @@ impl Engine {
         let ctx = txns.get(txn).expect("live transaction");
         let attempt = ctx.attempts as u64;
         for w in &ctx.write_set {
-            if !cluster.placement.is_primary(w.part, node) {
+            let primary = cluster.placement.primary_of(w.part);
+            if let Some(node) = only_at.filter(|&node| node != primary) {
                 if cluster.store(node, w.part).is_some() {
                     for holder in cluster.placement.replica_nodes(w.part) {
                         if let Some(store) = cluster.store_mut(holder, w.part) {
@@ -1520,7 +1439,7 @@ impl Engine {
             }
             let stamp = txn.0.wrapping_mul(31).wrapping_add(attempt);
             let value = Table::synth_value(w.key, stamp, value_size);
-            let store = cluster.store_mut(node, w.part).expect("primary store");
+            let store = cluster.store_mut(primary, w.part).expect("primary store");
             let version = store.table.occ_install(w.key, txn, value.clone());
             let lsn = store.log.append(w.part, w.key, version, value);
             if *ack_at_commit {
@@ -1548,34 +1467,6 @@ impl Engine {
             "commit install copied the payload instead of sharing it"
         );
         let _ = (store, key);
-    }
-
-    /// Installs `txn`'s writes directly at their current primaries without
-    /// prepare-locks. Used by protocols whose write phase is conflict-free by
-    /// construction (Star's serial single-master phase, deterministic
-    /// protocols whose lock schedule already serialized the writers).
-    pub fn install_unchecked(&mut self, txn: TxnId) {
-        let value_size = self.cfg.sim.value_size;
-        let Engine {
-            txns,
-            cluster,
-            ack_at_commit,
-            ..
-        } = self;
-        let ctx = txns.get(txn).expect("live transaction");
-        let attempt = ctx.attempts as u64;
-        for w in &ctx.write_set {
-            let stamp = txn.0.wrapping_mul(31).wrapping_add(attempt);
-            let value = Table::synth_value(w.key, stamp, value_size);
-            let primary = cluster.placement.primary_of(w.part);
-            let store = cluster.store_mut(primary, w.part).expect("primary store");
-            let version = store.table.occ_install(w.key, txn, value.clone());
-            let lsn = store.log.append(w.part, w.key, version, value);
-            if *ack_at_commit {
-                store.log.mark_acked(lsn);
-            }
-            Self::assert_zero_copy_install(store, w.key);
-        }
     }
 
     /// Records the write set of `txn` from its declared ops without
@@ -1746,9 +1637,17 @@ impl Engine {
             at: now,
             n: abort.epochs_aborted,
         });
+        self.retry_unacked(abort.retried);
+    }
+
+    /// The clients of an aborted epoch's parked, never-released acks retry
+    /// after the back-off (standard mode; batch clients are paced by the
+    /// batch loop).
+    fn retry_unacked(&mut self, retried: Vec<PendingAck>) {
+        let now = self.now();
         let backoff = self.cfg.sim.retry_backoff_us;
-        let extra = self.retry_resubmit_cost(abort.retried.len());
-        for ack in abort.retried {
+        let extra = self.retry_resubmit_cost(retried.len());
+        for ack in retried {
             self.emit(MetricEvent::EpochRetriedAck { at: now });
             if !self.batch_mode {
                 self.queue
@@ -1871,38 +1770,54 @@ impl Engine {
     /// Aborts the current attempt and schedules a retry after the configured
     /// back-off (standard mode).
     pub fn abort_retry(&mut self, txn: TxnId) {
-        let now = self.now();
-        let home = self.txn(txn).home;
-        self.emit(MetricEvent::Abort {
-            at: now,
-            fault: false,
-            node: home,
-            zone: self.cluster.zone(home),
-        });
-        self.release_all(txn);
-        let backoff = self.cfg.sim.retry_backoff_us;
-        self.txn_mut(txn).reset_for_retry(now + backoff);
-        self.txn_mut(txn).parked = true;
-        self.queue.schedule(backoff, Ev::Retry(txn));
+        self.abort_attempt(txn, false, Requeue::Backoff);
     }
 
     /// Aborts the current attempt and defers the transaction to the next
     /// batch (Aria-style carry-over; batch mode only).
     pub fn abort_defer(&mut self, txn: TxnId) {
         debug_assert!(self.batch_mode, "defer is a batch-mode operation");
+        self.abort_attempt(txn, false, Requeue::NextBatch);
+    }
+
+    /// Ends `txn`'s current attempt — records the abort, releases its
+    /// prepare-locks, resets the context (scheduled wakes go stale through
+    /// the attempt counter) — and parks it at `to` until its next one.
+    fn abort_attempt(&mut self, txn: TxnId, fault: bool, to: Requeue) {
         let now = self.now();
         let home = self.txn(txn).home;
         self.emit(MetricEvent::Abort {
             at: now,
-            fault: false,
+            fault,
             node: home,
             zone: self.cluster.zone(home),
         });
         self.release_all(txn);
-        self.txn_mut(txn).reset_for_retry(now);
-        self.txn_mut(txn).parked = true;
-        self.deferred.push(txn);
-        self.batch_done_one();
+        let backoff = self.cfg.sim.retry_backoff_us;
+        let restart = match to {
+            Requeue::Backoff => now + backoff,
+            Requeue::NextBatch | Requeue::Heal => now,
+        };
+        let ctx = self.txn_mut(txn);
+        ctx.reset_for_retry(restart);
+        ctx.parked = true;
+        match to {
+            Requeue::Backoff => {
+                self.queue.schedule(backoff, Ev::Retry(txn));
+            }
+            Requeue::NextBatch => {
+                self.deferred.push(txn);
+                self.batch_done_one();
+            }
+            Requeue::Heal => {
+                // The issuing client blocks with it: no goodput is faked
+                // while the partition it needs sits across the cut.
+                self.heal_waiters.push(txn);
+                if self.batch_mode {
+                    self.batch_done_one();
+                }
+            }
+        }
     }
 
     fn batch_done_one(&mut self) {

@@ -16,23 +16,27 @@
 //!   sinks (see `ARCHITECTURE.md` § Observability).
 //!
 //! Protocols implement the [`Protocol`] trait as explicit state machines:
-//! the engine wakes them with `(txn, tag)` continuations.
+//! the engine wakes them with `(txn, tag)` continuations. The route →
+//! execute → local-commit-or-2PC machine lives here once, in [`standard`],
+//! and is the `Protocol` of every [`StandardPolicy`].
 
 pub mod engine;
-pub mod metrics;
 pub mod protocol;
 pub mod report;
 pub mod slab;
+pub mod standard;
+pub mod tags;
 pub mod txn;
 
 pub use engine::{Engine, EngineConfig, OpFail};
 pub use lion_durability::{AckRecord, DurabilityConfig, DurableEpoch, EpochManager, PendingAck};
 pub use lion_faults::{FaultEvent, FaultKind, FaultNotice, FaultPlan};
+pub use lion_obs::run::{FailoverRecord, Metrics, UnavailWindow};
 pub use lion_obs::{
     ByteClass, CommitClass, DimRollup, MetricEvent, MetricSink, NullSink, ObsHub, ObsMode,
 };
-pub use metrics::{FailoverRecord, Metrics, UnavailWindow};
 pub use protocol::{Protocol, TickKind};
 pub use report::RunReport;
 pub use slab::TxnSlab;
+pub use standard::{RemoteAction, StandardPolicy};
 pub use txn::{TxnClass, TxnCtx};

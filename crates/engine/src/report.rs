@@ -48,7 +48,7 @@ pub struct RunReport {
     /// (and it is zero on every zone-free configuration anyway).
     pub zone_crashes: u64,
     /// Partitions that stalled with no live promotable replica (see
-    /// [`crate::metrics::Metrics::stalled_partitions`]). Excluded from
+    /// [`crate::Metrics::stalled_partitions`]). Excluded from
     /// [`RunReport::digest`] like `zone_crashes`.
     pub stalled_partitions: u64,
     /// Completed failover promotions.

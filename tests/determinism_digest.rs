@@ -8,12 +8,19 @@
 //! overhaul** (FxHash maps, generation-tagged txn slab, zero-copy write
 //! sets), proving those swaps changed performance, not behavior.
 //!
-//! If a deliberate behavior change ever invalidates a golden, re-capture it
-//! with `LION_PRINT_DIGESTS=1 cargo test --test determinism_digest -- --nocapture`.
+//! **Golden provenance.** Every pinned constant below carries, beside it,
+//! the scenario it pins and the PR that pinned it. All of them regenerate
+//! with one command, which prints `name: 0x…` for every scenario:
+//!
+//! ```text
+//! LION_PRINT_DIGESTS=1 cargo test --test determinism_digest -- --nocapture
+//! ```
+//!
+//! A golden may only move in a change that says why, in that comment.
 
-use lion::baselines::two_pc;
+use lion::baselines::{clay, leap, two_pc};
 use lion::common::{NodeId, PlacementPolicy, SimConfig, ZoneId, SECOND};
-use lion::core::Lion;
+use lion::core::{Lion, LionConfig};
 use lion::engine::{Engine, EngineConfig, Protocol, RunReport};
 use lion::faults::FaultPlan;
 use lion::workloads::{YcsbConfig, YcsbWorkload};
@@ -58,8 +65,16 @@ struct Scenario {
     golden: u64,
 }
 
-/// Golden digests captured at commit `bca1f3b` (pre-overhaul seed state).
+/// One node crashes a quarter of the way in and restarts at the half.
+fn crash_recover() -> FaultPlan {
+    FaultPlan::single_failure(SECOND / 4, NodeId(1), SECOND / 2)
+}
+
+/// Every scenario: 3 nodes x 4 partitions, YCSB 60 % cross-partition at
+/// skew 0.5, workload seed 42, planner tick every 300 ms (see [`run`]).
 const SCENARIOS: &[Scenario] = &[
+    // The four legacy goldens: pinned by PR 2 at commit `bca1f3b`, i.e.
+    // captured *before* its hot-path overhaul, and byte-identical since.
     Scenario {
         name: "2pc-ycsb",
         build: || Box::new(two_pc()),
@@ -84,9 +99,54 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lion-crash-recover",
         build: || Box::new(Lion::standard()),
-        faults: || FaultPlan::single_failure(SECOND / 4, NodeId(1), SECOND / 2),
+        faults: crash_recover,
         horizon: SECOND,
         golden: 0x846910caf3ea2f5b,
+    },
+    // The remaining users of the standard-execution machine: pinned by
+    // PR 14 at its parent commit `3640932`, before Lion became a policy
+    // over that machine, so the merge is checkable against them.
+    //
+    // Leap: every remote group migrates its partition home and waits.
+    Scenario {
+        name: "leap-ycsb",
+        build: || Box::new(leap()),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0x80bf43b6d41d26be,
+    },
+    // Clay: 2PC execution + the load monitor (first fires at 1 s, hence
+    // the longer horizon).
+    Scenario {
+        name: "clay-ycsb",
+        build: || Box::new(clay()),
+        faults: FaultPlan::none,
+        horizon: 3 * SECOND,
+        golden: 0xa07c18c700368246,
+    },
+    // Lion(S): Schism partitioning realized by blocking migrations.
+    Scenario {
+        name: "lion-s-ycsb",
+        build: || Box::new(Lion::new(LionConfig::lion_s())),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0x3fbb2ae839e9e0d5,
+    },
+    // Lion(RB): batch execution without workload prediction.
+    Scenario {
+        name: "lion-rb-ycsb",
+        build: || Box::new(Lion::new(LionConfig::lion_rb())),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0xb7acf12f2a34806b,
+    },
+    // Full Lion through a node crash: batch arming + fault aborts + defers.
+    Scenario {
+        name: "lion-batch-crash-recover",
+        build: || Box::new(Lion::full()),
+        faults: crash_recover,
+        horizon: SECOND,
+        golden: 0x506300b9ae349872,
     },
 ];
 
@@ -104,11 +164,20 @@ fn same_seed_runs_are_bit_identical_and_match_goldens() {
             s.name
         );
         if std::env::var_os("LION_PRINT_DIGESTS").is_some() {
-            eprintln!("{}: 0x{:016x}", s.name, a.digest());
+            eprintln!(
+                "{}: 0x{:016x}  (commits {}, aborts {}, fault aborts {}, remasters {}, migrations {})",
+                s.name,
+                a.digest(),
+                a.commits,
+                a.aborts,
+                a.fault_aborts,
+                a.remasters,
+                a.migrations
+            );
         }
         if a.digest() != s.golden {
             drift.push(format!(
-                "{}: digest 0x{:016x} departed from the pre-overhaul golden 0x{:016x}",
+                "{}: digest 0x{:016x} departed from the pinned golden 0x{:016x}",
                 s.name,
                 a.digest(),
                 s.golden
@@ -122,10 +191,10 @@ fn same_seed_runs_are_bit_identical_and_match_goldens() {
     );
 }
 
-/// The zone-crash scenario gets its own pinned digest (captured at this
-/// PR, which introduced failure domains): a 4-node / 2-rack cluster under
-/// rack-safe placement loses rack Z1 wholesale mid-run and heals later.
-/// Cross-zone latency is non-zero so zone identity shows on the wire.
+/// `lion-zone-crash`, pinned by PR 3 (which introduced failure domains):
+/// standard Lion on a 4-node / 2-rack cluster under rack-safe placement
+/// loses rack Z1 wholesale at 250 ms and heals it at 500 ms. Cross-zone
+/// latency is non-zero so zone identity shows on the wire.
 const ZONE_GOLDEN: u64 = 0x9537fd89d4544c40;
 
 fn zone_sim() -> SimConfig {
@@ -186,9 +255,9 @@ fn zone_crash_scenario_is_reproducible_and_pinned() {
     );
 }
 
-/// The epoch-group-commit crash scenario gets its own pinned digest
-/// (captured at this PR, which introduced the durability subsystem): Lion
-/// under a 4 ms commit epoch with a crash + recovery mid-run. Client pacing
+/// `lion-epoch-crash`, pinned by PR 4 (which introduced the durability
+/// subsystem): the `lion-crash-recover` scenario of the table above under a
+/// 4 ms commit epoch. Client pacing
 /// changes under epoch acks (closed-loop clients wait for durability), so
 /// this digest is distinct from — and pins behavior alongside — the
 /// ack-at-commit goldens above, which the subsystem must leave untouched.
@@ -231,14 +300,21 @@ fn epoch_commit_crash_scenario_is_reproducible_and_pinned() {
     );
 }
 
-/// The honest split-brain scenario gets its own pinned digest (captured at
-/// this PR, which introduced quorum fencing): a 4-node cluster at
-/// replication factor 3 under epoch group commit takes a 2-v-2 cut mid-run
-/// with both sides kept live, and the heal applies the shadow promotions,
-/// aborts the divergent minority epochs, and retries their clients. The
-/// park/fence/heal machinery must be a pure function of the seed, and the
-/// six goldens above — which never opt into `split_brain` — must not move.
-const SPLIT_BRAIN_GOLDEN: u64 = 0xce14a2f81c5d4bbc;
+/// `lion-split-brain`, pinned by PR 7 (which introduced quorum fencing) as
+/// `0xce14a2f81c5d4bbc`: standard Lion on a 4-node cluster at
+/// replication factor 3 under a 5 ms commit epoch takes a 2-v-2 cut at
+/// 250 ms with both sides kept live, and the heal at 500 ms applies the
+/// shadow promotions, aborts the divergent minority epochs, and retries
+/// their clients. The park/fence/heal machinery must be a pure function of
+/// the seed, and the goldens above — which never opt into `split_brain` —
+/// must not move.
+///
+/// Re-pinned once, by PR 14's heal fix and for that reason only: the heal
+/// used to ask for its replica re-adds while the cut was still open, so each
+/// was refused and the refusal discarded; they are now issued after the
+/// window closes, so the post-heal run carries their snapshot-copy bytes and
+/// `ReplicaAdd` completions where it used to run under-replicated.
+const SPLIT_BRAIN_GOLDEN: u64 = 0x41501d8d069e5bd4;
 
 fn run_split_brain_scenario() -> RunReport {
     let cfg = EngineConfig {

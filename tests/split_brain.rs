@@ -17,7 +17,7 @@
 //!   crash approximation's, which kills the isolated side outright.
 
 use lion::baselines::two_pc;
-use lion::common::{FastMap, NodeId, SimConfig, SECOND};
+use lion::common::{FastMap, NodeId, PartitionId, SimConfig, SECOND};
 use lion::core::Lion;
 use lion::engine::{DurabilityConfig, Engine, EngineConfig, Protocol, RunReport};
 use lion::faults::FaultPlan;
@@ -77,6 +77,8 @@ struct Run {
     report: RunReport,
     fenced_after: usize,
     ack_log: Vec<lion::engine::AckRecord>,
+    /// Replica holders per partition at the end of the run.
+    holders: Vec<Vec<NodeId>>,
 }
 
 fn run_split(which: usize, seed: u64, faults: FaultPlan, durability: DurabilityConfig) -> Run {
@@ -94,6 +96,9 @@ fn run_split(which: usize, seed: u64, faults: FaultPlan, durability: DurabilityC
         report,
         fenced_after: eng.epoch_manager().fenced_count(),
         ack_log: eng.epoch_manager().ack_log.clone(),
+        holders: (0..eng.cluster.n_partitions() as u32)
+            .map(|p| eng.cluster.placement.replica_nodes(PartitionId(p)))
+            .collect(),
     }
 }
 
@@ -164,6 +169,30 @@ fn minority_side_stays_live_and_fenced() {
             legacy.report.minority_commits, 0,
             "{name}: the legacy path has no live minority to commit"
         );
+    }
+}
+
+/// The heal drops every replica that sat across the cut from its
+/// partition's quorum and must re-add each one by background snapshot copy
+/// once the window is closed (a copy cannot cross an open cut): well after
+/// the heal, no partition may still be below the replication factor.
+#[test]
+fn heal_restores_replication_factor() {
+    for which in 0..4 {
+        let name = proto_name(which);
+        let run = run_split(
+            which,
+            7,
+            split_plan(SECOND / 10, SECOND / 4),
+            DurabilityConfig::epoch(1_000),
+        );
+        assert_eq!(run.report.partitions_healed, 1, "{name}: the cut healed");
+        for (p, holders) in run.holders.iter().enumerate() {
+            assert!(
+                holders.len() >= 3,
+                "{name}: P{p} still under-replicated after the heal (holders: {holders:?})"
+            );
+        }
     }
 }
 
