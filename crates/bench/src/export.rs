@@ -35,28 +35,12 @@ pub fn drain_jsonl() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{base_sim, run_job, Job, ProtoKind, WorkloadSpec};
-    use lion_workloads::YcsbConfig;
+    use crate::harness::{run_job, tiny_job};
 
     #[test]
     fn harness_runs_are_collected_and_drain_as_jsonl() {
         drop(drain_jsonl()); // isolate from any earlier test's leftovers
-        let mut sim = base_sim(2);
-        sim.partitions_per_node = 2;
-        sim.keys_per_partition = 256;
-        sim.clients_per_node = 2;
-        let job = Job::new(
-            "export-smoke",
-            ProtoKind::TwoPc,
-            sim,
-            WorkloadSpec::Ycsb(
-                YcsbConfig::for_cluster(2, 2, 256)
-                    .with_mix(0.0, 0.0)
-                    .with_seed(3),
-            ),
-            100_000,
-        );
-        let report = run_job(&job);
+        let report = run_job(&tiny_job("export-smoke", 3, 100_000));
         let doc = drain_jsonl();
         let lines: Vec<&str> = doc.lines().filter(|l| l.contains("export-smoke")).collect();
         assert_eq!(lines.len(), 1, "one line per run");

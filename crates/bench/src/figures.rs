@@ -1,85 +1,153 @@
-//! One experiment per paper table/figure (§VI). Each function assembles the
-//! sweep, runs it on the pool, and renders the same rows/series the paper
-//! plots.
+//! One experiment per paper table/figure (§VI). Each function describes its
+//! sweep as a `Grid` of jobs, runs it on the pool, and renders the same
+//! rows/series the paper plots. [`EXPERIMENTS`] is the one list of them:
+//! what `lion-bench` dispatches from, what `all` iterates, and what the
+//! usage line is printed from.
 
 use crate::harness::{
     base_sim, run_all, run_job, tpcc_spec, ycsb_sched_spec, ycsb_spec, Job, ProtoKind, Scale,
     WorkloadSpec,
 };
+use lion_common::{NodeId, Time};
 use lion_core::LionConfig;
-use lion_engine::RunReport;
+use lion_engine::{FaultPlan, RunReport};
 use lion_workloads::Schedule;
 use std::fmt::Write as _;
 
 /// Cross-partition sweep points (% of cross-partition transactions).
 const CROSS_POINTS: [f64; 5] = [0.0, 0.2, 0.5, 0.8, 1.0];
 
-fn kilo(v: f64) -> String {
-    format!("{:>8.1}", v / 1000.0)
+/// The protocols every fault figure compares (figf1 adds Hermes).
+const FAULT_SET: [ProtoKind; 4] = [
+    ProtoKind::LionStd,
+    ProtoKind::TwoPc,
+    ProtoKind::Star,
+    ProtoKind::Calvin,
+];
+
+/// Arm indices of the two-arm fault figures (figf2, fige): the fault-free
+/// run and the run under the fault script.
+const STEADY: usize = 0;
+const FAULTED: usize = 1;
+
+/// A rows × columns × arms sweep. It generates one job per cell, runs them
+/// on the pool, and is the only place that knows which report belongs to
+/// which cell.
+struct Grid {
+    cols: usize,
+    arms: usize,
+    reports: Vec<RunReport>,
 }
 
-/// Renders a protocols × sweep matrix of throughputs (k txn/s).
-fn matrix(title: &str, cols: &[String], rows: &[(&str, Vec<&RunReport>)]) -> String {
+impl Grid {
+    /// Builds `job(row, col, arm)` for every cell and runs them all.
+    fn run(
+        rows: usize,
+        cols: usize,
+        arms: usize,
+        job: impl Fn(usize, usize, usize) -> Job,
+    ) -> Grid {
+        let mut jobs = Vec::with_capacity(rows * cols * arms);
+        for r in 0..rows {
+            for c in 0..cols {
+                for a in 0..arms {
+                    jobs.push(job(r, c, a));
+                }
+            }
+        }
+        Grid {
+            cols,
+            arms,
+            reports: run_all(jobs),
+        }
+    }
+
+    /// The report of the job generated for `(row, col, arm)`.
+    fn at(&self, row: usize, col: usize, arm: usize) -> &RunReport {
+        assert!(col < self.cols && arm < self.arms, "cell outside the grid");
+        &self.reports[(row * self.cols + col) * self.arms + arm]
+    }
+
+    /// Every report, in `(row, col, arm)` order.
+    fn iter(&self) -> impl Iterator<Item = &RunReport> {
+        self.reports.iter()
+    }
+}
+
+fn labels(protos: &[ProtoKind]) -> Vec<&'static str> {
+    protos.iter().map(|p| p.label()).collect()
+}
+
+/// Renders one rows × cols table: a heading line, the column header (plus a
+/// unit note), then one 8-wide cell per column from `cell(row, col)`.
+fn table(
+    heading: &str,
+    unit: &str,
+    rows: &[&str],
+    cols: &[String],
+    cell: impl Fn(usize, usize) -> String,
+) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "== {title}");
+    let _ = writeln!(out, "{heading}");
     let _ = write!(out, "{:<10}", "protocol");
     for c in cols {
         let _ = write!(out, "{c:>9}");
     }
-    let _ = writeln!(out, "   (throughput, k txn/s)");
-    for (name, reports) in rows {
+    let _ = writeln!(out, "{unit}");
+    for (ri, name) in rows.iter().enumerate() {
         let _ = write!(out, "{name:<10}");
-        for r in reports {
-            let _ = write!(out, " {}", kilo(r.throughput_tps));
+        for ci in 0..cols.len() {
+            let _ = write!(out, " {:>8}", cell(ri, ci));
         }
         let _ = writeln!(out);
     }
     out
 }
 
-fn sweep_jobs(
-    protos: &[ProtoKind],
-    mk_workload: impl Fn(f64, u64) -> WorkloadSpec,
-    nodes: usize,
-    horizon: u64,
-) -> (Vec<Job>, Vec<String>) {
-    let mut jobs = Vec::new();
-    let cols: Vec<String> = CROSS_POINTS
-        .iter()
-        .map(|c| format!("{:.0}%", c * 100.0))
-        .collect();
-    for proto in protos {
-        for (i, &cross) in CROSS_POINTS.iter().enumerate() {
-            jobs.push(Job::new(
-                format!("{}/{}", proto.label(), cols[i]),
-                *proto,
-                base_sim(nodes),
-                mk_workload(cross, 1000 + i as u64),
-                horizon,
-            ));
-        }
-    }
-    (jobs, cols)
+fn kilo(tps: f64) -> String {
+    format!("{:.1}", tps / 1000.0)
 }
 
-fn render_sweep(
-    title: &str,
-    protos: &[ProtoKind],
-    cols: Vec<String>,
-    reports: &[RunReport],
-) -> String {
-    let per = cols.len();
-    let rows: Vec<(&str, Vec<&RunReport>)> = protos
+/// Renders a rows × sweep matrix of throughputs (k txn/s), arm 0 of `grid`.
+fn matrix(title: &str, rows: &[&str], cols: &[String], grid: &Grid) -> String {
+    let unit = "   (throughput, k txn/s)";
+    table(&format!("== {title}"), unit, rows, cols, |r, c| {
+        kilo(grid.at(r, c, 0).throughput_tps)
+    })
+}
+
+/// Renders one throughput-over-time row per report of `grid`, named by its
+/// job label: `name_w` columns of name, `cell_w` per second.
+fn timeline(title: &str, name_w: usize, cell_w: usize, grid: &Grid) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "== {title} (k txn/s per second)");
+    let secs = grid
         .iter()
-        .enumerate()
-        .map(|(pi, p)| {
-            (
-                p.label(),
-                reports[pi * per..(pi + 1) * per].iter().collect(),
-            )
-        })
-        .collect();
-    matrix(title, &cols, &rows)
+        .map(|r| r.throughput_series.len())
+        .max()
+        .unwrap_or(0);
+    let _ = write!(out, "{:<name_w$}", "t(s)");
+    for s in 0..secs {
+        let _ = write!(out, "{s:>cell_w$}");
+    }
+    let _ = writeln!(out);
+    for r in grid.iter() {
+        let _ = write!(out, "{:<name_w$}", r.protocol);
+        for s in 0..secs {
+            let v = r.throughput_series.get(s).copied().unwrap_or(0.0);
+            let _ = write!(out, "{:>cell_w$.0}", v / 1000.0);
+        }
+        let _ = writeln!(out);
+    }
+    out
+}
+
+/// Timing of the fault figures: three steady periods, the fault one third
+/// into the run and the repair at two thirds. Returns
+/// `(horizon, fault_at, repair_at)`.
+fn fault_window(scale: Scale) -> (Time, Time, Time) {
+    let horizon = scale.steady_us * 3;
+    (horizon, horizon / 3, 2 * horizon / 3)
 }
 
 // ---------------------------------------------------------------------
@@ -155,58 +223,56 @@ pub fn table2() -> String {
     }
     out
 }
+// ---------------------------------------------------------------------
+// Figs. 6, 7, 9: cross-partition sweeps
+// ---------------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// Fig. 6: ablation, uniform YCSB, cross-partition sweep
-// ---------------------------------------------------------------------
+/// One sweep panel: `protos` × [`CROSS_POINTS`] on 4 nodes, steady state.
+/// `workload` maps `(cross ratio, per-point seed)` to the spec.
+fn sweep(
+    scale: Scale,
+    title: &str,
+    protos: &[ProtoKind],
+    workload: impl Fn(f64, u64) -> WorkloadSpec,
+) -> String {
+    let cols: Vec<String> = CROSS_POINTS
+        .iter()
+        .map(|c| format!("{:.0}%", c * 100.0))
+        .collect();
+    let grid = Grid::run(protos.len(), cols.len(), 1, |r, c, _| {
+        Job::new(
+            format!("{}/{}", protos[r].label(), cols[c]),
+            protos[r],
+            base_sim(4),
+            workload(CROSS_POINTS[c], 1000 + c as u64),
+            scale.steady_us,
+        )
+    });
+    matrix(title, &labels(protos), &cols, &grid)
+}
 
 /// Fig. 6: throughput of every ablation variant vs cross-partition ratio.
-pub fn fig6(scale: Scale) -> String {
+fn fig6(scale: Scale) -> String {
     let protos = ProtoKind::ablation_set();
-    let (jobs, cols) = sweep_jobs(&protos, |c, s| ycsb_spec(4, c, 0.0, s), 4, scale.steady_us);
-    let reports = run_all(jobs);
-    render_sweep("Fig. 6: ablation (uniform YCSB)", &protos, cols, &reports)
+    sweep(scale, "Fig. 6: ablation (uniform YCSB)", &protos, |c, s| {
+        ycsb_spec(4, c, 0.0, s)
+    })
 }
 
-// ---------------------------------------------------------------------
-// Fig. 7 / Fig. 9: cross-partition sweeps, skewed YCSB + TPC-C
-// ---------------------------------------------------------------------
-
-/// Fig. 7: standard-execution protocols, skewed workloads.
-pub fn fig7(scale: Scale) -> String {
-    let protos = ProtoKind::standard_set();
-    let (jobs_a, cols) = sweep_jobs(&protos, |c, s| ycsb_spec(4, c, 0.8, s), 4, scale.steady_us);
-    let (jobs_b, _) = sweep_jobs(&protos, |c, _| tpcc_spec(4, c, 0.8), 4, scale.steady_us);
-    let ra = run_all(jobs_a);
-    let rb = run_all(jobs_b);
-    let mut out = render_sweep(
-        "Fig. 7a: skewed YCSB (standard)",
-        &protos,
-        cols.clone(),
-        &ra,
+/// Figs. 7 (standard protocols) and 9 (batch protocols): skewed YCSB (a)
+/// and skewed TPC-C (b) sweeps of one protocol set.
+fn skewed_sweeps(scale: Scale, fig: u32, set: &str, protos: &[ProtoKind]) -> String {
+    let mut out = sweep(
+        scale,
+        &format!("Fig. {fig}a: skewed YCSB ({set})"),
+        protos,
+        |c, s| ycsb_spec(4, c, 0.8, s),
     );
-    out.push_str(&render_sweep(
-        "Fig. 7b: skewed TPC-C (standard)",
-        &protos,
-        cols,
-        &rb,
-    ));
-    out
-}
-
-/// Fig. 9: batch-execution protocols, skewed workloads.
-pub fn fig9(scale: Scale) -> String {
-    let protos = ProtoKind::batch_set();
-    let (jobs_a, cols) = sweep_jobs(&protos, |c, s| ycsb_spec(4, c, 0.8, s), 4, scale.steady_us);
-    let (jobs_b, _) = sweep_jobs(&protos, |c, _| tpcc_spec(4, c, 0.8), 4, scale.steady_us);
-    let ra = run_all(jobs_a);
-    let rb = run_all(jobs_b);
-    let mut out = render_sweep("Fig. 9a: skewed YCSB (batch)", &protos, cols.clone(), &ra);
-    out.push_str(&render_sweep(
-        "Fig. 9b: skewed TPC-C (batch)",
-        &protos,
-        cols,
-        &rb,
+    out.push_str(&sweep(
+        scale,
+        &format!("Fig. {fig}b: skewed TPC-C ({set})"),
+        protos,
+        |c, _| tpcc_spec(4, c, 0.8),
     ));
     out
 }
@@ -215,109 +281,31 @@ pub fn fig9(scale: Scale) -> String {
 // Fig. 8 / Fig. 10: dynamic workloads (throughput over time)
 // ---------------------------------------------------------------------
 
-fn timeline(title: &str, protos: &[ProtoKind], reports: &[RunReport]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} (k txn/s per second)");
-    let secs = reports
-        .iter()
-        .map(|r| r.throughput_series.len())
-        .max()
-        .unwrap_or(0);
-    let _ = write!(out, "{:<10}", "t(s)");
-    for s in 0..secs {
-        let _ = write!(out, "{s:>7}");
-    }
-    let _ = writeln!(out);
-    for (p, r) in protos.iter().zip(reports) {
-        let _ = write!(out, "{:<10}", p.label());
-        for s in 0..secs {
-            let v = r.throughput_series.get(s).copied().unwrap_or(0.0);
-            let _ = write!(out, "{:>7.0}", v / 1000.0);
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-fn dynamic_jobs(protos: &[ProtoKind], schedule: Schedule, horizon: u64) -> Vec<Job> {
-    protos
-        .iter()
-        .map(|p| {
+/// Figs. 8 (standard protocols) and 10 (batch protocols, `tag` marks the
+/// titles): a hotspot whose interval (a) or position (b) shifts every
+/// period, one protocol set.
+fn dynamic(scale: Scale, fig: u32, tag: &str, protos: &[ProtoKind]) -> String {
+    let period = scale.period_us;
+    let secs = period / 1_000_000;
+    let panel = |title: String, schedule: Schedule| {
+        let grid = Grid::run(protos.len(), 1, 1, |r, _, _| {
             Job::new(
-                p.label(),
-                *p,
+                protos[r].label(),
+                protos[r],
                 base_sim(4),
                 ycsb_sched_spec(4, schedule.clone(), 77),
-                horizon,
+                period * 4,
             )
-        })
-        .collect()
-}
-
-/// Fig. 8: dynamic workloads, standard protocols.
-pub fn fig8(scale: Scale) -> String {
-    let protos = ProtoKind::standard_set();
-    let period = scale.period_us;
-    let horizon = period * 4;
-    let a = run_all(dynamic_jobs(
-        &protos,
+        });
+        timeline(&title, 10, 7, &grid)
+    };
+    let mut out = panel(
+        format!("Fig. {fig}a: varying hotspot interval{tag} (period {secs}s)"),
         Schedule::interval_shift(period, 3, 9, 0.5),
-        horizon,
-    ));
-    let b = run_all(dynamic_jobs(
-        &protos,
-        Schedule::position_shift(period, 0.8, 16),
-        horizon,
-    ));
-    let mut out = timeline(
-        &format!(
-            "Fig. 8a: varying hotspot interval (period {}s)",
-            period / 1_000_000
-        ),
-        &protos,
-        &a,
     );
-    out.push_str(&timeline(
-        &format!(
-            "Fig. 8b: varying hotspot position A-D (period {}s)",
-            period / 1_000_000
-        ),
-        &protos,
-        &b,
-    ));
-    out
-}
-
-/// Fig. 10: dynamic workloads, batch protocols.
-pub fn fig10(scale: Scale) -> String {
-    let protos = ProtoKind::batch_set();
-    let period = scale.period_us;
-    let horizon = period * 4;
-    let a = run_all(dynamic_jobs(
-        &protos,
-        Schedule::interval_shift(period, 3, 9, 0.5),
-        horizon,
-    ));
-    let b = run_all(dynamic_jobs(
-        &protos,
+    out.push_str(&panel(
+        format!("Fig. {fig}b: varying hotspot position A-D{tag} (period {secs}s)"),
         Schedule::position_shift(period, 0.8, 16),
-        horizon,
-    ));
-    let mut out = timeline(
-        &format!(
-            "Fig. 10a: varying hotspot interval, batch (period {}s)",
-            period / 1_000_000
-        ),
-        &protos,
-        &a,
-    );
-    out.push_str(&timeline(
-        &format!(
-            "Fig. 10b: varying hotspot position A-D, batch (period {}s)",
-            period / 1_000_000
-        ),
-        &protos,
-        &b,
     ));
     out
 }
@@ -327,8 +315,9 @@ pub fn fig10(scale: Scale) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 11: throughput vs node count (100% cross, uniform).
-pub fn fig11(scale: Scale) -> String {
+fn fig11(scale: Scale) -> String {
     let sizes = [4usize, 6, 8, 10];
+    let cols: Vec<String> = sizes.iter().map(|n| format!("{n} nodes")).collect();
     let mut out = String::new();
     for (title, protos) in [
         (
@@ -337,37 +326,21 @@ pub fn fig11(scale: Scale) -> String {
         ),
         ("Fig. 11b: scalability (batch)", ProtoKind::batch_set()),
     ] {
-        let mut jobs = Vec::new();
-        for proto in &protos {
-            for &n in &sizes {
-                jobs.push(Job::new(
-                    format!("{}/{}", proto.label(), n),
-                    *proto,
-                    base_sim(n),
-                    ycsb_spec(n as u32, 1.0, 0.0, 42),
-                    scale.steady_us,
-                ));
-            }
-        }
-        let reports = run_all(jobs);
-        let cols: Vec<String> = sizes.iter().map(|n| format!("{n} nodes")).collect();
-        let rows: Vec<(&str, Vec<&RunReport>)> = protos
-            .iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                (
-                    p.label(),
-                    reports[pi * sizes.len()..(pi + 1) * sizes.len()]
-                        .iter()
-                        .collect(),
-                )
-            })
-            .collect();
-        out.push_str(&matrix(title, &cols, &rows));
+        let grid = Grid::run(protos.len(), sizes.len(), 1, |r, c, _| {
+            Job::new(
+                format!("{}/{}", protos[r].label(), sizes[c]),
+                protos[r],
+                base_sim(sizes[c]),
+                ycsb_spec(sizes[c] as u32, 1.0, 0.0, 42),
+                scale.steady_us,
+            )
+        });
+        let rows = labels(&protos);
+        out.push_str(&matrix(title, &rows, &cols, &grid));
         // scalability factor: T(10)/T(4)
-        for (name, rs) in &rows {
-            let f = rs.last().expect("sizes").throughput_tps
-                / rs.first().expect("sizes").throughput_tps.max(1.0);
+        for (r, name) in rows.iter().enumerate() {
+            let f = grid.at(r, sizes.len() - 1, 0).throughput_tps
+                / grid.at(r, 0, 0).throughput_tps.max(1.0);
             let _ = writeln!(out, "   {name:<10} speedup 4→10 nodes: {f:.2}x");
         }
     }
@@ -380,27 +353,19 @@ pub fn fig11(scale: Scale) -> String {
 
 /// Fig. 12: Lion's adaptation timeline — throughput and network bytes per
 /// transaction around a predicted workload switch.
-pub fn fig12(scale: Scale) -> String {
+fn fig12(scale: Scale) -> String {
     let period = scale.period_us * 2;
-    let sched = Schedule::Cycle(vec![
-        lion_workloads::PhaseCfg {
-            duration_us: period,
-            cross_ratio: 0.8,
-            skew_factor: 0.0,
-            offset: 0,
-        },
-        lion_workloads::PhaseCfg {
-            duration_us: period,
-            cross_ratio: 0.8,
-            skew_factor: 0.0,
-            offset: 9,
-        },
-    ]);
+    let phase = |offset| lion_workloads::PhaseCfg {
+        duration_us: period,
+        cross_ratio: 0.8,
+        skew_factor: 0.0,
+        offset,
+    };
     let job = Job::new(
         "Lion",
         ProtoKind::LionStd,
         base_sim(4),
-        ycsb_sched_spec(4, sched, 78),
+        ycsb_sched_spec(4, Schedule::Cycle(vec![phase(0), phase(9)]), 78),
         period * 2,
     );
     let r = run_job(&job);
@@ -432,78 +397,47 @@ pub fn fig12(scale: Scale) -> String {
 // ---------------------------------------------------------------------
 
 /// Fig. 13a: adaptation with and without the predictor.
-pub fn fig13a(scale: Scale) -> String {
+fn fig13a(scale: Scale) -> String {
     let period = scale.period_us;
-    let sched = Schedule::interval_shift(period, 3, 9, 1.0);
-    let jobs = vec![
-        Job::new(
-            "Baseline",
-            ProtoKind::LionR,
-            base_sim(4),
-            ycsb_sched_spec(4, sched.clone(), 79),
-            period * 6,
-        ),
-        Job::new(
-            "With Predictor",
-            ProtoKind::LionRW,
-            base_sim(4),
-            ycsb_sched_spec(4, sched, 79),
-            period * 6,
-        ),
+    let arms = [
+        ("Baseline", ProtoKind::LionR),
+        ("With Predictor", ProtoKind::LionRW),
     ];
-    let reports = run_all(jobs);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Fig. 13a: impact of pre-replication (k txn/s per second)"
-    );
-    let secs = reports[0]
-        .throughput_series
-        .len()
-        .max(reports[1].throughput_series.len());
-    let _ = write!(out, "{:<16}", "t(s)");
-    for s in 0..secs {
-        let _ = write!(out, "{s:>6}");
-    }
-    let _ = writeln!(out);
-    for r in &reports {
-        let _ = write!(out, "{:<16}", r.protocol);
-        for s in 0..secs {
-            let v = r.throughput_series.get(s).copied().unwrap_or(0.0);
-            let _ = write!(out, "{:>6.0}", v / 1000.0);
-        }
-        let _ = writeln!(out);
-    }
+    let grid = Grid::run(arms.len(), 1, 1, |r, _, _| {
+        Job::new(
+            arms[r].0,
+            arms[r].1,
+            base_sim(4),
+            ycsb_sched_spec(4, Schedule::interval_shift(period, 3, 9, 1.0), 79),
+            period * 6,
+        )
+    });
+    let mut out = timeline("Fig. 13a: impact of pre-replication", 16, 6, &grid);
     let _ = writeln!(
         out,
         "total commits: baseline {} vs with-predictor {}",
-        reports[0].commits, reports[1].commits
+        grid.at(0, 0, 0).commits,
+        grid.at(1, 0, 0).commits
     );
     out
 }
 
 /// Fig. 13b: throughput vs remastering duration, non-batch vs batch.
-pub fn fig13b(scale: Scale) -> String {
+fn fig13b(scale: Scale) -> String {
     let delays = [500u64, 1_500, 2_000, 3_000, 3_500];
-    let mut jobs = Vec::new();
-    for proto in [ProtoKind::LionStd, ProtoKind::LionFull] {
-        for &d in &delays {
-            jobs.push(Job::new(
-                format!("{}/{}", proto.label(), d),
-                proto,
-                base_sim(4).with_remaster_delay(d),
-                ycsb_spec(4, 0.8, 0.5, 80),
-                scale.steady_us,
-            ));
-        }
-    }
-    let reports = run_all(jobs);
+    let protos = [ProtoKind::LionStd, ProtoKind::LionFull];
+    let grid = Grid::run(protos.len(), delays.len(), 1, |r, c, _| {
+        Job::new(
+            format!("{}/{}", protos[r].label(), delays[c]),
+            protos[r],
+            base_sim(4).with_remaster_delay(delays[c]),
+            ycsb_spec(4, 0.8, 0.5, 80),
+            scale.steady_us,
+        )
+    });
     let cols: Vec<String> = delays.iter().map(|d| format!("{d}us")).collect();
-    let rows = vec![
-        ("Non-batch", reports[..delays.len()].iter().collect()),
-        ("Batch", reports[delays.len()..].iter().collect()),
-    ];
-    matrix("Fig. 13b: impact of remastering duration", &cols, &rows)
+    let title = "Fig. 13b: impact of remastering duration";
+    matrix(title, &["Non-batch", "Batch"], &cols, &grid)
 }
 
 // ---------------------------------------------------------------------
@@ -512,21 +446,17 @@ pub fn fig13b(scale: Scale) -> String {
 
 /// Fig. 14: latency percentiles (a) and normalized phase breakdown (b) for
 /// the batch protocols.
-pub fn fig14(scale: Scale) -> String {
+fn fig14(scale: Scale) -> String {
     let protos = ProtoKind::batch_set();
-    let jobs: Vec<Job> = protos
-        .iter()
-        .map(|p| {
-            Job::new(
-                p.label(),
-                *p,
-                base_sim(4),
-                ycsb_spec(4, 0.5, 0.0, 81),
-                scale.steady_us,
-            )
-        })
-        .collect();
-    let reports = run_all(jobs);
+    let grid = Grid::run(protos.len(), 1, 1, |r, _, _| {
+        Job::new(
+            protos[r].label(),
+            protos[r],
+            base_sim(4),
+            ycsb_spec(4, 0.5, 0.0, 81),
+            scale.steady_us,
+        )
+    });
     let mut out = String::new();
     let _ = writeln!(out, "== Fig. 14a: latency percentiles (us)");
     let _ = writeln!(
@@ -534,7 +464,7 @@ pub fn fig14(scale: Scale) -> String {
         "{:<10} {:>8} {:>8} {:>8} {:>10}",
         "protocol", "p10", "p50", "p95", "p50/floor"
     );
-    for r in &reports {
+    for r in grid.iter() {
         // p50 as a multiple of the network latency floor (the cheapest
         // possible cross-node commit round trip) — a topology-independent
         // view of protocol overhead.
@@ -545,7 +475,7 @@ pub fn fig14(scale: Scale) -> String {
         );
     }
     let _ = writeln!(out, "\n== Fig. 14b: normalized runtime breakdown");
-    for r in &reports {
+    for r in grid.iter() {
         let _ = writeln!(out, "{}", r.phase_row());
     }
     out
@@ -562,12 +492,9 @@ pub fn fig14(scale: Scale) -> String {
 /// secondaries double as warm standbys, so its partitions fail over by
 /// promotion (priced like remastering); systems are compared on goodput
 /// dip/ramp, per-partition recovery latency, and total unavailability.
-pub fn fig_f1(scale: Scale) -> String {
-    use lion_common::NodeId;
-    let horizon = scale.steady_us * 3;
-    let crash_at = horizon / 3;
-    let recover_at = 2 * horizon / 3;
-    let faults = lion_engine::FaultPlan::single_failure(crash_at, NodeId(1), recover_at);
+fn fig_f1(scale: Scale) -> String {
+    let (horizon, crash_at, recover_at) = fault_window(scale);
+    let faults = FaultPlan::single_failure(crash_at, NodeId(1), recover_at);
     let protos = [
         ProtoKind::LionStd,
         ProtoKind::TwoPc,
@@ -575,20 +502,16 @@ pub fn fig_f1(scale: Scale) -> String {
         ProtoKind::Calvin,
         ProtoKind::Hermes,
     ];
-    let jobs: Vec<Job> = protos
-        .iter()
-        .map(|p| {
-            Job::new(
-                p.label(),
-                *p,
-                base_sim(4),
-                ycsb_spec(4, 0.5, 0.0, 90),
-                horizon,
-            )
-            .with_faults(faults.clone())
-        })
-        .collect();
-    let reports = run_all(jobs);
+    let grid = Grid::run(protos.len(), 1, 1, |r, _, _| {
+        Job::new(
+            protos[r].label(),
+            protos[r],
+            base_sim(4),
+            ycsb_spec(4, 0.5, 0.0, 90),
+            horizon,
+        )
+        .with_faults(faults.clone())
+    });
 
     let mut out = String::new();
     let _ = writeln!(
@@ -597,16 +520,16 @@ pub fn fig_f1(scale: Scale) -> String {
         crash_at / 1_000_000,
         recover_at / 1_000_000
     );
-    out.push_str(&timeline("Fig. F1a: goodput timeline", &protos, &reports));
+    out.push_str(&timeline("Fig. F1a: goodput timeline", 10, 7, &grid));
     let _ = writeln!(out, "\n== Fig. F1b: recovery analysis");
-    for r in &reports {
+    for r in grid.iter() {
         let _ = writeln!(out, "{}", r.failover_row());
     }
     let _ = writeln!(
         out,
         "\n== Fig. F1c: goodput ramp (time to 80% of pre-crash goodput)"
     );
-    for r in &reports {
+    for r in grid.iter() {
         let ramp = r
             .recovery_ramp_us(crash_at, crash_at, 0.8)
             .map(|us| format!("{:.1} ms", us as f64 / 1000.0))
@@ -632,18 +555,10 @@ pub fn fig_f1(scale: Scale) -> String {
 /// partitions whose replicas were rack-local stall for the whole outage
 /// (`stalled > 0`); under RackSafe every partition keeps a live replica and
 /// fails over (`stalled = 0`).
-pub fn fig_f2(scale: Scale) -> String {
+fn fig_f2(scale: Scale) -> String {
     use lion_common::{PlacementPolicy, ZoneId};
-    let horizon = scale.steady_us * 3;
-    let crash_at = horizon / 3;
-    let heal_at = 2 * horizon / 3;
-    let faults = lion_engine::FaultPlan::zone_failure(crash_at, ZoneId(1), heal_at);
-    let protos = [
-        ProtoKind::LionStd,
-        ProtoKind::TwoPc,
-        ProtoKind::Star,
-        ProtoKind::Calvin,
-    ];
+    let (horizon, crash_at, heal_at) = fault_window(scale);
+    let faults = FaultPlan::zone_failure(crash_at, ZoneId(1), heal_at);
     let policies = [
         ("LocalityFirst", PlacementPolicy::LocalityFirst),
         ("RackSafe(2)", PlacementPolicy::RackSafe { min_zones: 2 }),
@@ -651,32 +566,20 @@ pub fn fig_f2(scale: Scale) -> String {
     // Two arms per (protocol, policy): a fault-free steady-state run that
     // isolates the pure locality cost of rack-safe placement (cross-zone
     // prepare replication), and the zone-outage run that shows what that
-    // cost buys. Job order: [steady, outage] per policy per protocol.
-    let mut jobs = Vec::new();
-    for proto in &protos {
-        for (pname, policy) in &policies {
-            let mut sim = base_sim(4).with_zones(2).with_placement(*policy);
-            sim.net.cross_zone_extra_us = 60; // aggregation-layer hop
-            jobs.push(Job::new(
-                format!("{}/{}/steady", proto.label(), pname),
-                *proto,
-                sim.clone(),
-                ycsb_spec(4, 0.5, 0.0, 91),
-                scale.steady_us,
-            ));
-            jobs.push(
-                Job::new(
-                    format!("{}/{}/outage", proto.label(), pname),
-                    *proto,
-                    sim,
-                    ycsb_spec(4, 0.5, 0.0, 91),
-                    horizon,
-                )
-                .with_faults(faults.clone()),
-            );
+    // cost buys.
+    let grid = Grid::run(FAULT_SET.len(), policies.len(), 2, |r, c, arm| {
+        let (proto, (pname, policy)) = (FAULT_SET[r], policies[c]);
+        let mut sim = base_sim(4).with_zones(2).with_placement(policy);
+        sim.net.cross_zone_extra_us = 60; // aggregation-layer hop
+        let workload = ycsb_spec(4, 0.5, 0.0, 91);
+        if arm == STEADY {
+            let label = format!("{}/{}/steady", proto.label(), pname);
+            Job::new(label, proto, sim, workload, scale.steady_us)
+        } else {
+            let label = format!("{}/{}/outage", proto.label(), pname);
+            Job::new(label, proto, sim, workload, horizon).with_faults(faults.clone())
         }
-    }
-    let reports = run_all(jobs);
+    });
 
     let mut out = String::new();
     let _ = writeln!(
@@ -695,14 +598,12 @@ pub fn fig_f2(scale: Scale) -> String {
         "{:<10} {:<14} {:>9} {:>8} {:>9}",
         "", "", "(ktxn/s)", "", "(ktxn/s)"
     );
-    for (pi, proto) in protos.iter().enumerate() {
-        let base = pi * 4;
-        let lf_steady = &reports[base];
-        for (qi, (pname, _)) in policies.iter().enumerate() {
-            let steady = &reports[base + qi * 2];
-            let outage = &reports[base + qi * 2 + 1];
+    for (r, proto) in FAULT_SET.iter().enumerate() {
+        for (c, (pname, _)) in policies.iter().enumerate() {
+            let (steady, outage) = (grid.at(r, c, STEADY), grid.at(r, c, FAULTED));
             // Locality cost of this policy in failure-free steady state,
             // relative to LocalityFirst (0% for the LocalityFirst row).
+            let lf_steady = grid.at(r, 0, STEADY);
             let cost = (steady.throughput_tps / lf_steady.throughput_tps.max(1.0) - 1.0) * 100.0;
             let _ = writeln!(
                 out,
@@ -742,47 +643,23 @@ pub fn fig_f2(scale: Scale) -> String {
 /// residency + replication transit) for `acked_then_lost = 0`: an ack only
 /// escapes behind its epoch's replication, and a crash retries the parked,
 /// never-acked transactions instead.
-pub fn fig_e(scale: Scale) -> String {
-    use lion_common::NodeId;
+fn fig_e(scale: Scale) -> String {
     const EPOCHS_US: [u64; 5] = [0, 1_000, 5_000, 10_000, 20_000];
-    let protos = [
-        ProtoKind::LionStd,
-        ProtoKind::TwoPc,
-        ProtoKind::Star,
-        ProtoKind::Calvin,
-    ];
-    let horizon = scale.steady_us * 3;
-    let crash_at = horizon / 3;
-    let recover_at = 2 * horizon / 3;
-    let faults = lion_engine::FaultPlan::single_failure(crash_at, NodeId(1), recover_at);
-    // Two arms per (protocol, epoch length): [steady, crash].
-    let mut jobs = Vec::new();
-    for proto in &protos {
-        for &e in &EPOCHS_US {
-            jobs.push(
-                Job::new(
-                    format!("{}/{}us/steady", proto.label(), e),
-                    *proto,
-                    base_sim(4),
-                    ycsb_spec(4, 0.5, 0.0, 92),
-                    scale.steady_us,
-                )
-                .with_epoch_commit(e),
-            );
-            jobs.push(
-                Job::new(
-                    format!("{}/{}us/crash", proto.label(), e),
-                    *proto,
-                    base_sim(4),
-                    ycsb_spec(4, 0.5, 0.0, 92),
-                    horizon,
-                )
-                .with_faults(faults.clone())
-                .with_epoch_commit(e),
-            );
-        }
-    }
-    let reports = run_all(jobs);
+    let (horizon, crash_at, recover_at) = fault_window(scale);
+    let faults = FaultPlan::single_failure(crash_at, NodeId(1), recover_at);
+    // Two arms per (protocol, epoch length).
+    let grid = Grid::run(FAULT_SET.len(), EPOCHS_US.len(), 2, |r, c, arm| {
+        let (proto, e) = (FAULT_SET[r], EPOCHS_US[c]);
+        let (sim, workload) = (base_sim(4), ycsb_spec(4, 0.5, 0.0, 92));
+        let job = if arm == STEADY {
+            let label = format!("{}/{}us/steady", proto.label(), e);
+            Job::new(label, proto, sim, workload, scale.steady_us)
+        } else {
+            let label = format!("{}/{}us/crash", proto.label(), e);
+            Job::new(label, proto, sim, workload, horizon).with_faults(faults.clone())
+        };
+        job.with_epoch_commit(e)
+    });
 
     let mut out = String::new();
     let _ = writeln!(
@@ -790,45 +667,24 @@ pub fn fig_e(scale: Scale) -> String {
         "== Fig. E: epoch group commit — ack latency vs epoch length (0us = ack at commit)"
     );
     let cols: Vec<String> = EPOCHS_US.iter().map(|e| format!("{e}us")).collect();
-    let per = 2 * EPOCHS_US.len();
-    let _ = writeln!(out, "-- Fig. Ea: steady-state ack latency p50 (us)");
-    let _ = write!(out, "{:<10}", "protocol");
-    for c in &cols {
-        let _ = write!(out, "{c:>9}");
-    }
-    let _ = writeln!(out);
-    for (pi, p) in protos.iter().enumerate() {
-        let _ = write!(out, "{:<10}", p.label());
-        for ei in 0..EPOCHS_US.len() {
-            let r = &reports[pi * per + 2 * ei];
-            let _ = write!(out, " {:>8}", r.ack_latency_p[0]);
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "-- Fig. Eb: steady-state throughput (k txn/s)");
-    let _ = write!(out, "{:<10}", "protocol");
-    for c in &cols {
-        let _ = write!(out, "{c:>9}");
-    }
-    let _ = writeln!(out);
-    for (pi, p) in protos.iter().enumerate() {
-        let _ = write!(out, "{:<10}", p.label());
-        for ei in 0..EPOCHS_US.len() {
-            let r = &reports[pi * per + 2 * ei];
-            let _ = write!(out, " {:>8.1}", r.throughput_tps / 1000.0);
-        }
-        let _ = writeln!(out);
-    }
+    let rows = labels(&FAULT_SET);
+    let heading = "-- Fig. Ea: steady-state ack latency p50 (us)";
+    out.push_str(&table(heading, "", &rows, &cols, |r, c| {
+        grid.at(r, c, STEADY).ack_latency_p[0].to_string()
+    }));
+    let heading = "-- Fig. Eb: steady-state throughput (k txn/s)";
+    out.push_str(&table(heading, "", &rows, &cols, |r, c| {
+        kilo(grid.at(r, c, STEADY).throughput_tps)
+    }));
     let _ = writeln!(
         out,
         "-- Fig. Ec: crash arm (N1 down at t={}s, back at t={}s) — the durability hole",
         crash_at / 1_000_000,
         recover_at / 1_000_000
     );
-    for (pi, _) in protos.iter().enumerate() {
-        for (ei, col) in cols.iter().enumerate() {
-            let r = &reports[pi * per + 2 * ei + 1];
-            let _ = writeln!(out, "{col:>8}  {}", r.ack_row());
+    for r in 0..rows.len() {
+        for (c, col) in cols.iter().enumerate() {
+            let _ = writeln!(out, "{col:>8}  {}", grid.at(r, c, FAULTED).ack_row());
         }
     }
     let _ = writeln!(
@@ -863,73 +719,39 @@ pub fn fig_e(scale: Scale) -> String {
 /// * **optimistic** — honest split-brain with ack-at-commit: the minority
 ///   side acks immediately, and the heal audit counts every ack whose
 ///   timeline lost (`acked_then_lost > 0`).
-pub fn fig_sb(scale: Scale) -> String {
-    use lion_common::NodeId;
-    let horizon = scale.steady_us * 3;
-    let cut_at = horizon / 3;
-    let heal_at = 2 * horizon / 3;
+fn fig_sb(scale: Scale) -> String {
+    const EPOCH_US: u64 = 5_000;
+    // (arm, honest split-brain, epoch length, round-trip-priced retries)
+    const ARMS: [(&str, bool, u64, bool); 3] = [
+        ("crash-approx", false, EPOCH_US, false),
+        ("quorum-fence", true, EPOCH_US, true),
+        ("optimistic", true, 0, false),
+    ];
+    let (horizon, cut_at, heal_at) = fault_window(scale);
     let cut = vec![NodeId(2), NodeId(3)];
-    let plan = |split: bool| {
-        let p = lion_engine::FaultPlan::new()
+    let mut sim = base_sim(4);
+    sim.replication_factor = 3;
+    sim.max_replicas = 4;
+    let grid = Grid::run(FAULT_SET.len(), 1, ARMS.len(), |r, _, a| {
+        let (arm, split, epoch_us, retry_round_trip) = ARMS[a];
+        let mut plan = FaultPlan::new()
             .partition_at(cut_at, cut.clone())
             .heal_at(heal_at);
         if split {
-            p.with_split_brain()
-        } else {
-            p
+            plan = plan.with_split_brain();
         }
-    };
-    const EPOCH_US: u64 = 5_000;
-    let protos = [
-        ProtoKind::LionStd,
-        ProtoKind::TwoPc,
-        ProtoKind::Star,
-        ProtoKind::Calvin,
-    ];
-    let sim = {
-        let mut s = base_sim(4);
-        s.replication_factor = 3;
-        s.max_replicas = 4;
-        s
-    };
-    // Three arms per protocol: [crash-approx, quorum-fence, optimistic].
-    let mut jobs = Vec::new();
-    for proto in &protos {
-        jobs.push(
-            Job::new(
-                format!("{}/crash-approx", proto.label()),
-                *proto,
-                sim.clone(),
-                ycsb_spec(4, 0.5, 0.0, 93),
-                horizon,
-            )
-            .with_faults(plan(false))
-            .with_epoch_commit(EPOCH_US),
-        );
-        jobs.push(
-            Job::new(
-                format!("{}/quorum-fence", proto.label()),
-                *proto,
-                sim.clone(),
-                ycsb_spec(4, 0.5, 0.0, 93),
-                horizon,
-            )
-            .with_faults(plan(true))
-            .with_epoch_commit(EPOCH_US)
-            .with_retry_round_trip(),
-        );
-        jobs.push(
-            Job::new(
-                format!("{}/optimistic", proto.label()),
-                *proto,
-                sim.clone(),
-                ycsb_spec(4, 0.5, 0.0, 93),
-                horizon,
-            )
-            .with_faults(plan(true)),
-        );
-    }
-    let reports = run_all(jobs);
+        let mut job = Job::new(
+            format!("{}/{arm}", FAULT_SET[r].label()),
+            FAULT_SET[r],
+            sim.clone(),
+            ycsb_spec(4, 0.5, 0.0, 93),
+            horizon,
+        )
+        .with_faults(plan)
+        .with_epoch_commit(epoch_us);
+        job.retry_round_trip = retry_round_trip;
+        job
+    });
 
     let mut out = String::new();
     let _ = writeln!(
@@ -956,12 +778,9 @@ pub fn fig_sb(scale: Scale) -> String {
         "{:<10} {:<13} {:>9} {:>9} {:>7} {:>8} {:>9} {:>9}",
         "", "", "(ktxn/s)", "commits", "acks", "epochs", "acks", "acks"
     );
-    for (pi, proto) in protos.iter().enumerate() {
-        for (ai, arm) in ["crash-approx", "quorum-fence", "optimistic"]
-            .iter()
-            .enumerate()
-        {
-            let r = &reports[pi * 3 + ai];
+    for (ri, proto) in FAULT_SET.iter().enumerate() {
+        for (ai, (arm, ..)) in ARMS.iter().enumerate() {
+            let r = grid.at(ri, 0, ai);
             let _ = writeln!(
                 out,
                 "{:<10} {:<13} {:>9.1} {:>9} {:>7} {:>8} {:>9} {:>9} {:>11.1}",
@@ -989,34 +808,62 @@ pub fn fig_sb(scale: Scale) -> String {
     out
 }
 
-/// Runs every experiment in sequence.
-pub fn all(scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str(&table1());
-    out.push('\n');
-    out.push_str(&table2());
-    out.push('\n');
-    for (name, s) in [
-        ("fig6", fig6(scale)),
-        ("fig7", fig7(scale)),
-        ("fig8", fig8(scale)),
-        ("fig9", fig9(scale)),
-        ("fig10", fig10(scale)),
-        ("fig11", fig11(scale)),
-        ("fig12", fig12(scale)),
-        ("fig13a", fig13a(scale)),
-        ("fig13b", fig13b(scale)),
-        ("fig14", fig14(scale)),
-        ("figf1", fig_f1(scale)),
-        ("figf2", fig_f2(scale)),
-        ("fige", fig_e(scale)),
-        ("figsb", fig_sb(scale)),
-    ] {
-        let _ = name;
-        out.push_str(&s);
-        out.push('\n');
+// ---------------------------------------------------------------------
+// The registry
+// ---------------------------------------------------------------------
+
+/// An experiment renders its tables at the given scale.
+pub type Experiment = fn(Scale) -> String;
+
+/// Every experiment by CLI name, in the order `all` runs them.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("fig6", fig6),
+    ("fig7", |s| {
+        skewed_sweeps(s, 7, "standard", &ProtoKind::standard_set())
+    }),
+    ("fig8", |s| dynamic(s, 8, "", &ProtoKind::standard_set())),
+    ("fig9", |s| {
+        skewed_sweeps(s, 9, "batch", &ProtoKind::batch_set())
+    }),
+    ("fig10", |s| {
+        dynamic(s, 10, ", batch", &ProtoKind::batch_set())
+    }),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13a", fig13a),
+    ("fig13b", fig13b),
+    ("fig14", fig14),
+    ("figf1", fig_f1),
+    ("figf2", fig_f2),
+    ("fige", fig_e),
+    ("figsb", fig_sb),
+];
+
+/// Runs the experiment named `which` — or, for `all`, every registry entry
+/// in order, a blank line after each. `None` for an unknown name.
+pub fn run(which: &str, scale: Scale) -> Option<String> {
+    select(EXPERIMENTS, which, scale)
+}
+
+/// [`run`] over an explicit registry (the tests substitute instant stubs
+/// for the minutes-long figures).
+fn select(registry: &[(&str, Experiment)], which: &str, scale: Scale) -> Option<String> {
+    if which == "all" {
+        return Some(registry.iter().map(|(_, f)| f(scale) + "\n").collect());
     }
-    out
+    let (_, f) = registry.iter().find(|(name, _)| *name == which)?;
+    Some(f(scale))
+}
+
+/// The `lion-bench` usage line, printed from the registry.
+pub fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: lion-bench [{}|all|obsgate] [--full] [--export=runs.jsonl]",
+        names.join("|")
+    )
 }
 
 #[cfg(test)]
@@ -1030,5 +877,54 @@ mod tests {
         let t2 = table2();
         assert!(t2.contains("Lion(RW)"));
         assert!(t2.contains("Schism"));
+    }
+
+    #[test]
+    fn grid_hands_back_the_report_of_the_cell_that_generated_it() {
+        // 24 jobs on the pool complete in host-scheduling order; each
+        // carries its coordinates in the label, so a lookup that returns
+        // another cell's report is caught by name.
+        let grid = Grid::run(3, 4, 2, |r, c, a| {
+            // Uneven horizons, so completion order differs from generation
+            // order even on one worker pair.
+            let seed = (r * 100 + c * 10 + a) as u64;
+            crate::harness::tiny_job(format!("{r}/{c}/{a}"), seed, 20_000 * (1 + seed % 5))
+        });
+        for r in 0..3 {
+            for c in 0..4 {
+                for a in 0..2 {
+                    assert_eq!(grid.at(r, c, a).protocol, format!("{r}/{c}/{a}"));
+                }
+            }
+        }
+        let order: Vec<&str> = grid.iter().map(|r| r.protocol.as_str()).collect();
+        assert_eq!(order.len(), 24);
+        assert_eq!((order[0], order[1], order[23]), ("0/0/0", "0/0/1", "2/3/1"));
+    }
+
+    #[test]
+    fn registry_is_the_one_list_of_experiments() {
+        let usage = usage();
+        for (i, (name, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(usage.contains(&format!("{name}|")), "{name} not in usage");
+            let first = EXPERIMENTS.iter().position(|(n, _)| n == name);
+            assert_eq!(first, Some(i), "{name} registered twice");
+        }
+        assert_eq!(run("perf", Scale::quick()), None);
+        assert_eq!(run("table1", Scale::quick()), Some(table1()));
+
+        // Dispatch and `all` over stubs: every entry runs for its own name,
+        // and `all` is each entry exactly once, in registry order.
+        let stubs: &[(&str, Experiment)] = &[
+            ("x", |_| "X\n".into()),
+            ("y", |s| format!("Y {}\n", s.steady_us)),
+            ("z", |_| "Z\n".into()),
+        ];
+        let scale = Scale::quick();
+        for (name, f) in stubs {
+            assert_eq!(select(stubs, name, scale), Some(f(scale)));
+        }
+        let all = select(stubs, "all", scale).expect("all always dispatches");
+        assert_eq!(all, "X\n\nY 2000000\n\nZ\n\n");
     }
 }

@@ -346,6 +346,25 @@ pub fn run_all(jobs: Vec<Job>) -> Vec<RunReport> {
     })
 }
 
+/// A 2-node, sub-second 2PC job for the harness-level tests.
+#[cfg(test)]
+pub(crate) fn tiny_job(label: impl Into<String>, seed: u64, horizon: Time) -> Job {
+    let mut sim = base_sim(2);
+    sim.partitions_per_node = 2;
+    sim.keys_per_partition = 256;
+    sim.clients_per_node = 2;
+    let workload = YcsbConfig::for_cluster(2, 2, 256)
+        .with_mix(0.0, 0.0)
+        .with_seed(seed);
+    Job::new(
+        label,
+        ProtoKind::TwoPc,
+        sim,
+        WorkloadSpec::Ycsb(workload),
+        horizon,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,24 +402,8 @@ mod tests {
 
     #[test]
     fn run_all_preserves_order() {
-        let mut sim = base_sim(2);
-        sim.partitions_per_node = 2;
-        sim.keys_per_partition = 256;
-        sim.clients_per_node = 2;
         let jobs: Vec<Job> = (0..6)
-            .map(|i| {
-                Job::new(
-                    format!("job{i}"),
-                    ProtoKind::TwoPc,
-                    sim.clone(),
-                    WorkloadSpec::Ycsb(
-                        YcsbConfig::for_cluster(2, 2, 256)
-                            .with_mix(0.0, 0.0)
-                            .with_seed(i),
-                    ),
-                    100_000,
-                )
-            })
+            .map(|i| tiny_job(format!("job{i}"), i, 100_000))
             .collect();
         let reports = run_all(jobs);
         for (i, r) in reports.iter().enumerate() {

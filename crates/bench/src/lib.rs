@@ -2,8 +2,10 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of the
 //! paper's evaluation (§VI). `src/figures.rs` holds one experiment per
-//! table/figure; the `lion-bench` binary dispatches them, and its `perf`
-//! subcommand self-times the protocol and event-queue hot paths.
+//! table/figure and the [`figures::EXPERIMENTS`] registry the `lion-bench`
+//! binary dispatches from. How fast the simulator itself runs is not
+//! measured here: that is the benchmark of record (`BENCHMARK.json`,
+//! `benchmark/`).
 //!
 //! Absolute throughputs differ from the paper (the substrate is a calibrated
 //! simulator, not the authors' 10-node testbed); the *shapes* — who wins, by
@@ -14,7 +16,6 @@ pub mod export;
 pub mod figures;
 pub mod harness;
 pub mod obsgate;
-pub mod perf;
 
 pub use harness::{
     base_sim, run_all, run_job, run_job_with_obs, Job, ProtoKind, Scale, WorkloadSpec,

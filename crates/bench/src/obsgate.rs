@@ -5,9 +5,8 @@
 //! gate runs one fixed YCSB job under [`ObsMode::Null`](lion_engine::ObsMode)
 //! (events constructed and discarded at the hub) and `ObsMode::Full` (run
 //! metrics + dimensioned rollups), takes the best of several repeats of
-//! each (best-of-N discards scheduler noise, the same trick `perf --check`
-//! uses), and fails if full observability costs more than the tolerance in
-//! events-per-wall-second.
+//! each (best-of-N discards scheduler noise), and fails if full
+//! observability costs more than the tolerance in events-per-wall-second.
 //!
 //! Tolerance defaults to 3% and can be widened on noisy shared runners via
 //! the `OBS_GATE_TOLERANCE` env var (e.g. `OBS_GATE_TOLERANCE=0.10`).
@@ -103,8 +102,7 @@ mod tests {
     #[test]
     fn null_and_full_replay_the_same_schedule() {
         // Cheap version of the gate's divergence check: a short run under
-        // each mode processes the same number of events and commits the
-        // same transactions in Full as in Run-only accounting.
+        // each mode processes the same number of events.
         let mut job = gate_job();
         job.horizon = 150_000;
         let null = run_job_with_obs(&job, ObsMode::Null);

@@ -330,8 +330,8 @@ impl Engine {
     }
 
     /// Total events popped from the future-event list so far. One event is
-    /// the engine's unit of hot-path work, which makes wall-clock
-    /// events/second the primary metric of `lion-bench perf`.
+    /// the engine's unit of hot-path work: the denominator of the benchmark
+    /// of record's `engine.host_ns_per_event`.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -740,7 +740,13 @@ impl Engine {
             });
         }
         for part in report.rejoin_secondaries {
-            let _ = self.add_replica_async(part, node, false);
+            match self.add_replica_async(part, node, false) {
+                Ok(_) | Err(AdaptorError::AlreadyHosted { .. }) => {}
+                // The partition's current primary is itself down or across
+                // an open cut (a second failure in flight): nothing to copy
+                // from. Counted, because nothing retries the rejoin.
+                Err(_) => self.emit(MetricEvent::RemasterConflict { at: now }),
+            }
         }
         proto.on_fault(self, &FaultNotice::NodeUp(node));
     }

@@ -119,7 +119,7 @@ pub struct RunReport {
     /// the floor is zero (single-node cluster) or nothing committed.
     pub p50_floor_x: f64,
     /// Per-node goodput/bytes/latency rollups (empty under
-    /// [`lion_obs::ObsMode::Run`]/`Null`, where the dimensioned sink is off).
+    /// [`lion_obs::ObsMode::Null`], where no sink is fed).
     pub node_rollups: Vec<DimRollup>,
     /// Per-zone rollups (same gating).
     pub zone_rollups: Vec<DimRollup>,

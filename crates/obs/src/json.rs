@@ -1,13 +1,11 @@
-//! Hand-rolled JSON: a writer, targeted extractors, and a minimal parser.
+//! Hand-rolled JSON: a writer and a minimal parser.
 //!
 //! The offline build has no serde, so every machine-readable artifact in
-//! the repo (`RunReport::to_json`, `BENCH_perf.json`, `lion-bench
-//! --export`) goes through these helpers. The writer emits a strict JSON
-//! subset: object keys in insertion order, numbers via Rust's `f64`
-//! `Display` (shortest round-trippable form), non-finite floats mapped to
-//! `null`. The extractors are the forgiving counterpart used by
-//! `lion-bench perf --check` against committed baselines; [`parse`] is a
-//! full (if small) parser for schema smoke tests.
+//! the repo (`RunReport::to_json`, `lion-bench --export`) goes through
+//! these helpers. The writer emits a strict JSON subset: object keys in
+//! insertion order, numbers via Rust's `f64` `Display` (shortest
+//! round-trippable form), non-finite floats mapped to `null`. [`parse`] is
+//! a full (if small) parser for schema smoke tests.
 
 use std::fmt::Write as _;
 
@@ -52,42 +50,6 @@ pub fn arr<I: IntoIterator<Item = String>>(items: I) -> String {
     }
     out.push(']');
     out
-}
-
-/// Extracts the balanced `{...}` object following `"key":` inside `src`.
-/// Scans from the first occurrence of the key; returns `None` when the key
-/// is absent or the braces never balance.
-pub fn extract_object(src: &str, key: &str) -> Option<String> {
-    let kpos = src.find(&format!("\"{key}\":"))?;
-    let start = kpos + src[kpos..].find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in src[start..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(src[start..=start + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extracts the number following `"key":` inside `src`.
-pub fn extract_number(src: &str, key: &str) -> Option<f64> {
-    let kpos = src.find(&format!("\"{key}\":"))?;
-    let rest = src[kpos..].split_once(':')?.1;
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| {
-            c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == 'E' || *c == '+'
-        })
-        .collect();
-    num.parse().ok()
 }
 
 /// A parsed JSON value. Objects keep insertion order (the writer's order),
@@ -345,15 +307,5 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn extractors_pull_nested_objects_and_numbers() {
-        let src = r#"{"matrix":{"ycsb":{"tps":1200.5,"events":42}},"other":{"tps":7}}"#;
-        let ycsb = extract_object(src, "ycsb").unwrap();
-        assert_eq!(extract_number(&ycsb, "tps"), Some(1200.5));
-        assert_eq!(extract_number(&ycsb, "events"), Some(42.0));
-        assert_eq!(extract_number(src, "missing"), None);
-        assert!(extract_object(src, "missing").is_none());
     }
 }

@@ -31,8 +31,6 @@ impl MetricSink for NullSink {
 pub enum ObsMode {
     /// Drop every event (overhead yardstick; `RunReport` comes out zeroed).
     Null,
-    /// Feed only the run sink — enough for reports and digests.
-    Run,
     /// Run sink + dimensioned rollups + any extra sinks.
     #[default]
     Full,
@@ -45,9 +43,9 @@ pub enum ObsMode {
 pub struct ObsHub {
     /// Pipeline mode.
     pub mode: ObsMode,
-    /// Per-node / per-zone rollups (fed in [`ObsMode::Full`] only).
+    /// Per-node / per-zone rollups.
     pub dims: DimensionedSink,
-    /// Caller-attached sinks (fed in every mode except [`ObsMode::Null`]).
+    /// Caller-attached sinks.
     pub extras: Vec<Box<dyn MetricSink>>,
 }
 
@@ -75,14 +73,11 @@ impl ObsHub {
     /// then the dimensioned sink, then extras in attachment order.
     #[inline]
     pub fn emit(&mut self, run: &mut Metrics, ev: MetricEvent) {
-        match self.mode {
-            ObsMode::Null => return,
-            ObsMode::Run => run.on_event(&ev),
-            ObsMode::Full => {
-                run.on_event(&ev);
-                self.dims.on_event(&ev);
-            }
+        if self.mode == ObsMode::Null {
+            return;
         }
+        run.on_event(&ev);
+        self.dims.on_event(&ev);
         for s in &mut self.extras {
             s.on_event(&ev);
         }
@@ -111,15 +106,6 @@ mod tests {
         let mut run = Metrics::new();
         hub.emit(&mut run, commit_ev(5));
         assert_eq!(run.commits, 0);
-        assert!(hub.dims.node_rollups(1_000_000).is_empty());
-    }
-
-    #[test]
-    fn run_mode_skips_dims() {
-        let mut hub = ObsHub::new(ObsMode::Run);
-        let mut run = Metrics::new();
-        hub.emit(&mut run, commit_ev(5));
-        assert_eq!(run.commits, 1);
         assert!(hub.dims.node_rollups(1_000_000).is_empty());
     }
 

@@ -6,7 +6,7 @@
 //!   wheel with an overflow rung, O(1) schedule/pop, popping in
 //!   `(time, sequence)` order so same-time events fire in insertion order;
 //! * [`HeapQueue`]: the original binary-heap FEL, kept as the reference
-//!   model for property tests and as the micro-bench baseline;
+//!   model for property tests;
 //! * [`MultiServer`]: a k-server queueing resource modelling a node's worker
 //!   pool (and single-threaded resources such as Calvin's lock manager);
 //! * [`Histogram`]: log-bucketed latency histogram with percentile queries

@@ -1,14 +1,11 @@
 //! Binary-heap future-event list: the reference model.
 //!
 //! [`HeapQueue`] is the original `BinaryHeap`-backed implementation of the
-//! future-event list, kept in-tree for two jobs:
-//!
-//! * **reference model** — `tests/fel_properties.rs` drives it and the
-//!   calendar queue ([`CalendarQueue`](crate::CalendarQueue), the engine's
-//!   production FEL) with identical schedule/pop/cancel sequences and
-//!   asserts byte-identical drain order;
-//! * **micro-bench baseline** — `lion-bench perf` times both on the same
-//!   event trace so the O(log n) → O(1) win stays measured, not assumed.
+//! future-event list, kept in-tree as the reference model:
+//! `tests/fel_properties.rs` drives it and the calendar queue
+//! ([`CalendarQueue`](crate::CalendarQueue), the engine's production FEL)
+//! with identical schedule/pop/cancel sequences and asserts byte-identical
+//! drain order.
 //!
 //! The pop order is strict `(timestamp, sequence-number)`: the sequence
 //! number makes same-instant ordering deterministic, which keeps whole

@@ -183,6 +183,44 @@ fn stalled_partition_resumes_after_recovery() {
     eng.cluster.check_invariants().unwrap();
 }
 
+#[test]
+fn rejoin_refused_by_a_second_failure_is_counted() {
+    // Replication factor 2, round-robin: N1's partitions keep their only
+    // secondary on N2. N2 crashes, then N1 — N1's partitions now stall with
+    // no live replica — and N2 restarts while N1 is still down. N2's stale
+    // copies of N1's partitions cannot re-sync (their primary is dead), so
+    // each refused rejoin must show up in `remaster_conflicts`.
+    let rejoiner = NodeId(2);
+    let cfg = EngineConfig {
+        sim: sim(),
+        plan_interval_us: 500_000,
+        faults: FaultPlan::new()
+            .crash_at(SECOND, rejoiner)
+            .crash_at(2 * SECOND, VICTIM)
+            .recover_at(3 * SECOND, rejoiner),
+        ..Default::default()
+    };
+    let workload = Box::new(YcsbWorkload::new(
+        YcsbConfig::for_cluster(4, 4, 2_048)
+            .with_mix(0.5, 0.0)
+            .with_seed(44),
+    ));
+    let mut eng = Engine::new(cfg, workload);
+    let report = eng.run(&mut lion::baselines::two_pc(), 4 * SECOND);
+
+    assert_eq!((report.crashes, eng.metrics.node_recoveries), (2, 1));
+    let refused: Vec<PartitionId> = (0..16)
+        .map(PartitionId)
+        .filter(|&p| eng.cluster.placement.primary_of(p) == VICTIM)
+        .collect();
+    assert_eq!(refused.len(), 4, "N1's partitions had nowhere to fail over");
+    for &p in &refused {
+        assert!(!eng.cluster.placement.has_replica(p, rejoiner));
+    }
+    assert_eq!(eng.metrics.remaster_conflicts, refused.len() as u64);
+    eng.cluster.check_invariants().unwrap();
+}
+
 /// Split-brain sim: 4 nodes at replication factor 3, so a `{N2, N3}` cut
 /// leaves every data partition a strict replica majority on one side.
 fn sb_sim() -> SimConfig {
