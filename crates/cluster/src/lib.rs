@@ -22,5 +22,5 @@ pub mod topology;
 pub use freq::FreqTracker;
 pub use topology::{
     AdaptorError, Cluster, CrashReport, EpochFlush, PartitionRuntime, RecoveryReport, SplitBrain,
-    LAG_SYNC_US_PER_ENTRY,
+    Transfer, LAG_SYNC_US_PER_ENTRY,
 };

@@ -42,41 +42,77 @@ impl fmt::Display for AdaptorError {
 
 impl std::error::Error for AdaptorError {}
 
+/// The one primary hand-off a partition can have in flight. The states are
+/// mutually exclusive by construction; only [`Cluster`] moves a partition
+/// between them (one start path in, `finish_*` or a cancel out).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Transfer {
+    /// Nothing in flight: the placement's primary serves.
+    #[default]
+    Idle,
+    /// Mastership is moving onto the secondary at `to` (§III).
+    Remaster {
+        /// The secondary being promoted.
+        to: NodeId,
+    },
+    /// The primary's data is moving to `to` (the baselines' blocking path).
+    Migrate {
+        /// The destination node.
+        to: NodeId,
+    },
+    /// The primary died and the survivor at `to` is being promoted.
+    Failover {
+        /// The promotion target.
+        to: NodeId,
+    },
+    /// The primary's node is down and no live replica can take over: every
+    /// operation stalls until the node recovers.
+    Stalled,
+}
+
+impl Transfer {
+    /// The node the hand-off makes primary, if one is in flight.
+    pub fn target(self) -> Option<NodeId> {
+        match self {
+            Transfer::Remaster { to } | Transfer::Migrate { to } | Transfer::Failover { to } => {
+                Some(to)
+            }
+            Transfer::Idle | Transfer::Stalled => None,
+        }
+    }
+}
+
 /// Runtime state of one partition: adaptor operations in flight.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionRuntime {
     /// Operations on the partition cannot execute before this time
     /// (remaster hand-off window / migration blackout).
     pub blocked_until: Time,
-    /// Remaster target, if a remaster is in flight.
-    pub remastering: Option<NodeId>,
-    /// Migration target, if a migration is in flight.
-    pub migrating: Option<NodeId>,
     /// Nodes currently receiving a background replica copy.
     pub copying_to: Vec<NodeId>,
-    /// Failover promotion target, if the primary died and a survivor is
-    /// being promoted.
-    pub failing_over: Option<NodeId>,
-    /// The primary's node is down and no live replica can take over: every
-    /// operation stalls until the node recovers.
-    pub primary_down: bool,
-    /// Transfer generation: bumped whenever a blocking transfer (remaster,
-    /// migration, failover) begins or is canceled by a crash, so completion
-    /// events scheduled for a superseded transfer can be recognized as stale
-    /// and dropped.
-    pub gen: u64,
+    /// The hand-off in flight; written only by [`Cluster`]'s start, finish
+    /// and cancel routines.
+    transfer: Transfer,
+    /// Transfer generation: bumped whenever a hand-off starts or is
+    /// canceled, so a completion scheduled for a superseded hand-off is
+    /// recognized as stale (its stamp no longer equals this) and dropped.
+    gen: u64,
+    /// Ceiling `blocked_until` may sit at while `Idle`: what the last exit
+    /// from a hand-off allowed (a finished one keeps its window, a canceled
+    /// one must release it). Stored only for [`Cluster::check_invariants`].
+    idle_cap: Time,
 }
 
 impl PartitionRuntime {
-    /// True when a remaster or migration is in flight.
-    pub fn transfer_in_flight(&self) -> bool {
-        self.remastering.is_some() || self.migrating.is_some()
+    /// The hand-off in flight.
+    pub fn transfer(&self) -> Transfer {
+        self.transfer
     }
 
-    /// True when the partition is in any failure state (promotion in flight
-    /// or stalled on a dead primary).
-    pub fn failure_in_flight(&self) -> bool {
-        self.failing_over.is_some() || self.primary_down
+    /// The current transfer generation: the stamp a completion scheduled
+    /// for the hand-off in flight must still carry when it fires.
+    pub fn gen(&self) -> u64 {
+        self.gen
     }
 }
 
@@ -116,8 +152,8 @@ pub struct EpochFlush {
 pub struct RecoveryReport {
     /// The node that restarted.
     pub node: NodeId,
-    /// Stalled partitions still primaried on the node: they resume after a
-    /// restart window.
+    /// Stalled partitions still primaried on the node: the restart ended
+    /// their stall and they resume after the restart window.
     pub restored_primaries: Vec<PartitionId>,
     /// Partitions whose primaries failed over elsewhere: the node re-joins
     /// them as a secondary via a background snapshot copy.
@@ -300,6 +336,112 @@ impl Cluster {
         self.parts[part.idx()].blocked_until
     }
 
+    /// The hand-off in flight on `part`.
+    pub fn transfer(&self, part: PartitionId) -> Transfer {
+        self.parts[part.idx()].transfer
+    }
+
+    // ------------------------------------------------------------------
+    // Partition transfers: the one start guard, start, finish and cancel
+    // ------------------------------------------------------------------
+
+    /// The start guard every adaptor operation shares: the serving primary
+    /// and `to` must both be up and on the same side of any active cut (the
+    /// two nodes have to exchange the hand-off or the snapshot), and an
+    /// `exclusive` operation — one that moves the primary — needs the
+    /// partition `Idle`. Returns the serving primary.
+    fn may_start(
+        &self,
+        part: PartitionId,
+        to: NodeId,
+        exclusive: bool,
+    ) -> Result<NodeId, AdaptorError> {
+        let primary = self.placement.primary_of(part);
+        if (exclusive && self.transfer(part) != Transfer::Idle) || !self.reachable(primary, to) {
+            return Err(AdaptorError::Busy(part));
+        }
+        Ok(primary)
+    }
+
+    /// The only way into a non-`Idle` state: records the hand-off, opens a
+    /// new generation for its completion event and blocks the partition
+    /// until `until`.
+    fn start(&mut self, part: PartitionId, transfer: Transfer, until: Time) {
+        let rt = &mut self.parts[part.idx()];
+        debug_assert!(
+            matches!(rt.transfer, Transfer::Idle | Transfer::Stalled),
+            "{part} already has {:?} in flight",
+            rt.transfer
+        );
+        rt.transfer = transfer;
+        rt.gen += 1;
+        rt.blocked_until = rt.blocked_until.max(until);
+    }
+
+    /// Takes `part`'s hand-off for completion, leaving the partition `Idle`
+    /// (its block window stands: the hand-off lands at the end of it).
+    fn finish(&mut self, part: PartitionId) -> Transfer {
+        let rt = &mut self.parts[part.idx()];
+        rt.idle_cap = rt.blocked_until;
+        std::mem::take(&mut rt.transfer)
+    }
+
+    /// Cancels whatever hand-off `part` has in flight: the partition returns
+    /// to `Idle`, the generation bump turns the scheduled completion stale,
+    /// and the block window is released. Returns true when a failover
+    /// promotion was aborted (the caller owes the partition a re-plan).
+    fn cancel(&mut self, part: PartitionId, now: Time) -> bool {
+        let rt = &mut self.parts[part.idx()];
+        let was = std::mem::take(&mut rt.transfer);
+        if was != Transfer::Idle {
+            rt.gen += 1;
+            rt.blocked_until = rt.blocked_until.min(now);
+            rt.idle_cap = now;
+        }
+        matches!(was, Transfer::Failover { .. })
+    }
+
+    /// Hands the primary role of `part` to the replica at `to`, which adopts
+    /// `head` as its log head: the old primary's store (if it still holds
+    /// one) demotes in place and the placement follows.
+    fn swap_primary(&mut self, part: PartitionId, to: NodeId, head: u64, now: Time) {
+        let old = self.placement.primary_of(part);
+        if let Some(s) = self.stores[old.idx()].get_mut(&part.0) {
+            if s.role == ReplicaRole::Primary {
+                s.demote();
+            }
+        }
+        self.stores[to.idx()]
+            .get_mut(&part.0)
+            .expect("promotion target holds a store")
+            .promote(head);
+        self.placement
+            .remaster(part, to)
+            .expect("placement primary swap");
+        self.freq.touch(part, to, now);
+    }
+
+    /// Ships the primary's unshipped epoch buffer (the "lagging logs" of
+    /// §III) to every secondary, so a hand-off starts from a consistent
+    /// state. Returns the wire bytes spent.
+    fn sync_pending(&mut self, part: PartitionId) -> u64 {
+        let pending = self.primary_store_mut(part).log.take_pending();
+        let bytes: u64 = pending.iter().map(|e| e.wire_bytes()).sum();
+        let secondaries: Vec<NodeId> = self.placement.secondaries_of(part).to_vec();
+        for sec in &secondaries {
+            if let Some(store) = self.store_mut(*sec, part) {
+                store.apply_entries(&pending);
+            }
+        }
+        bytes * secondaries.len() as u64
+    }
+
+    /// Wire size of a full snapshot of `part` taken at `primary`.
+    fn snapshot_bytes(&self, part: PartitionId, primary: NodeId) -> u64 {
+        let table = &self.store(primary, part).expect("primary store").table;
+        table.bytes() + 16 * self.cfg.keys_per_partition
+    }
+
     // ------------------------------------------------------------------
     // Adaptor: remastering (§III)
     // ------------------------------------------------------------------
@@ -319,19 +461,7 @@ impl Cluster {
         if !self.placement.has_secondary(part, to) {
             return Err(AdaptorError::NoReplica { part, node: to });
         }
-        let rt = &self.parts[part.idx()];
-        if rt.transfer_in_flight() || rt.failure_in_flight() {
-            return Err(AdaptorError::Busy(part));
-        }
-        let primary = self.placement.primary_of(part);
-        if !self.node_up[primary.idx()] || !self.node_up[to.idx()] {
-            return Err(AdaptorError::Busy(part));
-        }
-        // A mastership hand-off cannot cross an active cut: the two nodes
-        // cannot exchange the hand-off protocol.
-        if !self.same_side(primary, to) {
-            return Err(AdaptorError::Busy(part));
-        }
+        let primary = self.may_start(part, to, true)?;
         let head = self
             .store(primary, part)
             .expect("primary store")
@@ -342,10 +472,7 @@ impl Cluster {
             .expect("secondary store")
             .lag_behind(head);
         let duration = self.cfg.remaster_delay_us + lag * LAG_SYNC_US_PER_ENTRY;
-        let rt = &mut self.parts[part.idx()];
-        rt.remastering = Some(to);
-        rt.gen += 1;
-        rt.blocked_until = rt.blocked_until.max(now + duration);
+        self.start(part, Transfer::Remaster { to }, now + duration);
         Ok(duration)
     }
 
@@ -353,41 +480,13 @@ impl Cluster {
     /// secondary, swaps roles, and updates the placement. Returns the wire
     /// bytes spent on the lag sync (for network accounting).
     pub fn finish_remaster(&mut self, part: PartitionId, now: Time) -> u64 {
-        let to = self.parts[part.idx()]
-            .remastering
-            .take()
-            .expect("finish_remaster without begin_remaster");
-        let old_primary = self.placement.primary_of(part);
-
-        // Sync the unshipped epoch buffer to all secondaries (the "lagging
-        // logs" of §III) so the new primary starts from a consistent state.
-        let pending = self.primary_store_mut(part).log.take_pending();
-        let bytes: u64 = pending.iter().map(|e| e.wire_bytes()).sum();
-        let secondaries: Vec<NodeId> = self.placement.secondaries_of(part).to_vec();
-        for sec in &secondaries {
-            if let Some(store) = self.store_mut(*sec, part) {
-                store.apply_entries(&pending);
-            }
-        }
-
-        let head = self
-            .store(old_primary, part)
-            .expect("old primary")
-            .log
-            .head_lsn();
-        self.stores[old_primary.idx()]
-            .get_mut(&part.0)
-            .expect("old primary")
-            .demote();
-        self.stores[to.idx()]
-            .get_mut(&part.0)
-            .expect("new primary")
-            .promote(head);
-        self.placement
-            .remaster(part, to)
-            .expect("placement remaster");
-        self.freq.touch(part, to, now);
-        bytes * secondaries.len() as u64
+        let Transfer::Remaster { to } = self.finish(part) else {
+            panic!("finish_remaster without begin_remaster");
+        };
+        let bytes = self.sync_pending(part);
+        let head = self.primary_store_mut(part).log.head_lsn();
+        self.swap_primary(part, to, head, now);
+        bytes
     }
 
     // ------------------------------------------------------------------
@@ -406,20 +505,8 @@ impl Cluster {
         if self.placement.has_replica(part, to) || self.parts[part.idx()].copying_to.contains(&to) {
             return Err(AdaptorError::AlreadyHosted { part, node: to });
         }
-        let primary = self.placement.primary_of(part);
-        if !self.node_up[primary.idx()] || !self.node_up[to.idx()] {
-            return Err(AdaptorError::Busy(part));
-        }
-        // A snapshot copy cannot cross an active cut either.
-        if !self.same_side(primary, to) {
-            return Err(AdaptorError::Busy(part));
-        }
-        let bytes = self
-            .store(primary, part)
-            .expect("primary store")
-            .table
-            .bytes()
-            + 16 * self.cfg.keys_per_partition;
+        let primary = self.may_start(part, to, false)?;
+        let bytes = self.snapshot_bytes(part, primary);
         let duration = self.cfg.migration_fixed_us / 2
             + (bytes as f64 / self.cfg.net.bytes_per_us).ceil() as Time;
         self.parts[part.idx()].copying_to.push(to);
@@ -427,8 +514,10 @@ impl Cluster {
     }
 
     /// Completes a background copy: registers the secondary and, when the
-    /// replica cap is exceeded, evicts the coldest other secondary
-    /// (§IV-B.2). Returns the evicted node, if any.
+    /// replica cap is exceeded, evicts the coldest other secondary — never
+    /// the target of a hand-off in flight — (§IV-B.2). Returns the evicted
+    /// node, if any. A copy landing on a node that became a holder in the
+    /// meantime (a migration moved the primary there) has nothing to add.
     pub fn finish_add_replica(
         &mut self,
         part: PartitionId,
@@ -442,18 +531,10 @@ impl Cluster {
             .position(|&n| n == to)
             .expect("finish_add_replica without begin_add_replica");
         rt.copying_to.swap_remove(pos);
-
-        let primary = self.placement.primary_of(part);
-        let snapshot = {
-            let src = self.stores[primary.idx()]
-                .get(&part.0)
-                .expect("primary store");
-            ReplicaStore::from_snapshot(part, src)
-        };
-        self.stores[to.idx()].insert(part.0, snapshot);
-        self.placement
-            .add_secondary(part, to)
-            .expect("placement add");
+        if self.placement.has_replica(part, to) {
+            return None;
+        }
+        self.install_snapshot(part, to);
         self.freq.touch(part, to, now);
 
         if self.placement.replica_count(part) > self.cfg.max_replicas {
@@ -462,7 +543,7 @@ impl Cluster {
                 .secondaries_of(part)
                 .iter()
                 .copied()
-                .filter(|&n| n != to)
+                .filter(|&n| n != to && Some(n) != self.transfer(part).target())
                 .collect();
             // Anti-affinity: evicting a replica must not collapse the
             // partition's zone spread below the policy floor (or below the
@@ -501,18 +582,22 @@ impl Cluster {
         if self.placement.has_replica(part, node) {
             return Err(AdaptorError::AlreadyHosted { part, node });
         }
+        self.install_snapshot(part, node);
+        Ok(())
+    }
+
+    /// Copies a fresh snapshot of `part`'s primary onto `node` and lists the
+    /// node as a secondary.
+    fn install_snapshot(&mut self, part: PartitionId, node: NodeId) {
         let primary = self.placement.primary_of(part);
-        let snapshot = {
-            let src = self.stores[primary.idx()]
-                .get(&part.0)
-                .expect("primary store");
-            ReplicaStore::from_snapshot(part, src)
-        };
+        let src = self.stores[primary.idx()]
+            .get(&part.0)
+            .expect("primary store");
+        let snapshot = ReplicaStore::from_snapshot(part, src);
         self.stores[node.idx()].insert(part.0, snapshot);
         self.placement
             .add_secondary(part, node)
             .expect("placement add");
-        Ok(())
     }
 
     /// Drops the secondary replica of `part` on `node` (delete-flag path).
@@ -546,78 +631,43 @@ impl Cluster {
         if self.placement.is_primary(part, to) {
             return Err(AdaptorError::AlreadyPrimary { part, node: to });
         }
-        if self.parts[part.idx()].transfer_in_flight() || self.parts[part.idx()].failure_in_flight()
-        {
-            return Err(AdaptorError::Busy(part));
-        }
-        let primary = self.placement.primary_of(part);
-        if !self.node_up[primary.idx()] || !self.node_up[to.idx()] {
-            return Err(AdaptorError::Busy(part));
-        }
-        // A blocking migration cannot cross an active cut either.
-        if !self.same_side(primary, to) {
-            return Err(AdaptorError::Busy(part));
-        }
-        let bytes = self
-            .store(primary, part)
-            .expect("primary store")
-            .table
-            .bytes()
-            + 16 * self.cfg.keys_per_partition;
+        let primary = self.may_start(part, to, true)?;
+        let bytes = self.snapshot_bytes(part, primary);
         let duration =
             self.cfg.migration_fixed_us + (bytes as f64 / self.cfg.net.bytes_per_us).ceil() as Time;
-        let rt = &mut self.parts[part.idx()];
-        rt.migrating = Some(to);
-        rt.gen += 1;
-        rt.blocked_until = rt.blocked_until.max(now + duration);
+        self.start(part, Transfer::Migrate { to }, now + duration);
         Ok((duration, bytes))
     }
 
     /// Completes a migration: moves the primary's data to the target (the
     /// source copy is dropped — a move, not a copy) and updates placement.
     pub fn finish_migration(&mut self, part: PartitionId, now: Time) {
-        let to = self.parts[part.idx()]
-            .migrating
-            .take()
-            .expect("finish_migration without begin");
+        let Transfer::Migrate { to } = self.finish(part) else {
+            panic!("finish_migration without begin_migration");
+        };
         let old_primary = self.placement.primary_of(part);
-        if old_primary == to {
-            return; // placement changed underneath (e.g. racing remaster); no-op
-        }
         // Flush unshipped entries to surviving secondaries before the move.
-        let pending = self.primary_store_mut(part).log.take_pending();
-        let secondaries: Vec<NodeId> = self.placement.secondaries_of(part).to_vec();
-        for sec in &secondaries {
-            if let Some(store) = self.store_mut(*sec, part) {
-                store.apply_entries(&pending);
-            }
-        }
+        self.sync_pending(part);
         let mut moved = self.stores[old_primary.idx()]
             .remove(&part.0)
             .expect("primary store");
+        let head = moved.log.head_lsn();
         if self.placement.has_secondary(part, to) {
             // Target already held a copy: promote it in place with the moved
             // (authoritative) table.
-            let head = moved.log.head_lsn();
-            let target = self.stores[to.idx()]
-                .get_mut(&part.0)
-                .expect("target store");
-            target.table = moved.table;
-            target.promote(head);
-            self.placement
-                .remaster(part, to)
-                .expect("placement remaster");
+            self.store_mut(to, part).expect("target store").table = moved.table;
+            self.swap_primary(part, to, head, now);
             self.placement
                 .remove_secondary(part, old_primary)
                 .expect("drop source");
         } else {
-            moved.applied_lsn = moved.log.head_lsn();
+            moved.applied_lsn = head;
             self.stores[to.idx()].insert(part.0, moved);
             self.placement
                 .migrate_primary(part, to)
                 .expect("placement migrate");
+            self.freq.touch(part, to, now);
         }
-        self.freq.touch(part, to, now);
     }
 
     // ------------------------------------------------------------------
@@ -762,29 +812,24 @@ impl Cluster {
         for p in 0..n_parts {
             let part = PartitionId(p as u32);
             let sp = self.placement.primary_of(part);
-            let rt = &mut self.parts[p];
-            let split = self.split.as_ref().expect("just opened");
-            let cut_off = |n: NodeId| split.side_of[n.idx()] != split.side_of[sp.idx()];
-            let cancel_remaster = rt.remastering.is_some_and(cut_off);
-            let cancel_migration = rt.migrating.is_some_and(cut_off);
-            let cancel_failover = rt.failing_over.is_some_and(cut_off);
-            if cancel_remaster {
-                rt.remastering = None;
-            }
-            if cancel_migration {
-                rt.migrating = None;
-            }
-            if cancel_failover {
-                rt.failing_over = None;
+            let target = self.transfer(part).target();
+            if target.is_some_and(|to| !self.same_side(sp, to)) && self.cancel(part, now) {
                 aborted_failovers.push(part);
             }
-            if cancel_remaster || cancel_migration || cancel_failover {
-                rt.gen += 1;
-                rt.blocked_until = rt.blocked_until.min(now);
-            }
-            rt.copying_to.retain(|&n| !cut_off(n));
+            self.cancel_cut_off_copies(part, sp);
         }
         aborted_failovers
+    }
+
+    /// Drops `part`'s background copies whose destination an active cut
+    /// separates from `primary`, the node they snapshot from.
+    fn cancel_cut_off_copies(&mut self, part: PartitionId, primary: NodeId) {
+        if let Some(split) = &self.split {
+            let side = split.side_of[primary.idx()];
+            self.parts[part.idx()]
+                .copying_to
+                .retain(|n| split.side_of[n.idx()] == side);
+        }
     }
 
     /// Closes the split-brain window, returning its final state (shadow
@@ -807,27 +852,14 @@ impl Cluster {
             !self.same_side(old, to),
             "split promotion within one side — use a plain failover"
         );
-        let rt = &mut self.parts[part.idx()];
-        rt.gen += 1;
-        rt.primary_down = false;
-        rt.failing_over = None;
-        if let Some(s) = self.stores[old.idx()].get_mut(&part.0) {
-            if s.role == ReplicaRole::Primary {
-                s.demote();
-            }
-        }
+        // Whatever was in flight belonged to the superseded primary.
+        self.cancel(part, now);
         let head = self
             .store(to, part)
             .expect("split promotion target has a store")
             .applied_lsn;
-        self.stores[to.idx()]
-            .get_mut(&part.0)
-            .expect("split promotion target")
-            .promote(head);
-        self.placement
-            .remaster(part, to)
-            .expect("split promotion placement swap");
-        self.freq.touch(part, to, now);
+        self.swap_primary(part, to, head, now);
+        self.cancel_cut_off_copies(part, to);
     }
 
     /// Halts `node`: cancels transfers involving it, strips it from every
@@ -854,37 +886,18 @@ impl Cluster {
             let part = PartitionId(p as u32);
             let primary = self.placement.primary_of(part);
             let primary_dead = primary == node;
-            {
-                let rt = &mut self.parts[p];
-                // Cancel blocking transfers that involve the dead node as
-                // source or destination; their scheduled completions become
-                // stale (generation mismatch).
-                let cancel_remaster =
-                    rt.remastering.is_some() && (primary_dead || rt.remastering == Some(node));
-                let cancel_migration =
-                    rt.migrating.is_some() && (primary_dead || rt.migrating == Some(node));
-                // An in-flight failover whose promotion target just died
-                // must be aborted too: the caller re-plans it over the
-                // remaining survivors.
-                let cancel_failover = rt.failing_over == Some(node);
-                if cancel_remaster {
-                    rt.remastering = None;
-                }
-                if cancel_migration {
-                    rt.migrating = None;
-                }
-                if cancel_failover {
-                    rt.failing_over = None;
-                    aborted_failovers.push(part);
-                }
-                if cancel_remaster || cancel_migration || cancel_failover {
-                    rt.gen += 1;
-                    rt.blocked_until = rt.blocked_until.min(now);
-                }
-                if let Some(pos) = rt.copying_to.iter().position(|&n| n == node) {
-                    rt.copying_to.swap_remove(pos);
-                }
+            // Cancel a hand-off that involves the dead node: a remaster or
+            // migration loses its source or its destination, a failover its
+            // promotion target (the caller re-plans it over the remaining
+            // survivors). The scheduled completion goes stale.
+            let severed = match self.transfer(part) {
+                Transfer::Failover { to } => to == node,
+                other => other.target().is_some_and(|to| primary_dead || to == node),
+            };
+            if severed && self.cancel(part, now) {
+                aborted_failovers.push(part);
             }
+            self.cancel_copy(part, node);
             if primary_dead {
                 // During a split the drained epoch buffer can only reach
                 // survivors on the dead node's own side of the cut.
@@ -922,20 +935,14 @@ impl Cluster {
     /// died. The partition blocks for `duration` (failure detection +
     /// hand-off + lag sync, priced by `lion-faults`).
     pub fn begin_failover(&mut self, part: PartitionId, target: NodeId, duration: Time, now: Time) {
-        let rt = &mut self.parts[part.idx()];
-        debug_assert!(rt.failing_over.is_none(), "{part} already failing over");
-        rt.failing_over = Some(target);
-        rt.primary_down = false;
-        rt.gen += 1;
-        rt.blocked_until = rt.blocked_until.max(now + duration);
+        self.start(part, Transfer::Failover { to: target }, now + duration);
     }
 
     /// Marks `part` as stalled: its primary is down and no live replica can
-    /// take over. Operations block until the node recovers.
+    /// take over. Operations block until `until`; the caller re-arms the
+    /// stall until [`Cluster::recover_node`] ends it.
     pub fn stall_partition(&mut self, part: PartitionId, until: Time) {
-        let rt = &mut self.parts[part.idx()];
-        rt.primary_down = true;
-        rt.blocked_until = rt.blocked_until.max(until);
+        self.start(part, Transfer::Stalled, until);
     }
 
     /// Completes a failover: replays the recovered prepare-log entries to
@@ -949,10 +956,9 @@ impl Cluster {
         replay: &[LogEntry],
         now: Time,
     ) -> (u64, u64) {
-        let to = self.parts[part.idx()]
-            .failing_over
-            .take()
-            .expect("finish_failover without begin_failover");
+        let Transfer::Failover { to } = self.finish(part) else {
+            panic!("finish_failover without begin_failover");
+        };
         let dead = self.placement.primary_of(part);
 
         let entry_bytes: u64 = replay.iter().map(|e| e.wire_bytes()).sum();
@@ -981,18 +987,7 @@ impl Cluster {
             .map(|s| s.log.head_lsn())
             .unwrap_or(0);
         let head = dead_head.max(self.store(to, part).expect("promotion target").applied_lsn);
-        if let Some(s) = self.stores[dead.idx()].get_mut(&part.0) {
-            if s.role == ReplicaRole::Primary {
-                s.demote();
-            }
-        }
-        self.stores[to.idx()]
-            .get_mut(&part.0)
-            .expect("promotion target")
-            .promote(head);
-        self.placement
-            .remaster(part, to)
-            .expect("failover placement swap");
+        self.swap_primary(part, to, head, now);
         if self.node_up[dead.idx()] {
             // The node restarted while the promotion was in flight: keep it
             // as an in-sync secondary (its table held everything it logged).
@@ -1002,16 +997,16 @@ impl Cluster {
                 .remove_secondary(part, dead)
                 .expect("drop dead node from replica set");
         }
-        self.freq.touch(part, to, now);
         (shipped, head)
     }
 
     /// Restarts `node`: marks it live again and reports what must happen
     /// next. Partitions still primaried on it (they stalled through the
-    /// outage) resume after a restart window the engine prices; partitions
-    /// whose primaries failed over elsewhere discard their stale local copy
-    /// and re-join as secondaries via background snapshot copies.
-    pub fn recover_node(&mut self, node: NodeId, _now: Time) -> RecoveryReport {
+    /// outage) leave `Stalled` and resume after a restart window priced like
+    /// a remaster hand-off; partitions whose primaries failed over elsewhere
+    /// discard their stale local copy and re-join as secondaries via
+    /// background snapshot copies.
+    pub fn recover_node(&mut self, node: NodeId, now: Time) -> RecoveryReport {
         assert!(!self.node_up[node.idx()], "recover of a live node {node}");
         self.node_up[node.idx()] = true;
         let mut restored_primaries = Vec::new();
@@ -1019,11 +1014,19 @@ impl Cluster {
         for p in 0..self.n_partitions() {
             let part = PartitionId(p as u32);
             if self.placement.primary_of(part) == node {
-                if self.parts[p].failing_over.is_some() {
+                if matches!(self.transfer(part), Transfer::Failover { .. }) {
                     // A promotion is in flight: let it land; the restarted
                     // node is kept as a secondary when it completes.
                     continue;
                 }
+                let rt = &mut self.parts[p];
+                rt.blocked_until = rt.blocked_until.max(now + self.cfg.remaster_delay_us);
+                let was = self.finish(part);
+                debug_assert_eq!(
+                    was,
+                    Transfer::Stalled,
+                    "{part} outlived its primary unstalled"
+                );
                 restored_primaries.push(part);
             } else if !self.placement.has_replica(part, node)
                 && self.stores[node.idx()].contains_key(&part.0)
@@ -1054,18 +1057,6 @@ impl Cluster {
         }
         self.stores[node.idx()].remove(&part.0);
         self.freq.forget(part, node);
-    }
-
-    /// Clears the stall on a restored partition (its primary node is back);
-    /// operations resume once the restart window `until` passes.
-    pub fn restore_partition(&mut self, part: PartitionId, until: Time) {
-        let rt = &mut self.parts[part.idx()];
-        debug_assert!(
-            rt.primary_down,
-            "restore of a partition that is not stalled"
-        );
-        rt.primary_down = false;
-        rt.blocked_until = rt.blocked_until.max(until);
     }
 
     // ------------------------------------------------------------------
@@ -1162,6 +1153,27 @@ impl Cluster {
                 if s.role != lion_storage::ReplicaRole::Secondary {
                     return Err(format!("{part}: store on {sec} is not secondary"));
                 }
+            }
+            // The transfer state: whatever is in flight can still land.
+            let rt = &self.parts[p];
+            let sound = match rt.transfer {
+                Transfer::Idle => rt.blocked_until <= rt.idle_cap,
+                Transfer::Remaster { to } => {
+                    self.reachable(primary, to) && self.placement.has_secondary(part, to)
+                }
+                Transfer::Migrate { to } => self.reachable(primary, to),
+                Transfer::Failover { to } => self.is_up(to) && self.store(to, part).is_some(),
+                Transfer::Stalled => !self.is_up(primary),
+            };
+            if !sound {
+                return Err(format!(
+                    "{part}: {:?} cannot hold (primary {primary}, blocked until {}, idle cap {})",
+                    rt.transfer, rt.blocked_until, rt.idle_cap
+                ));
+            }
+            let lost = |n: &&NodeId| !self.is_up(**n) || !self.same_side(primary, **n);
+            if let Some(n) = rt.copying_to.iter().find(lost) {
+                return Err(format!("{part}: copy toward dead or cut-off node {n}"));
             }
         }
         Ok(())
@@ -1391,15 +1403,23 @@ mod tests {
         for (part, replay) in &report.orphaned {
             assert!(replay.is_empty(), "stalled partitions keep their buffer");
             c.stall_partition(*part, 10_000);
-            assert!(c.parts[part.idx()].primary_down);
+            assert_eq!(c.transfer(*part), Transfer::Stalled);
         }
+        c.check_invariants().unwrap();
         let rec = c.recover_node(n(0), 20_000);
         assert_eq!(rec.restored_primaries.len(), 2);
         assert!(rec.rejoin_secondaries.is_empty());
         for part in &rec.restored_primaries {
-            c.restore_partition(*part, 23_000);
-            assert!(!c.parts[part.idx()].primary_down);
-            assert_eq!(c.available_at(*part), 23_000);
+            assert_eq!(
+                c.transfer(*part),
+                Transfer::Idle,
+                "the restart ends the stall"
+            );
+            assert_eq!(
+                c.available_at(*part),
+                20_000 + c.cfg.remaster_delay_us,
+                "operations resume after the restart window"
+            );
         }
         c.check_invariants().unwrap();
     }
@@ -1664,18 +1684,70 @@ mod tests {
         // p1 primary N1 → N3 also crosses; p2 primary N2 → N3 stays inside.
         c.begin_remaster(p(1), n(3), 100).unwrap();
         c.begin_remaster(p(2), n(3), 100).unwrap();
-        let g0 = c.parts[0].gen;
-        let g2 = c.parts[2].gen;
+        let g0 = c.parts[0].gen();
+        let g2 = c.parts[2].gen();
         let aborted = c.begin_split(&[n(2), n(3)], 1_000);
         assert!(aborted.is_empty(), "no failovers were in flight");
-        assert_eq!(c.parts[0].remastering, None);
-        assert_eq!(c.parts[1].remastering, None);
-        assert!(c.parts[0].gen > g0, "stale completion fenced by gen bump");
+        assert_eq!(c.transfer(p(0)), Transfer::Idle);
+        assert_eq!(c.transfer(p(1)), Transfer::Idle);
+        assert!(c.parts[0].gen() > g0, "stale completion fenced by gen bump");
+        assert_eq!(c.available_at(p(0)), 1_000, "hand-off window released");
         assert_eq!(
-            c.parts[2].remastering,
-            Some(n(3)),
+            c.transfer(p(2)),
+            Transfer::Remaster { to: n(3) },
             "same-side transfer survives"
         );
-        assert_eq!(c.parts[2].gen, g2);
+        assert_eq!(c.parts[2].gen(), g2);
+        c.check_invariants().unwrap();
+    }
+
+    /// Regression: a quorum-side promotion landing on a partition with a
+    /// remaster in flight used to bump the generation without clearing the
+    /// remaster, so its completion was dropped as stale and every later
+    /// remaster/migration of the partition answered `Busy` forever.
+    #[test]
+    fn split_promote_cancels_the_hand_off_it_supersedes() {
+        let mut c = Cluster::new(split_cfg());
+        // p3 holders {3,0,1}: primary N3 isolated, quorum side rests.
+        c.begin_split(&[n(2), n(3)], 1_000);
+        // N2 joins p3 on the primary's side, then a same-side remaster
+        // toward it starts just before the quorum side's promotion lands.
+        let (dur, _) = c.begin_add_replica(p(3), n(2), 1_000).unwrap();
+        c.finish_add_replica(p(3), n(2), 1_000 + dur);
+        c.begin_remaster(p(3), n(2), 2_000).unwrap();
+        let stale = c.parts[3].gen();
+        c.split_promote(p(3), n(0), 2_500);
+        assert_eq!(c.transfer(p(3)), Transfer::Idle);
+        assert!(
+            c.parts[3].gen() > stale,
+            "the remaster's completion is stale"
+        );
+        assert_eq!(c.available_at(p(3)), 2_500, "hand-off window released");
+        c.check_invariants().unwrap();
+        c.end_split();
+        c.begin_remaster(p(3), n(1), 3_000)
+            .expect("the partition must not stay busy forever");
+        c.check_invariants().unwrap();
+    }
+
+    /// The same leak through a *shadow* promotion applied at heal, with a
+    /// migration in flight on the divergent side.
+    #[test]
+    fn shadow_promotion_at_heal_cancels_an_in_flight_migration() {
+        let mut c = Cluster::new(split_cfg());
+        // p1 holders {1,2,3}: primary N1 rests, quorum side is the isolated
+        // set — N1 keeps serving and the promotion is recorded in shadow.
+        c.begin_split(&[n(2), n(3)], 1_000);
+        c.set_shadow(p(1), n(2));
+        c.begin_migration(p(1), n(0), 2_000).unwrap();
+        // Heal: the shadow applies while the window is still open.
+        c.split_promote(p(1), n(2), 5_000);
+        assert_eq!(c.transfer(p(1)), Transfer::Idle);
+        assert_eq!(c.available_at(p(1)), 5_000, "migration blackout released");
+        c.check_invariants().unwrap();
+        c.end_split();
+        c.begin_remaster(p(1), n(3), 6_000)
+            .expect("the partition must not stay busy forever");
+        c.check_invariants().unwrap();
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::config::LionConfig;
 use crate::router::route_txn;
-use lion_cluster::AdaptorError;
+use lion_cluster::{AdaptorError, Transfer};
 use lion_common::{FastMap, NodeId, PartitionId, Time, TxnId};
 use lion_engine::{Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind, TxnClass};
 use lion_planner::TxnPlacementClass;
@@ -105,7 +105,7 @@ impl Lion {
         let wait = match eng.remaster_async(part, home) {
             Ok(d) => d,
             Err(AdaptorError::Busy(_))
-                if eng.cluster.parts[part.idx()].remastering == Some(home) =>
+                if eng.cluster.transfer(part) == (Transfer::Remaster { to: home }) =>
             {
                 eng.cluster.available_at(part).saturating_sub(eng.now())
             }
@@ -208,7 +208,11 @@ impl StandardPolicy for Lion {
                 // topology is now authoritative, and the plan should rebuild
                 // co-location (and replica headroom) around it.
                 if self.replan_pending
-                    && !eng.cluster.parts.iter().any(|rt| rt.failing_over.is_some())
+                    && !eng
+                        .cluster
+                        .parts
+                        .iter()
+                        .any(|rt| matches!(rt.transfer(), Transfer::Failover { .. }))
                 {
                     self.replan_pending = false;
                     self.failover_replans += 1;

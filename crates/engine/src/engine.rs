@@ -4,7 +4,7 @@ use crate::protocol::{Protocol, TickKind};
 use crate::report::RunReport;
 use crate::slab::TxnSlab;
 use crate::txn::{ReadEntry, TxnClass, TxnCtx, WriteEntry};
-use lion_cluster::{AdaptorError, Cluster};
+use lion_cluster::{AdaptorError, Cluster, Transfer};
 use lion_common::{
     ClientId, FastMap, NodeId, Op, OpKind, PartitionId, Phase, SimConfig, Time, TxnId, TxnRecord,
     TxnRequest, Workload,
@@ -88,20 +88,6 @@ pub enum OpFail {
     Unreachable,
 }
 
-/// Adaptor completions scheduled on the virtual clock. Blocking transfers
-/// carry the partition's transfer generation so completions of transfers
-/// canceled by a crash are recognized as stale and dropped.
-#[derive(Debug, Clone, Copy)]
-enum AdaptorFinish {
-    Remaster(PartitionId, u64),
-    AddReplica {
-        part: PartitionId,
-        node: NodeId,
-        then_remaster: bool,
-    },
-    Migrate(PartitionId, u64),
-}
-
 /// Where an aborted attempt waits for its next one.
 #[derive(Debug, Clone, Copy)]
 enum Requeue {
@@ -126,7 +112,21 @@ enum Ev {
     Epoch,
     Plan,
     Monitor,
-    Adaptor(AdaptorFinish),
+    /// A background replica copy lands (dropped when a failure canceled
+    /// the copy); optionally chains a remaster onto the fresh replica.
+    ReplicaCopied {
+        part: PartitionId,
+        node: NodeId,
+        then_remaster: bool,
+    },
+    /// The hand-off `part` had in flight when this was scheduled — remaster,
+    /// migration or failover promotion — completes. Stale, and dropped, when
+    /// `gen` is no longer the partition's transfer generation: the hand-off
+    /// was canceled (crash, cut, superseding promotion) in the meantime.
+    TransferDone {
+        part: PartitionId,
+        gen: u64,
+    },
     BatchArm,
     /// A scripted fault event (index into the engine's `FaultPlan`).
     Fault(usize),
@@ -136,11 +136,6 @@ enum Ev {
     /// A sealed epoch's replication round-trip landed: release its acks.
     /// Stale after a crash fenced the epoch id.
     EpochDurable(u64),
-    /// A failover promotion completes (stale when `gen` mismatches).
-    FailoverDone {
-        part: PartitionId,
-        gen: u64,
-    },
     /// Re-extend the block on a partition stalled on a dead primary.
     StallCheck(PartitionId),
     /// The quorum side of an active split finished detecting + promoting a
@@ -190,7 +185,6 @@ pub struct Engine {
     submitted: u64,
     events: u64,
     pending_failovers: FastMap<u32, PendingFailover>,
-    isolated: Vec<NodeId>,
     /// Epoch group-commit ack manager (inert when `epoch_commit_us = 0`).
     epochs: EpochManager,
     /// True in ack-at-commit mode: installs advance the log's ack frontier
@@ -256,7 +250,6 @@ impl Engine {
             submitted: 0,
             events: 0,
             pending_failovers: FastMap::default(),
-            isolated: Vec::new(),
             epochs,
             ack_at_commit,
             batch_buf: Vec::new(),
@@ -364,18 +357,18 @@ impl Engine {
         self.queue.schedule(self.cfg.plan_interval_us, Ev::Plan);
         self.queue
             .schedule(self.cfg.monitor_interval_us, Ev::Monitor);
-        if !self.cfg.faults.is_empty() {
-            // Full validation: structure (ids, pairing, someone always
-            // alive) plus the liveness check — a plan whose combined node +
-            // zone crashes would orphan a partition to the end of the run
-            // is rejected here instead of silently stalling.
-            self.cfg
-                .faults
-                .validate_against(&self.cluster.placement, &self.cluster.zone_of)
-                .expect("invalid fault plan");
-            for (i, ev) in self.cfg.faults.events().iter().enumerate() {
-                self.queue.schedule_at(ev.at, Ev::Fault(i));
-            }
+        // Full validation: structure (ids, pairing, someone always alive)
+        // plus the liveness check — a plan whose combined node + zone
+        // crashes would orphan a partition to the end of the run is
+        // rejected here instead of silently stalling. What comes back is
+        // the lowered schedule: per scripted event, the steps to execute.
+        let mut fault_steps = self
+            .cfg
+            .faults
+            .validate_against(&self.cluster.placement, &self.cluster.zone_of)
+            .expect("invalid fault plan");
+        for (i, ev) in self.cfg.faults.events().iter().enumerate() {
+            self.queue.schedule_at(ev.at, Ev::Fault(i));
         }
         if self.batch_mode {
             self.queue.schedule(0, Ev::BatchArm);
@@ -436,7 +429,17 @@ impl Engine {
                     self.queue
                         .schedule(self.cfg.monitor_interval_us, Ev::Monitor);
                 }
-                Ev::Adaptor(fin) => self.finish_adaptor(fin),
+                Ev::ReplicaCopied {
+                    part,
+                    node,
+                    then_remaster,
+                } => self.replica_copied(part, node, then_remaster),
+                Ev::TransferDone { part, gen } => {
+                    // The single staleness rule for every hand-off.
+                    if self.cluster.parts[part.idx()].gen() == gen {
+                        self.transfer_done(proto, part);
+                    }
+                }
                 Ev::BatchArm => {
                     let batch = self.arm_batch();
                     if !batch.is_empty() {
@@ -446,19 +449,14 @@ impl Engine {
                     self.batch_buf = batch; // recycle the allocation
                 }
                 Ev::Fault(i) => {
-                    let kind = self.cfg.faults.events()[i].kind.clone();
-                    self.apply_fault(proto, kind);
+                    for step in std::mem::take(&mut fault_steps[i]) {
+                        self.apply_fault(proto, step);
+                    }
                 }
                 Ev::EpochSeal => self.seal_epoch(),
                 Ev::EpochDurable(id) => self.epoch_durable(id),
-                Ev::FailoverDone { part, gen } => {
-                    let rt = &self.cluster.parts[part.idx()];
-                    if rt.gen == gen && rt.failing_over.is_some() {
-                        self.finish_failover_event(proto, part);
-                    }
-                }
                 Ev::StallCheck(part) => {
-                    if self.cluster.parts[part.idx()].primary_down {
+                    if self.cluster.transfer(part) == Transfer::Stalled {
                         let now = self.now();
                         let poll = self.cfg.sim.stall_poll_us;
                         self.cluster.stall_partition(part, now + poll);
@@ -486,75 +484,25 @@ impl Engine {
     // Fault handling (crash → failover → recovery)
     // ----------------------------------------------------------------
 
-    fn apply_fault(&mut self, proto: &mut dyn Protocol, kind: FaultKind) {
-        match kind {
+    /// Executes one step of the lowered fault schedule (see
+    /// [`FaultPlan::validate_against`]: zone events and default-mode
+    /// partitions arrive here already expanded into `Crash`/`Recover`).
+    fn apply_fault(&mut self, proto: &mut dyn Protocol, step: FaultKind) {
+        match step {
             FaultKind::Crash(node) => self.node_down(proto, node),
             FaultKind::Recover(node) => self.node_up_event(proto, node),
-            FaultKind::Partition(nodes) => {
-                if self.cfg.faults.split_brain() {
-                    let cut: Vec<NodeId> = nodes
-                        .into_iter()
-                        .filter(|&n| self.cluster.is_up(n))
-                        .collect();
-                    self.begin_split_brain(proto, cut);
-                } else {
-                    self.isolated = nodes.clone();
-                    for n in nodes {
-                        if self.cluster.is_up(n) {
-                            self.node_down(proto, n);
-                        }
-                    }
-                }
-            }
-            FaultKind::Heal => {
-                if self.cfg.faults.split_brain() {
-                    self.heal_split_brain(proto);
-                } else {
-                    let nodes = std::mem::take(&mut self.isolated);
-                    for n in nodes {
-                        if !self.cluster.is_up(n) {
-                            self.node_up_event(proto, n);
-                        }
-                    }
-                }
-            }
+            // Correlated loss: the marker only — every live zone member's
+            // `Crash` follows on this same tick, in node-id order. A member
+            // that was the promotion target of an earlier member's failover
+            // dies mid-promotion and is re-planned over the survivors.
             FaultKind::ZoneCrash(zone) => {
-                // Correlated loss: every live zone member halts on this one
-                // virtual-clock tick, in node-id order. A member that was
-                // the promotion target of an earlier member's failover dies
-                // mid-promotion and is re-planned over the survivors — the
-                // cascade the single-node DSL could not script.
                 let at = self.now();
                 self.emit(MetricEvent::ZoneCrash { at, zone });
-                for n in self.cluster.zone_members(zone) {
-                    if self.cluster.is_up(n) && self.cluster.live_count() > 1 {
-                        self.node_down(proto, n);
-                    }
-                }
             }
-            FaultKind::ZoneHeal(zone) => {
-                for n in self.cluster.zone_members(zone) {
-                    if !self.cluster.is_up(n) {
-                        self.node_up_event(proto, n);
-                    }
-                }
-            }
-            FaultKind::ZonePartition(zones) => {
-                let cut: Vec<NodeId> = zones
-                    .iter()
-                    .flat_map(|&z| self.cluster.zone_members(z))
-                    .filter(|&n| self.cluster.is_up(n))
-                    .collect();
-                if self.cfg.faults.split_brain() {
-                    self.begin_split_brain(proto, cut);
-                } else {
-                    self.isolated = cut.clone();
-                    for n in cut {
-                        if self.cluster.live_count() > 1 {
-                            self.node_down(proto, n);
-                        }
-                    }
-                }
+            FaultKind::Partition(cut) => self.begin_split_brain(cut),
+            FaultKind::Heal => self.heal_split_brain(proto),
+            FaultKind::ZoneHeal(_) | FaultKind::ZonePartition(_) => {
+                unreachable!("lowered away by FaultPlan::validate_against")
             }
         }
     }
@@ -592,41 +540,24 @@ impl Engine {
                 at: now,
                 part: d.part,
             });
-            match d.target {
-                Some(target) => {
-                    let dead_head = self
-                        .cluster
-                        .store(node, d.part)
-                        .map(|s| s.log.head_lsn())
-                        .unwrap_or(0);
-                    self.cluster.begin_failover(d.part, target, d.duration, now);
-                    let gen = self.cluster.parts[d.part.idx()].gen;
-                    self.pending_failovers.insert(
-                        d.part.0,
-                        PendingFailover {
-                            replay: replays.remove(&d.part.0).unwrap_or_default(),
-                            from: node,
-                            dead_head,
-                            lag: d.lag,
-                            crashed_at: now,
-                        },
-                    );
-                    self.queue
-                        .schedule(d.duration, Ev::FailoverDone { part: d.part, gen });
-                }
-                None => {
-                    // No live gap-free replica: the partition stalls until
-                    // the node comes back ("protocols without a live replica
-                    // stall until Recover").
-                    self.emit(MetricEvent::PartitionStalled {
-                        at: now,
-                        part: d.part,
-                    });
-                    let poll = self.cfg.sim.stall_poll_us;
-                    self.cluster.stall_partition(d.part, now + poll);
-                    self.queue.schedule(poll, Ev::StallCheck(d.part));
-                }
+            if d.target.is_some() {
+                let dead_head = self
+                    .cluster
+                    .store(node, d.part)
+                    .map(|s| s.log.head_lsn())
+                    .unwrap_or(0);
+                self.pending_failovers.insert(
+                    d.part.0,
+                    PendingFailover {
+                        replay: replays.remove(&d.part.0).unwrap_or_default(),
+                        from: node,
+                        dead_head,
+                        lag: d.lag,
+                        crashed_at: now,
+                    },
+                );
             }
+            self.promote_or_stall(d.part, d.target.map(|t| (t, d.duration)), now);
         }
         // Promotions whose target just died: re-plan them over the
         // remaining survivors (their unavailability windows stay open, and
@@ -646,35 +577,79 @@ impl Engine {
             .pending_failovers
             .get(&part.0)
             .map(|pf| self.cluster.zone(pf.from));
-        match lion_faults::select_promotion_target_zoned(&candidates, &self.cluster.zone_of, avoid)
-        {
-            Some(target) => {
-                let pf = self
-                    .pending_failovers
-                    .get_mut(&part.0)
-                    .expect("aborted failover retains its pending state");
-                let applied = candidates
-                    .iter()
-                    .find(|c| c.node == target)
-                    .expect("target drawn from candidates")
-                    .applied_lsn;
-                let lag = pf.dead_head.saturating_sub(applied);
-                pf.lag = lag;
-                let duration = lion_faults::price_promotion(&self.cfg.sim, lag);
+        let choice =
+            lion_faults::select_promotion_target_zoned(&candidates, &self.cluster.zone_of, avoid)
+                .map(|target| {
+                    let pf = self
+                        .pending_failovers
+                        .get_mut(&part.0)
+                        .expect("aborted failover retains its pending state");
+                    let applied = candidates
+                        .iter()
+                        .find(|c| c.node == target)
+                        .expect("target drawn from candidates")
+                        .applied_lsn;
+                    pf.lag = pf.dead_head.saturating_sub(applied);
+                    (target, lion_faults::price_promotion(&self.cfg.sim, pf.lag))
+                });
+        if choice.is_none() {
+            // Every replica is gone: the original primary's table still
+            // holds all committed writes, so nothing is left to replay.
+            self.pending_failovers.remove(&part.0);
+        }
+        self.promote_or_stall(part, choice, now);
+    }
+
+    /// Starts promoting `choice`'s target over its priced duration — or,
+    /// with no live gap-free replica to promote, stalls `part` until its
+    /// primary's node restarts ("protocols without a live replica stall
+    /// until Recover"), re-arming the block every poll interval.
+    fn promote_or_stall(&mut self, part: PartitionId, choice: Option<(NodeId, Time)>, now: Time) {
+        match choice {
+            Some((target, duration)) => {
                 self.cluster.begin_failover(part, target, duration, now);
-                let gen = self.cluster.parts[part.idx()].gen;
-                self.queue
-                    .schedule(duration, Ev::FailoverDone { part, gen });
+                self.schedule_transfer_done(part, duration);
             }
             None => {
-                // Every replica is gone: stall until the original primary
-                // restarts (its table still holds all committed writes).
                 self.emit(MetricEvent::PartitionStalled { at: now, part });
-                self.pending_failovers.remove(&part.0);
                 let poll = self.cfg.sim.stall_poll_us;
                 self.cluster.stall_partition(part, now + poll);
                 self.queue.schedule(poll, Ev::StallCheck(part));
             }
+        }
+    }
+
+    /// Schedules the completion of the hand-off `part` just started, `delay`
+    /// from now, stamped with the generation that start opened.
+    fn schedule_transfer_done(&mut self, part: PartitionId, delay: Time) {
+        let gen = self.cluster.parts[part.idx()].gen();
+        self.queue.schedule(delay, Ev::TransferDone { part, gen });
+    }
+
+    /// The hand-off in flight on `part` completes (its `TransferDone` passed
+    /// the staleness rule): dispatch on what the cluster says it is.
+    fn transfer_done(&mut self, proto: &mut dyn Protocol, part: PartitionId) {
+        let now = self.now();
+        match self.cluster.transfer(part) {
+            Transfer::Remaster { .. } => {
+                let bytes = self.cluster.finish_remaster(part, now);
+                self.emit(MetricEvent::Remaster { at: now, part });
+                self.emit(MetricEvent::Bytes {
+                    at: now,
+                    class: ByteClass::Replication,
+                    bytes,
+                    node: None,
+                    zone: None,
+                });
+            }
+            Transfer::Migrate { .. } => {
+                self.cluster.finish_migration(part, now);
+                self.emit(MetricEvent::Migration { at: now, part });
+            }
+            Transfer::Failover { .. } => self.finish_failover_event(proto, part),
+            // Neither schedules a completion; a current generation without
+            // a hand-off means someone finished it by hand (tests do).
+            Transfer::Idle | Transfer::Stalled => {}
         }
     }
 
@@ -694,29 +669,33 @@ impl Engine {
             node: None,
             zone: None,
         });
-        let to = self.cluster.placement.primary_of(part);
-        self.emit(MetricEvent::Failover {
-            record: FailoverRecord {
+        let landed = self.record_failover(
+            FailoverRecord {
                 part,
                 from: pf.from,
-                to,
+                to: self.cluster.placement.primary_of(part),
                 dead_head: pf.dead_head,
                 promoted_head: head,
                 lag: pf.lag,
                 crashed_at: pf.crashed_at,
                 completed_at: now,
             },
-            replayed: pf.replay.len() as u64,
-        });
-        self.emit(MetricEvent::UnavailEnd { at: now, part });
-        proto.on_fault(
-            self,
-            &FaultNotice::FailoverComplete {
-                part,
-                from: pf.from,
-                to,
-            },
+            pf.replay.len() as u64,
         );
+        self.emit(MetricEvent::UnavailEnd { at: now, part });
+        proto.on_fault(self, &landed);
+    }
+
+    /// Records a landed promotion in the failover log and returns the
+    /// notice the protocol is owed for it.
+    fn record_failover(&mut self, record: FailoverRecord, replayed: u64) -> FaultNotice {
+        let landed = FaultNotice::FailoverComplete {
+            part: record.part,
+            from: record.from,
+            to: record.to,
+        };
+        self.emit(MetricEvent::Failover { record, replayed });
+        landed
     }
 
     /// A node restarts: stalled partitions resume after a restart window
@@ -731,13 +710,10 @@ impl Engine {
             node,
             zone,
         });
-        let restart = self.cfg.sim.remaster_delay_us;
+        // `recover_node` ended the stalls behind the same restart window.
+        let resumed = now + self.cfg.sim.remaster_delay_us;
         for part in report.restored_primaries {
-            self.cluster.restore_partition(part, now + restart);
-            self.emit(MetricEvent::UnavailEnd {
-                at: now + restart,
-                part,
-            });
+            self.emit(MetricEvent::UnavailEnd { at: resumed, part });
         }
         for part in report.rejoin_secondaries {
             match self.add_replica_async(part, node, false) {
@@ -846,8 +822,7 @@ impl Engine {
     /// and in-flight transactions stranded across the cut park until
     /// reachability returns. No `Crash` events, no `NodeDown` notices —
     /// nothing actually died.
-    fn begin_split_brain(&mut self, proto: &mut dyn Protocol, cut: Vec<NodeId>) {
-        let _ = &proto; // topology is unchanged until promotions land
+    fn begin_split_brain(&mut self, cut: Vec<NodeId>) {
         let now = self.now();
         self.split_seq += 1;
         self.split_began_at = now;
@@ -927,8 +902,8 @@ impl Engine {
             .store(target, part)
             .map(|s| s.applied_lsn)
             .unwrap_or(0);
-        self.emit(MetricEvent::Failover {
-            record: FailoverRecord {
+        self.record_failover(
+            FailoverRecord {
                 part,
                 from,
                 to: target,
@@ -938,13 +913,8 @@ impl Engine {
                 crashed_at: self.split_began_at,
                 completed_at: now,
             },
-            replayed: 0,
-        });
-        FaultNotice::FailoverComplete {
-            part,
-            from,
-            to: target,
-        }
+            0,
+        )
     }
 
     /// The cut heals: reconcile the divergence the window accumulated.
@@ -1070,62 +1040,28 @@ impl Engine {
         batch
     }
 
-    fn finish_adaptor(&mut self, fin: AdaptorFinish) {
+    /// A background copy of `part` onto `node` lands.
+    fn replica_copied(&mut self, part: PartitionId, node: NodeId, then_remaster: bool) {
         let now = self.now();
-        match fin {
-            AdaptorFinish::Remaster(part, gen) => {
-                let rt = &self.cluster.parts[part.idx()];
-                if rt.gen != gen || rt.remastering.is_none() {
-                    return; // transfer canceled by a crash
-                }
-                let bytes = self.cluster.finish_remaster(part, now);
-                self.emit(MetricEvent::Remaster { at: now, part });
-                self.emit(MetricEvent::Bytes {
-                    at: now,
-                    class: ByteClass::Replication,
-                    bytes,
-                    node: None,
-                    zone: None,
-                });
-            }
-            AdaptorFinish::AddReplica {
-                part,
-                node,
-                then_remaster,
-            } => {
-                if !self.cluster.parts[part.idx()].copying_to.contains(&node) {
-                    return; // copy canceled by a crash of the target
-                }
-                let primary = self.cluster.placement.primary_of(part);
-                if !self.cluster.is_up(node) || !self.cluster.is_up(primary) {
-                    self.cluster.cancel_copy(part, node);
-                    return; // source or destination died mid-copy
-                }
-                let evicted = self.cluster.finish_add_replica(part, node, now);
-                self.emit(MetricEvent::ReplicaAdd {
-                    at: now,
-                    part,
-                    evicted: evicted.is_some(),
-                });
-                if then_remaster {
-                    match self.cluster.begin_remaster(part, node, now) {
-                        Ok(d) => {
-                            let gen = self.cluster.parts[part.idx()].gen;
-                            self.queue
-                                .schedule(d, Ev::Adaptor(AdaptorFinish::Remaster(part, gen)));
-                        }
-                        Err(AdaptorError::AlreadyPrimary { .. }) => {}
-                        Err(_) => self.emit(MetricEvent::RemasterConflict { at: now }),
-                    }
-                }
-            }
-            AdaptorFinish::Migrate(part, gen) => {
-                let rt = &self.cluster.parts[part.idx()];
-                if rt.gen != gen || rt.migrating.is_none() {
-                    return; // transfer canceled by a crash
-                }
-                self.cluster.finish_migration(part, now);
-                self.emit(MetricEvent::Migration { at: now, part });
+        if !self.cluster.parts[part.idx()].copying_to.contains(&node) {
+            return; // copy canceled by a crash of the target
+        }
+        let primary = self.cluster.placement.primary_of(part);
+        if !self.cluster.is_up(node) || !self.cluster.is_up(primary) {
+            self.cluster.cancel_copy(part, node);
+            return; // source or destination died mid-copy
+        }
+        let evicted = self.cluster.finish_add_replica(part, node, now);
+        self.emit(MetricEvent::ReplicaAdd {
+            at: now,
+            part,
+            evicted: evicted.is_some(),
+        });
+        if then_remaster {
+            match self.cluster.begin_remaster(part, node, now) {
+                Ok(d) => self.schedule_transfer_done(part, d),
+                Err(AdaptorError::AlreadyPrimary { .. }) => {}
+                Err(_) => self.emit(MetricEvent::RemasterConflict { at: now }),
             }
         }
     }
@@ -1799,16 +1735,12 @@ impl Engine {
             zone: self.cluster.zone(home),
         });
         self.release_all(txn);
-        let backoff = self.cfg.sim.retry_backoff_us;
-        let restart = match to {
-            Requeue::Backoff => now + backoff,
-            Requeue::NextBatch | Requeue::Heal => now,
-        };
         let ctx = self.txn_mut(txn);
-        ctx.reset_for_retry(restart);
+        ctx.reset_for_retry();
         ctx.parked = true;
         match to {
             Requeue::Backoff => {
+                let backoff = self.cfg.sim.retry_backoff_us;
                 self.queue.schedule(backoff, Ev::Retry(txn));
             }
             Requeue::NextBatch => {
@@ -1845,9 +1777,7 @@ impl Engine {
         let now = self.now();
         match self.cluster.begin_remaster(part, to, now) {
             Ok(d) => {
-                let gen = self.cluster.parts[part.idx()].gen;
-                self.queue
-                    .schedule(d, Ev::Adaptor(AdaptorFinish::Remaster(part, gen)));
+                self.schedule_transfer_done(part, d);
                 Ok(d)
             }
             Err(e) => {
@@ -1878,11 +1808,11 @@ impl Engine {
         });
         self.queue.schedule(
             d,
-            Ev::Adaptor(AdaptorFinish::AddReplica {
+            Ev::ReplicaCopied {
                 part,
                 node: to,
                 then_remaster,
-            }),
+            },
         );
         Ok(d)
     }
@@ -1898,9 +1828,7 @@ impl Engine {
             node: None,
             zone: None,
         });
-        let gen = self.cluster.parts[part.idx()].gen;
-        self.queue
-            .schedule(d, Ev::Adaptor(AdaptorFinish::Migrate(part, gen)));
+        self.schedule_transfer_done(part, d);
         Ok(d)
     }
 
@@ -2274,7 +2202,7 @@ mod tests {
             NodeId(1),
             "stalled partition restores in place on recovery"
         );
-        assert!(!eng.cluster.parts[1].primary_down);
+        assert_eq!(eng.cluster.transfer(PartitionId(1)), Transfer::Idle);
         assert!(report.commits > 0);
         eng.cluster.check_invariants().unwrap();
     }

@@ -65,8 +65,6 @@ pub struct TxnCtx {
     pub parts: Vec<PartitionId>,
     /// First submission time (latency is measured from here).
     pub start: Time,
-    /// Current attempt's start time.
-    pub attempt_start: Time,
     /// Attempt number (1 = first execution).
     pub attempts: u32,
     /// OCC read set.
@@ -135,7 +133,6 @@ impl TxnCtx {
             req,
             parts,
             start: now,
-            attempt_start: now,
             attempts: 1,
             read_set: Vec::new(),
             write_set: Vec::new(),
@@ -182,7 +179,7 @@ impl TxnCtx {
     }
 
     /// Resets per-attempt state for a retry, keeping `id`/`start`/`attempts`.
-    pub fn reset_for_retry(&mut self, now: Time) {
+    pub fn reset_for_retry(&mut self) {
         self.read_set.clear();
         self.write_set.clear();
         self.pending = 0;
@@ -191,7 +188,6 @@ impl TxnCtx {
         self.class = TxnClass::SingleNode;
         self.step = 0;
         self.scratch = 0;
-        self.attempt_start = now;
         self.attempts += 1;
     }
 
@@ -246,13 +242,12 @@ mod tests {
         ctx.pending = 2;
         ctx.failed = true;
         ctx.class = TxnClass::Distributed;
-        ctx.reset_for_retry(500);
+        ctx.reset_for_retry();
         assert!(ctx.read_set.is_empty());
         assert_eq!(ctx.pending, 0);
         assert!(!ctx.failed);
         assert_eq!(ctx.class, TxnClass::SingleNode);
         assert_eq!(ctx.attempts, 2);
         assert_eq!(ctx.start, 100, "latency still measured from first submit");
-        assert_eq!(ctx.attempt_start, 500);
     }
 }

@@ -45,7 +45,9 @@
 //! whose combined node + zone crashes leave some partition with **zero live
 //! replica holders at the end of the script** — a run that would silently
 //! stall forever fails fast at submission instead. The engine applies the
-//! full check at run start.
+//! full check at run start and executes the **lowered schedule** it returns:
+//! zone events and default-mode partitions are sugar for `Crash`/`Recover`
+//! steps on the same tick, expanded in that one validation pass.
 //!
 //! ## Failover semantics
 //!

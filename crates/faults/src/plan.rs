@@ -255,7 +255,8 @@ impl FaultPlan {
     }
 
     /// [`FaultPlan::validate`] with a node→zone map, so zone events resolve
-    /// to their member sets. Returns the final down-set for the orphan check.
+    /// to their member sets. Returns the final down-set for the orphan check
+    /// and the lowered schedule (see [`FaultPlan::validate_against`]).
     ///
     /// In split-brain mode isolated nodes are *not* marked down (both sides
     /// stay live); when `placement` is given, every instant of an open
@@ -266,10 +267,11 @@ impl FaultPlan {
         n_nodes: usize,
         zone_of: &[ZoneId],
         placement: Option<&Placement>,
-    ) -> Result<Vec<bool>, FaultPlanError> {
+    ) -> Result<(Vec<bool>, Vec<Vec<FaultKind>>), FaultPlanError> {
         debug_assert_eq!(zone_of.len(), n_nodes);
         let mut down = vec![false; n_nodes];
         let mut isolated: Option<Vec<NodeId>> = None;
+        let mut lowered = Vec::with_capacity(self.events.len());
         // Split-brain quorum rule: with the cut `iso` open, every data
         // partition needs one side whose live holders form a strict
         // majority of the *full* replica set.
@@ -299,15 +301,42 @@ impl FaultPlan {
                 Ok(())
             }
         };
-        let members = |z: ZoneId| -> Result<Vec<usize>, FaultPlanError> {
-            let m: Vec<usize> = (0..n_nodes).filter(|&i| zone_of[i] == z).collect();
+        let members = |z: ZoneId| -> Result<Vec<NodeId>, FaultPlanError> {
+            let m: Vec<NodeId> = (0..n_nodes)
+                .filter(|&i| zone_of[i] == z)
+                .map(|i| NodeId(i as u16))
+                .collect();
             if m.is_empty() {
                 Err(FaultPlanError::UnknownZone(z))
             } else {
                 Ok(m)
             }
         };
+        // Flips every node of `nodes` not yet in the `to_down` state,
+        // recording the `Crash`/`Recover` step that does it.
+        fn flip(down: &mut [bool], steps: &mut Vec<FaultKind>, nodes: Vec<NodeId>, to_down: bool) {
+            for n in nodes {
+                if down[n.idx()] != to_down {
+                    down[n.idx()] = to_down;
+                    steps.push(if to_down {
+                        FaultKind::Crash(n)
+                    } else {
+                        FaultKind::Recover(n)
+                    });
+                }
+            }
+        }
         for ev in &self.events {
+            let mut steps = Vec::new();
+            // The cut this event opens, already resolved to live nodes.
+            let mut cut: Option<Vec<NodeId>> = None;
+            let cuts = matches!(
+                ev.kind,
+                FaultKind::Partition(_) | FaultKind::ZonePartition(_)
+            );
+            if cuts && isolated.is_some() {
+                return Err(FaultPlanError::AlreadyPartitioned(ev.at));
+            }
             match &ev.kind {
                 FaultKind::Crash(n) => {
                     check(*n)?;
@@ -315,11 +344,7 @@ impl FaultPlan {
                         return Err(FaultPlanError::AlreadyDown(*n));
                     }
                     down[n.idx()] = true;
-                    if self.split_brain {
-                        if let Some(iso) = &isolated {
-                            quorum_check(ev.at, &down, iso)?;
-                        }
-                    }
+                    steps.push(ev.kind.clone());
                 }
                 FaultKind::Recover(n) => {
                     check(*n)?;
@@ -327,93 +352,79 @@ impl FaultPlan {
                         return Err(FaultPlanError::AlreadyUp(*n));
                     }
                     down[n.idx()] = false;
+                    steps.push(ev.kind.clone());
                 }
                 FaultKind::Partition(nodes) => {
-                    if isolated.is_some() {
-                        return Err(FaultPlanError::AlreadyPartitioned(ev.at));
-                    }
-                    if nodes.is_empty() {
-                        return Err(FaultPlanError::EmptyPartition(ev.at));
-                    }
                     for n in nodes {
                         check(*n)?;
                         if down[n.idx()] {
                             return Err(FaultPlanError::AlreadyDown(*n));
                         }
-                        if !self.split_brain {
-                            down[n.idx()] = true;
-                        }
+                        down[n.idx()] = !self.split_brain;
                     }
-                    if self.split_brain {
-                        quorum_check(ev.at, &down, nodes)?;
-                    }
-                    isolated = Some(nodes.clone());
+                    cut = Some(nodes.clone());
                 }
                 FaultKind::Heal => match isolated.take() {
-                    Some(nodes) => {
-                        if !self.split_brain {
-                            for n in nodes {
-                                down[n.idx()] = false;
-                            }
-                        }
-                    }
+                    Some(_) if self.split_brain => steps.push(FaultKind::Heal),
+                    Some(nodes) => flip(&mut down, &mut steps, nodes, false),
                     None => return Err(FaultPlanError::HealWithoutPartition(ev.at)),
                 },
                 FaultKind::ZoneCrash(z) => {
                     let m = members(*z)?;
-                    if m.iter().all(|&i| down[i]) {
+                    if m.iter().all(|n| down[n.idx()]) {
                         return Err(FaultPlanError::ZoneAlreadyDown(*z));
                     }
-                    for i in m {
-                        down[i] = true;
-                    }
-                    if self.split_brain {
-                        if let Some(iso) = &isolated {
-                            quorum_check(ev.at, &down, iso)?;
-                        }
-                    }
+                    steps.push(ev.kind.clone());
+                    flip(&mut down, &mut steps, m, true);
                 }
                 FaultKind::ZoneHeal(z) => {
                     let m = members(*z)?;
-                    if m.iter().all(|&i| !down[i]) {
+                    if m.iter().all(|n| !down[n.idx()]) {
                         return Err(FaultPlanError::ZoneAlreadyUp(*z));
                     }
-                    for i in m {
-                        down[i] = false;
-                    }
+                    flip(&mut down, &mut steps, m, false);
                 }
                 FaultKind::ZonePartition(zones) => {
-                    if isolated.is_some() {
-                        return Err(FaultPlanError::AlreadyPartitioned(ev.at));
-                    }
-                    if zones.is_empty() {
-                        return Err(FaultPlanError::EmptyPartition(ev.at));
-                    }
-                    let mut cut: Vec<NodeId> = Vec::new();
+                    let mut live = Vec::new();
                     for z in zones {
-                        for i in members(*z)? {
-                            if !down[i] {
-                                if !self.split_brain {
-                                    down[i] = true;
-                                }
-                                cut.push(NodeId(i as u16));
+                        for n in members(*z)? {
+                            if !down[n.idx()] {
+                                down[n.idx()] = !self.split_brain;
+                                live.push(n);
                             }
                         }
                     }
-                    if cut.is_empty() {
-                        return Err(FaultPlanError::EmptyPartition(ev.at));
-                    }
-                    if self.split_brain {
-                        quorum_check(ev.at, &down, &cut)?;
-                    }
-                    isolated = Some(cut);
+                    cut = Some(live);
+                }
+            }
+            if let Some(cut) = cut {
+                if cut.is_empty() {
+                    return Err(FaultPlanError::EmptyPartition(ev.at));
+                }
+                if self.split_brain {
+                    steps.push(FaultKind::Partition(cut.clone()));
+                } else {
+                    steps.extend(cut.iter().map(|&n| FaultKind::Crash(n)));
+                }
+                isolated = Some(cut);
+            }
+            let restores = matches!(
+                ev.kind,
+                FaultKind::Recover(_) | FaultKind::ZoneHeal(_) | FaultKind::Heal
+            );
+            if self.split_brain && !restores {
+                // The cut itself, or a crash inside its window, can cost a
+                // partition its quorum side.
+                if let Some(iso) = &isolated {
+                    quorum_check(ev.at, &down, iso)?;
                 }
             }
             if down.iter().all(|&d| d) {
                 return Err(FaultPlanError::WholeClusterDown(ev.at));
             }
+            lowered.push(steps);
         }
-        Ok(down)
+        Ok((down, lowered))
     }
 
     /// Structural validation with zone resolution (see [`FaultPlan::validate`]).
@@ -434,12 +445,22 @@ impl FaultPlan {
     /// instead. (Conservative: protocols that provision replicas online may
     /// outrun the static check, but a plan that only passes because of
     /// runtime replication is a fragile experiment.)
+    ///
+    /// Returns the **lowered schedule** the engine executes: per scripted
+    /// event, in [`FaultPlan::events`] order, the primitive steps to run on
+    /// that tick. Zone events and the default (crash-approximation)
+    /// partition mode are sugar — they lower to `Crash`/`Recover` steps over
+    /// exactly the nodes whose liveness they flip (list order; zone-list
+    /// then node-id order). What survives lowering besides those two:
+    /// `ZoneCrash` as the bare marker of a correlated loss (its members'
+    /// crashes follow it), and in split-brain mode `Partition` (the cut,
+    /// resolved to live nodes) and `Heal`.
     pub fn validate_against(
         &self,
         placement: &Placement,
         zone_of: &[ZoneId],
-    ) -> Result<(), FaultPlanError> {
-        let down = self.simulate(placement.n_nodes(), zone_of, Some(placement))?;
+    ) -> Result<Vec<Vec<FaultKind>>, FaultPlanError> {
+        let (down, lowered) = self.simulate(placement.n_nodes(), zone_of, Some(placement))?;
         for p in 0..placement.n_partitions() {
             let part = PartitionId(p as u32);
             let orphaned = placement
@@ -450,7 +471,7 @@ impl FaultPlan {
                 return Err(FaultPlanError::OrphanedForever(part));
             }
         }
-        Ok(())
+        Ok(lowered)
     }
 }
 
@@ -592,6 +613,50 @@ mod tests {
         assert_eq!(
             p.validate_with_zones(4, &two_zone_map()),
             Err(FaultPlanError::EmptyPartition(1))
+        );
+    }
+
+    #[test]
+    fn default_partitions_and_zone_events_lower_to_crash_recover() {
+        let pl = Placement::round_robin(4, 4, 3);
+        let zones = two_zone_map();
+        // N3 restarts inside the window, so the heal only owes N2 a restart;
+        // N0 is already down when its zone crashes, so only N1 crashes.
+        let p = FaultPlan::new()
+            .partition_zones_at(1, vec![z(1)])
+            .recover_at(2, n(3))
+            .heal_at(3)
+            .crash_at(4, n(0))
+            .recover_at(5, n(0))
+            .partition_at(6, vec![n(3), n(1)])
+            .heal_at(7)
+            .crash_at(8, n(0))
+            .crash_zone_at(9, z(0))
+            .heal_zone_at(10, z(0));
+        use FaultKind::*;
+        assert_eq!(
+            p.validate_against(&pl, &zones).unwrap(),
+            vec![
+                vec![Crash(n(2)), Crash(n(3))],
+                vec![Recover(n(3))],
+                vec![Recover(n(2))],
+                vec![Crash(n(0))],
+                vec![Recover(n(0))],
+                vec![Crash(n(3)), Crash(n(1))],
+                vec![Recover(n(3)), Recover(n(1))],
+                vec![Crash(n(0))],
+                vec![ZoneCrash(z(0)), Crash(n(1))],
+                vec![Recover(n(0)), Recover(n(1))],
+            ]
+        );
+        // Split-brain keeps the cut (resolved to its live nodes) and the heal.
+        let sb = FaultPlan::new()
+            .partition_zones_at(1, vec![z(1)])
+            .heal_at(9)
+            .with_split_brain();
+        assert_eq!(
+            sb.validate_against(&pl, &zones).unwrap(),
+            vec![vec![Partition(vec![n(2), n(3)])], vec![Heal]]
         );
     }
 

@@ -28,7 +28,6 @@ pub use cost::{
 };
 pub use graph::HeatGraph;
 pub use rearrange::{
-    rearrange, rearrange_with_live, rearrange_with_topology, PlanAction, PlanEntry, PlannerConfig,
-    ReconfigurationPlan,
+    rearrange, rearrange_with_topology, PlanAction, PlanEntry, PlannerConfig, ReconfigurationPlan,
 };
 pub use schism::{schism_partition, schism_plan};

@@ -242,19 +242,6 @@ pub fn rearrange(
     replica_aware: bool,
 ) -> ReconfigurationPlan {
     let live = vec![true; placement.n_nodes()];
-    rearrange_with_live(clumps, placement, freq, cfg, replica_aware, &live)
-}
-
-/// [`rearrange`] with a node-liveness mask: dead nodes (fault injection)
-/// receive no clumps, no replicas, and are ignored by the load balancer.
-pub fn rearrange_with_live(
-    clumps: Vec<Clump>,
-    placement: &Placement,
-    freq: &[f64],
-    cfg: &PlannerConfig,
-    replica_aware: bool,
-    live: &[bool],
-) -> ReconfigurationPlan {
     let zone_of = vec![ZoneId(0); placement.n_nodes()];
     rearrange_with_topology(
         clumps,
@@ -262,19 +249,20 @@ pub fn rearrange_with_live(
         freq,
         cfg,
         replica_aware,
-        live,
+        &live,
         &zone_of,
         PlacementPolicy::LocalityFirst,
     )
 }
 
-/// [`rearrange_with_live`] with failure-domain awareness: under
-/// [`PlacementPolicy::RackSafe`] the emitted plan additionally repairs any
-/// planned partition whose replica set would span fewer than `min_zones`
-/// zones, appending [`PlanAction::AddSecondary`] copies onto the
-/// least-loaded live node of an uncovered zone. Locality-first policies (and
-/// single-zone clusters) produce byte-identical plans to
-/// [`rearrange_with_live`].
+/// [`rearrange`] with a node-liveness mask — dead nodes (fault injection)
+/// receive no clumps, no replicas, and are ignored by the load balancer —
+/// and with failure-domain awareness: under [`PlacementPolicy::RackSafe`]
+/// the emitted plan additionally repairs any planned partition whose replica
+/// set would span fewer than `min_zones` zones, appending
+/// [`PlanAction::AddSecondary`] copies onto the least-loaded live node of an
+/// uncovered zone. With every node live, locality-first policies (and
+/// single-zone clusters) produce byte-identical plans to [`rearrange`].
 // Algorithm 1's signature *is* the planning contract (workload, topology,
 // policy, liveness); bundling the slices into a context struct would only
 // rename the parameters.

@@ -1,9 +1,14 @@
 //! Property tests for the failover building blocks: the replication log's
-//! dense-prefix frontier and the promotion-target selection.
+//! dense-prefix frontier, the promotion-target selection, and the
+//! partition-transfer state machine under arbitrary interleavings.
 
-use lion::common::{NodeId, PartitionId, TxnId};
-use lion::faults::{select_promotion_target, PromotionCandidate};
-use lion::storage::{ReplicaStore, Table};
+use lion::cluster::{Cluster, Transfer};
+use lion::common::{NodeId, PartitionId, SimConfig, Time, TxnId};
+use lion::faults::{
+    plan_heal, plan_split_promotions, promotion_candidates, select_promotion_target,
+    PromotionCandidate, SplitAction,
+};
+use lion::storage::{LogEntry, ReplicaStore, Table};
 use proptest::prelude::*;
 
 fn cand(node: u16, applied: u64, gap: bool) -> PromotionCandidate {
@@ -25,8 +30,284 @@ fn spec_select(cands: &[PromotionCandidate]) -> Option<NodeId> {
         .map(|(_, std::cmp::Reverse(node))| node)
 }
 
+/// A bare [`Cluster`] driven the way the engine drives it, minus the clock:
+/// completions are "scheduled" into a bag stamped with the generation their
+/// start opened and delivered whenever the generated script says so.
+struct Driver {
+    c: Cluster,
+    now: Time,
+    /// Undelivered hand-off completions: `(partition, generation stamp)`.
+    scheduled: Vec<(PartitionId, u64)>,
+    /// Prepare-log replay recovered at a crash, per partition.
+    replays: Vec<Vec<LogEntry>>,
+    /// Promotions the quorum side scheduled at split begin.
+    promotions: Vec<(PartitionId, NodeId)>,
+}
+
+impl Driver {
+    fn new() -> Self {
+        let c = Cluster::new(SimConfig {
+            nodes: 5,
+            partitions_per_node: 1,
+            keys_per_partition: 16,
+            value_size: 8,
+            replication_factor: 3,
+            max_replicas: 4,
+            ..Default::default()
+        });
+        Driver {
+            replays: vec![Vec::new(); c.n_partitions()],
+            c,
+            now: 0,
+            scheduled: Vec::new(),
+            promotions: Vec::new(),
+        }
+    }
+
+    fn schedule(&mut self, part: PartitionId) {
+        self.scheduled.push((part, self.c.parts[part.idx()].gen()));
+    }
+
+    /// The engine's `promote_or_stall`: promote the freshest reachable
+    /// survivor, or stall until the dead primary's node restarts.
+    fn promote_or_stall(&mut self, part: PartitionId) {
+        let candidates = promotion_candidates(&self.c, part);
+        if let Some(target) = select_promotion_target(&candidates) {
+            self.c.begin_failover(part, target, 1_000, self.now);
+            self.schedule(part);
+        } else {
+            self.c.stall_partition(part, self.now + 100);
+        }
+    }
+
+    /// True when restarting `node` would race a promotion away from it. The
+    /// script never does that: the engine re-plans such a partition from
+    /// scratch on the next crash (dropping the first crash's replay) and
+    /// stalls it with its primary up when the promotion target dies first
+    /// — two known gaps (ROADMAP direction 5) outside this state machine.
+    fn promotion_away_from(&self, node: NodeId) -> bool {
+        self.c
+            .placement
+            .primary_partitions_on(node)
+            .iter()
+            .any(|&p| matches!(self.c.transfer(p), Transfer::Failover { .. }))
+    }
+
+    /// The split-brain rule plan validation enforces for every instant of a
+    /// window (`FaultPlanError::NoQuorumSide`): with `cut` open and `dying`
+    /// about to crash, each partition keeps one side whose live holders are
+    /// a strict majority of its replica set.
+    fn quorum_survives(&self, cut: &[NodeId], dying: Option<NodeId>) -> bool {
+        (0..self.c.n_partitions() as u32).all(|p| {
+            let holders = self.c.placement.replica_nodes(PartitionId(p));
+            let mut live = [0usize; 2];
+            for h in &holders {
+                if self.c.is_up(*h) && Some(*h) != dying {
+                    live[usize::from(cut.contains(h))] += 1;
+                }
+            }
+            live[0] * 2 > holders.len() || live[1] * 2 > holders.len()
+        })
+    }
+
+    fn step(&mut self, op: u8, a: usize, b: usize) {
+        self.now += 1 + (a as Time % 7) * 50;
+        let now = self.now;
+        let part = PartitionId((a % self.c.n_partitions()) as u32);
+        let node = NodeId((b % self.c.n_nodes()) as u16);
+        match op {
+            0 => {
+                if self.c.begin_remaster(part, node, now).is_ok() {
+                    self.schedule(part);
+                }
+            }
+            1 => {
+                if self.c.begin_migration(part, node, now).is_ok() {
+                    self.schedule(part);
+                }
+            }
+            2 => {
+                let _ = self.c.begin_add_replica(part, node, now);
+            }
+            3 => {
+                // A background copy lands (the engine's `replica_copied`).
+                if let Some(&to) = self.c.parts[part.idx()].copying_to.first() {
+                    let primary = self.c.placement.primary_of(part);
+                    if self.c.is_up(to) && self.c.is_up(primary) {
+                        self.c.finish_add_replica(part, to, now);
+                    } else {
+                        self.c.cancel_copy(part, to);
+                    }
+                }
+            }
+            4 => {
+                // A scheduled completion fires (the engine's `TransferDone`).
+                if self.scheduled.is_empty() {
+                    return;
+                }
+                let (part, gen) = self.scheduled.swap_remove(b % self.scheduled.len());
+                if self.c.parts[part.idx()].gen() != gen {
+                    return; // stale
+                }
+                match self.c.transfer(part) {
+                    Transfer::Remaster { .. } => {
+                        self.c.finish_remaster(part, now);
+                    }
+                    Transfer::Migrate { .. } => self.c.finish_migration(part, now),
+                    Transfer::Failover { .. } => {
+                        let replay = std::mem::take(&mut self.replays[part.idx()]);
+                        self.c.finish_failover(part, &replay, now);
+                    }
+                    other => panic!("{part}: current generation but {other:?}"),
+                }
+            }
+            5 => {
+                let cut: Vec<NodeId> = self
+                    .c
+                    .node_ids()
+                    .filter(|&n| self.c.side_of(n) == 1)
+                    .collect();
+                let splits_quorum =
+                    self.c.split_active() && !self.quorum_survives(&cut, Some(node));
+                if !self.c.is_up(node) || self.c.live_count() == 1 || splits_quorum {
+                    return;
+                }
+                let report = self.c.crash_node(node, now);
+                for (part, replay) in report.orphaned {
+                    self.replays[part.idx()] = replay;
+                    self.promote_or_stall(part);
+                }
+                for part in report.aborted_failovers {
+                    self.promote_or_stall(part);
+                }
+            }
+            6 => {
+                if self.c.is_up(node) || self.promotion_away_from(node) {
+                    return;
+                }
+                for part in self.c.recover_node(node, now).rejoin_secondaries {
+                    let _ = self.c.begin_add_replica(part, node, now);
+                }
+            }
+            7 => {
+                // The cut opens over a non-empty proper subset of the nodes.
+                if self.c.split_active() {
+                    return;
+                }
+                let mask = 1 + a % ((1 << self.c.n_nodes()) - 2);
+                let cut: Vec<NodeId> = self.c.node_ids().filter(|n| mask >> n.0 & 1 == 1).collect();
+                if !self.quorum_survives(&cut, None) {
+                    return;
+                }
+                for part in self.c.begin_split(&cut, now) {
+                    self.promote_or_stall(part);
+                }
+                self.promotions.clear();
+                for d in plan_split_promotions(&self.c) {
+                    match d.action {
+                        SplitAction::Promote { target, .. } => {
+                            self.promotions.push((d.part, target))
+                        }
+                        SplitAction::Shadow { target } => self.c.set_shadow(d.part, target),
+                        SplitAction::Stall => {}
+                    }
+                }
+            }
+            8 => {
+                // A quorum-side promotion lands (the engine's `SplitPromote`,
+                // behind the same guard).
+                if !self.c.split_active() || self.promotions.is_empty() {
+                    return;
+                }
+                let (part, target) = self.promotions.swap_remove(b % self.promotions.len());
+                let primary = self.c.placement.primary_of(part);
+                if self.c.is_up(target) && self.c.side_of(primary) != self.c.quorum_side_of(part) {
+                    self.c.split_promote(part, target, now);
+                }
+            }
+            9 => {
+                // The cut heals (the engine's `heal_split_brain`).
+                if !self.c.split_active() {
+                    return;
+                }
+                let steps = plan_heal(&self.c);
+                for s in &steps {
+                    if let Some(target) = s.shadow {
+                        self.c.split_promote(s.part, target, now);
+                    }
+                }
+                for s in &steps {
+                    for &n in &s.stale {
+                        self.c.drop_stale_secondary(s.part, n);
+                    }
+                }
+                self.c.end_split();
+            }
+            10 => {
+                // A commit on the primary, unshipped until the next flush.
+                let primary = self.c.placement.primary_of(part);
+                if !self.c.is_up(primary) {
+                    return;
+                }
+                let (key, txn) = (b as u64 % 16, TxnId(now));
+                let store = self.c.primary_store_mut(part);
+                store.table.occ_lock(key, txn);
+                let v = store
+                    .table
+                    .occ_install(key, txn, Table::synth_value(key, now, 8));
+                store
+                    .log
+                    .append(part, key, v, Table::synth_value(key, now, 8));
+            }
+            _ => {
+                self.c.epoch_flush_all();
+            }
+        }
+    }
+
+    /// `check_invariants`, plus: a partition with a hand-off in flight is
+    /// owed exactly one scheduled completion stamped with its current
+    /// generation, an `Idle` or `Stalled` one none.
+    fn check(&self) -> Result<(), String> {
+        self.c.check_invariants()?;
+        for (p, rt) in self.c.parts.iter().enumerate() {
+            let current = self
+                .scheduled
+                .iter()
+                .filter(|&&(part, gen)| part.idx() == p && gen == rt.gen())
+                .count();
+            let owed = usize::from(rt.transfer().target().is_some());
+            if current != owed {
+                return Err(format!(
+                    "P{p}: {:?} with {current} un-superseded completions",
+                    rt.transfer()
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any interleaving of adaptor operations, crashes, restarts, cuts,
+    /// quorum-side promotions and heals leaves every partition in a
+    /// transfer state whose completion can still land, with exactly one
+    /// live completion per hand-off in flight.
+    #[test]
+    fn transfer_state_machine_survives_any_interleaving(
+        script in proptest::collection::vec((0u8..12, 0usize..1000, 0usize..1000), 1..120),
+    ) {
+        let mut d = Driver::new();
+        for (i, &(op, a, b)) in script.iter().enumerate() {
+            d.step(op, a, b);
+            if let Err(e) = d.check() {
+                // No shrinking in the offline proptest: print the prefix.
+                prop_assert!(false, "{} after the last step of {:?}", e, &script[..=i]);
+            }
+        }
+    }
 
     /// Selection is a pure function of the candidate *set*: it matches the
     /// reference rule and is invariant under permutation (deterministic

@@ -17,10 +17,11 @@
 //!   crash approximation's, which kills the isolated side outright.
 
 use lion::baselines::two_pc;
-use lion::common::{FastMap, NodeId, PartitionId, SimConfig, SECOND};
+use lion::cluster::Transfer;
+use lion::common::{FastMap, NodeId, PartitionId, SimConfig, Time, TxnId, SECOND};
 use lion::core::Lion;
-use lion::engine::{DurabilityConfig, Engine, EngineConfig, Protocol, RunReport};
-use lion::faults::FaultPlan;
+use lion::engine::{DurabilityConfig, Engine, EngineConfig, Protocol, RunReport, TickKind};
+use lion::faults::{FaultNotice, FaultPlan};
 use lion::workloads::{YcsbConfig, YcsbWorkload};
 use proptest::prelude::*;
 
@@ -194,6 +195,128 @@ fn heal_restores_replication_factor() {
             );
         }
     }
+}
+
+/// Lion with one scripted adaptor sequence on a partition the `{N2, N3}`
+/// cut strands on the non-quorum side (its primary isolated, its quorum at
+/// rest): as the window opens a same-side replica is copied onto the other
+/// isolated node, and a remaster between the two starts at `fire_at` —
+/// inside the hand-off window of the quorum side's promotion.
+struct RemasterIntoPromotion {
+    lion: Lion,
+    copy_at: Time,
+    fire_at: Time,
+    /// The stranded partition and its two isolated-side holders.
+    stranded: Option<(PartitionId, [NodeId; 2])>,
+    /// When the scripted remaster would have completed, once it started.
+    remaster_lands_at: Option<Time>,
+}
+
+impl RemasterIntoPromotion {
+    fn script(&mut self, eng: &mut Engine) {
+        let now = eng.now();
+        if now >= self.copy_at {
+            self.copy_at = Time::MAX;
+            let c = &eng.cluster;
+            let (part, primary) = (0..c.n_partitions() as u32)
+                .map(|p| (PartitionId(p), c.placement.primary_of(PartitionId(p))))
+                .find(|&(part, primary)| c.side_of(primary) == 1 && c.quorum_side_of(part) == 0)
+                .expect("the cut strands some partition's primary");
+            let spare = NodeId(5 - primary.0); // the other of N2, N3
+            if !c.placement.has_replica(part, spare) {
+                eng.add_replica_async(part, spare, false)
+                    .expect("same-side copy starts inside the window");
+            }
+            self.stranded = Some((part, [primary, spare]));
+        }
+        if now >= self.fire_at {
+            self.fire_at = Time::MAX;
+            let (part, pair) = self.stranded.expect("the copy was scripted first");
+            // Lion may have remastered between the two already; hand the
+            // partition to whichever of them is the secondary right now.
+            let to = pair[usize::from(eng.cluster.placement.primary_of(part) == pair[0])];
+            // `Busy` means Lion's own remaster is in flight: just as good.
+            let _ = eng.remaster_async(part, to);
+            assert_ne!(eng.cluster.transfer(part), Transfer::Idle);
+            self.remaster_lands_at = Some(eng.cluster.available_at(part));
+        }
+    }
+}
+
+impl Protocol for RemasterIntoPromotion {
+    fn name(&self) -> &'static str {
+        self.lion.name()
+    }
+    fn on_submit(&mut self, eng: &mut Engine, txn: TxnId) {
+        self.lion.on_submit(eng, txn);
+    }
+    fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tag: u32) {
+        self.lion.on_wake(eng, txn, tag);
+    }
+    fn on_tick(&mut self, eng: &mut Engine, kind: TickKind) {
+        // The monitor tick is the script's clock: with every client parked
+        // behind the cut, no transaction callback fires inside the window.
+        if kind == TickKind::Monitor {
+            self.script(eng);
+        }
+        self.lion.on_tick(eng, kind);
+    }
+    fn on_fault(&mut self, eng: &mut Engine, notice: &FaultNotice) {
+        self.lion.on_fault(eng, notice);
+    }
+}
+
+/// Regression: a remaster in flight when a quorum-side promotion lands on
+/// its partition used to leak — the promotion bumped the transfer
+/// generation without clearing the remaster, its completion was dropped as
+/// stale, and the partition refused every later hand-off as `Busy`. Well
+/// after the heal, no partition may still have a hand-off in flight.
+#[test]
+fn promotion_landing_on_a_remaster_leaves_nothing_in_flight() {
+    let (cut_at, heal_at) = (SECOND / 10, SECOND / 4);
+    let sim = sim(11);
+    // The rest side promotes after failure detection + the hand-off window;
+    // the remaster starts half a hand-off window before that, on the third
+    // monitor tick (the second, just past the cut, starts the copy).
+    let promotion_lands_at = cut_at + sim.failure_detect_us + sim.remaster_delay_us;
+    let fire_at = promotion_lands_at - sim.remaster_delay_us / 2;
+    let cfg = EngineConfig {
+        sim,
+        plan_interval_us: 200_000,
+        monitor_interval_us: fire_at / 3,
+        faults: split_plan(cut_at, heal_at),
+        durability: DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+        ..EngineConfig::default()
+    };
+    let mut proto = RemasterIntoPromotion {
+        lion: Lion::standard(),
+        copy_at: cut_at + 1,
+        fire_at,
+        stranded: None,
+        remaster_lands_at: None,
+    };
+    let mut eng = Engine::new(cfg, workload(11 ^ 0x5EED));
+    let report = eng.run(&mut proto, heal_at + SECOND / 10);
+    assert_eq!(report.partitions_healed, 1);
+    let remaster_lands_at = proto.remaster_lands_at.expect("the remaster started");
+    assert!(
+        remaster_lands_at > promotion_lands_at,
+        "the remaster ({remaster_lands_at}) must still be in flight when the \
+         promotion lands ({promotion_lands_at})"
+    );
+    let (part, _) = proto.stranded.expect("scripted");
+    assert!(
+        eng.cluster.placement.primary_of(part).0 < 2,
+        "the quorum side's promotion took {part} over"
+    );
+    for (p, rt) in eng.cluster.parts.iter().enumerate() {
+        assert_eq!(
+            rt.transfer(),
+            Transfer::Idle,
+            "P{p} still has a hand-off in flight 100 ms after the heal"
+        );
+    }
+    eng.cluster.check_invariants().unwrap();
 }
 
 /// The contrast arm: same cut, but acks release at commit time. The
