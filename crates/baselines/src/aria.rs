@@ -9,13 +9,12 @@
 //! abort unless reordering can flip them (no accompanying WAR). Aborted
 //! transactions carry over to the next batch.
 
-use crate::calvin::{batch_barrier_rtt, charge_replication, zone_surcharge};
-use lion_common::{FastMap, NodeId, OpKind, Phase, Time, TxnId};
-use lion_engine::tags::{fresh, tag, untag};
-use lion_engine::{Engine, Protocol, TxnClass};
-
-const K_COMMIT: u8 = 1;
-const K_ABORT: u8 = 2;
+use crate::batch::{
+    self, batch_barrier_rtt, charge_replication, distributed_commit_rounds, execute_at_owners,
+    finish_at, Finish,
+};
+use lion_common::{FastMap, OpKind, Phase, Time, TxnId};
+use lion_engine::{Engine, Protocol};
 
 /// The Aria baseline.
 #[derive(Default)]
@@ -52,40 +51,14 @@ impl Protocol for Aria {
         let mut res_r: FastMap<(u32, u64), usize> = FastMap::default();
         for (i, &t) in batch.iter().enumerate() {
             eng.load_declared_sets(t);
-            let mut by_node: FastMap<NodeId, (usize, usize)> = FastMap::default();
-            for op in &eng.txn(t).req.ops {
-                let n = eng.cluster.placement.primary_of(op.partition);
-                let e = by_node.entry(n).or_insert((0, 0));
-                match op.kind {
-                    OpKind::Read => e.0 += 1,
-                    OpKind::Write => e.1 += 1,
-                }
-            }
-            let n_nodes = by_node.len();
-            let nodes: Vec<NodeId> = by_node.keys().copied().collect();
-            let mut done = now;
-            for (node, (r, w)) in by_node {
-                let (_, end) = eng.cpu_grant(node, now, eng.op_cpu(r, w));
-                done = done.max(end);
-            }
-            if n_nodes > 1 {
+            let (mut done, owners) = execute_at_owners(eng, t, now);
+            if owners.len() > 1 {
                 // Distributed: remote reads + the costly distributed commit
                 // round (latency and participant CPU) that erodes Aria at
                 // high cross ratios (§VI-D.1). Participant sets spanning a
                 // rack pay the cross-zone surcharge per round, like the
                 // other figf2 protocols.
-                let rtt = eng.cluster.net_delay(64)
-                    + eng.cluster.net_delay(16)
-                    + zone_surcharge(eng, &nodes);
-                done += 2 * rtt;
-                let commit_cpu = eng.config().sim.cpu.validate_us
-                    + eng.config().sim.cpu.install_us
-                    + 2 * eng.config().sim.cpu.msg_handle_us;
-                for node in nodes {
-                    let (_, end) = eng.cpu_grant(node, done, commit_cpu);
-                    done = done.max(end);
-                }
-                eng.txn_mut(t).class = TxnClass::Distributed;
+                done = distributed_commit_rounds(eng, t, &owners, done, 64).0;
             }
             eng.charge_phase(t, Phase::Execution, done - now);
             completion.push(done);
@@ -138,35 +111,23 @@ impl Protocol for Aria {
             // WAW; abort on RAW only when a WAR also exists.
             let abort = waw || (raw && war);
             eng.charge_phase(t, Phase::Commit, barrier.saturating_sub(completion[i]));
-            let attempt = eng.txn(t).attempts;
             if abort {
                 if waw {
                     self.waw_aborts += 1;
                 } else {
                     self.raw_aborts += 1;
                 }
-                eng.wake_at(barrier, t, tag(K_ABORT, attempt, 0));
+                finish_at(eng, t, barrier, Finish::Defer);
             } else {
                 charge_replication(eng, t, barrier);
                 let install = eng.config().sim.cpu.install_us;
-                eng.wake_at(barrier + install, t, tag(K_COMMIT, attempt, 0));
+                finish_at(eng, t, barrier + install, Finish::Commit);
             }
         }
     }
 
     fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
-        let (kind, attempt, _) = untag(tagv);
-        if !fresh(attempt, eng.txn(txn).attempts) {
-            return;
-        }
-        match kind {
-            K_COMMIT => {
-                eng.install_unchecked(txn);
-                eng.commit(txn);
-            }
-            K_ABORT => eng.abort_defer(txn),
-            _ => unreachable!(),
-        }
+        batch::on_wake(eng, txn, tagv);
     }
 }
 

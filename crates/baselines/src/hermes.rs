@@ -8,18 +8,14 @@
 //! when the workload shifts and migration storms block whole partition
 //! ranges (Fig. 10).
 
-use crate::calvin::{charge_replication, execute_deterministic, RowLocks};
-use lion_common::{NodeId, Phase, TxnId};
-use lion_engine::tags::{fresh, tag, untag};
+use crate::batch::{self, LockManager};
+use crate::standard::most_primaries;
+use lion_common::{Phase, TxnId};
 use lion_engine::{Engine, Protocol};
-use lion_sim::MultiServer;
-
-const K_DONE: u8 = 1;
 
 /// The Hermes baseline.
 pub struct Hermes {
-    lock_mgr: MultiServer,
-    locks: RowLocks,
+    locks: LockManager,
     /// Diagnostics: migrations requested by the prescient router.
     pub migrations_requested: u64,
 }
@@ -34,28 +30,9 @@ impl Hermes {
     /// Builds Hermes.
     pub fn new() -> Self {
         Hermes {
-            lock_mgr: MultiServer::new(1),
-            locks: RowLocks::default(),
+            locks: LockManager::new(),
             migrations_requested: 0,
         }
-    }
-
-    /// The designated executor: the node already hosting the most primaries
-    /// of the transaction (prescient routing keeps identical templates on
-    /// the same executor so migrations amortize).
-    fn executor_of(eng: &Engine, txn: TxnId) -> NodeId {
-        let parts = &eng.txn(txn).parts;
-        let mut counts = vec![0usize; eng.cluster.n_nodes()];
-        for &p in parts {
-            counts[eng.cluster.placement.primary_of(p).idx()] += 1;
-        }
-        let best = counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(n, _)| n)
-            .unwrap_or(0);
-        NodeId(best as u16)
     }
 }
 
@@ -72,7 +49,7 @@ impl Protocol for Hermes {
 
     fn on_batch(&mut self, eng: &mut Engine, batch: &[TxnId]) {
         let now = eng.now();
-        self.locks = RowLocks::default();
+        self.locks.begin_batch();
 
         // Prescient reordering: group identical partition sets together so
         // consecutive transactions reuse the same migrations.
@@ -86,7 +63,11 @@ impl Protocol for Hermes {
 
         for t in ordered {
             eng.load_declared_sets(t);
-            let executor = Self::executor_of(eng, t);
+            // The designated executor: the node already hosting the most
+            // primaries of the transaction (prescient routing keeps
+            // identical templates on the same executor so migrations
+            // amortize).
+            let executor = most_primaries(eng, t);
 
             // Demand migration: pull every non-local partition to the
             // executor before locking; waiting on an in-flight migration to
@@ -127,31 +108,12 @@ impl Protocol for Hermes {
                 eng.charge_phase(t, Phase::Other, migration_ready - now);
             }
 
-            // Single-threaded lock manager, deterministic order.
-            let service = eng.config().sim.cpu.lock_mgr_us * eng.txn(t).req.ops.len() as u64;
-            let grant = self.lock_mgr.acquire(migration_ready, service);
-            eng.charge_phase(t, Phase::Scheduling, grant.end - migration_ready);
-            let start = self.locks.admit(&eng.txn(t).req.ops, grant.end);
-            eng.charge_phase(t, Phase::Scheduling, start - grant.end);
-
-            let (done, _) = execute_deterministic(eng, t, start);
-            self.locks.release(&eng.txn(t).req.ops, done);
-            charge_replication(eng, t, done);
-            let commit_cpu = eng.config().sim.cpu.install_us;
-            eng.charge_phase(t, Phase::Commit, commit_cpu);
-            let attempt = eng.txn(t).attempts;
-            eng.wake_at(done + commit_cpu, t, tag(K_DONE, attempt, 0));
+            self.locks.run(eng, t, migration_ready);
         }
     }
 
     fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
-        let (kind, attempt, _) = untag(tagv);
-        debug_assert_eq!(kind, K_DONE);
-        if !fresh(attempt, eng.txn(txn).attempts) {
-            return;
-        }
-        eng.install_unchecked(txn);
-        eng.commit(txn);
+        batch::on_wake(eng, txn, tagv);
     }
 }
 

@@ -12,7 +12,8 @@
 //! * [`Clay`] — 2PC execution plus a periodic load monitor that migrates
 //!   hot partition clumps off overloaded nodes.
 //!
-//! **Batch execution**:
+//! **Batch execution** (each implements `Protocol` itself and calls the
+//! shared kit in `batch.rs`):
 //! * [`Star`] — full-replica "super node" + two-phase switching;
 //! * [`Calvin`] — deterministic ordering via a single-threaded lock manager;
 //! * [`Hermes`] — deterministic execution + prescient reordering + demand
@@ -22,6 +23,7 @@
 //!   commit.
 
 pub mod aria;
+mod batch;
 pub mod calvin;
 pub mod clay;
 pub mod hermes;

@@ -8,13 +8,11 @@
 //! transaction aborts and re-executions" under contention, and "a costly
 //! commit protocol for distributed transactions" at high cross ratios.
 
-use crate::calvin::{charge_replication, zone_surcharge};
-use lion_common::{FastMap, FastSet, NodeId, OpKind, Phase, Time, TxnId};
-use lion_engine::tags::{fresh, tag, untag};
-use lion_engine::{Engine, Protocol, TxnClass};
-
-const K_COMMIT: u8 = 1;
-const K_ABORT: u8 = 2;
+use crate::batch::{
+    self, charge_replication, distributed_commit_rounds, execute_at_owners, finish_at, Finish,
+};
+use lion_common::{FastSet, OpKind, Phase, Time, TxnId};
+use lion_engine::{Engine, Protocol};
 
 /// The Lotus baseline.
 #[derive(Default)]
@@ -79,40 +77,15 @@ impl Protocol for Lotus {
             }
             // Execute: per-node CPU in parallel; zero scheduling time (the
             // epoch structure replaces a lock manager, §VI-G).
-            let mut by_node: FastMap<NodeId, (usize, usize)> = FastMap::default();
-            for op in &eng.txn(t).req.ops {
-                let n = eng.cluster.placement.primary_of(op.partition);
-                let e = by_node.entry(n).or_insert((0, 0));
-                match op.kind {
-                    OpKind::Read => e.0 += 1,
-                    OpKind::Write => e.1 += 1,
-                }
-            }
-            let n_nodes = by_node.len();
-            let nodes: Vec<NodeId> = by_node.keys().copied().collect();
-            let mut done = now;
-            for (node, (r, w)) in by_node {
-                let (_, end) = eng.cpu_grant(node, now, eng.op_cpu(r, w));
-                done = done.max(end);
-            }
-            if n_nodes > 1 {
+            let (mut done, owners) = execute_at_owners(eng, t, now);
+            if owners.len() > 1 {
                 // Distributed transactions pay the full commit protocol:
                 // two coordination rounds of latency plus prepare/commit
                 // handling CPU at every participant. Each round pays the
                 // cross-zone surcharge when the participants span racks.
-                let rtt = eng.cluster.net_delay(48)
-                    + eng.cluster.net_delay(16)
-                    + zone_surcharge(eng, &nodes);
-                done += 2 * rtt;
-                let commit_cpu = eng.config().sim.cpu.validate_us
-                    + eng.config().sim.cpu.install_us
-                    + 2 * eng.config().sim.cpu.msg_handle_us;
-                for node in nodes {
-                    let (_, end) = eng.cpu_grant(node, done, commit_cpu);
-                    done = done.max(end);
-                }
-                eng.txn_mut(t).class = TxnClass::Distributed;
-                eng.charge_phase(t, Phase::Commit, 2 * rtt);
+                let (end, rounds) = distributed_commit_rounds(eng, t, &owners, done, 48);
+                eng.charge_phase(t, Phase::Commit, rounds);
+                done = end;
             }
             eng.charge_phase(t, Phase::Execution, done - now);
             charge_replication(eng, t, done);
@@ -123,31 +96,18 @@ impl Protocol for Lotus {
         // Asynchronous commit: winners become visible at their completion
         // (not at the barrier) — Lotus's low median latency (Fig. 14a).
         for (t, done) in winners {
-            let attempt = eng.txn(t).attempts;
-            eng.wake_at(done, t, tag(K_COMMIT, attempt, 0));
+            finish_at(eng, t, done, Finish::Commit);
         }
         // Claim losers hold until epoch end, then re-execute next epoch —
         // the high tail latency of Fig. 14a.
         for t in losers {
             eng.charge_phase(t, Phase::Other, epoch_end - now);
-            let attempt = eng.txn(t).attempts;
-            eng.wake_at(epoch_end, t, tag(K_ABORT, attempt, 0));
+            finish_at(eng, t, epoch_end, Finish::Defer);
         }
     }
 
     fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
-        let (kind, attempt, _) = untag(tagv);
-        if !fresh(attempt, eng.txn(txn).attempts) {
-            return;
-        }
-        match kind {
-            K_COMMIT => {
-                eng.install_unchecked(txn);
-                eng.commit(txn);
-            }
-            K_ABORT => eng.abort_defer(txn),
-            _ => unreachable!(),
-        }
+        batch::on_wake(eng, txn, tagv);
     }
 }
 

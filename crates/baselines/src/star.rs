@@ -11,12 +11,13 @@
 //! barriers — node 0 saturating with the cross ratio is the bottleneck of
 //! Figs. 9 and 11b.
 
+use crate::batch::{self, finish_at, Finish};
 use lion_common::{NodeId, PartitionId, Phase, Time, TxnId};
 use lion_engine::tags::{fresh, tag, untag};
-use lion_engine::{ByteClass, Engine, MetricEvent, OpFail, Protocol, TxnClass};
+use lion_engine::{ByteClass, Engine, MetricEvent, Protocol, TxnClass};
 
-const K_SINGLE: u8 = 1;
-const K_CROSS: u8 = 2;
+/// Partition-phase execution at the owner; every other wake is the kit's.
+const K_SINGLE: u8 = 3;
 
 const SUPER_NODE: NodeId = NodeId(0);
 
@@ -156,39 +157,26 @@ impl Protocol for Star {
                 .max()
                 .unwrap_or_else(|| eng.cluster.net_delay(bytes as u32));
             eng.charge_phase(t, Phase::Replication, repl);
-            let attempt = eng.txn(t).attempts;
-            eng.wake_at(end, t, tag(K_CROSS, attempt, 0));
+            // Serial single-master phase: conflict-free by construction.
+            finish_at(eng, t, end, Finish::Commit);
         }
     }
 
     fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
         let (kind, attempt, _) = untag(tagv);
+        if kind != K_SINGLE {
+            return batch::on_wake(eng, txn, tagv);
+        }
         if !fresh(attempt, eng.txn(txn).attempts) {
             return;
         }
-        match kind {
-            K_SINGLE => {
-                // Execute + OCC commit at the owner.
-                let home = eng.txn(txn).home;
-                match eng.exec_local_ops(home, txn) {
-                    Ok(_) => {
-                        if eng.validate_at(home, txn) {
-                            eng.install_at(home, txn);
-                            eng.commit(txn);
-                        } else {
-                            eng.abort_defer(txn);
-                        }
-                    }
-                    Err(OpFail::Locked) => eng.abort_defer(txn),
-                    Err(_) => eng.abort_defer(txn),
-                }
-            }
-            K_CROSS => {
-                // Serial single-master phase: conflict-free by construction.
-                eng.install_unchecked(txn);
-                eng.commit(txn);
-            }
-            _ => unreachable!(),
+        // Execute + OCC commit at the owner.
+        let home = eng.txn(txn).home;
+        if eng.exec_local_ops(home, txn).is_ok() && eng.validate_at(home, txn) {
+            eng.install_at(home, txn);
+            eng.commit(txn);
+        } else {
+            eng.abort_defer(txn);
         }
     }
 }

@@ -202,12 +202,6 @@ impl SimConfig {
         self
     }
 
-    /// Override the per-node partition count.
-    pub fn with_partitions_per_node(mut self, p: usize) -> Self {
-        self.partitions_per_node = p;
-        self
-    }
-
     /// Override the remastering delay (Fig. 13b sweep).
     pub fn with_remaster_delay(mut self, us: Time) -> Self {
         self.remaster_delay_us = us;

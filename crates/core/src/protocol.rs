@@ -134,7 +134,7 @@ impl StandardPolicy for Lion {
                 let freq: Vec<f64> = (0..eng.cluster.placement.n_partitions())
                     .map(|p| eng.cluster.freq.normalized(PartitionId(p as u32)))
                     .collect();
-                let (class, _) = lion_planner::execution_cost_zoned(
+                let (class, _) = lion_planner::execution_cost(
                     &eng.cluster.placement,
                     &freq,
                     &eng.txn(txn).parts,

@@ -9,7 +9,7 @@
 
 use lion_common::{NodeId, TxnId};
 use lion_engine::Engine;
-use lion_planner::{execution_cost_zoned, CostWeights, TxnPlacementClass};
+use lion_planner::{execution_cost, CostWeights, TxnPlacementClass};
 
 /// Scores every node with the planner's cost model and returns the chosen
 /// executor plus its placement class. The score is zone-aware: with
@@ -36,7 +36,7 @@ pub fn route_txn(eng: &Engine, txn: TxnId, weights: CostWeights) -> (NodeId, Txn
             continue; // dead executors take no transactions
         }
         let (class, cost) =
-            execution_cost_zoned(placement, &freq, parts, node, weights, &eng.cluster.zone_of);
+            execution_cost(placement, &freq, parts, node, weights, &eng.cluster.zone_of);
         let backlog = eng.cluster.workers[node.idx()].earliest_free();
         let better = match &best {
             None => true,

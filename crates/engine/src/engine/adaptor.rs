@@ -1,0 +1,115 @@
+//! The adaptor on the virtual clock: remaster, add-replica and migrate run
+//! asynchronously beside transaction execution (§III), each a start the
+//! cluster guards plus a completion event scheduled here.
+
+use super::{Engine, Ev};
+use crate::protocol::Protocol;
+use lion_cluster::{AdaptorError, Transfer};
+use lion_common::{NodeId, PartitionId, Time};
+use lion_obs::{ByteClass, MetricEvent};
+
+impl Engine {
+    /// Starts an asynchronous remaster; the placement flips after the
+    /// returned duration. Conflicting requests surface as `Err` (the caller
+    /// decides whether to fall back to 2PC, §III).
+    pub fn remaster_async(&mut self, part: PartitionId, to: NodeId) -> Result<Time, AdaptorError> {
+        let now = self.now();
+        let started = self.cluster.begin_remaster(part, to, now);
+        match started {
+            Ok(d) => self.schedule_transfer_done(part, d),
+            Err(AdaptorError::Busy(_)) => self.emit(MetricEvent::RemasterConflict { at: now }),
+            Err(_) => {}
+        }
+        started
+    }
+
+    /// Starts a background replica copy; optionally chains a remaster once
+    /// the copy lands (the planner's AddReplica action).
+    pub fn add_replica_async(
+        &mut self,
+        part: PartitionId,
+        to: NodeId,
+        then_remaster: bool,
+    ) -> Result<Time, AdaptorError> {
+        let now = self.now();
+        let (d, bytes) = self.cluster.begin_add_replica(part, to, now)?;
+        self.emit_bytes(ByteClass::Migration, bytes);
+        self.queue.schedule(
+            d,
+            Ev::ReplicaCopied {
+                part,
+                node: to,
+                then_remaster,
+            },
+        );
+        Ok(d)
+    }
+
+    /// Starts a blocking migration of `part`'s primary to `to`.
+    pub fn migrate_async(&mut self, part: PartitionId, to: NodeId) -> Result<Time, AdaptorError> {
+        let now = self.now();
+        let (d, bytes) = self.cluster.begin_migration(part, to, now)?;
+        self.emit_bytes(ByteClass::Migration, bytes);
+        self.schedule_transfer_done(part, d);
+        Ok(d)
+    }
+
+    /// Schedules the completion of the hand-off `part` just started, `delay`
+    /// from now, stamped with the generation that start opened.
+    pub(super) fn schedule_transfer_done(&mut self, part: PartitionId, delay: Time) {
+        let gen = self.cluster.parts[part.idx()].gen();
+        self.queue.schedule(delay, Ev::TransferDone { part, gen });
+    }
+
+    /// The hand-off `part` had in flight when this event was scheduled
+    /// completes: dispatch on what the cluster says it is. Stale — the single
+    /// staleness rule for every hand-off — when `gen` is no longer the
+    /// partition's transfer generation: a crash, a cut or a superseding
+    /// promotion canceled it in the meantime.
+    pub(super) fn transfer_done(&mut self, proto: &mut dyn Protocol, part: PartitionId, gen: u64) {
+        if self.cluster.parts[part.idx()].gen() != gen {
+            return;
+        }
+        let now = self.now();
+        match self.cluster.transfer(part) {
+            Transfer::Remaster { .. } => {
+                let bytes = self.cluster.finish_remaster(part, now);
+                self.emit(MetricEvent::Remaster { at: now, part });
+                self.emit_bytes(ByteClass::Replication, bytes);
+            }
+            Transfer::Migrate { .. } => {
+                self.cluster.finish_migration(part, now);
+                self.emit(MetricEvent::Migration { at: now, part });
+            }
+            Transfer::Failover { .. } => self.finish_failover_event(proto, part),
+            // Neither schedules a completion; a current generation without
+            // a hand-off means someone finished it by hand (tests do).
+            Transfer::Idle | Transfer::Stalled => {}
+        }
+    }
+
+    /// A background copy of `part` onto `node` lands. Stale when the copy is
+    /// no longer in `copying_to`: a crash of the target, or a cut, canceled it.
+    pub(super) fn replica_copied(&mut self, part: PartitionId, node: NodeId, then_remaster: bool) {
+        let now = self.now();
+        if !self.cluster.parts[part.idx()].copying_to.contains(&node) {
+            return;
+        }
+        let primary = self.cluster.placement.primary_of(part);
+        if !self.cluster.is_up(node) || !self.cluster.is_up(primary) {
+            self.cluster.cancel_copy(part, node);
+            return; // source or destination died mid-copy
+        }
+        let evicted = self.cluster.finish_add_replica(part, node, now);
+        self.emit(MetricEvent::ReplicaAdd {
+            at: now,
+            part,
+            evicted: evicted.is_some(),
+        });
+        if then_remaster {
+            // `node` is a holder now, so the only refusal left besides
+            // "already primary" is a conflict, which `remaster_async` counts.
+            let _ = self.remaster_async(part, node);
+        }
+    }
+}

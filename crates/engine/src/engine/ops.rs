@@ -1,0 +1,593 @@
+//! Everything a protocol may call that changes state: timing primitives,
+//! fan-out joins, OCC data operations, commit and abort. Together with
+//! `adaptor.rs` this is the method list of the `EngineOps` trait to come.
+
+use super::{Engine, Ev};
+use crate::txn::{ReadEntry, TxnClass, TxnCtx, WriteEntry};
+use lion_cluster::Cluster;
+use lion_common::{NodeId, Op, OpKind, PartitionId, Phase, Time, TxnId};
+use lion_durability::PendingAck;
+use lion_obs::{ByteClass, CommitClass, MetricEvent};
+use lion_storage::{OpOutcome, Table};
+
+/// Why a data operation could not run right now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpFail {
+    /// The partition is blocked by an in-flight remaster/migration; retry
+    /// after the given time.
+    Blocked {
+        /// Earliest time the partition is available again.
+        until: Time,
+    },
+    /// The node no longer hosts the primary (placement moved underneath).
+    NotPrimary {
+        /// Current primary holder.
+        primary: NodeId,
+    },
+    /// The row is prepare-locked by a conflicting transaction.
+    Locked,
+    /// An active split-brain window cuts the transaction's home side off
+    /// from this partition's serving primary. The transaction parks until
+    /// reachability returns (a split promotion or the heal).
+    Unreachable,
+}
+
+/// Where an aborted attempt waits for its next one.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Requeue {
+    /// An `Ev::Retry` after the configured back-off.
+    Backoff,
+    /// The next batch (batch mode): joins the deferred list and counts
+    /// toward the current batch's barrier.
+    NextBatch,
+    /// The heal-waiter list, drained — filtered by reachability — at every
+    /// split promotion and fully at heal.
+    Heal,
+}
+
+impl Engine {
+    /// Emits one observability event: run sink first (its fold order is
+    /// the digest contract), then the dimensioned sink and any extras,
+    /// all gated by the configured [`lion_obs::ObsMode`]. Every metric the engine
+    /// records flows through here — protocols and baselines included.
+    #[inline]
+    pub fn emit(&mut self, ev: MetricEvent) {
+        self.obs.emit(&mut self.metrics, ev);
+    }
+
+    /// Emits `bytes` of `class` traffic at the current time, attributed to
+    /// no particular node.
+    pub(super) fn emit_bytes(&mut self, class: ByteClass, bytes: u64) {
+        let at = self.now();
+        self.emit(MetricEvent::Bytes {
+            at,
+            class,
+            bytes,
+            node: None,
+            zone: None,
+        });
+    }
+
+    /// True when no active split cuts `txn`'s home side off from the
+    /// serving primary of any partition it accesses. Protocols check this
+    /// at submission (and on retry re-entry) and park unreachable
+    /// transactions via [`Engine::park_until_heal`] instead of spinning
+    /// retries against the cut.
+    pub fn txn_reachable(&self, txn: TxnId) -> bool {
+        !self.cluster.split_active() || Self::reachable(&self.cluster, self.txn(txn))
+    }
+
+    /// Parks `txn` until reachability returns: the attempt fault-aborts
+    /// (scheduled wakes go stale through the attempt counter, exactly like
+    /// a crash abort) and the transaction joins the heal-waiter list, which
+    /// drains — filtered by reachability — at every split promotion and
+    /// fully at heal. The issuing client blocks with it: no goodput is
+    /// faked while the partition the client needs sits across the cut.
+    pub fn park_until_heal(&mut self, txn: TxnId) {
+        self.abort_attempt(txn, true, Requeue::Heal);
+    }
+
+    // ----------------------------------------------------------------
+    // Timing primitives
+    // ----------------------------------------------------------------
+
+    /// Occupies one of `node`'s workers for `dur` µs, waking `(txn, tag)` on
+    /// completion. Queue wait is booked as `Scheduling`; service as `phase`.
+    pub fn cpu(&mut self, node: NodeId, phase: Phase, dur: Time, txn: TxnId, tag: u32) {
+        let now = self.now();
+        let grant = self.cluster.workers[node.idx()].acquire(now, dur);
+        let wait = grant.queue_wait(now);
+        let ctx = self.txn_mut(txn);
+        ctx.phase_us[Phase::Scheduling.idx()] += wait;
+        ctx.phase_us[phase.idx()] += dur;
+        self.queue.schedule_at(grant.end, Ev::Wake { txn, tag });
+    }
+
+    /// One-way message of `bytes` payload; wakes `(txn, tag)` on delivery.
+    pub fn net(&mut self, bytes: u32, phase: Phase, txn: TxnId, tag: u32) {
+        let d = self.cluster.net_delay(bytes);
+        self.net_fire_and_forget(bytes);
+        self.sleep(d, phase, txn, tag);
+    }
+
+    /// Accounting-only one-way message (no wake), e.g. 2PC commit decisions
+    /// whose acks the coordinator does not wait for.
+    pub fn net_fire_and_forget(&mut self, bytes: u32) {
+        let framed = (bytes + self.cfg.sim.net.msg_overhead_bytes) as u64;
+        self.emit_bytes(ByteClass::Message, framed);
+    }
+
+    /// Request/response round from `from` to a remote node including remote
+    /// CPU: request latency + worker queueing + service + response latency,
+    /// as a single scheduled wake (the worker slot is reserved at request
+    /// arrival). The origin node is charged message-handling CPU for the
+    /// send and the response — the coordination work that makes distributed
+    /// transactions expensive on their coordinator.
+    // The argument list *is* the wire protocol of one request/response round
+    // (endpoints, payload sizes, remote service time, phase, continuation);
+    // bundling them into a struct would only rename the problem.
+    #[allow(clippy::too_many_arguments)]
+    pub fn remote_round(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        bytes_req: u32,
+        bytes_resp: u32,
+        remote_cpu: Time,
+        phase: Phase,
+        txn: TxnId,
+        tag: u32,
+    ) {
+        let now = self.now();
+        let overhead = self.cfg.sim.net.msg_overhead_bytes;
+        let handling = 2 * self.cfg.sim.cpu.msg_handle_us;
+        let _ = self.cluster.workers[from.idx()].acquire(now, handling);
+        // Zone-aware pricing: a round that crosses a rack boundary pays the
+        // aggregation-layer surcharge both ways (zero on single-zone runs).
+        let d1 = self.cluster.net_delay_between(from, to, bytes_req);
+        let grant = self.cluster.workers[to.idx()].acquire(now + d1, remote_cpu);
+        let d2 = self.cluster.net_delay_between(to, from, bytes_resp);
+        self.emit(MetricEvent::Bytes {
+            at: now,
+            class: ByteClass::Message,
+            bytes: (bytes_req + overhead) as u64 + (bytes_resp + overhead) as u64,
+            node: Some(from),
+            zone: Some(self.cluster.zone(from)),
+        });
+        let ctx = self.txn_mut(txn);
+        ctx.phase_us[Phase::Scheduling.idx()] += grant.queue_wait(now + d1);
+        ctx.phase_us[phase.idx()] += d1 + remote_cpu + d2;
+        self.queue
+            .schedule_at(grant.end + d2, Ev::Wake { txn, tag });
+    }
+
+    /// Pure wait (remaster hand-off, migration blackout, barrier).
+    pub fn sleep(&mut self, dur: Time, phase: Phase, txn: TxnId, tag: u32) {
+        self.txn_mut(txn).phase_us[phase.idx()] += dur;
+        self.queue.schedule(dur, Ev::Wake { txn, tag });
+    }
+
+    /// Wake `(txn, tag)` at an absolute virtual time (batch protocols that
+    /// compute completion times arithmetically).
+    pub fn wake_at(&mut self, at: Time, txn: TxnId, tag: u32) {
+        self.queue.schedule_at(at, Ev::Wake { txn, tag });
+    }
+
+    /// Books `us` of `phase` time on `txn` without scheduling anything
+    /// (batch protocols account phases while computing times arithmetically).
+    pub fn charge_phase(&mut self, txn: TxnId, phase: Phase, us: Time) {
+        self.txn_mut(txn).phase_us[phase.idx()] += us;
+    }
+
+    /// Acquires a worker at `node` without scheduling a wake; returns the
+    /// service interval. Batch protocols compose these grants into
+    /// per-transaction completion times.
+    pub fn cpu_grant(&mut self, node: NodeId, at: Time, dur: Time) -> (Time, Time) {
+        let grant = self.cluster.workers[node.idx()].acquire(at, dur);
+        (grant.start, grant.end)
+    }
+
+    // ----------------------------------------------------------------
+    // Fan-out joins
+    // ----------------------------------------------------------------
+
+    /// Starts a fan-out of `n` branches on `txn`.
+    pub fn join_begin(&mut self, txn: TxnId, n: u32) {
+        let ctx = self.txn_mut(txn);
+        ctx.pending = n;
+        ctx.failed = false;
+    }
+
+    /// Records one branch arrival. Returns `None` while branches remain,
+    /// `Some(all_ok)` when the last branch lands.
+    pub fn join_arrive(&mut self, txn: TxnId, ok: bool) -> Option<bool> {
+        let ctx = self.txn_mut(txn);
+        debug_assert!(ctx.pending > 0, "join_arrive without join_begin");
+        ctx.pending -= 1;
+        ctx.failed |= !ok;
+        if ctx.pending == 0 {
+            Some(!ctx.failed)
+        } else {
+            None
+        }
+    }
+
+    // ----------------------------------------------------------------
+    // Data operations (instantaneous state transitions; timing is the
+    // protocol's job via the primitives above)
+    // ----------------------------------------------------------------
+
+    /// Executes one declared operation at `node` (which must currently hold
+    /// the primary): reads record versions, writes are buffered.
+    pub fn exec_op_at(&mut self, node: NodeId, txn: TxnId, op: Op) -> Result<(), OpFail> {
+        let now = self.now();
+        let part = op.partition;
+        let until = self.cluster.available_at(part);
+        if until > now {
+            return Err(OpFail::Blocked { until });
+        }
+        if !self.cluster.placement.is_primary(part, node) {
+            return Err(OpFail::NotPrimary {
+                primary: self.cluster.placement.primary_of(part),
+            });
+        }
+        if self.cluster.split_active() && !self.cluster.same_side(self.txn(txn).home, node) {
+            // Honest split-brain: the serving primary is on the far side of
+            // the cut from this transaction's coordinator.
+            return Err(OpFail::Unreachable);
+        }
+        self.cluster.freq.record_access(part, node, now);
+        match op.kind {
+            OpKind::Read => {
+                let store = self.cluster.store_mut(node, part).expect("primary store");
+                match store.table.occ_read(op.key, txn) {
+                    OpOutcome::Ok { version } => {
+                        self.txn_mut(txn).read_set.push(ReadEntry {
+                            part,
+                            key: op.key,
+                            version,
+                        });
+                        Ok(())
+                    }
+                    _ => Err(OpFail::Locked),
+                }
+            }
+            OpKind::Write => {
+                self.txn_mut(txn)
+                    .write_set
+                    .push(WriteEntry { part, key: op.key });
+                Ok(())
+            }
+        }
+    }
+
+    /// Executes every operation of `txn` whose partition primary is at
+    /// `node`. Stops at the first failure.
+    pub fn exec_local_ops(&mut self, node: NodeId, txn: TxnId) -> Result<usize, OpFail> {
+        // Index walk instead of collecting the matching ops into a scratch
+        // `Vec`: this runs once per submission attempt, `Op` is tiny, and
+        // `exec_op_at` never changes the placement the filter reads.
+        let mut n = 0;
+        for i in 0..self.txn(txn).req.ops.len() {
+            let op = self.txn(txn).req.ops[i];
+            if !self.cluster.placement.is_primary(op.partition, node) {
+                continue;
+            }
+            self.exec_op_at(node, txn, op)?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// CPU demand for executing `n_reads` + `n_writes` operations.
+    pub fn op_cpu(&self, n_reads: usize, n_writes: usize) -> Time {
+        let c = &self.cfg.sim.cpu;
+        c.read_us * n_reads as u64 + c.write_us * n_writes as u64
+    }
+
+    /// OCC validation at `node`: prepare-locks the write set and validates
+    /// the read set for partitions whose primary is at `node`. On failure,
+    /// locks taken here are released and `false` is returned.
+    pub fn validate_at(&mut self, node: NodeId, txn: TxnId) -> bool {
+        let Engine { txns, cluster, .. } = self;
+        let ctx = txns.get(txn).expect("live transaction");
+        // Walk the sets in place (disjoint borrows: context is read-only,
+        // stores are mutated) instead of cloning them into scratch `Vec`s.
+        let mut ok = true;
+        for w in &ctx.write_set {
+            if !cluster.placement.is_primary(w.part, node) {
+                continue;
+            }
+            let store = cluster.store_mut(node, w.part).expect("primary store");
+            if !store.table.occ_lock(w.key, txn).is_ok() {
+                ok = false;
+                break;
+            }
+        }
+        if ok {
+            for r in &ctx.read_set {
+                if !cluster.placement.is_primary(r.part, node) {
+                    continue;
+                }
+                let store = cluster.store(node, r.part).expect("primary store");
+                if !store.table.occ_validate_read(r.key, r.version, txn).is_ok() {
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        if !ok {
+            // `occ_unlock` releases only what `txn` holds, so the entries
+            // past the one that failed to lock are left alone.
+            for w in &ctx.write_set {
+                if cluster.placement.is_primary(w.part, node) {
+                    let store = cluster.store_mut(node, w.part).expect("primary store");
+                    store.table.occ_unlock(w.key, txn);
+                }
+            }
+        }
+        ok
+    }
+
+    /// Installs `txn`'s writes at `node` (partitions whose primary is
+    /// local): stores synthesized payloads, bumps versions, appends to the
+    /// replication log. Must follow a successful [`Engine::validate_at`].
+    ///
+    /// A partition whose primary moved away between prepare-validation and
+    /// the commit decision (a remaster raced the 2PC window) can no longer
+    /// install here; its prepare-locks are released on every replica holder
+    /// instead — leaving them would poison the rows forever once the
+    /// partition remasters back.
+    pub fn install_at(&mut self, node: NodeId, txn: TxnId) {
+        self.install(txn, Some(node));
+    }
+
+    /// Installs `txn`'s writes directly at their current primaries without
+    /// prepare-locks. Used by protocols whose write phase is conflict-free by
+    /// construction (Star's serial single-master phase, deterministic
+    /// protocols whose lock schedule already serialized the writers).
+    pub fn install_unchecked(&mut self, txn: TxnId) {
+        self.install(txn, None);
+    }
+
+    /// Installs `txn`'s writes at their primaries — every one of them, or
+    /// with `only_at` just those primaried there.
+    fn install(&mut self, txn: TxnId, only_at: Option<NodeId>) {
+        let value_size = self.cfg.sim.value_size;
+        // Commit == ack without epoch group commit: an entry is
+        // client-visible the moment it installs, replicated or not (the
+        // hole the crash audit counts).
+        let acked_at_install = !self.epochs.enabled();
+        // Split borrow: the context is read in place (no write-set clone)
+        // while the stores are mutated.
+        let Engine { txns, cluster, .. } = self;
+        let ctx = txns.get(txn).expect("live transaction");
+        let attempt = ctx.attempts as u64;
+        for w in &ctx.write_set {
+            let primary = cluster.placement.primary_of(w.part);
+            if let Some(node) = only_at.filter(|&node| node != primary) {
+                if cluster.store(node, w.part).is_some() {
+                    unlock_everywhere(cluster, w, txn);
+                }
+                continue;
+            }
+            let stamp = txn.0.wrapping_mul(31).wrapping_add(attempt);
+            let value = Table::synth_value(w.key, stamp, value_size);
+            let store = cluster.store_mut(primary, w.part).expect("primary store");
+            let version = store.table.occ_install(w.key, txn, value.clone());
+            let lsn = store.log.append(w.part, w.key, version, value);
+            if acked_at_install {
+                store.log.mark_acked(lsn);
+            }
+            Self::assert_zero_copy_install(store, w.key);
+        }
+    }
+
+    /// Commit installs must be zero-copy: the row and the replication-log
+    /// entry it just produced share one payload allocation — synthesizing
+    /// the value is the *only* allocation an install performs. (The pre-PR2
+    /// path cloned the write set and then deep-copied the payload again in
+    /// `occ_install`.)
+    #[inline]
+    fn assert_zero_copy_install(store: &lion_storage::ReplicaStore, key: lion_common::Key) {
+        debug_assert!(
+            {
+                let row = store.table.get(key).expect("row just installed");
+                let entry = store.log.pending().last().expect("entry just appended");
+                lion_storage::Bytes::ptr_eq(&row.value, &entry.value)
+            },
+            "commit install copied the payload instead of sharing it"
+        );
+        let _ = (store, key);
+    }
+
+    /// Records the write set of `txn` from its declared ops without
+    /// executing reads (deterministic protocols declare sets up front).
+    pub fn load_declared_sets(&mut self, txn: TxnId) {
+        // Disjoint field borrows within one context: read the declared ops,
+        // append to the write set — no `req.ops` clone.
+        let TxnCtx { req, write_set, .. } = self.txn_mut(txn);
+        for op in req.ops.iter().filter(|op| op.kind == OpKind::Write) {
+            write_set.push(WriteEntry {
+                part: op.partition,
+                key: op.key,
+            });
+        }
+    }
+
+    /// Releases any prepare-locks `txn` may hold anywhere (abort path).
+    pub fn release_all(&mut self, txn: TxnId) {
+        let Engine { txns, cluster, .. } = self;
+        let ctx = txns.get(txn).expect("live transaction");
+        for w in &ctx.write_set {
+            unlock_everywhere(cluster, w, txn);
+        }
+    }
+
+    /// Synchronous prepare-log replication at a participant (§II-A: "each
+    /// participant ... replicates its prepare log to the corresponding
+    /// secondary replicas"). Books the max secondary round trip as
+    /// `Replication` time and wakes `(txn, tag)`.
+    pub fn replicate_prepare(&mut self, node: NodeId, txn: TxnId, tag: u32) {
+        let now = self.now();
+        let overhead = self.cfg.sim.net.msg_overhead_bytes as u64;
+        let value_size = self.cfg.sim.value_size;
+        let Engine {
+            txns,
+            cluster,
+            metrics,
+            obs,
+            ..
+        } = self;
+        let ctx = txns.get(txn).expect("live transaction");
+        let mut parts: Vec<PartitionId> = ctx
+            .write_set
+            .iter()
+            .map(|w| w.part)
+            .filter(|&p| cluster.placement.is_primary(p, node))
+            .collect();
+        parts.sort_unstable();
+        parts.dedup();
+        let mut max_rtt = 0;
+        for part in parts {
+            let writes_here = ctx.write_set.iter().filter(|w| w.part == part).count() as u32;
+            let bytes = writes_here * (value_size + 32);
+            let secondaries = cluster.placement.secondaries_of(part);
+            if secondaries.is_empty() {
+                continue;
+            }
+            // The prepare must reach *every* secondary: the slowest replica
+            // round trip gates the vote — a cross-zone secondary (rack-safe
+            // placement) stretches it by the zone surcharge both ways.
+            for &sec in secondaries {
+                let rtt = cluster.net_delay_between(node, sec, bytes)
+                    + cluster.net_delay_between(sec, node, 0);
+                max_rtt = max_rtt.max(rtt);
+            }
+            obs.emit(
+                metrics,
+                MetricEvent::Bytes {
+                    at: now,
+                    class: ByteClass::Message,
+                    bytes: secondaries.len() as u64 * (bytes as u64 + 2 * overhead),
+                    node: Some(node),
+                    zone: Some(cluster.zone(node)),
+                },
+            );
+        }
+        // Zero with no secondaries / read-only at this participant: the
+        // wake still fires, now.
+        self.sleep(max_rtt, Phase::Replication, txn, tag);
+    }
+
+    // ----------------------------------------------------------------
+    // Completion
+    // ----------------------------------------------------------------
+
+    /// Commits `txn`: records commit metrics and frees the context. The
+    /// *client-visible ack* depends on the durability mode: ack-at-commit
+    /// releases it here (and re-arms the issuing client in standard mode);
+    /// epoch group commit parks it in the open epoch until the epoch's
+    /// replication is durable. Batch protocols always advance their batch
+    /// barrier here — their pacing is the batch loop, not the ack.
+    pub fn commit(&mut self, txn: TxnId) {
+        let now = self.now();
+        let ctx = self.txns.remove(txn).expect("live transaction");
+        // Quorum fence: during an active split a commit whose writes touch a
+        // partition served from the non-quorum side can never replicate its
+        // writes to a majority of the replica set — its ack must not be
+        // allowed to turn durable. Ack-at-commit mode releases it anyway
+        // (the optimistic-minority-ack arm; the heal audit counts the leak),
+        // epoch mode parks it fenced until the heal coordinator retries it.
+        let fenced = self.cluster.split_active()
+            && ctx
+                .write_set
+                .iter()
+                .any(|w| self.cluster.quorum_side_of(w.part) != self.cluster.side_of(ctx.home));
+        self.emit(MetricEvent::Commit {
+            at: now,
+            latency_us: now.saturating_sub(ctx.start),
+            class: match ctx.class {
+                TxnClass::SingleNode => CommitClass::SingleNode,
+                TxnClass::Remastered => CommitClass::Remastered,
+                TxnClass::Distributed => CommitClass::Distributed,
+            },
+            node: ctx.home,
+            zone: self.cluster.zone(ctx.home),
+            phase_us: ctx.phase_us,
+        });
+        if fenced {
+            self.emit(MetricEvent::MinorityCommit { at: now });
+        }
+        if self.batch_mode {
+            self.batch_done_one();
+        }
+        let ack = PendingAck {
+            txn,
+            client: ctx.client,
+            seq: ctx.seq,
+            start: ctx.start,
+            committed_at: now,
+        };
+        self.ack_or_park(ack, fenced);
+    }
+
+    /// Aborts the current attempt and schedules a retry after the configured
+    /// back-off (standard mode).
+    pub fn abort_retry(&mut self, txn: TxnId) {
+        self.abort_attempt(txn, false, Requeue::Backoff);
+    }
+
+    /// Aborts the current attempt and defers the transaction to the next
+    /// batch (Aria-style carry-over; batch mode only).
+    pub fn abort_defer(&mut self, txn: TxnId) {
+        debug_assert!(self.batch_mode, "defer is a batch-mode operation");
+        self.abort_attempt(txn, false, Requeue::NextBatch);
+    }
+
+    /// Ends `txn`'s current attempt — records the abort, releases its
+    /// prepare-locks, resets the context (scheduled wakes go stale through
+    /// the attempt counter) — and parks it at `to` until its next one.
+    pub(super) fn abort_attempt(&mut self, txn: TxnId, fault: bool, to: Requeue) {
+        let now = self.now();
+        let home = self.txn(txn).home;
+        self.emit(MetricEvent::Abort {
+            at: now,
+            fault,
+            node: home,
+            zone: self.cluster.zone(home),
+        });
+        self.release_all(txn);
+        let ctx = self.txn_mut(txn);
+        ctx.reset_for_retry();
+        ctx.parked = true;
+        match to {
+            Requeue::Backoff => {
+                let backoff = self.cfg.sim.retry_backoff_us;
+                self.queue.schedule(backoff, Ev::Retry(txn));
+            }
+            Requeue::NextBatch => {
+                self.deferred.push(txn);
+                self.batch_done_one();
+            }
+            Requeue::Heal => {
+                // The issuing client blocks with it: no goodput is faked
+                // while the partition it needs sits across the cut.
+                self.heal_waiters.push(txn);
+                if self.batch_mode {
+                    self.batch_done_one();
+                }
+            }
+        }
+    }
+}
+
+/// Releases `txn`'s prepare-lock on `w` at every replica holder, so racing
+/// placement changes cannot leak it.
+fn unlock_everywhere(cluster: &mut Cluster, w: &WriteEntry, txn: TxnId) {
+    for node in cluster.placement.replica_nodes(w.part) {
+        if let Some(store) = cluster.store_mut(node, w.part) {
+            store.table.occ_unlock(w.key, txn);
+        }
+    }
+}

@@ -44,9 +44,9 @@ struct GroupRange {
     reads: u32,
 }
 
-/// Engine-owned state of one in-flight transaction. Protocols use `step`,
-/// `pending`, and `scratch` as state-machine scratch space; everything else
-/// is shared bookkeeping.
+/// Engine-owned state of one in-flight transaction. Protocols use `step`
+/// and `pending` as state-machine scratch space; everything else is shared
+/// bookkeeping.
 #[derive(Debug, Clone)]
 pub struct TxnCtx {
     /// Transaction id (stable across retries). Slab-allocated: encodes an
@@ -83,8 +83,6 @@ pub struct TxnCtx {
     pub class: TxnClass,
     /// Protocol scratch: current phase / partition-group index.
     pub step: u32,
-    /// Protocol scratch: free-form.
-    pub scratch: u64,
     /// Accumulated per-phase time for the latency breakdown (µs).
     pub phase_us: [u64; 5],
     /// Parked between attempts (retry back-off / deferred to the next
@@ -142,7 +140,6 @@ impl TxnCtx {
             participants: Vec::new(),
             class: TxnClass::SingleNode,
             step: 0,
-            scratch: 0,
             phase_us: [0; 5],
             parked: false,
             grouped_ops,
@@ -187,20 +184,7 @@ impl TxnCtx {
         self.participants.clear();
         self.class = TxnClass::SingleNode;
         self.step = 0;
-        self.scratch = 0;
         self.attempts += 1;
-    }
-
-    /// Groups the transaction's ops by partition, preserving first-touch
-    /// order: the executor processes one group at a time (and 2PC sends one
-    /// message per participant group, as in Fig. 1).
-    ///
-    /// Allocates owned `Vec`s from the precomputed grouping; hot paths use
-    /// [`TxnCtx::group_ops`] / [`TxnCtx::group_part`] instead.
-    pub fn partition_groups(&self) -> Vec<(PartitionId, Vec<lion_common::Op>)> {
-        (0..self.n_groups())
-            .map(|gi| (self.group_part(gi), self.group_ops(gi).to_vec()))
-            .collect()
     }
 }
 
@@ -214,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_groups_preserve_first_touch_order() {
+    fn groups_preserve_first_touch_order() {
         let req = TxnRequest::new(vec![
             Op::read(p(2), 1),
             Op::write(p(0), 2),
@@ -222,12 +206,12 @@ mod tests {
             Op::write(p(1), 4),
         ]);
         let ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 0);
-        let groups = ctx.partition_groups();
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].0, p(2));
-        assert_eq!(groups[0].1.len(), 2);
-        assert_eq!(groups[1].0, p(0));
-        assert_eq!(groups[2].0, p(1));
+        assert_eq!(ctx.n_groups(), 3);
+        assert_eq!(ctx.group_part(0), p(2));
+        assert_eq!(ctx.group_ops(0), [Op::read(p(2), 1), Op::read(p(2), 3)]);
+        assert_eq!(ctx.group_part(1), p(0));
+        assert_eq!(ctx.group_part(2), p(1));
+        assert_eq!(ctx.group_reads_writes(2), (0, 1));
     }
 
     #[test]

@@ -99,23 +99,13 @@ pub enum TxnPlacementClass {
 /// The returned cost mirrors Eq. 3 with a distributed-execution penalty per
 /// remote partition, so routers can pick "the node with maximum requisite
 /// replicas, where the execution cost is the lowest" (§III).
+///
+/// Zone-aware: each remote partition whose primary lives in a *different
+/// failure domain* than the candidate coordinator additionally pays `w_z` —
+/// its 2PC rounds cross the rack boundary. With `w_z = 0` or an empty
+/// `zone_of` map this is exactly the zone-oblivious score, so single-zone
+/// clusters are untouched.
 pub fn execution_cost(
-    placement: &Placement,
-    freq: &[f64],
-    parts: &[PartitionId],
-    n: NodeId,
-    w: CostWeights,
-) -> (TxnPlacementClass, f64) {
-    execution_cost_zoned(placement, freq, parts, n, w, &[])
-}
-
-/// Zone-aware Eq. 3: like [`execution_cost`], but each remote partition
-/// whose primary lives in a *different failure domain* than the candidate
-/// coordinator additionally pays `w_z` — its 2PC rounds cross the rack
-/// boundary. With `w_z = 0` or an empty `zone_of` map this is exactly the
-/// zone-oblivious score, so single-zone clusters and existing callers are
-/// untouched.
-pub fn execution_cost_zoned(
     placement: &Placement,
     freq: &[f64],
     parts: &[PartitionId],
@@ -151,29 +141,6 @@ pub fn execution_cost_zoned(
         TxnPlacementClass::AllPrimary
     };
     (class, cost)
-}
-
-/// Scans all nodes and returns the cheapest `(node, class, cost)` for a
-/// transaction, breaking ties toward the lower node id (deterministic).
-pub fn best_execution_node(
-    placement: &Placement,
-    freq: &[f64],
-    parts: &[PartitionId],
-    w: CostWeights,
-) -> (NodeId, TxnPlacementClass, f64) {
-    let mut best: Option<(NodeId, TxnPlacementClass, f64)> = None;
-    for n in 0..placement.n_nodes() as u16 {
-        let node = NodeId(n);
-        let (class, cost) = execution_cost(placement, freq, parts, node, w);
-        let better = match &best {
-            None => true,
-            Some((_, _, bc)) => cost < *bc,
-        };
-        if better {
-            best = Some((node, class, cost));
-        }
-    }
-    best.expect("cluster has at least one node")
 }
 
 #[cfg(test)]
@@ -243,26 +210,15 @@ mod tests {
         let freq = vec![0.0; 3];
         let w = CostWeights::default();
 
-        let (class, cost) = execution_cost(&pl, &freq, &[p(0)], n(0), w);
+        let (class, cost) = execution_cost(&pl, &freq, &[p(0)], n(0), w, &[]);
         assert_eq!(class, TxnPlacementClass::AllPrimary);
         assert_eq!(cost, 0.0);
 
-        let (class, _) = execution_cost(&pl, &freq, &[p(0), p(1)], n(0), w);
+        let (class, _) = execution_cost(&pl, &freq, &[p(0), p(1)], n(0), w, &[]);
         assert_eq!(class, TxnPlacementClass::NeedsRemaster { count: 1 });
 
-        let (class, _) = execution_cost(&pl, &freq, &[p(0), p(2)], n(0), w);
+        let (class, _) = execution_cost(&pl, &freq, &[p(0), p(2)], n(0), w, &[]);
         assert_eq!(class, TxnPlacementClass::Distributed { remote_parts: 1 });
-    }
-
-    #[test]
-    fn best_node_prefers_all_primary() {
-        let mut pl = Placement::round_robin(2, 2, 1);
-        pl.migrate_primary(p(1), n(0)).unwrap(); // both primaries on N0
-        let (node, class, cost) =
-            best_execution_node(&pl, &[0.0; 2], &[p(0), p(1)], CostWeights::default());
-        assert_eq!(node, n(0));
-        assert_eq!(class, TxnPlacementClass::AllPrimary);
-        assert_eq!(cost, 0.0);
     }
 
     #[test]
@@ -277,29 +233,18 @@ mod tests {
         // A txn over {p0, p1}: N0 and N1 both see one remote partition, but
         // its primary is rack-local — no surcharge. N2/N3 pay 2 × (w_m+w_z).
         let parts = [p(0), p(1)];
-        let (_, c_n0) = execution_cost_zoned(&pl, &freq, &parts, n(0), w, &zones);
-        let (_, c_n2) = execution_cost_zoned(&pl, &freq, &parts, n(2), w, &zones);
+        let (_, c_n0) = execution_cost(&pl, &freq, &parts, n(0), w, &zones);
+        let (_, c_n2) = execution_cost(&pl, &freq, &parts, n(2), w, &zones);
         assert_eq!(c_n0, w.w_m, "rack-local remote pays no zone term");
         assert_eq!(c_n2, 2.0 * (w.w_m + w.w_z), "cross-rack coordination");
         // With the term disabled (or no zone map) the scores are the
         // zone-oblivious Eq. 3 — N0 and N2 differ only by the remote count.
         let flat = CostWeights::default();
-        let (_, f_n0) = execution_cost_zoned(&pl, &freq, &parts, n(0), flat, &zones);
-        let (c0, e0) = execution_cost(&pl, &freq, &parts, n(0), flat);
+        let (_, f_n0) = execution_cost(&pl, &freq, &parts, n(0), flat, &zones);
+        let (c0, e0) = execution_cost(&pl, &freq, &parts, n(0), flat, &[]);
         assert_eq!(
             (c0, e0),
             (TxnPlacementClass::Distributed { remote_parts: 1 }, f_n0)
         );
-    }
-
-    #[test]
-    fn best_node_prefers_remaster_over_distributed() {
-        // p0 primary N0, secondary N1; p1 primary N1. At N1: remaster p0.
-        let mut pl = Placement::round_robin(2, 3, 1);
-        pl.add_secondary(p(0), n(1)).unwrap();
-        let (node, class, _) =
-            best_execution_node(&pl, &[0.0; 2], &[p(0), p(1)], CostWeights::default());
-        assert_eq!(node, n(1));
-        assert_eq!(class, TxnPlacementClass::NeedsRemaster { count: 1 });
     }
 }

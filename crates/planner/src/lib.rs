@@ -23,9 +23,7 @@ pub mod rearrange;
 pub mod schism;
 
 pub use clump::{generate_clumps, Clump};
-pub use cost::{
-    execution_cost, execution_cost_zoned, placement_cost, CostWeights, TxnPlacementClass,
-};
+pub use cost::{execution_cost, placement_cost, CostWeights, TxnPlacementClass};
 pub use graph::HeatGraph;
 pub use rearrange::{
     rearrange, rearrange_with_topology, PlanAction, PlanEntry, PlannerConfig, ReconfigurationPlan,

@@ -98,22 +98,6 @@ impl TemplateRegistry {
     pub fn ids(&self) -> impl Iterator<Item = TemplateId> {
         (0..self.templates.len() as u32).map(TemplateId)
     }
-
-    /// Drops templates with fewer than `min_total` lifetime arrivals,
-    /// compacting ids (memory hygiene for long runs; the paper notes
-    /// per-query tracking "can be costly").
-    pub fn prune(&mut self, min_total: f64) {
-        let keep: Vec<Template> = self
-            .templates
-            .drain(..)
-            .filter(|t| t.history.total() >= min_total)
-            .collect();
-        self.by_parts.clear();
-        for (i, t) in keep.iter().enumerate() {
-            self.by_parts.insert(t.parts.clone(), TemplateId(i as u32));
-        }
-        self.templates = keep;
-    }
 }
 
 #[cfg(test)]
@@ -157,21 +141,6 @@ mod tests {
         for id in reg.ids().collect::<Vec<_>>() {
             assert_eq!(reg.template(id).history.series().len(), 3);
         }
-    }
-
-    #[test]
-    fn prune_drops_rare_templates_and_reindexes() {
-        let mut reg = TemplateRegistry::new(1_000_000);
-        for _ in 0..10 {
-            reg.observe(&rec(0, &[1]));
-        }
-        reg.observe(&rec(0, &[2])); // rare
-        reg.prune(2.0);
-        assert_eq!(reg.len(), 1);
-        // surviving template keeps its data under a fresh dense id
-        let id = reg.observe(&rec(100, &[1]));
-        assert_eq!(id, TemplateId(0));
-        assert_eq!(reg.template(id).history.total(), 11.0);
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! sequence number is assigned at schedule time, so same-instant events fire
 //! in insertion order, which keeps whole simulations reproducible
 //! bit-for-bit. `tests/fel_properties.rs` property-tests this equivalence
-//! over arbitrary interleaved schedule/pop/cancel sequences, and the pinned
+//! over arbitrary interleaved schedule/pop/peek sequences, and the pinned
 //! `RunReport` digest goldens prove the engine-level swap was
-//! behavior-invisible.
+//! behavior-invisible. Nothing scheduled can be cancelled: the engine drops
+//! a stale event when it fires instead.
 //!
 //! ```
 //! use lion_sim::CalendarQueue;
@@ -35,23 +36,17 @@
 //! let mut q = CalendarQueue::new();
 //! q.schedule(30, "timeout");
 //! q.schedule(10, "net");
-//! let far = q.schedule(60_000_000, "fault-trigger"); // overflow rung
+//! q.schedule(60_000_000, "fault-trigger"); // overflow rung
 //! assert_eq!(q.peek_time(), Some(10));
 //! assert_eq!(q.pop(), Some((10, "net")));
-//! assert_eq!(q.cancel(far), Some("fault-trigger")); // cancelled, never fires
 //! assert_eq!(q.pop(), Some((30, "timeout")));
+//! assert_eq!(q.pop(), Some((60_000_000, "fault-trigger")));
 //! assert_eq!(q.pop(), None);
 //! ```
 
 use lion_common::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Handle naming one scheduled event, returned by
-/// [`CalendarQueue::schedule`] and redeemable with
-/// [`CalendarQueue::cancel`]. Handles are never reused within one queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(pub(crate) u64);
 
 pub(crate) struct Entry<E> {
     pub(crate) at: Time,
@@ -219,13 +214,13 @@ impl<E> CalendarQueue<E> {
 
     /// Schedules `event` to fire `delay` µs from now.
     #[inline]
-    pub fn schedule(&mut self, delay: Time, event: E) -> EventHandle {
+    pub fn schedule(&mut self, delay: Time, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
     /// Schedules `event` at absolute time `at`. Events scheduled in the past
     /// fire "now" (clamped), preserving monotonic time.
-    pub fn schedule_at(&mut self, at: Time, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: Time, event: E) {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
@@ -239,7 +234,6 @@ impl<E> CalendarQueue<E> {
             let buckets = self.wheel.len() * 2;
             self.rebuild(self.shift, buckets);
         }
-        EventHandle(seq)
     }
 
     /// Routes one entry to the current run, the wheel, or the overflow rung.
@@ -390,44 +384,6 @@ impl<E> CalendarQueue<E> {
         self.now = e.at;
         Some((e.at, e.event))
     }
-
-    /// Cancels a scheduled event, returning it if it was still pending.
-    ///
-    /// O(pending) — cancellation is a cold-path operation (the engine
-    /// tombstones stale wake-ups via the txn slab's generations instead);
-    /// the honest removal keeps [`CalendarQueue::len`] exact and the
-    /// remaining pop order untouched.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        if let Some(i) = self.current.iter().position(|e| e.seq == handle.0) {
-            return Some(self.current.remove(i).event);
-        }
-        for idx in 0..self.wheel.len() {
-            if let Some(i) = self.wheel[idx].iter().position(|e| e.seq == handle.0) {
-                let e = self.wheel[idx].remove(i);
-                self.wheel_len -= 1;
-                if self.wheel[idx].is_empty() {
-                    self.occupied[idx / 64] &= !(1 << (idx % 64));
-                }
-                return Some(e.event);
-            }
-        }
-        if self.overflow.iter().any(|e| e.seq == handle.0) {
-            let mut found = None;
-            self.overflow = std::mem::take(&mut self.overflow)
-                .into_iter()
-                .filter_map(|e| {
-                    if e.seq == handle.0 {
-                        found = Some(e.event);
-                        None
-                    } else {
-                        Some(e)
-                    }
-                })
-                .collect();
-            return found;
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -532,21 +488,6 @@ mod tests {
         q.schedule_at(120, 120);
         assert_eq!(q.pop(), Some((100, 100)));
         assert_eq!(q.pop().map(|(at, _)| at), Some(120));
-    }
-
-    #[test]
-    fn cancel_removes_pending_events_everywhere() {
-        let mut q = CalendarQueue::new();
-        let near = q.schedule(1, "near");
-        let mid = q.schedule(100, "mid");
-        let far = q.schedule(10_000_000, "far");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.cancel(far), Some("far"));
-        assert_eq!(q.cancel(mid), Some("mid"));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((1, "near")));
-        assert_eq!(q.cancel(near), None, "already fired");
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -45,13 +45,8 @@ pub mod queue;
 pub mod resource;
 pub mod series;
 
-pub use fel::{CalendarQueue, EventHandle};
+pub use fel::CalendarQueue;
 pub use hist::Histogram;
 pub use queue::HeapQueue;
 pub use resource::MultiServer;
 pub use series::{RingSeries, TimeSeries, RING_DEFAULT_BUCKETS};
-
-/// The engine's event-list type: the calendar queue. The alias documents
-/// that [`CalendarQueue`] and [`HeapQueue`] are drop-in interchangeable —
-/// same API, same deterministic pop order, different complexity.
-pub type EventQueue<E> = CalendarQueue<E>;

@@ -4,7 +4,7 @@
 //! future-event list, kept in-tree as the reference model:
 //! `tests/fel_properties.rs` drives it and the calendar queue
 //! ([`CalendarQueue`](crate::CalendarQueue), the engine's production FEL)
-//! with identical schedule/pop/cancel sequences and asserts byte-identical
+//! with identical schedule/pop/peek sequences and asserts byte-identical
 //! drain order.
 //!
 //! The pop order is strict `(timestamp, sequence-number)`: the sequence
@@ -16,13 +16,12 @@
 //!
 //! let mut q = HeapQueue::new();
 //! q.schedule(20, "b");
-//! let a = q.schedule(10, "a");
+//! q.schedule(10, "a");
 //! assert_eq!(q.peek_time(), Some(10));
-//! assert_eq!(q.cancel(a), Some("a"));
+//! assert_eq!(q.pop(), Some((10, "a")));
 //! assert_eq!(q.pop(), Some((20, "b")));
 //! ```
 
-use crate::fel::EventHandle;
 use lion_common::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -90,18 +89,17 @@ impl<E> HeapQueue<E> {
     }
 
     /// Schedules `event` to fire `delay` µs from now.
-    pub fn schedule(&mut self, delay: Time, event: E) -> EventHandle {
+    pub fn schedule(&mut self, delay: Time, event: E) {
         self.schedule_at(self.now + delay, event)
     }
 
     /// Schedules `event` at absolute time `at`. Events scheduled in the past
     /// fire "now" (clamped), preserving monotonic time.
-    pub fn schedule_at(&mut self, at: Time, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: Time, event: E) {
         let at = at.max(self.now);
         let seq = self.seq;
         self.heap.push(Scheduled { at, seq, event });
         self.seq += 1;
-        EventHandle(seq)
     }
 
     /// Pops the earliest event, advancing `now` to its timestamp.
@@ -115,28 +113,6 @@ impl<E> HeapQueue<E> {
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|s| s.at)
-    }
-
-    /// Cancels a scheduled event, returning it if it was still pending.
-    /// O(n) — the heap is rebuilt without the cancelled entry.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        let seq = handle.0;
-        if !self.heap.iter().any(|s| s.seq == seq) {
-            return None;
-        }
-        let mut found = None;
-        self.heap = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter_map(|s| {
-                if s.seq == seq {
-                    found = Some(s.event);
-                    None
-                } else {
-                    Some(s)
-                }
-            })
-            .collect();
-        found
     }
 
     /// Number of pending events.
@@ -217,16 +193,5 @@ mod tests {
         q.schedule(1, 3); // fires at 3, before event 2
         assert_eq!(q.pop(), Some((3, 3)));
         assert_eq!(q.pop(), Some((4, 2)));
-    }
-
-    #[test]
-    fn cancel_removes_only_the_named_event() {
-        let mut q = HeapQueue::new();
-        let a = q.schedule(10, "a");
-        let b = q.schedule(10, "b"); // same instant, later insertion
-        assert_eq!(q.cancel(a), Some("a"));
-        assert_eq!(q.cancel(a), None, "double-cancel is a no-op");
-        assert_eq!(q.pop(), Some((10, "b")));
-        assert_eq!(q.cancel(b), None, "already fired");
     }
 }

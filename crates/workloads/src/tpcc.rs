@@ -8,9 +8,8 @@
 //!
 //! Partition `w` holds warehouse `w`'s slice of every relation; composite
 //! primary keys are packed into the engine's 64-bit key space with a
-//! relation tag in the top byte. Row payload types with binary round-trip
-//! encodings are provided for population and standalone use; the simulated
-//! engine synthesizes write payloads of equivalent size.
+//! relation tag in the top byte. The simulated engine synthesizes write
+//! payloads; nothing here encodes a row.
 
 use crate::zipf::Zipf;
 use lion_common::{Key, Op, PartitionId, Time, TxnRequest, Workload};
@@ -74,164 +73,6 @@ pub fn decode_key(key: Key) -> Option<(Relation, u64, u64, u64)> {
     let c = key & 0xFFFF;
     Some((rel, a, b, c))
 }
-
-// ---------------------------------------------------------------------
-// Row payloads with binary round-trip encodings
-// ---------------------------------------------------------------------
-
-/// WAREHOUSE row (trimmed to the fields NewOrder/Payment touch).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarehouseRow {
-    /// Warehouse id.
-    pub w_id: u32,
-    /// Sales tax.
-    pub tax: f32,
-    /// Year-to-date balance.
-    pub ytd: f64,
-    /// Name (fixed 10 bytes, zero-padded).
-    pub name: [u8; 10],
-}
-
-/// DISTRICT row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistrictRow {
-    /// District id (1–10).
-    pub d_id: u8,
-    /// District tax.
-    pub tax: f32,
-    /// Year-to-date balance.
-    pub ytd: f64,
-    /// Next order number (the contended counter NewOrder increments).
-    pub next_o_id: u32,
-}
-
-/// CUSTOMER row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CustomerRow {
-    /// Customer id.
-    pub c_id: u32,
-    /// Discount rate.
-    pub discount: f32,
-    /// Balance.
-    pub balance: f64,
-    /// Last name (fixed 16 bytes, zero-padded).
-    pub last: [u8; 16],
-}
-
-/// STOCK row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StockRow {
-    /// Item id.
-    pub i_id: u32,
-    /// Quantity on hand (decremented by NewOrder).
-    pub quantity: i32,
-    /// Year-to-date units sold.
-    pub ytd: u32,
-    /// Orders served.
-    pub order_cnt: u32,
-}
-
-macro_rules! impl_fixed_codec {
-    ($ty:ident, $size:expr, |$row:ident, $buf:ident| $enc:block, |$data:ident| $dec:block) => {
-        impl $ty {
-            /// Encoded size in bytes.
-            pub const SIZE: usize = $size;
-
-            /// Serializes to a fixed-size buffer.
-            pub fn to_bytes(&self) -> [u8; $size] {
-                let $row = self;
-                let mut $buf = [0u8; $size];
-                $enc
-                $buf
-            }
-
-            /// Deserializes; `None` on short input.
-            pub fn from_bytes(data: &[u8]) -> Option<Self> {
-                if data.len() < $size {
-                    return None;
-                }
-                let $data = data;
-                Some($dec)
-            }
-        }
-    };
-}
-
-impl_fixed_codec!(
-    WarehouseRow,
-    26,
-    |r, buf| {
-        buf[0..4].copy_from_slice(&r.w_id.to_le_bytes());
-        buf[4..8].copy_from_slice(&r.tax.to_le_bytes());
-        buf[8..16].copy_from_slice(&r.ytd.to_le_bytes());
-        buf[16..26].copy_from_slice(&r.name);
-    },
-    |d| {
-        WarehouseRow {
-            w_id: u32::from_le_bytes(d[0..4].try_into().ok()?),
-            tax: f32::from_le_bytes(d[4..8].try_into().ok()?),
-            ytd: f64::from_le_bytes(d[8..16].try_into().ok()?),
-            name: d[16..26].try_into().ok()?,
-        }
-    }
-);
-
-impl_fixed_codec!(
-    DistrictRow,
-    17,
-    |r, buf| {
-        buf[0] = r.d_id;
-        buf[1..5].copy_from_slice(&r.tax.to_le_bytes());
-        buf[5..13].copy_from_slice(&r.ytd.to_le_bytes());
-        buf[13..17].copy_from_slice(&r.next_o_id.to_le_bytes());
-    },
-    |d| {
-        DistrictRow {
-            d_id: d[0],
-            tax: f32::from_le_bytes(d[1..5].try_into().ok()?),
-            ytd: f64::from_le_bytes(d[5..13].try_into().ok()?),
-            next_o_id: u32::from_le_bytes(d[13..17].try_into().ok()?),
-        }
-    }
-);
-
-impl_fixed_codec!(
-    CustomerRow,
-    32,
-    |r, buf| {
-        buf[0..4].copy_from_slice(&r.c_id.to_le_bytes());
-        buf[4..8].copy_from_slice(&r.discount.to_le_bytes());
-        buf[8..16].copy_from_slice(&r.balance.to_le_bytes());
-        buf[16..32].copy_from_slice(&r.last);
-    },
-    |d| {
-        CustomerRow {
-            c_id: u32::from_le_bytes(d[0..4].try_into().ok()?),
-            discount: f32::from_le_bytes(d[4..8].try_into().ok()?),
-            balance: f64::from_le_bytes(d[8..16].try_into().ok()?),
-            last: d[16..32].try_into().ok()?,
-        }
-    }
-);
-
-impl_fixed_codec!(
-    StockRow,
-    16,
-    |r, buf| {
-        buf[0..4].copy_from_slice(&r.i_id.to_le_bytes());
-        buf[4..8].copy_from_slice(&r.quantity.to_le_bytes());
-        buf[8..12].copy_from_slice(&r.ytd.to_le_bytes());
-        buf[12..16].copy_from_slice(&r.order_cnt.to_le_bytes());
-    },
-    |d| {
-        StockRow {
-            i_id: u32::from_le_bytes(d[0..4].try_into().ok()?),
-            quantity: i32::from_le_bytes(d[4..8].try_into().ok()?),
-            ytd: u32::from_le_bytes(d[8..12].try_into().ok()?),
-            order_cnt: u32::from_le_bytes(d[12..16].try_into().ok()?),
-        }
-    }
-);
 
 // ---------------------------------------------------------------------
 // Workload generator
@@ -463,39 +304,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn key_component_overflow_panics() {
         let _ = encode_key(Relation::Customer, 1 << 17, 0, 0);
-    }
-
-    #[test]
-    fn row_codecs_roundtrip() {
-        let w = WarehouseRow {
-            w_id: 7,
-            tax: 0.06,
-            ytd: 300_000.0,
-            name: *b"WAREHOUSE7",
-        };
-        assert_eq!(WarehouseRow::from_bytes(&w.to_bytes()), Some(w.clone()));
-        let d = DistrictRow {
-            d_id: 3,
-            tax: 0.01,
-            ytd: 30_000.0,
-            next_o_id: 3001,
-        };
-        assert_eq!(DistrictRow::from_bytes(&d.to_bytes()), Some(d.clone()));
-        let c = CustomerRow {
-            c_id: 42,
-            discount: 0.3,
-            balance: -10.0,
-            last: *b"BARBARBAR\0\0\0\0\0\0\0",
-        };
-        assert_eq!(CustomerRow::from_bytes(&c.to_bytes()), Some(c.clone()));
-        let s = StockRow {
-            i_id: 11,
-            quantity: 91,
-            ytd: 100,
-            order_cnt: 5,
-        };
-        assert_eq!(StockRow::from_bytes(&s.to_bytes()), Some(s.clone()));
-        assert_eq!(StockRow::from_bytes(&[0u8; 3]), None, "short input");
     }
 
     #[test]

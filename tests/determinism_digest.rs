@@ -18,7 +18,7 @@
 //!
 //! A golden may only move in a change that says why, in that comment.
 
-use lion::baselines::{clay, leap, two_pc};
+use lion::baselines::{clay, leap, two_pc, Aria, Calvin, Hermes, Lotus, Star};
 use lion::common::{NodeId, PlacementPolicy, SimConfig, ZoneId, SECOND};
 use lion::core::{Lion, LionConfig};
 use lion::engine::{Engine, EngineConfig, Protocol, RunReport};
@@ -147,6 +147,89 @@ const SCENARIOS: &[Scenario] = &[
         faults: crash_recover,
         horizon: SECOND,
         golden: 0x506300b9ae349872,
+    },
+    // The five batch baselines, without faults and through a crash: pinned
+    // by PR 17 at its parent commit `3e42397`, before `engine.rs` was split
+    // into `engine/` and their shared bodies moved into `baselines/batch.rs`
+    // — they are the only users of `cpu_grant`, `wake_at`, `charge_phase`,
+    // `install_unchecked`, `load_declared_sets` and `exec_local_ops`.
+    //
+    // Star: partition phase + single-master phase through the super node
+    // (`cpu_grant`, `wake_at`, `exec_local_ops`, `install_unchecked`).
+    Scenario {
+        name: "star-ycsb",
+        build: || Box::new(Star::new()),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0x950f2f74ebc237ac,
+    },
+    Scenario {
+        name: "star-crash-recover",
+        build: || Box::new(Star::new()),
+        faults: crash_recover,
+        horizon: SECOND,
+        golden: 0xb877ffb7a030fbbd,
+    },
+    // Calvin: single-threaded lock manager + deterministic execution
+    // (`load_declared_sets`, `charge_phase`, `cpu_grant`, `wake_at`).
+    Scenario {
+        name: "calvin-ycsb",
+        build: || Box::new(Calvin::new()),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0x75128738457bda64,
+    },
+    Scenario {
+        name: "calvin-crash-recover",
+        build: || Box::new(Calvin::new()),
+        faults: crash_recover,
+        horizon: SECOND,
+        golden: 0x392537ece8359cac,
+    },
+    // Hermes: Calvin's pipeline behind prescient demand migration.
+    Scenario {
+        name: "hermes-ycsb",
+        build: || Box::new(Hermes::new()),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0xd5fce33864d1f5f0,
+    },
+    Scenario {
+        name: "hermes-crash-recover",
+        build: || Box::new(Hermes::new()),
+        faults: crash_recover,
+        horizon: SECOND,
+        golden: 0x3a0ed04d0a511eb5,
+    },
+    // Aria: parallel execution, reservation check, `abort_defer` carry-over.
+    Scenario {
+        name: "aria-ycsb",
+        build: || Box::new(Aria::new()),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0xc0f488845ae16fb8,
+    },
+    Scenario {
+        name: "aria-crash-recover",
+        build: || Box::new(Aria::new()),
+        faults: crash_recover,
+        horizon: SECOND,
+        golden: 0x3779bec4599842e6,
+    },
+    // Lotus: epoch row claims, asynchronous commit at completion time.
+    Scenario {
+        name: "lotus-ycsb",
+        build: || Box::new(Lotus::new()),
+        faults: FaultPlan::none,
+        horizon: SECOND,
+        golden: 0xc5d64df35b1c20b1,
+    },
+    Scenario {
+        name: "lotus-crash-recover",
+        build: || Box::new(Lotus::new()),
+        faults: crash_recover,
+        horizon: SECOND,
+        golden: 0xbc413939745c2f14,
     },
 ];
 

@@ -3,47 +3,35 @@
 //! The engine's determinism contract requires the future-event list to pop
 //! in strict `(timestamp, sequence-number)` order — the heap's tie-break.
 //! These properties drive [`CalendarQueue`] and [`HeapQueue`] through
-//! identical, arbitrarily interleaved schedule/pop/cancel/peek sequences
+//! identical, arbitrarily interleaved schedule/pop/peek sequences
 //! and assert the two drain in exactly the same order, across bucket-wheel
 //! wraps, overflow-rung promotion, and deterministic resizes.
 
-use lion::sim::{CalendarQueue, EventHandle, HeapQueue};
+use lion::sim::{CalendarQueue, HeapQueue};
 use proptest::prelude::*;
 
-/// One scripted operation, decoded from `(kind, magnitude, pick)`.
+/// One scripted operation, decoded from `(kind, magnitude)`.
 ///
 /// kinds 0..=2 schedule with increasing horizons — 2 lands far beyond the
-/// default wheel horizon (the overflow rung); 3 pops; 4 cancels one of the
-/// previously issued handles; 5 peeks.
+/// default wheel horizon (the overflow rung); 3 pops; 4 peeks.
 fn apply(
-    ops: &[(u8, u64, usize)],
+    ops: &[(u8, u64)],
     cal: &mut CalendarQueue<u64>,
     heap: &mut HeapQueue<u64>,
 ) -> Result<(), proptest::TestCaseError> {
-    let mut handles: Vec<EventHandle> = Vec::new();
     let mut tag = 0u64;
-    for &(kind, mag, pick) in ops {
+    for &(kind, mag) in ops {
         match kind {
             3 => prop_assert_eq!(cal.pop(), heap.pop()),
-            4 => {
-                if !handles.is_empty() {
-                    // Both queues assign sequence numbers in lock-step, so
-                    // one handle addresses the same event in both.
-                    let h = handles[pick % handles.len()];
-                    prop_assert_eq!(cal.cancel(h), heap.cancel(h));
-                }
-            }
-            5 => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
+            4 => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
             _ => {
                 let delay = match kind {
                     0 => mag % 200,                     // short horizon: net/cpu delays
                     1 => mag % 20_000,                  // mid horizon: epoch timers
                     _ => 1_000_000 + mag % 100_000_000, // far: overflow rung
                 };
-                let hc = cal.schedule(delay, tag);
-                let hh = heap.schedule(delay, tag);
-                prop_assert_eq!(hc, hh, "handles must stay in lock-step");
-                handles.push(hc);
+                cal.schedule(delay, tag);
+                heap.schedule(delay, tag);
                 tag += 1;
             }
         }
@@ -67,7 +55,7 @@ proptest! {
     /// identical order from both implementations.
     #[test]
     fn calendar_matches_heap_reference(
-        ops in proptest::collection::vec((0u8..6, 0u64..u64::MAX / 2, 0usize..1024), 1..400),
+        ops in proptest::collection::vec((0u8..5, 0u64..u64::MAX / 2), 1..400),
     ) {
         let mut cal = CalendarQueue::new();
         let mut heap = HeapQueue::new();
@@ -83,16 +71,16 @@ proptest! {
     /// threshold (>= 600 schedules, 1 pop per 10 ⇒ peak >= 540 > 2×256).
     #[test]
     fn resizes_preserve_drain_order(
-        ops in proptest::collection::vec((0u64..u64::MAX / 2, 0usize..1024), 600..900),
+        ops in proptest::collection::vec(0u64..u64::MAX / 2, 600..900),
     ) {
         let mut cal = CalendarQueue::new();
         let mut heap = HeapQueue::new();
         let buckets_before = cal.buckets();
-        let mut script: Vec<(u8, u64, usize)> = Vec::new();
-        for (i, &(mag, pick)) in ops.iter().enumerate() {
-            script.push((0, mag, pick)); // near-horizon schedule
+        let mut script: Vec<(u8, u64)> = Vec::new();
+        for (i, &mag) in ops.iter().enumerate() {
+            script.push((0, mag)); // near-horizon schedule
             if i % 10 == 9 {
-                script.push((3, 0, 0)); // pop: exercise draining mid-growth
+                script.push((3, 0)); // pop: exercise draining mid-growth
             }
         }
         apply(&script, &mut cal, &mut heap)?;

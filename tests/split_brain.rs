@@ -197,6 +197,51 @@ fn heal_restores_replication_factor() {
     }
 }
 
+/// Regression: a primary that crashes *inside* the window is still down at
+/// the heal, its failover promotion in flight, so the snapshot copies the
+/// heal owes that partition's dropped replicas have nothing to copy from.
+/// The heal used to meet the refusal with `debug_assert!(false, …)` — a
+/// panic on a plan `validate_against` accepts — and, in release, count one
+/// conflict and leave the partition a replica short for good. The re-add
+/// now waits for the promotion to land.
+#[test]
+fn heal_re_adds_replicas_whose_primary_is_mid_failover() {
+    let sim = SimConfig {
+        nodes: 6,
+        partitions_per_node: 2,
+        replication_factor: 5,
+        max_replicas: 5,
+        ..sim(0)
+    };
+    let rf = sim.replication_factor;
+    let cfg = EngineConfig {
+        sim,
+        // N5 is cut off at 200 ms; N2 dies 10 ms before the heal, so its
+        // partitions' ~53 ms promotions are still in flight when it lands.
+        faults: FaultPlan::new()
+            .partition_at(200_000, vec![NodeId(5)])
+            .crash_at(390_000, NodeId(2))
+            .heal_at(400_000)
+            .recover_at(500_000, NodeId(2))
+            .with_split_brain(),
+        durability: DurabilityConfig::epoch(5_000),
+        ..EngineConfig::default()
+    };
+    let wl = YcsbConfig::for_cluster(6, 2, 1_000).with_mix(0.5, 0.3);
+    let mut eng = Engine::new(cfg, Box::new(YcsbWorkload::new(wl.with_seed(7))));
+    let report = eng.run(&mut two_pc(), SECOND);
+    assert_eq!((report.partitions_healed, report.crashes), (1, 1));
+    assert!(report.failovers > 0, "N2's partitions promoted a survivor");
+    for p in 0..eng.cluster.n_partitions() as u32 {
+        let holders = eng.cluster.placement.replica_nodes(PartitionId(p));
+        assert!(
+            holders.len() >= rf,
+            "P{p} still under-replicated at the horizon (holders: {holders:?})"
+        );
+    }
+    eng.cluster.check_invariants().unwrap();
+}
+
 /// Lion with one scripted adaptor sequence on a partition the `{N2, N3}`
 /// cut strands on the non-quorum side (its primary isolated, its quorum at
 /// rest): as the window opens a same-side replica is copied onto the other
