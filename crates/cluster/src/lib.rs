@@ -15,12 +15,26 @@
 //!
 //! Timing is decided here (durations, bytes); the engine schedules the
 //! corresponding events on the virtual clock.
+//!
+//! One `Cluster` struct, five plain `impl Cluster` files, one job each
+//! (ARCHITECTURE.md § Cluster modules): `cluster.rs` the struct and its read
+//! accessors, `replicas.rs` every write to the replica set and every log
+//! shipment, `transfer.rs` the hand-off state machine and the adaptor
+//! operations, `failure.rs` crash/failover/restart, `split.rs` the
+//! split-brain view.
 
+mod cluster;
+mod failure;
 pub mod freq;
-pub mod topology;
+mod replicas;
+mod split;
+#[cfg(test)]
+mod tests;
+mod transfer;
 
+pub use cluster::Cluster;
+pub use failure::{CrashReport, RecoveryReport};
 pub use freq::FreqTracker;
-pub use topology::{
-    AdaptorError, Cluster, CrashReport, EpochFlush, PartitionRuntime, RecoveryReport, SplitBrain,
-    Transfer, LAG_SYNC_US_PER_ENTRY,
-};
+pub use replicas::EpochFlush;
+pub use split::SplitBrain;
+pub use transfer::{AdaptorError, PartitionRuntime, Transfer, LAG_SYNC_US_PER_ENTRY};

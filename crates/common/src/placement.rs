@@ -102,21 +102,15 @@ impl Placement {
             replication_factor <= n_nodes,
             "replication factor {replication_factor} exceeds node count {n_nodes}"
         );
-        let mut primary = Vec::with_capacity(n_partitions);
-        let mut secondaries = Vec::with_capacity(n_partitions);
-        for p in 0..n_partitions {
-            let home = p % n_nodes;
-            primary.push(NodeId(home as u16));
-            let secs = (1..replication_factor)
-                .map(|j| NodeId(((home + j) % n_nodes) as u16))
-                .collect();
-            secondaries.push(secs);
-        }
-        Placement {
+        // One zone asks nothing of the spread: its ring-order fill is the
+        // round-robin.
+        Self::zone_spread(
+            n_partitions,
             n_nodes,
-            primary,
-            secondaries,
-        }
+            replication_factor,
+            &vec![ZoneId(0); n_nodes],
+            1,
+        )
     }
 
     /// Builds the zone-safe variant of the default layout: primaries still
@@ -265,6 +259,26 @@ impl Placement {
         zones.sort_unstable();
         zones.dedup();
         zones.len()
+    }
+
+    /// The split-brain quorum rule, stated once: with a cut sorting the
+    /// nodes into sides `0` and `1`, the side whose *live* holders of `part`
+    /// form a strict majority of its **full** replica set. `None` when
+    /// neither side does — no side could fence the other.
+    pub fn quorum_side(
+        &self,
+        part: PartitionId,
+        is_live: impl Fn(NodeId) -> bool,
+        side_of: impl Fn(NodeId) -> u8,
+    ) -> Option<u8> {
+        let holders = self.replica_nodes(part);
+        let mut live = [0usize; 2];
+        for &h in &holders {
+            if is_live(h) {
+                live[usize::from(side_of(h))] += 1;
+            }
+        }
+        (0..2u8).find(|&side| live[usize::from(side)] * 2 > holders.len())
     }
 
     /// Number of primary replicas hosted on `node`.
@@ -512,6 +526,24 @@ mod tests {
             pl.add_secondary(p(0), n(9)),
             Err(PlacementError::UnknownNode(n(9)))
         );
+    }
+
+    #[test]
+    fn quorum_side_is_a_strict_majority_of_the_full_replica_set() {
+        // round_robin(4, 4, 3): holders of p_i = {i, i+1, i+2 mod 4}; the
+        // cut isolates {N2, N3}.
+        let pl = Placement::round_robin(4, 4, 3);
+        let side = |h: NodeId| u8::from(h.0 >= 2);
+        let all_up = |_: NodeId| true;
+        assert_eq!(pl.quorum_side(p(0), all_up, side), Some(0), "{{0,1,2}}");
+        assert_eq!(pl.quorum_side(p(1), all_up, side), Some(1), "{{1,2,3}}");
+        assert_eq!(pl.quorum_side(p(2), all_up, side), Some(1), "{{2,3,0}}");
+        assert_eq!(pl.quorum_side(p(3), all_up, side), Some(0), "{{3,0,1}}");
+        // N1 dead: p0's live holders split 1/1 — one of three is no majority
+        // on either side — while p1 keeps {N2, N3} on the isolated side.
+        let n1_dead = |h: NodeId| h != n(1);
+        assert_eq!(pl.quorum_side(p(0), n1_dead, side), None);
+        assert_eq!(pl.quorum_side(p(1), n1_dead, side), Some(1));
     }
 
     #[test]

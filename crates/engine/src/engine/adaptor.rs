@@ -31,8 +31,7 @@ impl Engine {
         to: NodeId,
         then_remaster: bool,
     ) -> Result<Time, AdaptorError> {
-        let now = self.now();
-        let (d, bytes) = self.cluster.begin_add_replica(part, to, now)?;
+        let (d, bytes) = self.cluster.begin_add_replica(part, to)?;
         self.emit_bytes(ByteClass::Migration, bytes);
         self.queue.schedule(
             d,

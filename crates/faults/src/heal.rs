@@ -19,7 +19,7 @@
 //! Like the rest of this crate, nothing here touches the virtual clock:
 //! the engine executes the returned decisions by scheduling events.
 
-use crate::recovery::{price_promotion, select_promotion_target, PromotionCandidate};
+use crate::recovery::{candidates_on_side, price_promotion, select_promotion_target};
 use lion_cluster::Cluster;
 use lion_common::{NodeId, PartitionId, Time};
 
@@ -61,25 +61,6 @@ pub struct SplitDecision {
     pub action: SplitAction,
 }
 
-/// Replicas of `part` on `side` eligible to lead it (live, holding a
-/// store, counted among the placement's secondaries).
-fn side_candidates(cluster: &Cluster, part: PartitionId, side: u8) -> Vec<PromotionCandidate> {
-    cluster
-        .placement
-        .secondaries_of(part)
-        .iter()
-        .copied()
-        .filter(|&n| cluster.is_up(n) && cluster.side_of(n) == side)
-        .filter_map(|n| {
-            cluster.store(n, part).map(|s| PromotionCandidate {
-                node: n,
-                applied_lsn: s.applied_lsn,
-                has_gap: s.has_gap(),
-            })
-        })
-        .collect()
-}
-
 /// Plans the quorum side's response to a just-opened split-brain window
 /// (the window must already be open on `cluster`). Returns one decision per
 /// partition whose serving primary sits on the non-quorum side, in
@@ -98,7 +79,7 @@ pub fn plan_split_promotions(cluster: &Cluster) -> Vec<SplitDecision> {
         if cluster.side_of(primary) == qs {
             continue;
         }
-        let candidates = side_candidates(cluster, part, qs);
+        let candidates = candidates_on_side(cluster, part, qs);
         let action = match select_promotion_target(&candidates) {
             // Cross-cut promotion never syncs lag: detection + hand-off only.
             Some(target) if qs == 0 => SplitAction::Promote {
@@ -147,7 +128,7 @@ pub fn plan_heal(cluster: &Cluster) -> Vec<HealStep> {
             cluster
                 .shadow_of(part)
                 .filter(|&t| cluster.is_up(t))
-                .or_else(|| select_promotion_target(&side_candidates(cluster, part, qs)))
+                .or_else(|| select_promotion_target(&candidates_on_side(cluster, part, qs)))
         } else {
             None
         };

@@ -272,28 +272,6 @@ impl FaultPlan {
         let mut down = vec![false; n_nodes];
         let mut isolated: Option<Vec<NodeId>> = None;
         let mut lowered = Vec::with_capacity(self.events.len());
-        // Split-brain quorum rule: with the cut `iso` open, every data
-        // partition needs one side whose live holders form a strict
-        // majority of the *full* replica set.
-        let quorum_check =
-            |at: Time, down: &[bool], iso: &[NodeId]| -> Result<(), FaultPlanError> {
-                let Some(pl) = placement else { return Ok(()) };
-                for p in 0..pl.n_partitions() {
-                    let part = PartitionId(p as u32);
-                    let holders = pl.replica_nodes(part);
-                    let rf = holders.len();
-                    let mut live = [0usize; 2];
-                    for h in &holders {
-                        if !down[h.idx()] {
-                            live[usize::from(iso.contains(h))] += 1;
-                        }
-                    }
-                    if live[0] * 2 <= rf && live[1] * 2 <= rf {
-                        return Err(FaultPlanError::NoQuorumSide { at, part });
-                    }
-                }
-                Ok(())
-            };
         let check = |n: NodeId| {
             if n.idx() >= n_nodes {
                 Err(FaultPlanError::UnknownNode(n))
@@ -414,9 +392,13 @@ impl FaultPlan {
             );
             if self.split_brain && !restores {
                 // The cut itself, or a crash inside its window, can cost a
-                // partition its quorum side.
-                if let Some(iso) = &isolated {
-                    quorum_check(ev.at, &down, iso)?;
+                // partition its quorum side (`Placement::quorum_side`).
+                if let (Some(iso), Some(pl)) = (&isolated, placement) {
+                    let (live, side) = (|h: NodeId| !down[h.idx()], |h| u8::from(iso.contains(&h)));
+                    let mut parts = (0..pl.n_partitions() as u32).map(PartitionId);
+                    if let Some(part) = parts.find(|&p| pl.quorum_side(p, live, side).is_none()) {
+                        return Err(FaultPlanError::NoQuorumSide { at: ev.at, part });
+                    }
                 }
             }
             if down.iter().all(|&d| d) {

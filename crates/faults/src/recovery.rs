@@ -115,13 +115,24 @@ pub struct FailoverDecision {
 /// side that hosted the node, and promoting across the cut would hand the
 /// partition to nodes the coordinator cannot even reach.
 pub fn promotion_candidates(cluster: &Cluster, part: PartitionId) -> Vec<PromotionCandidate> {
-    let primary = cluster.placement.primary_of(part);
+    let side = cluster.side_of(cluster.placement.primary_of(part));
+    candidates_on_side(cluster, part, side)
+}
+
+/// Replicas of `part` on `side` of the cut eligible to lead it: live,
+/// holding a store, listed among the placement's secondaries (every node is
+/// on side `0` outside split-brain windows).
+pub(crate) fn candidates_on_side(
+    cluster: &Cluster,
+    part: PartitionId,
+    side: u8,
+) -> Vec<PromotionCandidate> {
     cluster
         .placement
         .secondaries_of(part)
         .iter()
         .copied()
-        .filter(|&n| cluster.is_up(n) && cluster.same_side(n, primary))
+        .filter(|&n| cluster.is_up(n) && cluster.side_of(n) == side)
         .filter_map(|n| {
             cluster.store(n, part).map(|s| PromotionCandidate {
                 node: n,

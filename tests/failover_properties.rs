@@ -30,6 +30,17 @@ fn spec_select(cands: &[PromotionCandidate]) -> Option<NodeId> {
         .map(|(_, std::cmp::Reverse(node))| node)
 }
 
+/// One commit at `part`'s primary, stamped `at`: installed and logged, but
+/// unshipped until the next flush or hand-off sync.
+fn commit_at_primary(c: &mut Cluster, part: PartitionId, key: u64, at: Time, value_size: u32) {
+    let txn = TxnId(at);
+    let store = c.primary_store_mut(part);
+    store.table.occ_lock(key, txn);
+    let value = Table::synth_value(key, at, value_size);
+    let v = store.table.occ_install(key, txn, value.clone());
+    store.log.append(part, key, v, value);
+}
+
 /// A bare [`Cluster`] driven the way the engine drives it, minus the clock:
 /// completions are "scheduled" into a bag stamped with the generation their
 /// start opened and delivered whenever the generated script says so.
@@ -95,18 +106,16 @@ impl Driver {
 
     /// The split-brain rule plan validation enforces for every instant of a
     /// window (`FaultPlanError::NoQuorumSide`): with `cut` open and `dying`
-    /// about to crash, each partition keeps one side whose live holders are
-    /// a strict majority of its replica set.
+    /// about to crash, each partition keeps a quorum side. A generator
+    /// filter mirroring validation, not an oracle — it calls the rule.
     fn quorum_survives(&self, cut: &[NodeId], dying: Option<NodeId>) -> bool {
+        let live = |h: NodeId| self.c.is_up(h) && Some(h) != dying;
+        let side = |h: NodeId| u8::from(cut.contains(&h));
         (0..self.c.n_partitions() as u32).all(|p| {
-            let holders = self.c.placement.replica_nodes(PartitionId(p));
-            let mut live = [0usize; 2];
-            for h in &holders {
-                if self.c.is_up(*h) && Some(*h) != dying {
-                    live[usize::from(cut.contains(h))] += 1;
-                }
-            }
-            live[0] * 2 > holders.len() || live[1] * 2 > holders.len()
+            self.c
+                .placement
+                .quorum_side(PartitionId(p), live, side)
+                .is_some()
         })
     }
 
@@ -127,7 +136,7 @@ impl Driver {
                 }
             }
             2 => {
-                let _ = self.c.begin_add_replica(part, node, now);
+                let _ = self.c.begin_add_replica(part, node);
             }
             3 => {
                 // A background copy lands (the engine's `replica_copied`).
@@ -186,7 +195,7 @@ impl Driver {
                     return;
                 }
                 for part in self.c.recover_node(node, now).rejoin_secondaries {
-                    let _ = self.c.begin_add_replica(part, node, now);
+                    let _ = self.c.begin_add_replica(part, node);
                 }
             }
             7 => {
@@ -249,15 +258,7 @@ impl Driver {
                 if !self.c.is_up(primary) {
                     return;
                 }
-                let (key, txn) = (b as u64 % 16, TxnId(now));
-                let store = self.c.primary_store_mut(part);
-                store.table.occ_lock(key, txn);
-                let v = store
-                    .table
-                    .occ_install(key, txn, Table::synth_value(key, now, 8));
-                store
-                    .log
-                    .append(part, key, v, Table::synth_value(key, now, 8));
+                commit_at_primary(&mut self.c, part, b as u64 % 16, now, 8);
             }
             _ => {
                 self.c.epoch_flush_all();
@@ -265,11 +266,49 @@ impl Driver {
         }
     }
 
+    /// Every secondary store that sits across an open cut from its
+    /// partition's serving primary, with what it has applied and whether it
+    /// holds a parked entry. Empty outside split-brain windows. Reads only
+    /// `store()`, `side_of` and `placement` — none of the shipping code.
+    fn cut_off_secondaries(&self) -> Vec<(PartitionId, NodeId, u64, bool)> {
+        let mut out = Vec::new();
+        for p in 0..self.c.n_partitions() as u32 {
+            let part = PartitionId(p);
+            let primary_side = self.c.side_of(self.c.placement.primary_of(part));
+            for &sec in self.c.placement.secondaries_of(part) {
+                if self.c.side_of(sec) != primary_side {
+                    let s = self
+                        .c
+                        .store(sec, part)
+                        .expect("listed secondary has a store");
+                    out.push((part, sec, s.applied_lsn, s.has_gap()));
+                }
+            }
+        }
+        out
+    }
+
     /// `check_invariants`, plus: a partition with a hand-off in flight is
     /// owed exactly one scheduled completion stamped with its current
-    /// generation, an `Idle` or `Stalled` one none.
-    fn check(&self) -> Result<(), String> {
+    /// generation, an `Idle` or `Stalled` one none; and no log entry crossed
+    /// the cut during the last step — a secondary cut off from its serving
+    /// primary both before (`cut_off_before`) and after the step neither
+    /// advanced its frontier nor parked an entry.
+    fn check(&self, cut_off_before: &[(PartitionId, NodeId, u64, bool)]) -> Result<(), String> {
         self.c.check_invariants()?;
+        for &(part, sec, applied, parked) in &self.cut_off_secondaries() {
+            let before = cut_off_before
+                .iter()
+                .find(|&&(p, n, ..)| (p, n) == (part, sec));
+            if let Some(&(_, _, applied_before, parked_before)) = before {
+                if applied != applied_before || (parked && !parked_before) {
+                    return Err(format!(
+                        "{part}: an entry crossed the cut to {sec} \
+                         (applied {applied_before} -> {applied}, parked {parked_before} -> {parked})"
+                    ));
+                }
+            }
+        }
         for (p, rt) in self.c.parts.iter().enumerate() {
             let current = self
                 .scheduled
@@ -288,21 +327,83 @@ impl Driver {
     }
 }
 
+/// 4 nodes × rf 3, one partition per node (holders of p_i = {i, i+1, i+2
+/// mod 4}) with the cut {N2, N3} open: p3's primary N3 serves the isolated
+/// side, cut off from its secondaries N0 and N1 and from its quorum.
+fn cut_cluster() -> Cluster {
+    let mut c = Cluster::new(SimConfig {
+        nodes: 4,
+        partitions_per_node: 1,
+        keys_per_partition: 32,
+        value_size: 16,
+        replication_factor: 3,
+        max_replicas: 4,
+        ..Default::default()
+    });
+    c.begin_split(&[NodeId(2), NodeId(3)], 1_000);
+    c
+}
+
+/// The secondaries across the cut saw nothing of the fenced write, so the
+/// quorum side's promotion adopts an empty head.
+fn assert_nothing_crossed(c: &mut Cluster, part: PartitionId) {
+    for across in [NodeId(0), NodeId(1)] {
+        let s = c.store(across, part).expect("listed secondary");
+        assert_eq!(s.applied_lsn, 0, "{across} applied a fenced minority write");
+        assert!(!s.has_gap(), "{across} parked a fenced minority write");
+    }
+    c.split_promote(part, NodeId(0), 9_000);
+    assert_eq!(
+        c.store(NodeId(0), part).expect("promoted").log.head_lsn(),
+        0,
+        "the quorum side adopted the minority's post-cut write as its head"
+    );
+    c.check_invariants().unwrap();
+}
+
+/// Regression: the hand-off sync of a remaster or migration that completes
+/// inside a split-brain window shipped the cut-off primary's post-cut
+/// buffer to every listed secondary, cut or no cut, so a later quorum-side
+/// promotion adopted fenced minority writes as its durable head.
+#[test]
+fn a_hand_off_inside_a_cut_ships_nothing_across_it() {
+    let (p3, n2) = (PartitionId(3), NodeId(2));
+
+    // A same-side remaster N3 -> N2, onto a replica added inside the window.
+    let mut c = cut_cluster();
+    let (copy, _) = c.begin_add_replica(p3, n2).unwrap();
+    c.finish_add_replica(p3, n2, 1_000 + copy);
+    commit_at_primary(&mut c, p3, 5, 1, 16);
+    let window = c.begin_remaster(p3, n2, 5_000).unwrap();
+    let bytes = c.finish_remaster(p3, 5_000 + window);
+    assert_eq!(bytes, 16 + 32, "one entry to the one same-side secondary");
+    assert_nothing_crossed(&mut c, p3);
+
+    // A same-side migration N3 -> N2 runs the same sync before the move.
+    let mut c = cut_cluster();
+    commit_at_primary(&mut c, p3, 5, 1, 16);
+    let (blackout, _) = c.begin_migration(p3, n2, 5_000).unwrap();
+    c.finish_migration(p3, 5_000 + blackout);
+    assert_nothing_crossed(&mut c, p3);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Any interleaving of adaptor operations, crashes, restarts, cuts,
-    /// quorum-side promotions and heals leaves every partition in a
-    /// transfer state whose completion can still land, with exactly one
-    /// live completion per hand-off in flight.
+    /// Any interleaving of adaptor operations, commits, flushes, crashes,
+    /// restarts, cuts, quorum-side promotions and heals leaves every
+    /// partition in a transfer state whose completion can still land, with
+    /// exactly one live completion per hand-off in flight, and ships no log
+    /// entry across an open cut.
     #[test]
     fn transfer_state_machine_survives_any_interleaving(
         script in proptest::collection::vec((0u8..12, 0usize..1000, 0usize..1000), 1..120),
     ) {
         let mut d = Driver::new();
         for (i, &(op, a, b)) in script.iter().enumerate() {
+            let cut_off = d.cut_off_secondaries();
             d.step(op, a, b);
-            if let Err(e) = d.check() {
+            if let Err(e) = d.check(&cut_off) {
                 // No shrinking in the offline proptest: print the prefix.
                 prop_assert!(false, "{} after the last step of {:?}", e, &script[..=i]);
             }
