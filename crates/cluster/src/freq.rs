@@ -18,6 +18,10 @@ pub struct FreqTracker {
     /// while [`FreqTracker::normalized`] runs on every routed transaction —
     /// rescanning the window there made routing O(partitions²) per txn.
     previous_max: u64,
+    /// Cached [`FreqTracker::normalized`] of every partition, the `freq`
+    /// slice of the planner's cost model: rebuilt in `roll_window` for the
+    /// same reason, because every routed attempt reads all of it.
+    heat: Vec<f64>,
     last_used: FastMap<(PartitionId, NodeId), Time>,
 }
 
@@ -28,13 +32,21 @@ impl FreqTracker {
             window: vec![0; n_partitions],
             previous: vec![0; n_partitions],
             previous_max: 0,
+            heat: vec![0.0; n_partitions],
             last_used: FastMap::default(),
         }
     }
 
     /// Records one access to `part` executed at `node`.
     pub fn record_access(&mut self, part: PartitionId, node: NodeId, now: Time) {
-        self.window[part.idx()] += 1;
+        self.record_accesses(part, node, now, 1);
+    }
+
+    /// Records `n` accesses to `part` executed at `node` in the same
+    /// instant (a partition group): `n` calls of
+    /// [`FreqTracker::record_access`] in one.
+    pub fn record_accesses(&mut self, part: PartitionId, node: NodeId, now: Time, n: u64) {
+        self.window[part.idx()] += n;
         self.last_used.insert((part, node), now);
     }
 
@@ -50,6 +62,9 @@ impl FreqTracker {
         std::mem::swap(&mut self.previous, &mut self.window);
         self.window.iter_mut().for_each(|c| *c = 0);
         self.previous_max = self.previous.iter().copied().max().unwrap_or(0);
+        for p in 0..self.heat.len() {
+            self.heat[p] = self.normalized(PartitionId(p as u32));
+        }
     }
 
     /// Raw access count of `part` in the last complete window.
@@ -66,6 +81,12 @@ impl FreqTracker {
         } else {
             self.previous[part.idx()] as f64 / max as f64
         }
+    }
+
+    /// [`FreqTracker::normalized`] of every partition, indexed by partition:
+    /// the `freq` argument of the planner's cost functions.
+    pub fn heat(&self) -> &[f64] {
+        &self.heat
     }
 
     /// Last time a replica of `part` on `node` was used (0 if never).

@@ -131,12 +131,9 @@ impl StandardPolicy for Lion {
         let (home, class) = match self.affinity_of(eng, txn) {
             Some(node) => {
                 // Deliberate routing to the planned clump destination.
-                let freq: Vec<f64> = (0..eng.cluster.placement.n_partitions())
-                    .map(|p| eng.cluster.freq.normalized(PartitionId(p as u32)))
-                    .collect();
                 let (class, _) = lion_planner::execution_cost(
                     &eng.cluster.placement,
-                    &freq,
+                    eng.cluster.freq.heat(),
                     &eng.txn(txn).parts,
                     node,
                     self.cfg.planner.weights,

@@ -21,13 +21,7 @@ pub fn route_txn(eng: &Engine, txn: TxnId, weights: CostWeights) -> (NodeId, Txn
     let parts = &eng.txn(txn).parts;
     let placement = &eng.cluster.placement;
     // f(v, Np(v, p)): normalized partition heat from the freq tracker.
-    let freq: Vec<f64> = (0..placement.n_partitions())
-        .map(|p| {
-            eng.cluster
-                .freq
-                .normalized(lion_common::PartitionId(p as u32))
-        })
-        .collect();
+    let freq = eng.cluster.freq.heat();
 
     let mut best: Option<(NodeId, TxnPlacementClass, f64, u64)> = None;
     for n in 0..placement.n_nodes() as u16 {
@@ -36,7 +30,7 @@ pub fn route_txn(eng: &Engine, txn: TxnId, weights: CostWeights) -> (NodeId, Txn
             continue; // dead executors take no transactions
         }
         let (class, cost) =
-            execution_cost(placement, &freq, parts, node, weights, &eng.cluster.zone_of);
+            execution_cost(placement, freq, parts, node, weights, &eng.cluster.zone_of);
         let backlog = eng.cluster.workers[node.idx()].earliest_free();
         let better = match &best {
             None => true,

@@ -3,7 +3,7 @@
 //! `adaptor.rs` this is the method list of the `EngineOps` trait to come.
 
 use super::{Engine, Ev};
-use crate::txn::{ReadEntry, TxnClass, TxnCtx, WriteEntry};
+use crate::txn::{OpWalk, ReadEntry, TxnClass, TxnCtx, WriteEntry};
 use lion_cluster::Cluster;
 use lion_common::{NodeId, Op, OpKind, PartitionId, Phase, Time, TxnId};
 use lion_durability::PendingAck;
@@ -221,44 +221,26 @@ impl Engine {
     /// the primary): reads record versions, writes are buffered.
     pub fn exec_op_at(&mut self, node: NodeId, txn: TxnId, op: Op) -> Result<(), OpFail> {
         let now = self.now();
-        let part = op.partition;
-        let until = self.cluster.available_at(part);
-        if until > now {
-            return Err(OpFail::Blocked { until });
-        }
-        if !self.cluster.placement.is_primary(part, node) {
-            return Err(OpFail::NotPrimary {
-                primary: self.cluster.placement.primary_of(part),
-            });
-        }
-        if self.cluster.split_active() && !self.cluster.same_side(self.txn(txn).home, node) {
-            // Honest split-brain: the serving primary is on the far side of
-            // the cut from this transaction's coordinator.
-            return Err(OpFail::Unreachable);
-        }
-        self.cluster.freq.record_access(part, node, now);
-        match op.kind {
-            OpKind::Read => {
-                let store = self.cluster.store_mut(node, part).expect("primary store");
-                match store.table.occ_read(op.key, txn) {
-                    OpOutcome::Ok { version } => {
-                        self.txn_mut(txn).read_set.push(ReadEntry {
-                            part,
-                            key: op.key,
-                            version,
-                        });
-                        Ok(())
-                    }
-                    _ => Err(OpFail::Locked),
-                }
-            }
-            OpKind::Write => {
-                self.txn_mut(txn)
-                    .write_set
-                    .push(WriteEntry { part, key: op.key });
-                Ok(())
-            }
-        }
+        let Engine { txns, cluster, .. } = self;
+        let ctx = txns.get_mut(txn).expect("live transaction");
+        let walk = OpWalk {
+            home: ctx.home,
+            ops: std::slice::from_ref(&op),
+            read_set: &mut ctx.read_set,
+            write_set: &mut ctx.write_set,
+        };
+        exec_ops(cluster, now, node, txn, walk)
+    }
+
+    /// Executes partition group `gi` of `txn` at `node`, the group's
+    /// primary, in declaration order: [`Engine::exec_op_at`] for each of
+    /// its ops, stopping at the first failure, with the availability check,
+    /// the store lookup and the access bookkeeping done once for the group.
+    pub fn exec_group_at(&mut self, node: NodeId, txn: TxnId, gi: usize) -> Result<(), OpFail> {
+        let now = self.now();
+        let Engine { txns, cluster, .. } = self;
+        let walk = txns.get_mut(txn).expect("live transaction").group_walk(gi);
+        exec_ops(cluster, now, node, txn, walk)
     }
 
     /// Executes every operation of `txn` whose partition primary is at
@@ -285,48 +267,57 @@ impl Engine {
         c.read_us * n_reads as u64 + c.write_us * n_writes as u64
     }
 
-    /// OCC validation at `node`: prepare-locks the write set and validates
-    /// the read set for partitions whose primary is at `node`. On failure,
-    /// locks taken here are released and `false` is returned.
+    /// OCC validation at `node`, for the partitions whose primary it holds:
+    /// validates the read set, then prepare-locks the write set. `false`
+    /// leaves the tables as it found them — a stale read returns before
+    /// anything was locked, a foreign lock releases what this call took.
+    ///
+    /// A concurrent engine must lock before it validates, or a writer could
+    /// install between the two. Here an event is one atomic instant and
+    /// nothing else runs inside this call, so the order is free: either way
+    /// the call succeeds iff every read is current and no row of either set
+    /// is foreign-locked, and holds exactly the write set's locks iff it
+    /// succeeds. Validating first means the common loser — a lost version
+    /// race — probes a row or two and mutates nothing.
+    ///
+    /// Only this function takes locks; only install, a failure here and
+    /// [`Engine::release_all`] drop them.
     pub fn validate_at(&mut self, node: NodeId, txn: TxnId) -> bool {
         let Engine { txns, cluster, .. } = self;
-        let ctx = txns.get(txn).expect("live transaction");
-        // Walk the sets in place (disjoint borrows: context is read-only,
-        // stores are mutated) instead of cloning them into scratch `Vec`s.
-        let mut ok = true;
+        let ctx = txns.get_mut(txn).expect("live transaction");
+        // Walk the sets in place (disjoint borrows: the context against the
+        // stores) instead of cloning them into scratch `Vec`s.
+        for r in &ctx.read_set {
+            if !cluster.placement.is_primary(r.part, node) {
+                continue;
+            }
+            let store = cluster.store(node, r.part).expect("primary store");
+            if !store.table.occ_validate_read(r.key, r.version, txn).is_ok() {
+                return false;
+            }
+        }
+        let mut locked = false;
         for w in &ctx.write_set {
             if !cluster.placement.is_primary(w.part, node) {
                 continue;
             }
             let store = cluster.store_mut(node, w.part).expect("primary store");
-            if !store.table.occ_lock(w.key, txn).is_ok() {
-                ok = false;
-                break;
+            if store.table.occ_lock(w.key, txn).is_ok() {
+                locked = true;
+                continue;
             }
-        }
-        if ok {
-            for r in &ctx.read_set {
-                if !cluster.placement.is_primary(r.part, node) {
-                    continue;
-                }
-                let store = cluster.store(node, r.part).expect("primary store");
-                if !store.table.occ_validate_read(r.key, r.version, txn).is_ok() {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
             // `occ_unlock` releases only what `txn` holds, so the entries
-            // past the one that failed to lock are left alone.
-            for w in &ctx.write_set {
-                if cluster.placement.is_primary(w.part, node) {
-                    let store = cluster.store_mut(node, w.part).expect("primary store");
-                    store.table.occ_unlock(w.key, txn);
+            // from the one that failed to lock onward are left alone.
+            for u in &ctx.write_set {
+                if cluster.placement.is_primary(u.part, node) {
+                    let store = cluster.store_mut(node, u.part).expect("primary store");
+                    store.table.occ_unlock(u.key, txn);
                 }
             }
+            return false;
         }
-        ok
+        ctx.holds_locks |= locked;
+        true
     }
 
     /// Installs `txn`'s writes at `node` (partitions whose primary is
@@ -545,9 +536,10 @@ impl Engine {
         self.abort_attempt(txn, false, Requeue::NextBatch);
     }
 
-    /// Ends `txn`'s current attempt — records the abort, releases its
-    /// prepare-locks, resets the context (scheduled wakes go stale through
-    /// the attempt counter) — and parks it at `to` until its next one.
+    /// Ends `txn`'s current attempt — records the abort, releases the
+    /// prepare-locks it took, if any, resets the context (scheduled wakes
+    /// go stale through the attempt counter) — and parks it at `to` until
+    /// its next one.
     pub(super) fn abort_attempt(&mut self, txn: TxnId, fault: bool, to: Requeue) {
         let now = self.now();
         let home = self.txn(txn).home;
@@ -557,7 +549,9 @@ impl Engine {
             node: home,
             zone: self.cluster.zone(home),
         });
-        self.release_all(txn);
+        if self.txn(txn).holds_locks {
+            self.release_all(txn);
+        }
         let ctx = self.txn_mut(txn);
         ctx.reset_for_retry();
         ctx.parked = true;
@@ -590,4 +584,57 @@ fn unlock_everywhere(cluster: &mut Cluster, w: &WriteEntry, txn: TxnId) {
             store.table.occ_unlock(w.key, txn);
         }
     }
+}
+
+/// Runs `walk.ops`, all of one partition, at `node` for `txn`: the guard
+/// every data operation passes (partition not blocked, `node` still its
+/// primary, no cut between `node` and the coordinator), then each op against
+/// the primary's table until one fails. Nothing the guard reads changes
+/// inside an instant, so checking it once covers every op of the walk; the
+/// accesses attempted — a read that met a lock included — are booked
+/// together.
+fn exec_ops(
+    cluster: &mut Cluster,
+    now: Time,
+    node: NodeId,
+    txn: TxnId,
+    walk: OpWalk<'_>,
+) -> Result<(), OpFail> {
+    let part = walk.ops[0].partition;
+    let until = cluster.available_at(part);
+    if until > now {
+        return Err(OpFail::Blocked { until });
+    }
+    if !cluster.placement.is_primary(part, node) {
+        return Err(OpFail::NotPrimary {
+            primary: cluster.placement.primary_of(part),
+        });
+    }
+    if cluster.split_active() && !cluster.same_side(walk.home, node) {
+        // Honest split-brain: the serving primary is on the far side of
+        // the cut from this transaction's coordinator.
+        return Err(OpFail::Unreachable);
+    }
+    let table = &cluster.store(node, part).expect("primary store").table;
+    let mut attempted = 0;
+    let mut result = Ok(());
+    for op in walk.ops {
+        attempted += 1;
+        match op.kind {
+            OpKind::Read => match table.occ_read(op.key, txn) {
+                OpOutcome::Ok { version } => walk.read_set.push(ReadEntry {
+                    part,
+                    key: op.key,
+                    version,
+                }),
+                _ => {
+                    result = Err(OpFail::Locked);
+                    break;
+                }
+            },
+            OpKind::Write => walk.write_set.push(WriteEntry { part, key: op.key }),
+        }
+    }
+    cluster.freq.record_accesses(part, node, now, attempted);
+    result
 }

@@ -4,7 +4,7 @@
 use super::*;
 use crate::txn::TxnClass;
 use lion_cluster::Transfer;
-use lion_common::{Op, Phase, SECOND};
+use lion_common::{Key, Op, Phase, SECOND};
 
 fn tiny_cfg() -> SimConfig {
     SimConfig {
@@ -258,6 +258,123 @@ fn remaster_during_commit_window_releases_locks() {
         .write_set
         .push(crate::txn::WriteEntry { part, key: 1 });
     assert!(eng.validate_at(sec, txn2), "row must not be poisoned");
+}
+
+/// Executes `ops` for a fresh transaction at `home` and returns it, ready
+/// to validate.
+fn executed(eng: &mut Engine, home: NodeId, ops: Vec<Op>) -> TxnId {
+    let txn = eng.inject_txn(ClientId(0), TxnRequest::new(ops.clone()));
+    eng.txn_mut(txn).home = home;
+    for op in ops {
+        eng.exec_op_at(home, txn, op).unwrap();
+    }
+    txn
+}
+
+/// `(rows, rows locked)` among `keys` of `part`, per replica holder.
+fn rows_and_locks(eng: &Engine, part: PartitionId, keys: &[Key]) -> Vec<(usize, usize)> {
+    let holders = eng.cluster.placement.replica_nodes(part);
+    let count = |node| {
+        let table = &eng.cluster.store(node, part).unwrap().table;
+        let locked = keys.iter().filter_map(|&k| table.get(k)?.lock).count();
+        (table.len(), locked)
+    };
+    holders.into_iter().map(count).collect()
+}
+
+/// The contract validate-then-lock rests on: a `validate_at` that returns
+/// `false` leaves every table as it found it — no lock, no insert
+/// placeholder — and the attempt owes its abort no release.
+#[test]
+fn failed_validation_mutates_nothing() {
+    const FRESH: Key = 7 << 56; // beyond the dense range: lives in the sparse map
+    let keys = [1, 3, 5, 7, FRESH];
+    let mut eng = Engine::new(tiny_cfg(), uniform_workload(4));
+    let (part, home) = (PartitionId(0), NodeId(0));
+
+    // A stale read: `winner` installs key 1 between `loser`'s read and its
+    // validation.
+    let rw = vec![
+        Op::read(part, 1),
+        Op::write(part, 1),
+        Op::write(part, FRESH),
+    ];
+    let loser = executed(&mut eng, home, rw.clone());
+    let winner = executed(&mut eng, home, vec![Op::write(part, 1)]);
+    assert!(eng.validate_at(home, winner));
+    eng.install_at(home, winner);
+    let before = rows_and_locks(&eng, part, &keys);
+    assert!(before.iter().all(|&(_, locked)| locked == 0));
+    assert!(!eng.validate_at(home, loser), "key 1 moved on");
+    assert_eq!(rows_and_locks(&eng, part, &keys), before);
+    assert!(!eng.txn(loser).holds_locks);
+
+    // A foreign lock midway through the write set: the locks and the
+    // placeholder taken before it are gone again, the foreign lock stays.
+    let holder = executed(&mut eng, home, vec![Op::write(part, 5)]);
+    assert!(eng.validate_at(home, holder));
+    assert!(eng.txn(holder).holds_locks);
+    let before = rows_and_locks(&eng, part, &keys);
+    assert_eq!(before[0].1, 1, "key 5 is prepare-locked at the primary");
+    let blocked = executed(
+        &mut eng,
+        home,
+        vec![
+            Op::write(part, 3),
+            Op::write(part, FRESH),
+            Op::write(part, 5),
+            Op::write(part, 7),
+        ],
+    );
+    assert!(!eng.validate_at(home, blocked), "key 5 is foreign-locked");
+    assert_eq!(rows_and_locks(&eng, part, &keys), before);
+    assert!(!eng.txn(blocked).holds_locks);
+    let table = &eng.cluster.store(home, part).unwrap().table;
+    assert_eq!(table.get(5).unwrap().lock, Some(holder));
+    eng.abort_retry(holder);
+
+    // Own locks are re-entrant under the new order too: a row the
+    // transaction both read and locked validates and locks again.
+    let again = executed(&mut eng, home, rw);
+    assert!(eng.validate_at(home, again));
+    assert!(eng.validate_at(home, again), "own lock is not a conflict");
+    assert!(eng.txn(again).holds_locks);
+    eng.install_at(home, again);
+    let after = rows_and_locks(&eng, part, &keys);
+    assert_eq!(after[0], (before[0].0 + 1, 0), "one insert, no lock left");
+}
+
+/// The abort twin of the regression above, and the one abort that must
+/// still walk every holder: the prepare-lock sits on a node that stopped
+/// being the primary before the vote came back negative.
+#[test]
+fn remaster_during_prepare_window_then_abort_releases_locks() {
+    let mut eng = Engine::new(tiny_cfg(), uniform_workload(4));
+    let (part, home) = (PartitionId(0), NodeId(0));
+    let sec = eng.cluster.placement.secondaries_of(part)[0];
+    let txn = executed(&mut eng, home, vec![Op::read(part, 1), Op::write(part, 1)]);
+    assert!(
+        eng.validate_at(home, txn),
+        "prepare-lock at the old primary"
+    );
+
+    let d = eng.cluster.begin_remaster(part, sec, eng.now()).unwrap();
+    eng.cluster.finish_remaster(part, d);
+    assert_eq!(eng.cluster.placement.primary_of(part), sec);
+
+    eng.abort_retry(txn);
+    let locked = rows_and_locks(&eng, part, &[1]);
+    assert!(
+        locked.iter().all(|&(_, n)| n == 0),
+        "lock leaked: {locked:?}"
+    );
+    // A later transaction can lock the row at the new primary (its write
+    // set is filled by hand: the hand-off blackout still blocks ops).
+    let next = eng.inject_txn(ClientId(1), TxnRequest::new(vec![Op::write(part, 1)]));
+    eng.txn_mut(next)
+        .write_set
+        .push(crate::txn::WriteEntry { part, key: 1 });
+    assert!(eng.validate_at(sec, next), "row must not be poisoned");
 }
 
 #[test]

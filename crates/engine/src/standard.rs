@@ -89,23 +89,18 @@ fn abort(eng: &mut Engine, txn: TxnId, batch: bool) {
 /// false when the attempt ended (lock conflict) or the group must be looked
 /// at again shortly (placement or blocking raced).
 fn exec_group(eng: &mut Engine, txn: TxnId, gi: usize, node: NodeId) -> bool {
-    // Index walk over the precomputed group — no per-wake clone.
-    for i in 0..eng.txn(txn).group_ops(gi).len() {
-        let op = eng.txn(txn).group_ops(gi)[i];
-        match eng.exec_op_at(node, txn, op) {
-            Ok(()) => {}
-            Err(OpFail::Locked) => {
-                eng.abort_retry(txn);
-                return false;
-            }
-            Err(_) => {
-                let t = wake_tag(eng, txn, K_BLOCKED, 0);
-                eng.sleep(10, Phase::Other, txn, t);
-                return false;
-            }
+    match eng.exec_group_at(node, txn, gi) {
+        Ok(()) => true,
+        Err(OpFail::Locked) => {
+            eng.abort_retry(txn);
+            false
+        }
+        Err(_) => {
+            let t = wake_tag(eng, txn, K_BLOCKED, 0);
+            eng.sleep(10, Phase::Other, txn, t);
+            false
         }
     }
-    true
 }
 
 /// Advances to the current partition group (`ctx.step`) or to the commit

@@ -1,6 +1,6 @@
 //! Per-transaction runtime context.
 
-use lion_common::{ClientId, Key, NodeId, PartitionId, Time, TxnId, TxnRequest};
+use lion_common::{ClientId, Key, NodeId, Op, OpKind, PartitionId, Time, TxnId, TxnRequest};
 
 /// How a transaction ultimately executed, for the single-node-conversion
 /// statistics the paper reports (§III cases 1–3).
@@ -42,6 +42,20 @@ struct GroupRange {
     start: u32,
     end: u32,
     reads: u32,
+}
+
+/// Ops of one partition beside the two OCC sets they fill: a disjoint
+/// borrow of one context, so the engine walks the ops in place while it
+/// appends to the sets.
+pub(crate) struct OpWalk<'a> {
+    /// Coordinator of the transaction.
+    pub home: NodeId,
+    /// The ops to run, all of one partition.
+    pub ops: &'a [Op],
+    /// [`TxnCtx::read_set`].
+    pub read_set: &'a mut Vec<ReadEntry>,
+    /// [`TxnCtx::write_set`].
+    pub write_set: &'a mut Vec<WriteEntry>,
 }
 
 /// Engine-owned state of one in-flight transaction. Protocols use `step`
@@ -88,10 +102,13 @@ pub struct TxnCtx {
     /// Parked between attempts (retry back-off / deferred to the next
     /// batch): not in flight, so fault aborts must not touch it again.
     pub parked: bool,
+    /// True once a `validate_at` of this attempt prepare-locked a row: the
+    /// only state in which an abort has anything to release.
+    pub holds_locks: bool,
     /// Declared ops regrouped by partition in first-touch order, flattened.
     /// Built once at creation (`req` never changes), so the per-wake group
     /// walks of the protocol state machines are allocation-free.
-    grouped_ops: Vec<lion_common::Op>,
+    grouped_ops: Vec<Op>,
     /// Per-group ranges into `grouped_ops`.
     group_index: Vec<GroupRange>,
 }
@@ -117,13 +134,14 @@ impl TxnCtx {
         for g in &mut group_index {
             g.start = grouped_ops.len() as u32;
             for op in req.ops.iter().filter(|o| o.partition == g.part) {
-                if op.kind == lion_common::OpKind::Read {
+                if op.kind == OpKind::Read {
                     g.reads += 1;
                 }
                 grouped_ops.push(*op);
             }
             g.end = grouped_ops.len() as u32;
         }
+        let reads: usize = group_index.iter().map(|g| g.reads as usize).sum();
         TxnCtx {
             id,
             seq: 0,
@@ -132,8 +150,8 @@ impl TxnCtx {
             parts,
             start: now,
             attempts: 1,
-            read_set: Vec::new(),
-            write_set: Vec::new(),
+            read_set: Vec::with_capacity(reads),
+            write_set: Vec::with_capacity(grouped_ops.len() - reads),
             pending: 0,
             failed: false,
             home: NodeId(0),
@@ -142,6 +160,7 @@ impl TxnCtx {
             step: 0,
             phase_us: [0; 5],
             parked: false,
+            holds_locks: false,
             grouped_ops,
             group_index,
         }
@@ -160,11 +179,15 @@ impl TxnCtx {
         self.group_index[gi].part
     }
 
-    /// The ops of group `gi`, in declaration order.
-    #[inline]
-    pub fn group_ops(&self, gi: usize) -> &[lion_common::Op] {
+    /// Group `gi`'s ops, in declaration order, beside the sets they fill.
+    pub(crate) fn group_walk(&mut self, gi: usize) -> OpWalk<'_> {
         let g = self.group_index[gi];
-        &self.grouped_ops[g.start as usize..g.end as usize]
+        OpWalk {
+            home: self.home,
+            ops: &self.grouped_ops[g.start as usize..g.end as usize],
+            read_set: &mut self.read_set,
+            write_set: &mut self.write_set,
+        }
     }
 
     /// `(reads, writes)` op counts of group `gi` (precomputed).
@@ -184,6 +207,7 @@ impl TxnCtx {
         self.participants.clear();
         self.class = TxnClass::SingleNode;
         self.step = 0;
+        self.holds_locks = false;
         self.attempts += 1;
     }
 }
@@ -191,7 +215,6 @@ impl TxnCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lion_common::Op;
 
     fn p(i: u32) -> PartitionId {
         PartitionId(i)
@@ -205,10 +228,11 @@ mod tests {
             Op::read(p(2), 3),
             Op::write(p(1), 4),
         ]);
-        let ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 0);
+        let mut ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 0);
         assert_eq!(ctx.n_groups(), 3);
         assert_eq!(ctx.group_part(0), p(2));
-        assert_eq!(ctx.group_ops(0), [Op::read(p(2), 1), Op::read(p(2), 3)]);
+        let ops = ctx.group_walk(0).ops;
+        assert_eq!(ops, [Op::read(p(2), 1), Op::read(p(2), 3)]);
         assert_eq!(ctx.group_part(1), p(0));
         assert_eq!(ctx.group_part(2), p(1));
         assert_eq!(ctx.group_reads_writes(2), (0, 1));
@@ -226,8 +250,10 @@ mod tests {
         ctx.pending = 2;
         ctx.failed = true;
         ctx.class = TxnClass::Distributed;
+        ctx.holds_locks = true;
         ctx.reset_for_retry();
         assert!(ctx.read_set.is_empty());
+        assert!(!ctx.holds_locks);
         assert_eq!(ctx.pending, 0);
         assert!(!ctx.failed);
         assert_eq!(ctx.class, TxnClass::SingleNode);

@@ -207,14 +207,14 @@ impl TpccWorkload {
         let o_id = self.next_o_id[slot] as u64 & 0xFF_FFFF;
         self.next_o_id[slot] = self.next_o_id[slot].wrapping_add(1);
 
-        let mut ops = Vec::with_capacity(24);
+        let ol_cnt = self.rng.gen_range(5..=15u64);
+        let mut ops = Vec::with_capacity(6 + 4 * ol_cnt as usize);
         // SELECT w_tax FROM warehouse; SELECT+UPDATE district (next_o_id).
         ops.push(Op::read(home, encode_key(Relation::Warehouse, 0, 0, 0)));
         ops.push(Op::read(home, encode_key(Relation::District, d, 0, 0)));
         ops.push(Op::write(home, encode_key(Relation::District, d, 0, 0)));
         ops.push(Op::read(home, encode_key(Relation::Customer, d, c, 0)));
 
-        let ol_cnt = self.rng.gen_range(5..=15u64);
         for ol in 0..ol_cnt {
             let item = self.item_dist.sample_scrambled(&mut self.rng) & 0xFF_FFFF;
             // ITEM is a replicated read-only catalogue: read locally.

@@ -19,11 +19,11 @@
 //! A golden may only move in a change that says why, in that comment.
 
 use lion::baselines::{clay, leap, two_pc, Aria, Calvin, Hermes, Lotus, Star};
-use lion::common::{NodeId, PlacementPolicy, SimConfig, ZoneId, SECOND};
+use lion::common::{NodeId, PlacementPolicy, SimConfig, Workload, ZoneId, SECOND};
 use lion::core::{Lion, LionConfig};
 use lion::engine::{Engine, EngineConfig, Protocol, RunReport};
 use lion::faults::FaultPlan;
-use lion::workloads::{YcsbConfig, YcsbWorkload};
+use lion::workloads::{TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload};
 use proptest::prelude::*;
 
 fn sim() -> SimConfig {
@@ -46,20 +46,50 @@ fn workload(seed: u64) -> Box<YcsbWorkload> {
     ))
 }
 
-fn run(mut proto: Box<dyn Protocol>, faults: FaultPlan, horizon: u64) -> RunReport {
+/// A cluster shape and the request stream it serves.
+type World = (SimConfig, Box<dyn Workload>);
+
+/// 3 nodes x 4 partitions, YCSB 60 % cross-partition at skew 0.5, workload
+/// seed 42.
+fn ycsb() -> World {
+    (sim(), workload(42))
+}
+
+/// The mix `benchmark/src/spec.rs` runs as `tpcc_lion`, on its cluster shape:
+/// 4 nodes x 8 warehouses, NewOrder only, 10 % remote, 24 clients per node.
+/// Every row lives in the sparse map and four in ten attempts lose their
+/// district-row race, so this is the world that exercises the OCC
+/// abort/retry path.
+fn tpcc() -> World {
+    let sim = SimConfig {
+        nodes: 4,
+        partitions_per_node: 8,
+        keys_per_partition: 1_000,
+        value_size: 32,
+        clients_per_node: 24,
+        batch_size: 64,
+        ..Default::default()
+    };
+    let wl = TpccWorkload::new(TpccConfig::for_cluster(4, 8).with_mix(0.1, 0.0));
+    (sim, Box::new(wl))
+}
+
+fn run(s: &Scenario) -> RunReport {
+    let (sim, workload) = (s.world)();
     let cfg = EngineConfig {
-        sim: sim(),
+        sim,
         plan_interval_us: 300_000,
-        faults,
+        faults: (s.faults)(),
         ..EngineConfig::default()
     };
-    let mut eng = Engine::new(cfg, workload(42));
-    eng.run(proto.as_mut(), horizon)
+    let mut eng = Engine::new(cfg, workload);
+    eng.run((s.build)().as_mut(), s.horizon)
 }
 
 struct Scenario {
     name: &'static str,
     build: fn() -> Box<dyn Protocol>,
+    world: fn() -> World,
     faults: fn() -> FaultPlan,
     horizon: u64,
     golden: u64,
@@ -70,14 +100,15 @@ fn crash_recover() -> FaultPlan {
     FaultPlan::single_failure(SECOND / 4, NodeId(1), SECOND / 2)
 }
 
-/// Every scenario: 3 nodes x 4 partitions, YCSB 60 % cross-partition at
-/// skew 0.5, workload seed 42, planner tick every 300 ms (see [`run`]).
+/// Every scenario runs its `world` with a planner tick every 300 ms (see
+/// [`run`]); all but the last run [`ycsb`].
 const SCENARIOS: &[Scenario] = &[
     // The four legacy goldens: pinned by PR 2 at commit `bca1f3b`, i.e.
     // captured *before* its hot-path overhaul, and byte-identical since.
     Scenario {
         name: "2pc-ycsb",
         build: || Box::new(two_pc()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0x69715e0abe656466,
@@ -85,6 +116,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lion-standard-ycsb",
         build: || Box::new(Lion::standard()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0x3c64e2e890e344a3,
@@ -92,6 +124,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lion-batch-ycsb",
         build: || Box::new(Lion::full()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0x89fe08ff509c4f7c,
@@ -99,6 +132,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lion-crash-recover",
         build: || Box::new(Lion::standard()),
+        world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
         golden: 0x846910caf3ea2f5b,
@@ -111,6 +145,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "leap-ycsb",
         build: || Box::new(leap()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0x80bf43b6d41d26be,
@@ -120,6 +155,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "clay-ycsb",
         build: || Box::new(clay()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: 3 * SECOND,
         golden: 0xa07c18c700368246,
@@ -128,6 +164,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lion-s-ycsb",
         build: || Box::new(Lion::new(LionConfig::lion_s())),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0x3fbb2ae839e9e0d5,
@@ -136,6 +173,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lion-rb-ycsb",
         build: || Box::new(Lion::new(LionConfig::lion_rb())),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0xb7acf12f2a34806b,
@@ -144,6 +182,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lion-batch-crash-recover",
         build: || Box::new(Lion::full()),
+        world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
         golden: 0x506300b9ae349872,
@@ -159,6 +198,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "star-ycsb",
         build: || Box::new(Star::new()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0x950f2f74ebc237ac,
@@ -166,6 +206,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "star-crash-recover",
         build: || Box::new(Star::new()),
+        world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
         golden: 0xb877ffb7a030fbbd,
@@ -175,6 +216,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "calvin-ycsb",
         build: || Box::new(Calvin::new()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0x75128738457bda64,
@@ -182,6 +224,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "calvin-crash-recover",
         build: || Box::new(Calvin::new()),
+        world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
         golden: 0x392537ece8359cac,
@@ -190,6 +233,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "hermes-ycsb",
         build: || Box::new(Hermes::new()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0xd5fce33864d1f5f0,
@@ -197,6 +241,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "hermes-crash-recover",
         build: || Box::new(Hermes::new()),
+        world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
         golden: 0x3a0ed04d0a511eb5,
@@ -205,6 +250,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "aria-ycsb",
         build: || Box::new(Aria::new()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0xc0f488845ae16fb8,
@@ -212,6 +258,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "aria-crash-recover",
         build: || Box::new(Aria::new()),
+        world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
         golden: 0x3779bec4599842e6,
@@ -220,6 +267,7 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lotus-ycsb",
         build: || Box::new(Lotus::new()),
+        world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
         golden: 0xc5d64df35b1c20b1,
@@ -227,9 +275,23 @@ const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "lotus-crash-recover",
         build: || Box::new(Lotus::new()),
+        world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
         golden: 0xbc413939745c2f14,
+    },
+    // TPC-C under standard Lion: pinned by PR 19 at its parent commit
+    // `dd73b96`, before `validate_at` turned validate-then-lock, aborts
+    // stopped releasing locks they never took and partition groups were
+    // resolved once — the only golden whose rows are sparse and whose
+    // attempts mostly retry (the loop below asserts it aborts at all).
+    Scenario {
+        name: "lion-tpcc",
+        build: || Box::new(Lion::standard()),
+        world: tpcc,
+        faults: FaultPlan::none,
+        horizon: SECOND / 2,
+        golden: 0x580ac03974b6020f,
     },
 ];
 
@@ -237,9 +299,13 @@ const SCENARIOS: &[Scenario] = &[
 fn same_seed_runs_are_bit_identical_and_match_goldens() {
     let mut drift = Vec::new();
     for s in SCENARIOS {
-        let a = run((s.build)(), (s.faults)(), s.horizon);
-        let b = run((s.build)(), (s.faults)(), s.horizon);
+        let a = run(s);
+        let b = run(s);
         assert!(a.commits > 0, "{}: no commits", s.name);
+        assert!(
+            s.name != "lion-tpcc" || a.aborts > 0,
+            "lion-tpcc pins the OCC abort path and must take it"
+        );
         assert_eq!(
             a.digest(),
             b.digest(),

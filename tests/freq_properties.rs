@@ -5,26 +5,39 @@
 //! and the rescan made routing O(partitions²) per transaction. The cache is
 //! only sound if it stays consistent with a naive recompute across every
 //! record / window-slide interleaving — which is exactly what this checks.
+//! PR 19 added two more things the same model decides: the cached `heat()`
+//! vector the router borrows, and `record_accesses`, the per-group batch
+//! that must count and stamp exactly like that many single records.
 
 use lion::cluster::FreqTracker;
 use lion::common::{NodeId, PartitionId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One tracker operation, drawn by proptest.
 #[derive(Debug, Clone, Copy)]
 enum FreqOp {
     /// `record_access(part, node)` at the given virtual time.
     Record { part: u32, node: u16, at: u64 },
+    /// `record_accesses(part, node, at, n)`: one partition group's worth.
+    RecordMany {
+        part: u32,
+        node: u16,
+        at: u64,
+        n: u64,
+    },
     /// `roll_window()` — the planner tick that slides the window.
     Roll,
 }
 
 /// Naive model: the counts of the last complete window, recomputed from
-/// scratch. `normalized` is defined directly off `max(previous)`.
+/// scratch, and every replica's last-use stamp. `normalized` is defined
+/// directly off `max(previous)`.
 #[derive(Debug, Clone)]
 struct NaiveModel {
     window: Vec<u64>,
     previous: Vec<u64>,
+    stamps: BTreeMap<(u32, u16), u64>,
 }
 
 impl NaiveModel {
@@ -32,10 +45,12 @@ impl NaiveModel {
         NaiveModel {
             window: vec![0; n],
             previous: vec![0; n],
+            stamps: BTreeMap::new(),
         }
     }
-    fn record(&mut self, part: usize) {
-        self.window[part] += 1;
+    fn record(&mut self, part: u32, node: u16, at: u64) {
+        self.window[part as usize] += 1;
+        self.stamps.insert((part, node), at);
     }
     fn roll(&mut self) {
         self.previous = std::mem::take(&mut self.window);
@@ -54,21 +69,22 @@ impl NaiveModel {
 fn op_strategy(n_parts: u32, n_nodes: u16) -> impl Strategy<Value = FreqOp> {
     // Records dominate rolls ~4:1, roughly like routed transactions dominate
     // planner ticks; the exact ratio only shapes coverage, not correctness.
-    (0u8..5, 0..n_parts, 0..n_nodes, 0u64..100_000).prop_map(|(kind, part, node, at)| {
-        if kind == 0 {
-            FreqOp::Roll
-        } else {
-            FreqOp::Record { part, node, at }
-        }
-    })
+    (0u8..5, 0..n_parts, 0..n_nodes, 0u64..100_000, 1u64..70).prop_map(
+        |(kind, part, node, at, n)| match kind {
+            0 => FreqOp::Roll,
+            1 => FreqOp::RecordMany { part, node, at, n },
+            _ => FreqOp::Record { part, node, at },
+        },
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// After every operation of an arbitrary record/roll sequence, the
-    /// tracker's `count` and `normalized` agree with the naive recompute —
-    /// i.e. the cached `previous_max` can never go stale.
+    /// tracker's `count`, `normalized`, `heat` and `last_used` agree with
+    /// the naive recompute — i.e. neither cache can go stale and a batched
+    /// record is `n` single ones.
     #[test]
     fn cached_window_max_matches_naive_recompute(
         ops in proptest::collection::vec(op_strategy(6, 3), 1..120),
@@ -80,7 +96,13 @@ proptest! {
             match *op {
                 FreqOp::Record { part, node, at } => {
                     tracker.record_access(PartitionId(part), NodeId(node), at);
-                    model.record(part as usize);
+                    model.record(part, node, at);
+                }
+                FreqOp::RecordMany { part, node, at, n } => {
+                    tracker.record_accesses(PartitionId(part), NodeId(node), at, n);
+                    for _ in 0..n {
+                        model.record(part, node, at);
+                    }
                 }
                 FreqOp::Roll => {
                     tracker.roll_window();
@@ -101,6 +123,14 @@ proptest! {
                     "normalized({}) = {} but naive recompute says {} after {:?}",
                     part, got, want, op
                 );
+                prop_assert_eq!(tracker.heat()[p], got, "heat({}) is stale after {:?}", part, op);
+                for node in 0..3u16 {
+                    prop_assert_eq!(
+                        tracker.last_used(part, NodeId(node)),
+                        model.stamps.get(&(p as u32, node)).copied().unwrap_or(0),
+                        "last_used({}, N{}) diverged at op {:?}", part, node, op
+                    );
+                }
             }
         }
     }

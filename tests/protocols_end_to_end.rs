@@ -43,6 +43,31 @@ fn assert_replicas_in_sync(eng: &mut Engine) {
     }
 }
 
+/// Lock audit at the horizon: every row still prepare-locked is held by a
+/// transaction that is live, in flight (not parked between attempts) and
+/// knows it holds locks — the flag an abort consults before it releases
+/// anything. YCSB tables are the dense range `0..keys_per_partition`, so the
+/// key walk sees every row. (2PC and Clay end their runs with a handful of
+/// rows inside a commit window; the others with none.)
+fn audit_locks(eng: &Engine) {
+    let keys = eng.config().sim.keys_per_partition;
+    for n in 0..eng.cluster.n_nodes() {
+        let node = lion::common::NodeId(n as u16);
+        for p in 0..eng.cluster.n_partitions() {
+            let part = lion::common::PartitionId(p as u32);
+            let Some(store) = eng.cluster.store(node, part) else {
+                continue;
+            };
+            for holder in (0..keys).filter_map(|k| store.table.get(k)?.lock) {
+                assert!(
+                    eng.is_live(holder) && !eng.txn(holder).parked && eng.txn(holder).holds_locks,
+                    "{part} on {node}: row locked by {holder:?}, which is not in flight"
+                );
+            }
+        }
+    }
+}
+
 fn run_end_to_end(proto: &mut dyn Protocol, cross: f64, skew: f64) -> RunReport {
     let mut eng = Engine::new(small_sim(4), ycsb(4, cross, skew, 99));
     let report = eng.run(proto, SECOND);
@@ -55,6 +80,7 @@ fn run_end_to_end(proto: &mut dyn Protocol, cross: f64, skew: f64) -> RunReport 
     eng.cluster
         .check_invariants()
         .unwrap_or_else(|e| panic!("{}: {e}", report.protocol));
+    audit_locks(&eng);
     assert_replicas_in_sync(&mut eng);
     report
 }
