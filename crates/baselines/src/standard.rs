@@ -37,7 +37,8 @@ impl TwoPcPolicy {
             return Some(0); // crashed again before the rebalance: drop it
         }
         let n_parts = eng.cluster.n_partitions();
-        let copies_inbound = (0..n_parts).any(|p| eng.cluster.parts[p].copying_to.contains(&node));
+        let copies_inbound =
+            (0..n_parts).any(|p| eng.cluster.parts[p].copy_targets().any(|n| n == node));
         if copies_inbound {
             return None; // not rejoined yet: check again next monitor tick
         }

@@ -170,9 +170,17 @@ impl Protocol for Star {
         if !fresh(attempt, eng.txn(txn).attempts) {
             return;
         }
-        // Execute + OCC commit at the owner.
+        // Execute + OCC commit at the owner: every group of a single-home
+        // transaction was primaried there when the batch was armed. One whose
+        // primary a promotion moved since is skipped, as it always was
+        // (ROADMAP 5(c): failing instead moves `star-crash-recover`).
         let home = eng.txn(txn).home;
-        if eng.exec_local_ops(home, txn).is_ok() && eng.validate_at(home, txn) {
+        let executed = (0..eng.txn(txn).n_groups()).all(|gi| {
+            let part = eng.txn(txn).group_part(gi);
+            !eng.cluster.placement.is_primary(part, home)
+                || eng.exec_group_at(home, txn, gi).is_ok()
+        });
+        if executed && eng.validate_at(home, txn) {
             eng.install_at(home, txn);
             eng.commit(txn);
         } else {

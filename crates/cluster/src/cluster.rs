@@ -109,6 +109,11 @@ impl Cluster {
             .expect("primary store must exist")
     }
 
+    /// Head LSN of `node`'s log for `part` (0 when it holds no store).
+    pub fn log_head(&self, node: NodeId, part: PartitionId) -> u64 {
+        self.store(node, part).map_or(0, |s| s.log.head_lsn())
+    }
+
     /// Network delay for one message of `bytes` payload (zone-local path;
     /// use [`Cluster::net_delay_between`] when both endpoints are known).
     pub fn net_delay(&self, bytes: u32) -> Time {
@@ -202,7 +207,8 @@ impl Cluster {
                 Transfer::Migrate { to } => self.reachable(primary, to),
                 Transfer::Failover { to } => self.is_up(to) && self.store(to, part).is_some(),
                 Transfer::Stalled => !self.is_up(primary),
-            };
+            } && rt.failover.is_some()
+                == matches!(rt.transfer(), Transfer::Failover { .. });
             if !sound {
                 return Err(format!(
                     "{part}: {:?} cannot hold (primary {primary}, blocked until {}, idle cap {})",
@@ -211,8 +217,8 @@ impl Cluster {
                     rt.idle_cap()
                 ));
             }
-            let lost = |n: &&NodeId| !self.is_up(**n) || !self.same_side(primary, **n);
-            if let Some(n) = rt.copying_to.iter().find(lost) {
+            let lost = |n: &NodeId| !self.is_up(*n) || !self.same_side(primary, *n);
+            if let Some(n) = rt.copy_targets().find(lost) {
                 return Err(format!("{part}: copy toward dead or cut-off node {n}"));
             }
         }

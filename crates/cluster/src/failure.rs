@@ -1,36 +1,53 @@
 //! Node failure and recovery: crash, failover promotion (or stall), and
 //! restart. The decision logic — which survivor to promote, at what price —
-//! lives in `lion-faults`; this file executes it on the cluster state.
+//! lives in `lion-faults`; this file executes it on the cluster state and
+//! owns what a promotion carries from crash to landing ([`FailoverCtx`]).
 
 use crate::cluster::Cluster;
 use crate::replicas::Store;
 use crate::transfer::Transfer;
-use lion_common::{NodeId, PartitionId, Time};
+use lion_common::{FailoverRecord, NodeId, PartitionId, Time};
 use lion_storage::LogEntry;
+
+/// What a failover carries from the crash that orphaned the partition to
+/// the promotion that lands (or is abandoned, or stalls). Not the dead node
+/// or its log head: the placement names it primary until then, and its
+/// store keeps the log.
+#[derive(Debug, Clone)]
+pub(crate) struct FailoverCtx {
+    /// When the primary crashed.
+    crashed_at: Time,
+    /// Its unshipped epoch buffer, recovered from the synchronously
+    /// replicated prepare logs (empty when no live secondary could take it).
+    replay: Vec<LogEntry>,
+}
+
+/// A landed promotion (returned by [`Cluster::finish_failover`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Promotion {
+    /// Who took over from whom, at which heads, and when.
+    pub record: FailoverRecord,
+    /// Wire bytes the prepare-log replay shipped.
+    pub bytes: u64,
+    /// Prepare-log entries replayed to the survivors.
+    pub replayed: u64,
+}
 
 /// What a node crash leaves behind (returned by [`Cluster::crash_node`]).
 #[derive(Debug)]
 pub struct CrashReport {
-    /// The node that died.
-    pub node: NodeId,
-    /// Partitions whose primary was on the dead node, each with the
-    /// prepare-log entries recovered from the synchronously replicated
-    /// prepare logs (empty when the partition has no live secondary and
-    /// must stall).
-    pub orphaned: Vec<(PartitionId, Vec<LogEntry>)>,
-    /// Partitions that lost a secondary replica (stripped from placement).
-    pub lost_secondaries: Vec<PartitionId>,
-    /// Partitions whose in-flight failover promotion targeted the dead
-    /// node: the promotion is canceled and must be re-planned over the
-    /// remaining survivors (or stalled when none are left).
+    /// Partitions the crash orphaned: their primary was on the dead node
+    /// and no promotion away from it was already in flight. Each now
+    /// carries its failover context and is owed a promotion or a stall.
+    pub orphaned: Vec<PartitionId>,
+    /// Partitions whose in-flight promotion targeted the dead node: it is
+    /// canceled, its context kept, and the partition owed a re-plan.
     pub aborted_failovers: Vec<PartitionId>,
 }
 
 /// What a node restart requires (returned by [`Cluster::recover_node`]).
 #[derive(Debug)]
 pub struct RecoveryReport {
-    /// The node that restarted.
-    pub node: NodeId,
     /// Stalled partitions still primaried on the node: the restart ended
     /// their stall and they resume after the restart window.
     pub restored_primaries: Vec<PartitionId>,
@@ -41,12 +58,14 @@ pub struct RecoveryReport {
 
 impl Cluster {
     /// Halts `node`: cancels transfers involving it, strips it from every
-    /// secondary list, and reports the partitions it primaried. For each
-    /// orphaned partition that still has a live secondary, the dead
-    /// primary's unshipped epoch buffer is drained and returned as the
-    /// prepare-log replay source (§II-A replicated it synchronously at
-    /// commit time, so the survivors can reconstruct those writes); stalled
-    /// partitions keep their buffer for the eventual restart.
+    /// secondary list, and reports the partitions it orphaned. Where an
+    /// orphan still has a live secondary, the dead primary's unshipped epoch
+    /// buffer is drained into the failover context as the prepare-log replay
+    /// (§II-A replicated it synchronously at commit time, so the survivors
+    /// can reconstruct those writes); stalled partitions keep their buffer
+    /// for the restart. A primary that restarted mid-promotion and dies
+    /// again orphans nothing new: the promotion in flight keeps its context,
+    /// and whatever the node logged since is merged into that replay.
     pub fn crash_node(&mut self, node: NodeId, now: Time) -> CrashReport {
         assert!(self.is_up(node), "crash of an already-dead node {node}");
         assert!(
@@ -55,7 +74,6 @@ impl Cluster {
         );
         self.node_up[node.idx()] = false;
         let mut orphaned = Vec::new();
-        let mut lost_secondaries = Vec::new();
         let mut aborted_failovers = Vec::new();
         for p in 0..self.n_partitions() {
             let part = PartitionId(p as u32);
@@ -72,7 +90,7 @@ impl Cluster {
             if severed && self.cancel(part, now) {
                 aborted_failovers.push(part);
             }
-            self.cancel_copy(part, node);
+            self.parts[p].copies.retain(|&(to, _)| to != node);
             if primary_dead {
                 // During a split the drained epoch buffer can only reach
                 // survivors on the dead node's own side of the cut.
@@ -81,38 +99,65 @@ impl Cluster {
                     .secondaries_of(part)
                     .iter()
                     .any(|&s| self.is_up(s) && self.same_side(s, node));
-                let replay = if has_live_secondary {
-                    self.store_mut(node, part)
-                        .map(|s| s.log.take_pending())
-                        .unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                orphaned.push((part, replay));
+                if self.parts[p].failover.is_none() {
+                    orphaned.push(part);
+                    self.parts[p].failover = Some(FailoverCtx {
+                        crashed_at: now,
+                        replay: Vec::new(),
+                    });
+                }
+                if has_live_secondary {
+                    self.recover_prepare_log(part, node);
+                }
             } else if self.placement.has_secondary(part, node) {
                 self.detach(part, node, Store::KeptOnDisk);
-                lost_secondaries.push(part);
             }
         }
         CrashReport {
-            node,
             orphaned,
-            lost_secondaries,
             aborted_failovers,
         }
     }
 
-    /// Starts promoting `target` to primary of `part` after its primary
-    /// died. The partition blocks for `duration` (failure detection +
-    /// hand-off + lag sync, priced by `lion-faults`).
+    /// Moves what `node` logged for `part` and never shipped into the
+    /// partition's failover replay, behind what is already there.
+    fn recover_prepare_log(&mut self, part: PartitionId, node: NodeId) {
+        let store = self.stores[node.idx()].get_mut(&part.0);
+        if let (Some(ctx), Some(store)) = (&mut self.parts[part.idx()].failover, store) {
+            ctx.replay.extend(store.log.take_pending());
+        }
+    }
+
+    /// Starts promoting `target` to primary of a `part`
+    /// [`Cluster::crash_node`] orphaned. The partition blocks for `duration`
+    /// (failure detection + hand-off + lag sync, priced by `lion-faults`).
     pub fn begin_failover(&mut self, part: PartitionId, target: NodeId, duration: Time, now: Time) {
         self.start(part, Transfer::Failover { to: target }, now + duration);
     }
 
+    /// Nobody can be promoted for `part`. With its primary back up (it
+    /// restarted mid-promotion, then the target died) the promotion is
+    /// abandoned: the replay goes to the secondaries the primary reaches and
+    /// the primary resumes behind [`Cluster::recover_node`]'s restart window.
+    /// Returns `(resume time, bytes shipped)`, or `None` for a dead primary:
+    /// the caller owes that one a [`Cluster::stall_partition`].
+    pub fn abandon_failover(&mut self, part: PartitionId, now: Time) -> Option<(Time, u64)> {
+        let primary = self.placement.primary_of(part);
+        if !self.is_up(primary) {
+            return None;
+        }
+        let ctx = self.parts[part.idx()].failover.take();
+        let (bytes, _) = self.ship(part, primary, &ctx.map_or_else(Vec::new, |c| c.replay));
+        self.resume_after_restart(part, now);
+        Some((now + self.cfg.remaster_delay_us, bytes))
+    }
+
     /// Marks `part` as stalled: its primary is down and no live replica can
-    /// take over. Operations block until `until`; the caller re-arms the
-    /// stall until [`Cluster::recover_node`] ends it.
+    /// take over (the primary's own table holds all there is to replay, so
+    /// the failover context goes). Operations block until `until`; the
+    /// caller re-arms the stall until [`Cluster::recover_node`] ends it.
     pub fn stall_partition(&mut self, part: PartitionId, until: Time) {
+        self.parts[part.idx()].failover = None;
         self.start(part, Transfer::Stalled, until);
     }
 
@@ -120,29 +165,28 @@ impl Cluster {
     /// every secondary the promotion target can reach (itself included — it
     /// is still a listed secondary), promotes the target at the dead
     /// primary's durability frontier, and rewrites the placement (the dead
-    /// node drops out of the replica set entirely). Returns `(wire bytes
-    /// shipped, adopted head LSN)`.
-    pub fn finish_failover(
-        &mut self,
-        part: PartitionId,
-        replay: &[LogEntry],
-        now: Time,
-    ) -> (u64, u64) {
-        let Transfer::Failover { to } = self.finish(part) else {
-            panic!("finish_failover without begin_failover");
+    /// node drops out of the replica set entirely). `None`, and nothing
+    /// done, when no promotion is in flight.
+    pub fn finish_failover(&mut self, part: PartitionId, now: Time) -> Option<Promotion> {
+        let Transfer::Failover { to } = self.transfer(part) else {
+            return None;
         };
         let dead = self.placement.primary_of(part);
-        let (shipped, _) = self.ship(part, to, replay);
-
+        if self.is_up(dead) {
+            // It restarted mid-promotion: it hands over whatever it logged
+            // since, so it really is in sync when it stays on below.
+            self.recover_prepare_log(part, dead);
+        }
+        let ctx = self.parts[part.idx()].failover.take()?;
+        self.finish(part);
         // The durability frontier the new primary adopts: everything the
         // dead primary logged (its table state is reconstructed from the
         // epoch-flushed history plus the replayed prepare log).
-        let dead_head = self
-            .store(dead, part)
-            .map(|s| s.log.head_lsn())
-            .unwrap_or(0);
-        let target = self.store(to, part).expect("failover target holds a store");
-        let head = dead_head.max(target.applied_lsn);
+        let dead_head = self.log_head(dead, part);
+        let applied = |c: &Cluster| c.store(to, part).map_or(0, |s| s.applied_lsn);
+        let lag = dead_head.saturating_sub(applied(self));
+        let (bytes, _) = self.ship(part, to, &ctx.replay);
+        let head = dead_head.max(applied(self));
         self.swap_primary(part, to, head, now);
         if self.is_up(dead) {
             // The node restarted while the promotion was in flight: keep it
@@ -151,7 +195,28 @@ impl Cluster {
         } else {
             self.detach(part, dead, Store::KeptOnDisk);
         }
-        (shipped, head)
+        Some(Promotion {
+            record: FailoverRecord {
+                part,
+                from: dead,
+                to,
+                dead_head,
+                promoted_head: head,
+                lag,
+                crashed_at: ctx.crashed_at,
+                completed_at: now,
+            },
+            bytes,
+            replayed: ctx.replay.len() as u64,
+        })
+    }
+
+    /// `part`'s primary is up again: the partition leaves whatever it was
+    /// in and serves after a restart window priced like a remaster hand-off.
+    fn resume_after_restart(&mut self, part: PartitionId, now: Time) -> Transfer {
+        let rt = &mut self.parts[part.idx()];
+        rt.blocked_until = rt.blocked_until.max(now + self.cfg.remaster_delay_us);
+        self.finish(part)
     }
 
     /// Restarts `node`: marks it live again and reports what must happen
@@ -173,9 +238,7 @@ impl Cluster {
                     // node is kept as a secondary when it completes.
                     continue;
                 }
-                let rt = &mut self.parts[p];
-                rt.blocked_until = rt.blocked_until.max(now + self.cfg.remaster_delay_us);
-                let was = self.finish(part);
+                let was = self.resume_after_restart(part, now);
                 debug_assert_eq!(
                     was,
                     Transfer::Stalled,
@@ -191,7 +254,6 @@ impl Cluster {
             }
         }
         RecoveryReport {
-            node,
             restored_primaries,
             rejoin_secondaries,
         }

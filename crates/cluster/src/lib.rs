@@ -33,8 +33,8 @@ mod tests;
 mod transfer;
 
 pub use cluster::Cluster;
-pub use failure::{CrashReport, RecoveryReport};
+pub use failure::{CrashReport, Promotion, RecoveryReport};
 pub use freq::FreqTracker;
 pub use replicas::EpochFlush;
 pub use split::SplitBrain;
-pub use transfer::{AdaptorError, PartitionRuntime, Transfer, LAG_SYNC_US_PER_ENTRY};
+pub use transfer::{AdaptorError, CopyLanded, PartitionRuntime, Transfer, LAG_SYNC_US_PER_ENTRY};

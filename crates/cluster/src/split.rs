@@ -132,9 +132,8 @@ impl Cluster {
     fn cancel_cut_off_copies(&mut self, part: PartitionId, primary: NodeId) {
         if let Some(split) = &self.split {
             let side = split.side_of[primary.idx()];
-            self.parts[part.idx()]
-                .copying_to
-                .retain(|n| split.side_of[n.idx()] == side);
+            let copies = &mut self.parts[part.idx()].copies;
+            copies.retain(|(n, _)| split.side_of[n.idx()] == side);
         }
     }
 
@@ -158,8 +157,10 @@ impl Cluster {
             !self.same_side(old, to),
             "split promotion within one side — use a plain failover"
         );
-        // Whatever was in flight belonged to the superseded primary.
+        // Whatever was in flight belonged to the superseded primary — a
+        // failover's replay included: it never crosses the cut.
         self.cancel(part, now);
+        self.parts[part.idx()].failover = None;
         let head = self
             .store(to, part)
             .expect("split promotion target has a store")

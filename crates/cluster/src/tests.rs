@@ -96,7 +96,7 @@ fn remaster_requires_secondary() {
 #[test]
 fn add_replica_does_not_block_partition() {
     let mut c = Cluster::new(small_cfg());
-    let (dur, bytes) = c.begin_add_replica(p(0), n(2)).unwrap();
+    let (dur, bytes, stamp) = c.begin_add_replica(p(0), n(2)).unwrap();
     assert!(dur > 0 && bytes > 0);
     assert_eq!(c.available_at(p(0)), 0, "background copy never blocks");
     assert_eq!(
@@ -106,8 +106,8 @@ fn add_replica_does_not_block_partition() {
             node: n(2)
         })
     );
-    let evicted = c.finish_add_replica(p(0), n(2), dur);
-    assert_eq!(evicted, None);
+    let landed = c.finish_add_replica(p(0), n(2), stamp, dur);
+    assert_eq!(landed, CopyLanded::Added { evicted: None });
     assert!(c.placement.has_secondary(p(0), n(2)));
     assert!(c.store(n(2), p(0)).is_some());
     c.check_invariants().unwrap();
@@ -120,9 +120,14 @@ fn replica_cap_evicts_coldest() {
     cfg.max_replicas = 2; // primary + 1 secondary
     let mut c = Cluster::new(cfg);
     // p0: primary n0, secondary n1. Adding on n2 must evict n1.
-    let (dur, _) = c.begin_add_replica(p(0), n(2)).unwrap();
-    let evicted = c.finish_add_replica(p(0), n(2), dur);
-    assert_eq!(evicted, Some(n(1)));
+    let (dur, _, stamp) = c.begin_add_replica(p(0), n(2)).unwrap();
+    let landed = c.finish_add_replica(p(0), n(2), stamp, dur);
+    assert_eq!(
+        landed,
+        CopyLanded::Added {
+            evicted: Some(n(1))
+        }
+    );
     assert!(!c.placement.has_secondary(p(0), n(1)));
     assert!(c.store(n(1), p(0)).is_none());
     c.check_invariants().unwrap();
@@ -172,21 +177,11 @@ fn crash_failover_lifecycle_preserves_log_continuity() {
     assert!(!c.is_up(n(0)));
     assert_eq!(c.live_count(), 2);
     // N0 primaries P0 and P3 under 3-node round-robin.
-    assert_eq!(report.orphaned.len(), 2);
-    let (part, replay) = report
-        .orphaned
-        .iter()
-        .find(|(pp, _)| *pp == p(0))
-        .expect("P0 orphaned")
-        .clone();
-    assert_eq!(
-        replay.len(),
-        1,
-        "unflushed write recovered from prepare log"
-    );
+    assert_eq!(report.orphaned, [p(0), p(3)]);
+    let part = p(0);
     // N0 is stripped from every secondary list it was on.
-    for lost in &report.lost_secondaries {
-        assert!(!c.placement.has_secondary(*lost, n(0)));
+    for lost in 0..6 {
+        assert!(!c.placement.has_secondary(p(lost), n(0)));
     }
 
     c.begin_failover(part, n(1), 3_000, 1_000);
@@ -195,9 +190,29 @@ fn crash_failover_lifecycle_preserves_log_continuity() {
         4_000,
         "promotion blocks the partition"
     );
-    let (bytes, head) = c.finish_failover(part, &replay, 4_000);
-    assert!(bytes > 0);
-    assert_eq!(head, head_before, "no committed write lost");
+    let done = c
+        .finish_failover(part, 4_000)
+        .expect("a promotion in flight");
+    let landed = done.record;
+    assert_eq!((landed.part, landed.completed_at), (part, 4_000));
+    assert_eq!(
+        (landed.from, landed.to, landed.lag, landed.crashed_at),
+        (n(0), n(1), 1, 1_000)
+    );
+    assert_eq!(
+        done.replayed, 1,
+        "unflushed write recovered from prepare log"
+    );
+    assert!(done.bytes > 0);
+    assert_eq!(
+        (landed.dead_head, landed.promoted_head),
+        (head_before, head_before),
+        "no committed write lost"
+    );
+    assert_eq!(c.finish_failover(part, 4_000), None, "nothing left to land");
+    // An orphaned partition is owed a promotion or a stall.
+    assert!(c.check_invariants().is_err(), "P3 is still orphaned");
+    c.begin_failover(p(3), n(1), 3_000, 1_000);
     assert_eq!(c.placement.primary_of(part), n(1));
     assert!(
         !c.placement.has_secondary(part, n(0)),
@@ -220,8 +235,8 @@ fn recover_node_reports_rejoins_and_restores() {
     let mut c = Cluster::new(cfg);
     let report = c.crash_node(n(0), 0);
     assert_eq!(report.orphaned.len(), 2);
-    for (part, replay) in &report.orphaned {
-        assert!(replay.is_empty(), "stalled partitions keep their buffer");
+    for part in &report.orphaned {
+        assert_eq!(c.abandon_failover(*part, 0), None, "a dead primary stalls");
         c.stall_partition(*part, 10_000);
         assert_eq!(c.transfer(*part), Transfer::Stalled);
     }
@@ -248,9 +263,9 @@ fn recover_node_reports_rejoins_and_restores() {
 fn crashed_node_rejoins_as_secondary_after_failover() {
     let mut c = Cluster::new(small_cfg());
     let report = c.crash_node(n(0), 0);
-    for (part, replay) in &report.orphaned {
+    for part in &report.orphaned {
         c.begin_failover(*part, n(1), 1_000, 0);
-        c.finish_failover(*part, replay, 1_000);
+        c.finish_failover(*part, 1_000);
     }
     let rec = c.recover_node(n(0), 50_000);
     assert!(rec.restored_primaries.is_empty());
@@ -259,9 +274,100 @@ fn crashed_node_rejoins_as_secondary_after_failover() {
     assert_eq!(rec.rejoin_secondaries.len(), 4);
     for part in &rec.rejoin_secondaries {
         assert!(c.store(n(0), *part).is_none(), "stale copy dropped");
-        let (dur, _) = c.begin_add_replica(*part, n(0)).unwrap();
-        c.finish_add_replica(*part, n(0), 50_000 + dur);
+        let (dur, _, stamp) = c.begin_add_replica(*part, n(0)).unwrap();
+        c.finish_add_replica(*part, n(0), stamp, 50_000 + dur);
         assert!(c.placement.has_secondary(*part, n(0)));
+    }
+    c.check_invariants().unwrap();
+}
+
+/// Regression: a copy's completion was recognised by its destination alone,
+/// so a copy canceled and re-begun toward the same node was landed early by
+/// the first copy's stale completion.
+#[test]
+fn a_canceled_copys_completion_does_not_land_its_successor() {
+    let mut c = Cluster::new(small_cfg());
+    let (dur, _, first) = c.begin_add_replica(p(0), n(2)).unwrap();
+    for orphan in c.crash_node(n(2), 10).orphaned {
+        c.stall_partition(orphan, 1_000);
+    }
+    assert_eq!(c.parts[0].copy_targets().count(), 0, "the crash cancels it");
+    c.recover_node(n(2), 20);
+    let (_, _, second) = c.begin_add_replica(p(0), n(2)).unwrap();
+    assert_ne!(first, second);
+    assert_eq!(
+        c.finish_add_replica(p(0), n(2), first, dur),
+        CopyLanded::Stale
+    );
+    assert!(!c.placement.has_replica(p(0), n(2)), "nothing landed");
+    assert_eq!(c.parts[0].copy_targets().collect::<Vec<_>>(), [n(2)]);
+    // The source dying mid-copy cancels the copy at its completion.
+    c.crash_node(n(0), 30);
+    assert_eq!(
+        c.finish_add_replica(p(0), n(2), second, 20 + dur),
+        CopyLanded::Canceled
+    );
+    assert_eq!(c.parts[0].copy_targets().count(), 0);
+}
+
+/// One unshipped commit on `part`'s primary, crash of that primary, and the
+/// promotion of `to` begun: the state the three mid-promotion transitions
+/// start from.
+fn mid_promotion(c: &mut Cluster, part: PartitionId, to: NodeId) -> NodeId {
+    append_write(c, part, 9, TxnId(5));
+    let dead = c.placement.primary_of(part);
+    for orphan in c.crash_node(dead, 1_000).orphaned {
+        let target = c.placement.secondaries_of(orphan)[0];
+        c.begin_failover(orphan, target, 3_000, 1_000);
+    }
+    assert_eq!(c.transfer(part), Transfer::Failover { to });
+    dead
+}
+
+/// The original primary restarts mid-promotion and crashes again: the
+/// second crash orphans nothing new and the promotion lands with the first
+/// crash's context — its replay, its crash time, its head.
+#[test]
+fn a_second_crash_of_the_restarted_primary_keeps_the_promotion_and_its_replay() {
+    let mut c = Cluster::new(small_cfg());
+    let dead = mid_promotion(&mut c, p(0), n(1));
+    let rec = c.recover_node(dead, 1_500);
+    assert!(rec.restored_primaries.is_empty(), "the promotion stays");
+    c.check_invariants().unwrap();
+    let again = c.crash_node(dead, 2_000);
+    assert!(again.orphaned.is_empty() && again.aborted_failovers.is_empty());
+    assert_eq!(c.transfer(p(0)), Transfer::Failover { to: n(1) });
+    c.check_invariants().unwrap();
+    let done = c.finish_failover(p(0), 4_000).expect("still in flight");
+    let landed = done.record;
+    assert_eq!((done.replayed, landed.crashed_at), (1, 1_000));
+    assert_eq!(landed.promoted_head, landed.dead_head);
+    assert_eq!(c.store(n(1), p(0)).unwrap().applied_lsn, landed.dead_head);
+    assert!(!c.placement.has_replica(p(0), dead));
+    c.check_invariants().unwrap();
+}
+
+/// The promotion target dies with the original primary back up and nobody
+/// else to promote: the promotion is abandoned and the primary resumes
+/// behind the restart window — it does not stall.
+#[test]
+fn a_dead_target_with_the_primary_back_up_abandons_the_promotion() {
+    let mut c = Cluster::new(small_cfg());
+    let dead = mid_promotion(&mut c, p(0), n(1));
+    c.recover_node(dead, 1_500);
+    let report = c.crash_node(n(1), 2_000);
+    assert_eq!(report.aborted_failovers, [p(0), p(3)]);
+    for part in report.aborted_failovers {
+        let (resumed, _) = c
+            .abandon_failover(part, 2_000)
+            .expect("a live primary does not stall");
+        assert_eq!(resumed, 2_000 + c.cfg.remaster_delay_us);
+        assert_eq!(c.transfer(part), Transfer::Idle);
+        assert_eq!(c.available_at(part), resumed);
+        assert_eq!(c.placement.primary_of(part), dead);
+    }
+    for &orphan in &report.orphaned {
+        c.stall_partition(orphan, 12_000);
     }
     c.check_invariants().unwrap();
 }
@@ -351,9 +457,15 @@ fn rack_safe_eviction_keeps_zone_coverage() {
     c.install_secondary_free(p(0), n(1)).unwrap();
     c.freq.touch(p(0), n(1), 100);
     c.freq.touch(p(0), n(3), 1);
-    let (dur, _) = c.begin_add_replica(p(0), n(2)).unwrap();
-    let evicted = c.finish_add_replica(p(0), n(2), dur);
-    assert_eq!(evicted, Some(n(1)), "the zone guard overrides coldness");
+    let (dur, _, stamp) = c.begin_add_replica(p(0), n(2)).unwrap();
+    let landed = c.finish_add_replica(p(0), n(2), stamp, dur);
+    assert_eq!(
+        landed,
+        CopyLanded::Added {
+            evicted: Some(n(1))
+        },
+        "the zone guard overrides coldness"
+    );
     assert!(
         c.placement.has_replica(p(0), n(3)),
         "the only cross-zone replica must survive eviction"
@@ -530,8 +642,8 @@ fn split_promote_cancels_the_hand_off_it_supersedes() {
     c.begin_split(&[n(2), n(3)], 1_000);
     // N2 joins p3 on the primary's side, then a same-side remaster
     // toward it starts just before the quorum side's promotion lands.
-    let (dur, _) = c.begin_add_replica(p(3), n(2)).unwrap();
-    c.finish_add_replica(p(3), n(2), 1_000 + dur);
+    let (dur, _, stamp) = c.begin_add_replica(p(3), n(2)).unwrap();
+    c.finish_add_replica(p(3), n(2), stamp, 1_000 + dur);
     c.begin_remaster(p(3), n(2), 2_000).unwrap();
     let stale = c.parts[3].gen();
     c.split_promote(p(3), n(0), 2_500);

@@ -3,6 +3,7 @@
 //! on them — remastering, background replica addition, blocking migration.
 
 use crate::cluster::Cluster;
+use crate::failure::FailoverCtx;
 use crate::replicas::Store;
 use lion_common::{NodeId, PartitionId, Time};
 use std::fmt;
@@ -83,14 +84,37 @@ impl Transfer {
     }
 }
 
+/// How a background copy's completion ended
+/// ([`Cluster::finish_add_replica`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CopyLanded {
+    /// No copy with that stamp is in flight any more: nothing lands.
+    Stale,
+    /// The copy was still in flight but its source died: dropped.
+    Canceled,
+    /// The node is a holder now.
+    Added {
+        /// The secondary the replica cap evicted to make room, if any.
+        evicted: Option<NodeId>,
+    },
+}
+
 /// Runtime state of one partition: adaptor operations in flight.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionRuntime {
     /// Operations on the partition cannot execute before this time
     /// (remaster hand-off window / migration blackout).
     pub blocked_until: Time,
-    /// Nodes currently receiving a background replica copy.
-    pub copying_to: Vec<NodeId>,
+    /// Background replica copies in flight: `(destination, stamp)`. The
+    /// stamp is what [`Cluster::begin_add_replica`] issued; a completion
+    /// carrying any other is stale, even toward the same node.
+    pub(crate) copies: Vec<(NodeId, u64)>,
+    /// Copies begun so far: the next copy's stamp.
+    copies_begun: u64,
+    /// What a failover promotion carries from the crash that orphaned the
+    /// partition to the landing; `Some` exactly while the transfer is
+    /// `Failover` (written and consumed in `failure.rs`).
+    pub(crate) failover: Option<FailoverCtx>,
     /// The hand-off in flight; written only by [`Cluster`]'s start, finish
     /// and cancel routines.
     transfer: Transfer,
@@ -114,6 +138,11 @@ impl PartitionRuntime {
     /// for the hand-off in flight must still carry when it fires.
     pub fn gen(&self) -> u64 {
         self.gen
+    }
+
+    /// Nodes currently receiving a background replica copy.
+    pub fn copy_targets(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.copies.iter().map(|&(to, _)| to)
     }
 
     /// The `Idle` ceiling of `blocked_until` (see the field docs).
@@ -249,36 +278,52 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Starts copying a new secondary of `part` onto `to` in the background.
-    /// Returns `(copy duration, wire bytes)`. The partition stays fully
-    /// available: this is the non-intrusive path Lion relies on.
+    /// Returns `(copy duration, wire bytes, stamp)`; the completion hands the
+    /// stamp back to [`Cluster::finish_add_replica`]. The partition stays
+    /// fully available: this is the non-intrusive path Lion relies on.
     pub fn begin_add_replica(
         &mut self,
         part: PartitionId,
         to: NodeId,
-    ) -> Result<(Time, u64), AdaptorError> {
-        if self.placement.has_replica(part, to) || self.parts[part.idx()].copying_to.contains(&to) {
+    ) -> Result<(Time, u64, u64), AdaptorError> {
+        let rt = &self.parts[part.idx()];
+        if self.placement.has_replica(part, to) || rt.copy_targets().any(|n| n == to) {
             return Err(AdaptorError::AlreadyHosted { part, node: to });
         }
         self.may_start(part, to, false)?;
-        self.parts[part.idx()].copying_to.push(to);
-        Ok(self.snapshot_cost(part, self.cfg.migration_fixed_us / 2))
+        let rt = &mut self.parts[part.idx()];
+        rt.copies_begun += 1;
+        let stamp = rt.copies_begun;
+        rt.copies.push((to, stamp));
+        let (duration, bytes) = self.snapshot_cost(part, self.cfg.migration_fixed_us / 2);
+        Ok((duration, bytes, stamp))
     }
 
-    /// Completes a background copy: registers the secondary and, when the
-    /// replica cap is exceeded, evicts the coldest other secondary — never
-    /// the target of a hand-off in flight — (§IV-B.2). Returns the evicted
-    /// node, if any. A copy landing on a node that became a holder in the
-    /// meantime (a migration moved the primary there) has nothing to add.
+    /// The copy of `part` onto `to` stamped `stamp` completes — unless it
+    /// is no longer in flight (a crash of `to` or a cut canceled it, whatever
+    /// runs toward the same node now) or its source died mid-copy. Otherwise
+    /// the secondary is registered and, when the replica cap is exceeded, the
+    /// coldest other secondary — never the target of a hand-off in flight —
+    /// is evicted (§IV-B.2). A copy landing on a node that became a holder
+    /// in the meantime (a migration moved the primary there) adds nothing.
     pub fn finish_add_replica(
         &mut self,
         part: PartitionId,
         to: NodeId,
+        stamp: u64,
         now: Time,
-    ) -> Option<NodeId> {
-        let was_copying = self.cancel_copy(part, to);
-        assert!(was_copying, "finish_add_replica without begin_add_replica");
+    ) -> CopyLanded {
+        let rt = &mut self.parts[part.idx()];
+        let Some(pos) = rt.copies.iter().position(|&c| c == (to, stamp)) else {
+            return CopyLanded::Stale;
+        };
+        rt.copies.swap_remove(pos);
+        if !self.reachable(self.placement.primary_of(part), to) {
+            return CopyLanded::Canceled;
+        }
+        let mut evicted = None;
         if self.attach(part, to).is_err() {
-            return None;
+            return CopyLanded::Added { evicted };
         }
         self.freq.touch(part, to, now);
 
@@ -289,6 +334,10 @@ impl Cluster {
                 .iter()
                 .copied()
                 .filter(|&n| n != to && Some(n) != self.transfer(part).target())
+                // Across an open cut sits the other side's claim to the
+                // partition (its promotion or shadow target among them), and
+                // nobody there can be told to drop anything.
+                .filter(|&n| self.same_side(to, n))
                 .collect();
             // Anti-affinity: evicting a replica must not collapse the
             // partition's zone spread below the policy floor (or below the
@@ -308,12 +357,12 @@ impl Cluster {
                     victims = safe;
                 }
             }
-            if let Some(victim) = self.freq.coldest(part, &victims) {
+            evicted = self.freq.coldest(part, &victims);
+            if let Some(victim) = evicted {
                 self.detach(part, victim, Store::Dropped);
-                return Some(victim);
             }
         }
-        None
+        CopyLanded::Added { evicted }
     }
 
     /// Provisions a secondary replica instantly and free of charge —
@@ -325,14 +374,6 @@ impl Cluster {
         node: NodeId,
     ) -> Result<(), AdaptorError> {
         self.attach(part, node)
-    }
-
-    /// Removes `node` from the copy-target list of `part` (the copy landed,
-    /// or a failure canceled it). Returns whether a copy was in flight.
-    pub fn cancel_copy(&mut self, part: PartitionId, node: NodeId) -> bool {
-        let rt = &mut self.parts[part.idx()];
-        let pos = rt.copying_to.iter().position(|&n| n == node);
-        pos.map(|pos| rt.copying_to.swap_remove(pos)).is_some()
     }
 
     // ------------------------------------------------------------------

@@ -18,7 +18,7 @@ pub mod workload;
 pub use config::{CpuConfig, NetConfig, SimConfig};
 pub use ids::{ClientId, Key, NodeId, PartitionId, TxnId, ZoneId};
 pub use ops::{Op, OpKind, Phase, TxnRecord, TxnRequest};
-pub use placement::{Placement, PlacementError, PlacementPolicy};
+pub use placement::{FailoverRecord, Placement, PlacementError, PlacementPolicy};
 pub use workload::Workload;
 
 /// Deterministic fast hash map for hot-path state (row tables, transaction

@@ -12,7 +12,32 @@
 //! * all referenced nodes exist.
 
 use crate::ids::{NodeId, PartitionId, ZoneId};
+use crate::Time;
 use std::fmt;
+
+/// One completed failover promotion — the placement's primary of `part`
+/// moved off a dead node — as the cluster reports it and the run metrics
+/// log it, for the replication-log replay checks and the recovery analysis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FailoverRecord {
+    /// The partition that failed over.
+    pub part: PartitionId,
+    /// Dead node that held the primary.
+    pub from: NodeId,
+    /// Surviving node promoted to primary.
+    pub to: NodeId,
+    /// Everything the dead primary logged (its durability frontier).
+    pub dead_head: u64,
+    /// The head the new primary adopted. Equal to `dead_head` when no
+    /// committed write was lost.
+    pub promoted_head: u64,
+    /// Replication lag (entries) the promotion had to sync.
+    pub lag: u64,
+    /// Crash time.
+    pub crashed_at: Time,
+    /// Promotion completion time.
+    pub completed_at: Time,
+}
 
 /// How the planner and adaptor trade access locality against blast radius
 /// when choosing replica holders.

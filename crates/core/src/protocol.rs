@@ -36,6 +36,10 @@ pub struct Lion {
     pub(crate) affinity: FastMap<u32, NodeId>,
     /// Diagnostics: plan rounds that produced adaptor actions.
     pub plans_applied: u64,
+    /// Diagnostics: adaptor actions of applied plans the cluster refused
+    /// (partition busy, destination already hosting, down or across a cut).
+    /// Nothing retries them; the next round plans from what actually moved.
+    pub plan_refusals: u64,
     /// Diagnostics: last workload-variation metric (Eq. 6).
     pub last_wv: f64,
     /// Diagnostics: pre-replication triggers.
@@ -57,6 +61,7 @@ impl Lion {
             cfg,
             affinity: FastMap::default(),
             plans_applied: 0,
+            plan_refusals: 0,
             last_wv: 0.0,
             pre_replications: 0,
             predicted_injected: 0,

@@ -93,22 +93,15 @@ impl Lion {
 
         // --- Asynchronous adjustment (§III) -------------------------------
         for e in &plan.entries {
-            match e.action {
-                PlanAction::Remaster => {
-                    let _ = eng.remaster_async(e.part, e.dest);
-                }
-                PlanAction::AddReplica => {
-                    let _ = eng.add_replica_async(e.part, e.dest, true);
-                }
-                PlanAction::Migrate => {
-                    let _ = eng.migrate_async(e.part, e.dest);
-                }
-                PlanAction::AddSecondary => {
-                    // Anti-affinity repair: a background copy only — the
-                    // primary stays put, the new replica restores coverage.
-                    let _ = eng.add_replica_async(e.part, e.dest, false);
-                }
-            }
+            let started = match e.action {
+                PlanAction::Remaster => eng.remaster_async(e.part, e.dest),
+                PlanAction::AddReplica => eng.add_replica_async(e.part, e.dest, true),
+                PlanAction::Migrate => eng.migrate_async(e.part, e.dest),
+                // Anti-affinity repair: a background copy only — the
+                // primary stays put, the new replica restores coverage.
+                PlanAction::AddSecondary => eng.add_replica_async(e.part, e.dest, false),
+            };
+            self.plan_refusals += u64::from(started.is_err());
         }
     }
 }
@@ -139,6 +132,34 @@ mod tests {
         let mut lion = Lion::standard();
         lion.on_tick(&mut eng, TickKind::Planner);
         assert_eq!(lion.plans_applied, 0);
+    }
+
+    /// Every partition is mid-migration when the planner fires: whatever
+    /// the plan asks of the adaptor that needs the partition idle is refused,
+    /// and the round says so instead of dropping the answers.
+    #[test]
+    fn refused_adaptor_actions_are_counted() {
+        let wl = Box::new(YcsbWorkload::new(
+            YcsbConfig::for_cluster(4, 4, 1024)
+                .with_mix(1.0, 0.0)
+                .with_seed(71),
+        ));
+        let mut eng = Engine::new(cfg(), wl);
+        let mut lion = Lion::standard();
+        eng.run(&mut lion, SECOND); // history, but no planner tick yet
+        assert_eq!((lion.plans_applied, lion.plan_refusals), (0, 0));
+        for p in 0..16 {
+            let part = PartitionId(p);
+            let away = eng.cluster.placement.secondaries_of(part)[0];
+            eng.cluster.begin_migration(part, away, SECOND).unwrap();
+        }
+        lion.on_tick(&mut eng, TickKind::Planner);
+        assert_eq!(lion.plans_applied, 1);
+        assert!(
+            lion.plan_refusals > 0,
+            "a busy partition refuses a remaster"
+        );
+        assert!(lion.plan_refusals >= eng.metrics.remaster_conflicts);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use super::{Engine, Ev};
 use crate::protocol::Protocol;
-use lion_cluster::{AdaptorError, Transfer};
+use lion_cluster::{AdaptorError, CopyLanded, Transfer};
 use lion_common::{NodeId, PartitionId, Time};
 use lion_obs::{ByteClass, MetricEvent};
 
@@ -31,13 +31,14 @@ impl Engine {
         to: NodeId,
         then_remaster: bool,
     ) -> Result<Time, AdaptorError> {
-        let (d, bytes) = self.cluster.begin_add_replica(part, to)?;
+        let (d, bytes, stamp) = self.cluster.begin_add_replica(part, to)?;
         self.emit_bytes(ByteClass::Migration, bytes);
         self.queue.schedule(
             d,
             Ev::ReplicaCopied {
                 part,
                 node: to,
+                stamp,
                 then_remaster,
             },
         );
@@ -87,19 +88,21 @@ impl Engine {
         }
     }
 
-    /// A background copy of `part` onto `node` lands. Stale when the copy is
-    /// no longer in `copying_to`: a crash of the target, or a cut, canceled it.
-    pub(super) fn replica_copied(&mut self, part: PartitionId, node: NodeId, then_remaster: bool) {
+    /// The background copy of `part` onto `node` stamped `stamp` lands — or
+    /// not: the cluster decides whether that copy is still the one in flight
+    /// and whether both its ends lived to see it.
+    pub(super) fn replica_copied(
+        &mut self,
+        part: PartitionId,
+        node: NodeId,
+        stamp: u64,
+        then_remaster: bool,
+    ) {
         let now = self.now();
-        if !self.cluster.parts[part.idx()].copying_to.contains(&node) {
+        let CopyLanded::Added { evicted } = self.cluster.finish_add_replica(part, node, stamp, now)
+        else {
             return;
-        }
-        let primary = self.cluster.placement.primary_of(part);
-        if !self.cluster.is_up(node) || !self.cluster.is_up(primary) {
-            self.cluster.cancel_copy(part, node);
-            return; // source or destination died mid-copy
-        }
-        let evicted = self.cluster.finish_add_replica(part, node, now);
+        };
         self.emit(MetricEvent::ReplicaAdd {
             at: now,
             part,

@@ -6,20 +6,10 @@ use super::{Engine, Ev};
 use crate::protocol::Protocol;
 use crate::txn::TxnCtx;
 use lion_cluster::{AdaptorError, Cluster, Transfer};
-use lion_common::{FastMap, NodeId, PartitionId, Time, TxnId};
-use lion_faults::{plan_failover, FaultKind, FaultNotice};
+use lion_common::{NodeId, PartitionId, Time, TxnId};
+use lion_faults::{plan_promotion, FaultKind, FaultNotice};
 use lion_obs::run::FailoverRecord;
 use lion_obs::{ByteClass, MetricEvent};
-use lion_storage::LogEntry;
-
-/// Failover state carried between crash and promotion completion.
-pub(super) struct PendingFailover {
-    replay: Vec<LogEntry>,
-    from: NodeId,
-    dead_head: u64,
-    lag: u64,
-    crashed_at: Time,
-}
 
 impl Engine {
     /// Executes the steps one scripted fault event lowered to (see
@@ -79,83 +69,37 @@ impl Engine {
                     .iter()
                     .any(|&p| cluster.placement.primary_of(p) == node)
         });
-        let mut replays: FastMap<u32, Vec<LogEntry>> =
-            report.orphaned.into_iter().map(|(p, r)| (p.0, r)).collect();
-        for d in plan_failover(&self.cluster, node) {
-            self.emit(MetricEvent::UnavailBegin {
-                at: now,
-                part: d.part,
-            });
-            if d.target.is_some() {
-                let dead_head = self.log_head(node, d.part);
-                self.pending_failovers.insert(
-                    d.part.0,
-                    PendingFailover {
-                        replay: replays.remove(&d.part.0).unwrap_or_default(),
-                        from: node,
-                        dead_head,
-                        lag: d.lag,
-                        crashed_at: now,
-                    },
-                );
-            }
-            self.promote_or_stall(d.part, d.target.map(|t| (t, d.duration)), now);
+        for part in report.orphaned {
+            self.emit(MetricEvent::UnavailBegin { at: now, part });
+            self.promote_or_stall(part, now);
         }
         // Promotions whose target just died: re-plan them over the
         // remaining survivors (their unavailability windows stay open, and
-        // the original dead primary's replay entries remain pending).
+        // the partition keeps the original crash's failover context).
         for part in report.aborted_failovers {
-            self.replan_failover(part, now);
+            self.promote_or_stall(part, now);
         }
         proto.on_fault(self, &FaultNotice::NodeDown(node));
     }
 
-    /// Re-plans a canceled promotion for `part` (its target crashed before
-    /// the hand-off finished): promote the freshest remaining gap-free
-    /// replica, or stall until the original primary recovers.
-    pub(super) fn replan_failover(&mut self, part: PartitionId, now: Time) {
-        let candidates = lion_faults::promotion_candidates(&self.cluster, part);
-        let avoid = self
-            .pending_failovers
-            .get(&part.0)
-            .map(|pf| self.cluster.zone(pf.from));
-        let choice =
-            lion_faults::select_promotion_target_zoned(&candidates, &self.cluster.zone_of, avoid)
-                .map(|target| {
-                    let pf = self
-                        .pending_failovers
-                        .get_mut(&part.0)
-                        .expect("aborted failover retains its pending state");
-                    let applied = candidates
-                        .iter()
-                        .find(|c| c.node == target)
-                        .expect("target drawn from candidates")
-                        .applied_lsn;
-                    pf.lag = pf.dead_head.saturating_sub(applied);
-                    (target, lion_faults::price_promotion(&self.cfg.sim, pf.lag))
-                });
-        if choice.is_none() {
-            // Every replica is gone: the original primary's table still
-            // holds all committed writes, so nothing is left to replay.
-            self.pending_failovers.remove(&part.0);
-        }
-        self.promote_or_stall(part, choice, now);
-    }
-
-    /// Starts promoting `choice`'s target over its priced duration — or,
-    /// with no live gap-free replica to promote, stalls `part` until its
-    /// primary's node restarts ("protocols without a live replica stall
-    /// until Recover"), re-arming the block every poll interval.
-    fn promote_or_stall(&mut self, part: PartitionId, choice: Option<(NodeId, Time)>, now: Time) {
-        match choice {
-            Some((target, duration)) => {
-                self.cluster.begin_failover(part, target, duration, now);
-                self.schedule_transfer_done(part, duration);
-            }
-            None => {
-                self.emit(MetricEvent::PartitionStalled { at: now, part });
-                self.arm_stall(part);
-            }
+    /// Executes [`plan_promotion`]'s decision for `part` — freshly orphaned,
+    /// or its promotion canceled because the target died or was cut off:
+    /// promote the chosen survivor over its priced duration. With nobody to
+    /// promote, a primary that restarted meanwhile resumes (the promotion is
+    /// abandoned, the window closes); only a dead primary stalls until its
+    /// node restarts, the block re-armed every poll interval.
+    pub(super) fn promote_or_stall(&mut self, part: PartitionId, now: Time) {
+        let d = plan_promotion(&self.cluster, part);
+        if let Some(target) = d.target {
+            self.cluster.begin_failover(part, target, d.duration, now);
+            self.schedule_transfer_done(part, d.duration);
+        } else if let Some((resumed, bytes)) = self.cluster.abandon_failover(part, now) {
+            self.emit_bytes(ByteClass::Replication, bytes);
+            self.emit(MetricEvent::UnavailEnd { at: resumed, part });
+            self.rejoin_owed(part);
+        } else {
+            self.emit(MetricEvent::PartitionStalled { at: now, part });
+            self.arm_stall(part);
         }
     }
 
@@ -176,36 +120,15 @@ impl Engine {
         }
     }
 
-    /// Head LSN of `node`'s log for `part` (0 when it holds no store).
-    pub(super) fn log_head(&self, node: NodeId, part: PartitionId) -> u64 {
-        self.cluster
-            .store(node, part)
-            .map_or(0, |s| s.log.head_lsn())
-    }
-
     /// A failover promotion lands: replay the recovered prepare log, flip
     /// the placement, close the availability window.
     pub(super) fn finish_failover_event(&mut self, proto: &mut dyn Protocol, part: PartitionId) {
         let now = self.now();
-        let pf = self
-            .pending_failovers
-            .remove(&part.0)
-            .expect("pending failover state");
-        let (bytes, head) = self.cluster.finish_failover(part, &pf.replay, now);
-        self.emit_bytes(ByteClass::Replication, bytes);
-        let landed = self.record_failover(
-            FailoverRecord {
-                part,
-                from: pf.from,
-                to: self.cluster.placement.primary_of(part),
-                dead_head: pf.dead_head,
-                promoted_head: head,
-                lag: pf.lag,
-                crashed_at: pf.crashed_at,
-                completed_at: now,
-            },
-            pf.replay.len() as u64,
-        );
+        let Some(p) = self.cluster.finish_failover(part, now) else {
+            return;
+        };
+        self.emit_bytes(ByteClass::Replication, p.bytes);
+        let landed = self.record_failover(p.record, p.replayed);
         self.emit(MetricEvent::UnavailEnd { at: now, part });
         self.rejoin_owed(part);
         proto.on_fault(self, &landed);

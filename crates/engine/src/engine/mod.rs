@@ -20,10 +20,9 @@ use crate::protocol::{Protocol, TickKind};
 use crate::report::RunReport;
 use crate::slab::TxnSlab;
 use crate::txn::TxnCtx;
-use faults::PendingFailover;
 use lion_cluster::Cluster;
 use lion_common::{
-    ClientId, FastMap, NodeId, PartitionId, SimConfig, Time, TxnId, TxnRecord, TxnRequest, Workload,
+    ClientId, NodeId, PartitionId, SimConfig, Time, TxnId, TxnRecord, TxnRequest, Workload,
 };
 use lion_durability::{DurabilityConfig, EpochManager};
 use lion_faults::FaultPlan;
@@ -90,11 +89,12 @@ enum Ev {
     Epoch,
     Plan,
     Monitor,
-    /// A background replica copy lands; optionally chains a remaster onto
-    /// the fresh replica.
+    /// The background replica copy `begin_add_replica` stamped `stamp`
+    /// lands; optionally chains a remaster onto the fresh replica.
     ReplicaCopied {
         part: PartitionId,
         node: NodeId,
+        stamp: u64,
         then_remaster: bool,
     },
     /// The hand-off `part` had in flight when this was scheduled — remaster,
@@ -146,7 +146,6 @@ pub struct Engine {
     window_busy: Vec<Time>,
     submitted: u64,
     events: u64,
-    pending_failovers: FastMap<u32, PendingFailover>,
     /// Epoch group-commit ack manager (inert when `epoch_commit_us = 0`).
     epochs: EpochManager,
     /// Reusable batch-assembly buffer (no per-tick allocation).
@@ -207,7 +206,6 @@ impl Engine {
             window_busy: vec![0; nodes],
             submitted: 0,
             events: 0,
-            pending_failovers: FastMap::default(),
             epochs,
             batch_buf: Vec::new(),
             split_seq: 0,
@@ -341,8 +339,9 @@ impl Engine {
                 Ev::ReplicaCopied {
                     part,
                     node,
+                    stamp,
                     then_remaster,
-                } => self.replica_copied(part, node, then_remaster),
+                } => self.replica_copied(part, node, stamp, then_remaster),
                 Ev::TransferDone { part, gen } => self.transfer_done(proto, part, gen),
                 Ev::BatchArm => self.arm_batch(proto),
                 Ev::Fault(i) => self.apply_fault(proto, std::mem::take(&mut fault_steps[i])),

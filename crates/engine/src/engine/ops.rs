@@ -5,7 +5,7 @@
 use super::{Engine, Ev};
 use crate::txn::{OpWalk, ReadEntry, TxnClass, TxnCtx, WriteEntry};
 use lion_cluster::Cluster;
-use lion_common::{NodeId, Op, OpKind, PartitionId, Phase, Time, TxnId};
+use lion_common::{NodeId, OpKind, PartitionId, Phase, Time, TxnId};
 use lion_durability::PendingAck;
 use lion_obs::{ByteClass, CommitClass, MetricEvent};
 use lion_storage::{OpOutcome, Table};
@@ -217,48 +217,16 @@ impl Engine {
     // protocol's job via the primitives above)
     // ----------------------------------------------------------------
 
-    /// Executes one declared operation at `node` (which must currently hold
-    /// the primary): reads record versions, writes are buffered.
-    pub fn exec_op_at(&mut self, node: NodeId, txn: TxnId, op: Op) -> Result<(), OpFail> {
-        let now = self.now();
-        let Engine { txns, cluster, .. } = self;
-        let ctx = txns.get_mut(txn).expect("live transaction");
-        let walk = OpWalk {
-            home: ctx.home,
-            ops: std::slice::from_ref(&op),
-            read_set: &mut ctx.read_set,
-            write_set: &mut ctx.write_set,
-        };
-        exec_ops(cluster, now, node, txn, walk)
-    }
-
-    /// Executes partition group `gi` of `txn` at `node`, the group's
-    /// primary, in declaration order: [`Engine::exec_op_at`] for each of
-    /// its ops, stopping at the first failure, with the availability check,
-    /// the store lookup and the access bookkeeping done once for the group.
+    /// Executes partition group `gi` of `txn` at `node`, which must
+    /// currently hold the group's primary: in declaration order, reads
+    /// record versions and writes are buffered, stopping at the first
+    /// failure, with the availability check, the store lookup and the access
+    /// bookkeeping done once for the group.
     pub fn exec_group_at(&mut self, node: NodeId, txn: TxnId, gi: usize) -> Result<(), OpFail> {
         let now = self.now();
         let Engine { txns, cluster, .. } = self;
         let walk = txns.get_mut(txn).expect("live transaction").group_walk(gi);
         exec_ops(cluster, now, node, txn, walk)
-    }
-
-    /// Executes every operation of `txn` whose partition primary is at
-    /// `node`. Stops at the first failure.
-    pub fn exec_local_ops(&mut self, node: NodeId, txn: TxnId) -> Result<usize, OpFail> {
-        // Index walk instead of collecting the matching ops into a scratch
-        // `Vec`: this runs once per submission attempt, `Op` is tiny, and
-        // `exec_op_at` never changes the placement the filter reads.
-        let mut n = 0;
-        for i in 0..self.txn(txn).req.ops.len() {
-            let op = self.txn(txn).req.ops[i];
-            if !self.cluster.placement.is_primary(op.partition, node) {
-                continue;
-            }
-            self.exec_op_at(node, txn, op)?;
-            n += 1;
-        }
-        Ok(n)
     }
 
     /// CPU demand for executing `n_reads` + `n_writes` operations.

@@ -54,7 +54,7 @@ impl Engine {
         self.split_began_at = now;
         self.emit(MetricEvent::PartitionBegin { at: now });
         for part in self.cluster.begin_split(&cut, now) {
-            self.replan_failover(part, now);
+            self.promote_or_stall(part, now);
         }
         // Park in-flight transactions the cut strands mid-protocol.
         self.fault_abort(Requeue::Heal, |cluster, ctx| !Self::reachable(cluster, ctx));
@@ -133,7 +133,7 @@ impl Engine {
     fn promote_across_cut(&mut self, part: PartitionId, target: NodeId) -> FaultNotice {
         let now = self.now();
         let from = self.cluster.placement.primary_of(part);
-        let dead_head = self.log_head(from, part);
+        let dead_head = self.cluster.log_head(from, part);
         self.cluster.split_promote(part, target, now);
         let promoted_head = self
             .cluster

@@ -36,7 +36,7 @@ impl Protocol for TrivialProto {
     fn on_submit(&mut self, eng: &mut Engine, txn: TxnId) {
         let home = eng.cluster.placement.primary_of(eng.txn(txn).parts[0]);
         eng.txn_mut(txn).home = home;
-        match eng.exec_local_ops(home, txn) {
+        match eng.exec_group_at(home, txn, 0) {
             Ok(_) => {
                 let cpu = eng.op_cpu(1, 1) + eng.config().sim.cpu.txn_overhead_us;
                 eng.cpu(home, Phase::Execution, cpu, txn, 1);
@@ -206,9 +206,7 @@ fn blocked_partition_rejects_ops() {
     let sec = eng.cluster.placement.secondaries_of(part)[0];
     eng.cluster.begin_remaster(part, sec, 0).unwrap();
     let id = eng.inject_txn(ClientId(0), TxnRequest::new(vec![Op::read(part, 1)]));
-    let err = eng
-        .exec_op_at(NodeId(0), id, Op::read(part, 1))
-        .unwrap_err();
+    let err = eng.exec_group_at(NodeId(0), id, 0).unwrap_err();
     assert!(matches!(err, OpFail::Blocked { .. }));
 }
 
@@ -227,8 +225,7 @@ fn remaster_during_commit_window_releases_locks() {
         ClientId(0),
         TxnRequest::new(vec![Op::read(part, 1), Op::write(part, 1)]),
     );
-    eng.exec_op_at(home, txn, Op::read(part, 1)).unwrap();
-    eng.exec_op_at(home, txn, Op::write(part, 1)).unwrap();
+    eng.exec_group_at(home, txn, 0).unwrap();
     assert!(
         eng.validate_at(home, txn),
         "prepare-lock taken at the old primary"
@@ -263,10 +260,10 @@ fn remaster_during_commit_window_releases_locks() {
 /// Executes `ops` for a fresh transaction at `home` and returns it, ready
 /// to validate.
 fn executed(eng: &mut Engine, home: NodeId, ops: Vec<Op>) -> TxnId {
-    let txn = eng.inject_txn(ClientId(0), TxnRequest::new(ops.clone()));
+    let txn = eng.inject_txn(ClientId(0), TxnRequest::new(ops));
     eng.txn_mut(txn).home = home;
-    for op in ops {
-        eng.exec_op_at(home, txn, op).unwrap();
+    for gi in 0..eng.txn(txn).n_groups() {
+        eng.exec_group_at(home, txn, gi).unwrap();
     }
     txn
 }
@@ -683,7 +680,7 @@ fn epoch_commit_acks_survive_in_batch_mode() {
             for &t in batch {
                 let home = eng.cluster.placement.primary_of(eng.txn(t).parts[0]);
                 eng.txn_mut(t).home = home;
-                let _ = eng.exec_local_ops(home, t);
+                let _ = eng.exec_group_at(home, t, 0);
                 eng.cpu(home, Phase::Execution, 20, t, 0);
             }
         }
@@ -717,7 +714,7 @@ fn batch_mode_arms_batches() {
             for &t in batch {
                 let home = eng.cluster.placement.primary_of(eng.txn(t).parts[0]);
                 eng.txn_mut(t).home = home;
-                let _ = eng.exec_local_ops(home, t);
+                let _ = eng.exec_group_at(home, t, 0);
                 eng.cpu(home, Phase::Execution, 20, t, 0);
             }
         }

@@ -76,7 +76,7 @@ pub mod recovery;
 pub use heal::{plan_heal, plan_split_promotions, HealStep, SplitAction, SplitDecision};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use recovery::{
-    plan_failover, price_promotion, promotion_candidates, select_promotion_target,
+    plan_failover, plan_promotion, price_promotion, promotion_candidates, select_promotion_target,
     select_promotion_target_zoned, FailoverDecision, PromotionCandidate,
 };
 

@@ -143,46 +143,43 @@ pub(crate) fn candidates_on_side(
         .collect()
 }
 
-/// Plans the failover of every partition whose primary sits on the (already
-/// crashed) node `dead`. Pure decision logic: the engine executes the
-/// returned decisions by scheduling promotions on the virtual clock.
-pub fn plan_failover(cluster: &Cluster, dead: NodeId) -> Vec<FailoverDecision> {
-    let cfg = &cluster.cfg;
-    let mut out = Vec::new();
-    for part in cluster.placement.primary_partitions_on(dead) {
-        let head = cluster
-            .store(dead, part)
-            .map(|s| s.log.head_lsn())
-            .unwrap_or(0);
-        let candidates = promotion_candidates(cluster, part);
-        // Avoid promoting back into the dead primary's failure domain when
-        // an equally-fresh replica exists elsewhere (correlated-failure
-        // hedge; a no-op on single-zone clusters).
-        let target =
-            select_promotion_target_zoned(&candidates, &cluster.zone_of, Some(cluster.zone(dead)));
-        let (lag, duration) = match target {
-            Some(node) => {
-                let applied = candidates
-                    .iter()
-                    .find(|c| c.node == node)
-                    .expect("target drawn from candidates")
-                    .applied_lsn;
-                let lag = head.saturating_sub(applied);
-                (lag, price_promotion(cfg, lag))
-            }
-            None => (0, 0),
-        };
-        out.push(FailoverDecision {
-            part,
-            dead,
-            target,
-            lag,
-            duration,
-        });
+/// Decides the promotion of one `part` whose primary is gone — freshly
+/// orphaned, or its promotion target died or was cut off: the freshest
+/// gap-free survivor, outside the dead primary's failure domain when an
+/// equally fresh one is (correlated-failure hedge; a no-op on one zone), its
+/// lag behind the dead primary's head, and the price. The one place a
+/// promotion's target, lag and duration are computed.
+pub fn plan_promotion(cluster: &Cluster, part: PartitionId) -> FailoverDecision {
+    let dead = cluster.placement.primary_of(part);
+    let head = cluster.log_head(dead, part);
+    let candidates = promotion_candidates(cluster, part);
+    let target =
+        select_promotion_target_zoned(&candidates, &cluster.zone_of, Some(cluster.zone(dead)));
+    let (lag, duration) = match candidates.iter().find(|c| Some(c.node) == target) {
+        Some(c) => {
+            let lag = head.saturating_sub(c.applied_lsn);
+            (lag, price_promotion(&cluster.cfg, lag))
+        }
+        None => (0, 0),
+    };
+    FailoverDecision {
+        part,
+        dead,
+        target,
+        lag,
+        duration,
     }
-    // Deterministic order regardless of placement-map iteration details.
-    out.sort_by_key(|d| d.part);
-    out
+}
+
+/// Plans the failover of every partition whose primary sits on the (already
+/// crashed) node `dead`, in partition order. Pure decision logic: the engine
+/// executes decisions by scheduling promotions on the virtual clock.
+pub fn plan_failover(cluster: &Cluster, dead: NodeId) -> Vec<FailoverDecision> {
+    let parts = cluster.placement.primary_partitions_on(dead);
+    parts
+        .into_iter()
+        .map(|part| plan_promotion(cluster, part))
+        .collect()
 }
 
 #[cfg(test)]

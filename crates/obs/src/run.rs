@@ -10,7 +10,8 @@
 
 use crate::event::{ByteClass, CommitClass, MetricEvent};
 use crate::sink::MetricSink;
-use lion_common::{FastMap, NodeId, PartitionId, Phase, Time};
+pub use lion_common::FailoverRecord;
+use lion_common::{FastMap, PartitionId, Phase, Time};
 use lion_sim::{Histogram, RingSeries};
 
 /// Time-series bucket width (1 simulated second), matching the granularity
@@ -31,29 +32,6 @@ pub struct UnavailWindow {
     pub from: Time,
     /// When the partition was serving again (`None` while still open).
     pub until: Option<Time>,
-}
-
-/// One completed failover promotion, for the replication-log replay checks
-/// and the recovery analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverRecord {
-    /// The partition that failed over.
-    pub part: PartitionId,
-    /// Dead node that held the primary.
-    pub from: NodeId,
-    /// Surviving node promoted to primary.
-    pub to: NodeId,
-    /// The dead primary's log head at the crash (durability frontier).
-    pub dead_head: u64,
-    /// The head the new primary adopted. Equal to `dead_head` when no
-    /// committed write was lost.
-    pub promoted_head: u64,
-    /// Replication lag (entries) the promotion had to sync.
-    pub lag: u64,
-    /// Crash time.
-    pub crashed_at: Time,
-    /// Promotion completion time.
-    pub completed_at: Time,
 }
 
 /// All metrics collected during a run. Implements [`MetricSink`]; the alias
@@ -397,6 +375,7 @@ impl MetricSink for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lion_common::NodeId;
 
     #[test]
     fn phase_fractions_sum_to_one() {

@@ -104,24 +104,22 @@ impl ReconfigurationPlan {
 
     /// Applies the plan's effect to a placement (used by tests and by the
     /// dry-run invariant property tests; the engine applies it with timing).
-    pub fn apply_to(&self, placement: &mut Placement) {
+    /// Returns how many entries the placement refused — zero for a plan
+    /// computed against that placement.
+    pub fn apply_to(&self, placement: &mut Placement) -> usize {
+        let mut refused = 0;
         for e in &self.entries {
-            match e.action {
-                PlanAction::Remaster => {
-                    let _ = placement.remaster(e.part, e.dest);
-                }
-                PlanAction::AddReplica => {
-                    let _ = placement.add_secondary(e.part, e.dest);
-                    let _ = placement.remaster(e.part, e.dest);
-                }
-                PlanAction::Migrate => {
-                    let _ = placement.migrate_primary(e.part, e.dest);
-                }
-                PlanAction::AddSecondary => {
-                    let _ = placement.add_secondary(e.part, e.dest);
-                }
-            }
+            let applied = match e.action {
+                PlanAction::Remaster => placement.remaster(e.part, e.dest),
+                PlanAction::AddReplica => placement
+                    .add_secondary(e.part, e.dest)
+                    .and_then(|()| placement.remaster(e.part, e.dest)),
+                PlanAction::Migrate => placement.migrate_primary(e.part, e.dest),
+                PlanAction::AddSecondary => placement.add_secondary(e.part, e.dest),
+            };
+            refused += usize::from(applied.is_err());
         }
+        refused
     }
 }
 

@@ -43,8 +43,9 @@ fn main() {
             let mut lion = Lion::standard();
             let r = eng.run(&mut lion, secs * SECOND);
             println!(
-                "  [Lion diagnostics] plans={} wv={:.3} pre_repl={} remasters={} conflicts={} adds={}",
+                "  [Lion diagnostics] plans={} refused={} wv={:.3} pre_repl={} remasters={} conflicts={} adds={}",
                 lion.plans_applied,
+                lion.plan_refusals,
                 lion.last_wv,
                 lion.pre_replications,
                 eng.metrics.remasters,

@@ -191,10 +191,10 @@ const SCENARIOS: &[Scenario] = &[
     // by PR 17 at its parent commit `3e42397`, before `engine.rs` was split
     // into `engine/` and their shared bodies moved into `baselines/batch.rs`
     // — they are the only users of `cpu_grant`, `wake_at`, `charge_phase`,
-    // `install_unchecked`, `load_declared_sets` and `exec_local_ops`.
+    // `install_unchecked` and `load_declared_sets`.
     //
     // Star: partition phase + single-master phase through the super node
-    // (`cpu_grant`, `wake_at`, `exec_local_ops`, `install_unchecked`).
+    // (`cpu_grant`, `wake_at`, `exec_group_at`, `install_unchecked`).
     Scenario {
         name: "star-ycsb",
         build: || Box::new(Star::new()),

@@ -5,10 +5,10 @@
 use lion::cluster::{Cluster, Transfer};
 use lion::common::{NodeId, PartitionId, SimConfig, Time, TxnId};
 use lion::faults::{
-    plan_heal, plan_split_promotions, promotion_candidates, select_promotion_target,
-    PromotionCandidate, SplitAction,
+    plan_heal, plan_promotion, plan_split_promotions, select_promotion_target, PromotionCandidate,
+    SplitAction,
 };
-use lion::storage::{LogEntry, ReplicaStore, Table};
+use lion::storage::{ReplicaStore, Table};
 use proptest::prelude::*;
 
 fn cand(node: u16, applied: u64, gap: bool) -> PromotionCandidate {
@@ -49,8 +49,8 @@ struct Driver {
     now: Time,
     /// Undelivered hand-off completions: `(partition, generation stamp)`.
     scheduled: Vec<(PartitionId, u64)>,
-    /// Prepare-log replay recovered at a crash, per partition.
-    replays: Vec<Vec<LogEntry>>,
+    /// Undelivered copy completions: `(partition, destination, stamp)`.
+    copies: Vec<(PartitionId, NodeId, u64)>,
     /// Promotions the quorum side scheduled at split begin.
     promotions: Vec<(PartitionId, NodeId)>,
 }
@@ -67,10 +67,10 @@ impl Driver {
             ..Default::default()
         });
         Driver {
-            replays: vec![Vec::new(); c.n_partitions()],
             c,
             now: 0,
             scheduled: Vec::new(),
+            copies: Vec::new(),
             promotions: Vec::new(),
         }
     }
@@ -79,29 +79,23 @@ impl Driver {
         self.scheduled.push((part, self.c.parts[part.idx()].gen()));
     }
 
-    /// The engine's `promote_or_stall`: promote the freshest reachable
-    /// survivor, or stall until the dead primary's node restarts.
+    /// The engine's `promote_or_stall`, minus the clock: execute the one
+    /// planner's decision — promote, or with nobody to promote let a live
+    /// primary resume and stall a dead one.
     fn promote_or_stall(&mut self, part: PartitionId) {
-        let candidates = promotion_candidates(&self.c, part);
-        if let Some(target) = select_promotion_target(&candidates) {
-            self.c.begin_failover(part, target, 1_000, self.now);
+        let d = plan_promotion(&self.c, part);
+        if let Some(target) = d.target {
+            self.c.begin_failover(part, target, d.duration, self.now);
             self.schedule(part);
-        } else {
+        } else if self.c.abandon_failover(part, self.now).is_none() {
             self.c.stall_partition(part, self.now + 100);
         }
     }
 
-    /// True when restarting `node` would race a promotion away from it. The
-    /// script never does that: the engine re-plans such a partition from
-    /// scratch on the next crash (dropping the first crash's replay) and
-    /// stalls it with its primary up when the promotion target dies first
-    /// — two known gaps (ROADMAP direction 5) outside this state machine.
-    fn promotion_away_from(&self, node: NodeId) -> bool {
-        self.c
-            .placement
-            .primary_partitions_on(node)
-            .iter()
-            .any(|&p| matches!(self.c.transfer(p), Transfer::Failover { .. }))
+    fn add_replica(&mut self, part: PartitionId, node: NodeId) {
+        if let Ok((_, _, stamp)) = self.c.begin_add_replica(part, node) {
+            self.copies.push((part, node, stamp));
+        }
     }
 
     /// The split-brain rule plan validation enforces for every instant of a
@@ -135,18 +129,13 @@ impl Driver {
                     self.schedule(part);
                 }
             }
-            2 => {
-                let _ = self.c.begin_add_replica(part, node);
-            }
+            2 => self.add_replica(part, node),
             3 => {
-                // A background copy lands (the engine's `replica_copied`).
-                if let Some(&to) = self.c.parts[part.idx()].copying_to.first() {
-                    let primary = self.c.placement.primary_of(part);
-                    if self.c.is_up(to) && self.c.is_up(primary) {
-                        self.c.finish_add_replica(part, to, now);
-                    } else {
-                        self.c.cancel_copy(part, to);
-                    }
+                // A copy's completion fires (the engine's `ReplicaCopied`);
+                // whether it is stale is the cluster's call.
+                if !self.copies.is_empty() {
+                    let (part, to, stamp) = self.copies.swap_remove(b % self.copies.len());
+                    self.c.finish_add_replica(part, to, stamp, now);
                 }
             }
             4 => {
@@ -164,8 +153,8 @@ impl Driver {
                     }
                     Transfer::Migrate { .. } => self.c.finish_migration(part, now),
                     Transfer::Failover { .. } => {
-                        let replay = std::mem::take(&mut self.replays[part.idx()]);
-                        self.c.finish_failover(part, &replay, now);
+                        let landed = self.c.finish_failover(part, now).expect("in flight").record;
+                        assert_eq!(landed.promoted_head, landed.dead_head, "{part}");
                     }
                     other => panic!("{part}: current generation but {other:?}"),
                 }
@@ -182,20 +171,17 @@ impl Driver {
                     return;
                 }
                 let report = self.c.crash_node(node, now);
-                for (part, replay) in report.orphaned {
-                    self.replays[part.idx()] = replay;
-                    self.promote_or_stall(part);
-                }
-                for part in report.aborted_failovers {
+                for part in report.orphaned.into_iter().chain(report.aborted_failovers) {
                     self.promote_or_stall(part);
                 }
             }
             6 => {
-                if self.c.is_up(node) || self.promotion_away_from(node) {
+                // A restart — mid-promotion or not.
+                if self.c.is_up(node) {
                     return;
                 }
                 for part in self.c.recover_node(node, now).rejoin_secondaries {
-                    let _ = self.c.begin_add_replica(part, node);
+                    self.add_replica(part, node);
                 }
             }
             7 => {
@@ -253,9 +239,13 @@ impl Driver {
                 self.c.end_split();
             }
             10 => {
-                // A commit on the primary, unshipped until the next flush.
+                // A commit on the primary, unshipped until the next flush. A
+                // primary that is down, or back up under a promotion away
+                // from it, serves nothing (the engine blocks the partition
+                // until the promotion lands).
                 let primary = self.c.placement.primary_of(part);
-                if !self.c.is_up(primary) {
+                let promoting = matches!(self.c.transfer(part), Transfer::Failover { .. });
+                if !self.c.is_up(primary) || promoting {
                     return;
                 }
                 commit_at_primary(&mut self.c, part, b as u64 % 16, now, 8);
@@ -371,8 +361,8 @@ fn a_hand_off_inside_a_cut_ships_nothing_across_it() {
 
     // A same-side remaster N3 -> N2, onto a replica added inside the window.
     let mut c = cut_cluster();
-    let (copy, _) = c.begin_add_replica(p3, n2).unwrap();
-    c.finish_add_replica(p3, n2, 1_000 + copy);
+    let (copy, _, stamp) = c.begin_add_replica(p3, n2).unwrap();
+    c.finish_add_replica(p3, n2, stamp, 1_000 + copy);
     commit_at_primary(&mut c, p3, 5, 1, 16);
     let window = c.begin_remaster(p3, n2, 5_000).unwrap();
     let bytes = c.finish_remaster(p3, 5_000 + window);
@@ -402,7 +392,7 @@ proptest! {
         let mut d = Driver::new();
         for (i, &(op, a, b)) in script.iter().enumerate() {
             let cut_off = d.cut_off_secondaries();
-            d.step(op, a, b);
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.step(op, a, b))).is_err() { eprintln!("SCRIPT {:?}", &script[..=i]); panic!(); }
             if let Err(e) = d.check(&cut_off) {
                 // No shrinking in the offline proptest: print the prefix.
                 prop_assert!(false, "{} after the last step of {:?}", e, &script[..=i]);
@@ -502,5 +492,100 @@ proptest! {
                 &primary.table.get(k).unwrap().value
             );
         }
+    }
+}
+
+#[test]
+fn zz_debug_script() {
+    let script: Vec<(u8, usize, usize)> = vec![
+        (2, 530, 703),
+        (10, 918, 802),
+        (10, 334, 972),
+        (11, 440, 226),
+        (7, 941, 113),
+        (1, 53, 591),
+        (11, 337, 314),
+        (8, 857, 435),
+        (5, 518, 764),
+        (11, 735, 205),
+        (5, 94, 779),
+        (7, 980, 459),
+        (5, 38, 818),
+        (10, 343, 934),
+        (8, 297, 633),
+        (2, 750, 609),
+        (5, 54, 48),
+        (8, 158, 3),
+        (3, 658, 593),
+        (7, 970, 439),
+        (10, 198, 164),
+        (5, 838, 710),
+        (7, 480, 86),
+        (5, 936, 868),
+        (2, 536, 264),
+        (10, 478, 28),
+        (10, 409, 600),
+        (1, 129, 782),
+        (1, 523, 348),
+        (10, 564, 880),
+        (5, 709, 75),
+        (1, 568, 883),
+        (5, 494, 411),
+        (4, 506, 907),
+        (10, 160, 208),
+        (4, 343, 207),
+        (11, 309, 22),
+        (8, 991, 289),
+        (10, 511, 820),
+        (3, 585, 372),
+        (5, 34, 97),
+        (4, 33, 227),
+        (0, 828, 295),
+        (8, 797, 824),
+        (6, 953, 131),
+        (8, 460, 387),
+        (11, 57, 850),
+        (2, 663, 635),
+        (4, 424, 714),
+        (3, 42, 959),
+        (2, 26, 840),
+        (2, 23, 587),
+        (8, 435, 821),
+        (4, 269, 143),
+        (4, 181, 103),
+        (3, 301, 158),
+        (6, 612, 107),
+        (1, 394, 109),
+        (9, 919, 351),
+    ];
+    let mut d = Driver::new();
+    for &(op, a, b) in &script {
+        let part = a % 5;
+        let node = b % 5;
+        eprintln!("op {op} part P{part} node N{node}");
+        d.step(op, a, b);
+        for p in 0..5u32 {
+            let pp = PartitionId(p);
+            eprintln!(
+                "   P{p}: prim {:?} secs {:?} {:?} copies {:?}",
+                d.c.placement.primary_of(pp),
+                d.c.placement.secondaries_of(pp),
+                d.c.transfer(pp),
+                d.c.parts[p as usize].copy_targets().collect::<Vec<_>>()
+            );
+        }
+        eprintln!(
+            "   up {:?} shadow {:?}",
+            d.c.node_ids().map(|n| d.c.is_up(n)).collect::<Vec<_>>(),
+            (0..5)
+                .map(|p| d.c.shadow_of(PartitionId(p)))
+                .collect::<Vec<_>>()
+        );
+        eprintln!(
+            "   sides {:?} promos {:?} copies {:?}",
+            d.c.node_ids().map(|n| d.c.side_of(n)).collect::<Vec<_>>(),
+            d.promotions,
+            d.copies
+        );
     }
 }

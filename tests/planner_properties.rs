@@ -34,7 +34,7 @@ proptest! {
         let clumps = generate_clumps(&graph, alpha, cfg.max_clump_size);
         let freq = graph.normalized_weights();
         let plan = rearrange(clumps, &placement, &freq, &cfg, true);
-        plan.apply_to(&mut placement);
+        prop_assert_eq!(plan.apply_to(&mut placement), 0, "Algorithm 1 emitted a refused entry");
         prop_assert!(placement.validate().is_ok());
     }
 
@@ -56,9 +56,9 @@ proptest! {
             rearrange(clumps, placement, &freq, &cfg, true)
         };
         let plan1 = build(&placement);
-        plan1.apply_to(&mut placement);
+        prop_assert_eq!(plan1.apply_to(&mut placement), 0);
         let plan2 = build(&placement);
-        plan2.apply_to(&mut placement);
+        prop_assert_eq!(plan2.apply_to(&mut placement), 0);
         let plan3 = build(&placement);
         prop_assert!(
             plan3.entries.len() <= plan2.entries.len().max(1),
@@ -83,7 +83,7 @@ proptest! {
         for e in &plan.entries {
             prop_assert_eq!(e.action, lion::planner::PlanAction::Migrate);
         }
-        plan.apply_to(&mut placement);
+        prop_assert_eq!(plan.apply_to(&mut placement), 0);
         prop_assert!(placement.validate().is_ok());
     }
 
