@@ -21,7 +21,7 @@ use crate::router::route_txn;
 use lion_cluster::{AdaptorError, Transfer};
 use lion_common::{FastMap, NodeId, PartitionId, Time, TxnId};
 use lion_engine::{Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind, TxnClass};
-use lion_planner::TxnPlacementClass;
+use lion_planner::{HeatGraph, TxnPlacementClass};
 use lion_predictor::WorkloadPredictor;
 
 /// The Lion protocol.
@@ -34,12 +34,22 @@ pub struct Lion {
     /// affinity keeps routing stable while replica copies are in flight, so
     /// the greedy cost model cannot undo the plan mid-transition.
     pub(crate) affinity: FastMap<u32, NodeId>,
+    /// The heat graph the last round planned from: the co-access behind
+    /// `affinity`. `None` until the first round.
+    pub(crate) plan_graph: Option<HeatGraph>,
+    /// Routes since the last round whose co-access `plan_graph` never saw.
+    pub(crate) unplanned: usize,
+    /// An early round may still run in this planner interval.
+    pub(crate) early_armed: bool,
     /// Diagnostics: plan rounds that produced adaptor actions.
     pub plans_applied: u64,
     /// Diagnostics: adaptor actions of applied plans the cluster refused
     /// (partition busy, destination already hosting, down or across a cut).
     /// Nothing retries them; the next round plans from what actually moved.
     pub plan_refusals: u64,
+    /// Diagnostics: rounds run before their tick because the router saw `B`
+    /// unplanned routes.
+    pub early_rounds: u64,
     /// Diagnostics: last workload-variation metric (Eq. 6).
     pub last_wv: f64,
     /// Diagnostics: pre-replication triggers.
@@ -60,8 +70,12 @@ impl Lion {
             predictor: WorkloadPredictor::new(cfg.predictor),
             cfg,
             affinity: FastMap::default(),
+            plan_graph: None,
+            unplanned: 0,
+            early_armed: true,
             plans_applied: 0,
             plan_refusals: 0,
+            early_rounds: 0,
             last_wv: 0.0,
             pre_replications: 0,
             predicted_injected: 0,
@@ -133,7 +147,12 @@ impl StandardPolicy for Lion {
     }
 
     fn route(&mut self, eng: &mut Engine, txn: TxnId) -> NodeId {
-        let (home, class) = match self.affinity_of(eng, txn) {
+        let mut planned = self.affinity_of(eng, txn);
+        if planned.is_none() && self.count_unplanned(eng, txn) {
+            // The round this route triggered re-planned: route under it.
+            planned = self.affinity_of(eng, txn);
+        }
+        let (home, class) = match planned {
             Some(node) => {
                 // Deliberate routing to the planned clump destination.
                 let (class, _) = lion_planner::execution_cost(
@@ -192,6 +211,7 @@ impl StandardPolicy for Lion {
 
     fn on_tick(&mut self, eng: &mut Engine, kind: TickKind) {
         if kind == TickKind::Planner {
+            self.early_armed = true;
             self.plan_tick(eng);
         }
     }

@@ -1,6 +1,10 @@
 //! The adaptive replica provision loop (§III "planner" + §IV).
 //!
-//! Every planner tick:
+//! A round runs at every planner tick, and early — at most once per
+//! interval — once the router has seen `B` unplanned routes since the last
+//! round: transactions whose partitions' affinities disagree across
+//! co-access the last round's heat graph never saw (a shift the plan has not
+//! caught up with). Either way, one round:
 //! 1. drain the routed-transaction history (the batch `B`);
 //! 2. feed the predictor; when the workload-variation metric `wv(t, h)`
 //!    exceeds γ, sample `K` predicted transactions (§IV-C);
@@ -13,19 +17,79 @@
 
 use crate::config::Partitioning;
 use crate::protocol::Lion;
+use lion_common::{PartitionId, TxnId, TxnRecord};
 use lion_engine::Engine;
 use lion_planner::{generate_clumps, rearrange_with_topology, schism_plan, HeatGraph, PlanAction};
 
 impl Lion {
-    /// One planner round. Called from the engine's planner tick.
-    pub(crate) fn plan_tick(&mut self, eng: &mut Engine) {
+    /// True when the last round did not plan for these partitions: each has
+    /// an affinity, they disagree, and the round's heat graph has no edge
+    /// between any two sent to different nodes. A pair Algorithm 1 split on
+    /// purpose (below α, or apart for load) has an edge and never counts.
+    fn is_unplanned(&self, parts: &[PartitionId]) -> bool {
+        let Some(graph) = &self.plan_graph else {
+            return false;
+        };
+        let dest = |p: &PartitionId| self.affinity.get(&p.0);
+        if parts.iter().any(|p| dest(p).is_none()) {
+            return false;
+        }
+        let mut split = false;
+        for (i, p) in parts.iter().enumerate() {
+            for q in &parts[i + 1..] {
+                if dest(p) != dest(q) {
+                    if graph.edge_weight(*p, *q) > 0.0 {
+                        return false;
+                    }
+                    split = true;
+                }
+            }
+        }
+        split
+    }
+
+    /// Counts `txn`'s route if it is unplanned and, at the `B`-th since the
+    /// last round, runs the next round now unless one already ran early in
+    /// this interval. True when it did (the affinity table is new).
+    pub(crate) fn count_unplanned(&mut self, eng: &mut Engine, txn: TxnId) -> bool {
+        if !self.is_unplanned(&eng.txn(txn).parts) {
+            return false;
+        }
+        self.unplanned += 1;
+        if self.unplanned == 1 {
+            // The engine keeps only the first records after a drain; start
+            // afresh so the round plans from traffic the plan missed.
+            self.drain_records(eng);
+        }
+        if self.unplanned < self.cfg.planner.history_cap || !self.early_armed {
+            return false;
+        }
+        self.early_armed = false;
+        self.early_rounds += 1;
+        self.plan_tick(eng);
+        true
+    }
+
+    /// Drains the engine's routed-transaction records, feeding the
+    /// predictor's arrival history when prediction is on.
+    fn drain_records(&mut self, eng: &mut Engine) -> Vec<TxnRecord> {
         let records = eng.drain_history();
+        if self.cfg.prediction {
+            self.predictor.observe(&records);
+        }
+        records
+    }
+
+    /// One planner round: at the engine's planner tick, early from
+    /// [`Lion::count_unplanned`], or once failovers land.
+    pub(crate) fn plan_tick(&mut self, eng: &mut Engine) {
+        self.unplanned = 0;
+        let records = self.drain_records(eng);
         let now = eng.now();
 
         // --- Prediction (§IV-C) -----------------------------------------
-        let mut predicted: Vec<(Vec<lion_common::PartitionId>, f64)> = Vec::new();
+        let mut predicted: Vec<(Vec<PartitionId>, f64)> = Vec::new();
         if self.cfg.prediction {
-            self.predictor.observe(&records);
             let out = self.predictor.predict(now);
             self.last_wv = out.wv;
             if out.triggered {
@@ -77,6 +141,7 @@ impl Lion {
             }
             Partitioning::Schism => schism_plan(&graph, &eng.cluster.placement, pcfg.epsilon),
         };
+        self.plan_graph = Some(graph);
         plan.entries.retain(|e| live[e.dest.idx()]);
         plan.assignments.retain(|(_, dest)| live[dest.idx()]);
         // Refresh the router affinity table (deliberate routing, §III) for
@@ -110,8 +175,8 @@ impl Lion {
 mod tests {
     use crate::config::LionConfig;
     use crate::protocol::Lion;
-    use lion_common::{PartitionId, SimConfig, SECOND};
-    use lion_engine::{Engine, Protocol, TickKind};
+    use lion_common::{ClientId, NodeId, Op, PartitionId, SimConfig, TxnRequest, SECOND};
+    use lion_engine::{Engine, FaultNotice, Protocol, TickKind};
     use lion_workloads::{Schedule, YcsbConfig, YcsbWorkload};
 
     fn cfg() -> SimConfig {
@@ -219,6 +284,117 @@ mod tests {
             );
         }
         eng.cluster.check_invariants().unwrap();
+    }
+
+    /// Routes one transaction writing `parts` through Lion's router.
+    fn route(lion: &mut Lion, eng: &mut Engine, parts: &[u32]) {
+        let ops = parts
+            .iter()
+            .map(|&p| Op::write(PartitionId(p), 0))
+            .collect();
+        let t = eng.inject_txn(ClientId(0), TxnRequest::new(ops));
+        lion_engine::StandardPolicy::route(lion, eng, t);
+    }
+
+    /// An engine (never run) and a standard Lion whose first round planned
+    /// the co-access pairs `(2k, 2k + 1)`, giving every partition an affinity.
+    fn planned_world() -> (Engine, Lion) {
+        let wl = Box::new(YcsbWorkload::new(YcsbConfig::for_cluster(4, 4, 1024)));
+        let mut eng = Engine::new(cfg(), wl);
+        let mut lion = Lion::standard();
+        for i in 0..800 {
+            let k = i % 8;
+            route(&mut lion, &mut eng, &[2 * k, 2 * k + 1]);
+        }
+        assert_eq!(lion.unplanned, 0, "nothing counts before the first round");
+        lion.on_tick(&mut eng, TickKind::Planner);
+        assert_eq!(lion.affinity.len(), 16);
+        (eng, lion)
+    }
+
+    /// A pair the last round sent to different nodes without having seen it
+    /// co-accessed.
+    fn unseen_split_pair(lion: &Lion) -> [u32; 2] {
+        (0..16)
+            .flat_map(|p| (p + 1..16).map(move |q| [p, q]))
+            .find(|&[p, q]| lion.is_unplanned(&[PartitionId(p), PartitionId(q)]))
+            .expect("some pair is split and unseen")
+    }
+
+    #[test]
+    fn nothing_is_unplanned_before_the_first_round() {
+        let wl = Box::new(YcsbWorkload::new(YcsbConfig::for_cluster(4, 4, 1024)));
+        let mut eng = Engine::new(cfg(), wl);
+        let mut lion = Lion::standard();
+        lion.affinity.insert(0, NodeId(0));
+        lion.affinity.insert(1, NodeId(1));
+        for _ in 0..2 * lion.cfg.planner.history_cap {
+            route(&mut lion, &mut eng, &[0, 1]);
+        }
+        assert_eq!((lion.unplanned, lion.early_rounds), (0, 0));
+    }
+
+    /// A pair the round saw co-accessed and still sent apart — below α, or
+    /// moved for load — is a decision, not a stale plan.
+    #[test]
+    fn a_split_the_round_saw_never_counts() {
+        let (mut eng, mut lion) = planned_world();
+        let kept = lion.affinity[&0];
+        let away = NodeId((kept.0 + 1) % 4);
+        lion.affinity.insert(1, away);
+        let seen = lion.plan_graph.as_ref().unwrap();
+        assert!(seen.edge_weight(PartitionId(0), PartitionId(1)) > 0.0);
+        for _ in 0..2 * lion.cfg.planner.history_cap {
+            route(&mut lion, &mut eng, &[0, 1]);
+        }
+        assert_eq!((lion.unplanned, lion.early_rounds), (0, 0));
+    }
+
+    /// Unseen co-access across disagreeing affinities runs the next round at
+    /// the `B`-th route; a second `B` in the same interval runs nothing, and
+    /// the periodic tick re-arms the trigger.
+    #[test]
+    fn unplanned_routes_pull_one_round_forward_per_interval() {
+        let (mut eng, mut lion) = planned_world();
+        let b = lion.cfg.planner.history_cap;
+        let [p, q] = unseen_split_pair(&lion);
+        for _ in 1..b {
+            route(&mut lion, &mut eng, &[p, q]);
+        }
+        assert_eq!((lion.unplanned, lion.early_rounds), (b - 1, 0));
+        route(&mut lion, &mut eng, &[p, q]);
+        assert_eq!((lion.unplanned, lion.early_rounds), (0, 1));
+        assert_eq!(
+            lion.affinity[&p], lion.affinity[&q],
+            "the early round planned the new pair onto one node"
+        );
+
+        let pair = unseen_split_pair(&lion);
+        for _ in 0..2 * b {
+            route(&mut lion, &mut eng, &pair);
+        }
+        assert_eq!((lion.unplanned, lion.early_rounds), (2 * b, 1));
+
+        lion.on_tick(&mut eng, TickKind::Planner);
+        let pair = unseen_split_pair(&lion);
+        for _ in 0..b {
+            route(&mut lion, &mut eng, &pair);
+        }
+        assert_eq!(lion.early_rounds, 2, "the tick re-armed the trigger");
+    }
+
+    /// A crashed node's affinities are dropped, so a transaction touching
+    /// those partitions has no plan to be stale against.
+    #[test]
+    fn partitions_without_affinity_after_node_down_do_not_count() {
+        let (mut eng, mut lion) = planned_world();
+        let [p, q] = unseen_split_pair(&lion);
+        let dead = lion.affinity[&p];
+        lion.on_fault(&mut eng, &FaultNotice::NodeDown(dead));
+        for _ in 0..2 * lion.cfg.planner.history_cap {
+            route(&mut lion, &mut eng, &[p, q]);
+        }
+        assert_eq!((lion.unplanned, lion.early_rounds), (0, 0));
     }
 
     #[test]

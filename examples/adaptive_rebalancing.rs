@@ -1,6 +1,7 @@
 //! Adaptive rebalancing under a changing hotspot (the Fig. 8 scenario,
 //! time-compressed): the workload's co-access pairing shifts every period;
-//! watch Lion re-plan, pre-replicate, and recover while 2PC stays flat-low.
+//! watch Lion re-plan (early, when traffic leaves its plan), pre-replicate,
+//! and recover while 2PC stays flat-low.
 //!
 //! ```text
 //! cargo run --release --example adaptive_rebalancing [period_secs] [periods]
@@ -42,8 +43,9 @@ fn main() {
             let mut lion = Lion::standard();
             let r = eng.run(&mut lion, horizon);
             println!(
-                "Lion: plans={} pre-replications={} remasters={} replica-adds={}",
+                "Lion: plans={} early-rounds={} pre-replications={} remasters={} replica-adds={}",
                 lion.plans_applied,
+                lion.early_rounds,
                 lion.pre_replications,
                 eng.metrics.remasters,
                 eng.metrics.replica_adds

@@ -1,6 +1,9 @@
 //! Shape assertions mirroring the paper's headline claims, at test scale.
 
+use lion::engine::CommitClass;
 use lion::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn sim(nodes: usize) -> SimConfig {
     SimConfig {
@@ -49,6 +52,67 @@ fn lion_beats_2pc_on_cross_partition_workloads() {
         lion_tps > twopc_tps * 1.2,
         "Lion {lion_tps:.0} vs 2PC {twopc_tps:.0}"
     );
+}
+
+/// Commits per 100 ms window: (single-node or remastered, all).
+struct ClassWindows(Rc<RefCell<Vec<(u32, u32)>>>);
+
+impl MetricSink for ClassWindows {
+    fn on_event(&mut self, ev: &MetricEvent) {
+        if let MetricEvent::Commit { at, class, .. } = ev {
+            let mut windows = self.0.borrow_mut();
+            let w = (*at / (100 * MILLIS)) as usize;
+            if windows.len() <= w {
+                windows.resize(w + 1, (0, 0));
+            }
+            windows[w].0 += u32::from(*class != CommitClass::Distributed);
+            windows[w].1 += 1;
+        }
+    }
+}
+
+/// Lion adapts within a planning round of a hotspot shift (the extended
+/// version's pre-provisioning curve): traffic its plan never saw pulls the
+/// next round forward, so the 200 ms after each real re-pairing stay mostly
+/// single-node instead of running 2PC until the next 500 ms tick. Offsets
+/// 0 → 9 → 18 on 16 partitions re-pair at 1.5 s and 3.0 s (18 pairs like 0).
+/// Measured share in those 200 ms (shift at 1.5 s / 3.0 s): `Lion::full()`
+/// 0.896 / 0.922 and `Lion::standard()` 0.863 / 0.879 with the early round;
+/// 0.125 / 0.126 and 0.251 / 0.001 when rounds ran only at the tick.
+#[test]
+fn lion_recovers_within_a_round_of_a_hotspot_shift() {
+    const FLOOR: f64 = 0.6;
+    let period = 1_500 * MILLIS;
+    for (name, mut lion) in [("full", Lion::full()), ("standard", Lion::standard())] {
+        let cfg = EngineConfig {
+            sim: sim(4),
+            plan_interval_us: 500 * MILLIS,
+            ..Default::default()
+        };
+        let wl = YcsbWorkload::new(
+            YcsbConfig::for_cluster(4, 4, 2048)
+                .with_schedule(Schedule::interval_shift(period, 3, 9, 1.0))
+                .with_seed(13),
+        );
+        let mut eng = Engine::new(cfg, Box::new(wl));
+        let windows = Rc::new(RefCell::new(Vec::new()));
+        eng.obs
+            .extras
+            .push(Box::new(ClassWindows(Rc::clone(&windows))));
+        eng.run(&mut lion, 2 * period + 300 * MILLIS);
+        let windows = windows.borrow();
+        for shift in [period, 2 * period] {
+            let w = (shift / (100 * MILLIS)) as usize;
+            let (single, all) = windows[w..w + 2]
+                .iter()
+                .fold((0, 0), |(s, a), &(ws, wa)| (s + ws, a + wa));
+            let share = f64::from(single) / f64::from(all.max(1));
+            assert!(
+                share >= FLOOR,
+                "{name}: single-node share {share:.3} in the 200 ms after the shift at {shift} us"
+            );
+        }
+    }
 }
 
 /// 2PC throughput must fall monotonically-ish as the cross ratio grows
