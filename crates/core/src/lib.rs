@@ -22,4 +22,5 @@ pub mod router;
 
 pub use config::{LionConfig, Partitioning};
 pub use protocol::Lion;
+pub use provision::{PlanRound, Trigger};
 pub use router::route_txn;

@@ -17,6 +17,7 @@
 //! partition it decides between remastering (case 2) and 2PC.
 
 use crate::config::LionConfig;
+use crate::provision::{PlanRound, Trigger};
 use crate::router::route_txn;
 use lion_cluster::{AdaptorError, Transfer};
 use lion_common::{FastMap, NodeId, PartitionId, Time, TxnId};
@@ -41,26 +42,11 @@ pub struct Lion {
     pub(crate) unplanned: usize,
     /// An early round may still run in this planner interval.
     pub(crate) early_armed: bool,
-    /// Diagnostics: plan rounds that produced adaptor actions.
-    pub plans_applied: u64,
-    /// Diagnostics: adaptor actions of applied plans the cluster refused
-    /// (partition busy, destination already hosting, down or across a cut).
-    /// Nothing retries them; the next round plans from what actually moved.
-    pub plan_refusals: u64,
-    /// Diagnostics: rounds run before their tick because the router saw `B`
-    /// unplanned routes.
-    pub early_rounds: u64,
-    /// Diagnostics: last workload-variation metric (Eq. 6).
-    pub last_wv: f64,
-    /// Diagnostics: pre-replication triggers.
-    pub pre_replications: u64,
-    /// Diagnostics: predicted transactions injected into the heat graph.
-    pub predicted_injected: u64,
-    /// Diagnostics: provision rounds forced by failovers.
-    pub failover_replans: u64,
     /// A failover happened and the provision loop should re-run Algorithm 1
     /// once the topology settles (set by `on_fault`).
-    replan_pending: bool,
+    pub(crate) replan_pending: bool,
+    /// Every planner round so far, one record each, in the order they ran.
+    pub rounds: Vec<PlanRound>,
 }
 
 impl Lion {
@@ -73,14 +59,8 @@ impl Lion {
             plan_graph: None,
             unplanned: 0,
             early_armed: true,
-            plans_applied: 0,
-            plan_refusals: 0,
-            early_rounds: 0,
-            last_wv: 0.0,
-            pre_replications: 0,
-            predicted_injected: 0,
-            failover_replans: 0,
             replan_pending: false,
+            rounds: Vec::new(),
         }
     }
 
@@ -155,13 +135,12 @@ impl StandardPolicy for Lion {
         let (home, class) = match planned {
             Some(node) => {
                 // Deliberate routing to the planned clump destination.
-                let (class, _) = lion_planner::execution_cost(
+                let (class, _) = lion_planner::operational_cost(
                     &eng.cluster.placement,
                     eng.cluster.freq.heat(),
                     &eng.txn(txn).parts,
                     node,
                     self.cfg.planner.weights,
-                    &eng.cluster.zone_of,
                 );
                 (node, class)
             }
@@ -211,8 +190,7 @@ impl StandardPolicy for Lion {
 
     fn on_tick(&mut self, eng: &mut Engine, kind: TickKind) {
         if kind == TickKind::Planner {
-            self.early_armed = true;
-            self.plan_tick(eng);
+            self.plan_round(eng, Trigger::Tick);
         }
     }
 
@@ -236,9 +214,7 @@ impl StandardPolicy for Lion {
                         .iter()
                         .any(|rt| matches!(rt.transfer(), Transfer::Failover { .. }))
                 {
-                    self.replan_pending = false;
-                    self.failover_replans += 1;
-                    self.plan_tick(eng);
+                    self.plan_round(eng, Trigger::Failover);
                 }
             }
             FaultNotice::NodeUp(_) => {
@@ -300,7 +276,7 @@ mod tests {
             r_2pc.throughput_tps
         );
         // adaptation actually happened
-        assert!(lion.plans_applied > 0);
+        assert!(lion.rounds.iter().any(|r| r.actions > 0));
         assert!(r_lion.remasters > 0, "co-location via remastering");
         // by the end most txns are single-node; over the whole run the
         // distributed share must be well below 2PC's ~100%
@@ -382,9 +358,20 @@ mod tests {
         let r = eng.run(&mut lion, 6 * SECOND);
         assert_eq!(r.crashes, 1);
         assert!(r.failovers > 0, "dead node's primaries must fail over");
+        let replans: Vec<_> = lion
+            .rounds
+            .iter()
+            .filter(|r| r.trigger == Trigger::Failover)
+            .collect();
         assert_eq!(
-            lion.failover_replans, 1,
+            replans.len(),
+            1,
             "Algorithm 1 must re-run once the failovers land"
+        );
+        assert!(
+            replans[0].at >= 3 * SECOND + eng.cluster.cfg.failure_detect_us,
+            "the failover round ran at {} us, before detection",
+            replans[0].at
         );
         assert!(
             lion.affinity.values().all(|&n| n != lion_common::NodeId(1)),

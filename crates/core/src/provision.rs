@@ -1,10 +1,11 @@
 //! The adaptive replica provision loop (§III "planner" + §IV).
 //!
-//! A round runs at every planner tick, and early — at most once per
-//! interval — once the router has seen `B` unplanned routes since the last
-//! round: transactions whose partitions' affinities disagree across
-//! co-access the last round's heat graph never saw (a shift the plan has not
-//! caught up with). Either way, one round:
+//! A round runs at every planner tick; early — at most once per interval —
+//! once the router has seen `B` unplanned routes since the last round:
+//! transactions whose partitions' affinities disagree across co-access the
+//! last round's heat graph never saw (a shift the plan has not caught up
+//! with); and once the failovers after a crash have landed. Whatever the
+//! [`Trigger`], one body, `Lion::plan_round`:
 //! 1. drain the routed-transaction history (the batch `B`);
 //! 2. feed the predictor; when the workload-variation metric `wv(t, h)`
 //!    exceeds γ, sample `K` predicted transactions (§IV-C);
@@ -14,12 +15,49 @@
 //! 5. hand the plan's actions to the adaptors: remasters and background
 //!    replica additions (Lion) or blocking migrations (Schism mode), all
 //!    asynchronous with transaction processing.
+//!
+//! Each round, including one that finds nothing to plan, leaves exactly one
+//! [`PlanRound`] on [`Lion::rounds`]: what it saw and what it did.
 
 use crate::config::Partitioning;
 use crate::protocol::Lion;
-use lion_common::{PartitionId, TxnId, TxnRecord};
+use lion_common::{PartitionId, Time, TxnId, TxnRecord};
 use lion_engine::Engine;
 use lion_planner::{generate_clumps, rearrange_with_topology, schism_plan, HeatGraph, PlanAction};
+
+/// Why a planner round ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trigger {
+    /// The engine's periodic planner tick.
+    Tick,
+    /// `B` unplanned routes pulled the next round forward.
+    Early,
+    /// Every promotion after a crash has landed.
+    Failover,
+}
+
+/// The record one planner round leaves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanRound {
+    /// When the round ran.
+    pub at: Time,
+    /// Why it ran.
+    pub trigger: Trigger,
+    /// Routed-transaction records it drained.
+    pub drained: usize,
+    /// The workload-variation metric `wv` (Eq. 6), when prediction ran.
+    pub wv: Option<f64>,
+    /// Whether `wv` crossed γ and pre-replication fired.
+    pub pre_replicated: bool,
+    /// Predicted transactions injected into the heat graph.
+    pub predicted: usize,
+    /// Adaptor actions the plan issued.
+    pub actions: usize,
+    /// Of those, the ones the cluster refused (partition busy, destination
+    /// already hosting, down or across a cut). Nothing retries them; the
+    /// next round plans from what actually moved.
+    pub refused: usize,
+}
 
 impl Lion {
     /// True when the last round did not plan for these partitions: each has
@@ -64,9 +102,7 @@ impl Lion {
         if self.unplanned < self.cfg.planner.history_cap || !self.early_armed {
             return false;
         }
-        self.early_armed = false;
-        self.early_rounds += 1;
-        self.plan_tick(eng);
+        self.plan_round(eng, Trigger::Early);
         true
     }
 
@@ -80,21 +116,41 @@ impl Lion {
         records
     }
 
-    /// One planner round: at the engine's planner tick, early from
-    /// [`Lion::count_unplanned`], or once failovers land.
-    pub(crate) fn plan_tick(&mut self, eng: &mut Engine) {
+    /// One planner round, whatever triggered it; the caller decides whether
+    /// it runs. Leaves one [`PlanRound`] on [`Lion::rounds`].
+    pub(crate) fn plan_round(&mut self, eng: &mut Engine, trigger: Trigger) {
+        match trigger {
+            Trigger::Tick => self.early_armed = true,
+            Trigger::Early => self.early_armed = false,
+            Trigger::Failover => self.replan_pending = false,
+        }
         self.unplanned = 0;
         let records = self.drain_records(eng);
-        let now = eng.now();
+        let mut round = PlanRound {
+            at: eng.now(),
+            trigger,
+            drained: records.len(),
+            wv: None,
+            pre_replicated: false,
+            predicted: 0,
+            actions: 0,
+            refused: 0,
+        };
+        self.plan(eng, &records, &mut round);
+        self.rounds.push(round);
+    }
 
+    /// Steps 2–5 of a round over the drained `records`, noting in `round`
+    /// what they saw and did.
+    fn plan(&mut self, eng: &mut Engine, records: &[TxnRecord], round: &mut PlanRound) {
         // --- Prediction (§IV-C) -----------------------------------------
         let mut predicted: Vec<(Vec<PartitionId>, f64)> = Vec::new();
         if self.cfg.prediction {
-            let out = self.predictor.predict(now);
-            self.last_wv = out.wv;
+            let out = self.predictor.predict(round.at);
+            round.wv = Some(out.wv);
             if out.triggered {
-                self.pre_replications += 1;
-                self.predicted_injected += out.predicted.len() as u64;
+                round.pre_replicated = true;
+                round.predicted = out.predicted.len();
                 predicted = out.predicted;
             }
         }
@@ -151,12 +207,8 @@ impl Lion {
                 self.affinity.insert(p.0, *dest);
             }
         }
-        if plan.entries.is_empty() {
-            return;
-        }
-        self.plans_applied += 1;
-
         // --- Asynchronous adjustment (§III) -------------------------------
+        round.actions = plan.entries.len();
         for e in &plan.entries {
             let started = match e.action {
                 PlanAction::Remaster => eng.remaster_async(e.part, e.dest),
@@ -166,13 +218,14 @@ impl Lion {
                 // primary stays put, the new replica restores coverage.
                 PlanAction::AddSecondary => eng.add_replica_async(e.part, e.dest, false),
             };
-            self.plan_refusals += u64::from(started.is_err());
+            round.refused += usize::from(started.is_err());
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Trigger;
     use crate::config::LionConfig;
     use crate::protocol::Lion;
     use lion_common::{ClientId, NodeId, Op, PartitionId, SimConfig, TxnRequest, SECOND};
@@ -190,13 +243,28 @@ mod tests {
         }
     }
 
+    /// The triggers of every round so far, in order.
+    fn triggers(lion: &Lion) -> Vec<Trigger> {
+        lion.rounds.iter().map(|r| r.trigger).collect()
+    }
+
+    /// Rounds that issued adaptor actions.
+    fn applied(lion: &Lion) -> usize {
+        lion.rounds.iter().filter(|r| r.actions > 0).count()
+    }
+
     #[test]
     fn plan_tick_without_history_is_a_no_op() {
         let wl = Box::new(YcsbWorkload::new(YcsbConfig::for_cluster(4, 4, 1024)));
         let mut eng = Engine::new(cfg(), wl);
         let mut lion = Lion::standard();
         lion.on_tick(&mut eng, TickKind::Planner);
-        assert_eq!(lion.plans_applied, 0);
+        assert_eq!(lion.rounds.len(), 1, "an empty round still leaves a record");
+        let round = lion.rounds[0];
+        assert_eq!(
+            (round.trigger, round.drained, round.actions),
+            (Trigger::Tick, 0, 0)
+        );
     }
 
     /// Every partition is mid-migration when the planner fires: whatever
@@ -212,19 +280,21 @@ mod tests {
         let mut eng = Engine::new(cfg(), wl);
         let mut lion = Lion::standard();
         eng.run(&mut lion, SECOND); // history, but no planner tick yet
-        assert_eq!((lion.plans_applied, lion.plan_refusals), (0, 0));
+        assert!(lion.rounds.is_empty());
         for p in 0..16 {
             let part = PartitionId(p);
             let away = eng.cluster.placement.secondaries_of(part)[0];
             eng.cluster.begin_migration(part, away, SECOND).unwrap();
         }
         lion.on_tick(&mut eng, TickKind::Planner);
-        assert_eq!(lion.plans_applied, 1);
+        assert_eq!(lion.rounds.len(), 1);
+        let round = lion.rounds[0];
+        assert!(round.drained > 0 && round.actions > 0, "{round:?}");
         assert!(
-            lion.plan_refusals > 0,
-            "a busy partition refuses a remaster"
+            round.refused > 0 && round.refused <= round.actions,
+            "a busy partition refuses a remaster: {round:?}"
         );
-        assert!(lion.plan_refusals >= eng.metrics.remaster_conflicts);
+        assert!(round.refused as u64 >= eng.metrics.remaster_conflicts);
     }
 
     #[test]
@@ -239,7 +309,7 @@ mod tests {
         let mut eng = Engine::new(cfg(), wl);
         let mut lion = Lion::standard();
         eng.run(&mut lion, 7 * SECOND);
-        assert!(lion.plans_applied >= 1);
+        assert!(applied(&lion) >= 1);
         let pl = &eng.cluster.placement;
         let colocated = (0..8)
             .map(|k| {
@@ -276,7 +346,7 @@ mod tests {
         let mut eng = Engine::new(c, wl);
         let mut lion = Lion::standard();
         eng.run(&mut lion, 7 * SECOND);
-        assert!(lion.plans_applied >= 1, "planning rounds happened");
+        assert!(applied(&lion) >= 1, "planning rounds happened");
         for p in 0..eng.cluster.n_partitions() {
             assert!(
                 eng.cluster.zone_coverage(PartitionId(p as u32)) >= 2,
@@ -331,7 +401,7 @@ mod tests {
         for _ in 0..2 * lion.cfg.planner.history_cap {
             route(&mut lion, &mut eng, &[0, 1]);
         }
-        assert_eq!((lion.unplanned, lion.early_rounds), (0, 0));
+        assert_eq!((lion.unplanned, triggers(&lion)), (0, vec![]));
     }
 
     /// A pair the round saw co-accessed and still sent apart — below α, or
@@ -347,7 +417,7 @@ mod tests {
         for _ in 0..2 * lion.cfg.planner.history_cap {
             route(&mut lion, &mut eng, &[0, 1]);
         }
-        assert_eq!((lion.unplanned, lion.early_rounds), (0, 0));
+        assert_eq!((lion.unplanned, triggers(&lion)), (0, vec![Trigger::Tick]));
     }
 
     /// Unseen co-access across disagreeing affinities runs the next round at
@@ -361,9 +431,13 @@ mod tests {
         for _ in 1..b {
             route(&mut lion, &mut eng, &[p, q]);
         }
-        assert_eq!((lion.unplanned, lion.early_rounds), (b - 1, 0));
+        assert_eq!(
+            (lion.unplanned, triggers(&lion)),
+            (b - 1, vec![Trigger::Tick])
+        );
         route(&mut lion, &mut eng, &[p, q]);
-        assert_eq!((lion.unplanned, lion.early_rounds), (0, 1));
+        let after_early = (0, vec![Trigger::Tick, Trigger::Early]);
+        assert_eq!((lion.unplanned, triggers(&lion)), after_early);
         assert_eq!(
             lion.affinity[&p], lion.affinity[&q],
             "the early round planned the new pair onto one node"
@@ -373,14 +447,18 @@ mod tests {
         for _ in 0..2 * b {
             route(&mut lion, &mut eng, &pair);
         }
-        assert_eq!((lion.unplanned, lion.early_rounds), (2 * b, 1));
+        assert_eq!((lion.unplanned, triggers(&lion)), (2 * b, after_early.1));
 
         lion.on_tick(&mut eng, TickKind::Planner);
         let pair = unseen_split_pair(&lion);
         for _ in 0..b {
             route(&mut lion, &mut eng, &pair);
         }
-        assert_eq!(lion.early_rounds, 2, "the tick re-armed the trigger");
+        assert_eq!(
+            triggers(&lion),
+            [Trigger::Tick, Trigger::Early, Trigger::Tick, Trigger::Early],
+            "the tick re-armed the trigger"
+        );
     }
 
     /// A crashed node's affinities are dropped, so a transaction touching
@@ -394,7 +472,7 @@ mod tests {
         for _ in 0..2 * lion.cfg.planner.history_cap {
             route(&mut lion, &mut eng, &[p, q]);
         }
-        assert_eq!((lion.unplanned, lion.early_rounds), (0, 0));
+        assert_eq!((lion.unplanned, triggers(&lion)), (0, vec![Trigger::Tick]));
     }
 
     #[test]
@@ -423,11 +501,11 @@ mod tests {
             ..LionConfig::lion_standard()
         });
         eng.run(&mut lion, 20 * SECOND);
-        assert!(lion.last_wv > 0.0, "wv was computed");
+        let last_wv = lion.rounds.iter().rev().find_map(|r| r.wv);
+        assert!(last_wv > Some(0.0), "wv was computed");
         assert!(
-            lion.pre_replications > 0,
-            "periodic shifts should trigger pre-replication (wv={})",
-            lion.last_wv
+            lion.rounds.iter().any(|r| r.pre_replicated),
+            "periodic shifts should trigger pre-replication (wv={last_wv:?})"
         );
     }
 }

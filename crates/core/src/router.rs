@@ -9,14 +9,10 @@
 
 use lion_common::{NodeId, TxnId};
 use lion_engine::Engine;
-use lion_planner::{execution_cost, CostWeights, TxnPlacementClass};
+use lion_planner::{operational_cost, CostWeights, TxnPlacementClass};
 
-/// Scores every node with the planner's cost model and returns the chosen
-/// executor plus its placement class. The score is zone-aware: with
-/// `weights.w_z > 0` a candidate coordinator pays extra for every remote
-/// partition whose primary sits across a rack boundary, so deliberate
-/// routing prefers rack-local coordinators under rack-safe placement
-/// (`w_z = 0`, the default, reproduces the zone-oblivious router exactly).
+/// Scores every live node with the planner's Eq. 3 and returns the chosen
+/// executor plus its placement class.
 pub fn route_txn(eng: &Engine, txn: TxnId, weights: CostWeights) -> (NodeId, TxnPlacementClass) {
     let parts = &eng.txn(txn).parts;
     let placement = &eng.cluster.placement;
@@ -29,8 +25,7 @@ pub fn route_txn(eng: &Engine, txn: TxnId, weights: CostWeights) -> (NodeId, Txn
         if !eng.cluster.is_up(node) {
             continue; // dead executors take no transactions
         }
-        let (class, cost) =
-            execution_cost(placement, freq, parts, node, weights, &eng.cluster.zone_of);
+        let (class, cost) = operational_cost(placement, freq, parts, node, weights);
         let backlog = eng.cluster.workers[node.idx()].earliest_free();
         let better = match &best {
             None => true,
@@ -96,40 +91,6 @@ mod tests {
             class,
             TxnPlacementClass::NeedsRemaster { count: 1 }
         ));
-    }
-
-    #[test]
-    fn zone_weight_moves_the_coordinator_into_the_majority_rack() {
-        // 4 nodes, 2 racks (Z0 = {N0,N1}, Z1 = {N2,N3}), one partition per
-        // node, no secondaries: every candidate coordinates remotely.
-        let cfg = SimConfig {
-            nodes: 4,
-            partitions_per_node: 1,
-            keys_per_partition: 16,
-            replication_factor: 1,
-            zones: 2,
-            ..Default::default()
-        };
-        let wl: Box<dyn Workload> =
-            Box::new(|_now| TxnRequest::new(vec![Op::read(PartitionId(0), 0)]));
-        let mut eng = Engine::new(cfg, wl);
-        // Txn over {p0@N0, p2@N2, p3@N3}: zone-obliviously N0, N2, N3 all
-        // score 2·w_m and the tie falls to N0 — a coordinator that pays two
-        // cross-rack 2PC rounds. The zone term breaks the tie toward the
-        // rack holding the majority of the primaries.
-        let t = eng.inject_txn(
-            ClientId(0),
-            TxnRequest::new(vec![
-                Op::read(PartitionId(0), 1),
-                Op::write(PartitionId(2), 2),
-                Op::write(PartitionId(3), 3),
-            ]),
-        );
-        let (flat, _) = route_txn(&eng, t, CostWeights::default());
-        assert_eq!(flat, NodeId(0), "zone-oblivious tie falls to N0");
-        let (zoned, class) = route_txn(&eng, t, CostWeights::default().with_zone_weight(2.0));
-        assert_eq!(zoned, NodeId(2), "zone term prefers the Z1 coordinator");
-        assert!(matches!(class, TxnPlacementClass::Distributed { .. }));
     }
 
     #[test]

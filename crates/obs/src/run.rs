@@ -4,14 +4,14 @@
 //! This is the digest-bearing state. Each event handler performs exactly
 //! the mutations the engine's pre-pipeline inline field pokes did, in the
 //! same order and with the same operand granularity (one `bytes_series.add`
-//! per original `add_bytes` call — f64 accumulation is order-sensitive), so
+//! per bytes-on-the-wire fact — f64 accumulation is order-sensitive), so
 //! the six pinned digest goldens in `tests/determinism_digest.rs` are
 //! byte-identical across the refactor.
 
 use crate::event::{ByteClass, CommitClass, MetricEvent};
 use crate::sink::MetricSink;
 pub use lion_common::FailoverRecord;
-use lion_common::{FastMap, PartitionId, Phase, Time};
+use lion_common::{FastMap, PartitionId, Time};
 use lion_sim::{Histogram, RingSeries};
 
 /// Time-series bucket width (1 simulated second), matching the granularity
@@ -239,17 +239,6 @@ impl Metrics {
             .sum()
     }
 
-    /// Records bytes on the wire at time `at`.
-    pub fn add_bytes(&mut self, at: Time, bytes: u64) {
-        self.msg_bytes += bytes;
-        self.bytes_series.add(at, bytes as f64);
-    }
-
-    /// Adds to a phase accumulator.
-    pub fn add_phase(&mut self, phase: Phase, us: u64) {
-        self.phase_us[phase.idx()] += us as u128;
-    }
-
     /// Total accumulated phase time.
     pub fn phase_total(&self) -> u128 {
         self.phase_us.iter().sum()
@@ -375,14 +364,14 @@ impl MetricSink for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lion_common::NodeId;
+    use lion_common::{NodeId, Phase};
 
     #[test]
     fn phase_fractions_sum_to_one() {
         let mut m = Metrics::new();
-        m.add_phase(Phase::Execution, 30);
-        m.add_phase(Phase::Commit, 50);
-        m.add_phase(Phase::Replication, 20);
+        m.phase_us[Phase::Execution.idx()] += 30;
+        m.phase_us[Phase::Commit.idx()] += 50;
+        m.phase_us[Phase::Replication.idx()] += 20;
         let f = m.phase_fractions();
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((f[Phase::Commit.idx()] - 0.5).abs() < 1e-9);
@@ -443,9 +432,15 @@ mod tests {
     #[test]
     fn byte_series_accumulates() {
         let mut m = Metrics::new();
-        m.add_bytes(0, 100);
-        m.add_bytes(500_000, 200);
-        m.add_bytes(1_200_000, 50);
+        for (at, bytes) in [(0, 100), (500_000, 200), (1_200_000, 50)] {
+            m.on_event(&MetricEvent::Bytes {
+                at,
+                class: ByteClass::Message,
+                bytes,
+                node: None,
+                zone: None,
+            });
+        }
         assert_eq!(m.msg_bytes, 350);
         assert_eq!(m.bytes_series.buckets(), &[300.0, 50.0]);
     }
@@ -461,7 +456,8 @@ mod tests {
         direct.latency.record(120);
         direct.single_node += 1;
         direct.phase_us[0] += 100;
-        direct.add_bytes(7, 640);
+        direct.msg_bytes += 640;
+        direct.bytes_series.add(7, 640.0);
 
         let mut sunk = Metrics::new();
         sunk.on_event(&MetricEvent::Commit {

@@ -6,8 +6,8 @@
 //!   (and predicted) transactions (§IV-A, Fig. 3a);
 //! * [`clump`] — the clustering pass that grows clumps of co-accessed
 //!   partitions from the hottest seeds (§IV-A, Fig. 3b);
-//! * [`cost`] — the cost model of Eq. 3–4 pricing a clump placement by
-//!   remastering vs migration work, and the router-side execution cost;
+//! * [`cost`] — the cost model of Eq. 3–4 pricing a placement by remastering
+//!   vs migration work, one body for Algorithm 1 and the routers;
 //! * [`rearrange()`] — Algorithm 1: greedy clump dispatching followed by load
 //!   fine-tuning (§IV-B, Fig. 4);
 //! * [`schism`] — a Schism-style replica-oblivious graph partitioner used by
@@ -23,7 +23,7 @@ pub mod rearrange;
 pub mod schism;
 
 pub use clump::{generate_clumps, Clump};
-pub use cost::{execution_cost, placement_cost, CostWeights, TxnPlacementClass};
+pub use cost::{operational_cost, CostWeights, TxnPlacementClass};
 pub use graph::HeatGraph;
 pub use rearrange::{
     rearrange, rearrange_with_topology, PlanAction, PlanEntry, PlannerConfig, ReconfigurationPlan,

@@ -12,7 +12,7 @@
 //!    re-evaluations.
 
 use crate::clump::Clump;
-use crate::cost::{placement_cost, CostWeights};
+use crate::cost::{operational_cost, CostWeights};
 use lion_common::{NodeId, PartitionId, Placement, PlacementPolicy, ZoneId};
 
 /// Planner tuning knobs (§IV defaults).
@@ -214,7 +214,7 @@ fn find_dst_node(
             mc_row.push(f64::INFINITY);
             continue;
         }
-        let cost = placement_cost(placement, freq, &clump.parts, node, weights);
+        let (_, cost) = operational_cost(placement, freq, &clump.parts, node, weights);
         mc_row.push(cost);
         let better = cost < best_cost - 1e-12
             || (cost < best_cost + 1e-12
@@ -487,11 +487,6 @@ mod tests {
     fn cfg() -> PlannerConfig {
         PlannerConfig {
             epsilon: 0.5, // avg = 3, θ = 4.5: N1's 6 triggers fine-tuning
-            weights: CostWeights {
-                w_r: 1.0,
-                w_m: 10.0,
-                w_z: 0.0,
-            },
             ..Default::default()
         }
     }

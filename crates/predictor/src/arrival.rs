@@ -23,11 +23,6 @@ impl ArrivalHistory {
         }
     }
 
-    /// Sampling interval.
-    pub fn bucket_us(&self) -> Time {
-        self.bucket_us
-    }
-
     /// Records one arrival at time `at`.
     pub fn record(&mut self, at: Time) {
         let idx = (at / self.bucket_us) as usize;
@@ -35,28 +30,6 @@ impl ArrivalHistory {
             self.counts.resize(idx + 1, 0.0);
         }
         self.counts[idx] += 1.0;
-    }
-
-    /// Extends the history to cover time `now` with trailing zeros, so idle
-    /// templates read as zero-rate rather than stale.
-    pub fn close_until(&mut self, now: Time) {
-        let idx = (now / self.bucket_us) as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0.0);
-        }
-    }
-
-    /// All buckets.
-    pub fn series(&self) -> &[f64] {
-        &self.counts
-    }
-
-    /// The last `n` buckets, zero-padded on the left when shorter.
-    pub fn tail(&self, n: usize) -> Vec<f64> {
-        let mut out = vec![0.0; n.saturating_sub(self.counts.len())];
-        let start = self.counts.len().saturating_sub(n);
-        out.extend_from_slice(&self.counts[start..]);
-        out
     }
 
     /// The `n` *complete* buckets before `now`: buckets `[end-n, end)` where
@@ -122,25 +95,8 @@ mod tests {
         h.record(0);
         h.record(10);
         h.record(1_500_000);
-        assert_eq!(h.series(), &[2.0, 1.0]);
+        assert_eq!(h.window_before(2_000_000, 2), vec![2.0, 1.0]);
         assert_eq!(h.total(), 3.0);
-    }
-
-    #[test]
-    fn close_until_pads_zeros() {
-        let mut h = ArrivalHistory::new(1_000_000);
-        h.record(0);
-        h.close_until(3_500_000);
-        assert_eq!(h.series(), &[1.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn tail_pads_left() {
-        let mut h = ArrivalHistory::new(1_000_000);
-        h.record(0);
-        h.record(1_000_000);
-        assert_eq!(h.tail(4), vec![0.0, 0.0, 1.0, 1.0]);
-        assert_eq!(h.tail(1), vec![1.0]);
     }
 
     #[test]

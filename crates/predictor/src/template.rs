@@ -81,14 +81,6 @@ impl TemplateRegistry {
         }
     }
 
-    /// Pads every template's history up to `now` so idle templates decay to
-    /// zero rate rather than holding their last value.
-    pub fn close_until(&mut self, now: Time) {
-        for t in &mut self.templates {
-            t.history.close_until(now);
-        }
-    }
-
     /// Template accessor.
     pub fn template(&self, id: TemplateId) -> &Template {
         &self.templates[id.idx()]
@@ -129,18 +121,7 @@ mod tests {
         reg.observe(&rec(0, &[1]));
         reg.observe(&rec(2_000_000, &[1]));
         let t = reg.template(TemplateId(0));
-        assert_eq!(t.history.series(), &[1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn close_until_pads_all_templates() {
-        let mut reg = TemplateRegistry::new(1_000_000);
-        reg.observe(&rec(0, &[1]));
-        reg.observe(&rec(0, &[2]));
-        reg.close_until(2_500_000);
-        for id in reg.ids().collect::<Vec<_>>() {
-            assert_eq!(reg.template(id).history.series().len(), 3);
-        }
+        assert_eq!(t.history.window_before(3_000_000, 3), vec![1.0, 0.0, 1.0]);
     }
 
     #[test]

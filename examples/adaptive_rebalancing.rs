@@ -7,6 +7,7 @@
 //! cargo run --release --example adaptive_rebalancing [period_secs] [periods]
 //! ```
 
+use lion::core::Trigger;
 use lion::prelude::*;
 
 fn main() {
@@ -39,21 +40,23 @@ fn main() {
                 .with_seed(3),
         ));
         let mut eng = Engine::new(engine_cfg.clone(), wl);
-        let report = if lion_run {
-            let mut lion = Lion::standard();
-            let r = eng.run(&mut lion, horizon);
-            println!(
+        let report =
+            if lion_run {
+                let mut lion = Lion::standard();
+                let r = eng.run(&mut lion, horizon);
+                let rounds = &lion.rounds;
+                println!(
                 "Lion: plans={} early-rounds={} pre-replications={} remasters={} replica-adds={}",
-                lion.plans_applied,
-                lion.early_rounds,
-                lion.pre_replications,
+                rounds.iter().filter(|r| r.actions > 0).count(),
+                rounds.iter().filter(|r| r.trigger == Trigger::Early).count(),
+                rounds.iter().filter(|r| r.pre_replicated).count(),
                 eng.metrics.remasters,
                 eng.metrics.replica_adds
             );
-            r
-        } else {
-            eng.run(&mut lion::baselines::two_pc(), horizon)
-        };
+                r
+            } else {
+                eng.run(&mut lion::baselines::two_pc(), horizon)
+            };
         if lion_run {
             // Per-node rollups from the dimensioned sink: rebalancing should
             // keep the commit share roughly even across nodes even as the

@@ -42,12 +42,13 @@ fn main() {
         let report = if build {
             let mut lion = Lion::standard();
             let r = eng.run(&mut lion, secs * SECOND);
+            let rounds = &lion.rounds;
             println!(
                 "  [Lion diagnostics] plans={} refused={} wv={:.3} pre_repl={} remasters={} conflicts={} adds={}",
-                lion.plans_applied,
-                lion.plan_refusals,
-                lion.last_wv,
-                lion.pre_replications,
+                rounds.iter().filter(|r| r.actions > 0).count(),
+                rounds.iter().map(|r| r.refused).sum::<usize>(),
+                rounds.iter().rev().find_map(|r| r.wv).unwrap_or(0.0),
+                rounds.iter().filter(|r| r.pre_replicated).count(),
                 eng.metrics.remasters,
                 eng.metrics.remaster_conflicts,
                 eng.metrics.replica_adds

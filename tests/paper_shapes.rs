@@ -1,5 +1,6 @@
 //! Shape assertions mirroring the paper's headline claims, at test scale.
 
+use lion::core::Trigger;
 use lion::engine::CommitClass;
 use lion::prelude::*;
 use std::cell::RefCell;
@@ -79,6 +80,13 @@ impl MetricSink for ClassWindows {
 /// Measured share in those 200 ms (shift at 1.5 s / 3.0 s): `Lion::full()`
 /// 0.896 / 0.922 and `Lion::standard()` 0.863 / 0.879 with the early round;
 /// 0.125 / 0.126 and 0.251 / 0.001 when rounds ran only at the tick.
+///
+/// The round log shows the mechanism: exactly one `Early` round lands in the 100 ms
+/// after each shift, and none before the first. Measured (shift at 1.5 s /
+/// 3.0 s): `Lion::full()` at 1.542 s (4,357 records drained, 10 actions) and
+/// 3.030 s (3,808, 12); `Lion::standard()` at 1.576 s (5,252, 9) and 3.064 s
+/// (3,932, 10). Every `Tick` round, at 0.5 s steps, drained 60,000 records —
+/// the engine's history cap: the interval's oldest records, not its newest.
 #[test]
 fn lion_recovers_within_a_round_of_a_hotspot_shift() {
     const FLOOR: f64 = 0.6;
@@ -100,8 +108,26 @@ fn lion_recovers_within_a_round_of_a_hotspot_shift() {
             .extras
             .push(Box::new(ClassWindows(Rc::clone(&windows))));
         eng.run(&mut lion, 2 * period + 300 * MILLIS);
+        let early: Vec<Time> = lion
+            .rounds
+            .iter()
+            .filter(|r| r.trigger == Trigger::Early)
+            .map(|r| r.at)
+            .collect();
+        assert!(
+            early.iter().all(|&at| at >= period),
+            "{name}: early round before the first shift: {early:?}"
+        );
         let windows = windows.borrow();
         for shift in [period, 2 * period] {
+            let after = early
+                .iter()
+                .filter(|&&at| (shift..shift + 100 * MILLIS).contains(&at));
+            assert_eq!(
+                after.count(),
+                1,
+                "{name}: early rounds {early:?} against the shift at {shift} us"
+            );
             let w = (shift / (100 * MILLIS)) as usize;
             let (single, all) = windows[w..w + 2]
                 .iter()
