@@ -20,7 +20,7 @@ pub enum Partitioning {
 pub struct LionConfig {
     /// Report / legend name.
     pub name: &'static str,
-    /// Planner knobs (α, cost weights, ε, A, wp).
+    /// Planner knobs (α, cost weights, ε, wp, B).
     pub planner: PlannerConfig,
     /// Predictor knobs (sampling, β, γ, LSTM shape).
     pub predictor: PredictorConfig,
@@ -53,12 +53,20 @@ impl LionConfig {
         }
     }
 
+    /// A §IV-D batch variant. A batch ends when its slowest node does, so
+    /// it holds ε = 0.2: 5 vs 4 pairs per node (1.25×) is over θ.
+    fn batched(name: &'static str) -> Self {
+        let mut cfg = Self::base(name);
+        cfg.batch = true;
+        cfg.planner.epsilon = 0.2;
+        cfg
+    }
+
     /// Full Lion: rearrangement + prediction + batch (Table II row "Lion").
     pub fn lion() -> Self {
         LionConfig {
             prediction: true,
-            batch: true,
-            ..Self::base("Lion")
+            ..Self::batched("Lion")
         }
     }
 
@@ -104,10 +112,7 @@ impl LionConfig {
 
     /// `Lion(RB)`: rearrangement + batch optimization.
     pub fn lion_rb() -> Self {
-        LionConfig {
-            batch: true,
-            ..Self::base("Lion(RB)")
-        }
+        Self::batched("Lion(RB)")
     }
 
     /// Every Table II variant, in the paper's order (2PC lives in
@@ -144,6 +149,8 @@ mod tests {
             assert_eq!(cfg.partitioning, part, "{name}");
             assert_eq!(cfg.prediction, pred, "{name}");
             assert_eq!(cfg.batch, batch, "{name}");
+            let epsilon = if batch { 0.2 } else { 0.4 };
+            assert_eq!(cfg.planner.epsilon, epsilon, "{name}");
         }
     }
 

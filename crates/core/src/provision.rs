@@ -51,6 +51,9 @@ pub struct PlanRound {
     pub pre_replicated: bool,
     /// Predicted transactions injected into the heat graph.
     pub predicted: usize,
+    /// The plan's peak live-node load over the average, as Algorithm 1
+    /// left it (`≤ 1 + ε` once balanced); `None` on the Schism path.
+    pub peak_over_avg: Option<f64>,
     /// Adaptor actions the plan issued.
     pub actions: usize,
     /// Of those, the ones the cluster refused (partition busy, destination
@@ -133,6 +136,7 @@ impl Lion {
             wv: None,
             pre_replicated: false,
             predicted: 0,
+            peak_over_avg: None,
             actions: 0,
             refused: 0,
         };
@@ -198,6 +202,12 @@ impl Lion {
             Partitioning::Schism => schism_plan(&graph, &eng.cluster.placement, pcfg.epsilon),
         };
         self.plan_graph = Some(graph);
+        let (peak, total, up) = (plan.load.iter().zip(&live))
+            .filter(|&(_, &up)| up)
+            .fold((0.0f64, 0.0, 0.0), |(p, t, n), (&l, _)| {
+                (p.max(l), t + l, n + 1.0)
+            });
+        round.peak_over_avg = (total > 0.0).then(|| peak * up / total);
         plan.entries.retain(|e| live[e.dest.idx()]);
         plan.assignments.retain(|(_, dest)| live[dest.idx()]);
         // Refresh the router affinity table (deliberate routing, §III) for

@@ -5,11 +5,14 @@
 //! 1. **Clump dispatching** — `FindDstNode` assigns every clump to the node
 //!    with the lowest Eq. 3 cost, memoizing interim costs in `mc` and
 //!    tracking per-node balance factors `b`;
-//! 2. **Load fine-tuning** — while the balance check fails, clumps are moved
-//!    from overloaded nodes (`oN`) to idle nodes (`iN`), picking a clump
-//!    small enough to bridge the gap and the idle destination with the
-//!    lowest memoized cost, with a step budget `A` between balance
-//!    re-evaluations.
+//! 2. **Load fine-tuning** — while some node is over θ, one clump moves from
+//!    an overloaded node (`oN`) to an idle one (`iN`), and `FindOINodes`
+//!    re-reads the loads before the next move. `PickClump` takes the
+//!    paper's largest clump within the gap to the average; when none fits
+//!    (clumps coarser than the gap), the smallest clump that leaves its
+//!    destination below the source's old load. The destination is the
+//!    cheapest such idle node by the memoized cost. Every move lowers
+//!    Σ load², so the peak never rises and no clump ping-pongs.
 
 use crate::clump::Clump;
 use crate::cost::{operational_cost, CostWeights};
@@ -26,8 +29,6 @@ pub struct PlannerConfig {
     pub weights: CostWeights,
     /// Permissible load imbalance ε; θ = avg·(1+ε) (§II-C).
     pub epsilon: f64,
-    /// Fine-tuning step budget A between balance re-checks.
-    pub step_a: usize,
     /// Weight wp of predicted transactions in the heat graph (§IV-C.1).
     pub predicted_weight: f64,
     /// Number of recent transactions analyzed per planning round (B).
@@ -42,10 +43,11 @@ impl Default for PlannerConfig {
             alpha: 2.0,
             cross_edge_boost: 4.0,
             weights: CostWeights::default(),
-            // Wide enough that integer-granular clump counts (e.g. 5 vs 4
-            // pairs per node) sit stably inside θ instead of oscillating.
+            // Standard execution pays for a hot node only on the
+            // transactions routed to it, so it accepts 5 vs 4 pairs per
+            // node (1.25×); batch Lion, which waits on its slowest node
+            // every batch, holds 0.2 (`LionConfig::lion`).
             epsilon: 0.4,
-            step_a: 8,
             predicted_weight: 1.0,
             history_cap: 4_000,
             max_clump_size: 24,
@@ -91,6 +93,8 @@ pub struct ReconfigurationPlan {
     pub assignments: Vec<(Vec<PartitionId>, NodeId)>,
     /// Total Eq. 3 cost of the plan (Eq. 2's objective value).
     pub total_cost: f64,
+    /// Algorithm 1's final clump weight per node (empty for a Schism plan).
+    pub load: Vec<f64>,
 }
 
 impl ReconfigurationPlan {
@@ -154,21 +158,11 @@ impl Balance {
     fn avg(&self) -> f64 {
         self.total / self.live_count().max(1) as f64
     }
-    fn theta(&self, epsilon: f64) -> f64 {
-        self.avg() * (1.0 + epsilon)
-    }
-    /// `CheckBalance`: every live node under θ.
-    fn balanced(&self, epsilon: f64) -> bool {
-        let theta = self.theta(epsilon);
-        self.load
-            .iter()
-            .zip(&self.live)
-            .all(|(&l, &up)| !up || l <= theta + 1e-9)
-    }
-    /// `FindOINodes`: overloaded (> θ) and idle (< avg) live nodes.
+    /// `FindOINodes`: overloaded (> θ) and idle (< avg) live nodes; the
+    /// plan is balanced (`CheckBalance`) when none is overloaded.
     fn overloaded_and_idle(&self, epsilon: f64) -> (Vec<NodeId>, Vec<NodeId>) {
-        let theta = self.theta(epsilon);
         let avg = self.avg();
+        let theta = avg * (1.0 + epsilon);
         let mut over: Vec<NodeId> = Vec::new();
         let mut idle: Vec<NodeId> = Vec::new();
         for (i, &l) in self.load.iter().enumerate() {
@@ -227,6 +221,37 @@ fn find_dst_node(
     best
 }
 
+/// `PickClump` on the overloaded node `on`, whose clumps are `owned`: the
+/// largest clump within the gap to the average, else the smallest clump
+/// some idle node can take while ending below `on`'s load. Returns the
+/// move: the clump, `on`, and the cheapest such idle destination by the
+/// memoized cost row.
+fn pick_clump(
+    on: NodeId,
+    owned: &[usize],
+    clumps: &[Clump],
+    mc: &[Vec<f64>],
+    balance: &Balance,
+    idle: &[NodeId],
+) -> Option<(usize, NodeId, NodeId)> {
+    let from = balance.load[on.idx()];
+    let gap = from - balance.avg();
+    let dest_for = |idx: usize| {
+        idle.iter()
+            .copied()
+            .filter(|d| balance.load[d.idx()] + clumps[idx].weight < from)
+            .min_by(|a, b| mc[idx][a.idx()].total_cmp(&mc[idx][b.idx()]))
+            .map(|dest| (idx, on, dest))
+    };
+    let mut by_weight = owned.to_vec();
+    by_weight.sort_by(|&a, &b| clumps[b].weight.total_cmp(&clumps[a].weight));
+    by_weight
+        .iter()
+        .filter(|&&idx| clumps[idx].weight <= gap + 1e-9)
+        .find_map(|&idx| dest_for(idx))
+        .or_else(|| by_weight.iter().rev().find_map(|&idx| dest_for(idx)))
+}
+
 /// Runs Algorithm 1 over the generated clumps.
 ///
 /// `replica_aware` selects the emitted action for partitions lacking a
@@ -279,8 +304,8 @@ pub fn rearrange_with_topology(
     debug_assert_eq!(live.len(), n_nodes);
     let mut balance = Balance::new(live.to_vec());
     let mut mc: Vec<Vec<f64>> = vec![Vec::new(); clumps.len()];
-    // Per-node clump index lists (the priority queues `q`), kept sorted by
-    // ascending weight lazily at pick time.
+    // Per-node clump index lists (the priority queues `q`), ordered by
+    // weight at pick time.
     let mut q: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
 
     // ---- Step 1: clump dispatching --------------------------------------
@@ -292,64 +317,21 @@ pub fn rearrange_with_topology(
     }
 
     // ---- Step 2: load fine-tuning ---------------------------------------
-    // Bounded by a global move budget for guaranteed termination.
+    // One move per `FindOINodes`, most overloaded source first. Each move
+    // lowers Σ load², so this terminates; the budget only bounds the work.
     let mut moves_left = clumps.len().saturating_mul(2).max(16);
-    'outer: while !balance.balanced(cfg.epsilon) && moves_left > 0 {
+    while moves_left > 0 {
         let (over, idle) = balance.overloaded_and_idle(cfg.epsilon);
-        if over.is_empty() || idle.is_empty() {
-            break;
-        }
-        let mut step = cfg.step_a;
-        let mut progressed = false;
-        while !balance.balanced(cfg.epsilon) && step > 0 && moves_left > 0 {
-            // PickClump: from the most overloaded node, the largest clump
-            // that fits within the gap to the average.
-            let mut picked: Option<(usize, NodeId, NodeId)> = None;
-            'pick: for &on in &over {
-                let gap = balance.load[on.idx()] - balance.avg();
-                if gap <= 0.0 {
-                    continue;
-                }
-                let mut candidates: Vec<usize> = q[on.idx()].clone();
-                candidates.sort_by(|&a, &b| {
-                    clumps[b]
-                        .weight
-                        .partial_cmp(&clumps[a].weight)
-                        .expect("finite")
-                });
-                for idx in candidates {
-                    if clumps[idx].dest != Some(on) || clumps[idx].weight > gap + 1e-9 {
-                        continue;
-                    }
-                    // Cheapest idle destination by the memoized cost row.
-                    let dest = idle
-                        .iter()
-                        .copied()
-                        .min_by(|a, b| {
-                            mc[idx][a.idx()]
-                                .partial_cmp(&mc[idx][b.idx()])
-                                .expect("finite")
-                        })
-                        .expect("idle set non-empty");
-                    picked = Some((idx, on, dest));
-                    break 'pick;
-                }
-            }
-            let Some((idx, on, dest)) = picked else {
-                break 'outer; // no qualifying clump anywhere: give up
-            };
-            let w = clumps[idx].weight;
-            clumps[idx].dest = Some(dest);
-            balance.transfer(on, dest, w);
-            q[on.idx()].retain(|&i| i != idx);
-            q[dest.idx()].push(idx);
-            step -= 1;
-            moves_left -= 1;
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
+        let picked = (over.iter())
+            .find_map(|&on| pick_clump(on, &q[on.idx()], &clumps, &mc, &balance, &idle));
+        let Some((idx, on, dest)) = picked else {
+            break; // balanced, or no move would help
+        };
+        clumps[idx].dest = Some(dest);
+        balance.transfer(on, dest, clumps[idx].weight);
+        q[on.idx()].retain(|&i| i != idx);
+        q[dest.idx()].push(idx);
+        moves_left -= 1;
     }
 
     // ---- Emit the plan ---------------------------------------------------
@@ -443,6 +425,7 @@ pub fn rearrange_with_topology(
             }
         }
     }
+    plan.load = balance.load;
     plan
 }
 
@@ -592,6 +575,57 @@ mod tests {
             }
         }
         assert_eq!(on_n1, 2, "half the load moves to the idle node");
+    }
+
+    /// Clumps per node of a plan.
+    fn clumps_per_node(plan: &ReconfigurationPlan, nodes: usize) -> Vec<usize> {
+        let mut count = vec![0; nodes];
+        for (_, dest) in &plan.assignments {
+            count[dest.idx()] += 1;
+        }
+        count
+    }
+
+    /// Every move re-reads the loads: a destination the last move filled is
+    /// no longer idle, so eight unit clumps dispatched onto N1 spread 2/2/2/2
+    /// instead of piling onto the first idle node (6/2/0/0).
+    #[test]
+    fn fine_tuning_re_reads_loads_after_every_move() {
+        let mut pl = Placement::round_robin(8, 4, 1);
+        for i in 0..8 {
+            pl.migrate_primary(p(i), n(1)).unwrap();
+        }
+        let clumps: Vec<Clump> = (0..8).map(|i| Clump::new(vec![p(i)], 1.0)).collect();
+        let plan = rearrange(clumps, &pl, &[0.0; 8], &PlannerConfig::default(), true);
+        assert_eq!(clumps_per_node(&plan, 4), [2, 2, 2, 2]);
+        assert_eq!(plan.load, [2.0; 4]);
+    }
+
+    /// No clump fits a gap smaller than every clump: N0 holds five 0.97
+    /// clumps (4.85 against θ = 4.8, gap 0.85), so the paper's rule finds
+    /// nothing, and the smallest clump that leaves N3 (3.15) below 4.85 moves.
+    #[test]
+    fn fine_tuning_sheds_a_clump_bigger_than_the_gap() {
+        let mut pl = Placement::round_robin(16, 4, 1);
+        pl.migrate_primary(p(3), n(0)).unwrap();
+        let clumps: Vec<Clump> = (0..16)
+            .map(|i| {
+                let w = match pl.primary_of(p(i)).0 {
+                    0 => 0.97,
+                    3 => 1.05,
+                    _ => 1.0,
+                };
+                Clump::new(vec![p(i)], w)
+            })
+            .collect();
+        let cfg = PlannerConfig {
+            epsilon: 0.2,
+            ..Default::default()
+        };
+        let plan = rearrange(clumps, &pl, &[0.0; 16], &cfg, true);
+        assert_eq!(clumps_per_node(&plan, 4), [4, 4, 4, 4]);
+        let theta = 4.0 * 1.2;
+        assert!(plan.load.iter().all(|&l| l <= theta), "{:?}", plan.load);
     }
 
     fn z(i: u16) -> ZoneId {

@@ -121,13 +121,18 @@ const SCENARIOS: &[Scenario] = &[
         horizon: SECOND,
         golden: 0x3c64e2e890e344a3,
     },
+    // Re-pinned once (from `0x89fe08ff509c4f7c`, like `lion-rb-ycsb` and
+    // `lion-batch-crash-recover` below) by batch Lion's ε = 0.2 together with
+    // fine-tuning that re-reads loads every move and sheds a clump bigger
+    // than the gap: neither alone moves it (the old fine-tuning gives up at
+    // ε = 0.2). Commits 165,442 → 170,279.
     Scenario {
         name: "lion-batch-ycsb",
         build: || Box::new(Lion::full()),
         world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
-        golden: 0x89fe08ff509c4f7c,
+        golden: 0xe4bd2ddd5842db18,
     },
     Scenario {
         name: "lion-crash-recover",
@@ -169,23 +174,26 @@ const SCENARIOS: &[Scenario] = &[
         horizon: SECOND,
         golden: 0x3fbb2ae839e9e0d5,
     },
-    // Lion(RB): batch execution without workload prediction.
+    // Lion(RB): batch execution without workload prediction. Re-pinned from
+    // `0xb7acf12f2a34806b` for the reason `lion-batch-ycsb` gives.
     Scenario {
         name: "lion-rb-ycsb",
         build: || Box::new(Lion::new(LionConfig::lion_rb())),
         world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
-        golden: 0xb7acf12f2a34806b,
+        golden: 0x3fbbbf3f89440057,
     },
     // Full Lion through a node crash: batch arming + fault aborts + defers.
+    // Re-pinned from `0x506300b9ae349872` for the reason `lion-batch-ycsb`
+    // gives; commits 135,126 → 136,668.
     Scenario {
         name: "lion-batch-crash-recover",
         build: || Box::new(Lion::full()),
         world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
-        golden: 0x506300b9ae349872,
+        golden: 0x506d26705698eccf,
     },
     // The five batch baselines, without faults and through a crash: pinned
     // by PR 17 at its parent commit `3e42397`, before `engine.rs` was split
@@ -285,13 +293,17 @@ const SCENARIOS: &[Scenario] = &[
     // stopped releasing locks they never took and partition groups were
     // resolved once — the only golden whose rows are sparse and whose
     // attempts mostly retry (the loop below asserts it aborts at all).
+    // Re-pinned once, from `0x580ac03974b6020f`, by fine-tuning alone (ε
+    // stays 0.4): it re-reads loads every move, so it stops sending clumps
+    // to a node the last move filled; that rule alone gives this digest.
+    // Commits 17,544 → 17,571, remasters 30 → 28.
     Scenario {
         name: "lion-tpcc",
         build: || Box::new(Lion::standard()),
         world: tpcc,
         faults: FaultPlan::none,
         horizon: SECOND / 2,
-        golden: 0x580ac03974b6020f,
+        golden: 0x0e0486774aed338d,
     },
 ];
 
@@ -463,7 +475,13 @@ fn epoch_commit_crash_scenario_is_reproducible_and_pinned() {
 /// was refused and the refusal discarded; they are now issued after the
 /// window closes, so the post-heal run carries their snapshot-copy bytes and
 /// `ReplicaAdd` completions where it used to run under-replicated.
-const SPLIT_BRAIN_GOLDEN: u64 = 0x41501d8d069e5bd4;
+///
+/// Re-pinned a second time, from `0x41501d8d069e5bd4`, by fine-tuning alone
+/// (standard Lion keeps ε = 0.4): when no clump fits an overloaded node's
+/// gap to the average, it now sheds the smallest clump that leaves the
+/// destination below the source. Re-reading loads every move, without that
+/// rule, leaves this digest unchanged.
+const SPLIT_BRAIN_GOLDEN: u64 = 0x2e34b07305afb447;
 
 fn run_split_brain_scenario() -> RunReport {
     let cfg = EngineConfig {

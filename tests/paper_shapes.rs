@@ -78,20 +78,30 @@ impl MetricSink for ClassWindows {
 /// single-node instead of running 2PC until the next 500 ms tick. Offsets
 /// 0 → 9 → 18 on 16 partitions re-pair at 1.5 s and 3.0 s (18 pairs like 0).
 /// Measured share in those 200 ms (shift at 1.5 s / 3.0 s): `Lion::full()`
-/// 0.896 / 0.922 and `Lion::standard()` 0.863 / 0.879 with the early round;
-/// 0.125 / 0.126 and 0.251 / 0.001 when rounds ran only at the tick.
+/// 0.917 / 0.919 and `Lion::standard()` 0.863 / 0.874 with the early round;
+/// 0.256 / 0.002 and 0.258 / 0.250 when rounds ran only at the tick.
 ///
 /// The round log shows the mechanism: exactly one `Early` round lands in the 100 ms
 /// after each shift, and none before the first. Measured (shift at 1.5 s /
-/// 3.0 s): `Lion::full()` at 1.542 s (4,357 records drained, 10 actions) and
-/// 3.030 s (3,808, 12); `Lion::standard()` at 1.576 s (5,252, 9) and 3.064 s
-/// (3,932, 10). Every `Tick` round, at 0.5 s steps, drained 60,000 records —
+/// 3.0 s): `Lion::full()` at 1.541 s (5,112 records drained, 11 actions) and
+/// 3.034 s (4,379, 8); `Lion::standard()` at 1.578 s (5,300, 11) and 3.067 s
+/// (5,211, 9). Every `Tick` round, at 0.5 s steps, drained 60,000 records —
 /// the engine's history cap: the interval's oldest records, not its newest.
+///
+/// It also shows balance: every round plans the eight hot pairs onto four
+/// live nodes, and Algorithm 1 ends each one with its peak node within
+/// θ = 1 + ε of the average. Measured peak/avg per round, in order:
+/// `Lion::full()` (ε = 0.2) 1.080, 1.043, 1.043, 1.012, 1.025, 1.036,
+/// 1.006, 1.006; `Lion::standard()` (ε = 0.4) 1.399, 1.009, 1.038, 1.041,
+/// 1.029, 1.032, 1.078, 1.015. Before fine-tuning re-read the loads after
+/// every move (and with ε = 0.4 on both arms), five of each arm's eight
+/// rounds ended between 1.45 and 1.57.
 #[test]
 fn lion_recovers_within_a_round_of_a_hotspot_shift() {
     const FLOOR: f64 = 0.6;
     let period = 1_500 * MILLIS;
     for (name, mut lion) in [("full", Lion::full()), ("standard", Lion::standard())] {
+        let theta = 1.0 + lion.config().planner.epsilon;
         let cfg = EngineConfig {
             sim: sim(4),
             plan_interval_us: 500 * MILLIS,
@@ -108,6 +118,14 @@ fn lion_recovers_within_a_round_of_a_hotspot_shift() {
             .extras
             .push(Box::new(ClassWindows(Rc::clone(&windows))));
         eng.run(&mut lion, 2 * period + 300 * MILLIS);
+        for r in &lion.rounds {
+            let peak = r.peak_over_avg.expect("every round plans clumps");
+            assert!(
+                peak <= theta,
+                "{name}: round at {} us ends at {peak:.3}",
+                r.at
+            );
+        }
         let early: Vec<Time> = lion
             .rounds
             .iter()

@@ -2,8 +2,8 @@
 //! placements must never violate placement invariants, and plans must be
 //! idempotent once applied.
 
-use lion::common::{PartitionId, Placement};
-use lion::planner::{generate_clumps, rearrange, schism_plan, HeatGraph, PlannerConfig};
+use lion::common::{NodeId, PartitionId, Placement};
+use lion::planner::{generate_clumps, rearrange, schism_plan, Clump, HeatGraph, PlannerConfig};
 use proptest::prelude::*;
 
 fn arb_txn(n_parts: u32) -> impl Strategy<Value = Vec<PartitionId>> {
@@ -67,6 +67,56 @@ proptest! {
             plan3.entries.len()
         );
         prop_assert!(placement.validate().is_ok());
+    }
+
+    /// Fine-tuning never raises the peak: the plan's busiest node carries at
+    /// most what it carries after dispatch alone (ε = ∞ skips Step 2).
+    #[test]
+    fn fine_tuning_never_raises_the_peak(
+        txns in proptest::collection::vec(arb_txn(16), 1..200),
+        nodes in 2usize..6,
+        alpha in 0.5f64..8.0,
+        epsilon in 0.0f64..1.0,
+    ) {
+        let placement = Placement::round_robin(16, nodes, 2);
+        let mut graph = HeatGraph::new(16);
+        for t in &txns {
+            graph.add_txn(t, 1.0, &placement, 4.0);
+        }
+        let freq = graph.normalized_weights();
+        let peak = |epsilon: f64| {
+            let cfg = PlannerConfig { alpha, epsilon, ..Default::default() };
+            let clumps = generate_clumps(&graph, alpha, cfg.max_clump_size);
+            let plan = rearrange(clumps, &placement, &freq, &cfg, true);
+            plan.load.iter().copied().fold(0.0, f64::max)
+        };
+        let (tuned, dispatched) = (peak(epsilon), peak(f64::INFINITY));
+        prop_assert!(tuned <= dispatched + 1e-9, "peak {} after dispatch, {} tuned", dispatched, tuned);
+    }
+
+    /// Equal clumps, `k` per node on average, and ε < 1/k: θ sits below
+    /// `k + 1`, so wherever dispatch put them every node ends with exactly `k`.
+    #[test]
+    fn equal_clumps_end_exactly_k_per_node(
+        nodes in 2usize..6,
+        k in 1usize..5,
+        homes in proptest::collection::vec(0usize..6, 20..21),
+        replicas in 1usize..3,
+        slack in 0.0f64..1.0,
+    ) {
+        let n = k * nodes;
+        let mut placement = Placement::round_robin(n, nodes, replicas);
+        for (i, &home) in homes.iter().take(n).enumerate() {
+            placement.migrate_primary(PartitionId(i as u32), NodeId((home % nodes) as u16)).unwrap();
+        }
+        let clumps = (0..n as u32).map(|i| Clump::new(vec![PartitionId(i)], 1.0)).collect();
+        let cfg = PlannerConfig { epsilon: slack / k as f64, ..Default::default() };
+        let plan = rearrange(clumps, &placement, &vec![0.0; n], &cfg, true);
+        let mut per_node = vec![0; nodes];
+        for (_, dest) in &plan.assignments {
+            per_node[dest.idx()] += 1;
+        }
+        prop_assert_eq!(per_node, vec![k; nodes]);
     }
 
     /// Schism plans only migrate and also preserve invariants.
