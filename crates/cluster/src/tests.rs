@@ -59,8 +59,12 @@ fn remaster_syncs_pending_log() {
     {
         let store = c.primary_store_mut(p(0));
         store.table.occ_lock(5, txn);
-        let v = store.table.occ_install(5, txn, Bytes::from(vec![7u8; 16]));
-        store.log.append(p(0), 5, v, Bytes::from(vec![7u8; 16]));
+        let v = store
+            .table
+            .occ_install(5, txn, Bytes::synth(0x0707_0707_0707_0707, 16));
+        store
+            .log
+            .append(p(0), 5, v, Bytes::synth(0x0707_0707_0707_0707, 16));
     }
     let dur = c.begin_remaster(p(0), n(1), 0).unwrap();
     assert!(dur > c.cfg.remaster_delay_us, "lag adds sync time");
@@ -69,7 +73,7 @@ fn remaster_syncs_pending_log() {
     let new_primary = c.store(n(1), p(0)).unwrap();
     assert_eq!(
         new_primary.table.get(5).unwrap().value,
-        Bytes::from(vec![7u8; 16])
+        Bytes::synth(0x0707_0707_0707_0707, 16)
     );
     c.check_invariants().unwrap();
 }
@@ -169,8 +173,12 @@ fn crash_failover_lifecycle_preserves_log_continuity() {
     {
         let store = c.primary_store_mut(p(0));
         store.table.occ_lock(9, txn);
-        let v = store.table.occ_install(9, txn, Bytes::from(vec![4u8; 16]));
-        store.log.append(p(0), 9, v, Bytes::from(vec![4u8; 16]));
+        let v = store
+            .table
+            .occ_install(9, txn, Bytes::synth(0x0404_0404_0404_0404, 16));
+        store
+            .log
+            .append(p(0), 9, v, Bytes::synth(0x0404_0404_0404_0404, 16));
     }
     let head_before = c.store(n(0), p(0)).unwrap().log.head_lsn();
     let report = c.crash_node(n(0), 1_000);
@@ -222,7 +230,7 @@ fn crash_failover_lifecycle_preserves_log_continuity() {
     assert_eq!(new_primary.log.head_lsn(), head_before);
     assert_eq!(
         new_primary.table.get(9).unwrap().value,
-        Bytes::from(vec![4u8; 16]),
+        Bytes::synth(0x0404_0404_0404_0404, 16),
         "replayed write visible at the new primary"
     );
     c.check_invariants().unwrap();
@@ -481,15 +489,19 @@ fn epoch_flush_ships_to_all_secondaries() {
     {
         let store = c.primary_store_mut(p(2));
         store.table.occ_lock(0, txn);
-        let v = store.table.occ_install(0, txn, Bytes::from(vec![3u8; 16]));
-        store.log.append(p(2), 0, v, Bytes::from(vec![3u8; 16]));
+        let v = store
+            .table
+            .occ_install(0, txn, Bytes::synth(0x0303_0303_0303_0303, 16));
+        store
+            .log
+            .append(p(2), 0, v, Bytes::synth(0x0303_0303_0303_0303, 16));
     }
     let bytes = c.epoch_flush_all();
     assert!(bytes > 0);
     let sec = c.placement.secondaries_of(p(2))[0];
     assert_eq!(
         c.store(sec, p(2)).unwrap().table.get(0).unwrap().value,
-        Bytes::from(vec![3u8; 16])
+        Bytes::synth(0x0303_0303_0303_0303, 16)
     );
     // flushing again is free
     assert_eq!(c.epoch_flush_all(), 0);
@@ -514,8 +526,10 @@ fn append_write(c: &mut Cluster, part: PartitionId, key: u64, txn: TxnId) {
     store.table.occ_lock(key, txn);
     let v = store
         .table
-        .occ_install(key, txn, Bytes::from(vec![9u8; 16]));
-    store.log.append(part, key, v, Bytes::from(vec![9u8; 16]));
+        .occ_install(key, txn, Bytes::synth(0x0909_0909_0909_0909, 16));
+    store
+        .log
+        .append(part, key, v, Bytes::synth(0x0909_0909_0909_0909, 16));
 }
 
 #[test]

@@ -333,31 +333,12 @@ impl Engine {
             let stamp = txn.0.wrapping_mul(31).wrapping_add(attempt);
             let value = Table::synth_value(w.key, stamp, value_size);
             let store = cluster.store_mut(primary, w.part).expect("primary store");
-            let version = store.table.occ_install(w.key, txn, value.clone());
+            let version = store.table.occ_install(w.key, txn, value);
             let lsn = store.log.append(w.part, w.key, version, value);
             if acked_at_install {
                 store.log.mark_acked(lsn);
             }
-            Self::assert_zero_copy_install(store, w.key);
         }
-    }
-
-    /// Commit installs must be zero-copy: the row and the replication-log
-    /// entry it just produced share one payload allocation — synthesizing
-    /// the value is the *only* allocation an install performs. (The pre-PR2
-    /// path cloned the write set and then deep-copied the payload again in
-    /// `occ_install`.)
-    #[inline]
-    fn assert_zero_copy_install(store: &lion_storage::ReplicaStore, key: lion_common::Key) {
-        debug_assert!(
-            {
-                let row = store.table.get(key).expect("row just installed");
-                let entry = store.log.pending().last().expect("entry just appended");
-                lion_storage::Bytes::ptr_eq(&row.value, &entry.value)
-            },
-            "commit install copied the payload instead of sharing it"
-        );
-        let _ = (store, key);
     }
 
     /// Records the write set of `txn` from its declared ops without

@@ -20,7 +20,7 @@ pub struct LogEntry {
     pub key: Key,
     /// Row version after the write.
     pub version: u64,
-    /// Payload bytes (shared with the row that installed them).
+    /// Payload installed by the write.
     pub value: Bytes,
 }
 
@@ -128,22 +128,16 @@ mod tests {
     #[test]
     fn lsns_are_dense_from_one() {
         let mut log = ReplicationLog::new();
-        assert_eq!(
-            log.append(PartitionId(0), 1, 2, Bytes::from(vec![0u8; 4])),
-            1
-        );
-        assert_eq!(
-            log.append(PartitionId(0), 2, 2, Bytes::from(vec![0u8; 4])),
-            2
-        );
+        assert_eq!(log.append(PartitionId(0), 1, 2, Bytes::synth(0, 4)), 1);
+        assert_eq!(log.append(PartitionId(0), 2, 2, Bytes::synth(0, 4)), 2);
         assert_eq!(log.head_lsn(), 2);
     }
 
     #[test]
     fn take_pending_drains_buffer() {
         let mut log = ReplicationLog::new();
-        log.append(PartitionId(1), 1, 1, Bytes::from(vec![0u8; 8]));
-        log.append(PartitionId(1), 2, 1, Bytes::from(vec![0u8; 8]));
+        log.append(PartitionId(1), 1, 1, Bytes::synth(0, 8));
+        log.append(PartitionId(1), 2, 1, Bytes::synth(0, 8));
         assert_eq!(log.pending().len(), 2);
         assert_eq!(log.pending_bytes(), 2 * (8 + 32));
         let shipped = log.take_pending();
@@ -156,14 +150,14 @@ mod tests {
     fn adopt_head_continues_sequence() {
         let mut log = ReplicationLog::new();
         log.adopt_head(41);
-        assert_eq!(log.append(PartitionId(0), 9, 5, Bytes::from(vec![])), 42);
+        assert_eq!(log.append(PartitionId(0), 9, 5, Bytes::synth(0, 0)), 42);
     }
 
     #[test]
     fn frontiers_track_ship_and_ack() {
         let mut log = ReplicationLog::new();
-        log.append(PartitionId(0), 1, 1, Bytes::from(vec![0u8; 4]));
-        log.append(PartitionId(0), 2, 1, Bytes::from(vec![0u8; 4]));
+        log.append(PartitionId(0), 1, 1, Bytes::synth(0, 4));
+        log.append(PartitionId(0), 2, 1, Bytes::synth(0, 4));
         assert_eq!(log.shipped_lsn(), 0, "both entries still buffered");
         // ack-at-commit: everything committed is acked immediately
         log.mark_acked(2);
@@ -185,7 +179,7 @@ mod tests {
             partition: PartitionId(0),
             key: 0,
             version: 1,
-            value: Bytes::from(vec![0u8; 100]),
+            value: Bytes::synth(0, 100),
         };
         assert_eq!(e.wire_bytes(), 132);
     }

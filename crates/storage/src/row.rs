@@ -1,17 +1,48 @@
 //! Versioned, lockable rows.
 
 use lion_common::TxnId;
-use std::sync::Arc;
 
-/// Immutable, reference-counted row payload.
+/// Immutable row payload: `len` bytes of an 8-byte stamp repeated
+/// little-endian.
 ///
-/// A committed value is written once and then *shared* — between the row,
-/// its replication-log entry, every shipped copy of that entry, and
-/// partition snapshots. `Arc<[u8]>` makes all of those an 8-byte pointer
-/// bump instead of a payload memcpy, which is what "zero-copy write sets"
-/// means on this engine's commit path: the only allocation per installed
-/// write is synthesizing the new payload itself.
-pub type Bytes = Arc<[u8]>;
+/// That is the only shape of value the engine stores
+/// ([`Table::synth_value`](crate::Table::synth_value)), so the payload *is*
+/// its stamp: a 16-byte `Copy` value. Installing, logging, shipping,
+/// applying and snapshotting a write each copy 16 bytes and allocate
+/// nothing. The stamp is masked to the bytes `len` covers, so the derived
+/// `Eq` is byte equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bytes {
+    stamp: u64,
+    len: u32,
+}
+
+impl Bytes {
+    /// `len` bytes of `stamp` repeated little-endian.
+    pub fn synth(stamp: u64, len: u32) -> Self {
+        let seen = !u64::MAX.checked_shl(len.min(8) * 8).unwrap_or(0);
+        Bytes {
+            stamp: stamp & seen,
+            len,
+        }
+    }
+
+    /// Payload length in bytes.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True for the zero-length payload.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The payload's bytes.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let stamp = self.stamp.to_le_bytes();
+        (0..self.len()).map(|i| stamp[i % 8]).collect()
+    }
+}
 
 /// One stored row: payload bytes plus the OCC metadata word.
 ///
@@ -25,8 +56,7 @@ pub struct Row {
     pub version: u64,
     /// Transaction holding the prepare-lock, if any.
     pub lock: Option<TxnId>,
-    /// Row payload (shared with the replication log; never mutated in
-    /// place).
+    /// Row payload.
     pub value: Bytes,
 }
 
@@ -53,15 +83,15 @@ mod tests {
 
     #[test]
     fn new_rows_start_unlocked_at_v1() {
-        let r = Row::new(Bytes::from(vec![1, 2, 3]));
+        let r = Row::new(Bytes::synth(0x03_02_01, 3));
         assert_eq!(r.version, 1);
         assert!(r.lock.is_none());
-        assert_eq!(&*r.value, &[1, 2, 3]);
+        assert_eq!(r.value.to_vec(), [1, 2, 3]);
     }
 
     #[test]
     fn reentrant_lock_check() {
-        let mut r = Row::new(Bytes::from(vec![0u8; 4]));
+        let mut r = Row::new(Bytes::synth(0, 4));
         assert!(r.lockable_by(TxnId(1)));
         r.lock = Some(TxnId(1));
         assert!(r.lockable_by(TxnId(1)));
@@ -69,12 +99,16 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_the_payload_allocation() {
-        let r = Row::new(Bytes::from(vec![7u8; 32]));
-        let c = r.clone();
-        assert!(
-            Bytes::ptr_eq(&r.value, &c.value),
-            "row clones are zero-copy"
-        );
+    fn equality_sees_only_the_bytes_len_covers() {
+        let x = 0x00AB_CDEF;
+        assert_eq!(Bytes::synth(x, 3), Bytes::synth(x | 0xFF00_0000, 3));
+        assert_ne!(Bytes::synth(x, 4), Bytes::synth(x | 0xFF00_0000, 4));
+        assert_eq!(Bytes::synth(u64::MAX, 0), Bytes::synth(0, 0));
+        assert_eq!(Bytes::synth(u64::MAX, 9).to_vec(), [0xFF; 9]);
+    }
+
+    #[test]
+    fn a_payload_is_sixteen_bytes_not_a_heap_handle() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 16);
     }
 }

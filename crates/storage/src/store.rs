@@ -88,8 +88,7 @@ impl ReplicaStore {
                 continue; // duplicate delivery / replay overlap
             }
             if e.lsn == self.applied_lsn + 1 {
-                self.table
-                    .apply_replicated(e.key, e.version, e.value.clone());
+                self.table.apply_replicated(e.key, e.version, e.value);
                 self.applied_lsn = e.lsn;
                 self.drain_reorder();
             } else {
@@ -100,8 +99,7 @@ impl ReplicaStore {
 
     fn drain_reorder(&mut self) {
         while let Some(e) = self.reorder.remove(&(self.applied_lsn + 1)) {
-            self.table
-                .apply_replicated(e.key, e.version, e.value.clone());
+            self.table.apply_replicated(e.key, e.version, e.value);
             self.applied_lsn = e.lsn;
         }
     }
@@ -187,8 +185,10 @@ mod tests {
         primary.table.occ_lock(0, TxnId(1));
         let v = primary
             .table
-            .occ_install(0, TxnId(1), Bytes::from(vec![1u8; 8]));
-        primary.log.append(p(), 0, v, Bytes::from(vec![1u8; 8]));
+            .occ_install(0, TxnId(1), Bytes::synth(0x0101_0101_0101_0101, 8));
+        primary
+            .log
+            .append(p(), 0, v, Bytes::synth(0x0101_0101_0101_0101, 8));
         let shipped = primary.log.take_pending();
         secondary.apply_entries(&shipped);
 
@@ -198,7 +198,9 @@ mod tests {
         assert_eq!(secondary.role, ReplicaRole::Primary);
         assert_eq!(primary.role, ReplicaRole::Secondary);
         // new primary continues the LSN sequence
-        let next = secondary.log.append(p(), 1, 2, Bytes::from(vec![2u8; 8]));
+        let next = secondary
+            .log
+            .append(p(), 1, 2, Bytes::synth(0x0202_0202_0202_0202, 8));
         assert_eq!(next, head + 1);
     }
 
@@ -240,8 +242,10 @@ mod tests {
         primary.table.occ_lock(3, TxnId(7));
         let v = primary
             .table
-            .occ_install(3, TxnId(7), Bytes::from(vec![9u8; 8]));
-        primary.log.append(p(), 3, v, Bytes::from(vec![9u8; 8]));
+            .occ_install(3, TxnId(7), Bytes::synth(0x0909_0909_0909_0909, 8));
+        primary
+            .log
+            .append(p(), 3, v, Bytes::synth(0x0909_0909_0909_0909, 8));
         primary.log.take_pending(); // shipped elsewhere
 
         let copy = ReplicaStore::from_snapshot(p(), &primary);

@@ -73,28 +73,17 @@ impl Table {
     }
 
     /// Deterministic synthetic payload for (key, version): the 8-byte
-    /// key/version stamp repeated little-endian. Collected straight into
-    /// the shared allocation — synthesizing a payload is exactly one
-    /// allocation, which the engine's install path counts on.
+    /// key/version stamp repeated little-endian.
     pub fn synth_value(key: Key, version: u64, value_size: u32) -> Bytes {
         let stamp = key
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(version);
-        (0..value_size as usize)
-            .map(|i| (stamp >> ((i % 8) * 8)) as u8)
-            .collect()
-    }
-
-    /// The shared empty payload used for insert placeholders (no per-lock
-    /// allocation).
-    fn empty_value() -> Bytes {
-        static EMPTY: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
-        EMPTY.get_or_init(|| Bytes::from(&[][..])).clone()
+        Bytes::synth(stamp, value_size)
     }
 
     /// A fresh insert placeholder: not yet visible (version 0).
     fn placeholder() -> Row {
-        let mut r = Row::new(Self::empty_value());
+        let mut r = Row::new(Bytes::synth(0, 0));
         r.version = 0;
         r
     }
@@ -242,9 +231,7 @@ impl Table {
     }
 
     /// Installs a write: stores the new payload, bumps the version, releases
-    /// the lock. Returns the new version. The payload is shared, not copied:
-    /// callers keep (an `Arc` clone of) the same allocation for the
-    /// replication log.
+    /// the lock. Returns the new version.
     pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
         let add = value.len() as u64;
         let row =
@@ -289,8 +276,6 @@ impl Table {
     }
 
     /// Applies a replicated write (no locking: replication is ordered).
-    /// `value` is an `Arc` clone of the primary's payload — the apply is
-    /// zero-copy.
     pub fn apply_replicated(&mut self, key: Key, version: u64, value: Bytes) {
         let add = value.len() as u64;
         let row =
@@ -303,8 +288,7 @@ impl Table {
         }
     }
 
-    /// Snapshot of all rows for migration / replica bootstrap. Payloads are
-    /// shared (`Arc` clones), so snapshotting never copies row bytes.
+    /// Snapshot of all rows for migration / replica bootstrap.
     pub fn snapshot(&self) -> Vec<(Key, u64, Bytes)> {
         // Dense keys come out ascending; sparse keys are all >= dense.len()
         // by construction, so appending the sorted sparse tail keeps the
@@ -313,17 +297,10 @@ impl Table {
             .dense
             .iter()
             .enumerate()
-            .filter_map(|(k, slot)| {
-                slot.as_ref()
-                    .map(|r| (k as Key, r.version, r.value.clone()))
-            })
+            .filter_map(|(k, slot)| slot.as_ref().map(|r| (k as Key, r.version, r.value)))
             .collect();
         let head = out.len();
-        out.extend(
-            self.sparse
-                .iter()
-                .map(|(&k, r)| (k, r.version, r.value.clone())),
-        );
+        out.extend(self.sparse.iter().map(|(&k, r)| (k, r.version, r.value)));
         out[head..].sort_unstable_by_key(|(k, _, _)| *k);
         out
     }
@@ -383,7 +360,7 @@ mod tests {
     fn install_bumps_version_and_unlocks() {
         let mut t = Table::new();
         assert!(t.occ_lock(1, T1).is_ok());
-        let v = t.occ_install(1, T1, Bytes::from(vec![9u8; 4]));
+        let v = t.occ_install(1, T1, Bytes::synth(0x0909_0909, 4));
         assert_eq!(v, 1);
         assert!(t.get(1).unwrap().lock.is_none());
         assert_eq!(t.occ_read(1, T2), OpOutcome::Ok { version: 1 });
@@ -408,7 +385,7 @@ mod tests {
         };
         // T2 commits a write to key 0 in between.
         assert!(t.occ_lock(0, T2).is_ok());
-        t.occ_install(0, T2, Bytes::from(vec![1u8; 8]));
+        t.occ_install(0, T2, Bytes::synth(0x0101_0101_0101_0101, 8));
         assert_eq!(
             t.occ_validate_read(0, version, T1),
             OpOutcome::VersionMismatch {
@@ -425,7 +402,7 @@ mod tests {
         t.occ_unlock(5, T1);
         assert!(t.get(5).is_none());
         // but aborting a lock on an existing row keeps the row
-        t.upsert(6, Bytes::from(vec![1u8; 2]));
+        t.upsert(6, Bytes::synth(0x0101, 2));
         assert!(t.occ_lock(6, T1).is_ok());
         t.occ_unlock(6, T1);
         assert_eq!(t.get(6).unwrap().version, 1);
@@ -443,7 +420,7 @@ mod tests {
         // A contiguous snapshot can legitimately carry one (a replica copy
         // taken while an insert was prepare-locked), which rebuilds dense.
         let mut snap = Table::populated(3, 8).snapshot();
-        snap.push((3, 0, Bytes::from(&[][..]))); // v0 placeholder at the tail
+        snap.push((3, 0, Bytes::synth(0, 0))); // v0 placeholder at the tail
         let mut copy = Table::from_snapshot(snap);
         assert_eq!(copy.len(), 4);
         assert!(copy.occ_lock(3, T1).is_ok(), "v0 row is lockable");
@@ -453,7 +430,7 @@ mod tests {
         // relocking re-materialises the placeholder through the dense path
         assert!(copy.occ_lock(3, T2).is_ok());
         assert_eq!(copy.len(), 4);
-        copy.occ_install(3, T2, Bytes::from(vec![1u8; 8]));
+        copy.occ_install(3, T2, Bytes::synth(0x0101_0101_0101_0101, 8));
         assert_eq!(copy.get(3).unwrap().version, 1);
     }
 
@@ -462,7 +439,7 @@ mod tests {
         let mut t = Table::new();
         // reader saw "missing" (version 0); insert commits; reader must fail
         assert!(t.occ_lock(3, T2).is_ok());
-        t.occ_install(3, T2, Bytes::from(vec![0u8; 1]));
+        t.occ_install(3, T2, Bytes::synth(0, 1));
         assert!(matches!(
             t.occ_validate_read(3, 0, T1),
             OpOutcome::VersionMismatch {
@@ -475,11 +452,11 @@ mod tests {
     #[test]
     fn replicated_apply_is_idempotent_and_ordered() {
         let mut t = Table::new();
-        t.apply_replicated(1, 3, Bytes::from(vec![3u8; 4]));
-        t.apply_replicated(1, 2, Bytes::from(vec![2u8; 4])); // stale: ignored
+        t.apply_replicated(1, 3, Bytes::synth(0x0303_0303, 4));
+        t.apply_replicated(1, 2, Bytes::synth(0x0202_0202, 4)); // stale: ignored
         assert_eq!(t.get(1).unwrap().version, 3);
-        assert_eq!(&*t.get(1).unwrap().value, &[3u8; 4]);
-        t.apply_replicated(1, 3, Bytes::from(vec![3u8; 4])); // duplicate: fine
+        assert_eq!(t.get(1).unwrap().value.to_vec(), [3u8; 4]);
+        t.apply_replicated(1, 3, Bytes::synth(0x0303_0303, 4)); // duplicate: fine
         assert_eq!(t.get(1).unwrap().version, 3);
     }
 
@@ -487,7 +464,7 @@ mod tests {
     fn snapshot_roundtrip_preserves_contents() {
         let mut t = Table::populated(16, 32);
         t.occ_lock(3, T1);
-        t.occ_install(3, T1, Bytes::from(vec![7u8; 32]));
+        t.occ_install(3, T1, Bytes::synth(0x0707_0707_0707_0707, 32));
         let copy = Table::from_snapshot(t.snapshot());
         assert_eq!(copy.len(), t.len());
         assert_eq!(copy.bytes(), t.bytes());
@@ -503,10 +480,10 @@ mod tests {
         // dense range; snapshots stay key-ordered across the boundary.
         let mut t = Table::populated(8, 8);
         let packed = (42u64 << 32) | 7;
-        t.upsert(packed, Bytes::from(vec![5u8; 8]));
+        t.upsert(packed, Bytes::synth(0x0505_0505_0505_0505, 8));
         assert_eq!(t.len(), 9);
         assert!(t.occ_lock(packed, T1).is_ok());
-        t.occ_install(packed, T1, Bytes::from(vec![6u8; 8]));
+        t.occ_install(packed, T1, Bytes::synth(0x0606_0606_0606_0606, 8));
         assert_eq!(t.get(packed).unwrap().version, 2);
         let snap = t.snapshot();
         assert_eq!(snap.len(), 9);
@@ -525,12 +502,12 @@ mod tests {
     #[test]
     fn bytes_tracking_follows_updates() {
         let mut t = Table::new();
-        t.upsert(1, Bytes::from(vec![0u8; 10]));
+        t.upsert(1, Bytes::synth(0, 10));
         assert_eq!(t.bytes(), 10);
-        t.upsert(1, Bytes::from(vec![0u8; 4]));
+        t.upsert(1, Bytes::synth(0, 4));
         assert_eq!(t.bytes(), 4);
         t.occ_lock(1, T1);
-        t.occ_install(1, T1, Bytes::from(vec![0u8; 20]));
+        t.occ_install(1, T1, Bytes::synth(0, 20));
         assert_eq!(t.bytes(), 20);
     }
 
@@ -539,8 +516,19 @@ mod tests {
         assert_eq!(Table::synth_value(5, 1, 16), Table::synth_value(5, 1, 16));
         assert_ne!(Table::synth_value(5, 1, 16), Table::synth_value(5, 2, 16));
         // the pattern is the 8-byte stamp repeated little-endian
-        let v = Table::synth_value(3, 2, 20);
+        let v = Table::synth_value(3, 2, 20).to_vec();
         assert_eq!(v[..8], v[8..16]);
         assert_eq!(v[..4], v[16..20]);
+    }
+
+    #[test]
+    fn synth_value_bytes_match_the_stamp_formula() {
+        // Byte i is `(stamp >> ((i % 8) * 8)) as u8` with
+        // stamp = 3 · 0x9E37_79B9_7F4A_7C15 + 2 (mod 2^64).
+        let want = [
+            0x41, 0x74, 0xDF, 0x7D, 0x2C, 0x6D, 0xA6, 0xDA, 0x41, 0x74, 0xDF, 0x7D, 0x2C, 0x6D,
+            0xA6, 0xDA, 0x41, 0x74, 0xDF, 0x7D,
+        ];
+        assert_eq!(Table::synth_value(3, 2, 20).to_vec(), want);
     }
 }

@@ -37,7 +37,7 @@ fn commit_at_primary(c: &mut Cluster, part: PartitionId, key: u64, at: Time, val
     let store = c.primary_store_mut(part);
     store.table.occ_lock(key, txn);
     let value = Table::synth_value(key, at, value_size);
-    let v = store.table.occ_install(key, txn, value.clone());
+    let v = store.table.occ_install(key, txn, value);
     store.log.append(part, key, v, value);
 }
 

@@ -70,7 +70,7 @@ proptest! {
         for (key, txn) in &writes {
             if primary.table.occ_lock(*key, TxnId(*txn)).is_ok() {
                 let value = Table::synth_value(*key, *txn, 16);
-                let v = primary.table.occ_install(*key, TxnId(*txn), value.clone());
+                let v = primary.table.occ_install(*key, TxnId(*txn), value);
                 primary.log.append(part, *key, v, value);
             }
         }
