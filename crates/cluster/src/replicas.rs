@@ -12,7 +12,7 @@ use crate::transfer::AdaptorError;
 use lion_common::{FastMap, NodeId, PartitionId, Placement, PlacementError, SimConfig, Time};
 use lion_storage::{LogEntry, ReplicaRole, ReplicaStore};
 
-/// What an epoch-commit seal flush shipped (returned by
+/// What an epoch flush shipped (returned by
 /// [`Cluster::epoch_flush_for_seal`]).
 #[derive(Debug, Default)]
 pub struct EpochFlush {
@@ -170,23 +170,13 @@ impl Cluster {
     // Epoch-based group replication (§V)
     // ------------------------------------------------------------------
 
-    /// Ships every partition's pending log entries to its secondaries.
-    /// Returns the total wire bytes (for the Fig. 12b network accounting).
-    /// One shipping loop serves both flush flavors — this delegates to
-    /// [`Cluster::epoch_flush_for_seal`] and drops the seal-only
-    /// bookkeeping, so the 10 ms flush and the epoch-commit seal can never
-    /// drift apart.
-    pub fn epoch_flush_all(&mut self) -> u64 {
-        self.epoch_flush_for_seal().bytes
-    }
-
-    /// Ships every partition's pending entries like
-    /// [`Cluster::epoch_flush_all`], but for an **epoch-commit seal**: on
-    /// top of the wire bytes it reports the per-partition log frontiers the
-    /// flush certifies and the slowest secondary round-trip — the replication
-    /// transit the sealed epoch must wait out before its acks may escape.
-    /// Cross-zone secondaries (rack-safe placement) stretch the transit by
-    /// the aggregation-layer surcharge both ways.
+    /// The one replication flush, run by the engine's epoch clock: ships
+    /// every partition's pending log entries to its secondaries and reports
+    /// the wire bytes (the Fig. 12b network accounting), the per-partition
+    /// log frontiers the flush certifies, and the slowest secondary round
+    /// trip — the transit an epoch sealed on this flush waits out before its
+    /// acks may escape. Cross-zone secondaries (rack-safe placement) stretch
+    /// the transit by the aggregation-layer surcharge both ways.
     pub fn epoch_flush_for_seal(&mut self) -> EpochFlush {
         let mut out = EpochFlush::default();
         for p in 0..self.n_partitions() {

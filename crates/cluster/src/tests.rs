@@ -496,15 +496,18 @@ fn epoch_flush_ships_to_all_secondaries() {
             .log
             .append(p(2), 0, v, Bytes::synth(0x0303_0303_0303_0303, 16));
     }
-    let bytes = c.epoch_flush_all();
-    assert!(bytes > 0);
+    let flush = c.epoch_flush_for_seal();
+    assert!(flush.bytes > 0);
+    assert_eq!(flush.frontiers, vec![(p(2), 1)]);
     let sec = c.placement.secondaries_of(p(2))[0];
     assert_eq!(
         c.store(sec, p(2)).unwrap().table.get(0).unwrap().value,
         Bytes::synth(0x0303_0303_0303_0303, 16)
     );
-    // flushing again is free
-    assert_eq!(c.epoch_flush_all(), 0);
+    // flushing again is free and certifies nothing
+    let again = c.epoch_flush_for_seal();
+    assert_eq!((again.bytes, again.max_transit_us), (0, 0));
+    assert!(again.frontiers.is_empty());
 }
 
 /// 4 nodes × rf 3, one partition per node: isolating {N2, N3} produces
@@ -573,7 +576,7 @@ fn split_promote_swaps_primary_without_cross_cut_replay() {
     let mut c = Cluster::new(split_cfg());
     // p3 holders {3,0,1}: primary N3 isolated, quorum side rests.
     append_write(&mut c, p(3), 4, TxnId(1));
-    c.epoch_flush_all(); // replicated pre-split
+    c.epoch_flush_for_seal(); // replicated pre-split
     append_write(&mut c, p(3), 5, TxnId(2)); // stranded on N3
     c.begin_split(&[n(2), n(3)], 1_000);
     let target_head = c.store(n(0), p(3)).unwrap().applied_lsn;

@@ -124,7 +124,8 @@ pub struct SimConfig {
     /// scaled-down table sizes (paper-scale partitions are tens of MB: a
     /// migration blackout is orders of magnitude longer than a remaster).
     pub migration_fixed_us: Time,
-    /// Epoch-based group-commit interval (paper: 10 ms).
+    /// Epoch-based group-replication interval (paper: 10 ms). Under epoch
+    /// group commit the flush runs every `epoch_commit_us` instead.
     pub epoch_us: Time,
     /// Failure-detection delay: virtual time between a node halting and the
     /// recovery coordinator acting on it (heartbeat timeout).

@@ -9,10 +9,9 @@
 //! install, the context is freed); what this crate manages is the *ack*:
 //!
 //! * every committing transaction is parked in the open epoch;
-//! * the epoch seals on the DES clock every `epoch_commit_us` (independent
-//!   of the 10 ms replication-flush interval) — sealing triggers a log
-//!   flush, and the epoch becomes durable once the slowest secondary
-//!   round-trip lands;
+//! * the epoch seals on the DES clock every `epoch_commit_us`, and the seal
+//!   *is* the replication flush (there is no second flush clock), so the
+//!   epoch becomes durable once the slowest secondary round-trip lands;
 //! * at durability, every parked transaction is acked: its client learns
 //!   the outcome, the ack-latency histogram records `now - start`, and
 //!   closed-loop clients are re-armed;
@@ -36,10 +35,6 @@ pub struct DurabilityConfig {
     /// `0` (the default) disables epoch group commit — acks escape at
     /// protocol-commit time, exactly the pre-subsystem behavior.
     pub epoch_commit_us: Time,
-    /// Record every ack in [`EpochManager::ack_log`] (tests: per-client ack
-    /// monotonicity). Off by default — long runs would grow the log
-    /// unboundedly.
-    pub record_acks: bool,
     /// Charge an idempotent-resubmit round trip when a client retries a
     /// transaction swept up by an epoch abort (crash or heal-time divergence
     /// reconciliation): the retry re-enters after `backoff + client↔home RTT`
@@ -85,19 +80,6 @@ pub struct PendingAck {
     pub start: Time,
     /// Protocol-commit time (commit latency already recorded there).
     pub committed_at: Time,
-}
-
-/// One recorded ack (only with [`DurabilityConfig::record_acks`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AckRecord {
-    /// Client the ack went to.
-    pub client: ClientId,
-    /// Submission sequence of the acked transaction.
-    pub seq: u64,
-    /// Virtual time the ack escaped.
-    pub at: Time,
-    /// Epoch that carried it.
-    pub epoch: u64,
 }
 
 /// A sealed epoch in flight between its log flush and its durability point.
@@ -158,8 +140,6 @@ pub struct EpochManager {
     /// Epoch-seal boundaries the divergent (fenced) timeline has spanned so
     /// far: the `n` reported by a heal's `DivergentEpochAborted` event.
     fenced_epochs: u64,
-    /// Every released ack, when [`DurabilityConfig::record_acks`] is set.
-    pub ack_log: Vec<AckRecord>,
 }
 
 impl EpochManager {
@@ -174,7 +154,6 @@ impl EpochManager {
             fenced: Vec::new(),
             fenced_since_seal: false,
             fenced_epochs: 0,
-            ack_log: Vec::new(),
         }
     }
 
@@ -184,10 +163,16 @@ impl EpochManager {
         self.cfg.epoch_commit_us > 0
     }
 
-    /// The configured epoch length.
+    /// The period of the engine's one epoch clock, whose every tick is a
+    /// replication flush: the commit epoch under group commit (the seal is
+    /// that flush), `flush_us` otherwise.
     #[inline]
-    pub fn epoch_commit_us(&self) -> Time {
-        self.cfg.epoch_commit_us
+    pub fn period(&self, flush_us: Time) -> Time {
+        if self.enabled() {
+            self.cfg.epoch_commit_us
+        } else {
+            flush_us
+        }
     }
 
     /// Current epoch fence (see [`EpochManager`] field docs).
@@ -252,10 +237,13 @@ impl EpochManager {
 
     /// Seals the open epoch: the engine has just flushed the replication
     /// logs and hands over the per-partition frontiers that flush certifies.
-    /// Returns the sealed epoch id, or `None` when there was nothing to
-    /// seal (no parked acks and no flushed entries — the tick rotates
-    /// silently).
+    /// Returns the sealed epoch id, or `None` when group commit is off or
+    /// there was nothing to seal (no parked acks and no flushed entries —
+    /// the tick rotates silently).
     pub fn seal(&mut self, frontiers: Vec<(PartitionId, u64)>) -> Option<u64> {
+        if !self.enabled() {
+            return None;
+        }
         if self.fenced_since_seal {
             self.fenced_epochs += 1;
             self.fenced_since_seal = false;
@@ -275,23 +263,14 @@ impl EpochManager {
 
     /// An epoch's replication round-trip landed: release its acks. Returns
     /// `None` for epochs swept away by a crash (stale durability events) or
-    /// behind the fence.
-    pub fn take_durable(&mut self, id: u64, now: Time) -> Option<DurableEpoch> {
+    /// behind the fence. `_now` is unread: the engine's `Ack` events carry
+    /// the release time.
+    pub fn take_durable(&mut self, id: u64, _now: Time) -> Option<DurableEpoch> {
         if id < self.fence {
             return None;
         }
         let pos = self.inflight.iter().position(|e| e.id == id)?;
         let ep = self.inflight.remove(pos);
-        if self.cfg.record_acks {
-            for a in &ep.acks {
-                self.ack_log.push(AckRecord {
-                    client: a.client,
-                    seq: a.seq,
-                    at: now,
-                    epoch: ep.id,
-                });
-            }
-        }
         Some(DurableEpoch {
             acks: ep.acks,
             frontiers: ep.frontiers,
@@ -336,11 +315,13 @@ mod tests {
 
     #[test]
     fn disabled_by_default() {
-        let m = EpochManager::new(DurabilityConfig::default());
+        let mut m = EpochManager::new(DurabilityConfig::default());
         assert!(!m.enabled());
+        assert_eq!(m.period(10_000), 10_000, "the plain replication flush");
+        assert_eq!(m.seal(vec![(PartitionId(0), 3)]), None, "nothing seals");
         let m = EpochManager::new(DurabilityConfig::epoch(5_000));
         assert!(m.enabled());
-        assert_eq!(m.epoch_commit_us(), 5_000);
+        assert_eq!(m.period(10_000), 5_000, "the seal is the flush");
     }
 
     #[test]
@@ -445,20 +426,5 @@ mod tests {
         assert!(cfg.retry_round_trip);
         assert!(EpochManager::new(cfg).retry_round_trip());
         assert!(!EpochManager::new(DurabilityConfig::epoch(5_000)).retry_round_trip());
-    }
-
-    #[test]
-    fn ack_log_records_when_enabled() {
-        let mut m = EpochManager::new(DurabilityConfig {
-            epoch_commit_us: 1_000,
-            record_acks: true,
-            ..DurabilityConfig::default()
-        });
-        m.park(ack(1));
-        let id = m.seal(Vec::new()).unwrap();
-        m.take_durable(id, 1_500).unwrap();
-        assert_eq!(m.ack_log.len(), 1);
-        assert_eq!(m.ack_log[0].at, 1_500);
-        assert_eq!(m.ack_log[0].epoch, id);
     }
 }

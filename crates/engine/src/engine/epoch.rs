@@ -1,40 +1,31 @@
-//! The two epoch clocks: the §V replication flush every `epoch_us`, and
-//! epoch group commit — client-visible acks released at epoch boundaries,
-//! behind their epoch's replication. Reachable only from the event loop and
-//! from `commit`.
+//! The one epoch clock: every tick ships every pending replication log
+//! (§V), and under epoch group commit the tick is also the seal, so an
+//! epoch's client-visible acks escape only behind that flush's replication
+//! round trip. Reachable only from the event loop and from `commit`.
 
 use super::{Engine, Ev};
-use lion_common::{ClientId, Time};
 use lion_durability::PendingAck;
 use lion_obs::{ByteClass, MetricEvent};
 
 impl Engine {
-    /// The periodic replication flush: ships every pending log entry to the
-    /// secondaries. Re-arms itself.
-    pub(super) fn flush_epoch(&mut self) {
-        let bytes = self.cluster.epoch_flush_all();
+    /// One epoch boundary: flushes every pending replication log and hands
+    /// the flush to the epoch manager, which seals the open epoch on it
+    /// (group commit) or declines (ack-at-commit). A sealed epoch rides out
+    /// the slowest secondary round trip before its acks are released.
+    /// Re-arms itself.
+    pub(super) fn epoch_tick(&mut self) {
+        let flush = self.cluster.epoch_flush_for_seal();
         // Emitted even for 0 bytes: the series bucket this touches is part
         // of the digest contract.
-        self.emit_bytes(ByteClass::Replication, bytes);
-        self.queue.schedule(self.cfg.sim.epoch_us, Ev::Epoch);
-    }
-
-    /// Seals the open commit epoch on the DES clock: flushes every pending
-    /// replication log, then lets the epoch ride out the slowest secondary
-    /// round-trip before its acks are released. Re-arms itself.
-    pub(super) fn seal_epoch(&mut self) {
-        let now = self.now();
-        let flush = self.cluster.epoch_flush_for_seal();
-        if flush.bytes > 0 {
-            self.emit_bytes(ByteClass::Replication, flush.bytes);
-        }
+        self.emit_bytes(ByteClass::Replication, flush.bytes);
         if let Some(id) = self.epochs.seal(flush.frontiers) {
-            self.emit(MetricEvent::EpochSealed { at: now });
+            let at = self.now();
+            self.emit(MetricEvent::EpochSealed { at });
             self.queue
                 .schedule(flush.max_transit_us, Ev::EpochDurable(id));
         }
         self.queue
-            .schedule(self.epochs.epoch_commit_us(), Ev::EpochSeal);
+            .schedule(self.epochs.period(self.cfg.sim.epoch_us), Ev::Epoch);
     }
 
     /// A sealed epoch's replication landed: certify its log frontiers as
@@ -60,7 +51,7 @@ impl Engine {
             }
         }
         for ack in epoch.acks {
-            self.release_ack(ack.client, ack.start);
+            self.release_ack(ack);
         }
     }
 
@@ -71,7 +62,7 @@ impl Engine {
     /// retries it).
     pub(super) fn ack_or_park(&mut self, ack: PendingAck, fenced: bool) {
         if !self.epochs.enabled() {
-            self.release_ack(ack.client, ack.start);
+            self.release_ack(ack);
         } else if fenced {
             self.emit(MetricEvent::FencedAck {
                 at: ack.committed_at,
@@ -82,17 +73,19 @@ impl Engine {
         }
     }
 
-    /// Releases one client-visible ack: records its latency and re-arms the
-    /// issuing client (standard mode; batch clients are paced by the batch
-    /// loop and only get the latency accounting).
-    fn release_ack(&mut self, client: ClientId, start: Time) {
-        let now = self.now();
+    /// Releases one client-visible ack: emits its one record, the `Ack`
+    /// event, and re-arms the issuing client (standard mode; batch clients
+    /// are paced by the batch loop and only get the latency accounting).
+    fn release_ack(&mut self, ack: PendingAck) {
+        let at = self.now();
         self.emit(MetricEvent::Ack {
-            at: now,
-            latency_us: now.saturating_sub(start),
+            at,
+            latency_us: at.saturating_sub(ack.start),
+            client: ack.client,
+            seq: ack.seq,
         });
         if !self.batch_mode {
-            self.queue.schedule(1, Ev::ClientNext(client));
+            self.queue.schedule(1, Ev::ClientNext(ack.client));
         }
     }
 

@@ -229,8 +229,9 @@ impl Engine {
     /// to clients but never shipped to a secondary, writes a real deployment
     /// would lose *after* reporting success. Ack-at-commit mode leaks them
     /// freely (commit == ack, flush every `epoch_us`); epoch group commit
-    /// keeps this at zero because an ack only ever escapes behind its
-    /// epoch's replication.
+    /// keeps this at zero by construction: its one clock seals an epoch on
+    /// the flush that ships it, and releases the acks only once that flush's
+    /// round trip lands.
     pub(super) fn audit_acked_unshipped(&mut self, node: NodeId, part: PartitionId) {
         if let Some(store) = self.cluster.store(node, part) {
             let n = store.log.acked_unshipped();

@@ -86,6 +86,8 @@ enum Ev {
         tag: u32,
     },
     Retry(TxnId),
+    /// The one epoch clock: a replication flush that, under epoch group
+    /// commit, is also the seal of the open epoch.
     Epoch,
     Plan,
     Monitor,
@@ -106,9 +108,6 @@ enum Ev {
     BatchArm,
     /// A scripted fault event (index into the engine's `FaultPlan`).
     Fault(usize),
-    /// Epoch group commit: seal the open commit epoch and flush its logs
-    /// (only scheduled when `durability.epoch_commit_us > 0`).
-    EpochSeal,
     /// A sealed epoch's replication round-trip landed: release its acks.
     EpochDurable(u64),
     /// Re-extend the block on a partition stalled on a dead primary.
@@ -177,16 +176,15 @@ impl Engine {
         let epochs = EpochManager::new(cfg.durability);
         // Seed the calendar queue's bucket geometry from this run's
         // event-horizon profile: the delays below are what the hot path
-        // actually schedules (network hops, retry back-off, epoch seals,
-        // replication flushes, planner/monitor timers). The shortest of
-        // them sizes the buckets; the long timers ride the overflow rung.
+        // actually schedules (network hops, retry back-off, the epoch
+        // clock, planner/monitor timers). The shortest of them sizes the
+        // buckets; the long timers ride the overflow rung.
         let profile = [
             cfg.sim.net.one_way_us,
             cfg.sim.net.delay(cfg.sim.value_size),
             cfg.sim.retry_backoff_us,
             cfg.sim.stall_poll_us,
-            cfg.sim.epoch_us,
-            cfg.durability.epoch_commit_us,
+            epochs.period(cfg.sim.epoch_us),
             cfg.plan_interval_us,
             cfg.monitor_interval_us,
         ];
@@ -216,7 +214,7 @@ impl Engine {
         }
     }
 
-    /// The epoch group-commit manager (ack log, fence, parked count).
+    /// The epoch group-commit manager (fence, parked and fenced counts).
     pub fn epoch_manager(&self) -> &EpochManager {
         &self.epochs
     }
@@ -290,11 +288,8 @@ impl Engine {
     /// summarizes the run.
     pub fn run(&mut self, proto: &mut dyn Protocol, horizon: Time) -> RunReport {
         self.batch_mode = proto.batch_mode();
-        self.queue.schedule(self.cfg.sim.epoch_us, Ev::Epoch);
-        if self.epochs.enabled() {
-            self.queue
-                .schedule(self.epochs.epoch_commit_us(), Ev::EpochSeal);
-        }
+        self.queue
+            .schedule(self.epochs.period(self.cfg.sim.epoch_us), Ev::Epoch);
         self.queue.schedule(self.cfg.plan_interval_us, Ev::Plan);
         self.queue
             .schedule(self.cfg.monitor_interval_us, Ev::Monitor);
@@ -333,7 +328,7 @@ impl Engine {
                 Ev::ClientNext(client) => self.client_next(proto, client),
                 Ev::Wake { txn, tag } => self.wake(proto, txn, tag),
                 Ev::Retry(txn) => self.retry(proto, txn),
-                Ev::Epoch => self.flush_epoch(),
+                Ev::Epoch => self.epoch_tick(),
                 Ev::Plan => self.plan_tick(proto),
                 Ev::Monitor => self.monitor_tick(proto),
                 Ev::ReplicaCopied {
@@ -345,7 +340,6 @@ impl Engine {
                 Ev::TransferDone { part, gen } => self.transfer_done(proto, part, gen),
                 Ev::BatchArm => self.arm_batch(proto),
                 Ev::Fault(i) => self.apply_fault(proto, std::mem::take(&mut fault_steps[i])),
-                Ev::EpochSeal => self.seal_epoch(),
                 Ev::EpochDurable(id) => self.epoch_durable(id),
                 Ev::StallCheck(part) => self.stall_check(part),
                 Ev::SplitPromote { part, target, seq } => {

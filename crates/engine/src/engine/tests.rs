@@ -1,5 +1,5 @@
 //! Engine unit tests: the loop, the ops API, the adaptor, fault execution
-//! and both epoch clocks, each driven through a few-line protocol.
+//! and the epoch clock, each driven through a few-line protocol.
 
 use super::*;
 use crate::txn::TxnClass;
@@ -76,8 +76,7 @@ fn epoch_flush_replicates_writes() {
     );
     // After the final epoch flush, secondaries lag only by the last
     // unflushed epoch; force one more flush and check sync.
-    let extra = eng.cluster.epoch_flush_all();
-    let _ = extra;
+    eng.cluster.epoch_flush_for_seal();
     for p in 0..eng.cluster.n_partitions() {
         let part = PartitionId(p as u32);
         let primary = eng.cluster.placement.primary_of(part);

@@ -29,7 +29,7 @@ pub mod tags;
 pub mod txn;
 
 pub use engine::{Engine, EngineConfig, OpFail};
-pub use lion_durability::{AckRecord, DurabilityConfig, DurableEpoch, EpochManager, PendingAck};
+pub use lion_durability::{DurabilityConfig, DurableEpoch, EpochManager, PendingAck};
 pub use lion_faults::{FaultEvent, FaultKind, FaultNotice, FaultPlan};
 pub use lion_obs::run::{FailoverRecord, Metrics, UnavailWindow};
 pub use lion_obs::{

@@ -8,7 +8,7 @@
 //! sinks that care — emission points never choose a storage layout.
 
 use crate::run::FailoverRecord;
-use lion_common::{NodeId, PartitionId, Time, ZoneId};
+use lion_common::{ClientId, NodeId, PartitionId, Time, ZoneId};
 
 /// Which §III execution class a commit took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,12 +63,16 @@ pub enum MetricEvent {
         zone: ZoneId,
     },
     /// A client-visible ack was released (at commit, or when the commit's
-    /// epoch turned durable).
+    /// epoch turned durable). The ack's one record.
     Ack {
         /// Release time.
         at: Time,
         /// Submission → ack latency.
         latency_us: Time,
+        /// The client the ack went to.
+        client: ClientId,
+        /// Submission sequence of the acked transaction.
+        seq: u64,
     },
     /// Bytes hit the wire.
     Bytes {

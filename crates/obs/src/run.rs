@@ -304,8 +304,7 @@ impl MetricSink for Metrics {
                     self.fault_aborts += 1;
                 }
             }
-            MetricEvent::Ack { at, latency_us } => {
-                let _ = at;
+            MetricEvent::Ack { latency_us, .. } => {
                 self.acked += 1;
                 self.ack_latency.record(latency_us);
             }

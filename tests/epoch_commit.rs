@@ -13,14 +13,20 @@
 //!   transactions of a voided epoch retry instead.
 //! * acks released to one client never go backwards (per-client seq
 //!   monotonicity), crash or no crash.
+//! * no ack escapes at the instant its epoch seals: the seal is the
+//!   replication flush, and the acks wait out that flush's round trip.
 
+mod common;
+
+use common::{assert_client_monotonic, AckTap};
 use lion::baselines::two_pc;
-use lion::common::{FastMap, NodeId, SimConfig, SECOND};
+use lion::common::{NodeId, SimConfig, SECOND};
 use lion::core::Lion;
-use lion::engine::{DurabilityConfig, Engine, EngineConfig, Protocol, RunReport};
+use lion::engine::{DurabilityConfig, Engine, EngineConfig, MetricEvent, Protocol, RunReport};
 use lion::faults::FaultPlan;
 use lion::workloads::{YcsbConfig, YcsbWorkload};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn sim(seed: u64) -> SimConfig {
     SimConfig {
@@ -58,7 +64,8 @@ fn proto_name(which: usize) -> &'static str {
 
 struct Run {
     report: RunReport,
-    ack_log: Vec<lion::engine::AckRecord>,
+    /// The run's `Ack` and `EpochSealed` events.
+    events: Vec<MetricEvent>,
 }
 
 fn run_crash_scenario(which: usize, seed: u64, crash_at: u64, durability: DurabilityConfig) -> Run {
@@ -70,11 +77,12 @@ fn run_crash_scenario(which: usize, seed: u64, crash_at: u64, durability: Durabi
         ..EngineConfig::default()
     };
     let mut eng = Engine::new(cfg, workload(seed ^ 0x5EED));
+    let tap = AckTap::attach(&mut eng);
     let mut proto = build_proto(which);
     let report = eng.run(proto.as_mut(), SECOND / 2);
     Run {
         report,
-        ack_log: eng.epoch_manager().ack_log.clone(),
+        events: tap.take(),
     }
 }
 
@@ -117,22 +125,49 @@ fn ack_at_commit_loses_what_epoch_commit_keeps() {
     }
 }
 
-/// Closed-loop protocols: the ack stream a single client observes never
-/// reorders, crash or no crash (the epoch fence forbids a promoted primary
-/// from releasing a pre-crash epoch late).
-fn assert_client_monotonic(run: &Run, label: &str) {
-    let mut last: FastMap<u32, (u64, u64)> = FastMap::default();
-    for a in &run.ack_log {
-        if let Some(&(seq, at)) = last.get(&a.client.0) {
-            assert!(
-                a.seq > seq && a.at >= at,
-                "{label}: client {} saw ack seq {} at t={} after seq {seq} at t={at}",
-                a.client.0,
-                a.seq,
-                a.at
+/// The seal is the replication flush, so an epoch's acks wait out the round
+/// trip of the flush that sealed it and none is released at the seal's own
+/// instant. The epoch lengths divide the 10 ms replication period: with a
+/// second flush clock, a flush firing at the seal's instant shipped the
+/// epoch's entries first and its acks escaped with no transit at all. Every
+/// transaction writes, so every parked ack has entries for its seal to ship.
+#[test]
+fn no_ack_escapes_before_its_epochs_replication() {
+    for epoch_us in [1_000, 2_000, 5_000, 10_000] {
+        for which in 0..2 {
+            let cfg = EngineConfig {
+                sim: sim(7),
+                durability: DurabilityConfig::epoch(epoch_us),
+                ..EngineConfig::default()
+            };
+            let writes_only = YcsbConfig {
+                read_ratio: 0.0,
+                ..YcsbConfig::for_cluster(3, 4, 1_000).with_mix(0.5, 0.3)
+            };
+            let mut eng = Engine::new(cfg, Box::new(YcsbWorkload::new(writes_only)));
+            let tap = AckTap::attach(&mut eng);
+            eng.run(build_proto(which).as_mut(), SECOND / 4);
+            let events = tap.take();
+            let seals: BTreeSet<u64> = events
+                .iter()
+                .filter(|e| matches!(e, MetricEvent::EpochSealed { .. }))
+                .map(MetricEvent::at)
+                .collect();
+            let acks: Vec<u64> = events
+                .iter()
+                .filter(|e| matches!(e, MetricEvent::Ack { .. }))
+                .map(MetricEvent::at)
+                .collect();
+            assert!(!seals.is_empty() && !acks.is_empty());
+            let early = acks.iter().filter(|at| seals.contains(at)).count();
+            assert_eq!(
+                early,
+                0,
+                "{} at {epoch_us} us epochs: {early} of {} acks released at their seal's instant",
+                proto_name(which),
+                acks.len()
             );
         }
-        last.insert(a.client.0, (a.seq, a.at));
     }
 }
 
@@ -149,12 +184,7 @@ proptest! {
         epoch_us in 1_000u64..12_000,
         which in 0usize..4,
     ) {
-        let durability = DurabilityConfig {
-            epoch_commit_us: epoch_us,
-            record_acks: true,
-            ..DurabilityConfig::default()
-        };
-        let run = run_crash_scenario(which, seed, crash_at, durability);
+        let run = run_crash_scenario(which, seed, crash_at, DurabilityConfig::epoch(epoch_us));
         prop_assert_eq!(
             run.report.acked_then_lost, 0,
             "{}: acked commit lost (seed {}, crash {}, epoch {})",
@@ -163,9 +193,10 @@ proptest! {
         prop_assert!(run.report.commits > 0);
         // Batch distributors hand one synthetic client several in-flight
         // transactions per batch, so seq monotonicity per client is only a
-        // closed-loop guarantee.
+        // closed-loop guarantee; the epoch fence forbids a promoted primary
+        // from releasing a pre-crash epoch late.
         if which < 2 {
-            assert_client_monotonic(&run, proto_name(which));
+            assert_client_monotonic(&run.events, proto_name(which));
         }
     }
 }

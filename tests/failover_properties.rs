@@ -251,7 +251,7 @@ impl Driver {
                 commit_at_primary(&mut self.c, part, b as u64 % 16, now, 8);
             }
             _ => {
-                self.c.epoch_flush_all();
+                self.c.epoch_flush_for_seal();
             }
         }
     }

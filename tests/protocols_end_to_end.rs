@@ -26,7 +26,7 @@ fn ycsb(nodes: u32, cross: f64, skew: f64, seed: u64) -> Box<YcsbWorkload> {
 /// After a run plus one final epoch flush, every secondary must hold exactly
 /// the primary's state (no lost or phantom replicated writes).
 fn assert_replicas_in_sync(eng: &mut Engine) {
-    eng.cluster.epoch_flush_all();
+    eng.cluster.epoch_flush_for_seal();
     for p in 0..eng.cluster.n_partitions() {
         let part = lion::common::PartitionId(p as u32);
         let primary = eng.cluster.placement.primary_of(part);

@@ -16,11 +16,16 @@
 //!   split-brain arm's unavailability can only be at or below the legacy
 //!   crash approximation's, which kills the isolated side outright.
 
+mod common;
+
+use common::{assert_client_monotonic, AckTap};
 use lion::baselines::two_pc;
 use lion::cluster::Transfer;
-use lion::common::{FastMap, NodeId, PartitionId, SimConfig, Time, TxnId, SECOND};
+use lion::common::{NodeId, PartitionId, SimConfig, Time, TxnId, SECOND};
 use lion::core::Lion;
-use lion::engine::{DurabilityConfig, Engine, EngineConfig, Protocol, RunReport, TickKind};
+use lion::engine::{
+    DurabilityConfig, Engine, EngineConfig, MetricEvent, Protocol, RunReport, TickKind,
+};
 use lion::faults::{FaultNotice, FaultPlan};
 use lion::workloads::{YcsbConfig, YcsbWorkload};
 use proptest::prelude::*;
@@ -77,7 +82,8 @@ fn split_plan(cut_at: u64, heal_at: u64) -> FaultPlan {
 struct Run {
     report: RunReport,
     fenced_after: usize,
-    ack_log: Vec<lion::engine::AckRecord>,
+    /// The run's `Ack` and `EpochSealed` events.
+    events: Vec<MetricEvent>,
     /// Replica holders per partition at the end of the run.
     holders: Vec<Vec<NodeId>>,
 }
@@ -91,12 +97,13 @@ fn run_split(which: usize, seed: u64, faults: FaultPlan, durability: DurabilityC
         ..EngineConfig::default()
     };
     let mut eng = Engine::new(cfg, workload(seed ^ 0x5EED));
+    let tap = AckTap::attach(&mut eng);
     let mut proto = build_proto(which);
     let report = eng.run(proto.as_mut(), HORIZON);
     Run {
         report,
         fenced_after: eng.epoch_manager().fenced_count(),
-        ack_log: eng.epoch_manager().ack_log.clone(),
+        events: tap.take(),
         holders: (0..eng.cluster.n_partitions() as u32)
             .map(|p| eng.cluster.placement.replica_nodes(PartitionId(p)))
             .collect(),
@@ -389,25 +396,6 @@ fn optimistic_minority_acks_leak_at_heal() {
     }
 }
 
-/// Closed-loop protocols: the ack stream one client observes never
-/// reorders, cut or no cut (heal-time retries re-enter the epoch pipeline
-/// behind the surviving timeline, never ahead of it).
-fn assert_client_monotonic(run: &Run, label: &str) {
-    let mut last: FastMap<u32, (u64, u64)> = FastMap::default();
-    for a in &run.ack_log {
-        if let Some(&(seq, at)) = last.get(&a.client.0) {
-            assert!(
-                a.seq > seq && a.at >= at,
-                "{label}: client {} saw ack seq {} at t={} after seq {seq} at t={at}",
-                a.client.0,
-                a.seq,
-                a.at
-            );
-        }
-        last.insert(a.client.0, (a.seq, a.at));
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -425,10 +413,7 @@ proptest! {
         which in 0usize..4,
     ) {
         let heal_at = cut_at + heal_gap;
-        let durability = DurabilityConfig {
-            record_acks: true,
-            ..DurabilityConfig::epoch(epoch_us).with_retry_round_trip()
-        };
+        let durability = DurabilityConfig::epoch(epoch_us).with_retry_round_trip();
         let run = run_split(which, seed, split_plan(cut_at, heal_at), durability);
         prop_assert_eq!(
             run.report.acked_then_lost, 0,
@@ -444,9 +429,10 @@ proptest! {
         prop_assert!(run.report.commits > 0);
         // Batch distributors hand one synthetic client several in-flight
         // transactions per batch, so seq monotonicity per client is only a
-        // closed-loop guarantee.
+        // closed-loop guarantee; heal-time retries re-enter the epoch
+        // pipeline behind the surviving timeline, never ahead of it.
         if which < 2 {
-            assert_client_monotonic(&run, proto_name(which));
+            assert_client_monotonic(&run.events, proto_name(which));
         }
     }
 
