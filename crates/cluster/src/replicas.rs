@@ -200,6 +200,7 @@ impl Cluster {
             let pending = log.take_pending();
             out.frontiers.push((part, head));
             let (bytes, rtt) = self.ship(part, primary, &pending);
+            self.primary_store_mut(part).log.recycle(pending);
             out.bytes += bytes;
             out.max_transit_us = out.max_transit_us.max(rtt);
         }

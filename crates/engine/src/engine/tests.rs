@@ -246,7 +246,7 @@ fn remaster_during_commit_window_releases_locks() {
             .table
             .get(1)
             .unwrap();
-        assert!(row.lock.is_none(), "lock leaked on {holder}");
+        assert!(row.lock().is_none(), "lock leaked on {holder}");
     }
     // A later transaction can lock the row at the new primary.
     let txn2 = eng.inject_txn(ClientId(1), TxnRequest::new(vec![Op::write(part, 1)]));
@@ -272,7 +272,7 @@ fn rows_and_locks(eng: &Engine, part: PartitionId, keys: &[Key]) -> Vec<(usize, 
     let holders = eng.cluster.placement.replica_nodes(part);
     let count = |node| {
         let table = &eng.cluster.store(node, part).unwrap().table;
-        let locked = keys.iter().filter_map(|&k| table.get(k)?.lock).count();
+        let locked = keys.iter().filter_map(|&k| table.get(k)?.lock()).count();
         (table.len(), locked)
     };
     holders.into_iter().map(count).collect()
@@ -326,7 +326,7 @@ fn failed_validation_mutates_nothing() {
     assert_eq!(rows_and_locks(&eng, part, &keys), before);
     assert!(!eng.txn(blocked).holds_locks);
     let table = &eng.cluster.store(home, part).unwrap().table;
-    assert_eq!(table.get(5).unwrap().lock, Some(holder));
+    assert_eq!(table.get(5).unwrap().lock(), Some(holder));
     eng.abort_retry(holder);
 
     // Own locks are re-entrant under the new order too: a row the

@@ -112,6 +112,17 @@ impl ReplicationLog {
         std::mem::take(&mut self.buffer)
     }
 
+    /// Hands a drained buffer back once shipped: it is cleared and becomes
+    /// the epoch buffer, so the next epoch appends into its capacity instead
+    /// of regrowing from empty. Entries appended since the drain are kept.
+    pub fn recycle(&mut self, mut shipped: Vec<LogEntry>) {
+        if shipped.capacity() > self.buffer.capacity() {
+            shipped.clear();
+            shipped.append(&mut self.buffer);
+            self.buffer = shipped;
+        }
+    }
+
     /// Resets the log to continue from an adopted state (new primary after
     /// remastering adopts the old primary's head LSN).
     pub fn adopt_head(&mut self, lsn: u64) {
@@ -144,6 +155,23 @@ mod tests {
         assert_eq!(shipped.len(), 2);
         assert!(log.pending().is_empty());
         assert_eq!(log.head_lsn(), 2, "head survives the drain");
+    }
+
+    #[test]
+    fn recycle_returns_the_capacity_cleared() {
+        let mut log = ReplicationLog::new();
+        for k in 0..4 {
+            log.append(PartitionId(1), k, 1, Bytes::synth(0, 8));
+        }
+        let shipped = log.take_pending();
+        let cap = shipped.capacity();
+        log.append(PartitionId(1), 9, 1, Bytes::synth(0, 8));
+        log.recycle(shipped);
+        assert_eq!(log.pending().len(), 1, "only the entry appended since");
+        assert_eq!(log.pending()[0].lsn, 5);
+        assert_eq!(log.shipped_lsn(), 4);
+        let kept = log.take_pending();
+        assert_eq!(kept.capacity(), cap, "the shipped buffer came back");
     }
 
     #[test]

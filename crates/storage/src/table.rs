@@ -1,4 +1,8 @@
 //! A single partition replica's key→row table with OCC operations.
+//!
+//! Rows are 32-byte values ([`Row`]) held in two places: a directly indexed
+//! vector for the contiguous populated range, and an insertion-ordered
+//! arena reached through a key→slot index for every other key.
 
 use crate::row::{Bytes, Row};
 use lion_common::{fast_map_with_capacity, FastMap, Key, TxnId};
@@ -26,15 +30,18 @@ impl OpOutcome {
 
 /// Key→row map for one partition replica.
 ///
-/// # Dense fast path
+/// # Dense rows and the sparse arena
 ///
 /// A freshly populated partition holds the contiguous key range `0..keys`
 /// (how YCSB tables are laid out), so those rows live in a directly indexed
 /// vector: every OCC step on them is an array access, no hashing. Keys at
 /// or beyond the dense range (TPC-C's bit-packed composite keys, dynamic
-/// inserts) live in the sparse map. The split is invisible through the
-/// API — `(key, row)` behavior is identical on both paths — and the two
-/// never overlap: a key belongs to the dense vector iff `key < dense.len()`.
+/// inserts) live in the sparse arena: a `Vec<Row>` in first-insert order,
+/// reached through a key→slot index whose buckets hold a `u32` slot rather
+/// than a whole row. A slot freed by an aborted insert is reused by the next
+/// sparse insert. The split is invisible through the API — `(key, row)`
+/// behavior is identical on both paths — and the two never overlap: a key
+/// belongs to the dense vector iff `key < dense.len()`.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Direct-indexed rows for the contiguous populated range; `None` means
@@ -42,8 +49,13 @@ pub struct Table {
     dense: Vec<Option<Row>>,
     /// Number of `Some` entries in `dense`.
     dense_rows: usize,
-    /// Rows whose key falls outside the dense range.
-    sparse: FastMap<Key, Row>,
+    /// Sparse arena: the rows of the keys outside the dense range, in
+    /// first-insert order. Slots listed in `free` hold no live row.
+    sparse: Vec<Row>,
+    /// Key → slot in `sparse`, one entry per live sparse row.
+    slots: FastMap<Key, u32>,
+    /// Arena slots freed by aborted inserts, reused before the arena grows.
+    free: Vec<u32>,
     /// Payload bytes currently stored (maintained incrementally).
     bytes: u64,
 }
@@ -61,8 +73,7 @@ impl Table {
         let mut t = Table {
             dense: Vec::with_capacity(keys as usize),
             dense_rows: keys as usize,
-            sparse: FastMap::default(),
-            bytes: 0,
+            ..Table::default()
         };
         for k in 0..keys {
             let v = Self::synth_value(k, 1, value_size);
@@ -90,7 +101,7 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.dense_rows + self.sparse.len()
+        self.dense_rows + self.slots.len()
     }
 
     /// True when the table holds no rows.
@@ -117,50 +128,46 @@ impl Table {
         if Self::in_dense(&self.dense, key) {
             self.dense[key as usize].as_ref()
         } else {
-            self.sparse.get(&key)
+            self.slots.get(&key).map(|&s| &self.sparse[s as usize])
         }
     }
 
     /// Row for `key`, materialising an insert placeholder when absent.
-    /// Free-function shape (disjoint field borrows) so callers can keep
-    /// updating `bytes` while the row borrow lives.
     #[inline]
-    fn row_or_placeholder<'a>(
-        dense: &'a mut [Option<Row>],
-        dense_rows: &mut usize,
-        sparse: &'a mut FastMap<Key, Row>,
-        key: Key,
-    ) -> &'a mut Row {
-        if Self::in_dense(dense, key) {
-            let slot = &mut dense[key as usize];
+    fn row_or_placeholder(&mut self, key: Key) -> &mut Row {
+        if Self::in_dense(&self.dense, key) {
+            let slot = &mut self.dense[key as usize];
             if slot.is_none() {
                 *slot = Some(Self::placeholder());
-                *dense_rows += 1;
+                self.dense_rows += 1;
             }
-            slot.as_mut().expect("just ensured")
-        } else {
-            sparse.entry(key).or_insert_with(Self::placeholder)
+            return slot.as_mut().expect("just ensured");
         }
+        let (sparse, free) = (&mut self.sparse, &mut self.free);
+        let slot = *self.slots.entry(key).or_insert_with(|| match free.pop() {
+            Some(s) => {
+                sparse[s as usize] = Self::placeholder();
+                s
+            }
+            None => Self::push_sparse(sparse, Self::placeholder()),
+        });
+        &mut sparse[slot as usize]
+    }
+
+    /// Appends `row` to the sparse arena; returns its slot.
+    fn push_sparse(sparse: &mut Vec<Row>, row: Row) -> u32 {
+        let slot = u32::try_from(sparse.len()).expect("sparse arena outgrew u32 slots");
+        sparse.push(row);
+        slot
     }
 
     /// Inserts or replaces a row wholesale (population, migration apply).
     pub fn upsert(&mut self, key: Key, value: Bytes) {
         let add = value.len() as u64;
-        if Self::in_dense(&self.dense, key) {
-            let slot = &mut self.dense[key as usize];
-            match slot.replace(Row::new(value)) {
-                Some(old) => self.bytes = self.bytes - old.value.len() as u64 + add,
-                None => {
-                    self.bytes += add;
-                    self.dense_rows += 1;
-                }
-            }
-            return;
-        }
-        match self.sparse.insert(key, Row::new(value)) {
-            Some(old) => self.bytes = self.bytes - old.value.len() as u64 + add,
-            None => self.bytes += add,
-        }
+        let row = self.row_or_placeholder(key);
+        let old = row.value.len() as u64;
+        *row = Row::new(value);
+        self.bytes = self.bytes - old + add;
     }
 
     /// OCC read: returns the current version (0 for missing rows, which is
@@ -170,7 +177,7 @@ impl Table {
     pub fn occ_read(&self, key: Key, txn: TxnId) -> OpOutcome {
         match self.get(key) {
             None => OpOutcome::Ok { version: 0 },
-            Some(row) => match row.lock {
+            Some(row) => match row.lock() {
                 Some(holder) if holder != txn => OpOutcome::Locked { holder },
                 _ => OpOutcome::Ok {
                     version: row.version,
@@ -182,14 +189,11 @@ impl Table {
     /// OCC prepare-lock for a write key. Missing rows (inserts) are locked by
     /// materialising an empty version-0 row.
     pub fn occ_lock(&mut self, key: Key, txn: TxnId) -> OpOutcome {
-        let row =
-            Self::row_or_placeholder(&mut self.dense, &mut self.dense_rows, &mut self.sparse, key);
-        if !row.lockable_by(txn) {
-            return OpOutcome::Locked {
-                holder: row.lock.expect("unlockable row must be locked"),
-            };
+        let row = self.row_or_placeholder(key);
+        if let Some(holder) = row.lock().filter(|&h| h != txn) {
+            return OpOutcome::Locked { holder };
         }
-        row.lock = Some(txn);
+        row.lock_for(txn);
         OpOutcome::Ok {
             version: row.version,
         }
@@ -211,7 +215,7 @@ impl Table {
                 }
             }
             Some(row) => {
-                if let Some(holder) = row.lock {
+                if let Some(holder) = row.lock() {
                     if holder != txn {
                         return OpOutcome::Locked { holder };
                     }
@@ -234,57 +238,57 @@ impl Table {
     /// the lock. Returns the new version.
     pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
         let add = value.len() as u64;
-        let row =
-            Self::row_or_placeholder(&mut self.dense, &mut self.dense_rows, &mut self.sparse, key);
-        debug_assert!(
-            row.lock.is_none() || row.lock == Some(txn),
-            "installing over a foreign lock"
-        );
-        self.bytes = self.bytes - row.value.len() as u64 + add;
+        let row = self.row_or_placeholder(key);
+        debug_assert!(row.lockable_by(txn), "installing over a foreign lock");
+        let old = row.value.len() as u64;
         row.value = value;
         row.version += 1;
-        row.lock = None;
-        row.version
+        row.unlock();
+        let version = row.version;
+        self.bytes = self.bytes - old + add;
+        version
     }
 
     /// Releases a prepare-lock without installing (abort path). Placeholder
-    /// rows created for inserts are removed again.
+    /// rows created for inserts are removed again; a sparse one's arena slot
+    /// goes on the free list.
     pub fn occ_unlock(&mut self, key: Key, txn: TxnId) {
         if Self::in_dense(&self.dense, key) {
             let slot = &mut self.dense[key as usize];
-            if let Some(row) = slot.as_mut() {
-                if row.lock == Some(txn) {
-                    row.lock = None;
-                    if row.version == 0 {
-                        *slot = None; // insert placeholder never became visible
-                        self.dense_rows -= 1;
-                    }
+            if let Some(row) = slot.as_mut().filter(|r| r.lock() == Some(txn)) {
+                row.unlock();
+                if row.version == 0 {
+                    self.bytes -= row.value.len() as u64;
+                    *slot = None; // insert placeholder never became visible
+                    self.dense_rows -= 1;
                 }
             }
             return;
         }
-        let remove = match self.sparse.get_mut(&key) {
-            Some(row) if row.lock == Some(txn) => {
-                row.lock = None;
-                row.version == 0
-            }
-            _ => false,
+        let Some(&slot) = self.slots.get(&key) else {
+            return;
         };
-        if remove {
-            self.sparse.remove(&key);
+        let row = &mut self.sparse[slot as usize];
+        if row.lock() == Some(txn) {
+            row.unlock();
+            if row.version == 0 {
+                self.bytes -= row.value.len() as u64;
+                self.slots.remove(&key);
+                self.free.push(slot);
+            }
         }
     }
 
     /// Applies a replicated write (no locking: replication is ordered).
     pub fn apply_replicated(&mut self, key: Key, version: u64, value: Bytes) {
         let add = value.len() as u64;
-        let row =
-            Self::row_or_placeholder(&mut self.dense, &mut self.dense_rows, &mut self.sparse, key);
+        let row = self.row_or_placeholder(key);
         // Idempotent, ordered apply: never regress.
         if version >= row.version {
-            self.bytes = self.bytes - row.value.len() as u64 + add;
+            let old = row.value.len() as u64;
             row.value = value;
             row.version = version;
+            self.bytes = self.bytes - old + add;
         }
     }
 
@@ -293,51 +297,48 @@ impl Table {
         // Dense keys come out ascending; sparse keys are all >= dense.len()
         // by construction, so appending the sorted sparse tail keeps the
         // whole snapshot key-ordered.
-        let mut out: Vec<_> = self
-            .dense
-            .iter()
-            .enumerate()
-            .filter_map(|(k, slot)| slot.as_ref().map(|r| (k as Key, r.version, r.value)))
-            .collect();
+        let mut out = Vec::with_capacity(self.len());
+        out.extend(
+            self.dense
+                .iter()
+                .enumerate()
+                .filter_map(|(k, slot)| slot.as_ref().map(|r| (k as Key, r.version, r.value))),
+        );
         let head = out.len();
-        out.extend(self.sparse.iter().map(|(&k, r)| (k, r.version, r.value)));
+        out.extend(self.slots.iter().map(|(&k, &s)| {
+            let r = &self.sparse[s as usize];
+            (k, r.version, r.value)
+        }));
         out[head..].sort_unstable_by_key(|(k, _, _)| *k);
         out
     }
 
     /// Rebuilds a table from a snapshot. A snapshot covering the contiguous
     /// range `0..n` (the common case: a fully populated partition copy)
-    /// rebuilds the dense fast path; anything else lands in the sparse map.
+    /// rebuilds the dense fast path; anything else lands in the sparse
+    /// arena, sized exactly, in snapshot (key) order.
     pub fn from_snapshot(snap: Vec<(Key, u64, Bytes)>) -> Self {
         let contiguous = !snap.is_empty()
             && snap[0].0 == 0
             && snap.last().expect("non-empty").0 == snap.len() as Key - 1;
+        let mut t = Table::default();
         if contiguous {
-            let mut t = Table {
-                dense: Vec::with_capacity(snap.len()),
-                dense_rows: snap.len(),
-                sparse: FastMap::default(),
-                bytes: 0,
-            };
-            for (_, version, value) in snap {
-                t.bytes += value.len() as u64;
-                let mut row = Row::new(value);
-                row.version = version;
-                t.dense.push(Some(row));
-            }
-            return t;
+            t.dense.reserve_exact(snap.len());
+            t.dense_rows = snap.len();
+        } else {
+            t.sparse.reserve_exact(snap.len());
+            t.slots = fast_map_with_capacity(snap.len());
         }
-        let mut t = Table {
-            dense: Vec::new(),
-            dense_rows: 0,
-            sparse: fast_map_with_capacity(snap.len()),
-            bytes: 0,
-        };
         for (k, version, value) in snap {
             t.bytes += value.len() as u64;
             let mut row = Row::new(value);
             row.version = version;
-            t.sparse.insert(k, row);
+            if contiguous {
+                t.dense.push(Some(row));
+            } else {
+                let slot = Self::push_sparse(&mut t.sparse, row);
+                t.slots.insert(k, slot);
+            }
         }
         t
     }
@@ -362,7 +363,7 @@ mod tests {
         assert!(t.occ_lock(1, T1).is_ok());
         let v = t.occ_install(1, T1, Bytes::synth(0x0909_0909, 4));
         assert_eq!(v, 1);
-        assert!(t.get(1).unwrap().lock.is_none());
+        assert!(t.get(1).unwrap().lock().is_none());
         assert_eq!(t.occ_read(1, T2), OpOutcome::Ok { version: 1 });
     }
 
@@ -432,6 +433,27 @@ mod tests {
         assert_eq!(copy.len(), 4);
         copy.occ_install(3, T2, Bytes::synth(0x0101_0101_0101_0101, 8));
         assert_eq!(copy.get(3).unwrap().version, 1);
+    }
+
+    #[test]
+    fn an_aborted_sparse_insert_frees_its_arena_slot() {
+        let mut t = Table::new();
+        let [a, b, c] = [1, 2, 3].map(|i| (1u64 << 40) | i);
+        t.upsert(a, Bytes::synth(0x0101, 2));
+        assert!(t.occ_lock(b, T1).is_ok());
+        t.occ_unlock(b, T1);
+        assert!(t.get(b).is_none());
+        assert_eq!((t.sparse.len(), t.free.as_slice()), (2, &[1][..]));
+        // the next sparse insert takes the freed slot instead of growing
+        assert!(t.occ_lock(c, T2).is_ok());
+        assert_eq!((t.sparse.len(), t.free.len()), (2, 0));
+        assert_eq!(t.get(c).unwrap().version, 0);
+        assert_eq!(t.get(c).unwrap().lock(), Some(T2));
+        assert_eq!(t.occ_install(c, T2, Bytes::synth(0x0303, 2)), 1);
+        assert_eq!(t.get(a).unwrap().value, Bytes::synth(0x0101, 2));
+        assert_eq!((t.len(), t.bytes()), (2, 4));
+        let keys: Vec<_> = t.snapshot().iter().map(|&(k, _, _)| k).collect();
+        assert_eq!(keys, [a, c]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn audit_locks(eng: &Engine) {
             let Some(store) = eng.cluster.store(node, part) else {
                 continue;
             };
-            for holder in (0..keys).filter_map(|k| store.table.get(k)?.lock) {
+            for holder in (0..keys).filter_map(|k| store.table.get(k)?.lock()) {
                 assert!(
                     eng.is_live(holder) && !eng.txn(holder).parked && eng.txn(holder).holds_locks,
                     "{part} on {node}: row locked by {holder:?}, which is not in flight"

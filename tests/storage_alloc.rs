@@ -1,6 +1,7 @@
 //! Allocation regression test for the write path: installing, logging,
-//! shipping and applying a committed write allocates nothing per write, and
-//! populating a replica allocates nothing per row.
+//! shipping and applying a committed write allocates nothing per write, an
+//! epoch after the first allocates nothing at all, and populating a replica
+//! allocates nothing per row.
 //!
 //! A counting global allocator tallies fresh allocations (`alloc` and
 //! `alloc_zeroed`; a `realloc` grows a block that already exists) on the
@@ -69,25 +70,37 @@ fn the_write_path_allocates_nothing_per_write() {
     );
     let mut secondary = ReplicaStore::from_snapshot(p, &primary);
 
-    let ((), writes) = allocations(|| {
-        for i in 0..WRITES {
+    // One epoch of writes: install and log each, then ship the epoch the
+    // way the cluster's flush does and hand its buffer back to the log.
+    let mut epoch = |first: u64| {
+        for i in first..first + EPOCH {
             let key = i.wrapping_mul(7_919) % KEYS;
             let txn = TxnId(i + 1);
             assert!(primary.table.occ_lock(key, txn).is_ok());
             let value = || Table::synth_value(key, txn.0, 64);
             let version = primary.table.occ_install(key, txn, value());
             primary.log.append(p, key, version, value());
-            if (i + 1) % EPOCH == 0 {
-                let shipped = primary.log.take_pending();
-                secondary.apply_entries(&shipped);
-            }
+        }
+        let shipped = primary.log.take_pending();
+        secondary.apply_entries(&shipped);
+        primary.log.recycle(shipped);
+    };
+    let ((), first) = allocations(|| epoch(0));
+    assert!(
+        first <= 1,
+        "the first epoch made {first} allocations; expected its log buffer at most"
+    );
+    let ((), rest) = allocations(|| {
+        for e in 1..WRITES / EPOCH {
+            epoch(e * EPOCH);
         }
     });
-    // One buffer per epoch: the log's first push after each drain.
-    assert!(
-        writes < 100,
-        "{WRITES} writes in {} epochs made {writes} allocations",
-        WRITES / EPOCH
+    assert_eq!(
+        rest,
+        0,
+        "{} writes in {} later epochs allocated; the log buffer must be reused",
+        WRITES - EPOCH,
+        WRITES / EPOCH - 1
     );
 
     assert_eq!(secondary.applied_lsn, primary.log.head_lsn());
