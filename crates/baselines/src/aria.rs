@@ -14,7 +14,7 @@ use crate::batch::{
     finish_at, Finish,
 };
 use lion_common::{FastMap, OpKind, Phase, Time, TxnId};
-use lion_engine::{Engine, Protocol};
+use lion_engine::{cpu, Engine, Protocol};
 
 /// The Aria baseline.
 #[derive(Default)]
@@ -120,8 +120,7 @@ impl Protocol for Aria {
                 finish_at(eng, t, barrier, Finish::Defer);
             } else {
                 charge_replication(eng, t, barrier);
-                let install = eng.config().sim.cpu.install_us;
-                finish_at(eng, t, barrier + install, Finish::Commit);
+                finish_at(eng, t, barrier + cpu::INSTALL_US, Finish::Commit);
             }
         }
     }

@@ -6,8 +6,8 @@
 //! Each protocol keeps its own `impl Protocol` and calls in here.
 
 use lion_common::{FastMap, NodeId, Op, OpKind, Phase, Time, TxnId};
-use lion_engine::tags::{fresh, tag, untag};
-use lion_engine::{ByteClass, Engine, MetricEvent, TxnClass};
+use lion_engine::tags::{tag, untag};
+use lion_engine::{cpu, ByteClass, Engine, MetricEvent, TxnClass};
 use lion_sim::MultiServer;
 
 const K_COMMIT: u8 = 1;
@@ -28,17 +28,13 @@ pub(crate) fn finish_at(eng: &mut Engine, txn: TxnId, at: Time, how: Finish) {
         Finish::Commit => K_COMMIT,
         Finish::Defer => K_DEFER,
     };
-    let attempt = eng.txn(txn).attempts;
-    eng.wake_at(at, txn, tag(kind, attempt, 0));
+    eng.wake_at(at, txn, tag(kind, 0));
 }
 
-/// The `on_wake` of a [`finish_at`]: a wake left over from an attempt a
-/// fault aborted in the meantime is stale and dropped.
+/// The `on_wake` of a [`finish_at`]. A wake left over from an attempt a
+/// fault aborted in the meantime never arrives: the engine drops it.
 pub(crate) fn on_wake(eng: &mut Engine, txn: TxnId, tagv: u32) {
-    let (kind, attempt, _) = untag(tagv);
-    if !fresh(attempt, eng.txn(txn).attempts) {
-        return;
-    }
+    let kind = untag(tagv).0;
     match kind {
         K_COMMIT => {
             eng.install_unchecked(txn);
@@ -87,8 +83,7 @@ pub(crate) fn distributed_commit_rounds(
     let rtt =
         eng.cluster.net_delay(req_bytes) + eng.cluster.net_delay(16) + zone_surcharge(eng, owners);
     done += 2 * rtt;
-    let c = eng.config().sim.cpu;
-    let commit_cpu = c.validate_us + c.install_us + 2 * c.msg_handle_us;
+    let commit_cpu = cpu::VALIDATE_US + cpu::INSTALL_US + 2 * cpu::MSG_HANDLE_US;
     for &node in owners {
         let (_, end) = eng.cpu_grant(node, done, commit_cpu);
         done = done.max(end);
@@ -171,9 +166,10 @@ impl LockManager {
     /// execution at the owners with a remote-read exchange when more than
     /// one is involved, asynchronous replication, install.
     pub(crate) fn run(&mut self, eng: &mut Engine, txn: TxnId, ready: Time) {
-        let c = eng.config().sim.cpu;
         let ops = &eng.txn(txn).req.ops;
-        let grant = self.thread.acquire(ready, c.lock_mgr_us * ops.len() as u64);
+        let grant = self
+            .thread
+            .acquire(ready, cpu::LOCK_MGR_US * ops.len() as u64);
         let start = self.rows.admit(ops, grant.end);
         eng.charge_phase(txn, Phase::Scheduling, start - ready);
 
@@ -201,8 +197,8 @@ impl LockManager {
 
         self.rows.release(&eng.txn(txn).req.ops, done);
         charge_replication(eng, txn, done);
-        eng.charge_phase(txn, Phase::Commit, c.install_us);
-        finish_at(eng, txn, done + c.install_us, Finish::Commit);
+        eng.charge_phase(txn, Phase::Commit, cpu::INSTALL_US);
+        finish_at(eng, txn, done + cpu::INSTALL_US, Finish::Commit);
     }
 }
 
@@ -259,7 +255,7 @@ pub(crate) fn charge_replication(eng: &mut Engine, txn: TxnId, at: Time) {
             node: None,
             zone: None,
         });
-        let apply = eng.config().sim.cpu.install_us * n_writes;
+        let apply = cpu::INSTALL_US * n_writes;
         eng.charge_phase(txn, Phase::Replication, apply);
     }
 }

@@ -15,26 +15,18 @@ use crate::standard::most_primaries;
 use lion_common::{FastMap, NodeId, PartitionId, TxnId};
 use lion_engine::{Engine, RemoteAction, StandardPolicy, TickKind};
 
+/// Load-imbalance tolerance ε: Clay triggers when max > (1+ε)·avg.
+const EPSILON: f64 = 0.35;
+
+/// Max partitions moved per monitor tick.
+const MOVES_PER_TICK: usize = 2;
+
 /// Clay's monitor policy over the standard 2PC machine.
+#[derive(Default)]
 pub struct ClayPolicy {
-    /// Load-imbalance tolerance: trigger when max > (1+ε)·avg.
-    pub epsilon: f64,
-    /// Max partitions moved per monitor tick.
-    pub moves_per_tick: usize,
     co_access: FastMap<(u32, u32), u64>,
     /// Diagnostics: monitor activations.
     pub activations: u64,
-}
-
-impl Default for ClayPolicy {
-    fn default() -> Self {
-        ClayPolicy {
-            epsilon: 0.35,
-            moves_per_tick: 2,
-            co_access: FastMap::default(),
-            activations: 0,
-        }
-    }
 }
 
 impl ClayPolicy {
@@ -59,7 +51,7 @@ impl ClayPolicy {
             .enumerate()
             .max_by_key(|(_, &b)| b)
             .expect("non-empty");
-        if (max_busy as f64) <= (1.0 + self.epsilon) * avg {
+        if (max_busy as f64) <= (1.0 + EPSILON) * avg {
             return; // Clay sees a balanced cluster — even if it is balanced
                     // *because* every node burns CPU on 2PC rounds.
         }
@@ -88,7 +80,7 @@ impl ClayPolicy {
         let mut moved = 0;
         let mut queue: Vec<PartitionId> = Vec::new();
         for (cnt, p) in hot {
-            if moved >= self.moves_per_tick {
+            if moved >= MOVES_PER_TICK {
                 break;
             }
             if cnt == 0 {
@@ -103,7 +95,7 @@ impl ClayPolicy {
                 }
             }
             while let Some(part) = queue.pop() {
-                if moved >= self.moves_per_tick {
+                if moved >= MOVES_PER_TICK {
                     break;
                 }
                 // Paper's fairness provision: Clay gets remastering when a

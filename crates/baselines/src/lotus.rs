@@ -152,15 +152,13 @@ mod tests {
     #[test]
     fn cross_zone_surcharge_prices_distributed_commit() {
         let p50 = |extra: u64| {
-            let mut c = cfg();
-            c.zones = 2;
-            // Interleaved racks: the YCSB partner pairing (p ↔ p^1) lands on
-            // adjacent nodes, so contiguous blocks would make every cross
-            // pair rack-local and never exercise the surcharge.
-            c.zone_map = vec![0, 1, 0, 1];
+            // Two nodes, each its own rack: the YCSB partner pairing (p ↔
+            // p^1) lands on adjacent nodes, so every cross pair crosses the
+            // rack boundary and pays the surcharge.
+            let mut c = SimConfig { nodes: 2, ..cfg() }.with_zones(2);
             c.net.cross_zone_extra_us = extra;
             let wl = Box::new(YcsbWorkload::new(
-                YcsbConfig::for_cluster(4, 4, 4096)
+                YcsbConfig::for_cluster(2, 4, 4096)
                     .with_mix(1.0, 0.0)
                     .with_seed(43),
             ));

@@ -13,8 +13,8 @@
 
 use crate::batch::{self, finish_at, Finish};
 use lion_common::{NodeId, PartitionId, Phase, Time, TxnId};
-use lion_engine::tags::{fresh, tag, untag};
-use lion_engine::{ByteClass, Engine, MetricEvent, Protocol, TxnClass};
+use lion_engine::tags::{tag, untag};
+use lion_engine::{cpu, ByteClass, Engine, MetricEvent, Protocol, TxnClass};
 
 /// Partition-phase execution at the owner; every other wake is the kit's.
 const K_SINGLE: u8 = 3;
@@ -76,7 +76,6 @@ impl Protocol for Star {
     fn on_batch(&mut self, eng: &mut Engine, batch: &[TxnId]) {
         self.ensure_super_node(eng);
         let now = eng.now();
-        let c = eng.config().sim.cpu;
 
         // ---- Partition phase: single-home transactions at their owners --
         let mut phase_end: Time = now;
@@ -88,15 +87,14 @@ impl Protocol for Star {
                     let reads = eng.txn(t).req.read_count();
                     let writes = eng.txn(t).req.write_count();
                     let cost = eng.op_cpu(reads, writes)
-                        + c.txn_overhead_us
-                        + c.validate_us
-                        + c.install_us;
+                        + cpu::TXN_OVERHEAD_US
+                        + cpu::VALIDATE_US
+                        + cpu::INSTALL_US;
                     let (start, end) = eng.cpu_grant(home, now, cost);
                     eng.charge_phase(t, Phase::Scheduling, start - now);
                     eng.charge_phase(t, Phase::Execution, cost);
                     phase_end = phase_end.max(end);
-                    let attempt = eng.txn(t).attempts;
-                    eng.wake_at(end, t, tag(K_SINGLE, attempt, 0));
+                    eng.wake_at(end, t, tag(K_SINGLE, 0));
                 }
                 None => crosses.push(t),
             }
@@ -131,7 +129,7 @@ impl Protocol for Star {
             eng.load_declared_sets(t);
             let reads = eng.txn(t).req.read_count();
             let writes = eng.txn(t).req.write_count();
-            let cost = eng.op_cpu(reads, writes) + c.txn_overhead_us + c.install_us;
+            let cost = eng.op_cpu(reads, writes) + cpu::TXN_OVERHEAD_US + cpu::INSTALL_US;
             let (start, end) = eng.cpu_grant(SUPER_NODE, switch, cost);
             eng.charge_phase(t, Phase::Scheduling, start - now);
             eng.charge_phase(t, Phase::Execution, cost);
@@ -163,12 +161,8 @@ impl Protocol for Star {
     }
 
     fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
-        let (kind, attempt, _) = untag(tagv);
-        if kind != K_SINGLE {
+        if untag(tagv).0 != K_SINGLE {
             return batch::on_wake(eng, txn, tagv);
-        }
-        if !fresh(attempt, eng.txn(txn).attempts) {
-            return;
         }
         // Execute + OCC commit at the owner: every group of a single-home
         // transaction was primaried there when the batch was armed. One whose

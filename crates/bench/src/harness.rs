@@ -234,7 +234,8 @@ impl Scale {
 }
 
 /// The harness's default cluster shape: the paper's 4 executor nodes × 8
-/// workers, scaled-down tables (DESIGN.md §1).
+/// workers (§VI-A), with tables scaled down: the access distribution, not
+/// the raw size, drives behaviour.
 pub fn base_sim(nodes: usize) -> SimConfig {
     SimConfig {
         nodes,

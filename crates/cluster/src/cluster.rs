@@ -10,6 +10,9 @@ use lion_common::{FastMap, NodeId, PartitionId, SimConfig, Time, ZoneId};
 use lion_sim::MultiServer;
 use lion_storage::{ReplicaRole, ReplicaStore};
 
+/// Worker threads per node: the paper's 8 (§VI-A).
+const WORKERS_PER_NODE: usize = 8;
+
 /// The simulated cluster state shared by every protocol.
 pub struct Cluster {
     /// Static configuration.
@@ -53,7 +56,7 @@ impl Cluster {
             cfg.placement.min_zones(),
         );
         let workers = (0..cfg.nodes)
-            .map(|_| MultiServer::new(cfg.workers_per_node))
+            .map(|_| MultiServer::new(WORKERS_PER_NODE))
             .collect();
         let stores = populate_stores(&cfg, &placement);
         let parts = vec![PartitionRuntime::default(); n_parts];

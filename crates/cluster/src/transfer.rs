@@ -5,12 +5,19 @@
 use crate::cluster::Cluster;
 use crate::failure::FailoverCtx;
 use crate::replicas::Store;
-use lion_common::{NodeId, PartitionId, Time};
+use lion_common::{NodeId, PartitionId, Time, BYTES_PER_US};
 use std::fmt;
 
 /// Per-µs cost of syncing one lagging log entry during remastering (and,
 /// identically, during failover promotion — see `lion-faults`).
 pub const LAG_SYNC_US_PER_ENTRY: Time = 1;
+
+/// Fixed component of a partition migration, on top of data transfer; a
+/// background replica copy pays half. Sized so the remaster-vs-migration
+/// cost gap stays realistic at the scaled-down table sizes (paper-scale
+/// partitions are tens of MB: a migration blackout is orders of magnitude
+/// longer than a remaster).
+const MIGRATION_FIXED_US: Time = 10_000;
 
 /// Errors from adaptor operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,7 +233,7 @@ impl Cluster {
     /// primary after `fixed_us` of setup.
     fn snapshot_cost(&self, part: PartitionId, fixed_us: Time) -> (Time, u64) {
         let bytes = self.primary_store(part).table.bytes() + 16 * self.cfg.keys_per_partition;
-        let transit = (bytes as f64 / self.cfg.net.bytes_per_us).ceil() as Time;
+        let transit = (bytes as f64 / BYTES_PER_US).ceil() as Time;
         (fixed_us + transit, bytes)
     }
 
@@ -295,7 +302,7 @@ impl Cluster {
         rt.copies_begun += 1;
         let stamp = rt.copies_begun;
         rt.copies.push((to, stamp));
-        let (duration, bytes) = self.snapshot_cost(part, self.cfg.migration_fixed_us / 2);
+        let (duration, bytes) = self.snapshot_cost(part, MIGRATION_FIXED_US / 2);
         Ok((duration, bytes, stamp))
     }
 
@@ -392,7 +399,7 @@ impl Cluster {
             return Err(AdaptorError::AlreadyPrimary { part, node: to });
         }
         self.may_start(part, to, true)?;
-        let (duration, bytes) = self.snapshot_cost(part, self.cfg.migration_fixed_us);
+        let (duration, bytes) = self.snapshot_cost(part, MIGRATION_FIXED_US);
         self.start(part, Transfer::Migrate { to }, now + duration);
         Ok((duration, bytes))
     }

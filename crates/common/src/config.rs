@@ -1,28 +1,32 @@
 //! Simulation configuration.
 //!
-//! All knobs carry defaults calibrated to the paper's testbed (§VI-A): 8
-//! worker threads per executor node, ~937 Mbit/s links, 2 initial replicas
-//! per partition with a cap of 4, a 3000 µs remastering delay, 10 ms commit
-//! epochs and 10 k-transaction batches. DESIGN.md §5 documents the CPU cost
-//! calibration.
+//! All knobs carry defaults calibrated to the paper's testbed (§VI-A): ~937
+//! Mbit/s links, 2 initial replicas per partition with a cap of 4, a 3000 µs
+//! remastering delay, 10 ms replication epochs and 512-transaction batches.
+//! What the testbed fixes and no run varies is a constant beside its reader:
+//! the link bandwidth and message framing here, the 8 workers per node in
+//! `lion-cluster`, the CPU service demands in `lion-engine`.
 
 use crate::ids::{NodeId, ZoneId};
 use crate::placement::PlacementPolicy;
 use crate::Time;
 
+/// Link bandwidth in bytes per µs: 937 Mbit/s ≈ 117 B/µs, the iperf3
+/// measurement of §VI-A.
+pub const BYTES_PER_US: f64 = 117.0;
+
+/// Fixed per-message framing overhead in bytes.
+pub const MSG_OVERHEAD_BYTES: u32 = 64;
+
 /// Network model: every message pays a fixed one-way latency plus a
-/// bandwidth-proportional serialization delay. Messages crossing a zone
-/// (rack) boundary pay an extra fixed hop on top — traffic leaves the
-/// top-of-rack switch and traverses the aggregation layer.
+/// bandwidth-proportional serialization delay ([`BYTES_PER_US`], framing
+/// [`MSG_OVERHEAD_BYTES`] included). Messages crossing a zone (rack)
+/// boundary pay an extra fixed hop on top — traffic leaves the top-of-rack
+/// switch and traverses the aggregation layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// One-way message latency in µs (LAN RTT ≈ 80 µs).
     pub one_way_us: Time,
-    /// Link bandwidth in bytes per µs. 937 Mbit/s ≈ 117 B/µs, matching the
-    /// iperf3 measurement in §VI-A.
-    pub bytes_per_us: f64,
-    /// Fixed per-message framing overhead in bytes.
-    pub msg_overhead_bytes: u32,
     /// Extra one-way latency in µs for messages that cross a zone boundary.
     /// Zero by default: single-zone clusters and the paper's figures see no
     /// change; the figf2 failure-domain experiment turns it on.
@@ -33,8 +37,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             one_way_us: 40,
-            bytes_per_us: 117.0,
-            msg_overhead_bytes: 64,
             cross_zone_extra_us: 0,
         }
     }
@@ -43,8 +45,8 @@ impl Default for NetConfig {
 impl NetConfig {
     /// Delay for a message carrying `payload` bytes (zone-local path).
     pub fn delay(&self, payload: u32) -> Time {
-        let bytes = (payload + self.msg_overhead_bytes) as f64;
-        self.one_way_us + (bytes / self.bytes_per_us).ceil() as Time
+        let bytes = (payload + MSG_OVERHEAD_BYTES) as f64;
+        self.one_way_us + (bytes / BYTES_PER_US).ceil() as Time
     }
 
     /// Delay for a message carrying `payload` bytes between two zones: the
@@ -55,39 +57,6 @@ impl NetConfig {
             base
         } else {
             base + self.cross_zone_extra_us
-        }
-    }
-}
-
-/// CPU service demands, in µs, for the node worker model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuConfig {
-    /// Executing one read operation.
-    pub read_us: Time,
-    /// Executing one write operation (buffering + logging).
-    pub write_us: Time,
-    /// OCC validation of one transaction at one participant.
-    pub validate_us: Time,
-    /// Installing the write set of one transaction at one participant.
-    pub install_us: Time,
-    /// Fixed per-transaction overhead (parsing, context setup).
-    pub txn_overhead_us: Time,
-    /// Handling one network message (messenger thread work).
-    pub msg_handle_us: Time,
-    /// Lock-manager service time per transaction (deterministic protocols).
-    pub lock_mgr_us: Time,
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            read_us: 3,
-            write_us: 4,
-            validate_us: 6,
-            install_us: 8,
-            txn_overhead_us: 18,
-            msg_handle_us: 2,
-            lock_mgr_us: 2,
         }
     }
 }
@@ -108,45 +77,31 @@ pub struct SimConfig {
     pub replication_factor: usize,
     /// Maximum replicas per partition before eviction (paper default 4).
     pub max_replicas: usize,
-    /// Worker threads per node (paper: 8).
-    pub workers_per_node: usize,
     /// Closed-loop client contexts per node driving load.
     pub clients_per_node: usize,
     /// Network model.
     pub net: NetConfig,
-    /// CPU service demands.
-    pub cpu: CpuConfig,
     /// Remastering duration: log sync + leader hand-off (default 3000 µs,
     /// swept 500–3500 in Fig. 13b).
     pub remaster_delay_us: Time,
-    /// Fixed component of a partition migration, on top of data transfer.
-    /// Sized so the remaster-vs-migration cost gap stays realistic at the
-    /// scaled-down table sizes (paper-scale partitions are tens of MB: a
-    /// migration blackout is orders of magnitude longer than a remaster).
-    pub migration_fixed_us: Time,
     /// Epoch-based group-replication interval (paper: 10 ms). Under epoch
     /// group commit the flush runs every `epoch_commit_us` instead.
     pub epoch_us: Time,
-    /// Failure-detection delay: virtual time between a node halting and the
-    /// recovery coordinator acting on it (heartbeat timeout).
-    pub failure_detect_us: Time,
     /// Poll interval for operations stalled on a partition whose primary is
     /// down with no live replica to promote.
     pub stall_poll_us: Time,
-    /// Transactions per batch for batch-execution protocols (paper: 10 k).
+    /// Transactions per batch for batch-execution protocols (paper: 10 k;
+    /// 512 here, scaled with the tables).
     pub batch_size: usize,
     /// Back-off before retrying an aborted transaction.
     pub retry_backoff_us: Time,
     /// RNG seed for deterministic runs.
     pub seed: u64,
     /// Number of failure domains (racks / availability zones). Nodes map to
-    /// zones in contiguous blocks unless [`SimConfig::zone_map`] overrides
-    /// it. 1 (the default) disables failure-domain modeling entirely.
+    /// zones in contiguous blocks (nodes 0..n/z in zone 0, the next block in
+    /// zone 1, …), the layout of racked hardware. 1 (the default) disables
+    /// failure-domain modeling entirely.
     pub zones: usize,
-    /// Explicit node→zone assignment; empty means the contiguous-block
-    /// default derived from [`SimConfig::zones`] (nodes 0..n/z in zone 0,
-    /// the next block in zone 1, …) — the layout of racked hardware.
-    pub zone_map: Vec<u16>,
     /// Replica placement policy: pure locality (the paper's Algorithm 1) or
     /// rack-safe anti-affinity that spreads every partition's replicas
     /// across at least `min_zones` failure domains.
@@ -162,20 +117,15 @@ impl Default for SimConfig {
             value_size: 100,
             replication_factor: 2,
             max_replicas: 4,
-            workers_per_node: 8,
             clients_per_node: 32,
             net: NetConfig::default(),
-            cpu: CpuConfig::default(),
             remaster_delay_us: 3_000,
-            migration_fixed_us: 10_000,
             epoch_us: 10_000,
-            failure_detect_us: 50_000,
             stall_poll_us: 10_000,
             batch_size: 512,
             retry_backoff_us: 50,
             seed: 0xD1CE_5EED,
             zones: 1,
-            zone_map: Vec::new(),
             placement: PlacementPolicy::LocalityFirst,
         }
     }
@@ -221,7 +171,7 @@ impl SimConfig {
         assert!(
             zones <= self.nodes,
             "{zones} zones over {} nodes would leave some zones empty \
-             (set nodes first, or use an explicit zone_map)",
+             (set nodes first)",
             self.nodes
         );
         self.zones = zones;
@@ -234,12 +184,8 @@ impl SimConfig {
         self
     }
 
-    /// Zone of `node`: the explicit [`SimConfig::zone_map`] entry when one
-    /// is set, otherwise the contiguous-block default (`idx·zones/nodes`).
+    /// Zone of `node`: contiguous blocks, `idx·zones/nodes`.
     pub fn zone_of(&self, node: NodeId) -> ZoneId {
-        if let Some(&z) = self.zone_map.get(node.idx()) {
-            return ZoneId(z);
-        }
         debug_assert!(self.zones >= 1 && node.idx() < self.nodes);
         ZoneId((node.idx() * self.zones / self.nodes) as u16)
     }
@@ -257,19 +203,6 @@ impl SimConfig {
             .map(NodeId)
             .filter(|&n| self.zone_of(n) == zone)
             .collect()
-    }
-
-    /// Number of distinct zones actually referenced by the per-node
-    /// resolution (equals [`SimConfig::zones`] for the derived layout).
-    /// Computed from [`SimConfig::node_zones`] so a partial `zone_map` —
-    /// explicit entries for some nodes, the derived formula for the rest —
-    /// still counts every zone a node can land in.
-    pub fn n_zones(&self) -> usize {
-        self.node_zones()
-            .into_iter()
-            .map(|z| z.idx() + 1)
-            .max()
-            .unwrap_or(1)
     }
 
     /// The theoretical minimum commit round-trip this topology allows: the
@@ -306,7 +239,6 @@ mod tests {
         assert_eq!(c.nodes, 4);
         assert_eq!(c.replication_factor, 2);
         assert_eq!(c.max_replicas, 4);
-        assert_eq!(c.workers_per_node, 8);
         assert_eq!(c.remaster_delay_us, 3_000);
         assert_eq!(c.epoch_us, 10_000);
     }
@@ -372,29 +304,9 @@ mod tests {
             vec![ZoneId(0), ZoneId(0), ZoneId(1), ZoneId(1)]
         );
         assert_eq!(c.nodes_in_zone(ZoneId(1)), vec![NodeId(2), NodeId(3)]);
-        assert_eq!(c.n_zones(), 2);
         // single-zone default: everyone in Z0
         let c1 = SimConfig::default().with_nodes(3);
         assert!(c1.node_zones().iter().all(|&z| z == ZoneId(0)));
-    }
-
-    #[test]
-    fn explicit_zone_map_overrides_blocks() {
-        let mut c = SimConfig::default().with_nodes(4).with_zones(2);
-        c.zone_map = vec![0, 1, 0, 1]; // interleaved racks
-        assert_eq!(c.zone_of(NodeId(1)), ZoneId(1));
-        assert_eq!(c.zone_of(NodeId(2)), ZoneId(0));
-        assert_eq!(c.n_zones(), 2);
-    }
-
-    #[test]
-    fn partial_zone_map_counts_derived_zones() {
-        // N0 pinned explicitly; N1-N3 fall back to the contiguous-block
-        // formula (Z0, Z1, Z1) — n_zones must count those too.
-        let mut c = SimConfig::default().with_nodes(4).with_zones(2);
-        c.zone_map = vec![0];
-        assert_eq!(c.zone_of(NodeId(3)), ZoneId(1));
-        assert_eq!(c.n_zones(), 2);
     }
 
     #[test]

@@ -20,9 +20,9 @@ pub enum Partitioning {
 pub struct LionConfig {
     /// Report / legend name.
     pub name: &'static str,
-    /// Planner knobs (α, cost weights, ε, wp, B).
+    /// Planner knobs (α, ε, B).
     pub planner: PlannerConfig,
-    /// Predictor knobs (sampling, β, γ, LSTM shape).
+    /// Predictor knobs (sampling, γ, K, LSTM shape).
     pub predictor: PredictorConfig,
     /// Partitioning strategy.
     pub partitioning: Partitioning,

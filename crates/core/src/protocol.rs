@@ -140,11 +140,10 @@ impl StandardPolicy for Lion {
                     eng.cluster.freq.heat(),
                     &eng.txn(txn).parts,
                     node,
-                    self.cfg.planner.weights,
                 );
                 (node, class)
             }
-            None => route_txn(eng, txn, self.cfg.planner.weights),
+            None => route_txn(eng, txn),
         };
 
         // Batch optimization (§IV-D): issue every needed remaster for this
@@ -179,7 +178,7 @@ impl StandardPolicy for Lion {
         if !self.cfg.batch
             && eng.cluster.placement.has_secondary(part, home)
             && self.affinity.get(&part.0).is_none_or(|&a| a == home)
-            && route_txn(eng, txn, self.cfg.planner.weights).0 == home
+            && route_txn(eng, txn).0 == home
         {
             if let Some(wait) = Self::remaster_to(eng, txn, part, home) {
                 return RemoteAction::Wait(wait);
@@ -369,7 +368,7 @@ mod tests {
             "Algorithm 1 must re-run once the failovers land"
         );
         assert!(
-            replans[0].at >= 3 * SECOND + eng.cluster.cfg.failure_detect_us,
+            replans[0].at >= 3 * SECOND + lion_faults::FAILURE_DETECT_US,
             "the failover round ran at {} us, before detection",
             replans[0].at
         );

@@ -25,6 +25,10 @@ use lion_common::{PartitionId, Time, TxnId, TxnRecord};
 use lion_engine::Engine;
 use lion_planner::{generate_clumps, rearrange_with_topology, schism_plan, HeatGraph, PlanAction};
 
+/// Weight wp of a predicted transaction in the heat graph, relative to an
+/// observed one (§IV-C.1).
+const PREDICTED_WEIGHT: f64 = 1.0;
+
 /// Why a planner round ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trigger {
@@ -173,7 +177,7 @@ impl Lion {
                 graph.add_txn(&rec.parts, 1.0, pl, pcfg.cross_edge_boost);
             }
             for (parts, w) in &predicted {
-                graph.add_txn(parts, w * pcfg.predicted_weight, pl, pcfg.cross_edge_boost);
+                graph.add_txn(parts, w * PREDICTED_WEIGHT, pl, pcfg.cross_edge_boost);
             }
         }
 

@@ -9,11 +9,11 @@
 
 use lion_common::{NodeId, TxnId};
 use lion_engine::Engine;
-use lion_planner::{operational_cost, CostWeights, TxnPlacementClass};
+use lion_planner::{operational_cost, TxnPlacementClass};
 
 /// Scores every live node with the planner's Eq. 3 and returns the chosen
 /// executor plus its placement class.
-pub fn route_txn(eng: &Engine, txn: TxnId, weights: CostWeights) -> (NodeId, TxnPlacementClass) {
+pub fn route_txn(eng: &Engine, txn: TxnId) -> (NodeId, TxnPlacementClass) {
     let parts = &eng.txn(txn).parts;
     let placement = &eng.cluster.placement;
     // f(v, Np(v, p)): normalized partition heat from the freq tracker.
@@ -25,7 +25,7 @@ pub fn route_txn(eng: &Engine, txn: TxnId, weights: CostWeights) -> (NodeId, Txn
         if !eng.cluster.is_up(node) {
             continue; // dead executors take no transactions
         }
-        let (class, cost) = operational_cost(placement, freq, parts, node, weights);
+        let (class, cost) = operational_cost(placement, freq, parts, node);
         let backlog = eng.cluster.workers[node.idx()].earliest_free();
         let better = match &best {
             None => true,
@@ -68,7 +68,7 @@ mod tests {
                 Op::write(PartitionId(3), 2),
             ]),
         );
-        let (node, class) = route_txn(&eng, t, CostWeights::default());
+        let (node, class) = route_txn(&eng, t);
         assert_eq!(node, NodeId(0));
         assert_eq!(class, TxnPlacementClass::AllPrimary);
     }
@@ -85,7 +85,7 @@ mod tests {
                 Op::write(PartitionId(1), 2),
             ]),
         );
-        let (node, class) = route_txn(&eng, t, CostWeights::default());
+        let (node, class) = route_txn(&eng, t);
         assert_eq!(node, NodeId(1));
         assert!(matches!(
             class,
@@ -107,7 +107,7 @@ mod tests {
             ClientId(0),
             TxnRequest::new(vec![Op::read(PartitionId(0), 1)]),
         );
-        let (node, _) = route_txn(&eng, t, CostWeights::default());
+        let (node, _) = route_txn(&eng, t);
         assert_eq!(node, NodeId(0), "cost outranks load");
     }
 }

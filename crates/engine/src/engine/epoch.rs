@@ -113,7 +113,7 @@ impl Engine {
         let now = self.now();
         let mut delay = self.cfg.sim.retry_backoff_us;
         if self.epochs.retry_round_trip() && !retried.is_empty() {
-            let framing = u64::from(self.cfg.sim.net.msg_overhead_bytes);
+            let framing = u64::from(lion_common::MSG_OVERHEAD_BYTES);
             self.emit_bytes(ByteClass::Message, 2 * framing * retried.len() as u64);
             delay += 2 * self.cfg.sim.net.delay(0);
         }

@@ -81,9 +81,11 @@ impl From<SimConfig> for EngineConfig {
 /// Engine events.
 enum Ev {
     ClientNext(ClientId),
+    /// A protocol continuation, for the attempt of `txn` that scheduled it.
     Wake {
         txn: TxnId,
         tag: u32,
+        attempt: u32,
     },
     Retry(TxnId),
     /// The one epoch clock: a replication flush that, under epoch group
@@ -326,7 +328,7 @@ impl Engine {
             // handler's question, answered at fire time.
             match ev {
                 Ev::ClientNext(client) => self.client_next(proto, client),
-                Ev::Wake { txn, tag } => self.wake(proto, txn, tag),
+                Ev::Wake { txn, tag, attempt } => self.wake(proto, txn, tag, attempt),
                 Ev::Retry(txn) => self.retry(proto, txn),
                 Ev::Epoch => self.epoch_tick(),
                 Ev::Plan => self.plan_tick(proto),
@@ -359,11 +361,15 @@ impl Engine {
     }
 
     /// A protocol continuation fires. Stale — dropped — once the transaction
-    /// committed (its slab generation retired); a wake left over from an
-    /// aborted attempt reaches the protocol, which drops it by the attempt
-    /// number in `tag` ([`crate::tags::fresh`]).
-    fn wake(&mut self, proto: &mut dyn Protocol, txn: TxnId, tag: u32) {
-        if self.is_live(txn) {
+    /// committed (its slab generation retired) or once the attempt that
+    /// scheduled it aborted: the protocol sees only its current attempt's
+    /// wakes.
+    fn wake(&mut self, proto: &mut dyn Protocol, txn: TxnId, tag: u32, attempt: u32) {
+        if self
+            .txns
+            .get(txn)
+            .is_some_and(|ctx| ctx.attempts == attempt)
+        {
             proto.on_wake(self, txn, tag);
         }
     }

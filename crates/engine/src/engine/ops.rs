@@ -3,9 +3,10 @@
 //! `adaptor.rs` this is the method list of the `EngineOps` trait to come.
 
 use super::{Engine, Ev};
+use crate::cpu;
 use crate::txn::{OpWalk, ReadEntry, TxnClass, TxnCtx, WriteEntry};
 use lion_cluster::Cluster;
-use lion_common::{NodeId, OpKind, PartitionId, Phase, Time, TxnId};
+use lion_common::{NodeId, OpKind, PartitionId, Phase, Time, TxnId, MSG_OVERHEAD_BYTES};
 use lion_durability::PendingAck;
 use lion_obs::{ByteClass, CommitClass, MetricEvent};
 use lion_storage::{OpOutcome, Table};
@@ -78,11 +79,11 @@ impl Engine {
     }
 
     /// Parks `txn` until reachability returns: the attempt fault-aborts
-    /// (scheduled wakes go stale through the attempt counter, exactly like
-    /// a crash abort) and the transaction joins the heal-waiter list, which
-    /// drains — filtered by reachability — at every split promotion and
-    /// fully at heal. The issuing client blocks with it: no goodput is
-    /// faked while the partition the client needs sits across the cut.
+    /// (its scheduled wakes go stale, exactly like a crash abort) and the
+    /// transaction joins the heal-waiter list, which drains — filtered by
+    /// reachability — at every split promotion and fully at heal. The
+    /// issuing client blocks with it: no goodput is faked while the
+    /// partition the client needs sits across the cut.
     pub fn park_until_heal(&mut self, txn: TxnId) {
         self.abort_attempt(txn, true, Requeue::Heal);
     }
@@ -100,7 +101,9 @@ impl Engine {
         let ctx = self.txn_mut(txn);
         ctx.phase_us[Phase::Scheduling.idx()] += wait;
         ctx.phase_us[phase.idx()] += dur;
-        self.queue.schedule_at(grant.end, Ev::Wake { txn, tag });
+        let attempt = ctx.attempts;
+        self.queue
+            .schedule_at(grant.end, Ev::Wake { txn, tag, attempt });
     }
 
     /// One-way message of `bytes` payload; wakes `(txn, tag)` on delivery.
@@ -113,7 +116,7 @@ impl Engine {
     /// Accounting-only one-way message (no wake), e.g. 2PC commit decisions
     /// whose acks the coordinator does not wait for.
     pub fn net_fire_and_forget(&mut self, bytes: u32) {
-        let framed = (bytes + self.cfg.sim.net.msg_overhead_bytes) as u64;
+        let framed = (bytes + MSG_OVERHEAD_BYTES) as u64;
         self.emit_bytes(ByteClass::Message, framed);
     }
 
@@ -139,8 +142,7 @@ impl Engine {
         tag: u32,
     ) {
         let now = self.now();
-        let overhead = self.cfg.sim.net.msg_overhead_bytes;
-        let handling = 2 * self.cfg.sim.cpu.msg_handle_us;
+        let handling = 2 * cpu::MSG_HANDLE_US;
         let _ = self.cluster.workers[from.idx()].acquire(now, handling);
         // Zone-aware pricing: a round that crosses a rack boundary pays the
         // aggregation-layer surcharge both ways (zero on single-zone runs).
@@ -150,27 +152,31 @@ impl Engine {
         self.emit(MetricEvent::Bytes {
             at: now,
             class: ByteClass::Message,
-            bytes: (bytes_req + overhead) as u64 + (bytes_resp + overhead) as u64,
+            bytes: (bytes_req + bytes_resp + 2 * MSG_OVERHEAD_BYTES) as u64,
             node: Some(from),
             zone: Some(self.cluster.zone(from)),
         });
         let ctx = self.txn_mut(txn);
         ctx.phase_us[Phase::Scheduling.idx()] += grant.queue_wait(now + d1);
         ctx.phase_us[phase.idx()] += d1 + remote_cpu + d2;
+        let attempt = ctx.attempts;
         self.queue
-            .schedule_at(grant.end + d2, Ev::Wake { txn, tag });
+            .schedule_at(grant.end + d2, Ev::Wake { txn, tag, attempt });
     }
 
     /// Pure wait (remaster hand-off, migration blackout, barrier).
     pub fn sleep(&mut self, dur: Time, phase: Phase, txn: TxnId, tag: u32) {
-        self.txn_mut(txn).phase_us[phase.idx()] += dur;
-        self.queue.schedule(dur, Ev::Wake { txn, tag });
+        let ctx = self.txn_mut(txn);
+        ctx.phase_us[phase.idx()] += dur;
+        let attempt = ctx.attempts;
+        self.queue.schedule(dur, Ev::Wake { txn, tag, attempt });
     }
 
     /// Wake `(txn, tag)` at an absolute virtual time (batch protocols that
     /// compute completion times arithmetically).
     pub fn wake_at(&mut self, at: Time, txn: TxnId, tag: u32) {
-        self.queue.schedule_at(at, Ev::Wake { txn, tag });
+        let attempt = self.txn(txn).attempts;
+        self.queue.schedule_at(at, Ev::Wake { txn, tag, attempt });
     }
 
     /// Books `us` of `phase` time on `txn` without scheduling anything
@@ -231,8 +237,7 @@ impl Engine {
 
     /// CPU demand for executing `n_reads` + `n_writes` operations.
     pub fn op_cpu(&self, n_reads: usize, n_writes: usize) -> Time {
-        let c = &self.cfg.sim.cpu;
-        c.read_us * n_reads as u64 + c.write_us * n_writes as u64
+        cpu::READ_US * n_reads as u64 + cpu::WRITE_US * n_writes as u64
     }
 
     /// OCC validation at `node`, for the partitions whose primary it holds:
@@ -370,7 +375,7 @@ impl Engine {
     /// `Replication` time and wakes `(txn, tag)`.
     pub fn replicate_prepare(&mut self, node: NodeId, txn: TxnId, tag: u32) {
         let now = self.now();
-        let overhead = self.cfg.sim.net.msg_overhead_bytes as u64;
+        let overhead = MSG_OVERHEAD_BYTES as u64;
         let value_size = self.cfg.sim.value_size;
         let Engine {
             txns,
@@ -486,9 +491,9 @@ impl Engine {
     }
 
     /// Ends `txn`'s current attempt — records the abort, releases the
-    /// prepare-locks it took, if any, resets the context (scheduled wakes
-    /// go stale through the attempt counter) — and parks it at `to` until
-    /// its next one.
+    /// prepare-locks it took, if any, resets the context (its scheduled
+    /// wakes go stale: the engine delivers none to a later attempt) — and
+    /// parks it at `to` until its next one.
     pub(super) fn abort_attempt(&mut self, txn: TxnId, fault: bool, to: Requeue) {
         let now = self.now();
         let home = self.txn(txn).home;

@@ -38,7 +38,7 @@ impl Protocol for TrivialProto {
         eng.txn_mut(txn).home = home;
         match eng.exec_group_at(home, txn, 0) {
             Ok(_) => {
-                let cpu = eng.op_cpu(1, 1) + eng.config().sim.cpu.txn_overhead_us;
+                let cpu = eng.op_cpu(1, 1) + crate::cpu::TXN_OVERHEAD_US;
                 eng.cpu(home, Phase::Execution, cpu, txn, 1);
             }
             Err(_) => eng.abort_retry(txn),
@@ -64,6 +64,52 @@ fn closed_loop_commits_transactions() {
     assert_eq!(report.commits, eng.metrics.single_node);
     assert!(report.throughput_tps > 0.0);
     eng.cluster.check_invariants().unwrap();
+}
+
+/// A wake scheduled by an attempt that then aborts never reaches the
+/// protocol, though the transaction is still live when it fires: the
+/// engine delivers a wake only to the attempt that scheduled it.
+#[test]
+fn a_wake_never_reaches_a_later_attempt() {
+    const STALE: u32 = 1;
+    const DONE: u32 = 2;
+    /// The first attempt schedules a wake 1 ms out and aborts; the next
+    /// waits 10 ms and commits, so the first one's wake fires mid-attempt.
+    #[derive(Default)]
+    struct AbortsOnce {
+        stale_wakes: u64,
+        commits: u64,
+    }
+    impl Protocol for AbortsOnce {
+        fn name(&self) -> &'static str {
+            "aborts-once"
+        }
+        fn on_submit(&mut self, eng: &mut Engine, txn: TxnId) {
+            if eng.txn(txn).attempts == 1 {
+                eng.sleep(1_000, Phase::Execution, txn, STALE);
+                eng.abort_retry(txn);
+            } else {
+                eng.sleep(10_000, Phase::Execution, txn, DONE);
+            }
+        }
+        fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tag: u32) {
+            if tag == STALE {
+                self.stale_wakes += 1;
+                return;
+            }
+            self.commits += 1;
+            eng.txn_mut(txn).class = TxnClass::SingleNode;
+            eng.commit(txn);
+        }
+    }
+    let mut eng = Engine::new(tiny_cfg(), uniform_workload(4));
+    let mut proto = AbortsOnce::default();
+    let report = eng.run(&mut proto, SECOND / 10);
+    assert!(proto.commits > 0 && report.aborts >= proto.commits);
+    assert_eq!(
+        proto.stale_wakes, 0,
+        "an aborted attempt's wake was delivered"
+    );
 }
 
 #[test]
@@ -394,7 +440,7 @@ fn scripted_crash_fails_over_and_keeps_committing() {
         );
     }
     assert_eq!(report.unavailability_windows, 2);
-    assert!(report.mean_recovery_latency_us >= eng.cfg.sim.failure_detect_us as f64);
+    assert!(report.mean_recovery_latency_us >= lion_faults::FAILURE_DETECT_US as f64);
     eng.cluster.check_invariants().unwrap();
 }
 

@@ -20,6 +20,7 @@
 //! execute → local-commit-or-2PC machine lives here once, in [`standard`],
 //! and is the `Protocol` of every [`StandardPolicy`].
 
+pub mod cpu;
 pub mod engine;
 pub mod protocol;
 pub mod report;
@@ -32,9 +33,7 @@ pub use engine::{Engine, EngineConfig, OpFail};
 pub use lion_durability::{DurabilityConfig, DurableEpoch, EpochManager, PendingAck};
 pub use lion_faults::{FaultEvent, FaultKind, FaultNotice, FaultPlan};
 pub use lion_obs::run::{FailoverRecord, Metrics, UnavailWindow};
-pub use lion_obs::{
-    ByteClass, CommitClass, DimRollup, MetricEvent, MetricSink, NullSink, ObsHub, ObsMode,
-};
+pub use lion_obs::{ByteClass, CommitClass, DimRollup, MetricEvent, MetricSink, ObsHub, ObsMode};
 pub use protocol::{Protocol, TickKind};
 pub use report::RunReport;
 pub use slab::TxnSlab;

@@ -6,9 +6,10 @@
 //! phase switching, the deterministic batch schemes) implement [`Protocol`]
 //! themselves.
 
+use crate::cpu;
 use crate::engine::{Engine, OpFail};
 use crate::protocol::{Protocol, TickKind};
-use crate::tags::{fresh, tag, untag};
+use crate::tags::{tag, untag};
 use crate::txn::TxnClass;
 use lion_common::{NodeId, PartitionId, Phase, Time, TxnId};
 use lion_faults::FaultNotice;
@@ -62,17 +63,13 @@ const K_COMMIT: u8 = 7;
 
 const COORD_IDX: u16 = 0xFFFF;
 
-fn wake_tag(eng: &Engine, txn: TxnId, kind: u8, idx: u16) -> u32 {
-    tag(kind, eng.txn(txn).attempts, idx)
-}
-
 /// Routes `txn` and sends it to its executor.
 fn submit<P: StandardPolicy>(policy: &mut P, eng: &mut Engine, txn: TxnId) {
     let home = policy.route(eng, txn);
     eng.txn_mut(txn).home = home;
     eng.txn_mut(txn).step = 0;
     let bytes = 32 + 8 * eng.txn(txn).req.ops.len() as u32;
-    let t = wake_tag(eng, txn, K_ROUTED, 0);
+    let t = tag(K_ROUTED, 0);
     eng.net(bytes, Phase::Scheduling, txn, t);
 }
 
@@ -96,7 +93,7 @@ fn exec_group(eng: &mut Engine, txn: TxnId, gi: usize, node: NodeId) -> bool {
             false
         }
         Err(_) => {
-            let t = wake_tag(eng, txn, K_BLOCKED, 0);
+            let t = tag(K_BLOCKED, 0);
             eng.sleep(10, Phase::Other, txn, t);
             false
         }
@@ -122,7 +119,7 @@ fn process_group<P: StandardPolicy>(policy: &mut P, eng: &mut Engine, txn: TxnId
     // A partition mid-remaster/migration blocks operations (§III).
     let avail = eng.cluster.available_at(part);
     if avail > now {
-        let t = wake_tag(eng, txn, K_BLOCKED, 0);
+        let t = tag(K_BLOCKED, 0);
         return eng.sleep(avail - now + 1, Phase::Other, txn, t);
     }
 
@@ -136,9 +133,9 @@ fn process_group<P: StandardPolicy>(policy: &mut P, eng: &mut Engine, txn: TxnId
         let (reads, writes) = eng.txn(txn).group_reads_writes(gi);
         let mut cost = eng.op_cpu(reads, writes);
         if gi == 0 {
-            cost += eng.config().sim.cpu.txn_overhead_us;
+            cost += cpu::TXN_OVERHEAD_US;
         }
-        let t = wake_tag(eng, txn, K_GROUP, 0);
+        let t = tag(K_GROUP, 0);
         return eng.cpu(home, Phase::Execution, cost, txn, t);
     }
     match policy.remote_action(eng, txn, part) {
@@ -150,12 +147,12 @@ fn process_group<P: StandardPolicy>(policy: &mut P, eng: &mut Engine, txn: TxnId
             let (reads, writes) = eng.txn(txn).group_reads_writes(gi);
             let req = 24 * (reads + writes) as u32;
             let resp = 16 + (reads as u32) * eng.config().sim.value_size;
-            let cpu = eng.op_cpu(reads, writes) + eng.config().sim.cpu.msg_handle_us;
-            let t = wake_tag(eng, txn, K_GROUP, 1);
-            eng.remote_round(home, primary, req, resp, cpu, Phase::Execution, txn, t);
+            let work = eng.op_cpu(reads, writes) + cpu::MSG_HANDLE_US;
+            let t = tag(K_GROUP, 1);
+            eng.remote_round(home, primary, req, resp, work, Phase::Execution, txn, t);
         }
         RemoteAction::Wait(wait) => {
-            let t = wake_tag(eng, txn, K_BLOCKED, 0);
+            let t = tag(K_BLOCKED, 0);
             eng.sleep(wait, Phase::Other, txn, t);
         }
     }
@@ -180,24 +177,24 @@ fn finish_group<P: StandardPolicy>(policy: &mut P, eng: &mut Engine, txn: TxnId,
 
 fn begin_commit(eng: &mut Engine, txn: TxnId) {
     let home = eng.txn(txn).home;
-    let c = eng.config().sim.cpu;
     if eng.txn(txn).participants.is_empty() {
         // Single-node: validate + install in one commit slice; "the
         // transaction can be directly committed, omitting the prepare
         // phase" (§III case 1).
-        let t = wake_tag(eng, txn, K_LOC_COMMIT, 0);
-        eng.cpu(home, Phase::Commit, c.validate_us + c.install_us, txn, t);
+        let t = tag(K_LOC_COMMIT, 0);
+        let cost = cpu::VALIDATE_US + cpu::INSTALL_US;
+        eng.cpu(home, Phase::Commit, cost, txn, t);
     } else {
         // 2PC prepare: coordinator + every participant votes, each
         // replicating its prepare log to its secondaries (§II-A).
         let n = eng.txn(txn).participants.len() as u32 + 1;
         eng.join_begin(txn, n);
-        let t = wake_tag(eng, txn, K_PREP, COORD_IDX);
-        eng.cpu(home, Phase::Commit, c.validate_us, txn, t);
+        let t = tag(K_PREP, COORD_IDX);
+        eng.cpu(home, Phase::Commit, cpu::VALIDATE_US, txn, t);
         let participants = eng.txn(txn).participants.clone();
         for (i, p) in participants.into_iter().enumerate() {
-            let t = wake_tag(eng, txn, K_PREP, i as u16);
-            eng.remote_round(home, p, 48, 16, c.validate_us, Phase::Commit, txn, t);
+            let t = tag(K_PREP, i as u16);
+            eng.remote_round(home, p, 48, 16, cpu::VALIDATE_US, Phase::Commit, txn, t);
         }
     }
 }
@@ -210,7 +207,7 @@ fn prepare_branch(eng: &mut Engine, txn: TxnId, idx: u16, batch: bool) {
     };
     if eng.validate_at(node, txn) {
         // Vote yes: persist the prepare record on the secondaries.
-        let t = wake_tag(eng, txn, K_PREP_REPL, idx);
+        let t = tag(K_PREP_REPL, idx);
         eng.replicate_prepare(node, txn, t);
     } else {
         branch_done(eng, txn, false, batch);
@@ -231,9 +228,8 @@ fn branch_done(eng: &mut Engine, txn: TxnId, ok: bool, batch: bool) {
                 eng.install_at(p, txn);
             }
             eng.install_at(home, txn);
-            let c = eng.config().sim.cpu;
-            let t = wake_tag(eng, txn, K_COMMIT, 0);
-            eng.cpu(home, Phase::Commit, c.install_us, txn, t);
+            let t = tag(K_COMMIT, 0);
+            eng.cpu(home, Phase::Commit, cpu::INSTALL_US, txn, t);
         }
         Some(false) => {
             // One-way aborts to participants; locks release in the abort.
@@ -266,10 +262,7 @@ impl<P: StandardPolicy> Protocol for P {
     }
 
     fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
-        let (kind, attempt, idx) = untag(tagv);
-        if !fresh(attempt, eng.txn(txn).attempts) {
-            return; // wake from an aborted attempt
-        }
+        let (kind, idx) = untag(tagv);
         match kind {
             K_ROUTED | K_BLOCKED => process_group(self, eng, txn),
             K_GROUP => finish_group(self, eng, txn, idx == 1),

@@ -200,7 +200,7 @@ mod tests {
         match plan[1].action {
             SplitAction::Promote { target, duration } => {
                 assert!(target == NodeId(0) || target == NodeId(1));
-                assert_eq!(duration, c.cfg.failure_detect_us + c.cfg.remaster_delay_us);
+                assert_eq!(duration, crate::FAILURE_DETECT_US + c.cfg.remaster_delay_us);
             }
             other => panic!("p3 expected a real promotion, got {other:?}"),
         }

@@ -77,7 +77,7 @@ pub use heal::{plan_heal, plan_split_promotions, HealStep, SplitAction, SplitDec
 pub use plan::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use recovery::{
     plan_failover, plan_promotion, price_promotion, promotion_candidates, select_promotion_target,
-    select_promotion_target_zoned, FailoverDecision, PromotionCandidate,
+    select_promotion_target_zoned, FailoverDecision, PromotionCandidate, FAILURE_DETECT_US,
 };
 
 use lion_common::{NodeId, PartitionId};

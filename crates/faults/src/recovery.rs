@@ -10,10 +10,14 @@
 use lion_cluster::{Cluster, LAG_SYNC_US_PER_ENTRY};
 use lion_common::{NodeId, PartitionId, SimConfig, Time, ZoneId};
 
+/// Failure-detection delay: virtual time between a node halting and the
+/// recovery coordinator acting on it (heartbeat timeout).
+pub const FAILURE_DETECT_US: Time = 50_000;
+
 /// Promotion price: failure detection + remaster hand-off + lag sync, the
 /// same per-entry rate normal remastering pays.
 pub fn price_promotion(cfg: &SimConfig, lag: u64) -> Time {
-    cfg.failure_detect_us + cfg.remaster_delay_us + lag * LAG_SYNC_US_PER_ENTRY
+    FAILURE_DETECT_US + cfg.remaster_delay_us + lag * LAG_SYNC_US_PER_ENTRY
 }
 
 /// One surviving replica considered for promotion.
@@ -265,7 +269,7 @@ mod tests {
             assert_eq!(d.dead, dead);
             let t = d.target.expect("replication factor 2 leaves a secondary");
             assert!(cluster.is_up(t));
-            assert!(d.duration >= cluster.cfg.failure_detect_us + cluster.cfg.remaster_delay_us);
+            assert!(d.duration >= FAILURE_DETECT_US + cluster.cfg.remaster_delay_us);
         }
     }
 }

@@ -17,10 +17,10 @@
 //!   same order, so the pinned digest goldens are byte-identical.
 //! * [`DimensionedSink`] — per-node and per-zone goodput/bytes/latency
 //!   rollups over the mergeable log-bucketed histogram.
-//! * [`NullSink`] — drops everything; the overhead yardstick for the
-//!   `lion-bench obsgate` CI gate.
 //! * [`ObsHub`] — the engine-side dispatcher: run sink + dimensioned sink
 //!   + any extra boxed sinks, gated by [`ObsMode`].
+//! * [`ObsMode::Null`] — drops everything; the overhead yardstick for the
+//!   `lion-bench obsgate` CI gate.
 //! * [`json`] — the hand-rolled JSON writer/parser every machine-readable
 //!   export shares (the offline build has no serde).
 //!
@@ -38,4 +38,4 @@ pub use event::{ByteClass, CommitClass, MetricEvent};
 pub use run::{
     FailoverRecord, Metrics, RunMetricsSink, UnavailWindow, GOODPUT_BUCKET_US, SERIES_BUCKET_US,
 };
-pub use sink::{MetricSink, NullSink, ObsHub, ObsMode};
+pub use sink::{MetricSink, ObsHub, ObsMode};

@@ -17,19 +17,12 @@ pub trait MetricSink {
     fn on_event(&mut self, ev: &MetricEvent);
 }
 
-/// Drops every event. The zero-cost yardstick the `lion-bench obsgate`
-/// overhead gate compares the full pipeline against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl MetricSink for NullSink {
-    fn on_event(&mut self, _ev: &MetricEvent) {}
-}
-
 /// How much of the pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsMode {
-    /// Drop every event (overhead yardstick; `RunReport` comes out zeroed).
+    /// Drop every event: the zero-cost yardstick the `lion-bench obsgate`
+    /// overhead gate compares the full pipeline against (`RunReport` comes
+    /// out zeroed).
     Null,
     /// Run sink + dimensioned rollups + any extra sinks.
     #[default]

@@ -5,26 +5,14 @@
 
 use lion_common::{NodeId, PartitionId, Placement};
 
-/// Eq. 3's operation cost weights: `w_r` per remaster, `w_m` per migration
-/// (migration ≫ remaster; the paper's Example 2 uses the same ordering).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Cost of remastering one partition onto the target.
-    pub w_r: f64,
-    /// Cost of copying one partition onto the target.
-    pub w_m: f64,
-}
+/// Eq. 3's weight `w_r`: the cost of remastering one partition onto the
+/// target. Migration ≫ remaster, the ordering of the paper's Example 2: a
+/// migration moves a full partition (~ms of transfer) while a remaster only
+/// syncs the lag.
+pub(crate) const W_R: f64 = 1.0;
 
-impl Default for CostWeights {
-    fn default() -> Self {
-        // Calibrated to the default timing knobs: a migration moves a full
-        // partition (~ms of transfer) while a remaster only syncs the lag.
-        CostWeights {
-            w_r: 1.0,
-            w_m: 10.0,
-        }
-    }
-}
+/// Eq. 3's weight `w_m`: the cost of copying one partition onto the target.
+pub(crate) const W_M: f64 = 10.0;
 
 /// How a transaction (or a clump) would execute at a candidate node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +44,6 @@ pub fn operational_cost(
     freq: &[f64],
     parts: &[PartitionId],
     n: NodeId,
-    w: CostWeights,
 ) -> (TxnPlacementClass, f64) {
     let mut remasters = 0usize;
     let mut remaster_count = 0.0;
@@ -80,7 +67,7 @@ pub fn operational_cost(
     } else {
         TxnPlacementClass::AllPrimary
     };
-    (class, w.w_r * remaster_count + w.w_m * remote as f64)
+    (class, W_R * remaster_count + W_M * remote as f64)
 }
 
 #[cfg(test)]
@@ -114,14 +101,13 @@ mod tests {
         pl.add_secondary(p(4), n(1)).unwrap();
 
         let freq = vec![0.0; 5]; // "all replicas have ~the same access frequency"
-        let w = CostWeights::default();
         let clump = [p(0), p(1)];
-        let (_, c_n1) = operational_cost(&pl, &freq, &clump, n(0), w);
-        let (_, c_n2) = operational_cost(&pl, &freq, &clump, n(1), w);
-        let (_, c_n3) = operational_cost(&pl, &freq, &clump, n(2), w);
-        assert_eq!(c_n1, w.w_r, "N1: P1 primary local, P2 secondary local");
-        assert_eq!(c_n2, w.w_m + w.w_r, "N2: P2 missing, P1 secondary");
-        assert_eq!(c_n3, w.w_m, "N3: P2 primary local, P1 missing");
+        let (_, c_n1) = operational_cost(&pl, &freq, &clump, n(0));
+        let (_, c_n2) = operational_cost(&pl, &freq, &clump, n(1));
+        let (_, c_n3) = operational_cost(&pl, &freq, &clump, n(2));
+        assert_eq!(c_n1, W_R, "N1: P1 primary local, P2 secondary local");
+        assert_eq!(c_n2, W_M + W_R, "N2: P2 missing, P1 secondary");
+        assert_eq!(c_n3, W_M, "N3: P2 primary local, P1 missing");
         assert!(c_n1 < c_n3 && c_n3 < c_n2);
     }
 
@@ -129,12 +115,11 @@ mod tests {
     fn hot_primary_inflates_remaster_cost() {
         let mut pl = Placement::round_robin(1, 2, 1);
         pl.add_secondary(p(0), n(1)).unwrap();
-        let w = CostWeights::default();
-        let (_, cold) = operational_cost(&pl, &[0.0], &[p(0)], n(1), w);
-        let (_, hot) = operational_cost(&pl, &[1.0], &[p(0)], n(1), w);
+        let (_, cold) = operational_cost(&pl, &[0.0], &[p(0)], n(1));
+        let (_, hot) = operational_cost(&pl, &[1.0], &[p(0)], n(1));
         assert!(hot > cold);
-        assert_eq!(cold, w.w_r * 1.0);
-        assert_eq!(hot, w.w_r * 2.0, "f=1 doubles: 1 + log2(2) = 2");
+        assert_eq!(cold, W_R * 1.0);
+        assert_eq!(hot, W_R * 2.0, "f=1 doubles: 1 + log2(2) = 2");
     }
 
     #[test]
@@ -144,16 +129,15 @@ mod tests {
         pl.migrate_primary(p(2), n(1)).unwrap();
         pl.add_secondary(p(1), n(0)).unwrap();
         let freq = vec![0.0; 3];
-        let w = CostWeights::default();
 
-        let (class, cost) = operational_cost(&pl, &freq, &[p(0)], n(0), w);
+        let (class, cost) = operational_cost(&pl, &freq, &[p(0)], n(0));
         assert_eq!(class, TxnPlacementClass::AllPrimary);
         assert_eq!(cost, 0.0);
 
-        let (class, _) = operational_cost(&pl, &freq, &[p(0), p(1)], n(0), w);
+        let (class, _) = operational_cost(&pl, &freq, &[p(0), p(1)], n(0));
         assert_eq!(class, TxnPlacementClass::NeedsRemaster { count: 1 });
 
-        let (class, _) = operational_cost(&pl, &freq, &[p(0), p(2)], n(0), w);
+        let (class, _) = operational_cost(&pl, &freq, &[p(0), p(2)], n(0));
         assert_eq!(class, TxnPlacementClass::Distributed { remote_parts: 1 });
     }
 }

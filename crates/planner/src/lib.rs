@@ -23,7 +23,7 @@ pub mod rearrange;
 pub mod schism;
 
 pub use clump::{generate_clumps, Clump};
-pub use cost::{operational_cost, CostWeights, TxnPlacementClass};
+pub use cost::{operational_cost, TxnPlacementClass};
 pub use graph::HeatGraph;
 pub use rearrange::{
     rearrange, rearrange_with_topology, PlanAction, PlanEntry, PlannerConfig, ReconfigurationPlan,

@@ -15,7 +15,7 @@
 //!    Σ load², so the peak never rises and no clump ping-pongs.
 
 use crate::clump::Clump;
-use crate::cost::{operational_cost, CostWeights};
+use crate::cost::{operational_cost, W_M};
 use lion_common::{NodeId, PartitionId, Placement, PlacementPolicy, ZoneId};
 
 /// Planner tuning knobs (§IV defaults).
@@ -25,12 +25,8 @@ pub struct PlannerConfig {
     pub alpha: f64,
     /// Cross-node edge boost for the heat graph (e_c vs e_s, §IV-A).
     pub cross_edge_boost: f64,
-    /// Cost weights for Eq. 3.
-    pub weights: CostWeights,
     /// Permissible load imbalance ε; θ = avg·(1+ε) (§II-C).
     pub epsilon: f64,
-    /// Weight wp of predicted transactions in the heat graph (§IV-C.1).
-    pub predicted_weight: f64,
     /// Number of recent transactions analyzed per planning round (B).
     pub history_cap: usize,
     /// Safety cap on clump size (see [`crate::clump::generate_clumps`]).
@@ -42,13 +38,11 @@ impl Default for PlannerConfig {
         PlannerConfig {
             alpha: 2.0,
             cross_edge_boost: 4.0,
-            weights: CostWeights::default(),
             // Standard execution pays for a hot node only on the
             // transactions routed to it, so it accepts 5 vs 4 pairs per
             // node (1.25×); batch Lion, which waits on its slowest node
             // every batch, holds 0.2 (`LionConfig::lion`).
             epsilon: 0.4,
-            predicted_weight: 1.0,
             history_cap: 4_000,
             max_clump_size: 24,
         }
@@ -192,7 +186,6 @@ fn find_dst_node(
     clump: &Clump,
     placement: &Placement,
     freq: &[f64],
-    weights: CostWeights,
     balance: &Balance,
     mc_row: &mut Vec<f64>,
 ) -> NodeId {
@@ -208,7 +201,7 @@ fn find_dst_node(
             mc_row.push(f64::INFINITY);
             continue;
         }
-        let (_, cost) = operational_cost(placement, freq, &clump.parts, node, weights);
+        let (_, cost) = operational_cost(placement, freq, &clump.parts, node);
         mc_row.push(cost);
         let better = cost < best_cost - 1e-12
             || (cost < best_cost + 1e-12
@@ -310,7 +303,7 @@ pub fn rearrange_with_topology(
 
     // ---- Step 1: clump dispatching --------------------------------------
     for (i, clump) in clumps.iter_mut().enumerate() {
-        let dst = find_dst_node(clump, placement, freq, cfg.weights, &balance, &mut mc[i]);
+        let dst = find_dst_node(clump, placement, freq, &balance, &mut mc[i]);
         clump.dest = Some(dst);
         balance.add(dst, clump.weight);
         q[dst.idx()].push(i);
@@ -415,7 +408,7 @@ pub fn rearrange_with_topology(
                         break; // not enough live zones left to satisfy the floor
                     };
                     cover(repair, zone_of, &mut covered, &mut n_covered);
-                    plan.total_cost += cfg.weights.w_m;
+                    plan.total_cost += W_M;
                     plan.entries.push(PlanEntry {
                         part,
                         dest: repair,

@@ -12,6 +12,19 @@ use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+/// Cosine-distance merge threshold β of template classification.
+const BETA: f64 = 0.3;
+
+/// Retrain a class model when its normalized MSE exceeds this threshold
+/// (the accuracy-maintenance rule of §IV-C.1).
+const RETRAIN_MSE: f64 = 0.08;
+
+/// Only the hottest classes get a model (bounds planner CPU).
+const MAX_MODEL_CLASSES: usize = 8;
+
+/// RNG seed for sampling and model init.
+const SEED: u64 = 0xFACE;
+
 /// Prediction tuning knobs (§VI-A defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorConfig {
@@ -22,8 +35,6 @@ pub struct PredictorConfig {
     pub window: usize,
     /// Prediction horizon `h` of Eq. 6, in sampling intervals.
     pub horizon: usize,
-    /// Cosine-distance merge threshold β.
-    pub beta: f64,
     /// Pre-replication trigger threshold γ on the normalized `wv`.
     pub gamma: f64,
     /// Number of predicted transactions `K` injected into the heat graph.
@@ -36,13 +47,6 @@ pub struct PredictorConfig {
     pub lr: f64,
     /// Training epochs per (re)fit.
     pub train_epochs: usize,
-    /// Retrain when the model's normalized MSE exceeds this threshold
-    /// (the accuracy-maintenance rule of §IV-C.1).
-    pub retrain_mse: f64,
-    /// Only the hottest classes get a model (bounds planner CPU).
-    pub max_model_classes: usize,
-    /// RNG seed for sampling and model init.
-    pub seed: u64,
 }
 
 impl Default for PredictorConfig {
@@ -51,16 +55,12 @@ impl Default for PredictorConfig {
             sample_interval_us: 1_000_000,
             window: 10,
             horizon: 3,
-            beta: 0.3,
             gamma: 0.2,
             k_predicted: 64,
             hidden: 20,
             layers: 2,
             lr: 0.01,
             train_epochs: 30,
-            retrain_mse: 0.08,
-            max_model_classes: 8,
-            seed: 0xFACE,
         }
     }
 }
@@ -115,7 +115,7 @@ impl WorkloadPredictor {
         WorkloadPredictor {
             registry: TemplateRegistry::new(cfg.sample_interval_us),
             models: FastMap::default(),
-            rng: SmallRng::seed_from_u64(cfg.seed),
+            rng: SmallRng::seed_from_u64(SEED),
             cfg,
             trainings: 0,
         }
@@ -139,7 +139,7 @@ impl WorkloadPredictor {
     /// Runs one prediction round at virtual time `now`.
     pub fn predict(&mut self, now: Time) -> PredictionOutcome {
         let train_len = self.cfg.window * 4;
-        let mut classes = classify_templates(&self.registry, train_len, self.cfg.beta, now);
+        let mut classes = classify_templates(&self.registry, train_len, BETA, now);
         if classes.is_empty() {
             return PredictionOutcome::inactive();
         }
@@ -149,7 +149,7 @@ impl WorkloadPredictor {
                 .partial_cmp(&a.window_total())
                 .expect("finite")
         });
-        let modeled = classes.len().min(self.cfg.max_model_classes);
+        let modeled = classes.len().min(MAX_MODEL_CLASSES);
 
         let mut current = Vec::with_capacity(modeled);
         let mut future = Vec::with_capacity(modeled);
@@ -165,7 +165,7 @@ impl WorkloadPredictor {
                     let m = o.into_mut();
                     m.scale = scale;
                     // Accuracy maintenance: retrain when the model drifted.
-                    if m.net.mse(&norm, self.cfg.window) > self.cfg.retrain_mse {
+                    if m.net.mse(&norm, self.cfg.window) > RETRAIN_MSE {
                         m.net
                             .fit(&norm, self.cfg.window, self.cfg.train_epochs, self.cfg.lr);
                         self.trainings += 1;
@@ -173,7 +173,7 @@ impl WorkloadPredictor {
                     m
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
-                    let mut net = Lstm::new(self.cfg.hidden, self.cfg.layers, self.cfg.seed ^ key);
+                    let mut net = Lstm::new(self.cfg.hidden, self.cfg.layers, SEED ^ key);
                     net.fit(&norm, self.cfg.window, self.cfg.train_epochs, self.cfg.lr);
                     self.trainings += 1;
                     v.insert(ClassModel { net, scale })

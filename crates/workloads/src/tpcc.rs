@@ -78,6 +78,18 @@ pub fn decode_key(key: Key) -> Option<(Relation, u64, u64, u64)> {
 // Workload generator
 // ---------------------------------------------------------------------
 
+/// Districts per warehouse (TPC-C: 10).
+const DISTRICTS: u32 = 10;
+
+/// Customers per district (scaled from TPC-C's 3000).
+const CUSTOMERS_PER_DISTRICT: u32 = 120;
+
+/// Catalogue items (scaled from TPC-C's 100k).
+const ITEMS: u32 = 1_000;
+
+/// Item-popularity skew θ.
+const ITEM_THETA: f64 = 0.3;
+
 /// TPC-C configuration (scaled-down defaults; paper: 24 warehouses/node).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TpccConfig {
@@ -85,12 +97,6 @@ pub struct TpccConfig {
     pub nodes: u32,
     /// Warehouses per node (= partitions per node).
     pub warehouses_per_node: u32,
-    /// Districts per warehouse (TPC-C: 10).
-    pub districts: u32,
-    /// Customers per district (scaled from 3000).
-    pub customers_per_district: u32,
-    /// Catalogue items (scaled from 100k).
-    pub items: u32,
     /// Fraction of transactions touching a remote warehouse (the paper's
     /// cross-partition ratio for TPC-C).
     pub remote_ratio: f64,
@@ -98,8 +104,6 @@ pub struct TpccConfig {
     pub payment_ratio: f64,
     /// Warehouse-level skew factor (targets node-0 warehouses).
     pub skew_factor: f64,
-    /// Item-popularity skew θ.
-    pub item_theta: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -110,13 +114,9 @@ impl TpccConfig {
         TpccConfig {
             nodes,
             warehouses_per_node,
-            districts: 10,
-            customers_per_district: 120,
-            items: 1_000,
             remote_ratio: 0.0,
             payment_ratio: 0.0,
             skew_factor: 0.0,
-            item_theta: 0.3,
             seed: 0x79CC,
         }
     }
@@ -155,8 +155,8 @@ impl TpccWorkload {
     /// Builds the generator.
     pub fn new(cfg: TpccConfig) -> Self {
         assert!(cfg.n_warehouses() >= 2);
-        let item_dist = Zipf::new(cfg.items as u64, cfg.item_theta);
-        let slots = (cfg.n_warehouses() * cfg.districts) as usize;
+        let item_dist = Zipf::new(ITEMS as u64, ITEM_THETA);
+        let slots = (cfg.n_warehouses() * DISTRICTS) as usize;
         TpccWorkload {
             rng: SmallRng::seed_from_u64(cfg.seed),
             item_dist,
@@ -197,13 +197,13 @@ impl TpccWorkload {
 
     fn new_order(&mut self) -> TxnRequest {
         let w = self.pick_warehouse();
-        let d = self.rng.gen_range(0..self.cfg.districts) as u64;
-        let c = self.rng.gen_range(0..self.cfg.customers_per_district) as u64;
+        let d = self.rng.gen_range(0..DISTRICTS) as u64;
+        let c = self.rng.gen_range(0..CUSTOMERS_PER_DISTRICT) as u64;
         let home = PartitionId(w);
         let remote = self.rng.gen::<f64>() < self.cfg.remote_ratio;
         let supply_w = if remote { self.partner_warehouse(w) } else { w };
 
-        let slot = (w * self.cfg.districts + d as u32) as usize;
+        let slot = (w * DISTRICTS + d as u32) as usize;
         let o_id = self.next_o_id[slot] as u64 & 0xFF_FFFF;
         self.next_o_id[slot] = self.next_o_id[slot].wrapping_add(1);
 
@@ -240,8 +240,8 @@ impl TpccWorkload {
 
     fn payment(&mut self) -> TxnRequest {
         let w = self.pick_warehouse();
-        let d = self.rng.gen_range(0..self.cfg.districts) as u64;
-        let c = self.rng.gen_range(0..self.cfg.customers_per_district) as u64;
+        let d = self.rng.gen_range(0..DISTRICTS) as u64;
+        let c = self.rng.gen_range(0..CUSTOMERS_PER_DISTRICT) as u64;
         let home = PartitionId(w);
         // 15% of payments are for a customer of a remote warehouse.
         let remote = self.rng.gen::<f64>() < self.cfg.remote_ratio * 0.15;

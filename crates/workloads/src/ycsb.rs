@@ -119,6 +119,13 @@ impl Schedule {
     }
 }
 
+/// Operations per transaction: the paper-standard 10 (§VI-A.1).
+const OPS_PER_TXN: usize = 10;
+
+/// Intra-partition key skew θ: uniform keys, the paper's skew being
+/// node-level (`skew_factor`).
+const KEY_THETA: f64 = 0.0;
+
 /// YCSB configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YcsbConfig {
@@ -128,18 +135,8 @@ pub struct YcsbConfig {
     pub partitions_per_node: u32,
     /// Rows per partition.
     pub keys_per_partition: u64,
-    /// Operations per transaction (paper-standard: 10).
-    pub ops_per_txn: usize,
     /// Fraction of read operations.
     pub read_ratio: f64,
-    /// Intra-partition key skew θ (0 = uniform).
-    pub key_theta: f64,
-    /// Reserved: custom partner stride (0 = XOR-adjacent pairing). The
-    /// default pairing maps partition `x` to `x ^ 1` after applying the
-    /// phase offset: pairs are *disjoint* (partner(partner(p)) == p) and
-    /// the two partitions of a pair always start on different home nodes
-    /// under round-robin placement — stable, learnable co-access.
-    pub partner_stride: u32,
     /// Access schedule.
     pub schedule: Schedule,
     /// RNG seed.
@@ -153,10 +150,7 @@ impl YcsbConfig {
             n_partitions: nodes * partitions_per_node,
             partitions_per_node,
             keys_per_partition,
-            ops_per_txn: 10,
             read_ratio: 0.5,
-            key_theta: 0.0,
-            partner_stride: 0,
             schedule: Schedule::Static {
                 cross_ratio: 0.0,
                 skew_factor: 0.0,
@@ -201,7 +195,7 @@ impl YcsbWorkload {
             cfg.n_partitions >= 2,
             "cross transactions need two partitions"
         );
-        let key_dist = Zipf::new(cfg.keys_per_partition, cfg.key_theta);
+        let key_dist = Zipf::new(cfg.keys_per_partition, KEY_THETA);
         YcsbWorkload {
             rng: SmallRng::seed_from_u64(cfg.seed),
             cfg,
@@ -236,13 +230,11 @@ impl YcsbWorkload {
     /// The deterministic partner of partition `p` (cross transactions).
     /// XOR-adjacent pairing in offset space: symmetric and disjoint, so the
     /// co-access graph decomposes into clumps of two that a placement can
-    /// fully localize; the phase offset re-pairs partitions on hotspot
-    /// shifts. A non-zero `partner_stride` selects legacy stride pairing.
+    /// fully localize; the two partitions of a pair start on different
+    /// home nodes under round-robin placement. The phase offset re-pairs
+    /// partitions on hotspot shifts.
     fn partner(&self, p: u32, phase: &PhaseCfg) -> u32 {
         let n = self.cfg.n_partitions;
-        if self.cfg.partner_stride != 0 {
-            return (p + self.cfg.partner_stride + phase.offset) % n;
-        }
         let x = (p + phase.offset) % n;
         let y = x ^ 1;
         if y >= n {
@@ -263,8 +255,8 @@ impl Workload for YcsbWorkload {
             None
         };
 
-        let mut ops = Vec::with_capacity(self.cfg.ops_per_txn);
-        for i in 0..self.cfg.ops_per_txn {
+        let mut ops = Vec::with_capacity(OPS_PER_TXN);
+        for i in 0..OPS_PER_TXN {
             // Cross transactions keep most work at the home partition and
             // touch the partner with ~20% of their ops (so higher cross
             // ratios add coordination without offloading the hot node).

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use lion_engine::{DurabilityConfig, Engine, EngineConfig, Protocol, RunReport, TickKind};
     pub use lion_faults::{FaultKind, FaultNotice, FaultPlan};
     pub use lion_obs::{MetricEvent, MetricSink, ObsMode};
-    pub use lion_planner::{CostWeights, PlannerConfig};
+    pub use lion_planner::PlannerConfig;
     pub use lion_predictor::{Lstm, PredictorConfig, WorkloadPredictor};
     pub use lion_workloads::{Schedule, TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload, Zipf};
 }

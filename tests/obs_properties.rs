@@ -189,7 +189,7 @@ fn null_and_full_modes_replay_the_same_simulation() {
     // the simulation does, only what gets recorded.
     assert_eq!(full.events, null.events);
     assert!(full.commits > 0);
-    assert_eq!(null.commits, 0, "NullSink must record nothing");
+    assert_eq!(null.commits, 0, "ObsMode::Null must record nothing");
 }
 
 #[test]

@@ -26,7 +26,7 @@ use lion::core::Lion;
 use lion::engine::{
     DurabilityConfig, Engine, EngineConfig, MetricEvent, Protocol, RunReport, TickKind,
 };
-use lion::faults::{FaultNotice, FaultPlan};
+use lion::faults::{FaultNotice, FaultPlan, FAILURE_DETECT_US};
 use lion::workloads::{YcsbConfig, YcsbWorkload};
 use proptest::prelude::*;
 
@@ -330,7 +330,7 @@ fn promotion_landing_on_a_remaster_leaves_nothing_in_flight() {
     // The rest side promotes after failure detection + the hand-off window;
     // the remaster starts half a hand-off window before that, on the third
     // monitor tick (the second, just past the cut, starts the copy).
-    let promotion_lands_at = cut_at + sim.failure_detect_us + sim.remaster_delay_us;
+    let promotion_lands_at = cut_at + FAILURE_DETECT_US + sim.remaster_delay_us;
     let fire_at = promotion_lands_at - sim.remaster_delay_us / 2;
     let cfg = EngineConfig {
         sim,
