@@ -9,7 +9,10 @@
 
 use crate::cluster::Cluster;
 use crate::transfer::AdaptorError;
-use lion_common::{FastMap, NodeId, PartitionId, Placement, PlacementError, SimConfig, Time};
+use lion_common::{
+    fast_map_with_capacity, FastMap, NodeId, PartitionId, Placement, PlacementError, SimConfig,
+    Time,
+};
 use lion_storage::{LogEntry, ReplicaRole, ReplicaStore};
 
 /// What an epoch flush shipped (returned by
@@ -36,33 +39,42 @@ pub(crate) enum Store {
 }
 
 /// The deployment-time stores of `placement`: a populated primary and
-/// in-sync secondaries for every partition.
+/// in-sync secondaries for every partition, all over the primary's key index.
+/// Each node's map is sized once for the replicas it hosts, so populating
+/// frees nothing. Maps grown by rehashing leave freed blocks between the row
+/// vectors, and a process that builds one cluster after another (a figure
+/// grid, the benchmark's set-ups) then faults most of the previous cluster's
+/// pages back in; sized once, it reuses them.
 pub(crate) fn populate_stores(
     cfg: &SimConfig,
     placement: &Placement,
 ) -> Vec<FastMap<u32, ReplicaStore>> {
-    let mut stores: Vec<FastMap<u32, ReplicaStore>> =
-        (0..cfg.nodes).map(|_| FastMap::default()).collect();
+    let mut stores: Vec<FastMap<u32, ReplicaStore>> = (0..cfg.nodes)
+        .map(|n| {
+            let hosted = (0..placement.n_partitions())
+                .filter(|&p| placement.has_replica(PartitionId(p as u32), NodeId(n as u16)))
+                .count();
+            fast_map_with_capacity(hosted)
+        })
+        .collect();
     for p in 0..placement.n_partitions() {
         let part = PartitionId(p as u32);
-        let primary = placement.primary_of(part);
-        stores[primary.idx()].insert(
-            part.0,
-            ReplicaStore::new_primary(part, cfg.keys_per_partition, cfg.value_size),
-        );
+        let primary = ReplicaStore::new_primary(part, cfg.keys_per_partition, cfg.value_size);
         for &sec in placement.secondaries_of(part) {
-            stores[sec.idx()].insert(
-                part.0,
-                ReplicaStore::new_secondary(part, cfg.keys_per_partition, cfg.value_size),
-            );
+            let mut store =
+                ReplicaStore::new_secondary(part, cfg.keys_per_partition, cfg.value_size);
+            store.table.share_index(&primary.table);
+            stores[sec.idx()].insert(part.0, store);
         }
+        stores[placement.primary_of(part).idx()].insert(part.0, primary);
     }
     stores
 }
 
 impl Cluster {
     /// `node` joins `part`'s replica set: it is listed as a secondary and
-    /// receives a fresh snapshot of the primary.
+    /// receives a fresh copy of the primary's rows (over the partition's one
+    /// key index).
     pub(crate) fn attach(&mut self, part: PartitionId, node: NodeId) -> Result<(), AdaptorError> {
         match self.placement.add_secondary(part, node) {
             Ok(()) => {}

@@ -2,8 +2,8 @@
 //!
 //! The storage substrate of the reproduced cluster (§II-A): in-memory
 //! versioned tables with per-row lock words for OCC, a primary-to-secondary
-//! replication log with epoch-batched shipping, and partition snapshots for
-//! data migration.
+//! replication log with epoch-batched shipping, and replica copies for
+//! replica add, which share their partition's key index.
 //!
 //! Each partition replica is a [`ReplicaStore`]; a node hosts one store per
 //! replica it holds. Primaries execute reads/writes and append log entries;

@@ -59,12 +59,13 @@ impl ReplicaStore {
         }
     }
 
-    /// Creates a secondary from a primary snapshot (replica-add copy).
+    /// Creates a secondary copied from `src` (replica add): see
+    /// [`Table::replica`].
     pub fn from_snapshot(partition: PartitionId, src: &ReplicaStore) -> Self {
         ReplicaStore {
             partition,
             role: ReplicaRole::Secondary,
-            table: Table::from_snapshot(src.table.snapshot()),
+            table: src.table.replica(),
             log: ReplicationLog::new(),
             applied_lsn: src.log.head_lsn(),
             reorder: BTreeMap::new(),

@@ -1,7 +1,8 @@
 //! Allocation regression test for the write path: installing, logging,
 //! shipping and applying a committed write allocates nothing per write, an
-//! epoch after the first allocates nothing at all, and populating a replica
-//! allocates nothing per row.
+//! epoch after the first allocates nothing at all, populating a replica
+//! allocates nothing per row, and copying one (replica add) allocates its
+//! two row vectors and no key index.
 //!
 //! A counting global allocator tallies fresh allocations (`alloc` and
 //! `alloc_zeroed`; a `realloc` grows a block that already exists) on the
@@ -61,6 +62,7 @@ fn the_write_path_allocates_nothing_per_write() {
     const KEYS: u64 = 4_000;
     const WRITES: u64 = 10_000;
     const EPOCH: u64 = 500;
+    const SPARSE: u64 = 1_000;
     let p = PartitionId(0);
 
     let (mut primary, populate) = allocations(|| ReplicaStore::new_primary(p, KEYS, 64));
@@ -68,7 +70,23 @@ fn the_write_path_allocates_nothing_per_write() {
         populate <= 4,
         "populating {KEYS} rows made {populate} allocations; expected O(1), not one per row"
     );
-    let mut secondary = ReplicaStore::from_snapshot(p, &primary);
+    // Sparse rows (TPC-C-style inserts past the dense range) put entries in
+    // the partition's key index, which a copy shares rather than rebuilds.
+    for i in 0..SPARSE {
+        let (key, txn) = ((1 << 40) | i, TxnId(i + 1));
+        assert!(primary.table.occ_lock(key, txn).is_ok());
+        primary
+            .table
+            .occ_install(key, txn, Table::synth_value(key, 1, 64));
+    }
+    let (mut secondary, copy) = allocations(|| ReplicaStore::from_snapshot(p, &primary));
+    assert!(
+        copy <= 2,
+        "copying {} rows made {copy} allocations; expected its dense and sparse \
+         row vectors and no key index",
+        KEYS + SPARSE
+    );
+    assert_eq!(secondary.table.len(), primary.table.len());
 
     // One epoch of writes: install and log each, then ship the epoch the
     // way the cluster's flush does and hand its buffer back to the log.

@@ -1,7 +1,8 @@
 //! Property tests on the OCC storage layer: randomized interleavings of
 //! lock/validate/install/abort must preserve version monotonicity and lock
-//! hygiene, replication must converge to the primary state, and a `Table`
-//! must behave exactly like a plain ordered map of `(version, lock, value)`.
+//! hygiene, replication must converge to the primary state, a `Table` must
+//! behave exactly like a plain ordered map of `(version, lock, value)`, and
+//! so must every replica of a partition that shares one key index.
 
 use lion::common::{Key, PartitionId, TxnId};
 use lion::storage::{Bytes, OpOutcome, ReplicaStore, Table};
@@ -93,7 +94,7 @@ proptest! {
 
 /// Keys the model test draws from: a dense prefix `0..DENSE` (populated),
 /// two keys just past it, and TPC-C-shaped bit-packed keys, all of which
-/// the table keeps in its sparse arena until a round trip re-lays it out.
+/// the table keeps in its sparse arena.
 const DENSE: u64 = 6;
 
 fn model_keys() -> Vec<Key> {
@@ -123,8 +124,8 @@ enum Kind {
     /// `apply_replicated` at version `n`.
     Replicate,
     Upsert,
-    /// `snapshot` → `from_snapshot`.
-    RoundTrip,
+    /// The table is replaced by its own [`Table::replica`] copy.
+    Copy,
 }
 
 /// One `Table` call; `key` indexes [`model_keys`].
@@ -149,7 +150,7 @@ fn arb_op(keys: usize) -> impl Strategy<Value = Op> {
                 18..=19 => Kind::Validate,
                 20..=21 => Kind::Replicate,
                 22 => Kind::Upsert,
-                _ => Kind::RoundTrip,
+                _ => Kind::Copy,
             },
             key,
             txn: TxnId(txn),
@@ -244,10 +245,7 @@ fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome
             Some((t.occ_validate_read(k, n, txn), want))
         }
         Kind::Replicate => {
-            let row = model_row(m, k);
-            if n >= row.0 {
-                (row.0, row.2) = (n, value);
-            }
+            model_apply(m, k, n, value);
             t.apply_replicated(k, n, value);
             None
         }
@@ -256,12 +254,24 @@ fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome
             t.upsert(k, value);
             None
         }
-        Kind::RoundTrip => {
-            // A snapshot carries versions and values, not prepare-locks.
-            m.values_mut().for_each(|row| row.1 = None);
-            *t = Table::from_snapshot(t.snapshot());
+        Kind::Copy => {
+            *m = model_copy(m);
+            *t = t.replica();
             None
         }
+    }
+}
+
+/// A replica copy carries versions and values, not prepare-locks.
+fn model_copy(m: &Model) -> Model {
+    m.iter().map(|(&k, &(v, _, b))| (k, (v, None, b))).collect()
+}
+
+/// `apply_replicated`: ordered, never regressing.
+fn model_apply(m: &mut Model, key: Key, version: u64, value: Bytes) {
+    let row = model_row(m, key);
+    if version >= row.0 {
+        (row.0, row.2) = (version, value);
     }
 }
 
@@ -276,37 +286,165 @@ fn model_unlock(m: &mut Model, key: Key, txn: TxnId) {
     }
 }
 
+/// `get` on every key, `len` and `bytes` agree with the oracle.
+fn check(
+    t: &Table,
+    m: &Model,
+    keys: &[Key],
+    after: &dyn std::fmt::Debug,
+) -> Result<(), proptest::TestCaseError> {
+    for &k in keys {
+        let got = t.get(k).map(|r| (r.version, r.lock(), r.value));
+        let want = m.get(&k).copied();
+        prop_assert_eq!(
+            got,
+            want,
+            "key {:#x} after {:?}: {:?} != {:?}",
+            k,
+            after,
+            got,
+            want
+        );
+    }
+    prop_assert_eq!(
+        t.len(),
+        m.len(),
+        "len after {:?}: {} != {}",
+        after,
+        t.len(),
+        m.len()
+    );
+    let bytes: u64 = m.values().map(|r| r.2.len() as u64).sum();
+    prop_assert_eq!(
+        t.bytes(),
+        bytes,
+        "bytes after {:?}: {} != {}",
+        after,
+        t.bytes(),
+        bytes
+    );
+    Ok(())
+}
+
+/// The oracle of a table populated with `0..DENSE`.
+fn populated_model() -> Model {
+    (0..DENSE)
+        .map(|k| (k, (1, None, Table::synth_value(k, 1, 16))))
+        .collect()
+}
+
+/// One step of the shared-index model test.
+#[derive(Debug, Clone, Copy)]
+enum ReplicaStep {
+    /// A transaction's call on the primary; an install is logged.
+    Primary(Op),
+    /// Ships the next `n` logged entries past replica `r`'s frontier to it.
+    Ship { r: usize, n: usize },
+    /// Copies the primary into a new replica (replica add), replacing
+    /// replica `r` once there are two.
+    Copy { r: usize },
+}
+
+fn arb_replica_step(keys: usize) -> impl Strategy<Value = ReplicaStep> {
+    (0u8..9, arb_op(keys), 0usize..2, 1usize..6).prop_map(|(pick, mut op, r, n)| match pick {
+        0..=5 => {
+            // A transaction's calls only: replicated applies, upserts and
+            // copies reach a replica through the log and `from_snapshot`.
+            op.kind = match op.n {
+                0 => Kind::Read,
+                1 => Kind::Lock,
+                2 => Kind::Install,
+                3 => Kind::Unlock,
+                _ => Kind::AbortedInsert,
+            };
+            ReplicaStep::Primary(op)
+        }
+        6..=7 => ReplicaStep::Ship { r, n },
+        _ => ReplicaStep::Copy { r },
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Model check: after every step of a random interleaving, `get`,
-    /// `len`, `bytes` and `snapshot` agree with the ordered-map oracle, and
-    /// every OCC call answers what the oracle answers. Covers both layouts
-    /// (a round trip of a gapped table moves the dense prefix into the
-    /// arena) and the reuse of slots freed by aborted inserts.
+    /// Model check of one partition's replicas over its one key index: a
+    /// populated primary, a populated secondary given the primary's index,
+    /// and replica copies taken at random steps. Transactions lock, install,
+    /// unlock and abort inserts on the primary; installs are logged and
+    /// shipped to each replica in random chunks. After every step each
+    /// replica agrees with its own oracle — `get`, `len` and `bytes` — so no
+    /// replica sees another's rows, placeholders or
+    /// locks, and no two keys ever share a slot.
+    #[test]
+    fn replicas_sharing_an_index_each_behave_like_their_own_map(
+        steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
+    ) {
+        let keys = model_keys();
+        let part = PartitionId(0);
+        let mut primary = ReplicaStore::new_primary(part, DENSE, 16);
+        let mut pm = populated_model();
+        let mut secondary = ReplicaStore::new_secondary(part, DENSE, 16);
+        secondary.table.share_index(&primary.table);
+        let mut replicas = vec![(secondary, populated_model())];
+        for s in &steps {
+            match *s {
+                ReplicaStep::Primary(op) => {
+                    let out = step(&mut primary.table, &mut pm, &keys, op);
+                    if let Some((got, want)) = out {
+                        prop_assert_eq!(got, want, "{:?}: {:?} != {:?}", op, got, want);
+                    }
+                    if let (Kind::Install, Some((OpOutcome::Ok { version }, _))) = (op.kind, out) {
+                        primary.log.append(part, keys[op.key], version, op.value);
+                    }
+                }
+                ReplicaStep::Ship { r, n } => {
+                    if let Some((store, m)) = replicas.get_mut(r) {
+                        let log = primary.log.pending();
+                        let from = store.applied_lsn as usize;
+                        let batch = &log[from..(from + n).min(log.len())];
+                        for e in batch {
+                            model_apply(m, e.key, e.version, e.value);
+                        }
+                        store.apply_entries(batch);
+                    }
+                }
+                ReplicaStep::Copy { r } => {
+                    let copy = (ReplicaStore::from_snapshot(part, &primary), model_copy(&pm));
+                    if replicas.len() < 2 {
+                        replicas.push(copy);
+                    } else {
+                        replicas[r] = copy;
+                    }
+                }
+            }
+            check(&primary.table, &pm, &keys, s)?;
+            for (store, m) in &replicas {
+                check(&store.table, m, &keys, s)?;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Model check: after every step of a random interleaving, `get` on
+    /// every key, `len` and `bytes` agree with the ordered-map oracle, and
+    /// every OCC call answers what the oracle answers. Covers the dense
+    /// range, the sparse arena, the slots aborted inserts keep for their
+    /// retries, and replica copies taken with prepare-locks held.
     #[test]
     fn a_table_behaves_like_an_ordered_map(
         ops in proptest::collection::vec(arb_op(model_keys().len()), 1..300),
     ) {
         let keys = model_keys();
         let mut t = Table::populated(DENSE, 16);
-        let mut m: Model = (0..DENSE)
-            .map(|k| (k, (1, None, Table::synth_value(k, 1, 16))))
-            .collect();
+        let mut m = populated_model();
         for op in &ops {
             if let Some((got, want)) = step(&mut t, &mut m, &keys, *op) {
                 prop_assert_eq!(got, want, "{:?}: {:?} != {:?}", op, got, want);
             }
-            for &k in &keys {
-                let got = t.get(k).map(|r| (r.version, r.lock(), r.value));
-                let want = m.get(&k).copied();
-                prop_assert_eq!(got, want, "key {:#x} after {:?}: {:?} != {:?}", k, op, got, want);
-            }
-            prop_assert_eq!(t.len(), m.len(), "len after {:?}: {} != {}", op, t.len(), m.len());
-            let bytes: u64 = m.values().map(|r| r.2.len() as u64).sum();
-            prop_assert_eq!(t.bytes(), bytes, "bytes after {:?}: {} != {}", op, t.bytes(), bytes);
-            let snap: Vec<_> = m.iter().map(|(&k, &(v, _, b))| (k, v, b)).collect();
-            prop_assert_eq!(t.snapshot(), snap);
+            check(&t, &m, &keys, op)?;
         }
     }
 }
