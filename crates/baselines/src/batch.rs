@@ -189,7 +189,6 @@ impl LockManager {
                 class: ByteClass::Message,
                 bytes: read_bytes as u64 + 32,
                 node: None,
-                zone: None,
             });
             eng.txn_mut(txn).class = TxnClass::Distributed;
         }
@@ -253,7 +252,6 @@ pub(crate) fn charge_replication(eng: &mut Engine, txn: TxnId, at: Time) {
             class: ByteClass::Replication,
             bytes,
             node: None,
-            zone: None,
         });
         let apply = cpu::INSTALL_US * n_writes;
         eng.charge_phase(txn, Phase::Replication, apply);

@@ -141,7 +141,6 @@ impl Protocol for Star {
                 class: ByteClass::Replication,
                 bytes,
                 node: None,
-                zone: None,
             });
             let repl = eng
                 .txn(t)

@@ -137,11 +137,6 @@ impl SimConfig {
         self.nodes * self.partitions_per_node
     }
 
-    /// Bytes of one full partition copy (for migration/replica-add costs).
-    pub fn partition_bytes(&self) -> u64 {
-        self.keys_per_partition * (self.value_size as u64 + 16)
-    }
-
     /// Total closed-loop clients.
     pub fn total_clients(&self) -> usize {
         self.nodes * self.clients_per_node
@@ -197,14 +192,6 @@ impl SimConfig {
             .collect()
     }
 
-    /// Nodes assigned to `zone`, in id order.
-    pub fn nodes_in_zone(&self, zone: ZoneId) -> Vec<NodeId> {
-        (0..self.nodes as u16)
-            .map(NodeId)
-            .filter(|&n| self.zone_of(n) == zone)
-            .collect()
-    }
-
     /// The theoretical minimum commit round-trip this topology allows: the
     /// cheapest empty-payload request/response between two *distinct* nodes
     /// (framing overhead included, zone surcharge where the pair crosses
@@ -253,16 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_bytes_counts_overhead() {
-        let c = SimConfig {
-            keys_per_partition: 10,
-            value_size: 100,
-            ..Default::default()
-        };
-        assert_eq!(c.partition_bytes(), 10 * 116);
-    }
-
-    #[test]
     fn builder_overrides() {
         let c = SimConfig::default()
             .with_nodes(10)
@@ -303,7 +280,6 @@ mod tests {
             c.node_zones(),
             vec![ZoneId(0), ZoneId(0), ZoneId(1), ZoneId(1)]
         );
-        assert_eq!(c.nodes_in_zone(ZoneId(1)), vec![NodeId(2), NodeId(3)]);
         // single-zone default: everyone in Z0
         let c1 = SimConfig::default().with_nodes(3);
         assert!(c1.node_zones().iter().all(|&z| z == ZoneId(0)));

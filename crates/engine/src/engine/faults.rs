@@ -51,13 +51,8 @@ impl Engine {
                 self.audit_acked_unshipped(node, part);
             }
         }
-        let zone = self.cluster.zone(node);
         let report = self.cluster.crash_node(node, now);
-        self.emit(MetricEvent::Crash {
-            at: now,
-            node,
-            zone,
-        });
+        self.emit(MetricEvent::Crash { at: now, node });
         self.abort_open_epochs();
         // In flight on the dead node: coordinator, participant, or accessed
         // primary.
@@ -151,13 +146,8 @@ impl Engine {
     /// the node as a secondary via background snapshot copies.
     fn node_up_event(&mut self, proto: &mut dyn Protocol, node: NodeId) {
         let now = self.now();
-        let zone = self.cluster.zone(node);
         let report = self.cluster.recover_node(node, now);
-        self.emit(MetricEvent::Recover {
-            at: now,
-            node,
-            zone,
-        });
+        self.emit(MetricEvent::Recover { at: now, node });
         // `recover_node` ended the stalls behind the same restart window.
         let resumed = now + self.cfg.sim.remaster_delay_us;
         for part in report.restored_primaries {

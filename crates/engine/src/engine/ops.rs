@@ -65,7 +65,6 @@ impl Engine {
             class,
             bytes,
             node: None,
-            zone: None,
         });
     }
 
@@ -154,7 +153,6 @@ impl Engine {
             class: ByteClass::Message,
             bytes: (bytes_req + bytes_resp + 2 * MSG_OVERHEAD_BYTES) as u64,
             node: Some(from),
-            zone: Some(self.cluster.zone(from)),
         });
         let ctx = self.txn_mut(txn);
         ctx.phase_us[Phase::Scheduling.idx()] += grant.queue_wait(now + d1);
@@ -416,7 +414,6 @@ impl Engine {
                     class: ByteClass::Message,
                     bytes: secondaries.len() as u64 * (bytes as u64 + 2 * overhead),
                     node: Some(node),
-                    zone: Some(cluster.zone(node)),
                 },
             );
         }
@@ -458,7 +455,6 @@ impl Engine {
                 TxnClass::Distributed => CommitClass::Distributed,
             },
             node: ctx.home,
-            zone: self.cluster.zone(ctx.home),
             phase_us: ctx.phase_us,
         });
         if fenced {
@@ -496,12 +492,10 @@ impl Engine {
     /// parks it at `to` until its next one.
     pub(super) fn abort_attempt(&mut self, txn: TxnId, fault: bool, to: Requeue) {
         let now = self.now();
-        let home = self.txn(txn).home;
         self.emit(MetricEvent::Abort {
             at: now,
             fault,
-            node: home,
-            zone: self.cluster.zone(home),
+            node: self.txn(txn).home,
         });
         if self.txn(txn).holds_locks {
             self.release_all(txn);

@@ -12,8 +12,9 @@
 //!   (remaster / add-replica / migrate) scheduled on the virtual clock;
 //! * observability: every metric flows as a typed [`MetricEvent`] through
 //!   [`Engine::emit`] into the `lion-obs` sink pipeline — the run sink
-//!   behind every report, per-node/per-zone rollups, and any caller-attached
-//!   sinks (see `ARCHITECTURE.md` § Observability).
+//!   behind every report, the per-node cells whose merges are the zone
+//!   rollups and the run's latency histogram, and any caller-attached sinks
+//!   (see `ARCHITECTURE.md` § Observability).
 //!
 //! Protocols implement the [`Protocol`] trait as explicit state machines:
 //! the engine wakes them with `(txn, tag)` continuations. The route →

@@ -121,7 +121,7 @@ pub struct RunReport {
     /// Per-node goodput/bytes/latency rollups (empty under
     /// [`lion_obs::ObsMode::Null`], where no sink is fed).
     pub node_rollups: Vec<DimRollup>,
-    /// Per-zone rollups (same gating).
+    /// Per-zone rollups: merges of the member nodes' cells (same gating).
     pub zone_rollups: Vec<DimRollup>,
     /// Bucket width of [`RunReport::throughput_series`] and
     /// [`RunReport::bytes_per_txn_series`] — 1 s until ring decimation
@@ -141,8 +141,9 @@ impl RunReport {
         let class_total = (m.single_node + m.remastered + m.distributed).max(1) as f64;
         let throughput_series = m.commits_series.rates_per_sec();
         let bytes_per_txn_series = m.bytes_series.ratio(&m.commits_series);
+        let latency = eng.obs.dims.latency();
         let latency_floor_us = eng.config().sim.commit_floor_us();
-        let p50 = m.latency.quantile(0.50);
+        let p50 = latency.quantile(0.50);
         let p50_floor_x = if latency_floor_us > 0 && commits > 0 {
             p50 as f64 / latency_floor_us as f64
         } else {
@@ -154,12 +155,12 @@ impl RunReport {
             commits,
             aborts: m.aborts,
             throughput_tps: commits as f64 / secs,
-            mean_latency_us: m.latency.mean(),
+            mean_latency_us: latency.mean(),
             latency_p: [
-                m.latency.quantile(0.10),
-                m.latency.quantile(0.50),
-                m.latency.quantile(0.95),
-                m.latency.quantile(0.99),
+                latency.quantile(0.10),
+                p50,
+                latency.quantile(0.95),
+                latency.quantile(0.99),
             ],
             class_fractions: [
                 m.single_node as f64 / class_total,
@@ -206,7 +207,7 @@ impl RunReport {
             latency_floor_us,
             p50_floor_x,
             node_rollups: eng.obs.dims.node_rollups(duration_us),
-            zone_rollups: eng.obs.dims.zone_rollups(duration_us),
+            zone_rollups: eng.obs.dims.zone_rollups(duration_us, &eng.cluster.zone_of),
             series_bucket_us: m.commits_series.bucket_us(),
             goodput_bucket_us: m.goodput_series.bucket_us(),
         }

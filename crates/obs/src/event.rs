@@ -2,10 +2,12 @@
 //!
 //! Each variant is one fact from the hot path, stamped with virtual time
 //! and whatever topology context is meaningful at the emission point. The
-//! run sink ([`crate::Metrics`]) folds them into the legacy aggregate;
-//! dimensioned sinks key off the `node`/`zone` fields instead. Adding a
-//! metric means adding a variant (or a field) here and handling it in the
-//! sinks that care — emission points never choose a storage layout.
+//! run sink ([`crate::Metrics`]) folds them into the legacy aggregate; the
+//! dimensioned sink keys off the `node` field instead. A node's zone is
+//! configuration, not part of the fact: only `ZoneCrash`, where the zone
+//! *is* the fact, carries one. Adding a metric means adding a variant (or a
+//! field) here and handling it in the sinks that care — emission points
+//! never choose a storage layout.
 
 use crate::run::FailoverRecord;
 use lion_common::{ClientId, NodeId, PartitionId, Time, ZoneId};
@@ -46,8 +48,6 @@ pub enum MetricEvent {
         class: CommitClass,
         /// Home (coordinator) node.
         node: NodeId,
-        /// The home node's failure domain.
-        zone: ZoneId,
         /// Per-phase µs the transaction accumulated.
         phase_us: [Time; 5],
     },
@@ -59,8 +59,6 @@ pub enum MetricEvent {
         fault: bool,
         /// Home node of the aborted attempt.
         node: NodeId,
-        /// The home node's failure domain.
-        zone: ZoneId,
     },
     /// A client-visible ack was released (at commit, or when the commit's
     /// epoch turned durable). The ack's one record.
@@ -84,8 +82,6 @@ pub enum MetricEvent {
         bytes: u64,
         /// Sending node, where the emission point knows it.
         node: Option<NodeId>,
-        /// The sender's failure domain, where known.
-        zone: Option<ZoneId>,
     },
     /// A remaster hand-off completed.
     Remaster {
@@ -121,8 +117,6 @@ pub enum MetricEvent {
         at: Time,
         /// The dead node.
         node: NodeId,
-        /// Its failure domain.
-        zone: ZoneId,
     },
     /// A whole zone was lost (its member crashes are also emitted).
     ZoneCrash {
@@ -137,8 +131,6 @@ pub enum MetricEvent {
         at: Time,
         /// The restarted node.
         node: NodeId,
-        /// Its failure domain.
-        zone: ZoneId,
     },
     /// A partition stalled: primary dead with no live promotable replica.
     PartitionStalled {

@@ -8,15 +8,17 @@
 //! * [`MetricEvent`] — the event taxonomy: commit/abort/ack with latency
 //!   and phase breakdown, bytes by class, remaster/migration/replica ops,
 //!   and the crash/recover/failover/epoch lifecycle. Every event carries
-//!   its virtual timestamp; node/zone/partition context rides along where
-//!   it is meaningful.
+//!   its virtual timestamp; node/partition context rides along where it is
+//!   meaningful (a node's zone is configuration, so only a zone loss names
+//!   one).
 //! * [`MetricSink`] — the sink contract: a single `on_event`.
 //! * [`Metrics`] (the *run sink*, alias [`RunMetricsSink`]) — the
 //!   aggregate every `RunReport` is built from. Its event handlers perform
 //!   exactly the mutations the engine's old inline field pokes did, in the
 //!   same order, so the pinned digest goldens are byte-identical.
-//! * [`DimensionedSink`] — per-node and per-zone goodput/bytes/latency
-//!   rollups over the mergeable log-bucketed histogram.
+//! * [`DimensionedSink`] — per-node cells (aborts, bytes, a commit-latency
+//!   histogram): the one place a commit's latency is folded. Zone rows and
+//!   the run's latency histogram are exact merges of these cells.
 //! * [`ObsHub`] — the engine-side dispatcher: run sink + dimensioned sink
 //!   + any extra boxed sinks, gated by [`ObsMode`].
 //! * [`ObsMode::Null`] — drops everything; the overhead yardstick for the

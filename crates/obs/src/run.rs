@@ -5,8 +5,10 @@
 //! the mutations the engine's pre-pipeline inline field pokes did, in the
 //! same order and with the same operand granularity (one `bytes_series.add`
 //! per bytes-on-the-wire fact — f64 accumulation is order-sensitive), so
-//! the six pinned digest goldens in `tests/determinism_digest.rs` are
-//! byte-identical across the refactor.
+//! the twenty-three pinned digest goldens in `tests/determinism_digest.rs`
+//! stay byte-identical across refactors. Commit latency is the one fact it
+//! does not fold: that lives in the per-node cells of
+//! [`crate::DimensionedSink`], and the report reads the merge.
 
 use crate::event::{ByteClass, CommitClass, MetricEvent};
 use crate::sink::MetricSink;
@@ -65,8 +67,6 @@ pub struct Metrics {
     pub replication_bytes: u64,
     /// Migration / replica-copy bytes.
     pub migration_bytes: u64,
-    /// Commit-latency histogram (µs).
-    pub latency: Histogram,
     /// Per-phase accumulated µs across committed work.
     pub phase_us: [u128; 5],
     /// Commits per second.
@@ -75,8 +75,6 @@ pub struct Metrics {
     pub bytes_series: RingSeries,
     /// Remasters per second.
     pub remaster_series: RingSeries,
-    /// Migrations per second.
-    pub migration_series: RingSeries,
     /// Injected node crashes (including partition isolations).
     pub crashes: u64,
     /// Correlated zone-loss events (each also counts its members under
@@ -108,9 +106,10 @@ pub struct Metrics {
     /// by crash-retried acks).
     pub acked: u64,
     /// Client-visible ack latency (µs): submission → ack release. In
-    /// ack-at-commit mode this mirrors [`Metrics::latency`]; under epoch
-    /// group commit it adds the epoch residency + replication transit —
-    /// the latency a client actually observes.
+    /// ack-at-commit mode this mirrors the commit latency
+    /// ([`crate::DimensionedSink::latency`]); under epoch group commit it
+    /// adds the epoch residency + replication transit — the latency a
+    /// client actually observes.
     pub ack_latency: Histogram,
     /// Commit epochs sealed (non-empty seal ticks).
     pub epochs_sealed: u64,
@@ -173,12 +172,10 @@ impl Metrics {
             msg_bytes: 0,
             replication_bytes: 0,
             migration_bytes: 0,
-            latency: Histogram::new(),
             phase_us: [0; 5],
             commits_series: RingSeries::new(SERIES_BUCKET_US),
             bytes_series: RingSeries::new(SERIES_BUCKET_US),
             remaster_series: RingSeries::new(SERIES_BUCKET_US),
-            migration_series: RingSeries::new(SERIES_BUCKET_US),
             crashes: 0,
             zone_crashes: 0,
             stalled_partitions: 0,
@@ -280,7 +277,6 @@ impl MetricSink for Metrics {
         match *ev {
             MetricEvent::Commit {
                 at,
-                latency_us,
                 class,
                 phase_us,
                 ..
@@ -288,7 +284,6 @@ impl MetricSink for Metrics {
                 self.commits += 1;
                 self.commits_series.incr(at);
                 self.goodput_series.incr(at);
-                self.latency.record(latency_us);
                 match class {
                     CommitClass::SingleNode => self.single_node += 1,
                     CommitClass::Remastered => self.remastered += 1,
@@ -329,10 +324,7 @@ impl MetricSink for Metrics {
                     self.replica_evictions += 1;
                 }
             }
-            MetricEvent::Migration { at, .. } => {
-                self.migrations += 1;
-                self.migration_series.incr(at);
-            }
+            MetricEvent::Migration { .. } => self.migrations += 1,
             MetricEvent::Crash { .. } => self.crashes += 1,
             MetricEvent::ZoneCrash { .. } => self.zone_crashes += 1,
             MetricEvent::Recover { .. } => self.node_recoveries += 1,
@@ -437,7 +429,6 @@ mod tests {
                 class: ByteClass::Message,
                 bytes,
                 node: None,
-                zone: None,
             });
         }
         assert_eq!(m.msg_bytes, 350);
@@ -452,7 +443,6 @@ mod tests {
         direct.commits += 1;
         direct.commits_series.incr(7);
         direct.goodput_series.incr(7);
-        direct.latency.record(120);
         direct.single_node += 1;
         direct.phase_us[0] += 100;
         direct.msg_bytes += 640;
@@ -464,7 +454,6 @@ mod tests {
             latency_us: 120,
             class: CommitClass::SingleNode,
             node: NodeId(0),
-            zone: lion_common::ZoneId(0),
             phase_us: [100, 0, 0, 0, 0],
         });
         sunk.on_event(&MetricEvent::Bytes {
@@ -472,14 +461,11 @@ mod tests {
             class: ByteClass::Message,
             bytes: 640,
             node: None,
-            zone: None,
         });
         assert_eq!(sunk.commits, direct.commits);
         assert_eq!(sunk.single_node, direct.single_node);
         assert_eq!(sunk.msg_bytes, direct.msg_bytes);
         assert_eq!(sunk.phase_us, direct.phase_us);
         assert_eq!(sunk.bytes_series.buckets(), direct.bytes_series.buckets());
-        assert_eq!(sunk.latency.count(), direct.latency.count());
-        assert_eq!(sunk.latency.max(), direct.latency.max());
     }
 }

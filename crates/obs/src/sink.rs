@@ -36,7 +36,8 @@ pub enum ObsMode {
 pub struct ObsHub {
     /// Pipeline mode.
     pub mode: ObsMode,
-    /// Per-node / per-zone rollups.
+    /// Per-node cells; zone rows and the run's latency histogram are
+    /// merges of them.
     pub dims: DimensionedSink,
     /// Caller-attached sinks.
     pub extras: Vec<Box<dyn MetricSink>>,
@@ -80,7 +81,7 @@ impl ObsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lion_common::{NodeId, ZoneId};
+    use lion_common::NodeId;
 
     fn commit_ev(at: u64) -> MetricEvent {
         MetricEvent::Commit {
@@ -88,7 +89,6 @@ mod tests {
             latency_us: 100,
             class: crate::CommitClass::SingleNode,
             node: NodeId(0),
-            zone: ZoneId(0),
             phase_us: [0; 5],
         }
     }
@@ -116,6 +116,8 @@ mod tests {
         hub.emit(&mut run, commit_ev(5));
         hub.emit(&mut run, commit_ev(6));
         assert_eq!(run.commits, 2);
+        // One latency sample per commit, in its node's cell.
         assert_eq!(hub.dims.node_rollups(1_000_000).len(), 1);
+        assert_eq!(hub.dims.latency().count(), 2);
     }
 }

@@ -46,13 +46,6 @@ impl Mat {
         self.data[r * self.cols + c]
     }
 
-    /// Mutable element accessor.
-    #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        debug_assert!(r < self.rows && c < self.cols);
-        &mut self.data[r * self.cols + c]
-    }
-
     /// `out += self · x` (matrix–vector product).
     pub fn matvec_add(&self, x: &[f64], out: &mut [f64]) {
         debug_assert_eq!(x.len(), self.cols);
@@ -133,12 +126,5 @@ mod tests {
         assert_eq!(m.at(1, 2), 120.0);
         m.clear();
         assert_eq!(m.data, vec![0.0; 6]);
-    }
-
-    #[test]
-    fn at_mut_writes_through() {
-        let mut m = Mat::zeros(2, 2);
-        *m.at_mut(1, 0) = 7.0;
-        assert_eq!(m.at(1, 0), 7.0);
     }
 }

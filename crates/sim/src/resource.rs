@@ -88,15 +88,6 @@ impl MultiServer {
     pub fn take_window_busy(&mut self) -> Time {
         std::mem::take(&mut self.busy_window)
     }
-
-    /// Utilization over `[window_start, now]` using window busy time (may
-    /// slightly exceed 1.0 because service extends past `now`).
-    pub fn window_utilization(&self, window_us: Time) -> f64 {
-        if window_us == 0 {
-            return 0.0;
-        }
-        self.busy_window as f64 / (window_us * self.servers as u64) as f64
-    }
 }
 
 #[cfg(test)]
@@ -148,14 +139,6 @@ mod tests {
             end = g.end;
         }
         assert_eq!(end, 20);
-    }
-
-    #[test]
-    fn utilization_window() {
-        let mut r = MultiServer::new(2);
-        r.acquire(0, 50);
-        r.acquire(0, 50);
-        assert!((r.window_utilization(100) - 0.5).abs() < 1e-9);
     }
 
     #[test]

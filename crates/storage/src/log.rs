@@ -102,11 +102,6 @@ impl ReplicationLog {
         &self.buffer
     }
 
-    /// Total wire bytes pending.
-    pub fn pending_bytes(&self) -> u64 {
-        self.buffer.iter().map(|e| e.wire_bytes()).sum()
-    }
-
     /// Drains the epoch buffer for shipping.
     pub fn take_pending(&mut self) -> Vec<LogEntry> {
         std::mem::take(&mut self.buffer)
@@ -150,7 +145,6 @@ mod tests {
         log.append(PartitionId(1), 1, 1, Bytes::synth(0, 8));
         log.append(PartitionId(1), 2, 1, Bytes::synth(0, 8));
         assert_eq!(log.pending().len(), 2);
-        assert_eq!(log.pending_bytes(), 2 * (8 + 32));
         let shipped = log.take_pending();
         assert_eq!(shipped.len(), 2);
         assert!(log.pending().is_empty());

@@ -3,9 +3,12 @@
 //! Three things have to hold for the streaming-metrics design to be sound:
 //!
 //! 1. `Histogram::merge` must be equivalent to recording every sample into
-//!    one histogram — the per-node/per-zone rollups in `DimensionedSink`
-//!    are built by merging, and a merge that drifted from the ground truth
-//!    would silently corrupt the dimensional percentiles.
+//!    one histogram — the zone rollups and the run's latency histogram are
+//!    built by merging the per-node cells of `DimensionedSink`, and a merge
+//!    that drifted from the ground truth would silently corrupt the
+//!    dimensional percentiles and the digest's latency. Those merges must
+//!    equal the direct per-zone and global folds, field for field, on any
+//!    event stream and contiguous zone map.
 //! 2. `RingSeries` decimation must conserve total mass, keep deterministic
 //!    power-of-two bucket boundaries, and agree bucket-for-bucket with the
 //!    unbounded `TimeSeries` oracle folded to the same width.
@@ -13,8 +16,9 @@
 //!    overflow the 1024-bucket goodput budget ends with a decimated series
 //!    whose footprint is bounded and whose mass still equals `commits`.
 
-use lion::common::{SimConfig, Time, SECOND};
+use lion::common::{NodeId, SimConfig, Time, ZoneId, SECOND};
 use lion::engine::{Engine, EngineConfig, ObsMode, RunReport};
+use lion::obs::{ByteClass, CommitClass, MetricEvent, Metrics, ObsHub};
 use lion::prelude::Lion;
 use lion::sim::{Histogram, RingSeries, TimeSeries, RING_DEFAULT_BUCKETS};
 use lion::workloads::{YcsbConfig, YcsbWorkload};
@@ -55,6 +59,138 @@ proptest! {
         for q in [0.1, 0.5, 0.95, 0.99] {
             prop_assert_eq!(merged.quantile(q), single.quantile(q));
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// 1. (cont.) Node cells merged ≡ the direct per-zone and global folds
+// ---------------------------------------------------------------------
+
+/// The reference fold: every commit, abort and byte fact recorded straight
+/// into its zone's accumulator and (latency) into one global histogram —
+/// the layout the per-node cells and their merges replaced.
+#[derive(Default)]
+struct DirectFold {
+    /// Per zone: commits, aborts, bytes, latency.
+    zones: Vec<(u64, u64, u64, Histogram)>,
+    global: Histogram,
+}
+
+impl DirectFold {
+    fn zone(&mut self, z: ZoneId) -> &mut (u64, u64, u64, Histogram) {
+        if z.idx() >= self.zones.len() {
+            self.zones.resize_with(z.idx() + 1, Default::default);
+        }
+        &mut self.zones[z.idx()]
+    }
+
+    fn fold(&mut self, ev: &MetricEvent, zone_of: &[ZoneId]) {
+        match *ev {
+            MetricEvent::Commit {
+                latency_us, node, ..
+            } => {
+                let z = self.zone(zone_of[node.idx()]);
+                z.0 += 1;
+                z.3.record(latency_us);
+                self.global.record(latency_us);
+            }
+            MetricEvent::Abort { node, .. } => self.zone(zone_of[node.idx()]).1 += 1,
+            MetricEvent::Bytes {
+                bytes,
+                node: Some(n),
+                ..
+            } => self.zone(zone_of[n.idx()]).2 += bytes,
+            _ => {}
+        }
+    }
+}
+
+/// One random event: `(kind, node, value)` with kind 0 = commit, 1 = abort,
+/// 2 = bytes from `node`, 3 = bytes from no node.
+fn oracle_event(at: Time, (kind, node, v): (u8, u16, u64)) -> MetricEvent {
+    let node = NodeId(node);
+    match kind {
+        0 => MetricEvent::Commit {
+            at,
+            latency_us: v,
+            class: [
+                CommitClass::SingleNode,
+                CommitClass::Remastered,
+                CommitClass::Distributed,
+            ][v as usize % 3],
+            node,
+            phase_us: [v, 0, 0, 0, 0],
+        },
+        1 => MetricEvent::Abort {
+            at,
+            fault: v % 2 == 0,
+            node,
+        },
+        _ => MetricEvent::Bytes {
+            at,
+            class: ByteClass::Message,
+            bytes: v,
+            node: (kind == 2).then_some(node),
+        },
+    }
+}
+
+proptest! {
+    #[test]
+    fn node_cells_merge_to_the_direct_zone_and_global_folds(
+        n_nodes in 1usize..=8,
+        // Node i > 0 opens a new zone when its flag is set: a random
+        // contiguous block layout, like `SimConfig::node_zones`.
+        zone_starts in proptest::collection::vec(0u8..2, 8..9),
+        events in proptest::collection::vec((0u8..4, 0u16..8, 0u64..1u64 << 30), 0..300),
+        duration_us in 0u64..10_000_000,
+    ) {
+        let mut zone_of = Vec::with_capacity(n_nodes);
+        let mut z = 0u16;
+        for &start in &zone_starts[..n_nodes] {
+            if start == 1 && !zone_of.is_empty() {
+                z += 1;
+            }
+            zone_of.push(ZoneId(z));
+        }
+        let mut hub = ObsHub::new(ObsMode::Full);
+        let mut run = Metrics::new();
+        let mut direct = DirectFold::default();
+        for (i, &(kind, node, v)) in events.iter().enumerate() {
+            let ev = oracle_event(i as Time, (kind, node % n_nodes as u16, v));
+            direct.fold(&ev, &zone_of);
+            hub.emit(&mut run, ev);
+        }
+
+        // Zone rows: every field, floats by bits.
+        let zones = hub.dims.zone_rollups(duration_us, &zone_of);
+        prop_assert_eq!(zones.len(), direct.zones.len());
+        let secs = duration_us.max(1) as f64 / 1e6;
+        for (i, (row, (commits, aborts, bytes, lat))) in zones.iter().zip(&direct.zones).enumerate() {
+            prop_assert_eq!(&row.label, &format!("Z{i}"));
+            prop_assert_eq!(row.commits, *commits);
+            prop_assert_eq!(row.aborts, *aborts);
+            prop_assert_eq!(row.bytes, *bytes);
+            prop_assert_eq!(row.goodput_tps.to_bits(), (*commits as f64 / secs).to_bits());
+            prop_assert_eq!(row.mean_latency_us.to_bits(), lat.mean().to_bits());
+            prop_assert_eq!(row.p50_us, lat.quantile(0.50));
+            prop_assert_eq!(row.p95_us, lat.quantile(0.95));
+        }
+
+        // The run histogram: the merge of every node cell.
+        let merged = hub.dims.latency();
+        let want = &direct.global;
+        prop_assert_eq!(merged.count(), want.count());
+        prop_assert_eq!(merged.min(), want.min());
+        prop_assert_eq!(merged.max(), want.max());
+        prop_assert_eq!(merged.mean().to_bits(), want.mean().to_bits());
+        for q in [0.1, 0.5, 0.95, 0.99] {
+            prop_assert_eq!(merged.quantile(q), want.quantile(q));
+        }
+
+        // Every commit lands in exactly one node cell.
+        let node_commits: u64 = hub.dims.node_rollups(duration_us).iter().map(|r| r.commits).sum();
+        prop_assert_eq!(node_commits, run.commits);
     }
 }
 
