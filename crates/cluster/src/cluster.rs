@@ -187,6 +187,17 @@ impl Cluster {
             if store.role != ReplicaRole::Primary {
                 return Err(format!("{part}: store on {primary} is not primary"));
             }
+            // A cell names the same row in every store of the partition,
+            // listed or left on a down node's disk.
+            let foreign = |m: &FastMap<u32, ReplicaStore>| {
+                m.get(&part.0)
+                    .is_some_and(|s| !s.table.shares_cells_with(&store.table))
+            };
+            if let Some(n) = self.stores.iter().position(foreign) {
+                return Err(format!(
+                    "{part}: store on N{n} does not share the primary's cells"
+                ));
+            }
             for &sec in self.placement.secondaries_of(part) {
                 let s = self
                     .store(sec, part)

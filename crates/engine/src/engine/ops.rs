@@ -4,7 +4,7 @@
 
 use super::{Engine, Ev};
 use crate::cpu;
-use crate::txn::{OpWalk, ReadEntry, TxnClass, TxnCtx, WriteEntry};
+use crate::txn::{CellOp, OpWalk, ReadEntry, TxnClass, TxnCtx, WriteEntry};
 use lion_cluster::Cluster;
 use lion_common::{NodeId, OpKind, PartitionId, Phase, Time, TxnId, MSG_OVERHEAD_BYTES};
 use lion_durability::PendingAck;
@@ -263,7 +263,11 @@ impl Engine {
                 continue;
             }
             let store = cluster.store(node, r.part).expect("primary store");
-            if !store.table.occ_validate_read(r.key, r.version, txn).is_ok() {
+            if !store
+                .table
+                .occ_validate_read_cell(r.cell, r.version, txn)
+                .is_ok()
+            {
                 return false;
             }
         }
@@ -273,16 +277,16 @@ impl Engine {
                 continue;
             }
             let store = cluster.store_mut(node, w.part).expect("primary store");
-            if store.table.occ_lock(w.key, txn).is_ok() {
+            if store.table.occ_lock_cell(w.cell, txn).is_ok() {
                 locked = true;
                 continue;
             }
-            // `occ_unlock` releases only what `txn` holds, so the entries
+            // `occ_unlock_cell` releases only what `txn` holds, so the entries
             // from the one that failed to lock onward are left alone.
             for u in &ctx.write_set {
                 if cluster.placement.is_primary(u.part, node) {
                     let store = cluster.store_mut(node, u.part).expect("primary store");
-                    store.table.occ_unlock(u.key, txn);
+                    store.table.occ_unlock_cell(u.cell, txn);
                 }
             }
             return false;
@@ -336,8 +340,10 @@ impl Engine {
             let stamp = txn.0.wrapping_mul(31).wrapping_add(attempt);
             let value = Table::synth_value(w.key, stamp, value_size);
             let store = cluster.store_mut(primary, w.part).expect("primary store");
-            let version = store.table.occ_install(w.key, txn, value);
-            let lsn = store.log.append(w.part, w.key, version, value);
+            let version = store.table.occ_install_cell(w.cell, txn, value);
+            let lsn = store
+                .log
+                .append_cell(w.part, w.key, Some(w.cell), version, value);
             if acked_at_install {
                 store.log.mark_acked(lsn);
             }
@@ -345,14 +351,19 @@ impl Engine {
     }
 
     /// Records the write set of `txn` from its declared ops without
-    /// executing reads (deterministic protocols declare sets up front).
+    /// executing reads (deterministic protocols declare sets up front),
+    /// each row's cell resolved at its partition's primary.
     pub fn load_declared_sets(&mut self, txn: TxnId) {
         // Disjoint field borrows within one context: read the declared ops,
         // append to the write set — no `req.ops` clone.
-        let TxnCtx { req, write_set, .. } = self.txn_mut(txn);
+        let Engine { txns, cluster, .. } = self;
+        let TxnCtx { req, write_set, .. } = txns.get_mut(txn).expect("live transaction");
         for op in req.ops.iter().filter(|op| op.kind == OpKind::Write) {
+            let primary = cluster.placement.primary_of(op.partition);
+            let store = cluster.store(primary, op.partition).expect("primary store");
             write_set.push(WriteEntry {
                 part: op.partition,
+                cell: store.table.cell_or_assign(op.key),
                 key: op.key,
             });
         }
@@ -529,7 +540,7 @@ impl Engine {
 fn unlock_everywhere(cluster: &mut Cluster, w: &WriteEntry, txn: TxnId) {
     for node in cluster.placement.replica_nodes(w.part) {
         if let Some(store) = cluster.store_mut(node, w.part) {
-            store.table.occ_unlock(w.key, txn);
+            store.table.occ_unlock_cell(w.cell, txn);
         }
     }
 }
@@ -537,7 +548,8 @@ fn unlock_everywhere(cluster: &mut Cluster, w: &WriteEntry, txn: TxnId) {
 /// Runs `walk.ops`, all of one partition, at `node` for `txn`: the guard
 /// every data operation passes (partition not blocked, `node` still its
 /// primary, no cut between `node` and the coordinator), then each op against
-/// the primary's table until one fails. Nothing the guard reads changes
+/// the primary's table until one fails, at its cell — resolved here on the
+/// op's first attempt and kept for the rest. Nothing the guard reads changes
 /// inside an instant, so checking it once covers every op of the walk; the
 /// accesses attempted — a read that met a lock included — are booked
 /// together.
@@ -548,7 +560,7 @@ fn exec_ops(
     txn: TxnId,
     walk: OpWalk<'_>,
 ) -> Result<(), OpFail> {
-    let part = walk.ops[0].partition;
+    let part = walk.ops[0].op.partition;
     let until = cluster.available_at(part);
     if until > now {
         return Err(OpFail::Blocked { until });
@@ -566,13 +578,22 @@ fn exec_ops(
     let table = &cluster.store(node, part).expect("primary store").table;
     let mut attempted = 0;
     let mut result = Ok(());
-    for op in walk.ops {
+    // A read-modify-write declares the key twice in a row: one lookup.
+    let mut last = None;
+    for CellOp { op, cell } in walk.ops {
         attempted += 1;
+        let key = op.key;
+        let cell = *cell.get_or_insert_with(|| match last {
+            Some((k, c)) if k == key => c,
+            _ => table.cell_or_assign(key),
+        });
+        last = Some((key, cell));
         match op.kind {
-            OpKind::Read => match table.occ_read(op.key, txn) {
+            OpKind::Read => match table.occ_read_cell(cell, txn) {
                 OpOutcome::Ok { version } => walk.read_set.push(ReadEntry {
                     part,
-                    key: op.key,
+                    cell,
+                    key,
                     version,
                 }),
                 _ => {
@@ -580,7 +601,7 @@ fn exec_ops(
                     break;
                 }
             },
-            OpKind::Write => walk.write_set.push(WriteEntry { part, key: op.key }),
+            OpKind::Write => walk.write_set.push(WriteEntry { part, cell, key }),
         }
     }
     cluster.freq.record_accesses(part, node, now, attempted);

@@ -296,9 +296,7 @@ fn remaster_during_commit_window_releases_locks() {
     }
     // A later transaction can lock the row at the new primary.
     let txn2 = eng.inject_txn(ClientId(1), TxnRequest::new(vec![Op::write(part, 1)]));
-    eng.txn_mut(txn2)
-        .write_set
-        .push(crate::txn::WriteEntry { part, key: 1 });
+    eng.load_declared_sets(txn2);
     assert!(eng.validate_at(sec, txn2), "row must not be poisoned");
 }
 
@@ -411,11 +409,10 @@ fn remaster_during_prepare_window_then_abort_releases_locks() {
         "lock leaked: {locked:?}"
     );
     // A later transaction can lock the row at the new primary (its write
-    // set is filled by hand: the hand-off blackout still blocks ops).
+    // set is loaded from its declared ops: the hand-off blackout still
+    // blocks execution).
     let next = eng.inject_txn(ClientId(1), TxnRequest::new(vec![Op::write(part, 1)]));
-    eng.txn_mut(next)
-        .write_set
-        .push(crate::txn::WriteEntry { part, key: 1 });
+    eng.load_declared_sets(next);
     assert!(eng.validate_at(sec, next), "row must not be poisoned");
 }
 

@@ -1,6 +1,7 @@
 //! Per-transaction runtime context.
 
 use lion_common::{ClientId, Key, NodeId, Op, OpKind, PartitionId, Time, TxnId, TxnRequest};
+use lion_storage::Cell;
 
 /// How a transaction ultimately executed, for the single-node-conversion
 /// statistics the paper reports (§III cases 1–3).
@@ -19,6 +20,8 @@ pub enum TxnClass {
 pub struct ReadEntry {
     /// Partition of the row.
     pub part: PartitionId,
+    /// The row's cell in every replica of `part`.
+    pub cell: Cell,
     /// Row key.
     pub key: Key,
     /// Version observed by the read.
@@ -30,8 +33,21 @@ pub struct ReadEntry {
 pub struct WriteEntry {
     /// Partition of the row.
     pub part: PartitionId,
+    /// The row's cell in every replica of `part`.
+    pub cell: Cell,
     /// Row key.
     pub key: Key,
+}
+
+/// A declared op beside its row's cell, resolved at the op's first
+/// execution and reused by every later attempt: the partition's replicas
+/// share one key index whose entries never move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CellOp {
+    /// The declared op.
+    pub op: Op,
+    /// Its row's cell, once resolved.
+    pub cell: Option<Cell>,
 }
 
 /// One partition group of a transaction's declared ops: a range into
@@ -50,8 +66,8 @@ struct GroupRange {
 pub(crate) struct OpWalk<'a> {
     /// Coordinator of the transaction.
     pub home: NodeId,
-    /// The ops to run, all of one partition.
-    pub ops: &'a [Op],
+    /// The ops to run, all of one partition, with their cells.
+    pub ops: &'a mut [CellOp],
     /// [`TxnCtx::read_set`].
     pub read_set: &'a mut Vec<ReadEntry>,
     /// [`TxnCtx::write_set`].
@@ -105,10 +121,11 @@ pub struct TxnCtx {
     /// True once a `validate_at` of this attempt prepare-locked a row: the
     /// only state in which an abort has anything to release.
     pub holds_locks: bool,
-    /// Declared ops regrouped by partition in first-touch order, flattened.
-    /// Built once at creation (`req` never changes), so the per-wake group
-    /// walks of the protocol state machines are allocation-free.
-    grouped_ops: Vec<Op>,
+    /// Declared ops regrouped by partition in first-touch order, flattened,
+    /// each with its cell. Built once at creation (`req` never changes), so
+    /// the per-wake group walks of the protocol state machines are
+    /// allocation-free.
+    grouped_ops: Vec<CellOp>,
     /// Per-group ranges into `grouped_ops`.
     group_index: Vec<GroupRange>,
 }
@@ -137,7 +154,10 @@ impl TxnCtx {
                 if op.kind == OpKind::Read {
                     g.reads += 1;
                 }
-                grouped_ops.push(*op);
+                grouped_ops.push(CellOp {
+                    op: *op,
+                    cell: None,
+                });
             }
             g.end = grouped_ops.len() as u32;
         }
@@ -184,7 +204,7 @@ impl TxnCtx {
         let g = self.group_index[gi];
         OpWalk {
             home: self.home,
-            ops: &self.grouped_ops[g.start as usize..g.end as usize],
+            ops: &mut self.grouped_ops[g.start as usize..g.end as usize],
             read_set: &mut self.read_set,
             write_set: &mut self.write_set,
         }
@@ -231,7 +251,7 @@ mod tests {
         let mut ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 0);
         assert_eq!(ctx.n_groups(), 3);
         assert_eq!(ctx.group_part(0), p(2));
-        let ops = ctx.group_walk(0).ops;
+        let ops: Vec<Op> = ctx.group_walk(0).ops.iter().map(|o| o.op).collect();
         assert_eq!(ops, [Op::read(p(2), 1), Op::read(p(2), 3)]);
         assert_eq!(ctx.group_part(1), p(0));
         assert_eq!(ctx.group_part(2), p(1));
@@ -242,8 +262,11 @@ mod tests {
     fn retry_resets_attempt_state() {
         let req = TxnRequest::new(vec![Op::read(p(0), 1)]);
         let mut ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 100);
+        let cell = lion_storage::Table::new().cell_or_assign(1);
+        ctx.group_walk(0).ops[0].cell = Some(cell);
         ctx.read_set.push(ReadEntry {
             part: p(0),
+            cell,
             key: 1,
             version: 3,
         });
@@ -259,5 +282,16 @@ mod tests {
         assert_eq!(ctx.class, TxnClass::SingleNode);
         assert_eq!(ctx.attempts, 2);
         assert_eq!(ctx.start, 100, "latency still measured from first submit");
+        assert_eq!(
+            ctx.group_walk(0).ops[0].cell,
+            Some(cell),
+            "cells outlive attempts"
+        );
+    }
+
+    #[test]
+    fn set_entries_carry_the_cell_in_padding() {
+        assert_eq!(std::mem::size_of::<ReadEntry>(), 24);
+        assert_eq!(std::mem::size_of::<WriteEntry>(), 16);
     }
 }

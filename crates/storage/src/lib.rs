@@ -3,7 +3,8 @@
 //! The storage substrate of the reproduced cluster (§II-A): in-memory
 //! versioned tables with per-row lock words for OCC, a primary-to-secondary
 //! replication log with epoch-batched shipping, and replica copies for
-//! replica add, which share their partition's key index.
+//! replica add, which share their partition's key index, so a row's
+//! [`Cell`] addresses it on every replica.
 //!
 //! Each partition replica is a [`ReplicaStore`]; a node hosts one store per
 //! replica it holds. Primaries execute reads/writes and append log entries;
@@ -18,4 +19,4 @@ pub mod table;
 pub use log::{LogEntry, ReplicationLog};
 pub use row::{Bytes, Row};
 pub use store::{ReplicaRole, ReplicaStore};
-pub use table::{OpOutcome, Table};
+pub use table::{Cell, OpOutcome, Table};

@@ -7,6 +7,7 @@
 //! what remastering must sync before the leader hand-off (§III).
 
 use crate::row::Bytes;
+use crate::table::Cell;
 use lion_common::{Key, PartitionId};
 
 /// One replicated write.
@@ -18,6 +19,9 @@ pub struct LogEntry {
     pub partition: PartitionId,
     /// Row key.
     pub key: Key,
+    /// The row's cell, valid on every replica of the partition; `None` for
+    /// an entry appended by key, which is applied by key.
+    pub cell: Option<Cell>,
     /// Row version after the write.
     pub version: u64,
     /// Payload installed by the write.
@@ -84,13 +88,27 @@ impl ReplicationLog {
         self.acked_lsn.saturating_sub(self.shipped_lsn())
     }
 
-    /// Appends a write, returning its LSN.
+    /// Appends a write addressed by key, returning its LSN.
     pub fn append(&mut self, partition: PartitionId, key: Key, version: u64, value: Bytes) -> u64 {
+        self.append_cell(partition, key, None, version, value)
+    }
+
+    /// Appends a write whose row's cell is known, returning its LSN: each
+    /// secondary applies it at that cell, without a key lookup.
+    pub fn append_cell(
+        &mut self,
+        partition: PartitionId,
+        key: Key,
+        cell: Option<Cell>,
+        version: u64,
+        value: Bytes,
+    ) -> u64 {
         self.next_lsn += 1;
         self.buffer.push(LogEntry {
             lsn: self.next_lsn,
             partition,
             key,
+            cell,
             version,
             value,
         });
@@ -200,9 +218,15 @@ mod tests {
             lsn: 1,
             partition: PartitionId(0),
             key: 0,
+            cell: None,
             version: 1,
             value: Bytes::synth(0, 100),
         };
         assert_eq!(e.wire_bytes(), 132);
+        assert_eq!(
+            std::mem::size_of::<LogEntry>(),
+            48,
+            "the cell rides in padding"
+        );
     }
 }

@@ -89,8 +89,7 @@ impl ReplicaStore {
                 continue; // duplicate delivery / replay overlap
             }
             if e.lsn == self.applied_lsn + 1 {
-                self.table.apply_replicated(e.key, e.version, e.value);
-                self.applied_lsn = e.lsn;
+                self.apply(e);
                 self.drain_reorder();
             } else {
                 self.reorder.insert(e.lsn, e.clone());
@@ -100,9 +99,16 @@ impl ReplicaStore {
 
     fn drain_reorder(&mut self) {
         while let Some(e) = self.reorder.remove(&(self.applied_lsn + 1)) {
-            self.table.apply_replicated(e.key, e.version, e.value);
-            self.applied_lsn = e.lsn;
+            self.apply(&e);
         }
+    }
+
+    /// Applies the next entry at its cell (by key when it carries none).
+    #[inline]
+    fn apply(&mut self, e: &LogEntry) {
+        let cell = e.cell.unwrap_or_else(|| self.table.cell_or_assign(e.key));
+        self.table.apply_replicated_cell(cell, e.version, e.value);
+        self.applied_lsn = e.lsn;
     }
 
     /// True when this replica holds entries it cannot apply yet — its

@@ -1,13 +1,24 @@
 //! A single partition replica's key→row table with OCC operations.
 //!
-//! Rows are 32-byte cells (`Option<Row>`) held in two places: a directly
+//! Rows are 32-byte slots (`Option<Row>`) held in two places: a directly
 //! indexed vector for the contiguous populated range, and the replica's own
 //! arena for every other key, addressed through a key→slot index that all
 //! replicas of the partition share.
+//!
+//! A row's **cell** numbers its slot across both: a dense key is its own
+//! cell, a sparse key's cell is `dense.len() + slot`. Every replica of a
+//! partition has the same dense length and the one index (checked by
+//! [`Table::shares_cells_with`]), and index entries are never removed, so a
+//! cell names the same row on every replica for the partition's lifetime.
+//! A caller resolves a key once ([`Table::cell_or_assign`]) and addresses
+//! the row by its cell from then on; each key-addressed method is a key
+//! lookup in front of its cell-addressed body (reads, validation and
+//! unlocks look up without assigning a slot).
 
 use crate::row::{Bytes, Row};
 use lion_common::{FastMap, Key, TxnId};
 use std::cell::RefCell;
+use std::num::NonZeroU32;
 use std::rc::Rc;
 
 /// Result of an OCC step against one row.
@@ -31,6 +42,25 @@ impl OpOutcome {
     }
 }
 
+/// A row's place in every replica of its partition (see the module docs).
+/// Only a [`Table`] of the partition makes one. Stored plus one, so
+/// `Option<Cell>` is four bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cell(NonZeroU32);
+
+impl Cell {
+    #[inline]
+    fn new(i: usize) -> Cell {
+        let n = u32::try_from(i + 1).ok().and_then(NonZeroU32::new);
+        Cell(n.expect("a partition outgrew u32 cells"))
+    }
+
+    #[inline]
+    fn idx(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
 /// Key→row map for one partition replica.
 ///
 /// # Dense rows, the sparse arena and the shared index
@@ -51,8 +81,8 @@ impl OpOutcome {
 /// [`Table::replica`], and a table handed another's index by
 /// [`Table::share_index`]): it keeps its own rows, `len` and `bytes`, in its
 /// own arena, at the slots the one index assigns. A key's slot is fixed for
-/// the partition's lifetime: the first replica to touch a sparse key gives
-/// it the next slot, and an aborted insert empties its cell but keeps the
+/// the partition's lifetime: the first replica to resolve a sparse key gives
+/// it the next slot, and an aborted insert empties its slot but keeps the
 /// entry, so the retry reuses the slot and no two keys ever share a cell. The
 /// sharing saves host memory only; it is not a modelled resource and has no
 /// simulated cost.
@@ -67,7 +97,7 @@ pub struct Table {
     /// Key → slot in every replica's `sparse`, shared by all replicas of the
     /// partition. Entries are never removed.
     index: Rc<RefCell<FastMap<Key, u32>>>,
-    /// Number of `Some` cells in `dense` and `sparse`.
+    /// Number of `Some` slots in `dense` and `sparse`.
     rows: usize,
     /// Payload bytes currently stored (maintained incrementally).
     bytes: u64,
@@ -96,12 +126,20 @@ impl Table {
         t
     }
 
-    /// Makes this table, populated but holding no sparse row yet, another
-    /// replica of `other`'s partition: from now on its sparse rows sit at
-    /// the slots of `other`'s index.
+    /// Makes this table, populated like `other` but holding no sparse row
+    /// yet, another replica of `other`'s partition: from now on its sparse
+    /// rows sit at the slots of `other`'s index.
     pub fn share_index(&mut self, other: &Table) {
         debug_assert!(self.sparse.is_empty(), "adopting an index under rows");
+        debug_assert_eq!(self.dense.len(), other.dense.len(), "dense ranges differ");
         self.index = Rc::clone(&other.index);
+    }
+
+    /// True when a cell names the same row here and in `other`: both have
+    /// the same dense length and one key index. Holds for every pair of
+    /// replicas of a partition.
+    pub fn shares_cells_with(&self, other: &Table) -> bool {
+        Rc::ptr_eq(&self.index, &other.index) && self.dense.len() == other.dense.len()
     }
 
     /// A new replica of this partition copied from this one (replica add):
@@ -110,8 +148,8 @@ impl Table {
     /// an unlocked version-0 row.
     pub fn replica(&self) -> Table {
         let mut copy = self.clone();
-        let cells = copy.dense.iter_mut().chain(&mut copy.sparse);
-        cells.flatten().for_each(|row| row.unlock());
+        let rows = copy.dense.iter_mut().chain(&mut copy.sparse);
+        rows.flatten().for_each(|row| row.unlock());
         copy
     }
 
@@ -154,60 +192,91 @@ impl Table {
         key < dense.len() as u64
     }
 
-    /// The slot the partition's index gave a sparse `key`, if any.
+    /// The cell of `key`, if the partition has given it one (a dense key
+    /// always has one).
     #[inline]
-    fn slot(&self, key: Key) -> Option<usize> {
-        self.index.borrow().get(&key).map(|&s| s as usize)
+    pub fn cell(&self, key: Key) -> Option<Cell> {
+        if Self::in_dense(&self.dense, key) {
+            return Some(Cell::new(key as usize));
+        }
+        let slot = *self.index.borrow().get(&key)?;
+        Some(Cell::new(self.dense.len() + slot as usize))
+    }
+
+    /// The cell of `key`; a sparse key new to the partition takes the
+    /// shared index's next slot, for every replica at once.
+    #[inline]
+    pub fn cell_or_assign(&self, key: Key) -> Cell {
+        if Self::in_dense(&self.dense, key) {
+            return Cell::new(key as usize);
+        }
+        let mut index = self.index.borrow_mut();
+        let next = u32::try_from(index.len()).expect("sparse arena outgrew u32 slots");
+        Cell::new(self.dense.len() + *index.entry(key).or_insert(next) as usize)
     }
 
     /// Looks up a row.
     #[inline]
     pub fn get(&self, key: Key) -> Option<&Row> {
-        if Self::in_dense(&self.dense, key) {
-            self.dense[key as usize].as_ref()
-        } else {
-            self.sparse.get(self.slot(key)?)?.as_ref()
+        self.row(self.cell(key)?)
+    }
+
+    /// The row at `cell`, if this replica holds one.
+    #[inline]
+    fn row(&self, cell: Cell) -> Option<&Row> {
+        let i = cell.idx();
+        match self.dense.get(i) {
+            Some(row) => row.as_ref(),
+            None => self.sparse.get(i - self.dense.len())?.as_ref(),
         }
     }
 
-    /// Row for `key`, materialising an insert placeholder when absent; a
-    /// sparse key new to the partition takes the index's next slot.
+    /// Row at `cell`, materialising an insert placeholder when absent (and
+    /// growing the sparse arena to reach it).
     #[inline]
-    fn row_or_placeholder(&mut self, key: Key) -> &mut Row {
-        let cell = if Self::in_dense(&self.dense, key) {
-            &mut self.dense[key as usize]
-        } else {
-            let slot = {
-                let mut index = self.index.borrow_mut();
-                let next = u32::try_from(index.len()).expect("sparse arena outgrew u32 slots");
-                *index.entry(key).or_insert(next) as usize
-            };
-            if slot >= self.sparse.len() {
-                self.sparse.resize(slot + 1, None);
+    fn row_or_placeholder(&mut self, cell: Cell) -> &mut Row {
+        let i = cell.idx();
+        let slot = match i.checked_sub(self.dense.len()) {
+            None => &mut self.dense[i],
+            Some(s) => {
+                if s >= self.sparse.len() {
+                    self.sparse.resize(s + 1, None);
+                }
+                &mut self.sparse[s]
             }
-            &mut self.sparse[slot]
         };
-        if cell.is_none() {
+        if slot.is_none() {
             self.rows += 1;
         }
-        cell.get_or_insert_with(Self::placeholder)
+        slot.get_or_insert_with(Self::placeholder)
     }
 
     /// Inserts or replaces a row wholesale (population, migration apply).
     pub fn upsert(&mut self, key: Key, value: Bytes) {
         let add = value.len() as u64;
-        let row = self.row_or_placeholder(key);
+        let row = self.row_or_placeholder(self.cell_or_assign(key));
         let old = row.value.len() as u64;
         *row = Row::new(value);
         self.bytes = self.bytes - old + add;
+    }
+
+    /// [`Table::occ_read_cell`] by key.
+    #[inline]
+    pub fn occ_read(&self, key: Key, txn: TxnId) -> OpOutcome {
+        Self::read(self.get(key), txn)
     }
 
     /// OCC read: returns the current version (0 for missing rows, which is
     /// how inserts validate: the version must still be 0 at commit). A row
     /// prepare-locked by another transaction cannot be read consistently.
     #[inline]
-    pub fn occ_read(&self, key: Key, txn: TxnId) -> OpOutcome {
-        match self.get(key) {
+    pub fn occ_read_cell(&self, cell: Cell, txn: TxnId) -> OpOutcome {
+        Self::read(self.row(cell), txn)
+    }
+
+    #[inline]
+    fn read(row: Option<&Row>, txn: TxnId) -> OpOutcome {
+        match row {
             None => OpOutcome::Ok { version: 0 },
             Some(row) => match row.lock() {
                 Some(holder) if holder != txn => OpOutcome::Locked { holder },
@@ -218,10 +287,16 @@ impl Table {
         }
     }
 
-    /// OCC prepare-lock for a write key. Missing rows (inserts) are locked by
-    /// materialising an empty version-0 row.
+    /// [`Table::occ_lock_cell`] by key.
     pub fn occ_lock(&mut self, key: Key, txn: TxnId) -> OpOutcome {
-        let row = self.row_or_placeholder(key);
+        self.occ_lock_cell(self.cell_or_assign(key), txn)
+    }
+
+    /// OCC prepare-lock for a write. Missing rows (inserts) are locked by
+    /// materialising an empty version-0 row.
+    #[inline]
+    pub fn occ_lock_cell(&mut self, cell: Cell, txn: TxnId) -> OpOutcome {
+        let row = self.row_or_placeholder(cell);
         if let Some(holder) = row.lock().filter(|&h| h != txn) {
             return OpOutcome::Locked { holder };
         }
@@ -231,11 +306,22 @@ impl Table {
         }
     }
 
+    /// [`Table::occ_validate_read_cell`] by key.
+    #[inline]
+    pub fn occ_validate_read(&self, key: Key, observed: u64, txn: TxnId) -> OpOutcome {
+        Self::validate_read(self.get(key), observed, txn)
+    }
+
     /// OCC read-set validation: the observed version must still be current
     /// and the row must not be prepare-locked by another transaction.
     #[inline]
-    pub fn occ_validate_read(&self, key: Key, observed: u64, txn: TxnId) -> OpOutcome {
-        match self.get(key) {
+    pub fn occ_validate_read_cell(&self, cell: Cell, observed: u64, txn: TxnId) -> OpOutcome {
+        Self::validate_read(self.row(cell), observed, txn)
+    }
+
+    #[inline]
+    fn validate_read(row: Option<&Row>, observed: u64, txn: TxnId) -> OpOutcome {
+        match row {
             None => {
                 if observed == 0 {
                     OpOutcome::Ok { version: 0 }
@@ -266,11 +352,17 @@ impl Table {
         }
     }
 
+    /// [`Table::occ_install_cell`] by key.
+    pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
+        self.occ_install_cell(self.cell_or_assign(key), txn, value)
+    }
+
     /// Installs a write: stores the new payload, bumps the version, releases
     /// the lock. Returns the new version.
-    pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
+    #[inline]
+    pub fn occ_install_cell(&mut self, cell: Cell, txn: TxnId, value: Bytes) -> u64 {
         let add = value.len() as u64;
-        let row = self.row_or_placeholder(key);
+        let row = self.row_or_placeholder(cell);
         debug_assert!(row.lockable_by(txn), "installing over a foreign lock");
         let old = row.value.len() as u64;
         row.value = value;
@@ -281,31 +373,45 @@ impl Table {
         version
     }
 
+    /// [`Table::occ_unlock_cell`] by key.
+    pub fn occ_unlock(&mut self, key: Key, txn: TxnId) {
+        if let Some(cell) = self.cell(key) {
+            self.occ_unlock_cell(cell, txn);
+        }
+    }
+
     /// Releases a prepare-lock without installing (abort path). A placeholder
     /// created for an insert is emptied again; a sparse key keeps its slot.
-    pub fn occ_unlock(&mut self, key: Key, txn: TxnId) {
-        let cell = if Self::in_dense(&self.dense, key) {
-            self.dense.get_mut(key as usize)
-        } else {
-            self.slot(key).and_then(|s| self.sparse.get_mut(s))
+    #[inline]
+    pub fn occ_unlock_cell(&mut self, cell: Cell, txn: TxnId) {
+        let i = cell.idx();
+        let slot = match i.checked_sub(self.dense.len()) {
+            None => &mut self.dense[i],
+            Some(s) => match self.sparse.get_mut(s) {
+                Some(slot) => slot,
+                None => return,
+            },
         };
-        let Some(cell) = cell else {
-            return;
-        };
-        if let Some(row) = cell.as_mut().filter(|r| r.lock() == Some(txn)) {
+        if let Some(row) = slot.as_mut().filter(|r| r.lock() == Some(txn)) {
             row.unlock();
             if row.version == 0 {
                 self.bytes -= row.value.len() as u64;
-                *cell = None; // insert placeholder never became visible
+                *slot = None; // insert placeholder never became visible
                 self.rows -= 1;
             }
         }
     }
 
-    /// Applies a replicated write (no locking: replication is ordered).
+    /// [`Table::apply_replicated_cell`] by key.
     pub fn apply_replicated(&mut self, key: Key, version: u64, value: Bytes) {
+        self.apply_replicated_cell(self.cell_or_assign(key), version, value)
+    }
+
+    /// Applies a replicated write (no locking: replication is ordered).
+    #[inline]
+    pub fn apply_replicated_cell(&mut self, cell: Cell, version: u64, value: Bytes) {
         let add = value.len() as u64;
-        let row = self.row_or_placeholder(key);
+        let row = self.row_or_placeholder(cell);
         // Idempotent, ordered apply: never regress.
         if version >= row.version {
             let old = row.value.len() as u64;
@@ -417,15 +523,18 @@ mod tests {
         assert!(t.occ_lock(b, T1).is_ok());
         t.occ_unlock(b, T1);
         assert!(t.get(b).is_none());
-        assert_eq!((t.len(), t.sparse.len(), t.slot(b)), (1, 2, Some(1)));
+        assert_eq!(
+            (t.len(), t.sparse.len(), t.cell(b).map(Cell::idx)),
+            (1, 2, Some(1))
+        );
         // the retry re-inserts at the same slot, without growing the arena
         assert!(t.occ_lock(b, T2).is_ok());
-        assert_eq!((t.sparse.len(), t.slot(b)), (2, Some(1)));
+        assert_eq!((t.sparse.len(), t.cell(b).map(Cell::idx)), (2, Some(1)));
         assert_eq!(t.get(b).unwrap().lock(), Some(T2));
         assert_eq!(t.occ_install(b, T2, Bytes::synth(0x0202, 2)), 1);
         // a different key takes a fresh slot
         assert!(t.occ_lock(c, T1).is_ok());
-        assert_eq!((t.sparse.len(), t.slot(c)), (3, Some(2)));
+        assert_eq!((t.sparse.len(), t.cell(c).map(Cell::idx)), (3, Some(2)));
         assert_eq!(t.occ_install(c, T1, Bytes::synth(0x0303, 2)), 1);
         assert_eq!(t.get(a).unwrap().value, Bytes::synth(0x0101, 2));
         assert_eq!((t.len(), t.bytes()), (3, 6));
@@ -449,9 +558,17 @@ mod tests {
         assert_eq!((primary.len(), primary.bytes()), (6, 48));
         // a copy shares the index too, and nothing else
         let copy = secondary.replica();
-        assert!(Rc::ptr_eq(&copy.index, &primary.index));
+        assert!(copy.shares_cells_with(&primary));
         assert_eq!(primary.index.borrow().len(), 2);
         assert!(copy.get(a).is_none());
+        // a sparse cell is offset past the dense range, the same everywhere
+        assert_eq!(primary.cell(b).map(Cell::idx), Some(4 + 1));
+        assert_eq!(copy.cell(b), primary.cell(b));
+        assert_eq!(copy.row(primary.cell(a).unwrap()), None);
+        assert!(!Table::populated(4, 8).shares_cells_with(&primary));
+        let mut wide = Table::populated(5, 8);
+        wide.index = Rc::clone(&primary.index);
+        assert!(!wide.shares_cells_with(&primary), "dense ranges differ");
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! cluster, commits work, and leaves the replicated storage consistent.
 
 use lion::prelude::*;
+use lion::storage::Table;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 fn small_sim(nodes: usize) -> SimConfig {
     SimConfig {
@@ -153,6 +156,69 @@ fn tpcc_runs_on_lion_and_2pc() {
         assert!(r.commits > 20, "tpcc commits {}", r.commits);
         eng.cluster.check_invariants().unwrap();
         assert_replicas_in_sync(&mut eng);
+    }
+}
+
+/// Convergence at quiesce: a fault-free TPC-C run under Lion, with
+/// remasters and replica adds, whose clients switch to read-only filler
+/// (dense-range rows TPC-C never touches) for the last quarter, so every
+/// TPC-C transaction has committed and released its locks by the horizon.
+/// After one final flush every secondary holds its primary's rows: the same
+/// `len` and `bytes`, and the same `(version, value)` at every key the run
+/// wrote.
+#[test]
+fn secondaries_equal_their_primary_at_quiesce() {
+    // `Workload` is `Send`, so the wrapper records into an `Arc<Mutex<_>>`.
+    let written = Arc::new(Mutex::new(BTreeSet::new()));
+    let mut tpcc = TpccWorkload::new(TpccConfig::for_cluster(4, 4).with_mix(0.5, 0.5));
+    let log = Arc::clone(&written);
+    let workload = move |now: Time| {
+        if now >= 3 * SECOND / 4 {
+            return TxnRequest::new(vec![Op::read(PartitionId(0), now % 1024)]);
+        }
+        let req = tpcc.next_txn(now);
+        let writes = req.ops.iter().filter(|o| o.kind == OpKind::Write);
+        let keys = writes.map(|o| (o.partition, o.key));
+        log.lock().expect("one thread").extend(keys);
+        req
+    };
+    let cfg = EngineConfig {
+        plan_interval_us: SECOND / 8,
+        ..EngineConfig::from(small_sim(4))
+    };
+    let mut eng = Engine::new(cfg, Box::new(workload));
+    let r = eng.run(&mut Lion::standard(), SECOND);
+    let moves = (r.remasters, r.replica_adds);
+    assert!(
+        moves.0 > 0 && moves.1 > 0,
+        "(remasters, replica adds) {moves:?}"
+    );
+    eng.cluster.check_invariants().unwrap();
+    eng.cluster.epoch_flush_for_seal();
+    let written = written.lock().expect("one thread");
+    let cluster = &eng.cluster;
+    for p in 0..cluster.n_partitions() {
+        let part = PartitionId(p as u32);
+        let primary = &cluster
+            .store(cluster.placement.primary_of(part), part)
+            .unwrap()
+            .table;
+        let row = |t: &Table, key| t.get(key).map(|r| (r.version, r.value, r.lock()));
+        for &s in cluster.placement.secondaries_of(part) {
+            let secondary = &cluster.store(s, part).unwrap().table;
+            assert_eq!(
+                (secondary.len(), secondary.bytes()),
+                (primary.len(), primary.bytes()),
+                "{part} on {s}: (len, bytes)"
+            );
+            for &(_, key) in written.range((part, 0)..=(part, Key::MAX)) {
+                assert_eq!(
+                    row(secondary, key),
+                    row(primary, key),
+                    "{part} on {s}: {key:#x}"
+                );
+            }
+        }
     }
 }
 

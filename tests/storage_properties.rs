@@ -2,10 +2,11 @@
 //! lock/validate/install/abort must preserve version monotonicity and lock
 //! hygiene, replication must converge to the primary state, a `Table` must
 //! behave exactly like a plain ordered map of `(version, lock, value)`, and
-//! so must every replica of a partition that shares one key index.
+//! so must every replica of a partition that shares one key index, whether
+//! rows are addressed by key or by cell.
 
 use lion::common::{Key, PartitionId, TxnId};
-use lion::storage::{Bytes, OpOutcome, ReplicaStore, Table};
+use lion::storage::{Bytes, Cell, OpOutcome, ReplicaStore, Table};
 use lion::workloads::tpcc::{encode_key, Relation};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -160,6 +161,30 @@ fn arb_op(keys: usize) -> impl Strategy<Value = Op> {
     )
 }
 
+/// How [`step`] addresses a row: by key, or by the cell its key resolves to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Addr {
+    Key,
+    Cell,
+}
+
+/// One table call on `k`, made by key or at the cell `k` resolves to.
+fn call<R>(
+    t: &mut Table,
+    addr: Addr,
+    k: Key,
+    by_key: impl FnOnce(&mut Table, Key) -> R,
+    by_cell: impl FnOnce(&mut Table, Cell) -> R,
+) -> R {
+    match addr {
+        Addr::Key => by_key(t, k),
+        Addr::Cell => {
+            let cell = t.cell_or_assign(k);
+            by_cell(t, cell)
+        }
+    }
+}
+
 /// The oracle: every row as `(version, lock holder, value)`, key-ordered.
 type Model = BTreeMap<Key, (u64, Option<TxnId>, Bytes)>;
 
@@ -178,13 +203,28 @@ fn model_read(m: &Model, key: Key, txn: TxnId) -> OpOutcome {
 
 /// Applies `op` to both the table and the model; returns the table's
 /// outcome and the model's for the calls that answer one.
-fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome, OpOutcome)> {
+fn step(
+    t: &mut Table,
+    addr: Addr,
+    m: &mut Model,
+    keys: &[Key],
+    op: Op,
+) -> Option<(OpOutcome, OpOutcome)> {
     let Op {
         key, txn, value, n, ..
     } = op;
     let k = keys[key];
     match op.kind {
-        Kind::Read => Some((t.occ_read(k, txn), model_read(m, k, txn))),
+        Kind::Read => {
+            let got = call(
+                t,
+                addr,
+                k,
+                |t, k| t.occ_read(k, txn),
+                |t, c| t.occ_read_cell(c, txn),
+            );
+            Some((got, model_read(m, k, txn)))
+        }
         Kind::Lock => {
             let row = model_row(m, k);
             let want = match row.1 {
@@ -194,7 +234,14 @@ fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome
                     OpOutcome::Ok { version: row.0 }
                 }
             };
-            Some((t.occ_lock(k, txn), want))
+            let got = call(
+                t,
+                addr,
+                k,
+                |t, k| t.occ_lock(k, txn),
+                |t, c| t.occ_lock_cell(c, txn),
+            );
+            Some((got, want))
         }
         Kind::Install => {
             if matches!(m.get(&k), Some((_, Some(h), _)) if *h != txn) {
@@ -204,18 +251,31 @@ fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome
             *row = (row.0 + 1, None, value);
             let want = OpOutcome::Ok { version: row.0 };
             let got = OpOutcome::Ok {
-                version: t.occ_install(k, txn, value),
+                version: call(
+                    t,
+                    addr,
+                    k,
+                    |t, k| t.occ_install(k, txn, value),
+                    |t, c| t.occ_install_cell(c, txn, value),
+                ),
             };
             Some((got, want))
         }
         Kind::Unlock => {
             model_unlock(m, k, txn);
-            t.occ_unlock(k, txn);
+            call(
+                t,
+                addr,
+                k,
+                |t, k| t.occ_unlock(k, txn),
+                |t, c| t.occ_unlock_cell(c, txn),
+            );
             None
         }
         Kind::AbortedInsert => {
             let lock = step(
                 t,
+                addr,
                 m,
                 keys,
                 Op {
@@ -225,6 +285,7 @@ fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome
             );
             step(
                 t,
+                addr,
                 m,
                 keys,
                 Op {
@@ -242,11 +303,24 @@ fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome
                 },
                 other => other,
             };
-            Some((t.occ_validate_read(k, n, txn), want))
+            let got = call(
+                t,
+                addr,
+                k,
+                |t, k| t.occ_validate_read(k, n, txn),
+                |t, c| t.occ_validate_read_cell(c, n, txn),
+            );
+            Some((got, want))
         }
         Kind::Replicate => {
             model_apply(m, k, n, value);
-            t.apply_replicated(k, n, value);
+            call(
+                t,
+                addr,
+                k,
+                |t, k| t.apply_replicated(k, n, value),
+                |t, c| t.apply_replicated_cell(c, n, value),
+            );
             None
         }
         Kind::Upsert => {
@@ -364,6 +438,66 @@ fn arb_replica_step(keys: usize) -> impl Strategy<Value = ReplicaStep> {
     })
 }
 
+/// Runs `steps` over one partition's replicas, addressing the primary's
+/// rows and the log entries it ships by `addr`, and checks every replica
+/// against its own oracle after each step.
+fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestCaseError> {
+    let keys = model_keys();
+    let part = PartitionId(0);
+    let mut primary = ReplicaStore::new_primary(part, DENSE, 16);
+    let mut pm = populated_model();
+    let mut secondary = ReplicaStore::new_secondary(part, DENSE, 16);
+    secondary.table.share_index(&primary.table);
+    let mut replicas = vec![(secondary, populated_model())];
+    for s in steps {
+        match *s {
+            ReplicaStep::Primary(op) => {
+                let out = step(&mut primary.table, addr, &mut pm, &keys, op);
+                if let Some((got, want)) = out {
+                    prop_assert_eq!(got, want, "{:?}: {:?} != {:?}", op, got, want);
+                }
+                if let (Kind::Install, Some((OpOutcome::Ok { version }, _))) = (op.kind, out) {
+                    let k = keys[op.key];
+                    let cell = primary.table.cell(k).filter(|_| addr == Addr::Cell);
+                    primary.log.append_cell(part, k, cell, version, op.value);
+                }
+            }
+            ReplicaStep::Ship { r, n } => {
+                if let Some((store, m)) = replicas.get_mut(r) {
+                    let log = primary.log.pending();
+                    let from = store.applied_lsn as usize;
+                    let batch = &log[from..(from + n).min(log.len())];
+                    for e in batch {
+                        model_apply(m, e.key, e.version, e.value);
+                    }
+                    store.apply_entries(batch);
+                }
+            }
+            ReplicaStep::Copy { r } => {
+                let copy = (ReplicaStore::from_snapshot(part, &primary), model_copy(&pm));
+                if replicas.len() < 2 {
+                    replicas.push(copy);
+                } else {
+                    replicas[r] = copy;
+                }
+            }
+        }
+        check(&primary.table, &pm, &keys, s)?;
+        for (store, m) in &replicas {
+            check(&store.table, m, &keys, s)?;
+            for &k in &keys {
+                prop_assert_eq!(
+                    store.table.cell(k),
+                    primary.table.cell(k),
+                    "cell of {:#x}",
+                    k
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -379,49 +513,18 @@ proptest! {
     fn replicas_sharing_an_index_each_behave_like_their_own_map(
         steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
     ) {
-        let keys = model_keys();
-        let part = PartitionId(0);
-        let mut primary = ReplicaStore::new_primary(part, DENSE, 16);
-        let mut pm = populated_model();
-        let mut secondary = ReplicaStore::new_secondary(part, DENSE, 16);
-        secondary.table.share_index(&primary.table);
-        let mut replicas = vec![(secondary, populated_model())];
-        for s in &steps {
-            match *s {
-                ReplicaStep::Primary(op) => {
-                    let out = step(&mut primary.table, &mut pm, &keys, op);
-                    if let Some((got, want)) = out {
-                        prop_assert_eq!(got, want, "{:?}: {:?} != {:?}", op, got, want);
-                    }
-                    if let (Kind::Install, Some((OpOutcome::Ok { version }, _))) = (op.kind, out) {
-                        primary.log.append(part, keys[op.key], version, op.value);
-                    }
-                }
-                ReplicaStep::Ship { r, n } => {
-                    if let Some((store, m)) = replicas.get_mut(r) {
-                        let log = primary.log.pending();
-                        let from = store.applied_lsn as usize;
-                        let batch = &log[from..(from + n).min(log.len())];
-                        for e in batch {
-                            model_apply(m, e.key, e.version, e.value);
-                        }
-                        store.apply_entries(batch);
-                    }
-                }
-                ReplicaStep::Copy { r } => {
-                    let copy = (ReplicaStore::from_snapshot(part, &primary), model_copy(&pm));
-                    if replicas.len() < 2 {
-                        replicas.push(copy);
-                    } else {
-                        replicas[r] = copy;
-                    }
-                }
-            }
-            check(&primary.table, &pm, &keys, s)?;
-            for (store, m) in &replicas {
-                check(&store.table, m, &keys, s)?;
-            }
-        }
+        run_replicas(&steps, Addr::Key)?;
+    }
+
+    /// The same model check with every primary call made at the cell its
+    /// key resolves to, and every install logged and applied at that cell:
+    /// each replica still agrees with its oracle through the key-addressed
+    /// `get`, and every key has one cell on all of them.
+    #[test]
+    fn a_cell_addresses_the_same_row_on_every_replica(
+        steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
+    ) {
+        run_replicas(&steps, Addr::Cell)?;
     }
 }
 
@@ -441,7 +544,7 @@ proptest! {
         let mut t = Table::populated(DENSE, 16);
         let mut m = populated_model();
         for op in &ops {
-            if let Some((got, want)) = step(&mut t, &mut m, &keys, *op) {
+            if let Some((got, want)) = step(&mut t, Addr::Key, &mut m, &keys, *op) {
                 prop_assert_eq!(got, want, "{:?}: {:?} != {:?}", op, got, want);
             }
             check(&t, &m, &keys, op)?;
