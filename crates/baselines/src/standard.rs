@@ -137,17 +137,15 @@ impl StandardPolicy for TwoPcPolicy {
 /// (deterministic: lowest id wins ties).
 pub fn most_primaries(eng: &Engine, txn: TxnId) -> NodeId {
     let parts = &eng.txn(txn).parts;
-    let mut counts = vec![0usize; eng.cluster.n_nodes()];
-    for &p in parts {
-        counts[eng.cluster.placement.primary_of(p).idx()] += 1;
-    }
-    let best = counts
+    let primary = |&p: &PartitionId| eng.cluster.placement.primary_of(p);
+    // A transaction touches few partitions: count per candidate, not per node.
+    let count = |n: NodeId| parts.iter().filter(|p| primary(p) == n).count();
+    parts
         .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-        .map(|(n, _)| n)
-        .unwrap_or(0);
-    NodeId(best as u16)
+        .map(primary)
+        .map(|n| (count(n), n))
+        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+        .map_or(NodeId(0), |(_, n)| n)
 }
 
 /// The classic OCC + 2PC baseline.

@@ -277,6 +277,17 @@ impl EpochManager {
         })
     }
 
+    /// Hands a released epoch's ack buffer back: it is cleared and becomes
+    /// the open epoch's buffer, so the next epoch parks into its capacity
+    /// instead of regrowing from empty. Acks parked since the seal are kept.
+    pub fn recycle(&mut self, mut acks: Vec<PendingAck>) {
+        if acks.capacity() > self.open.capacity() {
+            acks.clear();
+            acks.append(&mut self.open);
+            self.open = acks;
+        }
+    }
+
     /// A node crashed: every non-durable epoch aborts. The open epoch's and
     /// the in-flight epochs' parked transactions are returned for retry (in
     /// submission order), and the fence advances past every id issued so
@@ -344,6 +355,28 @@ mod tests {
         assert_eq!(m.parked(), 1);
         // double delivery is stale
         assert!(m.take_durable(id, 2_100).is_none());
+    }
+
+    #[test]
+    fn recycle_returns_the_capacity_to_the_open_epoch() {
+        let mut m = EpochManager::new(DurabilityConfig::epoch(1_000));
+        for seq in 0..8 {
+            m.park(ack(seq));
+        }
+        let id = m.seal(Vec::new()).expect("sealed");
+        m.park(ack(8));
+        let ep = m.take_durable(id, 2_000).expect("in flight");
+        let cap = ep.acks.capacity();
+        m.recycle(ep.acks);
+        m.park(ack(9));
+        let next = m.seal(Vec::new()).expect("sealed");
+        let ep = m.take_durable(next, 3_000).expect("in flight");
+        assert_eq!(
+            ep.acks.iter().map(|a| a.seq).collect::<Vec<_>>(),
+            vec![8, 9],
+            "acks parked before the recycle are kept"
+        );
+        assert_eq!(ep.acks.capacity(), cap, "the released buffer was reused");
     }
 
     #[test]

@@ -50,9 +50,10 @@ impl Engine {
                 store.log.mark_acked(capped);
             }
         }
-        for ack in epoch.acks {
+        for &ack in &epoch.acks {
             self.release_ack(ack);
         }
+        self.epochs.recycle(epoch.acks);
     }
 
     /// The ack half of `commit`: ack-at-commit releases the client-visible

@@ -81,11 +81,12 @@ impl From<SimConfig> for EngineConfig {
 /// Engine events.
 enum Ev {
     ClientNext(ClientId),
-    /// A protocol continuation, for the attempt of `txn` that scheduled it.
+    /// A protocol continuation, for the attempt that stamped `(slot,
+    /// serial)` (see [`TxnSlab`]).
     Wake {
-        txn: TxnId,
+        slot: u32,
+        serial: u32,
         tag: u32,
-        attempt: u32,
     },
     Retry(TxnId),
     /// The one epoch clock: a replication flush that, under epoch group
@@ -122,6 +123,9 @@ enum Ev {
         seq: u64,
     },
 }
+
+// Every FEL entry carries one: keep the `Wake` stamp inside 12 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
 
 /// The simulation engine: cluster + event queue + transaction contexts.
 pub struct Engine {
@@ -328,7 +332,7 @@ impl Engine {
             // handler's question, answered at fire time.
             match ev {
                 Ev::ClientNext(client) => self.client_next(proto, client),
-                Ev::Wake { txn, tag, attempt } => self.wake(proto, txn, tag, attempt),
+                Ev::Wake { slot, serial, tag } => self.wake(proto, slot, serial, tag),
                 Ev::Retry(txn) => self.retry(proto, txn),
                 Ev::Epoch => self.epoch_tick(),
                 Ev::Plan => self.plan_tick(proto),
@@ -360,16 +364,12 @@ impl Engine {
         proto.on_submit(self, id);
     }
 
-    /// A protocol continuation fires. Stale — dropped — once the transaction
-    /// committed (its slab generation retired) or once the attempt that
-    /// scheduled it aborted: the protocol sees only its current attempt's
+    /// A protocol continuation fires. Stale — dropped — once the attempt
+    /// that scheduled it aborted or the transaction committed (either bumps
+    /// the slot's serial): the protocol sees only its current attempt's
     /// wakes.
-    fn wake(&mut self, proto: &mut dyn Protocol, txn: TxnId, tag: u32, attempt: u32) {
-        if self
-            .txns
-            .get(txn)
-            .is_some_and(|ctx| ctx.attempts == attempt)
-        {
+    fn wake(&mut self, proto: &mut dyn Protocol, slot: u32, serial: u32, tag: u32) {
+        if let Some(txn) = self.txns.wake_target(slot, serial) {
             proto.on_wake(self, txn, tag);
         }
     }
@@ -406,8 +406,8 @@ impl Engine {
         // slot reuse decouples from `TxnId`.
         let seq = self.submitted;
         self.submitted += 1;
-        let id = self.txns.insert_with(|id| {
-            let mut ctx = TxnCtx::new(id, client, req, now);
+        let id = self.txns.insert_with(|id, bufs| {
+            let mut ctx = TxnCtx::with_buffers(bufs, id, client, req, now);
             ctx.seq = seq;
             ctx
         });

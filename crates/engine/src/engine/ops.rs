@@ -100,9 +100,8 @@ impl Engine {
         let ctx = self.txn_mut(txn);
         ctx.phase_us[Phase::Scheduling.idx()] += wait;
         ctx.phase_us[phase.idx()] += dur;
-        let attempt = ctx.attempts;
-        self.queue
-            .schedule_at(grant.end, Ev::Wake { txn, tag, attempt });
+        let wake = self.wake_ev(txn, tag);
+        self.queue.schedule_at(grant.end, wake);
     }
 
     /// One-way message of `bytes` payload; wakes `(txn, tag)` on delivery.
@@ -157,24 +156,28 @@ impl Engine {
         let ctx = self.txn_mut(txn);
         ctx.phase_us[Phase::Scheduling.idx()] += grant.queue_wait(now + d1);
         ctx.phase_us[phase.idx()] += d1 + remote_cpu + d2;
-        let attempt = ctx.attempts;
-        self.queue
-            .schedule_at(grant.end + d2, Ev::Wake { txn, tag, attempt });
+        let wake = self.wake_ev(txn, tag);
+        self.queue.schedule_at(grant.end + d2, wake);
     }
 
     /// Pure wait (remaster hand-off, migration blackout, barrier).
     pub fn sleep(&mut self, dur: Time, phase: Phase, txn: TxnId, tag: u32) {
-        let ctx = self.txn_mut(txn);
-        ctx.phase_us[phase.idx()] += dur;
-        let attempt = ctx.attempts;
-        self.queue.schedule(dur, Ev::Wake { txn, tag, attempt });
+        self.txn_mut(txn).phase_us[phase.idx()] += dur;
+        let wake = self.wake_ev(txn, tag);
+        self.queue.schedule(dur, wake);
     }
 
     /// Wake `(txn, tag)` at an absolute virtual time (batch protocols that
     /// compute completion times arithmetically).
     pub fn wake_at(&mut self, at: Time, txn: TxnId, tag: u32) {
-        let attempt = self.txn(txn).attempts;
-        self.queue.schedule_at(at, Ev::Wake { txn, tag, attempt });
+        let wake = self.wake_ev(txn, tag);
+        self.queue.schedule_at(at, wake);
+    }
+
+    /// The event waking `(txn, tag)`, stamped for `txn`'s current attempt.
+    fn wake_ev(&self, txn: TxnId, tag: u32) -> Ev {
+        let (slot, serial) = self.txns.stamp(txn).expect("live transaction");
+        Ev::Wake { slot, serial, tag }
     }
 
     /// Books `us` of `phase` time on `txn` without scheduling anything
@@ -394,16 +397,17 @@ impl Engine {
             ..
         } = self;
         let ctx = txns.get(txn).expect("live transaction");
-        let mut parts: Vec<PartitionId> = ctx
+        let mut max_rtt = 0;
+        // The written partitions primaried here, each once, in id order.
+        let mut last: Option<PartitionId> = None;
+        while let Some(part) = ctx
             .write_set
             .iter()
             .map(|w| w.part)
-            .filter(|&p| cluster.placement.is_primary(p, node))
-            .collect();
-        parts.sort_unstable();
-        parts.dedup();
-        let mut max_rtt = 0;
-        for part in parts {
+            .filter(|&p| last < Some(p) && cluster.placement.is_primary(p, node))
+            .min()
+        {
+            last = Some(part);
             let writes_here = ctx.write_set.iter().filter(|w| w.part == part).count() as u32;
             let bytes = writes_here * (value_size + 32);
             let secondaries = cluster.placement.secondaries_of(part);
@@ -481,6 +485,7 @@ impl Engine {
             start: ctx.start,
             committed_at: now,
         };
+        self.txns.recycle(ctx);
         self.ack_or_park(ack, fenced);
     }
 
@@ -511,9 +516,7 @@ impl Engine {
         if self.txn(txn).holds_locks {
             self.release_all(txn);
         }
-        let ctx = self.txn_mut(txn);
-        ctx.reset_for_retry();
-        ctx.parked = true;
+        self.txns.next_attempt(txn).parked = true;
         match to {
             Requeue::Backoff => {
                 let backoff = self.cfg.sim.retry_backoff_us;
@@ -538,7 +541,12 @@ impl Engine {
 /// Releases `txn`'s prepare-lock on `w` at every replica holder, so racing
 /// placement changes cannot leak it.
 fn unlock_everywhere(cluster: &mut Cluster, w: &WriteEntry, txn: TxnId) {
-    for node in cluster.placement.replica_nodes(w.part) {
+    let primary = cluster.placement.primary_of(w.part);
+    for i in 0..cluster.placement.replica_count(w.part) {
+        let node = match i {
+            0 => primary,
+            _ => cluster.placement.secondaries_of(w.part)[i - 1],
+        };
         if let Some(store) = cluster.store_mut(node, w.part) {
             store.table.occ_unlock_cell(w.cell, txn);
         }

@@ -191,8 +191,8 @@ fn begin_commit(eng: &mut Engine, txn: TxnId) {
         eng.join_begin(txn, n);
         let t = tag(K_PREP, COORD_IDX);
         eng.cpu(home, Phase::Commit, cpu::VALIDATE_US, txn, t);
-        let participants = eng.txn(txn).participants.clone();
-        for (i, p) in participants.into_iter().enumerate() {
+        for i in 0..eng.txn(txn).participants.len() {
+            let p = eng.txn(txn).participants[i];
             let t = tag(K_PREP, i as u16);
             eng.remote_round(home, p, 48, 16, cpu::VALIDATE_US, Phase::Commit, txn, t);
         }
@@ -222,8 +222,8 @@ fn branch_done(eng: &mut Engine, txn: TxnId, ok: bool, batch: bool) {
             // decision (participant acks are not awaited, matching the
             // ≥5-message flow).
             let home = eng.txn(txn).home;
-            let participants = eng.txn(txn).participants.clone();
-            for p in participants {
+            for i in 0..eng.txn(txn).participants.len() {
+                let p = eng.txn(txn).participants[i];
                 eng.net_fire_and_forget(32);
                 eng.install_at(p, txn);
             }

@@ -130,13 +130,43 @@ pub struct TxnCtx {
     group_index: Vec<GroupRange>,
 }
 
+/// The heap buffers of a finished context, cleared: what
+/// [`TxnSlab::recycle`](crate::TxnSlab::recycle) keeps so that the next
+/// context is built in their capacity instead of allocating its own.
+#[derive(Debug, Default)]
+pub struct TxnBufs {
+    parts: Vec<PartitionId>,
+    read_set: Vec<ReadEntry>,
+    write_set: Vec<WriteEntry>,
+    participants: Vec<NodeId>,
+    grouped_ops: Vec<CellOp>,
+    group_index: Vec<GroupRange>,
+}
+
 impl TxnCtx {
     /// Creates a fresh context.
     pub fn new(id: TxnId, client: ClientId, req: TxnRequest, now: Time) -> Self {
-        let parts = req.partitions();
+        Self::with_buffers(TxnBufs::default(), id, client, req, now)
+    }
+
+    /// Creates a context in the capacity of `bufs`.
+    pub fn with_buffers(
+        bufs: TxnBufs,
+        id: TxnId,
+        client: ClientId,
+        req: TxnRequest,
+        now: Time,
+    ) -> Self {
+        let TxnBufs {
+            mut parts,
+            mut read_set,
+            mut write_set,
+            participants,
+            mut grouped_ops,
+            mut group_index,
+        } = bufs;
         // Group the ops by partition once, preserving first-touch order:
         // stable scratch for every later group walk.
-        let mut group_index: Vec<GroupRange> = Vec::new();
         for op in &req.ops {
             if !group_index.iter().any(|g| g.part == op.partition) {
                 group_index.push(GroupRange {
@@ -147,7 +177,9 @@ impl TxnCtx {
                 });
             }
         }
-        let mut grouped_ops = Vec::with_capacity(req.ops.len());
+        // `reserve_exact`: a fresh buffer gets exactly what this request
+        // needs, a recycled one is used as it is.
+        grouped_ops.reserve_exact(req.ops.len());
         for g in &mut group_index {
             g.start = grouped_ops.len() as u32;
             for op in req.ops.iter().filter(|o| o.partition == g.part) {
@@ -161,7 +193,12 @@ impl TxnCtx {
             }
             g.end = grouped_ops.len() as u32;
         }
+        parts.reserve_exact(group_index.len());
+        parts.extend(group_index.iter().map(|g| g.part));
+        parts.sort_unstable();
         let reads: usize = group_index.iter().map(|g| g.reads as usize).sum();
+        read_set.reserve_exact(reads);
+        write_set.reserve_exact(grouped_ops.len() - reads);
         TxnCtx {
             id,
             seq: 0,
@@ -170,12 +207,12 @@ impl TxnCtx {
             parts,
             start: now,
             attempts: 1,
-            read_set: Vec::with_capacity(reads),
-            write_set: Vec::with_capacity(grouped_ops.len() - reads),
+            read_set,
+            write_set,
             pending: 0,
             failed: false,
             home: NodeId(0),
-            participants: Vec::new(),
+            participants,
             class: TxnClass::SingleNode,
             step: 0,
             phase_us: [0; 5],
@@ -184,6 +221,25 @@ impl TxnCtx {
             grouped_ops,
             group_index,
         }
+    }
+
+    /// The context's buffers, cleared; the request is dropped.
+    pub fn into_buffers(self) -> TxnBufs {
+        let mut bufs = TxnBufs {
+            parts: self.parts,
+            read_set: self.read_set,
+            write_set: self.write_set,
+            participants: self.participants,
+            grouped_ops: self.grouped_ops,
+            group_index: self.group_index,
+        };
+        bufs.parts.clear();
+        bufs.read_set.clear();
+        bufs.write_set.clear();
+        bufs.participants.clear();
+        bufs.grouped_ops.clear();
+        bufs.group_index.clear();
+        bufs
     }
 
     /// Number of partition groups (distinct partitions touched, in

@@ -320,14 +320,21 @@ impl<E> CalendarQueue<E> {
             let idx = (self.epoch & self.mask) as usize;
             if self.occupied[idx / 64] & (1 << (idx % 64)) != 0 {
                 self.occupied[idx / 64] &= !(1 << (idx % 64));
-                let mut run = std::mem::take(&mut self.wheel[idx]);
+                // The bucket becomes the current run, and the emptied run's
+                // buffer becomes the bucket, so neither regrows from zero. A
+                // buffer grown past an over-full bucket is dropped instead:
+                // retained capacity stays bounded by the wheel's size.
+                std::mem::swap(&mut self.current, &mut self.wheel[idx]);
+                if self.wheel[idx].capacity() > OVERFULL {
+                    self.wheel[idx] = Vec::new();
+                }
+                let run = &mut self.current;
                 self.wheel_len -= run.len();
                 // Descending sort: the earliest (at, seq) ends up last,
                 // where Vec::pop serves it. Keys are unique, so the
                 // unstable sort is still a total, deterministic order.
                 run.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
                 let drained = run.len();
-                self.current = run;
                 // Width-skew detector: repeatedly over-full buckets halve
                 // the bucket width. The rebuild re-seats *everything*
                 // (including the run just drained) under the new geometry

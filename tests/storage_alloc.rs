@@ -1,14 +1,22 @@
-//! Allocation regression test for the write path: installing, logging,
-//! shipping and applying a committed write allocates nothing per write, an
-//! epoch after the first allocates nothing at all, populating a replica
-//! allocates nothing per row, and copying one (replica add) allocates its
-//! two row vectors and no key index.
+//! Allocation regression tests for the hot path:
+//!
+//! * the write path: installing, logging, shipping and applying a committed
+//!   write allocates nothing per write, an epoch after the first allocates
+//!   nothing at all, populating a replica allocates nothing per row, and
+//!   copying one (replica add) allocates its two row vectors and no key
+//!   index;
+//! * the engine: once warm, a commit allocates only its request and its
+//!   history record — contexts are built in recycled buffers;
+//! * the future-event list: a warm calendar queue schedules and pops
+//!   without allocating, because a drained bucket keeps a buffer.
 //!
 //! A counting global allocator tallies fresh allocations (`alloc` and
 //! `alloc_zeroed`; a `realloc` grows a block that already exists) on the
 //! calling thread only, so other test threads cannot disturb the count.
 
 use lion::common::{PartitionId, TxnId};
+use lion::prelude::{Engine, Lion, SimConfig, YcsbConfig, YcsbWorkload, SECOND};
+use lion::sim::CalendarQueue;
 use lion::storage::{ReplicaStore, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -125,4 +133,68 @@ fn the_write_path_allocates_nothing_per_write() {
     for key in 0..KEYS {
         assert_eq!(secondary.table.get(key), primary.table.get(key));
     }
+}
+
+#[test]
+fn a_warm_engine_allocates_only_the_request_and_its_record_per_commit() {
+    let sim = SimConfig {
+        nodes: 2,
+        partitions_per_node: 2,
+        keys_per_partition: 512,
+        clients_per_node: 4,
+        ..SimConfig::default()
+    };
+    // Allocations and commits of one run to `horizon`, from a fresh engine.
+    let run = |horizon| {
+        let wl = YcsbWorkload::new(YcsbConfig::for_cluster(2, 2, 512).with_mix(0.5, 0.7));
+        let mut eng = Engine::new(sim.clone(), Box::new(wl));
+        let mut lion = Lion::standard();
+        let (report, allocs) = allocations(|| eng.run(&mut lion, horizon));
+        (allocs, report.commits)
+    };
+    // The difference of two runs is the steady state: set-up and warm-up
+    // cancel out. Besides its commits, the longer run's extra time holds
+    // epoch ticks, and each tick's flush returns one frontier list.
+    let (short, long) = (SECOND / 10, SECOND / 5);
+    let (a1, c1) = run(short);
+    let (a2, c2) = run(long);
+    assert!(c2 > c1 + 1_000, "too few commits to measure: {c1} -> {c2}");
+    let ticks = (long - short) / sim.epoch_us;
+    let per_commit = (a2 - a1).saturating_sub(ticks) as f64 / (c2 - c1) as f64;
+    assert!(
+        per_commit <= 2.0,
+        "{per_commit:.3} allocations per commit; expected the request and its \
+         history record at most"
+    );
+}
+
+#[test]
+fn a_warm_calendar_queue_schedules_and_pops_without_allocating() {
+    const POPULATION: u64 = 200;
+    const EVENTS: u64 = 100_000;
+    // A steady population: every pop schedules one event up to 1 ms out.
+    let mut q = CalendarQueue::new();
+    let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut delay = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        1 + x % 1_000
+    };
+    for i in 0..POPULATION {
+        q.schedule(delay(), i);
+    }
+    let mut churn = |q: &mut CalendarQueue<u64>| {
+        for _ in 0..EVENTS {
+            let (_, e) = q.pop().expect("steady population");
+            q.schedule(delay(), e);
+        }
+    };
+    churn(&mut q);
+    let ((), allocs) = allocations(|| churn(&mut q));
+    assert_eq!(
+        allocs, 0,
+        "{EVENTS} events through a warm queue allocated; drained buckets must keep a buffer"
+    );
+    assert_eq!(q.len() as u64, POPULATION);
 }
