@@ -37,7 +37,7 @@ pub(crate) fn on_wake(eng: &mut Engine, txn: TxnId, tagv: u32) {
     let kind = untag(tagv).0;
     match kind {
         K_COMMIT => {
-            eng.install_unchecked(txn);
+            eng.install(txn);
             eng.commit(txn);
         }
         K_DEFER => eng.abort_defer(txn),

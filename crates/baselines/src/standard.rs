@@ -163,6 +163,11 @@ pub fn two_pc() -> TwoPc {
 /// Leap's policy: execute at the client's origin node and migrate every
 /// remote partition to it before the operation runs; commits locally,
 /// skipping the prepare phase, once everything is local.
+///
+/// Ownership passes to the requesting transaction (Lin et al., SIGMOD
+/// 2016) by wound-wait on submission order: a migration's landing aborts
+/// every attempt that executed on the partition, so a transaction migrates
+/// only when no older one stands on it, and otherwise waits.
 pub struct LeapPolicy;
 
 impl StandardPolicy for LeapPolicy {
@@ -179,11 +184,20 @@ impl StandardPolicy for LeapPolicy {
     fn remote_action(&mut self, eng: &mut Engine, txn: TxnId, part: PartitionId) -> RemoteAction {
         eng.txn_mut(txn).class = TxnClass::Distributed;
         let home = eng.txn(txn).home;
-        RemoteAction::Wait(match eng.migrate_async(part, home) {
-            Ok(d) => d + 1,
-            // Another migration in flight: wait it out and re-examine
+        let older_holder = eng
+            .oldest_executing_on(part, txn)
+            .is_some_and(|seq| seq < eng.txn(txn).seq);
+        let migrated = if older_holder {
+            None
+        } else {
+            eng.migrate_async(part, home).ok()
+        };
+        RemoteAction::Wait(match migrated {
+            Some(d) => d + 1,
+            // An older transaction holds the partition, or another
+            // migration is in flight: wait it out and re-examine
             // (ping-pong emerges here).
-            Err(_) => {
+            None => {
                 let left = eng.cluster.available_at(part).saturating_sub(eng.now());
                 left.max(100) + 1
             }

@@ -174,7 +174,7 @@ impl Protocol for Star {
                 || eng.exec_group_at(home, txn, gi).is_ok()
         });
         if executed && eng.validate_at(home, txn) {
-            eng.install_at(home, txn);
+            eng.install(txn);
             eng.commit(txn);
         } else {
             eng.abort_defer(txn);

@@ -73,11 +73,13 @@ impl Engine {
         let now = self.now();
         match self.cluster.transfer(part) {
             Transfer::Remaster { .. } => {
+                self.abort_executed_on(part);
                 let bytes = self.cluster.finish_remaster(part, now);
                 self.emit(MetricEvent::Remaster { at: now, part });
                 self.emit_bytes(ByteClass::Replication, bytes);
             }
             Transfer::Migrate { .. } => {
+                self.abort_executed_on(part);
                 self.cluster.finish_migration(part, now);
                 self.emit(MetricEvent::Migration { at: now, part });
             }

@@ -252,6 +252,17 @@ impl Engine {
         self.txns.contains(id)
     }
 
+    /// Submission sequence number of the oldest in-flight attempt other
+    /// than `except` that executed on `part` ([`TxnCtx::executed_on`]): the
+    /// attempt a hand-off of `part` landing now would abort first.
+    pub fn oldest_executing_on(&self, part: PartitionId, except: TxnId) -> Option<u64> {
+        self.txns
+            .iter()
+            .filter(|ctx| ctx.id != except && ctx.executed_on(part))
+            .map(|ctx| ctx.seq)
+            .min()
+    }
+
     /// The executor node that "owns" a client (Leap executes transactions at
     /// the node they arrive on). Clients of a dead node reconnect to the
     /// next live node in id order.

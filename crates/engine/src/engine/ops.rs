@@ -298,30 +298,18 @@ impl Engine {
         true
     }
 
-    /// Installs `txn`'s writes at `node` (partitions whose primary is
-    /// local): stores synthesized payloads, bumps versions, appends to the
-    /// replication log. Must follow a successful [`Engine::validate_at`].
+    /// Installs `txn`'s writes at their partitions' primaries: stores
+    /// synthesized payloads, bumps versions, appends to the replication log.
+    /// A transaction that executed follows a successful
+    /// [`Engine::validate_at`] at every primary it wrote; one with declared
+    /// sets installs at whatever primary it finds, because its protocol's
+    /// schedule already serialized the writers (Star's single-master phase,
+    /// the deterministic batch schemes).
     ///
-    /// A partition whose primary moved away between prepare-validation and
-    /// the commit decision (a remaster raced the 2PC window) can no longer
-    /// install here; its prepare-locks are released on every replica holder
-    /// instead — leaving them would poison the rows forever once the
-    /// partition remasters back.
-    pub fn install_at(&mut self, node: NodeId, txn: TxnId) {
-        self.install(txn, Some(node));
-    }
-
-    /// Installs `txn`'s writes directly at their current primaries without
-    /// prepare-locks. Used by protocols whose write phase is conflict-free by
-    /// construction (Star's serial single-master phase, deterministic
-    /// protocols whose lock schedule already serialized the writers).
-    pub fn install_unchecked(&mut self, txn: TxnId) {
-        self.install(txn, None);
-    }
-
-    /// Installs `txn`'s writes at their primaries — every one of them, or
-    /// with `only_at` just those primaried there.
-    fn install(&mut self, txn: TxnId, only_at: Option<NodeId>) {
+    /// No placement check: a hand-off that lands aborts every attempt that
+    /// executed on its partition, so a written partition is still where the
+    /// transaction locked it.
+    pub fn install(&mut self, txn: TxnId) {
         let value_size = self.cfg.sim.value_size;
         // Commit == ack without epoch group commit: an entry is
         // client-visible the moment it installs, replicated or not (the
@@ -331,15 +319,20 @@ impl Engine {
         // while the stores are mutated.
         let Engine { txns, cluster, .. } = self;
         let ctx = txns.get(txn).expect("live transaction");
+        // Every row before the first install: installing releases the lock,
+        // and a transaction may write a key twice.
+        debug_assert!(
+            !ctx.holds_locks
+                || ctx.write_set.iter().all(|w| {
+                    let primary = cluster.placement.primary_of(w.part);
+                    let table = &cluster.store(primary, w.part).expect("primary store").table;
+                    table.get(w.key).and_then(|row| row.lock()) == Some(txn)
+                }),
+            "{txn} installs a row it does not hold locked at its primary"
+        );
         let attempt = ctx.attempts as u64;
         for w in &ctx.write_set {
             let primary = cluster.placement.primary_of(w.part);
-            if let Some(node) = only_at.filter(|&node| node != primary) {
-                if cluster.store(node, w.part).is_some() {
-                    unlock_everywhere(cluster, w, txn);
-                }
-                continue;
-            }
             let stamp = txn.0.wrapping_mul(31).wrapping_add(attempt);
             let value = Table::synth_value(w.key, stamp, value_size);
             let store = cluster.store_mut(primary, w.part).expect("primary store");
@@ -360,7 +353,9 @@ impl Engine {
         // Disjoint field borrows within one context: read the declared ops,
         // append to the write set — no `req.ops` clone.
         let Engine { txns, cluster, .. } = self;
-        let TxnCtx { req, write_set, .. } = txns.get_mut(txn).expect("live transaction");
+        let ctx = txns.get_mut(txn).expect("live transaction");
+        ctx.declared = true;
+        let TxnCtx { req, write_set, .. } = ctx;
         for op in req.ops.iter().filter(|op| op.kind == OpKind::Write) {
             let primary = cluster.placement.primary_of(op.partition);
             let store = cluster.store(primary, op.partition).expect("primary store");

@@ -57,7 +57,9 @@ impl Engine {
             self.promote_or_stall(part, now);
         }
         // Park in-flight transactions the cut strands mid-protocol.
-        self.fault_abort(Requeue::Heal, |cluster, ctx| !Self::reachable(cluster, ctx));
+        self.fault_abort(Requeue::Heal, true, |cluster, ctx| {
+            !Self::reachable(cluster, ctx)
+        });
         let decisions = plan_split_promotions(&self.cluster);
         if decisions
             .iter()
@@ -120,6 +122,7 @@ impl Engine {
             return;
         }
         let now = self.now();
+        self.abort_executed_on(part);
         let landed = self.promote_across_cut(part, target);
         self.emit(MetricEvent::UnavailEnd { at: now, part });
         self.split_unavail_open.retain(|&p| p != part);
@@ -175,7 +178,7 @@ impl Engine {
         let steps = plan_heal(&self.cluster);
         // Prepare-locks must release while the placement that granted them
         // still routes there.
-        self.fault_abort(self.requeue_after_fault(), |_, ctx| {
+        self.fault_abort(self.requeue_after_fault(), true, |_, ctx| {
             steps
                 .iter()
                 .any(|s| s.shadow.is_some() && ctx.parts.contains(&s.part))

@@ -48,7 +48,7 @@ impl Protocol for TrivialProto {
         assert_eq!(tag, 1);
         let home = eng.txn(txn).home;
         if eng.validate_at(home, txn) {
-            eng.install_at(home, txn);
+            eng.install(txn);
             eng.commit(txn);
         } else {
             eng.abort_retry(txn);
@@ -255,49 +255,111 @@ fn blocked_partition_rejects_ops() {
     assert!(matches!(err, OpFail::Blocked { .. }));
 }
 
-/// Regression: a remaster racing the 2PC commit window must not leak
-/// prepare-locks. Before the fix, `install_at` silently skipped
-/// partitions whose primary had moved, leaving the row locked on the
-/// demoted store forever — and permanently unavailable once the
-/// partition remastered back ("poisoned rows").
-#[test]
-fn remaster_during_commit_window_releases_locks() {
-    let mut eng = Engine::new(tiny_cfg(), uniform_workload(4));
-    let part = PartitionId(0);
-    let home = NodeId(0);
-    let sec = eng.cluster.placement.secondaries_of(part)[0];
-    let txn = eng.inject_txn(
-        ClientId(0),
-        TxnRequest::new(vec![Op::read(part, 1), Op::write(part, 1)]),
-    );
-    eng.exec_group_at(home, txn, 0).unwrap();
-    assert!(
-        eng.validate_at(home, txn),
-        "prepare-lock taken at the old primary"
-    );
-
-    // Remaster completes between prepare and commit.
-    let d = eng.cluster.begin_remaster(part, sec, eng.now()).unwrap();
-    eng.cluster.finish_remaster(part, d);
-    assert_eq!(eng.cluster.placement.primary_of(part), sec);
-
-    // Commit decision arrives at the old primary: no install possible,
-    // but the lock must be released everywhere.
-    eng.install_at(home, txn);
-    for holder in eng.cluster.placement.replica_nodes(part) {
-        let row = eng
-            .cluster
-            .store(holder, part)
-            .unwrap()
-            .table
-            .get(1)
-            .unwrap();
-        assert!(row.lock().is_none(), "lock leaked on {holder}");
+/// A standard-execution policy that coordinates at one fixed node and
+/// commits remote groups with 2PC.
+struct RouteTo(NodeId);
+impl crate::StandardPolicy for RouteTo {
+    fn name(&self) -> &'static str {
+        "route-to"
     }
+    fn route(&mut self, _: &mut Engine, _: TxnId) -> NodeId {
+        self.0
+    }
+    fn remote_action(&mut self, _: &mut Engine, _: TxnId, _: PartitionId) -> crate::RemoteAction {
+        crate::RemoteAction::TwoPc
+    }
+}
+
+/// An engine with no clients and a 20 µs remaster, and one transaction of
+/// `ops` submitted to `proto` at time 0.
+fn one_txn(proto: &mut RouteTo, ops: Vec<Op>) -> (Engine, TxnId) {
+    let cfg = SimConfig {
+        clients_per_node: 0,
+        ..tiny_cfg()
+    }
+    .with_remaster_delay(20);
+    let mut eng = Engine::new(cfg, uniform_workload(4));
+    let txn = eng.inject_txn(ClientId(0), TxnRequest::new(ops));
+    proto.on_submit(&mut eng, txn);
+    (eng, txn)
+}
+
+/// `(version, locked)` of `key` of `part` at every replica holder.
+fn row_states(eng: &Engine, part: PartitionId, key: Key) -> Vec<(u64, bool)> {
+    let holders = eng.cluster.placement.replica_nodes(part);
+    let state = |node| {
+        let row = eng.cluster.store(node, part).unwrap().table.get(key);
+        row.map_or((0, false), |r| (r.version, r.lock().is_some()))
+    };
+    holders.into_iter().map(state).collect()
+}
+
+/// A remaster that lands between a transaction's execution on P and its
+/// commit slice aborts it: it never validates or installs against a
+/// primary it did not run at.
+#[test]
+fn a_remaster_landing_after_execution_aborts_the_transaction() {
+    let (part, home) = (PartitionId(0), NodeId(0));
+    let mut proto = RouteTo(home);
+    let (mut eng, txn) = one_txn(&mut proto, vec![Op::read(part, 1), Op::write(part, 1)]);
+    let before = row_states(&eng, part, 1);
+    // Routed at ~41 µs and executed there; the commit slice ends at ~80.
+    eng.run(&mut proto, 50);
+    assert!(eng.txn(txn).executed_on(part));
+    let sec = eng.cluster.placement.secondaries_of(part)[0];
+    eng.remaster_async(part, sec).unwrap();
+    // Lands at ~70; the retry re-enters only after the back-off.
+    let report = eng.run(&mut proto, 110);
+    assert_eq!(eng.cluster.placement.primary_of(part), sec);
+    assert_eq!(
+        (report.commits, report.aborts),
+        (0, 1),
+        "must abort, not commit"
+    );
+    assert_eq!(report.fault_aborts, 0, "an ordinary abort");
+    assert_eq!(
+        row_states(&eng, part, 1),
+        before,
+        "row unchanged on both nodes"
+    );
+}
+
+/// A remaster that lands between a 2PC participant's prepare and the
+/// commit decision aborts the transaction: nothing installs and no
+/// prepare-lock outlives it on any replica.
+#[test]
+fn a_remaster_landing_inside_the_2pc_window_aborts_the_transaction() {
+    let (p, q, home) = (PartitionId(1), PartitionId(0), NodeId(0));
+    let mut proto = RouteTo(home);
+    let ops = vec![Op::write(q, 2), Op::read(p, 1), Op::write(p, 1)];
+    let (mut eng, txn) = one_txn(&mut proto, ops);
+    let participant = eng.cluster.placement.primary_of(p);
+    assert_ne!(participant, home);
+    let before = (row_states(&eng, p, 1), row_states(&eng, q, 2));
+    // The participant's vote prepares P at ~242 µs; the decision is due at
+    // ~324.
+    eng.run(&mut proto, 250);
+    let locked = eng.cluster.store(participant, p).unwrap().table.get(1);
+    assert_eq!(
+        locked.unwrap().lock(),
+        Some(txn),
+        "prepared at the participant"
+    );
+    eng.remaster_async(p, home).unwrap();
+    // Lands at ~270; the retry executes again only after ~360.
+    let report = eng.run(&mut proto, 350);
+    assert_eq!(eng.cluster.placement.primary_of(p), home);
+    assert_eq!(
+        (report.commits, report.aborts),
+        (0, 1),
+        "must abort, not commit"
+    );
+    let after = (row_states(&eng, p, 1), row_states(&eng, q, 2));
+    assert_eq!(after, before, "nothing installed, no lock left anywhere");
     // A later transaction can lock the row at the new primary.
-    let txn2 = eng.inject_txn(ClientId(1), TxnRequest::new(vec![Op::write(part, 1)]));
-    eng.load_declared_sets(txn2);
-    assert!(eng.validate_at(sec, txn2), "row must not be poisoned");
+    let next = eng.inject_txn(ClientId(1), TxnRequest::new(vec![Op::write(p, 1)]));
+    eng.load_declared_sets(next);
+    assert!(eng.validate_at(home, next), "row must not be poisoned");
 }
 
 /// Executes `ops` for a fresh transaction at `home` and returns it, ready
@@ -342,7 +404,7 @@ fn failed_validation_mutates_nothing() {
     let loser = executed(&mut eng, home, rw.clone());
     let winner = executed(&mut eng, home, vec![Op::write(part, 1)]);
     assert!(eng.validate_at(home, winner));
-    eng.install_at(home, winner);
+    eng.install(winner);
     let before = rows_and_locks(&eng, part, &keys);
     assert!(before.iter().all(|&(_, locked)| locked == 0));
     assert!(!eng.validate_at(home, loser), "key 1 moved on");
@@ -379,14 +441,15 @@ fn failed_validation_mutates_nothing() {
     assert!(eng.validate_at(home, again));
     assert!(eng.validate_at(home, again), "own lock is not a conflict");
     assert!(eng.txn(again).holds_locks);
-    eng.install_at(home, again);
+    eng.install(again);
     let after = rows_and_locks(&eng, part, &keys);
     assert_eq!(after[0], (before[0].0 + 1, 0), "one insert, no lock left");
 }
 
-/// The abort twin of the regression above, and the one abort that must
-/// still walk every holder: the prepare-lock sits on a node that stopped
-/// being the primary before the vote came back negative.
+/// `release_all` walks every holder: a prepare-lock left on a node that
+/// stopped being the primary is released by the abort. In the event loop
+/// the landing aborts the holder first; here the partition moves by hand
+/// through `Cluster`, so the walk is the only thing that can release it.
 #[test]
 fn remaster_during_prepare_window_then_abort_releases_locks() {
     let mut eng = Engine::new(tiny_cfg(), uniform_workload(4));

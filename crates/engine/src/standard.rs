@@ -221,13 +221,11 @@ fn branch_done(eng: &mut Engine, txn: TxnId, ok: bool, batch: bool) {
             // Commit decisions travel one-way; installs apply at the
             // decision (participant acks are not awaited, matching the
             // ≥5-message flow).
-            let home = eng.txn(txn).home;
-            for i in 0..eng.txn(txn).participants.len() {
-                let p = eng.txn(txn).participants[i];
+            for _ in 0..eng.txn(txn).participants.len() {
                 eng.net_fire_and_forget(32);
-                eng.install_at(p, txn);
             }
-            eng.install_at(home, txn);
+            eng.install(txn);
+            let home = eng.txn(txn).home;
             let t = tag(K_COMMIT, 0);
             eng.cpu(home, Phase::Commit, cpu::INSTALL_US, txn, t);
         }
@@ -271,7 +269,7 @@ impl<P: StandardPolicy> Protocol for P {
             K_LOC_COMMIT => {
                 let home = eng.txn(txn).home;
                 if eng.validate_at(home, txn) {
-                    eng.install_at(home, txn);
+                    eng.install(txn);
                     eng.commit(txn);
                 } else {
                     abort(eng, txn, self.batch());

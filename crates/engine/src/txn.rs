@@ -121,6 +121,9 @@ pub struct TxnCtx {
     /// True once a `validate_at` of this attempt prepare-locked a row: the
     /// only state in which an abort has anything to release.
     pub holds_locks: bool,
+    /// True when this attempt's sets were declared up front
+    /// (`load_declared_sets`), not filled by executing at a primary.
+    pub declared: bool,
     /// Declared ops regrouped by partition in first-touch order, flattened,
     /// each with its cell. Built once at creation (`req` never changes), so
     /// the per-wake group walks of the protocol state machines are
@@ -218,6 +221,7 @@ impl TxnCtx {
             phase_us: [0; 5],
             parked: false,
             holds_locks: false,
+            declared: false,
             grouped_ops,
             group_index,
         }
@@ -284,7 +288,18 @@ impl TxnCtx {
         self.class = TxnClass::SingleNode;
         self.step = 0;
         self.holds_locks = false;
+        self.declared = false;
         self.attempts += 1;
+    }
+
+    /// True when this attempt executed on `part`: its read or write set has
+    /// an entry there that came from running at the partition's primary.
+    /// Such an attempt stands on the primary it ran at, so a hand-off that
+    /// moves `part` must not land under it.
+    pub fn executed_on(&self, part: PartitionId) -> bool {
+        !self.declared
+            && (self.read_set.iter().any(|r| r.part == part)
+                || self.write_set.iter().any(|w| w.part == part))
     }
 }
 
@@ -330,9 +345,11 @@ mod tests {
         ctx.failed = true;
         ctx.class = TxnClass::Distributed;
         ctx.holds_locks = true;
+        ctx.declared = true;
         ctx.reset_for_retry();
         assert!(ctx.read_set.is_empty());
         assert!(!ctx.holds_locks);
+        assert!(!ctx.declared);
         assert_eq!(ctx.pending, 0);
         assert!(!ctx.failed);
         assert_eq!(ctx.class, TxnClass::SingleNode);

@@ -147,13 +147,18 @@ const SCENARIOS: &[Scenario] = &[
     // over that machine, so the merge is checkable against them.
     //
     // Leap: every remote group migrates its partition home and waits.
+    // Re-pinned from `0x80bf43b6d41d26be`: a landing migration aborts the
+    // transactions that executed on the partition, which before committed
+    // without installing there, and Leap migrates only when no older
+    // transaction executed on the partition (wound-wait). Commits
+    // 666 → 747, aborts 9 → 182, migrations 719 → 617.
     Scenario {
         name: "leap-ycsb",
         build: || Box::new(leap()),
         world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
-        golden: 0x80bf43b6d41d26be,
+        golden: 0xd4e9565cdb47f251,
     },
     // Clay: 2PC execution + the load monitor (first fires at 1 s, hence
     // the longer horizon).
@@ -166,13 +171,16 @@ const SCENARIOS: &[Scenario] = &[
         golden: 0xa07c18c700368246,
     },
     // Lion(S): Schism partitioning realized by blocking migrations.
+    // Re-pinned from `0x3fbb2ae839e9e0d5`: its migrations and remasters
+    // now abort the transactions that executed on the moved partition.
+    // Commits 177,141 → 177,111, aborts 20,538 → 20,548.
     Scenario {
         name: "lion-s-ycsb",
         build: || Box::new(Lion::new(LionConfig::lion_s())),
         world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
-        golden: 0x3fbb2ae839e9e0d5,
+        golden: 0x6463c66c83d7a603,
     },
     // Lion(RB): batch execution without workload prediction. Re-pinned from
     // `0xb7acf12f2a34806b` for the reason `lion-batch-ycsb` gives.
@@ -198,11 +206,11 @@ const SCENARIOS: &[Scenario] = &[
     // The five batch baselines, without faults and through a crash: pinned
     // by PR 17 at its parent commit `3e42397`, before `engine.rs` was split
     // into `engine/` and their shared bodies moved into `baselines/batch.rs`
-    // — they are the only users of `cpu_grant`, `wake_at`, `charge_phase`,
-    // `install_unchecked` and `load_declared_sets`.
+    // — they are the only users of `cpu_grant`, `wake_at`, `charge_phase`
+    // and `load_declared_sets`, and the only ones to `install` declared sets.
     //
     // Star: partition phase + single-master phase through the super node
-    // (`cpu_grant`, `wake_at`, `exec_group_at`, `install_unchecked`).
+    // (`cpu_grant`, `wake_at`, `exec_group_at`, `install`).
     Scenario {
         name: "star-ycsb",
         build: || Box::new(Star::new()),
@@ -355,8 +363,11 @@ fn same_seed_runs_are_bit_identical_and_match_goldens() {
 /// `lion-zone-crash`, pinned by PR 3 (which introduced failure domains):
 /// standard Lion on a 4-node / 2-rack cluster under rack-safe placement
 /// loses rack Z1 wholesale at 250 ms and heals it at 500 ms. Cross-zone
-/// latency is non-zero so zone identity shows on the wire.
-const ZONE_GOLDEN: u64 = 0x9537fd89d4544c40;
+/// latency is non-zero so zone identity shows on the wire. Re-pinned from
+/// `0x9537fd89d4544c40` when a landing remaster began to abort the
+/// transactions that executed on its partition: commits 157,759 → 157,680,
+/// aborts 31,268 → 31,323, fault aborts 25 either way.
+const ZONE_GOLDEN: u64 = 0x20b67b783f2fbbcd;
 
 fn zone_sim() -> SimConfig {
     let mut s = SimConfig {
