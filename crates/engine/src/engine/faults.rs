@@ -56,7 +56,7 @@ impl Engine {
         self.abort_open_epochs();
         // In flight on the dead node: coordinator, participant, or accessed
         // primary.
-        self.fault_abort(self.requeue_after_fault(), true, |cluster, ctx| {
+        self.fault_abort(self.requeue_after_fault(), |cluster, ctx| {
             ctx.home == node
                 || ctx.participants.contains(&node)
                 || ctx
@@ -185,11 +185,27 @@ impl Engine {
         }
     }
 
-    /// Aborts every in-flight transaction `touches` selects — the ones a
-    /// crash, a cut, a heal-time primary swap or a landing hand-off pulls
-    /// the ground from under — and requeues each at `to`. `fault` says
-    /// whether the aborts count as fault aborts.
-    pub(super) fn fault_abort(
+    /// Fault-aborts every in-flight transaction `touches` selects — the
+    /// ones a crash, a cut or a heal-time primary swap pulls the ground from
+    /// under — and requeues each at `to`.
+    pub(super) fn fault_abort(&mut self, to: Requeue, touches: impl Fn(&Cluster, &TxnCtx) -> bool) {
+        self.abort_selected(to, true, touches);
+    }
+
+    /// A hand-off that moves `part`'s primary lands: every attempt that
+    /// executed on the partition and has not installed stood on the old
+    /// primary, so each ends in an ordinary abort and retries against the
+    /// new one. No commit ever validates or installs at a primary other
+    /// than the one it ran at, and no landing undoes an install.
+    pub(super) fn abort_executed_on(&mut self, part: PartitionId) {
+        let to = self.requeue_after_fault();
+        self.abort_selected(to, false, |_, ctx| ctx.executed_on(part));
+    }
+
+    /// Aborts every in-flight, non-parked attempt `touches` selects, in
+    /// submission order, and requeues each at `to`; `fault` says whether
+    /// the aborts count as fault aborts.
+    fn abort_selected(
         &mut self,
         to: Requeue,
         fault: bool,
@@ -210,17 +226,7 @@ impl Engine {
         }
     }
 
-    /// A hand-off that moves `part`'s primary lands: every attempt that
-    /// executed on the partition stood on the old primary, so each ends in
-    /// an ordinary abort and retries against the new one. No commit ever
-    /// validates or installs at a primary other than the one it ran at.
-    pub(super) fn abort_executed_on(&mut self, part: PartitionId) {
-        self.fault_abort(self.requeue_after_fault(), false, |_, ctx| {
-            ctx.executed_on(part)
-        });
-    }
-
-    /// Where an attempt `fault_abort` ended retries from: the normal abort
+    /// Where an attempt `abort_selected` ended retries from: the normal abort
     /// paths (back-off in standard mode, the next batch in batch mode).
     pub(super) fn requeue_after_fault(&self) -> Requeue {
         if self.batch_mode {

@@ -318,7 +318,7 @@ impl Engine {
         // Split borrow: the context is read in place (no write-set clone)
         // while the stores are mutated.
         let Engine { txns, cluster, .. } = self;
-        let ctx = txns.get(txn).expect("live transaction");
+        let ctx = txns.get_mut(txn).expect("live transaction");
         // Every row before the first install: installing releases the lock,
         // and a transaction may write a key twice.
         debug_assert!(
@@ -330,6 +330,8 @@ impl Engine {
                 }),
             "{txn} installs a row it does not hold locked at its primary"
         );
+        // From here the attempt only awaits its commit: no landing aborts it.
+        ctx.installed = true;
         let attempt = ctx.attempts as u64;
         for w in &ctx.write_set {
             let primary = cluster.placement.primary_of(w.part);

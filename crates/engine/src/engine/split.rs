@@ -57,9 +57,7 @@ impl Engine {
             self.promote_or_stall(part, now);
         }
         // Park in-flight transactions the cut strands mid-protocol.
-        self.fault_abort(Requeue::Heal, true, |cluster, ctx| {
-            !Self::reachable(cluster, ctx)
-        });
+        self.fault_abort(Requeue::Heal, |cluster, ctx| !Self::reachable(cluster, ctx));
         let decisions = plan_split_promotions(&self.cluster);
         if decisions
             .iter()
@@ -178,7 +176,7 @@ impl Engine {
         let steps = plan_heal(&self.cluster);
         // Prepare-locks must release while the placement that granted them
         // still routes there.
-        self.fault_abort(self.requeue_after_fault(), true, |_, ctx| {
+        self.fault_abort(self.requeue_after_fault(), |_, ctx| {
             steps
                 .iter()
                 .any(|s| s.shadow.is_some() && ctx.parts.contains(&s.part))

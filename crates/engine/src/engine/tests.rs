@@ -270,14 +270,14 @@ impl crate::StandardPolicy for RouteTo {
     }
 }
 
-/// An engine with no clients and a 20 µs remaster, and one transaction of
-/// `ops` submitted to `proto` at time 0.
-fn one_txn(proto: &mut RouteTo, ops: Vec<Op>) -> (Engine, TxnId) {
+/// An engine with no clients and a `remaster_us` remaster, and one
+/// transaction of `ops` submitted to `proto` at time 0.
+fn one_txn(proto: &mut RouteTo, ops: Vec<Op>, remaster_us: u64) -> (Engine, TxnId) {
     let cfg = SimConfig {
         clients_per_node: 0,
         ..tiny_cfg()
     }
-    .with_remaster_delay(20);
+    .with_remaster_delay(remaster_us);
     let mut eng = Engine::new(cfg, uniform_workload(4));
     let txn = eng.inject_txn(ClientId(0), TxnRequest::new(ops));
     proto.on_submit(&mut eng, txn);
@@ -301,7 +301,8 @@ fn row_states(eng: &Engine, part: PartitionId, key: Key) -> Vec<(u64, bool)> {
 fn a_remaster_landing_after_execution_aborts_the_transaction() {
     let (part, home) = (PartitionId(0), NodeId(0));
     let mut proto = RouteTo(home);
-    let (mut eng, txn) = one_txn(&mut proto, vec![Op::read(part, 1), Op::write(part, 1)]);
+    let ops = vec![Op::read(part, 1), Op::write(part, 1)];
+    let (mut eng, txn) = one_txn(&mut proto, ops, 20);
     let before = row_states(&eng, part, 1);
     // Routed at ~41 µs and executed there; the commit slice ends at ~80.
     eng.run(&mut proto, 50);
@@ -332,7 +333,7 @@ fn a_remaster_landing_inside_the_2pc_window_aborts_the_transaction() {
     let (p, q, home) = (PartitionId(1), PartitionId(0), NodeId(0));
     let mut proto = RouteTo(home);
     let ops = vec![Op::write(q, 2), Op::read(p, 1), Op::write(p, 1)];
-    let (mut eng, txn) = one_txn(&mut proto, ops);
+    let (mut eng, txn) = one_txn(&mut proto, ops, 20);
     let participant = eng.cluster.placement.primary_of(p);
     assert_ne!(participant, home);
     let before = (row_states(&eng, p, 1), row_states(&eng, q, 2));
@@ -360,6 +361,42 @@ fn a_remaster_landing_inside_the_2pc_window_aborts_the_transaction() {
     let next = eng.inject_txn(ClientId(1), TxnRequest::new(vec![Op::write(p, 1)]));
     eng.load_declared_sets(next);
     assert!(eng.validate_at(home, next), "row must not be poisoned");
+}
+
+/// A remaster that lands after the 2PC decision installed the writes, but
+/// before the commit wake, leaves the transaction alone: it commits once
+/// and each written row's version rises by one.
+#[test]
+fn a_remaster_landing_after_the_2pc_decision_keeps_the_commit() {
+    let (p, q, home) = (PartitionId(1), PartitionId(0), NodeId(0));
+    let mut proto = RouteTo(home);
+    let ops = vec![Op::write(q, 2), Op::read(p, 1), Op::write(p, 1)];
+    let (mut eng, txn) = one_txn(&mut proto, ops, 4);
+    let version = |eng: &Engine, part: PartitionId, key: Key| {
+        let primary = eng.cluster.placement.primary_of(part);
+        let table = &eng.cluster.store(primary, part).unwrap().table;
+        table.get(key).map_or(0, |r| r.version)
+    };
+    let before = (version(&eng, p, 1), version(&eng, q, 2));
+    // The decision installs at 325 µs; the commit wake follows at 333.
+    eng.run(&mut proto, 326);
+    assert!(eng.txn(txn).installed, "the decision installed");
+    eng.remaster_async(p, home).unwrap();
+    // Lands at 329, inside the window.
+    eng.run(&mut proto, 331);
+    assert_eq!(eng.cluster.placement.primary_of(p), home);
+    // The client's next transaction is submitted at the commit but has not
+    // executed by 335.
+    let report = eng.run(&mut proto, 335);
+    assert_eq!(
+        (report.commits, report.aborts),
+        (1, 0),
+        "commits exactly once"
+    );
+    let after = (version(&eng, p, 1), version(&eng, q, 2));
+    assert_eq!(after, (before.0 + 1, before.1 + 1), "each row rose by one");
+    let locked = |states: Vec<(u64, bool)>| states.iter().any(|&(_, l)| l);
+    assert!(!locked(row_states(&eng, p, 1)) && !locked(row_states(&eng, q, 2)));
 }
 
 /// Executes `ops` for a fresh transaction at `home` and returns it, ready
