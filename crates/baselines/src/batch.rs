@@ -36,10 +36,7 @@ pub(crate) fn finish_at(eng: &mut Engine, txn: TxnId, at: Time, how: Finish) {
 pub(crate) fn on_wake(eng: &mut Engine, txn: TxnId, tagv: u32) {
     let kind = untag(tagv).0;
     match kind {
-        K_COMMIT => {
-            eng.install(txn);
-            eng.commit(txn);
-        }
+        K_COMMIT => eng.commit(txn),
         K_DEFER => eng.abort_defer(txn),
         _ => unreachable!("batch kit wake of kind {kind}"),
     }

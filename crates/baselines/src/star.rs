@@ -164,17 +164,13 @@ impl Protocol for Star {
             return batch::on_wake(eng, txn, tagv);
         }
         // Execute + OCC commit at the owner: every group of a single-home
-        // transaction was primaried there when the batch was armed. One whose
-        // primary a promotion moved since is skipped, as it always was
-        // (ROADMAP 5(c): failing instead moves `star-crash-recover`).
+        // transaction was primaried there when the batch was armed. A group
+        // whose primary moved since fails (`NotPrimary`) and defers the
+        // transaction to the next batch.
         let home = eng.txn(txn).home;
-        let executed = (0..eng.txn(txn).n_groups()).all(|gi| {
-            let part = eng.txn(txn).group_part(gi);
-            !eng.cluster.placement.is_primary(part, home)
-                || eng.exec_group_at(home, txn, gi).is_ok()
-        });
+        let executed =
+            (0..eng.txn(txn).n_groups()).all(|gi| eng.exec_group_at(home, txn, gi).is_ok());
         if executed && eng.validate_at(home, txn) {
-            eng.install(txn);
             eng.commit(txn);
         } else {
             eng.abort_defer(txn);
@@ -185,7 +181,7 @@ impl Protocol for Star {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lion_common::{SimConfig, SECOND};
+    use lion_common::{Op, SimConfig, TxnRequest, SECOND};
     use lion_workloads::{YcsbConfig, YcsbWorkload};
 
     fn cfg() -> SimConfig {
@@ -261,5 +257,68 @@ mod tests {
             t20 / t50 < 2.2,
             "no 2PC-style collapse between 20% and 50%: {t20:.0} vs {t50:.0}"
         );
+    }
+
+    /// Star that remasters `part` to `to` right after arming the first
+    /// batch, so the hand-off lands before the partition phase's wake.
+    struct RemasterAfterArming {
+        star: Star,
+        part: PartitionId,
+        to: NodeId,
+        fired: bool,
+    }
+    impl Protocol for RemasterAfterArming {
+        fn name(&self) -> &'static str {
+            "star-remaster"
+        }
+        fn batch_mode(&self) -> bool {
+            true
+        }
+        fn on_submit(&mut self, _: &mut Engine, _: TxnId) {}
+        fn on_batch(&mut self, eng: &mut Engine, batch: &[TxnId]) {
+            self.star.on_batch(eng, batch);
+            if !std::mem::replace(&mut self.fired, true) {
+                eng.remaster_async(self.part, self.to).unwrap();
+            }
+        }
+        fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tagv: u32) {
+            self.star.on_wake(eng, txn, tagv);
+        }
+    }
+
+    /// A single-home transaction whose partition moves between batch
+    /// arming and its partition-phase wake is deferred: nothing is skipped
+    /// and committed, and the row is unchanged at the new primary.
+    #[test]
+    fn a_group_whose_primary_moved_defers_the_transaction() {
+        let part = PartitionId(1);
+        let sim = SimConfig {
+            clients_per_node: 1,
+            batch_size: 1,
+            ..cfg()
+        }
+        .with_remaster_delay(4);
+        let workload =
+            Box::new(move |_: Time| TxnRequest::new(vec![Op::read(part, 1), Op::write(part, 1)]));
+        let mut eng = Engine::new(sim, workload);
+        let old = eng.cluster.placement.primary_of(part);
+        assert_ne!(old, SUPER_NODE);
+        let mut proto = RemasterAfterArming {
+            star: Star::new(),
+            part,
+            to: SUPER_NODE,
+            fired: false,
+        };
+        let version = |eng: &Engine| {
+            let primary = eng.cluster.placement.primary_of(part);
+            let table = &eng.cluster.store(primary, part).unwrap().table;
+            table.get(1).map_or(0, |r| r.version)
+        };
+        let before = version(&eng);
+        // Armed at 0; the remaster lands at 4 and the wake fires at 39.
+        let report = eng.run(&mut proto, 40);
+        assert_eq!(eng.cluster.placement.primary_of(part), SUPER_NODE);
+        assert_eq!((report.commits, report.aborts), (0, 1), "deferred");
+        assert_eq!(version(&eng), before, "row unchanged at the new primary");
     }
 }

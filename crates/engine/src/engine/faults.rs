@@ -193,10 +193,11 @@ impl Engine {
     }
 
     /// A hand-off that moves `part`'s primary lands: every attempt that
-    /// executed on the partition and has not installed stood on the old
-    /// primary, so each ends in an ordinary abort and retries against the
-    /// new one. No commit ever validates or installs at a primary other
-    /// than the one it ran at, and no landing undoes an install.
+    /// executed on the partition stood on the old primary, so each ends in
+    /// an ordinary abort and retries against the new one. No commit ever
+    /// validates or installs at a primary other than the one it ran at, and
+    /// none of these attempts has installed anything, since writes install
+    /// only in [`Engine::commit`].
     pub(super) fn abort_executed_on(&mut self, part: PartitionId) {
         let to = self.requeue_after_fault();
         self.abort_selected(to, false, |_, ctx| ctx.executed_on(part));

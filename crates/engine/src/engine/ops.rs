@@ -254,8 +254,8 @@ impl Engine {
     /// succeeds. Validating first means the common loser — a lost version
     /// race — probes a row or two and mutates nothing.
     ///
-    /// Only this function takes locks; only install, a failure here and
-    /// [`Engine::release_all`] drop them.
+    /// Only this function takes locks; only [`Engine::commit`], a failure
+    /// here and [`Engine::release_all`] drop them.
     pub fn validate_at(&mut self, node: NodeId, txn: TxnId) -> bool {
         let Engine { txns, cluster, .. } = self;
         let ctx = txns.get_mut(txn).expect("live transaction");
@@ -309,7 +309,7 @@ impl Engine {
     /// No placement check: a hand-off that lands aborts every attempt that
     /// executed on its partition, so a written partition is still where the
     /// transaction locked it.
-    pub fn install(&mut self, txn: TxnId) {
+    fn install(&mut self, txn: TxnId) {
         let value_size = self.cfg.sim.value_size;
         // Commit == ack without epoch group commit: an entry is
         // client-visible the moment it installs, replicated or not (the
@@ -318,7 +318,7 @@ impl Engine {
         // Split borrow: the context is read in place (no write-set clone)
         // while the stores are mutated.
         let Engine { txns, cluster, .. } = self;
-        let ctx = txns.get_mut(txn).expect("live transaction");
+        let ctx = txns.get(txn).expect("live transaction");
         // Every row before the first install: installing releases the lock,
         // and a transaction may write a key twice.
         debug_assert!(
@@ -330,8 +330,6 @@ impl Engine {
                 }),
             "{txn} installs a row it does not hold locked at its primary"
         );
-        // From here the attempt only awaits its commit: no landing aborts it.
-        ctx.installed = true;
         let attempt = ctx.attempts as u64;
         for w in &ctx.write_set {
             let primary = cluster.placement.primary_of(w.part);
@@ -438,13 +436,16 @@ impl Engine {
     // Completion
     // ----------------------------------------------------------------
 
-    /// Commits `txn`: records commit metrics and frees the context. The
+    /// Commits `txn`: installs its writes, records commit metrics and frees
+    /// the context, all in this one instant, so no attempt is ever both
+    /// installed and abortable. Every successful attempt ends here. The
     /// *client-visible ack* depends on the durability mode: ack-at-commit
     /// releases it here (and re-arms the issuing client in standard mode);
     /// epoch group commit parks it in the open epoch until the epoch's
     /// replication is durable. Batch protocols always advance their batch
     /// barrier here — their pacing is the batch loop, not the ack.
     pub fn commit(&mut self, txn: TxnId) {
+        self.install(txn);
         let now = self.now();
         let ctx = self.txns.remove(txn).expect("live transaction");
         // Quorum fence: during an active split a commit whose writes touch a

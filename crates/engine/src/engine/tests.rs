@@ -48,7 +48,6 @@ impl Protocol for TrivialProto {
         assert_eq!(tag, 1);
         let home = eng.txn(txn).home;
         if eng.validate_at(home, txn) {
-            eng.install(txn);
             eng.commit(txn);
         } else {
             eng.abort_retry(txn);
@@ -363,40 +362,76 @@ fn a_remaster_landing_inside_the_2pc_window_aborts_the_transaction() {
     assert!(eng.validate_at(home, next), "row must not be poisoned");
 }
 
-/// A remaster that lands after the 2PC decision installed the writes, but
-/// before the commit wake, leaves the transaction alone: it commits once
-/// and each written row's version rises by one.
+/// `key`'s version at `part`'s primary.
+fn version(eng: &Engine, part: PartitionId, key: Key) -> u64 {
+    let primary = eng.cluster.placement.primary_of(part);
+    let table = &eng.cluster.store(primary, part).unwrap().table;
+    table.get(key).map_or(0, |r| r.version)
+}
+
+/// A remaster that lands after the 2PC decision but before the commit wake
+/// aborts the transaction: the writes install only with the commit, so
+/// nothing is in place yet and no lock outlives the abort. The retry
+/// commits once and each written row's version rises by one.
 #[test]
-fn a_remaster_landing_after_the_2pc_decision_keeps_the_commit() {
+fn a_remaster_landing_after_the_2pc_decision_aborts_before_anything_installs() {
     let (p, q, home) = (PartitionId(1), PartitionId(0), NodeId(0));
     let mut proto = RouteTo(home);
     let ops = vec![Op::write(q, 2), Op::read(p, 1), Op::write(p, 1)];
-    let (mut eng, txn) = one_txn(&mut proto, ops, 4);
-    let version = |eng: &Engine, part: PartitionId, key: Key| {
-        let primary = eng.cluster.placement.primary_of(part);
-        let table = &eng.cluster.store(primary, part).unwrap().table;
-        table.get(key).map_or(0, |r| r.version)
-    };
-    let before = (version(&eng, p, 1), version(&eng, q, 2));
-    // The decision installs at 325 µs; the commit wake follows at 333.
+    let (mut eng, _) = one_txn(&mut proto, ops, 4);
+    let before = (row_states(&eng, p, 1), row_states(&eng, q, 2));
+    let versions = (version(&eng, p, 1), version(&eng, q, 2));
+    // The decision is taken at 325 µs; the commit wake follows at 333.
     eng.run(&mut proto, 326);
-    assert!(eng.txn(txn).installed, "the decision installed");
     eng.remaster_async(p, home).unwrap();
     // Lands at 329, inside the window.
-    eng.run(&mut proto, 331);
-    assert_eq!(eng.cluster.placement.primary_of(p), home);
-    // The client's next transaction is submitted at the commit but has not
-    // executed by 335.
     let report = eng.run(&mut proto, 335);
+    assert_eq!(eng.cluster.placement.primary_of(p), home);
     assert_eq!(
         (report.commits, report.aborts),
-        (1, 0),
-        "commits exactly once"
+        (0, 1),
+        "must abort, not commit"
     );
+    let after = (row_states(&eng, p, 1), row_states(&eng, q, 2));
+    assert_eq!(after, before, "nothing installed, no lock left anywhere");
+    // The retry commits at 464 µs; the client's next transaction commits
+    // only at 545.
+    let report = eng.run(&mut proto, 470);
+    assert_eq!(report.commits, 1, "the retry commits exactly once");
     let after = (version(&eng, p, 1), version(&eng, q, 2));
-    assert_eq!(after, (before.0 + 1, before.1 + 1), "each row rose by one");
-    let locked = |states: Vec<(u64, bool)>| states.iter().any(|&(_, l)| l);
-    assert!(!locked(row_states(&eng, p, 1)) && !locked(row_states(&eng, q, 2)));
+    assert_eq!(
+        after,
+        (versions.0 + 1, versions.1 + 1),
+        "each row rose by one"
+    );
+}
+
+/// A crash of the 2PC participant between the decision and the commit wake
+/// fault-aborts an attempt that has installed nothing, so the retry after
+/// the failover installs each write once.
+#[test]
+fn a_participant_crash_after_the_2pc_decision_installs_once() {
+    let (p, q, home) = (PartitionId(1), PartitionId(0), NodeId(0));
+    let mut proto = RouteTo(home);
+    let ops = vec![Op::write(q, 2), Op::read(p, 1), Op::write(p, 1)];
+    let (mut eng, _) = one_txn(&mut proto, ops, 4);
+    let participant = eng.cluster.placement.primary_of(p);
+    assert_ne!(participant, home);
+    let versions = (version(&eng, p, 1), version(&eng, q, 2));
+    // The decision is taken at 325 µs; the commit wake follows at 333.
+    eng.cfg.faults = lion_faults::FaultPlan::new().crash_at(329, participant);
+    // P fails over to the coordinator at 50,333 µs and the retry commits at
+    // 50,355; the client's next transaction commits only at 50,436.
+    let report = eng.run(&mut proto, 50_360);
+    assert_eq!(report.fault_aborts, 1, "the crash aborted the attempt");
+    assert_eq!(eng.cluster.placement.primary_of(p), home, "P failed over");
+    assert_eq!(report.commits, 1, "the retry commits exactly once");
+    let after = (version(&eng, p, 1), version(&eng, q, 2));
+    assert_eq!(
+        after,
+        (versions.0 + 1, versions.1 + 1),
+        "each row rose by one"
+    );
 }
 
 /// Executes `ops` for a fresh transaction at `home` and returns it, ready
@@ -441,7 +476,7 @@ fn failed_validation_mutates_nothing() {
     let loser = executed(&mut eng, home, rw.clone());
     let winner = executed(&mut eng, home, vec![Op::write(part, 1)]);
     assert!(eng.validate_at(home, winner));
-    eng.install(winner);
+    eng.commit(winner);
     let before = rows_and_locks(&eng, part, &keys);
     assert!(before.iter().all(|&(_, locked)| locked == 0));
     assert!(!eng.validate_at(home, loser), "key 1 moved on");
@@ -478,7 +513,7 @@ fn failed_validation_mutates_nothing() {
     assert!(eng.validate_at(home, again));
     assert!(eng.validate_at(home, again), "own lock is not a conflict");
     assert!(eng.txn(again).holds_locks);
-    eng.install(again);
+    eng.commit(again);
     let after = rows_and_locks(&eng, part, &keys);
     assert_eq!(after[0], (before[0].0 + 1, 0), "one insert, no lock left");
 }

@@ -58,7 +58,7 @@ const K_PREP: u8 = 4;
 const K_PREP_REPL: u8 = 5;
 /// Local single-node commit CPU done.
 const K_LOC_COMMIT: u8 = 6;
-/// Distributed commit install CPU done.
+/// Distributed commit slice done: install and commit.
 const K_COMMIT: u8 = 7;
 
 const COORD_IDX: u16 = 0xFFFF;
@@ -218,13 +218,12 @@ fn branch_done(eng: &mut Engine, txn: TxnId, ok: bool, batch: bool) {
     match eng.join_arrive(txn, ok) {
         None => {}
         Some(true) => {
-            // Commit decisions travel one-way; installs apply at the
-            // decision (participant acks are not awaited, matching the
-            // ≥5-message flow).
+            // Commit decisions travel one-way (participant acks are not
+            // awaited, matching the ≥5-message flow); the writes install
+            // with the commit, at the end of the coordinator's slice.
             for _ in 0..eng.txn(txn).participants.len() {
                 eng.net_fire_and_forget(32);
             }
-            eng.install(txn);
             let home = eng.txn(txn).home;
             let t = tag(K_COMMIT, 0);
             eng.cpu(home, Phase::Commit, cpu::INSTALL_US, txn, t);
@@ -269,7 +268,6 @@ impl<P: StandardPolicy> Protocol for P {
             K_LOC_COMMIT => {
                 let home = eng.txn(txn).home;
                 if eng.validate_at(home, txn) {
-                    eng.install(txn);
                     eng.commit(txn);
                 } else {
                     abort(eng, txn, self.batch());

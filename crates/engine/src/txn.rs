@@ -124,9 +124,6 @@ pub struct TxnCtx {
     /// True when this attempt's sets were declared up front
     /// (`load_declared_sets`), not filled by executing at a primary.
     pub declared: bool,
-    /// True once [`crate::Engine::install`] wrote this attempt's rows: its
-    /// writes are in place and logged, so only the commit remains.
-    pub installed: bool,
     /// Declared ops regrouped by partition in first-touch order, flattened,
     /// each with its cell. Built once at creation (`req` never changes), so
     /// the per-wake group walks of the protocol state machines are
@@ -225,7 +222,6 @@ impl TxnCtx {
             parked: false,
             holds_locks: false,
             declared: false,
-            installed: false,
             grouped_ops,
             group_index,
         }
@@ -293,18 +289,15 @@ impl TxnCtx {
         self.step = 0;
         self.holds_locks = false;
         self.declared = false;
-        self.installed = false;
         self.attempts += 1;
     }
 
     /// True when this attempt executed on `part`: its read or write set has
     /// an entry there that came from running at the partition's primary.
     /// Such an attempt stands on the primary it ran at, so a hand-off that
-    /// moves `part` must not land under it. Once installed it stands on
-    /// nothing: its writes are already in place.
+    /// moves `part` must not land under it.
     pub fn executed_on(&self, part: PartitionId) -> bool {
         !self.declared
-            && !self.installed
             && (self.read_set.iter().any(|r| r.part == part)
                 || self.write_set.iter().any(|w| w.part == part))
     }
@@ -353,12 +346,10 @@ mod tests {
         ctx.class = TxnClass::Distributed;
         ctx.holds_locks = true;
         ctx.declared = true;
-        ctx.installed = true;
         ctx.reset_for_retry();
         assert!(ctx.read_set.is_empty());
         assert!(!ctx.holds_locks);
         assert!(!ctx.declared);
-        assert!(!ctx.installed);
         assert_eq!(ctx.pending, 0);
         assert!(!ctx.failed);
         assert_eq!(ctx.class, TxnClass::SingleNode);

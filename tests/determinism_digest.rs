@@ -104,14 +104,19 @@ fn crash_recover() -> FaultPlan {
 /// [`run`]); all but the last run [`ycsb`].
 const SCENARIOS: &[Scenario] = &[
     // The four legacy goldens: pinned by PR 2 at commit `bca1f3b`, i.e.
-    // captured *before* its hot-path overhaul, and byte-identical since.
+    // captured *before* its hot-path overhaul.
+    //
+    // Re-pinned from `0x69715e0abe656466`: 2PC installs at its commit slice.
+    // The decision's prepare-locks are held until the coordinator's
+    // `INSTALL_US` slice ends, so a few more readers meet a lock. Commits
+    // 79,244 → 78,746, aborts 19,651 → 20,393.
     Scenario {
         name: "2pc-ycsb",
         build: || Box::new(two_pc()),
         world: ycsb,
         faults: FaultPlan::none,
         horizon: SECOND,
-        golden: 0x69715e0abe656466,
+        golden: 0xf24173d0df64a292,
     },
     Scenario {
         name: "lion-standard-ycsb",
@@ -134,13 +139,16 @@ const SCENARIOS: &[Scenario] = &[
         horizon: SECOND,
         golden: 0xe4bd2ddd5842db18,
     },
+    // Re-pinned from `0x846910caf3ea2f5b`: 2PC installs at its commit slice
+    // (the reason `2pc-ycsb` gives). Commits 155,858 → 155,664, aborts
+    // 20,662 → 20,816, fault aborts 6 either way.
     Scenario {
         name: "lion-crash-recover",
         build: || Box::new(Lion::standard()),
         world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
-        golden: 0x846910caf3ea2f5b,
+        golden: 0x6e0e06e70eaae3bb,
     },
     // The remaining users of the standard-execution machine: pinned by
     // PR 14 at its parent commit `3640932`, before Lion became a policy
@@ -161,14 +169,16 @@ const SCENARIOS: &[Scenario] = &[
         golden: 0xd4e9565cdb47f251,
     },
     // Clay: 2PC execution + the load monitor (first fires at 1 s, hence
-    // the longer horizon).
+    // the longer horizon). Re-pinned from `0xa07c18c700368246`: 2PC installs
+    // at its commit slice (the reason `2pc-ycsb` gives). Commits 283,449 →
+    // 281,998, aborts 60,744 → 62,752.
     Scenario {
         name: "clay-ycsb",
         build: || Box::new(clay()),
         world: ycsb,
         faults: FaultPlan::none,
         horizon: 3 * SECOND,
-        golden: 0xa07c18c700368246,
+        golden: 0x15c5fd6fcccb176f,
     },
     // Lion(S): Schism partitioning realized by blocking migrations.
     // Re-pinned from `0x3fbb2ae839e9e0d5`: its migrations and remasters
@@ -194,14 +204,17 @@ const SCENARIOS: &[Scenario] = &[
     },
     // Full Lion through a node crash: batch arming + fault aborts + defers.
     // Re-pinned from `0x506300b9ae349872` for the reason `lion-batch-ycsb`
-    // gives; commits 135,126 → 136,668.
+    // gives; commits 135,126 → 136,668. Re-pinned again, from
+    // `0x506d26705698eccf`: 2PC installs at its commit slice (the reason
+    // `2pc-ycsb` gives). Commits 136,668 → 135,599, aborts 37,442 → 37,832,
+    // fault aborts 30 either way.
     Scenario {
         name: "lion-batch-crash-recover",
         build: || Box::new(Lion::full()),
         world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
-        golden: 0x506d26705698eccf,
+        golden: 0x164c48f318e137d6,
     },
     // The five batch baselines, without faults and through a crash: pinned
     // by PR 17 at its parent commit `3e42397`, before `engine.rs` was split
@@ -219,13 +232,18 @@ const SCENARIOS: &[Scenario] = &[
         horizon: SECOND,
         golden: 0x950f2f74ebc237ac,
     },
+    // Re-pinned from `0xb877ffb7a030fbbd`: Star defers a moved group. A
+    // partition-phase transaction whose partition the failover promoted
+    // away since the batch was armed used to skip that group and commit the
+    // rest; it now defers to the next batch. Commits 100,114 → 100,003,
+    // aborts 4,418 → 4,441, fault aborts 4 either way.
     Scenario {
         name: "star-crash-recover",
         build: || Box::new(Star::new()),
         world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
-        golden: 0xb877ffb7a030fbbd,
+        golden: 0xa93342e698841ea1,
     },
     // Calvin: single-threaded lock manager + deterministic execution
     // (`load_declared_sets`, `charge_phase`, `cpu_grant`, `wake_at`).
@@ -304,14 +322,17 @@ const SCENARIOS: &[Scenario] = &[
     // Re-pinned once, from `0x580ac03974b6020f`, by fine-tuning alone (ε
     // stays 0.4): it re-reads loads every move, so it stops sending clumps
     // to a node the last move filled; that rule alone gives this digest.
-    // Commits 17,544 → 17,571, remasters 30 → 28.
+    // Commits 17,544 → 17,571, remasters 30 → 28. Re-pinned again, from
+    // `0x0e0486774aed338d`: 2PC installs at its commit slice (the reason
+    // `2pc-ycsb` gives). Commits 17,571 → 17,547, aborts 13,784 → 13,749,
+    // remasters 28 either way.
     Scenario {
         name: "lion-tpcc",
         build: || Box::new(Lion::standard()),
         world: tpcc,
         faults: FaultPlan::none,
         horizon: SECOND / 2,
-        golden: 0x0e0486774aed338d,
+        golden: 0xe2cb874cf689cb98,
     },
 ];
 
@@ -366,8 +387,11 @@ fn same_seed_runs_are_bit_identical_and_match_goldens() {
 /// latency is non-zero so zone identity shows on the wire. Re-pinned from
 /// `0x9537fd89d4544c40` when a landing remaster began to abort the
 /// transactions that executed on its partition: commits 157,759 → 157,680,
-/// aborts 31,268 → 31,323, fault aborts 25 either way.
-const ZONE_GOLDEN: u64 = 0x20b67b783f2fbbcd;
+/// aborts 31,268 → 31,323, fault aborts 25 either way. Re-pinned again, from
+/// `0x20b67b783f2fbbcd`: 2PC installs at its commit slice (the reason
+/// `2pc-ycsb` gives). Commits 157,680 → 157,245, aborts 31,323 → 31,648,
+/// fault aborts 25 either way.
+const ZONE_GOLDEN: u64 = 0x7a2bd845dfb1d7a0;
 
 fn zone_sim() -> SimConfig {
     let mut s = SimConfig {
@@ -441,7 +465,11 @@ fn zone_crash_scenario_is_reproducible_and_pinned() {
 /// clients' pacing and the replication byte series the digest hashes.
 /// Commits, acks and mean ack latency are unchanged; the ack p95/p99 fall
 /// from 4,096 to 3,968 and 4,032 µs.
-const EPOCH_GOLDEN: u64 = 0x3a6a501b057b9883;
+///
+/// Re-pinned a second time, from `0x3a6a501b057b9883`: 2PC installs at its
+/// commit slice (the reason `2pc-ycsb` gives). Commits 5,746 and acks 5,698
+/// are unchanged; aborts 491 → 512.
+const EPOCH_GOLDEN: u64 = 0x57dfebfddaf08988;
 
 fn run_epoch_scenario() -> RunReport {
     let cfg = EngineConfig {
@@ -508,7 +536,11 @@ fn epoch_commit_crash_scenario_is_reproducible_and_pinned() {
 /// and the replication byte series the digest hashes. Commits, acks,
 /// retries and minority commits are unchanged; the ack p50 rises from 4,890
 /// to 4,992 µs and one more epoch seals (153 → 154).
-const SPLIT_BRAIN_GOLDEN: u64 = 0x526c6825676493bd;
+///
+/// Re-pinned a fourth time, from `0x526c6825676493bd`: 2PC installs at its
+/// commit slice (the reason `2pc-ycsb` gives). Commits 4,850 and acks 4,754
+/// are unchanged; aborts 450 → 451.
+const SPLIT_BRAIN_GOLDEN: u64 = 0x40e1f8e30a7f1acb;
 
 fn run_split_brain_scenario() -> RunReport {
     let cfg = EngineConfig {
