@@ -402,6 +402,12 @@ mod tests {
     }
 
     #[test]
+    fn the_figures_dense_range_holds_every_loaded_tpcc_row() {
+        // Below this, loaded TPC-C rows spill into the key index again.
+        assert!(base_sim(4).keys_per_partition >= lion_workloads::tpcc::LOADED_ROWS);
+    }
+
+    #[test]
     fn run_all_preserves_order() {
         let jobs: Vec<Job> = (0..6)
             .map(|i| tiny_job(format!("job{i}"), i, 100_000))

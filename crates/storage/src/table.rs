@@ -2,8 +2,8 @@
 //!
 //! Rows are 32-byte slots (`Option<Row>`) held in two places: a directly
 //! indexed vector for the contiguous populated range, and the replica's own
-//! arena for every other key, addressed through a key→slot index that all
-//! replicas of the partition share.
+//! arena for every other key (the rows transactions insert), addressed
+//! through a key→slot index that all replicas of the partition share.
 //!
 //! A row's **cell** numbers its slot across both: a dense key is its own
 //! cell, a sparse key's cell is `dense.len() + slot`. Every replica of a
@@ -66,13 +66,15 @@ impl Cell {
 /// # Dense rows, the sparse arena and the shared index
 ///
 /// A freshly populated partition holds the contiguous key range `0..keys`
-/// (how YCSB tables are laid out), so those rows live in a directly indexed
-/// vector: every OCC step on them is an array access, no hashing. Keys at
-/// or beyond the dense range (TPC-C's bit-packed composite keys, dynamic
-/// inserts) live in the sparse arena, a `Vec<Option<Row>>` reached through a
-/// key→slot index. The split is invisible through the API — `(key, row)`
-/// behavior is identical on both paths — and the two never overlap: a key
-/// belongs to the dense vector iff `key < dense.len()`.
+/// (YCSB's rows, and TPC-C's loaded relations), so those rows live in a
+/// directly indexed vector: every OCC step on them is an array access, no
+/// hashing. Keys at or beyond the dense range (inserted rows) live in the
+/// sparse arena, reached through a key→slot index. The arena is a list of
+/// [`Table::CHUNK`]-row chunks, slot `s` at `s / CHUNK`, `s % CHUNK`, so it
+/// grows by one chunk and an insert never copies the rows before it. The
+/// split is invisible through the API — `(key, row)` behavior is identical
+/// on both paths — and the two never overlap: a key belongs to the dense
+/// vector iff `key < dense.len()`.
 ///
 /// # One index per partition
 ///
@@ -91,9 +93,10 @@ pub struct Table {
     /// Direct-indexed rows for the contiguous populated range; `None` means
     /// the row is absent.
     dense: Vec<Option<Row>>,
-    /// This replica's sparse rows at their index slots; `None` where it
-    /// holds no row for the slot's key (never applied, or an aborted insert).
-    sparse: Vec<Option<Row>>,
+    /// This replica's sparse rows at their index slots, in chunks of
+    /// [`Table::CHUNK`]; `None` where it holds no row for the slot's key
+    /// (never applied, or an aborted insert).
+    sparse: Vec<Box<Chunk>>,
     /// Key → slot in every replica's `sparse`, shared by all replicas of the
     /// partition. Entries are never removed.
     index: Rc<RefCell<FastMap<Key, u32>>>,
@@ -103,7 +106,13 @@ pub struct Table {
     bytes: u64,
 }
 
+/// [`Table::CHUNK`] consecutive slots of a sparse arena.
+type Chunk = [Option<Row>; Table::CHUNK];
+
 impl Table {
+    /// Slots per chunk of the sparse arena.
+    pub const CHUNK: usize = 1_024;
+
     /// Creates an empty table.
     pub fn new() -> Self {
         Table::default()
@@ -148,8 +157,12 @@ impl Table {
     /// an unlocked version-0 row.
     pub fn replica(&self) -> Table {
         let mut copy = self.clone();
-        let rows = copy.dense.iter_mut().chain(&mut copy.sparse);
-        rows.flatten().for_each(|row| row.unlock());
+        let sparse = copy.sparse.iter_mut().flat_map(|chunk| chunk.iter_mut());
+        copy.dense
+            .iter_mut()
+            .chain(sparse)
+            .flatten()
+            .for_each(|row| row.unlock());
         copy
     }
 
@@ -227,28 +240,45 @@ impl Table {
         let i = cell.idx();
         match self.dense.get(i) {
             Some(row) => row.as_ref(),
-            None => self.sparse.get(i - self.dense.len())?.as_ref(),
+            None => {
+                let s = i - self.dense.len();
+                self.sparse.get(s / Self::CHUNK)?[s % Self::CHUNK].as_ref()
+            }
         }
     }
 
     /// Row at `cell`, materialising an insert placeholder when absent (and
-    /// growing the sparse arena to reach it).
+    /// growing the sparse arena by whole chunks to reach it).
     #[inline]
     fn row_or_placeholder(&mut self, cell: Cell) -> &mut Row {
         let i = cell.idx();
         let slot = match i.checked_sub(self.dense.len()) {
             None => &mut self.dense[i],
             Some(s) => {
-                if s >= self.sparse.len() {
-                    self.sparse.resize(s + 1, None);
+                let c = s / Self::CHUNK;
+                if c >= self.sparse.len() {
+                    self.grow_sparse(c);
                 }
-                &mut self.sparse[s]
+                &mut self.sparse[c][s % Self::CHUNK]
             }
         };
         if slot.is_none() {
             self.rows += 1;
         }
         slot.get_or_insert_with(Self::placeholder)
+    }
+
+    /// Adds empty chunks until chunk `c` exists. Out of line and built on
+    /// the heap: a 32 KB chunk array in `row_or_placeholder`'s frame would
+    /// make every caller probe its stack.
+    #[cold]
+    #[inline(never)]
+    fn grow_sparse(&mut self, c: usize) {
+        while self.sparse.len() <= c {
+            let chunk = vec![None; Self::CHUNK].into_boxed_slice();
+            self.sparse
+                .push(chunk.try_into().expect("a chunk is CHUNK slots"));
+        }
     }
 
     /// Inserts or replaces a row wholesale (population, migration apply).
@@ -387,8 +417,8 @@ impl Table {
         let i = cell.idx();
         let slot = match i.checked_sub(self.dense.len()) {
             None => &mut self.dense[i],
-            Some(s) => match self.sparse.get_mut(s) {
-                Some(slot) => slot,
+            Some(s) => match self.sparse.get_mut(s / Self::CHUNK) {
+                Some(chunk) => &mut chunk[s % Self::CHUNK],
                 None => return,
             },
         };
@@ -523,21 +553,50 @@ mod tests {
         assert!(t.occ_lock(b, T1).is_ok());
         t.occ_unlock(b, T1);
         assert!(t.get(b).is_none());
+        let slots = |t: &Table| t.index.borrow().len();
         assert_eq!(
-            (t.len(), t.sparse.len(), t.cell(b).map(Cell::idx)),
+            (t.len(), slots(&t), t.cell(b).map(Cell::idx)),
             (1, 2, Some(1))
         );
-        // the retry re-inserts at the same slot, without growing the arena
+        // the retry re-inserts at the same slot, without a new one
         assert!(t.occ_lock(b, T2).is_ok());
-        assert_eq!((t.sparse.len(), t.cell(b).map(Cell::idx)), (2, Some(1)));
+        assert_eq!((slots(&t), t.cell(b).map(Cell::idx)), (2, Some(1)));
         assert_eq!(t.get(b).unwrap().lock(), Some(T2));
         assert_eq!(t.occ_install(b, T2, Bytes::synth(0x0202, 2)), 1);
         // a different key takes a fresh slot
         assert!(t.occ_lock(c, T1).is_ok());
-        assert_eq!((t.sparse.len(), t.cell(c).map(Cell::idx)), (3, Some(2)));
+        assert_eq!((slots(&t), t.cell(c).map(Cell::idx)), (3, Some(2)));
         assert_eq!(t.occ_install(c, T1, Bytes::synth(0x0303, 2)), 1);
         assert_eq!(t.get(a).unwrap().value, Bytes::synth(0x0101, 2));
         assert_eq!((t.len(), t.bytes()), (3, 6));
+    }
+
+    #[test]
+    fn the_sparse_arena_grows_by_whole_chunks() {
+        let mut t = Table::populated(2, 8);
+        let key = |i: u64| (1u64 << 40) | i;
+        for i in 0..Table::CHUNK as u64 {
+            t.upsert(key(i), Bytes::synth(i, 8));
+        }
+        assert_eq!(t.sparse.len(), 1, "{} slots fill one chunk", Table::CHUNK);
+        // the next slot opens a second chunk; a lock on it spans both
+        assert!(t.occ_lock(key(Table::CHUNK as u64), T1).is_ok());
+        assert!(t.occ_lock(key(0), T1).is_ok());
+        assert_eq!(t.sparse.len(), 2);
+        let last = t.cell(key(Table::CHUNK as u64)).map(Cell::idx);
+        assert_eq!(last, Some(2 + Table::CHUNK));
+        let copy = t.replica();
+        assert_eq!((copy.len(), copy.bytes()), (t.len(), t.bytes()));
+        assert_eq!(copy.get(key(0)).unwrap().lock(), None);
+        assert_eq!(copy.get(key(Table::CHUNK as u64)).unwrap().version, 0);
+        // the primary's abort empties the slot past the first chunk
+        t.occ_unlock(key(Table::CHUNK as u64), T1);
+        assert!(t.get(key(Table::CHUNK as u64)).is_none());
+        assert_eq!(
+            t.get(key(Table::CHUNK as u64 - 1)).unwrap().value,
+            Bytes::synth(1023, 8)
+        );
+        assert_eq!(t.len(), 2 + Table::CHUNK);
     }
 
     #[test]

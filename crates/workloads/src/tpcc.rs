@@ -6,10 +6,29 @@
 //! within a warehouse. We simulate scenarios where the same customer makes
 //! purchases from different warehouses over time."
 //!
-//! Partition `w` holds warehouse `w`'s slice of every relation; composite
-//! primary keys are packed into the engine's 64-bit key space with a
-//! relation tag in the top byte. The simulated engine synthesizes write
-//! payloads; nothing here encodes a row.
+//! Partition `w` holds warehouse `w`'s slice of every relation. The five
+//! relations loaded before the run (WAREHOUSE, DISTRICT, CUSTOMER, ITEM,
+//! STOCK) have a fixed size per warehouse, so each of their rows has a row
+//! number in one fixed layout, [`loaded_key`]:
+//!
+//! | relation | rows | key |
+//! |---|---|---|
+//! | WAREHOUSE | 1 | `0` |
+//! | DISTRICT | 10 | `1 + d` |
+//! | CUSTOMER | 10 × 120 | `11 + d·120 + c` |
+//! | ITEM | 1,000 | `1,211 + i` |
+//! | STOCK | 1,000 | `2,211 + i` |
+//!
+//! A partition populates the key range `0..keys_per_partition` as directly
+//! indexed rows, so when that range covers [`LOADED_ROWS`] every loaded row
+//! is one of them: reading or writing it is an array access, no key-index
+//! probe, and a written loaded row replaces its populated row rather than
+//! adding a second one. The relations a transaction inserts into (ORDER,
+//! NEW-ORDER, ORDER-LINE, HISTORY) grow without bound, so their composite
+//! keys are packed into the 64-bit key space with a relation tag in the top
+//! byte ([`encode_key`]); those keys are at least 2⁵⁶ and never collide with
+//! a loaded row. The simulated engine synthesizes write payloads; nothing
+//! here encodes a row.
 
 use crate::zipf::Zipf;
 use lion_common::{Key, Op, PartitionId, Time, TxnRequest, Workload};
@@ -65,18 +84,19 @@ pub fn encode_key(rel: Relation, a: u64, b: u64, c: u64) -> Key {
     ((rel as u64) << 56) | (a << 40) | (b << 16) | c
 }
 
-/// Reverses [`encode_key`].
+/// Reverses [`encode_key`] and [`loaded_key`]: a loaded row decodes to
+/// `(relation, a, b, 0)`. Keys between [`LOADED_ROWS`] and the first
+/// relation tag are no row's.
 pub fn decode_key(key: Key) -> Option<(Relation, u64, u64, u64)> {
+    if key < LOADED_ROWS {
+        return Some(decode_loaded(key));
+    }
     let rel = Relation::from_tag((key >> 56) as u8)?;
     let a = (key >> 40) & 0xFFFF;
     let b = (key >> 16) & 0xFF_FFFF;
     let c = key & 0xFFFF;
     Some((rel, a, b, c))
 }
-
-// ---------------------------------------------------------------------
-// Workload generator
-// ---------------------------------------------------------------------
 
 /// Districts per warehouse (TPC-C: 10).
 const DISTRICTS: u32 = 10;
@@ -86,6 +106,57 @@ const CUSTOMERS_PER_DISTRICT: u32 = 120;
 
 /// Catalogue items (scaled from TPC-C's 100k).
 const ITEMS: u32 = 1_000;
+
+/// First key of each loaded relation (the module docs' layout).
+const DISTRICT_BASE: u64 = 1;
+const CUSTOMER_BASE: u64 = DISTRICT_BASE + DISTRICTS as u64;
+const ITEM_BASE: u64 = CUSTOMER_BASE + (DISTRICTS * CUSTOMERS_PER_DISTRICT) as u64;
+const STOCK_BASE: u64 = ITEM_BASE + ITEMS as u64;
+
+/// Rows one warehouse's loaded relations hold: every [`loaded_key`] is
+/// below this.
+pub const LOADED_ROWS: u64 = 3_211;
+
+/// The row number of a loaded relation's row: WAREHOUSE `(0, 0)`, DISTRICT
+/// `(d, 0)`, CUSTOMER `(d, c)`, ITEM and STOCK `(0, i)` (the module docs'
+/// layout). Component ranges are asserted; the inserted relations take
+/// [`encode_key`] instead.
+pub fn loaded_key(rel: Relation, a: u64, b: u64) -> Key {
+    let (d, c, i) = (
+        DISTRICTS as u64,
+        CUSTOMERS_PER_DISTRICT as u64,
+        ITEMS as u64,
+    );
+    let (key, ok) = match rel {
+        Relation::Warehouse => (0, a == 0 && b == 0),
+        Relation::District => (DISTRICT_BASE + a, a < d && b == 0),
+        Relation::Customer => (CUSTOMER_BASE + a * c + b, a < d && b < c),
+        Relation::Item => (ITEM_BASE + b, a == 0 && b < i),
+        Relation::Stock => (STOCK_BASE + b, a == 0 && b < i),
+        _ => panic!("{rel:?} is inserted, not loaded: use encode_key"),
+    };
+    assert!(ok, "component out of range for {rel:?}");
+    key
+}
+
+/// Reverses [`loaded_key`] for a key below [`LOADED_ROWS`].
+fn decode_loaded(key: Key) -> (Relation, u64, u64, u64) {
+    let c = CUSTOMERS_PER_DISTRICT as u64;
+    match key {
+        0 => (Relation::Warehouse, 0, 0, 0),
+        k if k < CUSTOMER_BASE => (Relation::District, k - DISTRICT_BASE, 0, 0),
+        k if k < ITEM_BASE => {
+            let n = k - CUSTOMER_BASE;
+            (Relation::Customer, n / c, n % c, 0)
+        }
+        k if k < STOCK_BASE => (Relation::Item, 0, k - ITEM_BASE, 0),
+        k => (Relation::Stock, 0, k - STOCK_BASE, 0),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Workload generator
+// ---------------------------------------------------------------------
 
 /// Item-popularity skew θ.
 const ITEM_THETA: f64 = 0.3;
@@ -210,22 +281,22 @@ impl TpccWorkload {
         let ol_cnt = self.rng.gen_range(5..=15u64);
         let mut ops = Vec::with_capacity(6 + 4 * ol_cnt as usize);
         // SELECT w_tax FROM warehouse; SELECT+UPDATE district (next_o_id).
-        ops.push(Op::read(home, encode_key(Relation::Warehouse, 0, 0, 0)));
-        ops.push(Op::read(home, encode_key(Relation::District, d, 0, 0)));
-        ops.push(Op::write(home, encode_key(Relation::District, d, 0, 0)));
-        ops.push(Op::read(home, encode_key(Relation::Customer, d, c, 0)));
+        ops.push(Op::read(home, loaded_key(Relation::Warehouse, 0, 0)));
+        ops.push(Op::read(home, loaded_key(Relation::District, d, 0)));
+        ops.push(Op::write(home, loaded_key(Relation::District, d, 0)));
+        ops.push(Op::read(home, loaded_key(Relation::Customer, d, c)));
 
         for ol in 0..ol_cnt {
-            let item = self.item_dist.sample_scrambled(&mut self.rng) & 0xFF_FFFF;
+            let item = self.item_dist.sample_scrambled(&mut self.rng);
             // ITEM is a replicated read-only catalogue: read locally.
-            ops.push(Op::read(home, encode_key(Relation::Item, 0, item, 0)));
+            ops.push(Op::read(home, loaded_key(Relation::Item, 0, item)));
             // 10% of lines of a remote transaction hit the remote stock
             // (at least one guaranteed), matching TPC-C's remote item rule.
             let line_remote = remote && (ol == 0 || self.rng.gen::<f64>() < 0.1);
             let sw = if line_remote { supply_w } else { w };
             let spart = PartitionId(sw);
-            ops.push(Op::read(spart, encode_key(Relation::Stock, 0, item, 0)));
-            ops.push(Op::write(spart, encode_key(Relation::Stock, 0, item, 0)));
+            ops.push(Op::read(spart, loaded_key(Relation::Stock, 0, item)));
+            ops.push(Op::write(spart, loaded_key(Relation::Stock, 0, item)));
             // INSERT order-line.
             ops.push(Op::write(
                 home,
@@ -252,12 +323,12 @@ impl TpccWorkload {
         self.next_h_id[w as usize] = self.next_h_id[w as usize].wrapping_add(1);
 
         let mut ops = Vec::with_capacity(8);
-        ops.push(Op::read(home, encode_key(Relation::Warehouse, 0, 0, 0)));
-        ops.push(Op::write(home, encode_key(Relation::Warehouse, 0, 0, 0)));
-        ops.push(Op::read(home, encode_key(Relation::District, d, 0, 0)));
-        ops.push(Op::write(home, encode_key(Relation::District, d, 0, 0)));
-        ops.push(Op::read(cpart, encode_key(Relation::Customer, d, c, 0)));
-        ops.push(Op::write(cpart, encode_key(Relation::Customer, d, c, 0)));
+        ops.push(Op::read(home, loaded_key(Relation::Warehouse, 0, 0)));
+        ops.push(Op::write(home, loaded_key(Relation::Warehouse, 0, 0)));
+        ops.push(Op::read(home, loaded_key(Relation::District, d, 0)));
+        ops.push(Op::write(home, loaded_key(Relation::District, d, 0)));
+        ops.push(Op::read(cpart, loaded_key(Relation::Customer, d, c)));
+        ops.push(Op::write(cpart, loaded_key(Relation::Customer, d, c)));
         ops.push(Op::write(home, encode_key(Relation::History, d, h, 0)));
         TxnRequest::new(ops)
     }
@@ -280,30 +351,97 @@ impl Workload for TpccWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lion_common::OpKind;
 
     fn cfg() -> TpccConfig {
         TpccConfig::for_cluster(4, 6)
     }
 
+    const LOADED: [Relation; 5] = [
+        Relation::Warehouse,
+        Relation::District,
+        Relation::Customer,
+        Relation::Item,
+        Relation::Stock,
+    ];
+
     #[test]
     fn key_encoding_roundtrip() {
         for (rel, a, b, c) in [
-            (Relation::Warehouse, 0u64, 0u64, 0u64),
-            (Relation::District, 9, 0, 0),
-            (Relation::Customer, 9, 2999, 0),
+            (Relation::Order, 9u64, 0u64, 0u64),
+            (Relation::NewOrder, 9, 2999, 0),
             (Relation::OrderLine, 3, 123_456, 14),
-            (Relation::Stock, 0, 99_999, 0),
+            (Relation::History, 0, 99_999, 0),
         ] {
             let k = encode_key(rel, a, b, c);
+            assert!(k >= 1 << 56, "a packed key is above every loaded row");
             assert_eq!(decode_key(k), Some((rel, a, b, c)));
         }
-        assert_eq!(decode_key(0), None, "tag 0 is invalid");
+        for (rel, a, b) in [
+            (Relation::Warehouse, 0u64, 0u64),
+            (Relation::District, 9, 0),
+            (Relation::Customer, 9, 119),
+            (Relation::Item, 0, 0),
+            (Relation::Stock, 0, 999),
+        ] {
+            let k = loaded_key(rel, a, b);
+            assert!(k < LOADED_ROWS);
+            assert_eq!(decode_key(k), Some((rel, a, b, 0)));
+        }
+        assert_eq!(loaded_key(Relation::Stock, 0, 999), LOADED_ROWS - 1);
+        assert_eq!(decode_key(LOADED_ROWS), None, "tag 0 is invalid");
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn key_component_overflow_panics() {
-        let _ = encode_key(Relation::Customer, 1 << 17, 0, 0);
+        let _ = encode_key(Relation::OrderLine, 1 << 17, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn loaded_component_overflow_panics() {
+        let _ = loaded_key(Relation::Customer, 0, CUSTOMERS_PER_DISTRICT as u64);
+    }
+
+    #[test]
+    fn the_loaded_layout_gives_every_row_its_own_key_below_loaded_rows() {
+        let (d, c, i) = (
+            DISTRICTS as u64,
+            CUSTOMERS_PER_DISTRICT as u64,
+            ITEMS as u64,
+        );
+        let mut rows = vec![(Relation::Warehouse, 0, 0)];
+        rows.extend((0..d).map(|d| (Relation::District, d, 0)));
+        rows.extend((0..d).flat_map(|d| (0..c).map(move |c| (Relation::Customer, d, c))));
+        rows.extend((0..i).map(|i| (Relation::Item, 0, i)));
+        rows.extend((0..i).map(|i| (Relation::Stock, 0, i)));
+        let mut seen = vec![false; LOADED_ROWS as usize];
+        for &(rel, a, b) in &rows {
+            let k = loaded_key(rel, a, b);
+            assert!(k < LOADED_ROWS, "{rel:?} ({a}, {b}) -> {k}");
+            assert!(!std::mem::replace(&mut seen[k as usize], true), "{k} twice");
+        }
+        assert!(seen.iter().all(|&s| s), "the layout has no holes");
+    }
+
+    #[test]
+    fn loaded_relations_use_loaded_keys_and_inserts_packed_ones() {
+        let mut w = TpccWorkload::new(cfg().with_mix(0.5, 0.0).with_payment_ratio(0.5));
+        let mut inserts = 0;
+        for _ in 0..500 {
+            for op in w.next_txn(0).ops {
+                let (rel, ..) = decode_key(op.key).expect("every key decodes");
+                if LOADED.contains(&rel) {
+                    assert!(op.key < LOADED_ROWS, "{rel:?} at {:#x}", op.key);
+                } else {
+                    assert_eq!(op.kind, OpKind::Write, "{rel:?} is only inserted");
+                    assert!(op.key >= 1 << 56, "{rel:?} at {:#x}", op.key);
+                    inserts += 1;
+                }
+            }
+        }
+        assert!(inserts > 500, "orders, lines and history rows: {inserts}");
     }
 
     #[test]

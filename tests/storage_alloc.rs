@@ -3,8 +3,8 @@
 //! * the write path: installing, logging, shipping and applying a committed
 //!   write allocates nothing per write, an epoch after the first allocates
 //!   nothing at all, populating a replica allocates nothing per row, and
-//!   copying one (replica add) allocates its two row vectors and no key
-//!   index;
+//!   copying one (replica add) allocates its dense row vector, its sparse
+//!   chunk list and one block per sparse chunk, and no key index;
 //! * the engine: once warm, a commit allocates only its request and its
 //!   history record — contexts are built in recycled buffers;
 //! * the future-event list: a warm calendar queue schedules and pops
@@ -88,10 +88,11 @@ fn the_write_path_allocates_nothing_per_write() {
             .occ_install(key, txn, Table::synth_value(key, 1, 64));
     }
     let (mut secondary, copy) = allocations(|| ReplicaStore::from_snapshot(p, &primary));
+    let chunks = SPARSE.div_ceil(Table::CHUNK as u64);
     assert!(
-        copy <= 2,
-        "copying {} rows made {copy} allocations; expected its dense and sparse \
-         row vectors and no key index",
+        copy <= 2 + chunks,
+        "copying {} rows made {copy} allocations; expected its dense row vector, \
+         its chunk list, one per {chunks} sparse chunk(s) and no key index",
         KEYS + SPARSE
     );
     assert_eq!(secondary.table.len(), primary.table.len());
