@@ -50,7 +50,6 @@ impl Protocol for Aria {
         let mut res_w: FastMap<(u32, u64), usize> = FastMap::default();
         let mut res_r: FastMap<(u32, u64), usize> = FastMap::default();
         for (i, &t) in batch.iter().enumerate() {
-            eng.load_declared_sets(t);
             let (mut done, owners) = execute_at_owners(eng, t, now);
             if owners.len() > 1 {
                 // Distributed: remote reads + the costly distributed commit

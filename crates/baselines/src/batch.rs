@@ -7,7 +7,7 @@
 
 use lion_common::{FastMap, NodeId, Op, OpKind, Phase, Time, TxnId};
 use lion_engine::tags::{tag, untag};
-use lion_engine::{cpu, ByteClass, Engine, MetricEvent, TxnClass};
+use lion_engine::{cpu, ByteClass, CommitClass, Engine, MetricEvent};
 use lion_sim::MultiServer;
 
 const K_COMMIT: u8 = 1;
@@ -32,11 +32,16 @@ pub(crate) fn finish_at(eng: &mut Engine, txn: TxnId, at: Time, how: Finish) {
 }
 
 /// The `on_wake` of a [`finish_at`]. A wake left over from an attempt a
-/// fault aborted in the meantime never arrives: the engine drops it.
+/// fault aborted in the meantime never arrives: the engine drops it. A
+/// commit loads the write set from the declared ops in the same instant,
+/// so a declared attempt holds no set between events.
 pub(crate) fn on_wake(eng: &mut Engine, txn: TxnId, tagv: u32) {
     let kind = untag(tagv).0;
     match kind {
-        K_COMMIT => eng.commit(txn),
+        K_COMMIT => {
+            eng.load_declared_sets(txn);
+            eng.commit(txn);
+        }
         K_DEFER => eng.abort_defer(txn),
         _ => unreachable!("batch kit wake of kind {kind}"),
     }
@@ -85,7 +90,7 @@ pub(crate) fn distributed_commit_rounds(
         let (_, end) = eng.cpu_grant(node, done, commit_cpu);
         done = done.max(end);
     }
-    eng.txn_mut(txn).class = TxnClass::Distributed;
+    eng.txn_mut(txn).class = CommitClass::Distributed;
     (done, 2 * rtt)
 }
 
@@ -187,7 +192,7 @@ impl LockManager {
                 bytes: read_bytes as u64 + 32,
                 node: None,
             });
-            eng.txn_mut(txn).class = TxnClass::Distributed;
+            eng.txn_mut(txn).class = CommitClass::Distributed;
         }
         eng.charge_phase(txn, Phase::Execution, done - start);
 
@@ -234,13 +239,14 @@ pub(crate) fn batch_barrier_rtt(eng: &Engine, bytes: u32) -> Time {
         .unwrap_or(0)
 }
 
-/// Charges the asynchronous replication of a transaction's writes to its
-/// partitions' secondaries (bytes + replication phase time).
+/// Charges the asynchronous replication of a transaction's declared writes
+/// to its partitions' secondaries (bytes + replication phase time).
 pub(crate) fn charge_replication(eng: &mut Engine, txn: TxnId, at: Time) {
     let mut bytes = 0u64;
-    let n_writes = eng.txn(txn).write_set.len() as u64;
-    for w in &eng.txn(txn).write_set {
-        let n_secs = eng.cluster.placement.secondaries_of(w.part).len() as u64;
+    let req = &eng.txn(txn).req;
+    let n_writes = req.write_count() as u64;
+    for op in req.ops.iter().filter(|op| op.kind == OpKind::Write) {
+        let n_secs = eng.cluster.placement.secondaries_of(op.partition).len() as u64;
         bytes += n_secs * (eng.config().sim.value_size as u64 + 32);
     }
     if bytes > 0 {

@@ -54,7 +54,6 @@ impl Protocol for Calvin {
                 eng.park_until_heal(t);
                 continue;
             }
-            eng.load_declared_sets(t);
             self.locks.run(eng, t, now);
         }
     }

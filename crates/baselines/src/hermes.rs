@@ -62,7 +62,6 @@ impl Protocol for Hermes {
         });
 
         for t in ordered {
-            eng.load_declared_sets(t);
             // The designated executor: the node already hosting the most
             // primaries of the transaction (prescient routing keeps
             // identical templates on the same executor so migrations

@@ -51,7 +51,6 @@ impl Protocol for Lotus {
         let mut losers: Vec<TxnId> = Vec::new();
 
         for &t in batch {
-            eng.load_declared_sets(t);
             let conflict = eng.txn(t).req.ops.iter().any(|op| {
                 let k = (op.partition.0, op.key);
                 match op.kind {

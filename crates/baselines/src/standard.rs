@@ -3,7 +3,7 @@
 //! is the third; Lion itself is the fourth, in `lion-core`.)
 
 use lion_common::{NodeId, PartitionId, TxnId};
-use lion_engine::{Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind, TxnClass};
+use lion_engine::{CommitClass, Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind};
 
 // ---------------------------------------------------------------------
 // 2PC: the non-adaptive classic (§VI-A.2 "2PC")
@@ -182,7 +182,7 @@ impl StandardPolicy for LeapPolicy {
     /// Pull the partition home, blocking until the move lands, then retry
     /// the group locally.
     fn remote_action(&mut self, eng: &mut Engine, txn: TxnId, part: PartitionId) -> RemoteAction {
-        eng.txn_mut(txn).class = TxnClass::Distributed;
+        eng.txn_mut(txn).class = CommitClass::Distributed;
         let home = eng.txn(txn).home;
         let older_holder = eng
             .oldest_executing_on(part, txn)

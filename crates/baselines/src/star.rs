@@ -12,9 +12,9 @@
 //! Figs. 9 and 11b.
 
 use crate::batch::{self, finish_at, Finish};
-use lion_common::{NodeId, PartitionId, Phase, Time, TxnId};
+use lion_common::{NodeId, OpKind, PartitionId, Phase, Time, TxnId};
 use lion_engine::tags::{tag, untag};
-use lion_engine::{cpu, ByteClass, Engine, MetricEvent, Protocol, TxnClass};
+use lion_engine::{cpu, ByteClass, CommitClass, Engine, MetricEvent, Protocol};
 
 /// Partition-phase execution at the owner; every other wake is the kit's.
 const K_SINGLE: u8 = 3;
@@ -125,8 +125,7 @@ impl Protocol for Star {
                 continue;
             }
             self.super_node_txns += 1;
-            eng.txn_mut(t).class = TxnClass::Remastered; // single-node via mastership switch
-            eng.load_declared_sets(t);
+            eng.txn_mut(t).class = CommitClass::Remastered; // single-node via mastership switch
             let reads = eng.txn(t).req.read_count();
             let writes = eng.txn(t).req.write_count();
             let cost = eng.op_cpu(reads, writes) + cpu::TXN_OVERHEAD_US + cpu::INSTALL_US;
@@ -144,10 +143,12 @@ impl Protocol for Star {
             });
             let repl = eng
                 .txn(t)
-                .write_set
+                .req
+                .ops
                 .iter()
-                .map(|w| {
-                    let owner = eng.cluster.placement.primary_of(w.part);
+                .filter(|op| op.kind == OpKind::Write)
+                .map(|op| {
+                    let owner = eng.cluster.placement.primary_of(op.partition);
                     eng.cluster
                         .net_delay_between(SUPER_NODE, owner, bytes as u32)
                 })

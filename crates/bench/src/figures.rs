@@ -711,21 +711,21 @@ fn fig_e(scale: Scale) -> String {
 /// * **crash-approx** — the legacy path: the majority side treats the
 ///   isolated nodes as crashed; every transaction they were serving is
 ///   aborted, their goodput is zero for the window.
-/// * **quorum-fence** — honest split-brain with epoch group commit and
-///   round-trip-priced retries: both sides stay live, but a commit whose
-///   writes touch a partition served from the non-quorum side parks its
-///   ack behind the quorum fence; the heal aborts those divergent epochs
-///   and the clients resubmit. `acked_then_lost` stays 0.
+/// * **quorum-fence** — honest split-brain with epoch group commit: both
+///   sides stay live, but a commit whose writes touch a partition served
+///   from the non-quorum side parks its ack behind the quorum fence; the
+///   heal aborts those divergent epochs and the clients resubmit, each
+///   paying its request round trip. `acked_then_lost` stays 0.
 /// * **optimistic** — honest split-brain with ack-at-commit: the minority
 ///   side acks immediately, and the heal audit counts every ack whose
 ///   timeline lost (`acked_then_lost > 0`).
 fn fig_sb(scale: Scale) -> String {
     const EPOCH_US: u64 = 5_000;
-    // (arm, honest split-brain, epoch length, round-trip-priced retries)
-    const ARMS: [(&str, bool, u64, bool); 3] = [
-        ("crash-approx", false, EPOCH_US, false),
-        ("quorum-fence", true, EPOCH_US, true),
-        ("optimistic", true, 0, false),
+    // (arm, honest split-brain, epoch length)
+    const ARMS: [(&str, bool, u64); 3] = [
+        ("crash-approx", false, EPOCH_US),
+        ("quorum-fence", true, EPOCH_US),
+        ("optimistic", true, 0),
     ];
     let (horizon, cut_at, heal_at) = fault_window(scale);
     let cut = vec![NodeId(2), NodeId(3)];
@@ -733,14 +733,14 @@ fn fig_sb(scale: Scale) -> String {
     sim.replication_factor = 3;
     sim.max_replicas = 4;
     let grid = Grid::run(FAULT_SET.len(), 1, ARMS.len(), |r, _, a| {
-        let (arm, split, epoch_us, retry_round_trip) = ARMS[a];
+        let (arm, split, epoch_us) = ARMS[a];
         let mut plan = FaultPlan::new()
             .partition_at(cut_at, cut.clone())
             .heal_at(heal_at);
         if split {
             plan = plan.with_split_brain();
         }
-        let mut job = Job::new(
+        Job::new(
             format!("{}/{arm}", FAULT_SET[r].label()),
             FAULT_SET[r],
             sim.clone(),
@@ -748,9 +748,7 @@ fn fig_sb(scale: Scale) -> String {
             horizon,
         )
         .with_faults(plan)
-        .with_epoch_commit(epoch_us);
-        job.retry_round_trip = retry_round_trip;
-        job
+        .with_epoch_commit(epoch_us)
     });
 
     let mut out = String::new();

@@ -159,9 +159,6 @@ pub struct Job {
     pub faults: FaultPlan,
     /// Epoch group-commit length (0 = ack at commit, the figure default).
     pub epoch_commit_us: Time,
-    /// Price idempotent client resubmissions after an epoch abort as their
-    /// own request round trip (figsb's group-commit-aware retry arm).
-    pub retry_round_trip: bool,
 }
 
 impl Job {
@@ -181,7 +178,6 @@ impl Job {
             horizon,
             faults: FaultPlan::none(),
             epoch_commit_us: 0,
-            retry_round_trip: false,
         }
     }
 
@@ -194,12 +190,6 @@ impl Job {
     /// Enables epoch group commit with the given epoch length (fige).
     pub fn with_epoch_commit(mut self, epoch_commit_us: Time) -> Self {
         self.epoch_commit_us = epoch_commit_us;
-        self
-    }
-
-    /// Prices epoch-abort retries as full client resubmission round trips.
-    pub fn with_retry_round_trip(mut self) -> Self {
-        self.retry_round_trip = true;
         self
     }
 }
@@ -284,10 +274,7 @@ pub fn run_job(job: &Job) -> RunReport {
 /// side-effect — the overhead gate (`lion-bench obsgate`) runs the same job
 /// under [`ObsMode::Null`](lion_engine::ObsMode) and `Full` and compares.
 pub fn run_job_with_obs(job: &Job, obs_mode: lion_engine::ObsMode) -> RunReport {
-    let mut durability = DurabilityConfig::epoch(job.epoch_commit_us);
-    if job.retry_round_trip {
-        durability = durability.with_retry_round_trip();
-    }
+    let durability = DurabilityConfig::epoch(job.epoch_commit_us);
     let cfg = EngineConfig {
         sim: job.sim.clone(),
         plan_interval_us: 500_000,

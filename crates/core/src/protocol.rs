@@ -21,7 +21,7 @@ use crate::provision::{PlanRound, Trigger};
 use crate::router::route_txn;
 use lion_cluster::{AdaptorError, Transfer};
 use lion_common::{FastMap, NodeId, PartitionId, Time, TxnId};
-use lion_engine::{Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind, TxnClass};
+use lion_engine::{CommitClass, Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind};
 use lion_planner::{HeatGraph, TxnPlacementClass};
 use lion_predictor::WorkloadPredictor;
 
@@ -110,8 +110,8 @@ impl Lion {
             }
             Err(_) => return None,
         };
-        if eng.txn(txn).class == TxnClass::SingleNode {
-            eng.txn_mut(txn).class = TxnClass::Remastered;
+        if eng.txn(txn).class == CommitClass::SingleNode {
+            eng.txn_mut(txn).class = CommitClass::Remastered;
         }
         Some(wait + 1)
     }

@@ -35,13 +35,6 @@ pub struct DurabilityConfig {
     /// `0` (the default) disables epoch group commit — acks escape at
     /// protocol-commit time, exactly the pre-subsystem behavior.
     pub epoch_commit_us: Time,
-    /// Charge an idempotent-resubmit round trip when a client retries a
-    /// transaction swept up by an epoch abort (crash or heal-time divergence
-    /// reconciliation): the retry re-enters after `backoff + client↔home RTT`
-    /// and its resubmission message is priced on the wire. Off by default —
-    /// the pre-existing free-instant-retry behavior is what the pinned
-    /// digest goldens capture.
-    pub retry_round_trip: bool,
 }
 
 impl DurabilityConfig {
@@ -52,16 +45,7 @@ impl DurabilityConfig {
 
     /// Epoch group commit with the given epoch length.
     pub fn epoch(epoch_commit_us: Time) -> Self {
-        DurabilityConfig {
-            epoch_commit_us,
-            ..Self::default()
-        }
-    }
-
-    /// Enables the priced resubmission round trip on epoch-abort retries.
-    pub fn with_retry_round_trip(mut self) -> Self {
-        self.retry_round_trip = true;
-        self
+        DurabilityConfig { epoch_commit_us }
     }
 }
 
@@ -191,13 +175,6 @@ impl EpochManager {
     pub fn park(&mut self, ack: PendingAck) {
         debug_assert!(self.enabled(), "parking with epoch commit disabled");
         self.open.push(ack);
-    }
-
-    /// Whether epoch-abort retries pay a resubmission round trip
-    /// (see [`DurabilityConfig::retry_round_trip`]).
-    #[inline]
-    pub fn retry_round_trip(&self) -> bool {
-        self.cfg.retry_round_trip
     }
 
     /// Parks a commit whose ack is **quorum-fenced**: some written partition
@@ -451,13 +428,5 @@ mod tests {
         let heal = m.abort_fenced();
         assert_eq!(heal.epochs_aborted, 1);
         assert_eq!(heal.retried.len(), 1);
-    }
-
-    #[test]
-    fn retry_round_trip_builder() {
-        let cfg = DurabilityConfig::epoch(5_000).with_retry_round_trip();
-        assert!(cfg.retry_round_trip);
-        assert!(EpochManager::new(cfg).retry_round_trip());
-        assert!(!EpochManager::new(DurabilityConfig::epoch(5_000)).retry_round_trip());
     }
 }

@@ -106,14 +106,14 @@ impl Engine {
 
     /// The clients of an aborted epoch's parked, never-released acks retry
     /// after the back-off (standard mode; batch clients are paced by the
-    /// batch loop). Group-commit-aware retry pricing: when `retry_round_trip`
-    /// is on, each idempotent resubmission pays its own request round trip
-    /// on the wire (request out + ack back, at message framing size) instead
-    /// of reappearing for free after the back-off.
+    /// batch loop). Group-commit-aware retry pricing: each idempotent
+    /// resubmission pays its own request round trip on the wire (request
+    /// out + ack back, at message framing size) instead of reappearing for
+    /// free after the back-off.
     pub(super) fn retry_unacked(&mut self, retried: Vec<PendingAck>) {
         let now = self.now();
         let mut delay = self.cfg.sim.retry_backoff_us;
-        if self.epochs.retry_round_trip() && !retried.is_empty() {
+        if !retried.is_empty() {
             let framing = u64::from(lion_common::MSG_OVERHEAD_BYTES);
             self.emit_bytes(ByteClass::Message, 2 * framing * retried.len() as u64);
             delay += 2 * self.cfg.sim.net.delay(0);

@@ -4,11 +4,11 @@
 
 use super::{Engine, Ev};
 use crate::cpu;
-use crate::txn::{CellOp, OpWalk, ReadEntry, TxnClass, TxnCtx, WriteEntry};
+use crate::txn::{CellOp, OpWalk, ReadEntry, TxnCtx, WriteEntry};
 use lion_cluster::Cluster;
 use lion_common::{NodeId, OpKind, PartitionId, Phase, Time, TxnId, MSG_OVERHEAD_BYTES};
 use lion_durability::PendingAck;
-use lion_obs::{ByteClass, CommitClass, MetricEvent};
+use lion_obs::{ByteClass, MetricEvent};
 use lion_storage::{OpOutcome, Table};
 
 /// Why a data operation could not run right now.
@@ -301,10 +301,7 @@ impl Engine {
     /// Installs `txn`'s writes at their partitions' primaries: stores
     /// synthesized payloads, bumps versions, appends to the replication log.
     /// A transaction that executed follows a successful
-    /// [`Engine::validate_at`] at every primary it wrote; one with declared
-    /// sets installs at whatever primary it finds, because its protocol's
-    /// schedule already serialized the writers (Star's single-master phase,
-    /// the deterministic batch schemes).
+    /// [`Engine::validate_at`] at every primary it wrote.
     ///
     /// No placement check: a hand-off that lands aborts every attempt that
     /// executed on its partition, so a written partition is still where the
@@ -348,13 +345,18 @@ impl Engine {
 
     /// Records the write set of `txn` from its declared ops without
     /// executing reads (deterministic protocols declare sets up front),
-    /// each row's cell resolved at its partition's primary.
+    /// each row's cell resolved at its partition's primary. The batch kit
+    /// calls it in the event that commits `txn`, so a declared attempt
+    /// holds no set between events.
     pub fn load_declared_sets(&mut self, txn: TxnId) {
         // Disjoint field borrows within one context: read the declared ops,
         // append to the write set — no `req.ops` clone.
         let Engine { txns, cluster, .. } = self;
         let ctx = txns.get_mut(txn).expect("live transaction");
-        ctx.declared = true;
+        debug_assert!(
+            ctx.read_set.is_empty() && ctx.write_set.is_empty(),
+            "{txn} loads declared sets over executed ones"
+        );
         let TxnCtx { req, write_set, .. } = ctx;
         for op in req.ops.iter().filter(|op| op.kind == OpKind::Write) {
             let primary = cluster.placement.primary_of(op.partition);
@@ -462,11 +464,7 @@ impl Engine {
         self.emit(MetricEvent::Commit {
             at: now,
             latency_us: now.saturating_sub(ctx.start),
-            class: match ctx.class {
-                TxnClass::SingleNode => CommitClass::SingleNode,
-                TxnClass::Remastered => CommitClass::Remastered,
-                TxnClass::Distributed => CommitClass::Distributed,
-            },
+            class: ctx.class,
             node: ctx.home,
             phase_us: ctx.phase_us,
         });

@@ -2,9 +2,9 @@
 //! and the epoch clock, each driven through a few-line protocol.
 
 use super::*;
-use crate::txn::TxnClass;
 use lion_cluster::Transfer;
 use lion_common::{Key, Op, Phase, SECOND};
+use lion_obs::CommitClass;
 
 fn tiny_cfg() -> SimConfig {
     SimConfig {
@@ -97,7 +97,7 @@ fn a_wake_never_reaches_a_later_attempt() {
                 return;
             }
             self.commits += 1;
-            eng.txn_mut(txn).class = TxnClass::SingleNode;
+            eng.txn_mut(txn).class = CommitClass::SingleNode;
             eng.commit(txn);
         }
     }
@@ -192,7 +192,7 @@ fn remaster_async_flips_placement_after_delay() {
                 self.fired = true;
                 eng.remaster_async(self.part, self.target).unwrap();
             }
-            eng.txn_mut(txn).class = TxnClass::SingleNode;
+            eng.txn_mut(txn).class = CommitClass::SingleNode;
             eng.cpu(NodeId(0), Phase::Execution, 10, txn, 0);
         }
         fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, _tag: u32) {

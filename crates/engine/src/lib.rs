@@ -39,4 +39,4 @@ pub use protocol::{Protocol, TickKind};
 pub use report::RunReport;
 pub use slab::TxnSlab;
 pub use standard::{RemoteAction, StandardPolicy};
-pub use txn::{TxnClass, TxnCtx};
+pub use txn::TxnCtx;

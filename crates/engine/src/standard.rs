@@ -10,9 +10,9 @@ use crate::cpu;
 use crate::engine::{Engine, OpFail};
 use crate::protocol::{Protocol, TickKind};
 use crate::tags::{tag, untag};
-use crate::txn::TxnClass;
 use lion_common::{NodeId, PartitionId, Phase, Time, TxnId};
 use lion_faults::FaultNotice;
+use lion_obs::CommitClass;
 
 /// What to do with a partition group whose primary is not at the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +140,7 @@ fn process_group<P: StandardPolicy>(policy: &mut P, eng: &mut Engine, txn: TxnId
     }
     match policy.remote_action(eng, txn, part) {
         RemoteAction::TwoPc => {
-            eng.txn_mut(txn).class = TxnClass::Distributed;
+            eng.txn_mut(txn).class = CommitClass::Distributed;
             if !eng.txn(txn).participants.contains(&primary) {
                 eng.txn_mut(txn).participants.push(primary);
             }

@@ -1,19 +1,8 @@
 //! Per-transaction runtime context.
 
 use lion_common::{ClientId, Key, NodeId, Op, OpKind, PartitionId, Time, TxnId, TxnRequest};
+use lion_obs::CommitClass;
 use lion_storage::Cell;
-
-/// How a transaction ultimately executed, for the single-node-conversion
-/// statistics the paper reports (§III cases 1–3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnClass {
-    /// All primaries local at the executor: direct single-node execution.
-    SingleNode,
-    /// Converted to single-node via one or more remasters.
-    Remastered,
-    /// Executed as a distributed transaction with 2PC.
-    Distributed,
-}
 
 /// One read-set entry: the version observed at execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +98,9 @@ pub struct TxnCtx {
     pub home: NodeId,
     /// Remote 2PC participants (primaries of non-local partitions).
     pub participants: Vec<NodeId>,
-    /// Execution classification for statistics.
-    pub class: TxnClass,
+    /// How the transaction executed (§III cases 1–3): the class its
+    /// commit reports.
+    pub class: CommitClass,
     /// Protocol scratch: current phase / partition-group index.
     pub step: u32,
     /// Accumulated per-phase time for the latency breakdown (µs).
@@ -121,9 +111,6 @@ pub struct TxnCtx {
     /// True once a `validate_at` of this attempt prepare-locked a row: the
     /// only state in which an abort has anything to release.
     pub holds_locks: bool,
-    /// True when this attempt's sets were declared up front
-    /// (`load_declared_sets`), not filled by executing at a primary.
-    pub declared: bool,
     /// Declared ops regrouped by partition in first-touch order, flattened,
     /// each with its cell. Built once at creation (`req` never changes), so
     /// the per-wake group walks of the protocol state machines are
@@ -216,12 +203,11 @@ impl TxnCtx {
             failed: false,
             home: NodeId(0),
             participants,
-            class: TxnClass::SingleNode,
+            class: CommitClass::SingleNode,
             step: 0,
             phase_us: [0; 5],
             parked: false,
             holds_locks: false,
-            declared: false,
             grouped_ops,
             group_index,
         }
@@ -285,21 +271,20 @@ impl TxnCtx {
         self.pending = 0;
         self.failed = false;
         self.participants.clear();
-        self.class = TxnClass::SingleNode;
+        self.class = CommitClass::SingleNode;
         self.step = 0;
         self.holds_locks = false;
-        self.declared = false;
         self.attempts += 1;
     }
 
     /// True when this attempt executed on `part`: its read or write set has
-    /// an entry there that came from running at the partition's primary.
-    /// Such an attempt stands on the primary it ran at, so a hand-off that
-    /// moves `part` must not land under it.
+    /// an entry there, which only running at the partition's primary puts
+    /// (a declared attempt loads its write set in its commit instant). Such
+    /// an attempt stands on the primary it ran at, so a hand-off that moves
+    /// `part` must not land under it.
     pub fn executed_on(&self, part: PartitionId) -> bool {
-        !self.declared
-            && (self.read_set.iter().any(|r| r.part == part)
-                || self.write_set.iter().any(|w| w.part == part))
+        self.read_set.iter().any(|r| r.part == part)
+            || self.write_set.iter().any(|w| w.part == part)
     }
 }
 
@@ -343,16 +328,14 @@ mod tests {
         });
         ctx.pending = 2;
         ctx.failed = true;
-        ctx.class = TxnClass::Distributed;
+        ctx.class = CommitClass::Distributed;
         ctx.holds_locks = true;
-        ctx.declared = true;
         ctx.reset_for_retry();
         assert!(ctx.read_set.is_empty());
         assert!(!ctx.holds_locks);
-        assert!(!ctx.declared);
         assert_eq!(ctx.pending, 0);
         assert!(!ctx.failed);
-        assert_eq!(ctx.class, TxnClass::SingleNode);
+        assert_eq!(ctx.class, CommitClass::SingleNode);
         assert_eq!(ctx.attempts, 2);
         assert_eq!(ctx.start, 100, "latency still measured from first submit");
         assert_eq!(

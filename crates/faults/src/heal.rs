@@ -80,7 +80,8 @@ pub fn plan_split_promotions(cluster: &Cluster) -> Vec<SplitDecision> {
             continue;
         }
         let candidates = candidates_on_side(cluster, part, qs);
-        let action = match select_promotion_target(&candidates) {
+        let avoid = Some(cluster.zone(primary));
+        let action = match select_promotion_target(&candidates, &cluster.zone_of, avoid) {
             // Cross-cut promotion never syncs lag: detection + hand-off only.
             Some(target) if qs == 0 => SplitAction::Promote {
                 target,
@@ -128,7 +129,11 @@ pub fn plan_heal(cluster: &Cluster) -> Vec<HealStep> {
             cluster
                 .shadow_of(part)
                 .filter(|&t| cluster.is_up(t))
-                .or_else(|| select_promotion_target(&candidates_on_side(cluster, part, qs)))
+                .or_else(|| {
+                    let candidates = candidates_on_side(cluster, part, qs);
+                    let avoid = Some(cluster.zone(primary));
+                    select_promotion_target(&candidates, &cluster.zone_of, avoid)
+                })
         } else {
             None
         };

@@ -48,6 +48,14 @@ pub struct PromotionCandidate {
 /// [`PromotionCandidate::has_gap`] and is excluded outright, whatever its
 /// frontier says.
 ///
+/// Failure-domain awareness: on *equal* freshness, candidates outside
+/// `avoid_zone` (the zone of the primary being replaced) win — if the zone
+/// is failing, its surviving members are the likeliest next casualties,
+/// and promoting into it invites a mid-promotion re-plan. Freshness still
+/// dominates: a fresher in-zone replica beats a staler out-of-zone one
+/// (lag, not zone, prices the hand-off). With no zone map, no zone to
+/// avoid, or a single zone, every candidate ranks equal on zone.
+///
 /// ```
 /// use lion_faults::{select_promotion_target, PromotionCandidate};
 /// use lion_common::NodeId;
@@ -57,20 +65,9 @@ pub struct PromotionCandidate {
 ///     // Highest frontier, but its applied prefix has a hole: ineligible.
 ///     PromotionCandidate { node: NodeId(3), applied_lsn: 95, has_gap: true },
 /// ];
-/// assert_eq!(select_promotion_target(&candidates), Some(NodeId(2)));
+/// assert_eq!(select_promotion_target(&candidates, &[], None), Some(NodeId(2)));
 /// ```
-pub fn select_promotion_target(candidates: &[PromotionCandidate]) -> Option<NodeId> {
-    select_promotion_target_zoned(candidates, &[], None)
-}
-
-/// [`select_promotion_target`] with failure-domain awareness: on *equal*
-/// freshness, candidates outside `avoid_zone` (the dead primary's zone) win
-/// — if the zone is failing, its surviving members are the likeliest next
-/// casualties, and promoting into it invites a mid-promotion re-plan.
-/// Freshness still dominates: a fresher in-zone replica beats a staler
-/// out-of-zone one (lag, not zone, prices the hand-off). With no zone map
-/// (or a single zone) this reduces exactly to the unzoned selection.
-pub fn select_promotion_target_zoned(
+pub fn select_promotion_target(
     candidates: &[PromotionCandidate],
     zone_of: &[ZoneId],
     avoid_zone: Option<ZoneId>,
@@ -157,8 +154,7 @@ pub fn plan_promotion(cluster: &Cluster, part: PartitionId) -> FailoverDecision 
     let dead = cluster.placement.primary_of(part);
     let head = cluster.log_head(dead, part);
     let candidates = promotion_candidates(cluster, part);
-    let target =
-        select_promotion_target_zoned(&candidates, &cluster.zone_of, Some(cluster.zone(dead)));
+    let target = select_promotion_target(&candidates, &cluster.zone_of, Some(cluster.zone(dead)));
     let (lag, duration) = match candidates.iter().find(|c| Some(c.node) == target) {
         Some(c) => {
             let lag = head.saturating_sub(c.applied_lsn);
@@ -201,17 +197,17 @@ mod tests {
     #[test]
     fn freshest_wins() {
         let c = [cand(2, 5, false), cand(1, 9, false), cand(3, 7, false)];
-        assert_eq!(select_promotion_target(&c), Some(NodeId(1)));
+        assert_eq!(select_promotion_target(&c, &[], None), Some(NodeId(1)));
     }
 
     #[test]
     fn ties_break_to_lowest_node_id() {
         let c = [cand(3, 9, false), cand(1, 9, false), cand(2, 9, false)];
-        assert_eq!(select_promotion_target(&c), Some(NodeId(1)));
+        assert_eq!(select_promotion_target(&c, &[], None), Some(NodeId(1)));
         // order independence
         let mut r = c;
         r.reverse();
-        assert_eq!(select_promotion_target(&r), Some(NodeId(1)));
+        assert_eq!(select_promotion_target(&r, &[], None), Some(NodeId(1)));
     }
 
     #[test]
@@ -222,30 +218,31 @@ mod tests {
         // not — N2 wins despite the higher id.
         let c = [cand(1, 9, false), cand(2, 9, false)];
         assert_eq!(
-            select_promotion_target_zoned(&c, &zones, Some(ZoneId(0))),
+            select_promotion_target(&c, &zones, Some(ZoneId(0))),
             Some(NodeId(2))
         );
         // Freshness still dominates the zone preference.
         let c = [cand(1, 10, false), cand(2, 9, false)];
         assert_eq!(
-            select_promotion_target_zoned(&c, &zones, Some(ZoneId(0))),
+            select_promotion_target(&c, &zones, Some(ZoneId(0))),
             Some(NodeId(1))
         );
-        // No zone info: identical to the unzoned selection.
-        let c = [cand(3, 9, false), cand(1, 9, false)];
+        // No zone map, or no zone to avoid: ties fall to the lowest id.
+        let c = [cand(2, 9, false), cand(1, 9, false)];
         assert_eq!(
-            select_promotion_target_zoned(&c, &[], None),
-            select_promotion_target(&c)
+            select_promotion_target(&c, &[], Some(ZoneId(0))),
+            Some(NodeId(1))
         );
+        assert_eq!(select_promotion_target(&c, &zones, None), Some(NodeId(1)));
     }
 
     #[test]
     fn gapped_replicas_never_lead() {
         let c = [cand(1, 100, true), cand(2, 3, false)];
-        assert_eq!(select_promotion_target(&c), Some(NodeId(2)));
+        assert_eq!(select_promotion_target(&c, &[], None), Some(NodeId(2)));
         let all_gapped = [cand(1, 100, true), cand(2, 50, true)];
-        assert_eq!(select_promotion_target(&all_gapped), None);
-        assert_eq!(select_promotion_target(&[]), None);
+        assert_eq!(select_promotion_target(&all_gapped, &[], None), None);
+        assert_eq!(select_promotion_target(&[], &[], None), None);
     }
 
     #[test]

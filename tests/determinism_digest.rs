@@ -220,8 +220,9 @@ const SCENARIOS: &[Scenario] = &[
     // The five batch baselines, without faults and through a crash: pinned
     // by PR 17 at its parent commit `3e42397`, before `engine.rs` was split
     // into `engine/` and their shared bodies moved into `baselines/batch.rs`
-    // — they are the only users of `cpu_grant`, `wake_at`, `charge_phase`
-    // and `load_declared_sets`, and the only ones to `install` declared sets.
+    // — they are the only users of `cpu_grant`, `wake_at` and
+    // `charge_phase`, and the only ones to commit declared sets, which the
+    // kit's commit wake loads in its own instant.
     //
     // Star: partition phase + single-master phase through the super node
     // (`cpu_grant`, `wake_at`, `exec_group_at`, `install`).
@@ -247,7 +248,8 @@ const SCENARIOS: &[Scenario] = &[
         golden: 0xa93342e698841ea1,
     },
     // Calvin: single-threaded lock manager + deterministic execution
-    // (`load_declared_sets`, `charge_phase`, `cpu_grant`, `wake_at`).
+    // (`charge_phase`, `cpu_grant`, `wake_at`, a commit wake that loads
+    // the declared write set).
     Scenario {
         name: "calvin-ycsb",
         build: || Box::new(Calvin::new()),
@@ -473,7 +475,14 @@ fn zone_crash_scenario_is_reproducible_and_pinned() {
 /// Re-pinned a second time, from `0x3a6a501b057b9883`: 2PC installs at its
 /// commit slice (the reason `2pc-ycsb` gives). Commits 5,746 and acks 5,698
 /// are unchanged; aborts 491 → 512.
-const EPOCH_GOLDEN: u64 = 0x57dfebfddaf08988;
+///
+/// Re-pinned a third time, from `0x57dfebfddaf08988`: every epoch-abort
+/// retry is priced. The crash's 24 retried clients each pay a resubmission
+/// round trip (framing bytes on the wire and `2 × net delay` before they
+/// resubmit) where they used to reappear free after the back-off. Commits
+/// 5,746, acks 5,698, aborts 512 and retried acks 24 are unchanged; bytes
+/// per commit rise from 645.59 to 646.12.
+const EPOCH_GOLDEN: u64 = 0xf8a2a051dde07612;
 
 fn run_epoch_scenario() -> RunReport {
     let cfg = EngineConfig {
@@ -559,7 +568,7 @@ fn run_split_brain_scenario() -> RunReport {
             .partition_at(SECOND / 4, vec![NodeId(2), NodeId(3)])
             .heal_at(SECOND / 2)
             .with_split_brain(),
-        durability: lion::engine::DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+        durability: lion::engine::DurabilityConfig::epoch(5_000),
         ..EngineConfig::default()
     };
     let mut eng = Engine::new(

@@ -236,7 +236,7 @@ fn run_split_brain(faults: FaultPlan, horizon: Time) -> (Engine, RunReport) {
         sim: sb_sim(),
         plan_interval_us: 500_000,
         faults,
-        durability: DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+        durability: DurabilityConfig::epoch(5_000),
         ..Default::default()
     };
     let workload = Box::new(YcsbWorkload::new(
@@ -277,7 +277,7 @@ fn crash_during_split_window_on_each_side() {
             .crash_at(SECOND + 500_000, NodeId(7))
             .heal_at(2 * SECOND)
             .with_split_brain(),
-        durability: DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+        durability: DurabilityConfig::epoch(5_000),
         ..Default::default()
     };
     let workload = Box::new(YcsbWorkload::new(

@@ -409,16 +409,16 @@ proptest! {
     ) {
         let cands: Vec<PromotionCandidate> =
             raw.iter().map(|&(n, a, g)| cand(n, a, g == 0)).collect();
-        let picked = select_promotion_target(&cands);
+        let picked = select_promotion_target(&cands, &[], None);
         prop_assert_eq!(picked, spec_select(&cands));
         let mut reversed = cands.clone();
         reversed.reverse();
-        prop_assert_eq!(select_promotion_target(&reversed), picked);
+        prop_assert_eq!(select_promotion_target(&reversed, &[], None), picked);
         let mut rotated = cands.clone();
         if !rotated.is_empty() {
             rotated.rotate_left(1);
         }
-        prop_assert_eq!(select_promotion_target(&rotated), picked);
+        prop_assert_eq!(select_promotion_target(&rotated, &[], None), picked);
     }
 
     /// Promotion never elects a replica whose applied-epoch prefix has a
@@ -434,7 +434,7 @@ proptest! {
             .filter(|(n, _, _)| seen.insert(*n))
             .map(|&(n, a, g)| cand(n, a, g == 0))
             .collect();
-        if let Some(node) = select_promotion_target(&cands) {
+        if let Some(node) = select_promotion_target(&cands, &[], None) {
             let winner = cands.iter().find(|c| c.node == node).expect("winner in set");
             prop_assert!(!winner.has_gap, "elected a gapped replica {:?}", winner);
         } else {

@@ -141,6 +141,58 @@ fn lotus_end_to_end() {
     run_end_to_end(&mut Lotus::new(), 0.5, 0.0);
 }
 
+/// A batch protocol that checks, after every batch it arms, that no
+/// still-live member holds a read or write set: a declared attempt loads
+/// its write set in the event that commits it, so a hand-off landing
+/// between arming and commit finds nothing to strand.
+struct HoldsNothingBetweenEvents<P>(P);
+
+impl<P: Protocol> Protocol for HoldsNothingBetweenEvents<P> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn batch_mode(&self) -> bool {
+        self.0.batch_mode()
+    }
+    fn on_submit(&mut self, eng: &mut Engine, txn: TxnId) {
+        self.0.on_submit(eng, txn);
+    }
+    fn on_wake(&mut self, eng: &mut Engine, txn: TxnId, tag: u32) {
+        self.0.on_wake(eng, txn, tag);
+    }
+    fn on_tick(&mut self, eng: &mut Engine, kind: TickKind) {
+        self.0.on_tick(eng, kind);
+    }
+    fn on_batch(&mut self, eng: &mut Engine, batch: &[TxnId]) {
+        self.0.on_batch(eng, batch);
+        for &t in batch.iter().filter(|&&t| eng.is_live(t)) {
+            let ctx = eng.txn(t);
+            assert!(
+                ctx.read_set.is_empty() && ctx.write_set.is_empty(),
+                "{}: {t:?} holds sets after its batch was armed",
+                self.0.name()
+            );
+        }
+    }
+    fn on_fault(&mut self, eng: &mut Engine, notice: &FaultNotice) {
+        self.0.on_fault(eng, notice);
+    }
+}
+
+#[test]
+fn batch_attempts_hold_no_sets_between_events() {
+    fn check<P: Protocol>(proto: P) -> RunReport {
+        let mut wrapped = HoldsNothingBetweenEvents(proto);
+        run_end_to_end(&mut wrapped, 0.8, 0.0)
+    }
+    check(Star::new());
+    check(Calvin::new());
+    let r = check(Hermes::new());
+    assert!(r.migrations > 0, "Hermes migrates on cross-partition YCSB");
+    check(Aria::new());
+    check(Lotus::new());
+}
+
 #[test]
 fn tpcc_runs_on_lion_and_2pc() {
     for lion_run in [true, false] {

@@ -122,7 +122,7 @@ fn minority_side_stays_live_and_fenced() {
             which,
             11,
             split_plan(SECOND / 5, 2 * SECOND / 5),
-            DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+            DurabilityConfig::epoch(5_000),
         );
         let r = &run.report;
         assert_eq!(r.partitions_begun, 1, "{name}: the cut opened");
@@ -164,7 +164,7 @@ fn minority_side_stays_live_and_fenced() {
             FaultPlan::new()
                 .partition_at(SECOND / 5, vec![NodeId(2), NodeId(3)])
                 .heal_at(2 * SECOND / 5),
-            DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+            DurabilityConfig::epoch(5_000),
         );
         assert!(
             r.unavailability_us <= legacy.report.unavailability_us,
@@ -337,7 +337,7 @@ fn promotion_landing_on_a_remaster_leaves_nothing_in_flight() {
         plan_interval_us: 200_000,
         monitor_interval_us: fire_at / 3,
         faults: split_plan(cut_at, heal_at),
-        durability: DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+        durability: DurabilityConfig::epoch(5_000),
         ..EngineConfig::default()
     };
     let mut proto = RemasterIntoPromotion {
@@ -413,7 +413,7 @@ proptest! {
         which in 0usize..4,
     ) {
         let heal_at = cut_at + heal_gap;
-        let durability = DurabilityConfig::epoch(epoch_us).with_retry_round_trip();
+        let durability = DurabilityConfig::epoch(epoch_us);
         let run = run_split(which, seed, split_plan(cut_at, heal_at), durability);
         prop_assert_eq!(
             run.report.acked_then_lost, 0,
@@ -450,7 +450,7 @@ proptest! {
                 which,
                 seed,
                 split_plan(cut_at, cut_at + 150_000),
-                DurabilityConfig::epoch(5_000).with_retry_round_trip(),
+                DurabilityConfig::epoch(5_000),
             );
             run.report.digest()
         };
