@@ -390,8 +390,16 @@ mod tests {
 
     #[test]
     fn the_figures_dense_range_holds_every_loaded_tpcc_row() {
-        // Below this, loaded TPC-C rows spill into the key index again.
+        // Below this, loaded TPC-C rows spill into the arena.
         assert!(base_sim(4).keys_per_partition >= lion_workloads::tpcc::LOADED_ROWS);
+    }
+
+    #[test]
+    fn the_figures_dense_range_ends_below_every_inserted_tpcc_row() {
+        // Every experiment's cluster is a `base_sim`. Were its dense range to
+        // reach `INSERTED_BASE`, an insert would land on a populated row and
+        // silently become an update.
+        assert!(base_sim(4).keys_per_partition < lion_workloads::tpcc::INSERTED_BASE);
     }
 
     #[test]

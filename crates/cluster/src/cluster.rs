@@ -187,15 +187,15 @@ impl Cluster {
             if store.role != ReplicaRole::Primary {
                 return Err(format!("{part}: store on {primary} is not primary"));
             }
-            // A cell names the same row in every store of the partition,
-            // listed or left on a down node's disk.
+            // Every store of the partition, listed or left on a down node's
+            // disk, holds the same populated key range.
+            let dense = store.table.dense_len();
             let foreign = |m: &FastMap<u32, ReplicaStore>| {
-                m.get(&part.0)
-                    .is_some_and(|s| !s.table.shares_cells_with(&store.table))
+                m.get(&part.0).is_some_and(|s| s.table.dense_len() != dense)
             };
             if let Some(n) = self.stores.iter().position(foreign) {
                 return Err(format!(
-                    "{part}: store on N{n} does not share the primary's cells"
+                    "{part}: store on N{n} has a dense range unlike the primary's {dense}"
                 ));
             }
             for &sec in self.placement.secondaries_of(part) {

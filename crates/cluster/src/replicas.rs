@@ -39,12 +39,12 @@ pub(crate) enum Store {
 }
 
 /// The deployment-time stores of `placement`: a populated primary and
-/// in-sync secondaries for every partition, all over the primary's key index.
-/// Each node's map is sized once for the replicas it hosts, so populating
-/// frees nothing. Maps grown by rehashing leave freed blocks between the row
-/// vectors, and a process that builds one cluster after another (a figure
-/// grid, the benchmark's set-ups) then faults most of the previous cluster's
-/// pages back in; sized once, it reuses them.
+/// in-sync secondaries for every partition. Each node's map is sized once
+/// for the replicas it hosts, so populating frees nothing. Maps grown by
+/// rehashing leave freed blocks between the row vectors, and a process that
+/// builds one cluster after another (a figure grid, the benchmark's set-ups)
+/// then faults most of the previous cluster's pages back in; sized once, it
+/// reuses them.
 pub(crate) fn populate_stores(
     cfg: &SimConfig,
     placement: &Placement,
@@ -57,13 +57,12 @@ pub(crate) fn populate_stores(
             fast_map_with_capacity(hosted)
         })
         .collect();
+    let (keys, value_size) = (cfg.keys_per_partition, cfg.value_size);
     for p in 0..placement.n_partitions() {
         let part = PartitionId(p as u32);
-        let primary = ReplicaStore::new_primary(part, cfg.keys_per_partition, cfg.value_size);
+        let primary = ReplicaStore::new_primary(part, keys, value_size);
         for &sec in placement.secondaries_of(part) {
-            let mut store =
-                ReplicaStore::new_secondary(part, cfg.keys_per_partition, cfg.value_size);
-            store.table.share_index(&primary.table);
+            let store = ReplicaStore::new_secondary(part, keys, value_size);
             stores[sec.idx()].insert(part.0, store);
         }
         stores[placement.primary_of(part).idx()].insert(part.0, primary);
@@ -73,8 +72,7 @@ pub(crate) fn populate_stores(
 
 impl Cluster {
     /// `node` joins `part`'s replica set: it is listed as a secondary and
-    /// receives a fresh copy of the primary's rows (over the partition's one
-    /// key index).
+    /// receives a fresh copy of the primary's rows.
     pub(crate) fn attach(&mut self, part: PartitionId, node: NodeId) -> Result<(), AdaptorError> {
         match self.placement.add_secondary(part, node) {
             Ok(()) => {}

@@ -4,7 +4,7 @@
 
 use super::*;
 use lion_common::{NodeId, PartitionId, SimConfig, TxnId};
-use lion_storage::{Bytes, ReplicaRole};
+use lion_storage::{Bytes, ReplicaRole, ReplicaStore};
 
 fn small_cfg() -> SimConfig {
     SimConfig {
@@ -33,6 +33,19 @@ fn construction_matches_placement() {
     assert!(c.store(n(0), p(0)).is_some());
     assert!(c.store(n(1), p(0)).is_some(), "secondary store exists");
     assert!(c.store(n(2), p(0)).is_none());
+}
+
+#[test]
+fn a_store_with_another_dense_range_is_reported() {
+    let mut c = Cluster::new(small_cfg());
+    let keys = small_cfg().keys_per_partition;
+    let narrow = ReplicaStore::new_secondary(p(0), keys - 1, 16);
+    *c.store_mut(n(1), p(0)).expect("a secondary of P0") = narrow;
+    let err = c.check_invariants().unwrap_err();
+    assert!(
+        err.contains("N1 has a dense range unlike the primary's 32"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -345,25 +345,21 @@ impl Engine {
 
     /// Records the write set of `txn` from its declared ops without
     /// executing reads (deterministic protocols declare sets up front),
-    /// each row's cell resolved at its partition's primary. The batch kit
-    /// calls it in the event that commits `txn`, so a declared attempt
-    /// holds no set between events.
+    /// each row at its cell. The batch kit calls it in the event that
+    /// commits `txn`, so a declared attempt holds no set between events.
     pub fn load_declared_sets(&mut self, txn: TxnId) {
-        // Disjoint field borrows within one context: read the declared ops,
-        // append to the write set — no `req.ops` clone.
-        let Engine { txns, cluster, .. } = self;
-        let ctx = txns.get_mut(txn).expect("live transaction");
+        let ctx = self.txns.get_mut(txn).expect("live transaction");
         debug_assert!(
             ctx.read_set.is_empty() && ctx.write_set.is_empty(),
             "{txn} loads declared sets over executed ones"
         );
+        // Disjoint field borrows: read the declared ops, append to the
+        // write set — no `req.ops` clone.
         let TxnCtx { req, write_set, .. } = ctx;
         for op in req.ops.iter().filter(|op| op.kind == OpKind::Write) {
-            let primary = cluster.placement.primary_of(op.partition);
-            let store = cluster.store(primary, op.partition).expect("primary store");
             write_set.push(WriteEntry {
                 part: op.partition,
-                cell: store.table.cell_or_assign(op.key),
+                cell: Table::cell(op.key),
                 key: op.key,
             });
         }
@@ -582,16 +578,10 @@ fn exec_ops(
     let table = &cluster.store(node, part).expect("primary store").table;
     let mut attempted = 0;
     let mut result = Ok(());
-    // A read-modify-write declares the key twice in a row: one lookup.
-    let mut last = None;
     for CellOp { op, cell } in walk.ops {
         attempted += 1;
         let key = op.key;
-        let cell = *cell.get_or_insert_with(|| match last {
-            Some((k, c)) if k == key => c,
-            _ => table.cell_or_assign(key),
-        });
-        last = Some((key, cell));
+        let cell = *cell.get_or_insert_with(|| Table::cell(key));
         match op.kind {
             OpKind::Read => match table.occ_read_cell(cell, txn) {
                 OpOutcome::Ok { version } => walk.read_set.push(ReadEntry {

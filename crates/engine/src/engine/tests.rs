@@ -461,7 +461,7 @@ fn rows_and_locks(eng: &Engine, part: PartitionId, keys: &[Key]) -> Vec<(usize, 
 /// placeholder — and the attempt owes its abort no release.
 #[test]
 fn failed_validation_mutates_nothing() {
-    const FRESH: Key = 7 << 56; // beyond the dense range: lives in the sparse map
+    const FRESH: Key = 1 << 20; // beyond the dense range: lives in the arena
     let keys = [1, 3, 5, 7, FRESH];
     let mut eng = Engine::new(tiny_cfg(), uniform_workload(4));
     let (part, home) = (PartitionId(0), NodeId(0));

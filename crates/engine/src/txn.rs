@@ -29,8 +29,8 @@ pub struct WriteEntry {
 }
 
 /// A declared op beside its row's cell, resolved at the op's first
-/// execution and reused by every later attempt: the partition's replicas
-/// share one key index whose entries never move.
+/// execution and reused by every later attempt: a cell is its key, the same
+/// on every replica of the partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CellOp {
     /// The declared op.
@@ -318,7 +318,7 @@ mod tests {
     fn retry_resets_attempt_state() {
         let req = TxnRequest::new(vec![Op::read(p(0), 1)]);
         let mut ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 100);
-        let cell = lion_storage::Table::new().cell_or_assign(1);
+        let cell = lion_storage::Table::cell(1);
         ctx.group_walk(0).ops[0].cell = Some(cell);
         ctx.read_set.push(ReadEntry {
             part: p(0),

@@ -106,7 +106,7 @@ impl ReplicaStore {
     /// Applies the next entry at its cell (by key when it carries none).
     #[inline]
     fn apply(&mut self, e: &LogEntry) {
-        let cell = e.cell.unwrap_or_else(|| self.table.cell_or_assign(e.key));
+        let cell = e.cell.unwrap_or_else(|| Table::cell(e.key));
         self.table.apply_replicated_cell(cell, e.version, e.value);
         self.applied_lsn = e.lsn;
     }

@@ -2,24 +2,17 @@
 //!
 //! Rows are 32-byte slots (`Option<Row>`) held in two places: a directly
 //! indexed vector for the contiguous populated range, and the replica's own
-//! arena for every other key (the rows transactions insert), addressed
-//! through a key→slot index that all replicas of the partition share.
+//! arena for every key past it (the rows transactions insert), key `k` at
+//! arena position `k − dense.len()`.
 //!
-//! A row's **cell** numbers its slot across both: a dense key is its own
-//! cell, a sparse key's cell is `dense.len() + slot`. Every replica of a
-//! partition has the same dense length and the one index (checked by
-//! [`Table::shares_cells_with`]), and index entries are never removed, so a
-//! cell names the same row on every replica for the partition's lifetime.
-//! A caller resolves a key once ([`Table::cell_or_assign`]) and addresses
-//! the row by its cell from then on; each key-addressed method is a key
-//! lookup in front of its cell-addressed body (reads, validation and
-//! unlocks look up without assigning a slot).
+//! A row's **cell** is its key, checked against the u32 cell limit, so a
+//! cell names the same row on every replica of the partition and nothing
+//! maps keys to places. Each key-addressed method is [`Table::cell`] in
+//! front of its cell-addressed body.
 
 use crate::row::{Bytes, Row};
-use lion_common::{FastMap, Key, TxnId};
-use std::cell::RefCell;
+use lion_common::{Key, TxnId};
 use std::num::NonZeroU32;
-use std::rc::Rc;
 
 /// Result of an OCC step against one row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,17 +35,27 @@ impl OpOutcome {
     }
 }
 
-/// A row's place in every replica of its partition (see the module docs).
-/// Only a [`Table`] of the partition makes one. Stored plus one, so
-/// `Option<Cell>` is four bytes.
+/// A row's place in every replica of its partition: its key (see the
+/// module docs). Stored plus one, so `Option<Cell>` is four bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell(NonZeroU32);
 
 impl Cell {
+    /// The largest key a table holds.
+    const LIMIT: Key = u32::MAX as Key - 1;
+
     #[inline]
-    fn new(i: usize) -> Cell {
-        let n = u32::try_from(i + 1).ok().and_then(NonZeroU32::new);
-        Cell(n.expect("a partition outgrew u32 cells"))
+    fn new(key: Key) -> Cell {
+        let n = u32::try_from(key.wrapping_add(1))
+            .ok()
+            .and_then(NonZeroU32::new);
+        Cell(n.unwrap_or_else(|| Self::past_limit(key)))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn past_limit(key: Key) -> ! {
+        panic!("key {key} is past the cell limit {}", Self::LIMIT)
     }
 
     #[inline]
@@ -63,54 +66,44 @@ impl Cell {
 
 /// Key→row map for one partition replica.
 ///
-/// # Dense rows, the sparse arena and the shared index
+/// # Dense rows and the arena
 ///
 /// A freshly populated partition holds the contiguous key range `0..keys`
 /// (YCSB's rows, and TPC-C's loaded relations), so those rows live in a
-/// directly indexed vector: every OCC step on them is an array access, no
-/// hashing. Keys at or beyond the dense range (inserted rows) live in the
-/// sparse arena, reached through a key→slot index. The arena is a list of
-/// [`Table::CHUNK`]-row chunks, slot `s` at `s / CHUNK`, `s % CHUNK`, so it
-/// grows by one chunk and an insert never copies the rows before it. The
-/// split is invisible through the API — `(key, row)` behavior is identical
-/// on both paths — and the two never overlap: a key belongs to the dense
-/// vector iff `key < dense.len()`.
+/// directly indexed vector: every OCC step on them is an array access. A key
+/// at or past the dense range (an inserted row) lives in the arena at
+/// position `key − dense.len()`. The arena is a directory of
+/// [`Table::CHUNK`]-row chunks, position `s` at `s / CHUNK`, `s % CHUNK`,
+/// and a chunk is allocated when a write first touches it, so the keys a
+/// partition never uses cost one directory entry per chunk and an insert
+/// never copies the rows before it. The split is invisible through the API
+/// — `(key, row)` behavior is identical on both paths — and the two never
+/// overlap: a key belongs to the dense vector iff `key < dense.len()`.
 ///
-/// # One index per partition
-///
-/// The key→slot index belongs to the partition, not to the replica. A clone
-/// of a `Table` is another replica of the same partition (so is
-/// [`Table::replica`], and a table handed another's index by
-/// [`Table::share_index`]): it keeps its own rows, `len` and `bytes`, in its
-/// own arena, at the slots the one index assigns. A key's slot is fixed for
-/// the partition's lifetime: the first replica to resolve a sparse key gives
-/// it the next slot, and an aborted insert empties its slot but keeps the
-/// entry, so the retry reuses the slot and no two keys ever share a cell. The
-/// sharing saves host memory only; it is not a modelled resource and has no
-/// simulated cost.
+/// A clone of a `Table` is another replica of the same partition (so is
+/// [`Table::replica`]): it keeps its own rows, `len` and `bytes`, at the
+/// same cells.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Direct-indexed rows for the contiguous populated range; `None` means
     /// the row is absent.
     dense: Vec<Option<Row>>,
-    /// This replica's sparse rows at their index slots, in chunks of
-    /// [`Table::CHUNK`]; `None` where it holds no row for the slot's key
-    /// (never applied, or an aborted insert).
-    sparse: Vec<Box<Chunk>>,
-    /// Key → slot in every replica's `sparse`, shared by all replicas of the
-    /// partition. Entries are never removed.
-    index: Rc<RefCell<FastMap<Key, u32>>>,
-    /// Number of `Some` slots in `dense` and `sparse`.
+    /// This replica's rows past the dense range, in chunks of
+    /// [`Table::CHUNK`]; `None` where no write touched the chunk, or, inside
+    /// one, where it holds no row for the key (never applied, or an aborted
+    /// insert).
+    arena: Vec<Option<Box<Chunk>>>,
+    /// Number of `Some` slots in `dense` and `arena`.
     rows: usize,
     /// Payload bytes currently stored (maintained incrementally).
     bytes: u64,
 }
 
-/// [`Table::CHUNK`] consecutive slots of a sparse arena.
+/// [`Table::CHUNK`] consecutive slots of the arena.
 type Chunk = [Option<Row>; Table::CHUNK];
 
 impl Table {
-    /// Slots per chunk of the sparse arena.
+    /// Slots per chunk of the arena.
     pub const CHUNK: usize = 1_024;
 
     /// Creates an empty table.
@@ -135,32 +128,22 @@ impl Table {
         t
     }
 
-    /// Makes this table, populated like `other` but holding no sparse row
-    /// yet, another replica of `other`'s partition: from now on its sparse
-    /// rows sit at the slots of `other`'s index.
-    pub fn share_index(&mut self, other: &Table) {
-        debug_assert!(self.sparse.is_empty(), "adopting an index under rows");
-        debug_assert_eq!(self.dense.len(), other.dense.len(), "dense ranges differ");
-        self.index = Rc::clone(&other.index);
-    }
-
-    /// True when a cell names the same row here and in `other`: both have
-    /// the same dense length and one key index. Holds for every pair of
-    /// replicas of a partition.
-    pub fn shares_cells_with(&self, other: &Table) -> bool {
-        Rc::ptr_eq(&self.index, &other.index) && self.dense.len() == other.dense.len()
+    /// Keys `0..dense_len()` are the populated range, held as a directly
+    /// indexed vector. Equal on every replica of a partition.
+    pub fn dense_len(&self) -> usize {
+        self.dense.len()
     }
 
     /// A new replica of this partition copied from this one (replica add):
-    /// the same rows, `len` and `bytes` over the same index, with every
-    /// prepare-lock cleared, so an in-flight insert's placeholder arrives as
-    /// an unlocked version-0 row.
+    /// the same rows, `len` and `bytes`, with every prepare-lock cleared, so
+    /// an in-flight insert's placeholder arrives as an unlocked version-0
+    /// row.
     pub fn replica(&self) -> Table {
         let mut copy = self.clone();
-        let sparse = copy.sparse.iter_mut().flat_map(|chunk| chunk.iter_mut());
+        let arena = copy.arena.iter_mut().flatten().flat_map(|c| c.iter_mut());
         copy.dense
             .iter_mut()
-            .chain(sparse)
+            .chain(arena)
             .flatten()
             .for_each(|row| row.unlock());
         copy
@@ -197,41 +180,21 @@ impl Table {
         self.bytes
     }
 
-    /// Dense-range test done in u64 width *before* any `as usize` cast: on
-    /// a 32-bit target a bit-packed key like `(42 << 32) | 7` must not
-    /// truncate and alias dense row 7.
+    /// The cell of `key`: the key itself, on every replica of the
+    /// partition.
+    ///
+    /// # Panics
+    ///
+    /// If `key` is past the u32 cell limit, `u32::MAX − 1`.
     #[inline]
-    fn in_dense(dense: &[Option<Row>], key: Key) -> bool {
-        key < dense.len() as u64
-    }
-
-    /// The cell of `key`, if the partition has given it one (a dense key
-    /// always has one).
-    #[inline]
-    pub fn cell(&self, key: Key) -> Option<Cell> {
-        if Self::in_dense(&self.dense, key) {
-            return Some(Cell::new(key as usize));
-        }
-        let slot = *self.index.borrow().get(&key)?;
-        Some(Cell::new(self.dense.len() + slot as usize))
-    }
-
-    /// The cell of `key`; a sparse key new to the partition takes the
-    /// shared index's next slot, for every replica at once.
-    #[inline]
-    pub fn cell_or_assign(&self, key: Key) -> Cell {
-        if Self::in_dense(&self.dense, key) {
-            return Cell::new(key as usize);
-        }
-        let mut index = self.index.borrow_mut();
-        let next = u32::try_from(index.len()).expect("sparse arena outgrew u32 slots");
-        Cell::new(self.dense.len() + *index.entry(key).or_insert(next) as usize)
+    pub fn cell(key: Key) -> Cell {
+        Cell::new(key)
     }
 
     /// Looks up a row.
     #[inline]
     pub fn get(&self, key: Key) -> Option<&Row> {
-        self.row(self.cell(key)?)
+        self.row(Self::cell(key))
     }
 
     /// The row at `cell`, if this replica holds one.
@@ -242,13 +205,13 @@ impl Table {
             Some(row) => row.as_ref(),
             None => {
                 let s = i - self.dense.len();
-                self.sparse.get(s / Self::CHUNK)?[s % Self::CHUNK].as_ref()
+                self.arena.get(s / Self::CHUNK)?.as_deref()?[s % Self::CHUNK].as_ref()
             }
         }
     }
 
     /// Row at `cell`, materialising an insert placeholder when absent (and
-    /// growing the sparse arena by whole chunks to reach it).
+    /// allocating the arena chunk that holds it).
     #[inline]
     fn row_or_placeholder(&mut self, cell: Cell) -> &mut Row {
         let i = cell.idx();
@@ -256,10 +219,11 @@ impl Table {
             None => &mut self.dense[i],
             Some(s) => {
                 let c = s / Self::CHUNK;
-                if c >= self.sparse.len() {
-                    self.grow_sparse(c);
+                if !matches!(self.arena.get(c), Some(Some(_))) {
+                    self.open_chunk(c);
                 }
-                &mut self.sparse[c][s % Self::CHUNK]
+                let chunk = self.arena[c].as_deref_mut().expect("chunk c is open");
+                &mut chunk[s % Self::CHUNK]
             }
         };
         if slot.is_none() {
@@ -268,23 +232,23 @@ impl Table {
         slot.get_or_insert_with(Self::placeholder)
     }
 
-    /// Adds empty chunks until chunk `c` exists. Out of line and built on
-    /// the heap: a 32 KB chunk array in `row_or_placeholder`'s frame would
-    /// make every caller probe its stack.
+    /// Allocates arena chunk `c`, extending the directory to reach it. Out
+    /// of line and built on the heap: a 32 KB chunk array in
+    /// `row_or_placeholder`'s frame would make every caller probe its stack.
     #[cold]
     #[inline(never)]
-    fn grow_sparse(&mut self, c: usize) {
-        while self.sparse.len() <= c {
-            let chunk = vec![None; Self::CHUNK].into_boxed_slice();
-            self.sparse
-                .push(chunk.try_into().expect("a chunk is CHUNK slots"));
+    fn open_chunk(&mut self, c: usize) {
+        if self.arena.len() <= c {
+            self.arena.resize_with(c + 1, || None);
         }
+        let chunk = vec![None; Self::CHUNK].into_boxed_slice();
+        self.arena[c] = Some(chunk.try_into().expect("a chunk is CHUNK slots"));
     }
 
     /// Inserts or replaces a row wholesale (population, migration apply).
     pub fn upsert(&mut self, key: Key, value: Bytes) {
         let add = value.len() as u64;
-        let row = self.row_or_placeholder(self.cell_or_assign(key));
+        let row = self.row_or_placeholder(Self::cell(key));
         let old = row.value.len() as u64;
         *row = Row::new(value);
         self.bytes = self.bytes - old + add;
@@ -319,7 +283,7 @@ impl Table {
 
     /// [`Table::occ_lock_cell`] by key.
     pub fn occ_lock(&mut self, key: Key, txn: TxnId) -> OpOutcome {
-        self.occ_lock_cell(self.cell_or_assign(key), txn)
+        self.occ_lock_cell(Self::cell(key), txn)
     }
 
     /// OCC prepare-lock for a write. Missing rows (inserts) are locked by
@@ -384,7 +348,7 @@ impl Table {
 
     /// [`Table::occ_install_cell`] by key.
     pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
-        self.occ_install_cell(self.cell_or_assign(key), txn, value)
+        self.occ_install_cell(Self::cell(key), txn, value)
     }
 
     /// Installs a write: stores the new payload, bumps the version, releases
@@ -405,21 +369,19 @@ impl Table {
 
     /// [`Table::occ_unlock_cell`] by key.
     pub fn occ_unlock(&mut self, key: Key, txn: TxnId) {
-        if let Some(cell) = self.cell(key) {
-            self.occ_unlock_cell(cell, txn);
-        }
+        self.occ_unlock_cell(Self::cell(key), txn);
     }
 
     /// Releases a prepare-lock without installing (abort path). A placeholder
-    /// created for an insert is emptied again; a sparse key keeps its slot.
+    /// created for an insert is emptied again.
     #[inline]
     pub fn occ_unlock_cell(&mut self, cell: Cell, txn: TxnId) {
         let i = cell.idx();
         let slot = match i.checked_sub(self.dense.len()) {
             None => &mut self.dense[i],
-            Some(s) => match self.sparse.get_mut(s / Self::CHUNK) {
-                Some(chunk) => &mut chunk[s % Self::CHUNK],
-                None => return,
+            Some(s) => match self.arena.get_mut(s / Self::CHUNK) {
+                Some(Some(chunk)) => &mut chunk[s % Self::CHUNK],
+                _ => return,
             },
         };
         if let Some(row) = slot.as_mut().filter(|r| r.lock() == Some(txn)) {
@@ -434,7 +396,7 @@ impl Table {
 
     /// [`Table::apply_replicated_cell`] by key.
     pub fn apply_replicated(&mut self, key: Key, version: u64, value: Bytes) {
-        self.apply_replicated_cell(self.cell_or_assign(key), version, value)
+        self.apply_replicated_cell(Self::cell(key), version, value)
     }
 
     /// Applies a replicated write (no locking: replication is ordered).
@@ -517,6 +479,10 @@ mod tests {
         assert_eq!(t.get(6).unwrap().version, 1);
     }
 
+    /// A key past every dense range in these tests: TPC-C's first inserted
+    /// row.
+    const INS: Key = 1 << 20;
+
     #[test]
     fn a_replica_copy_clears_locks_and_keeps_in_flight_placeholders() {
         // An existing dense row survives an aborted lock untouched.
@@ -527,107 +493,149 @@ mod tests {
         assert_eq!(t.get(2).unwrap().version, 1);
         // A copy taken while a write and an insert are prepare-locked
         // carries both rows unlocked; the insert as a version-0 row.
-        let ins = 1u64 << 40;
         assert!(t.occ_lock(2, T1).is_ok());
-        assert!(t.occ_lock(ins, T1).is_ok());
+        assert!(t.occ_lock(INS, T1).is_ok());
         let mut copy = t.replica();
         assert_eq!((copy.len(), copy.bytes()), (5, 32));
         assert_eq!(copy.get(2).unwrap().lock(), None);
-        let row = copy.get(ins).unwrap();
+        let row = copy.get(INS).unwrap();
         assert_eq!((row.version, row.lock()), (0, None));
         // The primary's abort empties its own cell only.
-        t.occ_unlock(ins, T1);
-        assert!(t.get(ins).is_none());
+        t.occ_unlock(INS, T1);
+        assert!(t.get(INS).is_none());
         assert_eq!(t.len(), 4);
-        copy.occ_unlock(ins, T1); // T1 holds nothing on the copy
-        assert_eq!((copy.len(), copy.get(ins).unwrap().version), (5, 0));
-        assert!(copy.occ_lock(ins, T2).is_ok(), "v0 row is lockable");
-        assert_eq!(copy.occ_install(ins, T2, Bytes::synth(0x0101, 8)), 1);
+        copy.occ_unlock(INS, T1); // T1 holds nothing on the copy
+        assert_eq!((copy.len(), copy.get(INS).unwrap().version), (5, 0));
+        assert!(copy.occ_lock(INS, T2).is_ok(), "v0 row is lockable");
+        assert_eq!(copy.occ_install(INS, T2, Bytes::synth(0x0101, 8)), 1);
     }
 
     #[test]
-    fn an_aborted_insert_keeps_its_slot_for_the_retry() {
+    fn an_aborted_insert_empties_its_cell_for_the_retry() {
         let mut t = Table::new();
-        let [a, b, c] = [1, 2, 3].map(|i| (1u64 << 40) | i);
+        let [a, b, c] = [0, 1, 2].map(|i| INS + i);
         t.upsert(a, Bytes::synth(0x0101, 2));
         assert!(t.occ_lock(b, T1).is_ok());
         t.occ_unlock(b, T1);
         assert!(t.get(b).is_none());
-        let slots = |t: &Table| t.index.borrow().len();
-        assert_eq!(
-            (t.len(), slots(&t), t.cell(b).map(Cell::idx)),
-            (1, 2, Some(1))
-        );
-        // the retry re-inserts at the same slot, without a new one
+        assert_eq!((t.len(), Table::cell(b).idx()), (1, b as usize));
+        // the retry re-inserts at the same cell
         assert!(t.occ_lock(b, T2).is_ok());
-        assert_eq!((slots(&t), t.cell(b).map(Cell::idx)), (2, Some(1)));
         assert_eq!(t.get(b).unwrap().lock(), Some(T2));
         assert_eq!(t.occ_install(b, T2, Bytes::synth(0x0202, 2)), 1);
-        // a different key takes a fresh slot
         assert!(t.occ_lock(c, T1).is_ok());
-        assert_eq!((slots(&t), t.cell(c).map(Cell::idx)), (3, Some(2)));
         assert_eq!(t.occ_install(c, T1, Bytes::synth(0x0303, 2)), 1);
         assert_eq!(t.get(a).unwrap().value, Bytes::synth(0x0101, 2));
         assert_eq!((t.len(), t.bytes()), (3, 6));
     }
 
+    /// The arena's directory: `Some` where a chunk is allocated.
+    fn chunks(t: &Table) -> Vec<bool> {
+        t.arena.iter().map(Option::is_some).collect()
+    }
+
     #[test]
-    fn the_sparse_arena_grows_by_whole_chunks() {
+    fn the_arena_allocates_a_chunk_when_a_write_first_touches_it() {
         let mut t = Table::populated(2, 8);
-        let key = |i: u64| (1u64 << 40) | i;
-        for i in 0..Table::CHUNK as u64 {
-            t.upsert(key(i), Bytes::synth(i, 8));
+        let chunk = Table::CHUNK as u64;
+        // keys just past the dense range fill the first chunk
+        for k in 2..2 + chunk {
+            t.upsert(k, Bytes::synth(k, 8));
         }
-        assert_eq!(t.sparse.len(), 1, "{} slots fill one chunk", Table::CHUNK);
-        // the next slot opens a second chunk; a lock on it spans both
-        assert!(t.occ_lock(key(Table::CHUNK as u64), T1).is_ok());
-        assert!(t.occ_lock(key(0), T1).is_ok());
-        assert_eq!(t.sparse.len(), 2);
-        let last = t.cell(key(Table::CHUNK as u64)).map(Cell::idx);
-        assert_eq!(last, Some(2 + Table::CHUNK));
+        assert_eq!(chunks(&t), [true], "{chunk} keys fill one chunk");
+        // a key three chunks further opens its own chunk, leaving holes
+        let far = 2 + 3 * chunk;
+        assert!(t.occ_lock(far, T1).is_ok());
+        assert!(t.occ_lock(2, T1).is_ok());
+        assert_eq!(chunks(&t), [true, false, false, true]);
+        assert_eq!(Table::cell(far).idx(), far as usize);
         let copy = t.replica();
         assert_eq!((copy.len(), copy.bytes()), (t.len(), t.bytes()));
-        assert_eq!(copy.get(key(0)).unwrap().lock(), None);
-        assert_eq!(copy.get(key(Table::CHUNK as u64)).unwrap().version, 0);
-        // the primary's abort empties the slot past the first chunk
-        t.occ_unlock(key(Table::CHUNK as u64), T1);
-        assert!(t.get(key(Table::CHUNK as u64)).is_none());
-        assert_eq!(
-            t.get(key(Table::CHUNK as u64 - 1)).unwrap().value,
-            Bytes::synth(1023, 8)
-        );
+        assert_eq!(chunks(&copy), chunks(&t), "the copy keeps the holes");
+        assert_eq!(copy.get(2).unwrap().lock(), None);
+        assert_eq!(copy.get(far).unwrap().version, 0);
+        // the primary's abort empties the cell past the holes
+        t.occ_unlock(far, T1);
+        assert!(t.get(far).is_none());
+        assert_eq!(t.get(chunk + 1).unwrap().value, Bytes::synth(chunk + 1, 8));
         assert_eq!(t.len(), 2 + Table::CHUNK);
     }
 
     #[test]
-    fn replicas_share_the_index_but_not_the_rows() {
+    fn a_read_in_a_hole_sees_version_zero_and_an_unlock_there_is_a_no_op() {
+        let mut t = Table::populated(4, 8);
+        t.upsert(INS, Bytes::synth(1, 8));
+        let chunk = Table::CHUNK as u64;
+        // one key in a hole of the directory, one past its end
+        for key in [4 + chunk, INS + 5 * chunk] {
+            assert_eq!(t.occ_read(key, T1), OpOutcome::Ok { version: 0 });
+            assert_eq!(
+                t.occ_validate_read(key, 0, T1),
+                OpOutcome::Ok { version: 0 }
+            );
+            assert!(t.get(key).is_none());
+            let before = chunks(&t);
+            t.occ_unlock(key, T1);
+            assert_eq!(chunks(&t), before, "an unlock allocates nothing");
+            assert_eq!((t.len(), t.bytes()), (5, 40));
+        }
+    }
+
+    #[test]
+    fn a_replica_copy_of_a_table_with_holes_has_the_same_rows() {
+        let mut t = Table::populated(4, 8);
+        let keys = [INS, INS + 1, INS + 7 * Table::CHUNK as u64];
+        for (i, &key) in keys.iter().enumerate() {
+            assert!(t.occ_lock(key, T1).is_ok());
+            t.occ_install(key, T1, Bytes::synth(i as u64, 8));
+        }
+        assert!(t.occ_lock(INS + 2, T2).is_ok()); // an insert in flight
+        let copy = t.replica();
+        assert_eq!(chunks(&copy), chunks(&t));
+        assert_eq!(chunks(&t).iter().filter(|&&c| c).count(), 2);
+        for key in (0..4).chain(keys) {
+            assert_eq!(copy.get(key), t.get(key), "key {key}");
+        }
+        let row = copy.get(INS + 2).unwrap();
+        assert_eq!((row.version, row.lock()), (0, None));
+        assert!(copy.get(INS + Table::CHUNK as u64).is_none(), "a hole");
+        assert_eq!((copy.len(), copy.bytes()), (8, 56));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the cell limit 4294967294")]
+    fn a_key_past_the_cell_limit_panics() {
+        assert_eq!(Table::cell(Cell::LIMIT).idx() as u64, Cell::LIMIT);
+        assert_eq!(
+            Table::new().occ_read(Cell::LIMIT, T1),
+            OpOutcome::Ok { version: 0 }
+        );
+        Table::new().occ_lock(Cell::LIMIT + 1, T1);
+    }
+
+    #[test]
+    fn replicas_keep_their_own_rows_at_the_same_cells() {
         let mut primary = Table::populated(4, 8);
         let mut secondary = Table::populated(4, 8);
-        secondary.share_index(&primary);
-        let [a, b] = [1, 2].map(|i| (7u64 << 32) | i);
+        let [a, b] = [INS, INS + 1];
         for key in [a, b] {
             assert!(primary.occ_lock(key, T1).is_ok());
             primary.occ_install(key, T1, Bytes::synth(key, 8));
         }
-        // the secondary applies `b` first, at the slot the primary gave it
+        // the secondary applies `b` first, at the cell the primary used
         secondary.apply_replicated(b, 1, Bytes::synth(b, 8));
         assert!(secondary.get(a).is_none());
         assert_eq!(secondary.get(b), primary.get(b));
         assert_eq!((secondary.len(), secondary.bytes()), (5, 40));
         assert_eq!((primary.len(), primary.bytes()), (6, 48));
-        // a copy shares the index too, and nothing else
+        // a copy shares nothing
         let copy = secondary.replica();
-        assert!(copy.shares_cells_with(&primary));
-        assert_eq!(primary.index.borrow().len(), 2);
+        assert_eq!(copy.dense_len(), primary.dense_len());
         assert!(copy.get(a).is_none());
-        // a sparse cell is offset past the dense range, the same everywhere
-        assert_eq!(primary.cell(b).map(Cell::idx), Some(4 + 1));
-        assert_eq!(copy.cell(b), primary.cell(b));
-        assert_eq!(copy.row(primary.cell(a).unwrap()), None);
-        assert!(!Table::populated(4, 8).shares_cells_with(&primary));
-        let mut wide = Table::populated(5, 8);
-        wide.index = Rc::clone(&primary.index);
-        assert!(!wide.shares_cells_with(&primary), "dense ranges differ");
+        // a cell past the dense range is its key, the same everywhere
+        assert_eq!(Table::cell(b).idx(), b as usize);
+        assert_eq!(copy.row(Table::cell(b)), primary.row(Table::cell(b)));
+        assert_eq!(copy.row(Table::cell(a)), None);
     }
 
     #[test]
@@ -671,25 +679,21 @@ mod tests {
     }
 
     #[test]
-    fn mixed_dense_and_sparse_keys_coexist() {
-        // TPC-C-style bit-packed keys land in the sparse arena beside the
-        // dense range, without aliasing the dense row their low bits name.
+    fn arena_keys_coexist_with_dense_rows() {
         let mut t = Table::populated(8, 8);
-        let packed = (42u64 << 32) | 7;
-        t.upsert(packed, Bytes::synth(0x0505_0505_0505_0505, 8));
+        t.upsert(INS + 7, Bytes::synth(0x0505_0505_0505_0505, 8));
         assert_eq!(t.len(), 9);
-        assert!(t.occ_lock(packed, T1).is_ok());
-        t.occ_install(packed, T1, Bytes::synth(0x0606_0606_0606_0606, 8));
-        assert_eq!(t.get(packed).unwrap().version, 2);
+        assert!(t.occ_lock(INS + 7, T1).is_ok());
+        t.occ_install(INS + 7, T1, Bytes::synth(0x0606_0606_0606_0606, 8));
+        assert_eq!(t.get(INS + 7).unwrap().version, 2);
         assert_eq!(t.get(7).unwrap().version, 1);
         let copy = t.replica();
         assert_eq!(copy.len(), 9);
-        assert_eq!(copy.get(packed).unwrap().version, 2);
-        // aborting a sparse insert placeholder removes it again
-        let other = (99u64 << 32) | 1;
-        assert!(t.occ_lock(other, T2).is_ok());
-        t.occ_unlock(other, T2);
-        assert!(t.get(other).is_none());
+        assert_eq!(copy.get(INS + 7).unwrap().version, 2);
+        // aborting an arena insert placeholder removes it again
+        assert!(t.occ_lock(INS + 1, T2).is_ok());
+        t.occ_unlock(INS + 1, T2);
+        assert!(t.get(INS + 1).is_none());
         assert_eq!(t.len(), 9);
     }
 

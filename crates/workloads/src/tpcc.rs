@@ -21,14 +21,14 @@
 //!
 //! A partition populates the key range `0..keys_per_partition` as directly
 //! indexed rows, so when that range covers [`LOADED_ROWS`] every loaded row
-//! is one of them: reading or writing it is an array access, no key-index
-//! probe, and a written loaded row replaces its populated row rather than
-//! adding a second one. The relations a transaction inserts into (ORDER,
-//! NEW-ORDER, ORDER-LINE, HISTORY) grow without bound, so their composite
-//! keys are packed into the 64-bit key space with a relation tag in the top
-//! byte ([`encode_key`]); those keys are at least 2⁵⁶ and never collide with
-//! a loaded row. The simulated engine synthesizes write payloads; nothing
-//! here encodes a row.
+//! is one of them: reading or writing it is an array access, and a written
+//! loaded row replaces its populated row rather than adding a second one.
+//! The relations a transaction inserts into (ORDER, NEW-ORDER, ORDER-LINE,
+//! HISTORY) grow without bound, so their rows are appended: each partition
+//! counts the rows generated for it, and its `n`th inserted row has key
+//! [`INSERTED_BASE`]` + n`, past every populated row. A table keeps such a
+//! key at its own place, so an insert hashes nothing. The simulated engine
+//! synthesizes write payloads; nothing here encodes a row.
 
 use crate::zipf::Zipf;
 use lion_common::{Key, Op, PartitionId, Time, TxnRequest, Workload};
@@ -39,63 +39,23 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
     /// WAREHOUSE (1 row per partition).
-    Warehouse = 1,
+    Warehouse,
     /// DISTRICT (10 per warehouse).
-    District = 2,
+    District,
     /// CUSTOMER (per district).
-    Customer = 3,
+    Customer,
     /// HISTORY (append-only).
-    History = 4,
+    History,
     /// NEW-ORDER (insert per NewOrder).
-    NewOrder = 5,
+    NewOrder,
     /// ORDER (insert per NewOrder).
-    Order = 6,
+    Order,
     /// ORDER-LINE (5–15 inserts per NewOrder).
-    OrderLine = 7,
+    OrderLine,
     /// ITEM (read-only catalogue, conceptually replicated).
-    Item = 8,
+    Item,
     /// STOCK (per item per warehouse).
-    Stock = 9,
-}
-
-impl Relation {
-    fn from_tag(tag: u8) -> Option<Relation> {
-        Some(match tag {
-            1 => Relation::Warehouse,
-            2 => Relation::District,
-            3 => Relation::Customer,
-            4 => Relation::History,
-            5 => Relation::NewOrder,
-            6 => Relation::Order,
-            7 => Relation::OrderLine,
-            8 => Relation::Item,
-            9 => Relation::Stock,
-            _ => return None,
-        })
-    }
-}
-
-/// Packs `(relation, a, b, c)` into a 64-bit key:
-/// `[tag:8][a:16][b:24][c:16]`. Component ranges are asserted.
-pub fn encode_key(rel: Relation, a: u64, b: u64, c: u64) -> Key {
-    assert!(a < (1 << 16), "component a out of range");
-    assert!(b < (1 << 24), "component b out of range");
-    assert!(c < (1 << 16), "component c out of range");
-    ((rel as u64) << 56) | (a << 40) | (b << 16) | c
-}
-
-/// Reverses [`encode_key`] and [`loaded_key`]: a loaded row decodes to
-/// `(relation, a, b, 0)`. Keys between [`LOADED_ROWS`] and the first
-/// relation tag are no row's.
-pub fn decode_key(key: Key) -> Option<(Relation, u64, u64, u64)> {
-    if key < LOADED_ROWS {
-        return Some(decode_loaded(key));
-    }
-    let rel = Relation::from_tag((key >> 56) as u8)?;
-    let a = (key >> 40) & 0xFFFF;
-    let b = (key >> 16) & 0xFF_FFFF;
-    let c = key & 0xFFFF;
-    Some((rel, a, b, c))
+    Stock,
 }
 
 /// Districts per warehouse (TPC-C: 10).
@@ -117,10 +77,15 @@ const STOCK_BASE: u64 = ITEM_BASE + ITEMS as u64;
 /// below this.
 pub const LOADED_ROWS: u64 = 3_211;
 
+/// The key of a partition's first inserted row; its `n`th is
+/// `INSERTED_BASE + n`. Above every `keys_per_partition` in use, so an
+/// insert never lands on a populated row (which would make it an update).
+pub const INSERTED_BASE: Key = 1 << 20;
+
 /// The row number of a loaded relation's row: WAREHOUSE `(0, 0)`, DISTRICT
 /// `(d, 0)`, CUSTOMER `(d, c)`, ITEM and STOCK `(0, i)` (the module docs'
-/// layout). Component ranges are asserted; the inserted relations take
-/// [`encode_key`] instead.
+/// layout). Component ranges are asserted; the inserted relations' rows are
+/// appended past [`INSERTED_BASE`] instead.
 pub fn loaded_key(rel: Relation, a: u64, b: u64) -> Key {
     let (d, c, i) = (
         DISTRICTS as u64,
@@ -133,25 +98,27 @@ pub fn loaded_key(rel: Relation, a: u64, b: u64) -> Key {
         Relation::Customer => (CUSTOMER_BASE + a * c + b, a < d && b < c),
         Relation::Item => (ITEM_BASE + b, a == 0 && b < i),
         Relation::Stock => (STOCK_BASE + b, a == 0 && b < i),
-        _ => panic!("{rel:?} is inserted, not loaded: use encode_key"),
+        _ => panic!("{rel:?} is inserted, not loaded"),
     };
     assert!(ok, "component out of range for {rel:?}");
     key
 }
 
-/// Reverses [`loaded_key`] for a key below [`LOADED_ROWS`].
-fn decode_loaded(key: Key) -> (Relation, u64, u64, u64) {
+/// Reverses [`loaded_key`]; `None` for a key past [`LOADED_ROWS`], which
+/// names no loaded row (an inserted row's key names no relation).
+pub fn decode_key(key: Key) -> Option<(Relation, u64, u64)> {
     let c = CUSTOMERS_PER_DISTRICT as u64;
-    match key {
-        0 => (Relation::Warehouse, 0, 0, 0),
-        k if k < CUSTOMER_BASE => (Relation::District, k - DISTRICT_BASE, 0, 0),
+    Some(match key {
+        0 => (Relation::Warehouse, 0, 0),
+        k if k < CUSTOMER_BASE => (Relation::District, k - DISTRICT_BASE, 0),
         k if k < ITEM_BASE => {
             let n = k - CUSTOMER_BASE;
-            (Relation::Customer, n / c, n % c, 0)
+            (Relation::Customer, n / c, n % c)
         }
-        k if k < STOCK_BASE => (Relation::Item, 0, k - ITEM_BASE, 0),
-        k => (Relation::Stock, 0, k - STOCK_BASE, 0),
-    }
+        k if k < STOCK_BASE => (Relation::Item, 0, k - ITEM_BASE),
+        k if k < LOADED_ROWS => (Relation::Stock, 0, k - STOCK_BASE),
+        _ => return None,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -216,23 +183,18 @@ pub struct TpccWorkload {
     cfg: TpccConfig,
     rng: SmallRng,
     item_dist: Zipf,
-    /// Per-(warehouse, district) next order id (the D_NEXT_O_ID counters).
-    next_o_id: Vec<u32>,
-    /// Per-warehouse history counter (HISTORY has no primary key in TPC-C).
-    next_h_id: Vec<u32>,
+    /// Rows generated so far for each warehouse's inserted relations.
+    inserted: Vec<u64>,
 }
 
 impl TpccWorkload {
     /// Builds the generator.
     pub fn new(cfg: TpccConfig) -> Self {
         assert!(cfg.n_warehouses() >= 2);
-        let item_dist = Zipf::new(ITEMS as u64, ITEM_THETA);
-        let slots = (cfg.n_warehouses() * DISTRICTS) as usize;
         TpccWorkload {
             rng: SmallRng::seed_from_u64(cfg.seed),
-            item_dist,
-            next_o_id: vec![1; slots],
-            next_h_id: vec![1; cfg.n_warehouses() as usize],
+            item_dist: Zipf::new(ITEMS as u64, ITEM_THETA),
+            inserted: vec![0; cfg.n_warehouses() as usize],
             cfg,
         }
     }
@@ -266,6 +228,13 @@ impl TpccWorkload {
         q
     }
 
+    /// The key of the next row warehouse `w` inserts.
+    fn insert_key(&mut self, w: u32) -> Key {
+        let n = &mut self.inserted[w as usize];
+        *n += 1;
+        INSERTED_BASE + *n - 1
+    }
+
     fn new_order(&mut self) -> TxnRequest {
         let w = self.pick_warehouse();
         let d = self.rng.gen_range(0..DISTRICTS) as u64;
@@ -274,13 +243,9 @@ impl TpccWorkload {
         let remote = self.rng.gen::<f64>() < self.cfg.remote_ratio;
         let supply_w = if remote { self.partner_warehouse(w) } else { w };
 
-        let slot = (w * DISTRICTS + d as u32) as usize;
-        let o_id = self.next_o_id[slot] as u64 & 0xFF_FFFF;
-        self.next_o_id[slot] = self.next_o_id[slot].wrapping_add(1);
-
         let ol_cnt = self.rng.gen_range(5..=15u64);
         let mut ops = Vec::with_capacity(6 + 4 * ol_cnt as usize);
-        // SELECT w_tax FROM warehouse; SELECT+UPDATE district (next_o_id).
+        // SELECT w_tax FROM warehouse; SELECT+UPDATE district (D_NEXT_O_ID).
         ops.push(Op::read(home, loaded_key(Relation::Warehouse, 0, 0)));
         ops.push(Op::read(home, loaded_key(Relation::District, d, 0)));
         ops.push(Op::write(home, loaded_key(Relation::District, d, 0)));
@@ -298,14 +263,11 @@ impl TpccWorkload {
             ops.push(Op::read(spart, loaded_key(Relation::Stock, 0, item)));
             ops.push(Op::write(spart, loaded_key(Relation::Stock, 0, item)));
             // INSERT order-line.
-            ops.push(Op::write(
-                home,
-                encode_key(Relation::OrderLine, d, o_id, ol),
-            ));
+            ops.push(Op::write(home, self.insert_key(w)));
         }
         // INSERT order + new-order rows.
-        ops.push(Op::write(home, encode_key(Relation::Order, d, o_id, 0)));
-        ops.push(Op::write(home, encode_key(Relation::NewOrder, d, o_id, 0)));
+        ops.push(Op::write(home, self.insert_key(w)));
+        ops.push(Op::write(home, self.insert_key(w)));
         TxnRequest::new(ops)
     }
 
@@ -319,9 +281,6 @@ impl TpccWorkload {
         let cw = if remote { self.partner_warehouse(w) } else { w };
         let cpart = PartitionId(cw);
 
-        let h = self.next_h_id[w as usize] as u64 & 0xFF_FFFF;
-        self.next_h_id[w as usize] = self.next_h_id[w as usize].wrapping_add(1);
-
         let mut ops = Vec::with_capacity(8);
         ops.push(Op::read(home, loaded_key(Relation::Warehouse, 0, 0)));
         ops.push(Op::write(home, loaded_key(Relation::Warehouse, 0, 0)));
@@ -329,7 +288,8 @@ impl TpccWorkload {
         ops.push(Op::write(home, loaded_key(Relation::District, d, 0)));
         ops.push(Op::read(cpart, loaded_key(Relation::Customer, d, c)));
         ops.push(Op::write(cpart, loaded_key(Relation::Customer, d, c)));
-        ops.push(Op::write(home, encode_key(Relation::History, d, h, 0)));
+        // INSERT history.
+        ops.push(Op::write(home, self.insert_key(w)));
         TxnRequest::new(ops)
     }
 }
@@ -366,17 +326,7 @@ mod tests {
     ];
 
     #[test]
-    fn key_encoding_roundtrip() {
-        for (rel, a, b, c) in [
-            (Relation::Order, 9u64, 0u64, 0u64),
-            (Relation::NewOrder, 9, 2999, 0),
-            (Relation::OrderLine, 3, 123_456, 14),
-            (Relation::History, 0, 99_999, 0),
-        ] {
-            let k = encode_key(rel, a, b, c);
-            assert!(k >= 1 << 56, "a packed key is above every loaded row");
-            assert_eq!(decode_key(k), Some((rel, a, b, c)));
-        }
+    fn loaded_keys_roundtrip() {
         for (rel, a, b) in [
             (Relation::Warehouse, 0u64, 0u64),
             (Relation::District, 9, 0),
@@ -386,16 +336,15 @@ mod tests {
         ] {
             let k = loaded_key(rel, a, b);
             assert!(k < LOADED_ROWS);
-            assert_eq!(decode_key(k), Some((rel, a, b, 0)));
+            assert_eq!(decode_key(k), Some((rel, a, b)));
         }
         assert_eq!(loaded_key(Relation::Stock, 0, 999), LOADED_ROWS - 1);
-        assert_eq!(decode_key(LOADED_ROWS), None, "tag 0 is invalid");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn key_component_overflow_panics() {
-        let _ = encode_key(Relation::OrderLine, 1 << 17, 0, 0);
+        assert_eq!(decode_key(LOADED_ROWS), None);
+        assert_eq!(
+            decode_key(INSERTED_BASE),
+            None,
+            "an inserted key is no loaded row"
+        );
     }
 
     #[test]
@@ -426,22 +375,24 @@ mod tests {
     }
 
     #[test]
-    fn loaded_relations_use_loaded_keys_and_inserts_packed_ones() {
+    fn each_partition_appends_consecutive_keys_from_inserted_base() {
         let mut w = TpccWorkload::new(cfg().with_mix(0.5, 0.0).with_payment_ratio(0.5));
-        let mut inserts = 0;
+        let mut next = vec![INSERTED_BASE; cfg().n_warehouses() as usize];
         for _ in 0..500 {
             for op in w.next_txn(0).ops {
-                let (rel, ..) = decode_key(op.key).expect("every key decodes");
-                if LOADED.contains(&rel) {
-                    assert!(op.key < LOADED_ROWS, "{rel:?} at {:#x}", op.key);
-                } else {
-                    assert_eq!(op.kind, OpKind::Write, "{rel:?} is only inserted");
-                    assert!(op.key >= 1 << 56, "{rel:?} at {:#x}", op.key);
-                    inserts += 1;
+                if let Some((rel, ..)) = decode_key(op.key) {
+                    assert!(LOADED.contains(&rel), "{rel:?} at {:#x}", op.key);
+                    continue;
                 }
+                assert_eq!(op.kind, OpKind::Write, "inserted rows are only written");
+                let expect = &mut next[op.partition.idx()];
+                assert_eq!(op.key, *expect, "{}: unique and consecutive", op.partition);
+                *expect += 1;
             }
         }
+        let inserts: u64 = next.iter().map(|n| n - INSERTED_BASE).sum();
         assert!(inserts > 500, "orders, lines and history rows: {inserts}");
+        assert_eq!(w.inserted.iter().sum::<u64>(), inserts);
     }
 
     #[test]
@@ -481,34 +432,19 @@ mod tests {
     }
 
     #[test]
-    fn district_counter_generates_distinct_orders() {
-        let mut w = TpccWorkload::new(cfg());
-        let mut order_keys = std::collections::HashSet::new();
-        for _ in 0..50 {
-            let t = w.next_txn(0);
-            for op in &t.ops {
-                if let Some((Relation::Order, ..)) = decode_key(op.key) {
-                    assert!(
-                        order_keys.insert((op.partition, op.key)),
-                        "order keys must never repeat"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn payment_mix_produces_both_types() {
         let mut w = TpccWorkload::new(cfg().with_payment_ratio(0.5));
         let mut payments = 0;
         let mut neworders = 0;
         for _ in 0..200 {
             let t = w.next_txn(0);
-            let has_history = t
+            // A Payment updates its warehouse; a NewOrder only reads it.
+            let warehouse = loaded_key(Relation::Warehouse, 0, 0);
+            let pays = t
                 .ops
                 .iter()
-                .any(|o| matches!(decode_key(o.key), Some((Relation::History, ..))));
-            if has_history {
+                .any(|o| o.kind == OpKind::Write && o.key == warehouse);
+            if pays {
                 payments += 1;
             } else {
                 neworders += 1;

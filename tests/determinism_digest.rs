@@ -57,7 +57,7 @@ fn ycsb() -> World {
 
 /// The mix `benchmark/src/spec.rs` runs as `tpcc_lion`, on its cluster shape:
 /// 4 nodes x 8 warehouses, NewOrder only, 10 % remote, 24 clients per node.
-/// Its inserted rows live in the sparse arena, and so do the loaded ITEM
+/// Its inserted rows live in the arena, and so do the loaded ITEM
 /// and STOCK rows past its 1,000-key dense range; four in ten attempts lose
 /// their district-row race, so this is the world that exercises the OCC
 /// abort/retry path.

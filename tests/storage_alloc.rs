@@ -3,8 +3,8 @@
 //! * the write path: installing, logging, shipping and applying a committed
 //!   write allocates nothing per write, an epoch after the first allocates
 //!   nothing at all, populating a replica allocates nothing per row, and
-//!   copying one (replica add) allocates its dense row vector, its sparse
-//!   chunk list and one block per sparse chunk, and no key index;
+//!   copying one (replica add) allocates its dense row vector, its arena's
+//!   chunk directory and one block per allocated chunk;
 //! * the engine: once warm, a commit allocates only its request and its
 //!   history record — contexts are built in recycled buffers;
 //! * the future-event list: a warm calendar queue schedules and pops
@@ -18,6 +18,7 @@ use lion::common::{PartitionId, TxnId};
 use lion::prelude::{Engine, Lion, SimConfig, YcsbConfig, YcsbWorkload, SECOND};
 use lion::sim::CalendarQueue;
 use lion::storage::{ReplicaStore, Table};
+use lion::workloads::tpcc::INSERTED_BASE;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -78,21 +79,22 @@ fn the_write_path_allocates_nothing_per_write() {
         populate <= 4,
         "populating {KEYS} rows made {populate} allocations; expected O(1), not one per row"
     );
-    // Sparse rows (TPC-C-style inserts past the dense range) put entries in
-    // the partition's key index, which a copy shares rather than rebuilds.
+    // Rows past the dense range (TPC-C's appended inserts) live in the
+    // arena at `key - KEYS`, whose directory holds no chunk below them.
     for i in 0..SPARSE {
-        let (key, txn) = ((1 << 40) | i, TxnId(i + 1));
+        let (key, txn) = (INSERTED_BASE + i, TxnId(i + 1));
         assert!(primary.table.occ_lock(key, txn).is_ok());
         primary
             .table
             .occ_install(key, txn, Table::synth_value(key, 1, 64));
     }
     let (mut secondary, copy) = allocations(|| ReplicaStore::from_snapshot(p, &primary));
-    let chunks = SPARSE.div_ceil(Table::CHUNK as u64);
+    let chunk = |key: u64| (key - KEYS) / Table::CHUNK as u64;
+    let chunks = chunk(INSERTED_BASE + SPARSE - 1) - chunk(INSERTED_BASE) + 1;
     assert!(
         copy <= 2 + chunks,
         "copying {} rows made {copy} allocations; expected its dense row vector, \
-         its chunk list, one per {chunks} sparse chunk(s) and no key index",
+         its chunk directory and one per {chunks} allocated chunk(s)",
         KEYS + SPARSE
     );
     assert_eq!(secondary.table.len(), primary.table.len());

@@ -2,12 +2,12 @@
 //! lock/validate/install/abort must preserve version monotonicity and lock
 //! hygiene, replication must converge to the primary state, a `Table` must
 //! behave exactly like a plain ordered map of `(version, lock, value)`, and
-//! so must every replica of a partition that shares one key index, whether
-//! rows are addressed by key or by cell.
+//! so must every replica of a partition, whether rows are addressed by key
+//! or by cell.
 
 use lion::common::{Key, PartitionId, TxnId};
 use lion::storage::{Bytes, Cell, OpOutcome, ReplicaStore, Table};
-use lion::workloads::tpcc::{encode_key, Relation};
+use lion::workloads::tpcc::INSERTED_BASE;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -94,20 +94,16 @@ proptest! {
 }
 
 /// Keys the model test draws from: a dense prefix `0..DENSE` (populated),
-/// two keys just past it, and TPC-C-shaped bit-packed keys, all of which
-/// the table keeps in its sparse arena.
+/// two keys just past it, TPC-C's appended keys `INSERTED_BASE + n` (their
+/// arena positions straddle a chunk boundary at `n = DENSE`), and one key
+/// whose chunk is a hole in the arena's directory until a write touches it.
+/// Every key past the prefix lives in the table's arena.
 const DENSE: u64 = 6;
 
 fn model_keys() -> Vec<Key> {
     let mut keys: Vec<Key> = (0..DENSE + 2).collect();
-    keys.extend([
-        encode_key(Relation::Warehouse, 3, 0, 0),
-        encode_key(Relation::District, 3, 4, 0),
-        encode_key(Relation::Customer, 3, 4, 1_234),
-        encode_key(Relation::NewOrder, 3, 4, 3_001),
-        encode_key(Relation::OrderLine, 3, 40_012, 7),
-        encode_key(Relation::OrderLine, 3, 40_012, 8),
-    ]);
+    keys.extend([0, 1, 5, 6, 7].map(|n| INSERTED_BASE + n));
+    keys.push(INSERTED_BASE / 2);
     keys
 }
 
@@ -178,10 +174,7 @@ fn call<R>(
 ) -> R {
     match addr {
         Addr::Key => by_key(t, k),
-        Addr::Cell => {
-            let cell = t.cell_or_assign(k);
-            by_cell(t, cell)
-        }
+        Addr::Cell => by_cell(t, Table::cell(k)),
     }
 }
 
@@ -407,7 +400,7 @@ fn populated_model() -> Model {
         .collect()
 }
 
-/// One step of the shared-index model test.
+/// One step of the replicas' model test.
 #[derive(Debug, Clone, Copy)]
 enum ReplicaStep {
     /// A transaction's call on the primary; an install is logged.
@@ -446,8 +439,7 @@ fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestC
     let part = PartitionId(0);
     let mut primary = ReplicaStore::new_primary(part, DENSE, 16);
     let mut pm = populated_model();
-    let mut secondary = ReplicaStore::new_secondary(part, DENSE, 16);
-    secondary.table.share_index(&primary.table);
+    let secondary = ReplicaStore::new_secondary(part, DENSE, 16);
     let mut replicas = vec![(secondary, populated_model())];
     for s in steps {
         match *s {
@@ -458,7 +450,7 @@ fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestC
                 }
                 if let (Kind::Install, Some((OpOutcome::Ok { version }, _))) = (op.kind, out) {
                     let k = keys[op.key];
-                    let cell = primary.table.cell(k).filter(|_| addr == Addr::Cell);
+                    let cell = Some(Table::cell(k)).filter(|_| addr == Addr::Cell);
                     primary.log.append_cell(part, k, cell, version, op.value);
                 }
             }
@@ -486,9 +478,10 @@ fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestC
         for (store, m) in &replicas {
             check(&store.table, m, &keys, s)?;
             for &k in &keys {
+                let probe = TxnId(0);
                 prop_assert_eq!(
-                    store.table.cell(k),
-                    primary.table.cell(k),
+                    store.table.occ_read_cell(Table::cell(k), probe),
+                    store.table.occ_read(k, probe),
                     "cell of {:#x}",
                     k
                 );
@@ -501,16 +494,15 @@ fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestC
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Model check of one partition's replicas over its one key index: a
-    /// populated primary, a populated secondary given the primary's index,
-    /// and replica copies taken at random steps. Transactions lock, install,
-    /// unlock and abort inserts on the primary; installs are logged and
-    /// shipped to each replica in random chunks. After every step each
-    /// replica agrees with its own oracle — `get`, `len` and `bytes` — so no
-    /// replica sees another's rows, placeholders or
-    /// locks, and no two keys ever share a slot.
+    /// Model check of one partition's replicas: a populated primary, a
+    /// populated secondary, and replica copies taken at random steps.
+    /// Transactions lock, install, unlock and abort inserts on the primary;
+    /// installs are logged and shipped to each replica in random chunks.
+    /// After every step each replica agrees with its own oracle — `get`,
+    /// `len` and `bytes` — so no replica sees another's rows, placeholders
+    /// or locks, and no two keys ever share a row.
     #[test]
-    fn replicas_sharing_an_index_each_behave_like_their_own_map(
+    fn replicas_each_behave_like_their_own_map(
         steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
     ) {
         run_replicas(&steps, Addr::Key)?;
@@ -519,7 +511,7 @@ proptest! {
     /// The same model check with every primary call made at the cell its
     /// key resolves to, and every install logged and applied at that cell:
     /// each replica still agrees with its oracle through the key-addressed
-    /// `get`, and every key has one cell on all of them.
+    /// `get`, and reads a key's row at its cell.
     #[test]
     fn a_cell_addresses_the_same_row_on_every_replica(
         steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
@@ -534,8 +526,9 @@ proptest! {
     /// Model check: after every step of a random interleaving, `get` on
     /// every key, `len` and `bytes` agree with the ordered-map oracle, and
     /// every OCC call answers what the oracle answers. Covers the dense
-    /// range, the sparse arena, the slots aborted inserts keep for their
-    /// retries, and replica copies taken with prepare-locks held.
+    /// range, the arena and its directory holes, the cells aborted inserts
+    /// empty for their retries, and replica copies taken with prepare-locks
+    /// held.
     #[test]
     fn a_table_behaves_like_an_ordered_map(
         ops in proptest::collection::vec(arb_op(model_keys().len()), 1..300),
