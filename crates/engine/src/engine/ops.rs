@@ -4,7 +4,7 @@
 
 use super::{Engine, Ev};
 use crate::cpu;
-use crate::txn::{CellOp, OpWalk, ReadEntry, TxnCtx, WriteEntry};
+use crate::txn::{OpWalk, ReadEntry, TxnCtx, WriteEntry};
 use lion_cluster::Cluster;
 use lion_common::{NodeId, OpKind, PartitionId, Phase, Time, TxnId, MSG_OVERHEAD_BYTES};
 use lion_durability::PendingAck;
@@ -266,11 +266,7 @@ impl Engine {
                 continue;
             }
             let store = cluster.store(node, r.part).expect("primary store");
-            if !store
-                .table
-                .occ_validate_read_cell(r.cell, r.version, txn)
-                .is_ok()
-            {
+            if !store.table.occ_validate_read(r.key, r.version, txn).is_ok() {
                 return false;
             }
         }
@@ -280,16 +276,16 @@ impl Engine {
                 continue;
             }
             let store = cluster.store_mut(node, w.part).expect("primary store");
-            if store.table.occ_lock_cell(w.cell, txn).is_ok() {
+            if store.table.occ_lock(w.key, txn).is_ok() {
                 locked = true;
                 continue;
             }
-            // `occ_unlock_cell` releases only what `txn` holds, so the entries
+            // `occ_unlock` releases only what `txn` holds, so the entries
             // from the one that failed to lock onward are left alone.
             for u in &ctx.write_set {
                 if cluster.placement.is_primary(u.part, node) {
                     let store = cluster.store_mut(node, u.part).expect("primary store");
-                    store.table.occ_unlock_cell(u.cell, txn);
+                    store.table.occ_unlock(u.key, txn);
                 }
             }
             return false;
@@ -333,10 +329,8 @@ impl Engine {
             let stamp = txn.0.wrapping_mul(31).wrapping_add(attempt);
             let value = Table::synth_value(w.key, stamp, value_size);
             let store = cluster.store_mut(primary, w.part).expect("primary store");
-            let version = store.table.occ_install_cell(w.cell, txn, value);
-            let lsn = store
-                .log
-                .append_cell(w.part, w.key, Some(w.cell), version, value);
+            let version = store.table.occ_install(w.key, txn, value);
+            let lsn = store.log.append(w.part, w.key, version, value);
             if acked_at_install {
                 store.log.mark_acked(lsn);
             }
@@ -344,9 +338,9 @@ impl Engine {
     }
 
     /// Records the write set of `txn` from its declared ops without
-    /// executing reads (deterministic protocols declare sets up front),
-    /// each row at its cell. The batch kit calls it in the event that
-    /// commits `txn`, so a declared attempt holds no set between events.
+    /// executing reads (deterministic protocols declare sets up front). The
+    /// batch kit calls it in the event that commits `txn`, so a declared
+    /// attempt holds no set between events.
     pub fn load_declared_sets(&mut self, txn: TxnId) {
         let ctx = self.txns.get_mut(txn).expect("live transaction");
         debug_assert!(
@@ -359,7 +353,6 @@ impl Engine {
         for op in req.ops.iter().filter(|op| op.kind == OpKind::Write) {
             write_set.push(WriteEntry {
                 part: op.partition,
-                cell: Table::cell(op.key),
                 key: op.key,
             });
         }
@@ -540,7 +533,7 @@ fn unlock_everywhere(cluster: &mut Cluster, w: &WriteEntry, txn: TxnId) {
             _ => cluster.placement.secondaries_of(w.part)[i - 1],
         };
         if let Some(store) = cluster.store_mut(node, w.part) {
-            store.table.occ_unlock_cell(w.cell, txn);
+            store.table.occ_unlock(w.key, txn);
         }
     }
 }
@@ -548,8 +541,7 @@ fn unlock_everywhere(cluster: &mut Cluster, w: &WriteEntry, txn: TxnId) {
 /// Runs `walk.ops`, all of one partition, at `node` for `txn`: the guard
 /// every data operation passes (partition not blocked, `node` still its
 /// primary, no cut between `node` and the coordinator), then each op against
-/// the primary's table until one fails, at its cell — resolved here on the
-/// op's first attempt and kept for the rest. Nothing the guard reads changes
+/// the primary's table until one fails. Nothing the guard reads changes
 /// inside an instant, so checking it once covers every op of the walk; the
 /// accesses attempted — a read that met a lock included — are booked
 /// together.
@@ -560,7 +552,7 @@ fn exec_ops(
     txn: TxnId,
     walk: OpWalk<'_>,
 ) -> Result<(), OpFail> {
-    let part = walk.ops[0].op.partition;
+    let part = walk.ops[0].partition;
     let until = cluster.available_at(part);
     if until > now {
         return Err(OpFail::Blocked { until });
@@ -578,24 +570,18 @@ fn exec_ops(
     let table = &cluster.store(node, part).expect("primary store").table;
     let mut attempted = 0;
     let mut result = Ok(());
-    for CellOp { op, cell } in walk.ops {
+    for op in walk.ops {
         attempted += 1;
         let key = op.key;
-        let cell = *cell.get_or_insert_with(|| Table::cell(key));
         match op.kind {
-            OpKind::Read => match table.occ_read_cell(cell, txn) {
-                OpOutcome::Ok { version } => walk.read_set.push(ReadEntry {
-                    part,
-                    cell,
-                    key,
-                    version,
-                }),
+            OpKind::Read => match table.occ_read(key, txn) {
+                OpOutcome::Ok { version } => walk.read_set.push(ReadEntry { part, key, version }),
                 _ => {
                     result = Err(OpFail::Locked);
                     break;
                 }
             },
-            OpKind::Write => walk.write_set.push(WriteEntry { part, cell, key }),
+            OpKind::Write => walk.write_set.push(WriteEntry { part, key }),
         }
     }
     cluster.freq.record_accesses(part, node, now, attempted);

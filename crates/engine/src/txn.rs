@@ -2,15 +2,12 @@
 
 use lion_common::{ClientId, Key, NodeId, Op, OpKind, PartitionId, Time, TxnId, TxnRequest};
 use lion_obs::CommitClass;
-use lion_storage::Cell;
 
 /// One read-set entry: the version observed at execution time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadEntry {
     /// Partition of the row.
     pub part: PartitionId,
-    /// The row's cell in every replica of `part`.
-    pub cell: Cell,
     /// Row key.
     pub key: Key,
     /// Version observed by the read.
@@ -22,21 +19,8 @@ pub struct ReadEntry {
 pub struct WriteEntry {
     /// Partition of the row.
     pub part: PartitionId,
-    /// The row's cell in every replica of `part`.
-    pub cell: Cell,
     /// Row key.
     pub key: Key,
-}
-
-/// A declared op beside its row's cell, resolved at the op's first
-/// execution and reused by every later attempt: a cell is its key, the same
-/// on every replica of the partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CellOp {
-    /// The declared op.
-    pub op: Op,
-    /// Its row's cell, once resolved.
-    pub cell: Option<Cell>,
 }
 
 /// One partition group of a transaction's declared ops: a range into
@@ -55,8 +39,8 @@ struct GroupRange {
 pub(crate) struct OpWalk<'a> {
     /// Coordinator of the transaction.
     pub home: NodeId,
-    /// The ops to run, all of one partition, with their cells.
-    pub ops: &'a mut [CellOp],
+    /// The ops to run, all of one partition.
+    pub ops: &'a [Op],
     /// [`TxnCtx::read_set`].
     pub read_set: &'a mut Vec<ReadEntry>,
     /// [`TxnCtx::write_set`].
@@ -111,11 +95,10 @@ pub struct TxnCtx {
     /// True once a `validate_at` of this attempt prepare-locked a row: the
     /// only state in which an abort has anything to release.
     pub holds_locks: bool,
-    /// Declared ops regrouped by partition in first-touch order, flattened,
-    /// each with its cell. Built once at creation (`req` never changes), so
-    /// the per-wake group walks of the protocol state machines are
-    /// allocation-free.
-    grouped_ops: Vec<CellOp>,
+    /// Declared ops regrouped by partition in first-touch order, flattened.
+    /// Built once at creation (`req` never changes), so the per-wake group
+    /// walks of the protocol state machines are allocation-free.
+    grouped_ops: Vec<Op>,
     /// Per-group ranges into `grouped_ops`.
     group_index: Vec<GroupRange>,
 }
@@ -129,7 +112,7 @@ pub struct TxnBufs {
     read_set: Vec<ReadEntry>,
     write_set: Vec<WriteEntry>,
     participants: Vec<NodeId>,
-    grouped_ops: Vec<CellOp>,
+    grouped_ops: Vec<Op>,
     group_index: Vec<GroupRange>,
 }
 
@@ -176,10 +159,7 @@ impl TxnCtx {
                 if op.kind == OpKind::Read {
                     g.reads += 1;
                 }
-                grouped_ops.push(CellOp {
-                    op: *op,
-                    cell: None,
-                });
+                grouped_ops.push(*op);
             }
             g.end = grouped_ops.len() as u32;
         }
@@ -250,7 +230,7 @@ impl TxnCtx {
         let g = self.group_index[gi];
         OpWalk {
             home: self.home,
-            ops: &mut self.grouped_ops[g.start as usize..g.end as usize],
+            ops: &self.grouped_ops[g.start as usize..g.end as usize],
             read_set: &mut self.read_set,
             write_set: &mut self.write_set,
         }
@@ -307,8 +287,10 @@ mod tests {
         let mut ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 0);
         assert_eq!(ctx.n_groups(), 3);
         assert_eq!(ctx.group_part(0), p(2));
-        let ops: Vec<Op> = ctx.group_walk(0).ops.iter().map(|o| o.op).collect();
-        assert_eq!(ops, [Op::read(p(2), 1), Op::read(p(2), 3)]);
+        assert_eq!(
+            ctx.group_walk(0).ops,
+            [Op::read(p(2), 1), Op::read(p(2), 3)]
+        );
         assert_eq!(ctx.group_part(1), p(0));
         assert_eq!(ctx.group_part(2), p(1));
         assert_eq!(ctx.group_reads_writes(2), (0, 1));
@@ -318,11 +300,8 @@ mod tests {
     fn retry_resets_attempt_state() {
         let req = TxnRequest::new(vec![Op::read(p(0), 1)]);
         let mut ctx = TxnCtx::new(TxnId(1), ClientId(0), req, 100);
-        let cell = lion_storage::Table::cell(1);
-        ctx.group_walk(0).ops[0].cell = Some(cell);
         ctx.read_set.push(ReadEntry {
             part: p(0),
-            cell,
             key: 1,
             version: 3,
         });
@@ -338,16 +317,12 @@ mod tests {
         assert_eq!(ctx.class, CommitClass::SingleNode);
         assert_eq!(ctx.attempts, 2);
         assert_eq!(ctx.start, 100, "latency still measured from first submit");
-        assert_eq!(
-            ctx.group_walk(0).ops[0].cell,
-            Some(cell),
-            "cells outlive attempts"
-        );
     }
 
     #[test]
-    fn set_entries_carry_the_cell_in_padding() {
+    fn set_entries_and_grouped_ops_are_a_key_and_its_partition() {
         assert_eq!(std::mem::size_of::<ReadEntry>(), 24);
         assert_eq!(std::mem::size_of::<WriteEntry>(), 16);
+        assert_eq!(std::mem::size_of::<Op>(), 16);
     }
 }

@@ -3,8 +3,7 @@
 //! The storage substrate of the reproduced cluster (§II-A): in-memory
 //! versioned tables with per-row lock words for OCC, a primary-to-secondary
 //! replication log with epoch-batched shipping, and replica copies for
-//! replica add. A row's [`Cell`] is its key, so it addresses the row on
-//! every replica.
+//! replica add. A row is addressed by its key on every replica.
 //!
 //! Each partition replica is a [`ReplicaStore`]; a node hosts one store per
 //! replica it holds. Primaries execute reads/writes and append log entries;
@@ -19,4 +18,4 @@ pub mod table;
 pub use log::{LogEntry, ReplicationLog};
 pub use row::{Bytes, Row};
 pub use store::{ReplicaRole, ReplicaStore};
-pub use table::{Cell, OpOutcome, Table};
+pub use table::{OpOutcome, Table};

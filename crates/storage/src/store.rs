@@ -103,11 +103,10 @@ impl ReplicaStore {
         }
     }
 
-    /// Applies the next entry at its cell (by key when it carries none).
+    /// Applies the next entry.
     #[inline]
     fn apply(&mut self, e: &LogEntry) {
-        let cell = e.cell.unwrap_or_else(|| Table::cell(e.key));
-        self.table.apply_replicated_cell(cell, e.version, e.value);
+        self.table.apply_replicated(e.key, e.version, e.value);
         self.applied_lsn = e.lsn;
     }
 

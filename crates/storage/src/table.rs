@@ -5,62 +5,29 @@
 //! arena for every key past it (the rows transactions insert), key `k` at
 //! arena position `k − dense.len()`.
 //!
-//! A row's **cell** is its key, checked against the u32 cell limit, so a
-//! cell names the same row on every replica of the partition and nothing
-//! maps keys to places. Each key-addressed method is [`Table::cell`] in
-//! front of its cell-addressed body.
+//! Every operation addresses a row by its key, the same on every replica of
+//! the partition: nothing maps keys to places. A key past `u32::MAX − 1`
+//! panics.
 
 use crate::row::{Bytes, Row};
 use lion_common::{Key, TxnId};
-use std::num::NonZeroU32;
 
 /// Result of an OCC step against one row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpOutcome {
-    /// The step succeeded; for reads, carries the observed version.
+    /// The step succeeded; for reads, carries the observed version (0 for a
+    /// missing row).
     Ok { version: u64 },
     /// The row is prepare-locked by another transaction.
     Locked { holder: TxnId },
     /// A read-set version no longer matches (write committed in between).
     VersionMismatch { expected: u64, found: u64 },
-    /// The key does not exist (reads of missing rows observe version 0 and
-    /// succeed; this outcome is only used by internal assertions).
-    Missing,
 }
 
 impl OpOutcome {
     /// True for `Ok`.
     pub fn is_ok(&self) -> bool {
         matches!(self, OpOutcome::Ok { .. })
-    }
-}
-
-/// A row's place in every replica of its partition: its key (see the
-/// module docs). Stored plus one, so `Option<Cell>` is four bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cell(NonZeroU32);
-
-impl Cell {
-    /// The largest key a table holds.
-    const LIMIT: Key = u32::MAX as Key - 1;
-
-    #[inline]
-    fn new(key: Key) -> Cell {
-        let n = u32::try_from(key.wrapping_add(1))
-            .ok()
-            .and_then(NonZeroU32::new);
-        Cell(n.unwrap_or_else(|| Self::past_limit(key)))
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn past_limit(key: Key) -> ! {
-        panic!("key {key} is past the cell limit {}", Self::LIMIT)
-    }
-
-    #[inline]
-    fn idx(self) -> usize {
-        self.0.get() as usize - 1
     }
 }
 
@@ -82,7 +49,7 @@ impl Cell {
 ///
 /// A clone of a `Table` is another replica of the same partition (so is
 /// [`Table::replica`]): it keeps its own rows, `len` and `bytes`, at the
-/// same cells.
+/// same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Direct-indexed rows for the contiguous populated range; `None` means
@@ -105,6 +72,10 @@ type Chunk = [Option<Row>; Table::CHUNK];
 impl Table {
     /// Slots per chunk of the arena.
     pub const CHUNK: usize = 1_024;
+
+    /// The largest key a table holds. The bound is safety code: a stray key
+    /// past it would grow the arena directory without bound.
+    const KEY_LIMIT: Key = u32::MAX as Key - 1;
 
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -180,27 +151,25 @@ impl Table {
         self.bytes
     }
 
-    /// The cell of `key`: the key itself, on every replica of the
-    /// partition.
-    ///
-    /// # Panics
-    ///
-    /// If `key` is past the u32 cell limit, `u32::MAX − 1`.
+    /// The slot index of `key`, checked against the key limit.
     #[inline]
-    pub fn cell(key: Key) -> Cell {
-        Cell::new(key)
+    fn index(key: Key) -> usize {
+        if key > Self::KEY_LIMIT {
+            Self::past_limit(key);
+        }
+        key as usize
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn past_limit(key: Key) -> ! {
+        panic!("key {key} is past the key limit {}", Self::KEY_LIMIT)
     }
 
     /// Looks up a row.
     #[inline]
     pub fn get(&self, key: Key) -> Option<&Row> {
-        self.row(Self::cell(key))
-    }
-
-    /// The row at `cell`, if this replica holds one.
-    #[inline]
-    fn row(&self, cell: Cell) -> Option<&Row> {
-        let i = cell.idx();
+        let i = Self::index(key);
         match self.dense.get(i) {
             Some(row) => row.as_ref(),
             None => {
@@ -210,11 +179,11 @@ impl Table {
         }
     }
 
-    /// Row at `cell`, materialising an insert placeholder when absent (and
+    /// Row at `key`, materialising an insert placeholder when absent (and
     /// allocating the arena chunk that holds it).
     #[inline]
-    fn row_or_placeholder(&mut self, cell: Cell) -> &mut Row {
-        let i = cell.idx();
+    fn row_or_placeholder(&mut self, key: Key) -> &mut Row {
+        let i = Self::index(key);
         let slot = match i.checked_sub(self.dense.len()) {
             None => &mut self.dense[i],
             Some(s) => {
@@ -248,29 +217,18 @@ impl Table {
     /// Inserts or replaces a row wholesale (population, migration apply).
     pub fn upsert(&mut self, key: Key, value: Bytes) {
         let add = value.len() as u64;
-        let row = self.row_or_placeholder(Self::cell(key));
+        let row = self.row_or_placeholder(key);
         let old = row.value.len() as u64;
         *row = Row::new(value);
         self.bytes = self.bytes - old + add;
-    }
-
-    /// [`Table::occ_read_cell`] by key.
-    #[inline]
-    pub fn occ_read(&self, key: Key, txn: TxnId) -> OpOutcome {
-        Self::read(self.get(key), txn)
     }
 
     /// OCC read: returns the current version (0 for missing rows, which is
     /// how inserts validate: the version must still be 0 at commit). A row
     /// prepare-locked by another transaction cannot be read consistently.
     #[inline]
-    pub fn occ_read_cell(&self, cell: Cell, txn: TxnId) -> OpOutcome {
-        Self::read(self.row(cell), txn)
-    }
-
-    #[inline]
-    fn read(row: Option<&Row>, txn: TxnId) -> OpOutcome {
-        match row {
+    pub fn occ_read(&self, key: Key, txn: TxnId) -> OpOutcome {
+        match self.get(key) {
             None => OpOutcome::Ok { version: 0 },
             Some(row) => match row.lock() {
                 Some(holder) if holder != txn => OpOutcome::Locked { holder },
@@ -281,16 +239,11 @@ impl Table {
         }
     }
 
-    /// [`Table::occ_lock_cell`] by key.
-    pub fn occ_lock(&mut self, key: Key, txn: TxnId) -> OpOutcome {
-        self.occ_lock_cell(Self::cell(key), txn)
-    }
-
     /// OCC prepare-lock for a write. Missing rows (inserts) are locked by
     /// materialising an empty version-0 row.
     #[inline]
-    pub fn occ_lock_cell(&mut self, cell: Cell, txn: TxnId) -> OpOutcome {
-        let row = self.row_or_placeholder(cell);
+    pub fn occ_lock(&mut self, key: Key, txn: TxnId) -> OpOutcome {
+        let row = self.row_or_placeholder(key);
         if let Some(holder) = row.lock().filter(|&h| h != txn) {
             return OpOutcome::Locked { holder };
         }
@@ -300,22 +253,11 @@ impl Table {
         }
     }
 
-    /// [`Table::occ_validate_read_cell`] by key.
-    #[inline]
-    pub fn occ_validate_read(&self, key: Key, observed: u64, txn: TxnId) -> OpOutcome {
-        Self::validate_read(self.get(key), observed, txn)
-    }
-
     /// OCC read-set validation: the observed version must still be current
     /// and the row must not be prepare-locked by another transaction.
     #[inline]
-    pub fn occ_validate_read_cell(&self, cell: Cell, observed: u64, txn: TxnId) -> OpOutcome {
-        Self::validate_read(self.row(cell), observed, txn)
-    }
-
-    #[inline]
-    fn validate_read(row: Option<&Row>, observed: u64, txn: TxnId) -> OpOutcome {
-        match row {
+    pub fn occ_validate_read(&self, key: Key, observed: u64, txn: TxnId) -> OpOutcome {
+        match self.get(key) {
             None => {
                 if observed == 0 {
                     OpOutcome::Ok { version: 0 }
@@ -346,17 +288,12 @@ impl Table {
         }
     }
 
-    /// [`Table::occ_install_cell`] by key.
-    pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
-        self.occ_install_cell(Self::cell(key), txn, value)
-    }
-
     /// Installs a write: stores the new payload, bumps the version, releases
     /// the lock. Returns the new version.
     #[inline]
-    pub fn occ_install_cell(&mut self, cell: Cell, txn: TxnId, value: Bytes) -> u64 {
+    pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
         let add = value.len() as u64;
-        let row = self.row_or_placeholder(cell);
+        let row = self.row_or_placeholder(key);
         debug_assert!(row.lockable_by(txn), "installing over a foreign lock");
         let old = row.value.len() as u64;
         row.value = value;
@@ -367,16 +304,11 @@ impl Table {
         version
     }
 
-    /// [`Table::occ_unlock_cell`] by key.
-    pub fn occ_unlock(&mut self, key: Key, txn: TxnId) {
-        self.occ_unlock_cell(Self::cell(key), txn);
-    }
-
     /// Releases a prepare-lock without installing (abort path). A placeholder
     /// created for an insert is emptied again.
     #[inline]
-    pub fn occ_unlock_cell(&mut self, cell: Cell, txn: TxnId) {
-        let i = cell.idx();
+    pub fn occ_unlock(&mut self, key: Key, txn: TxnId) {
+        let i = Self::index(key);
         let slot = match i.checked_sub(self.dense.len()) {
             None => &mut self.dense[i],
             Some(s) => match self.arena.get_mut(s / Self::CHUNK) {
@@ -394,16 +326,11 @@ impl Table {
         }
     }
 
-    /// [`Table::apply_replicated_cell`] by key.
-    pub fn apply_replicated(&mut self, key: Key, version: u64, value: Bytes) {
-        self.apply_replicated_cell(Self::cell(key), version, value)
-    }
-
     /// Applies a replicated write (no locking: replication is ordered).
     #[inline]
-    pub fn apply_replicated_cell(&mut self, cell: Cell, version: u64, value: Bytes) {
+    pub fn apply_replicated(&mut self, key: Key, version: u64, value: Bytes) {
         let add = value.len() as u64;
-        let row = self.row_or_placeholder(cell);
+        let row = self.row_or_placeholder(key);
         // Idempotent, ordered apply: never regress.
         if version >= row.version {
             let old = row.value.len() as u64;
@@ -500,7 +427,7 @@ mod tests {
         assert_eq!(copy.get(2).unwrap().lock(), None);
         let row = copy.get(INS).unwrap();
         assert_eq!((row.version, row.lock()), (0, None));
-        // The primary's abort empties its own cell only.
+        // The primary's abort empties its own row only.
         t.occ_unlock(INS, T1);
         assert!(t.get(INS).is_none());
         assert_eq!(t.len(), 4);
@@ -511,15 +438,15 @@ mod tests {
     }
 
     #[test]
-    fn an_aborted_insert_empties_its_cell_for_the_retry() {
+    fn an_aborted_insert_empties_its_row_for_the_retry() {
         let mut t = Table::new();
         let [a, b, c] = [0, 1, 2].map(|i| INS + i);
         t.upsert(a, Bytes::synth(0x0101, 2));
         assert!(t.occ_lock(b, T1).is_ok());
         t.occ_unlock(b, T1);
         assert!(t.get(b).is_none());
-        assert_eq!((t.len(), Table::cell(b).idx()), (1, b as usize));
-        // the retry re-inserts at the same cell
+        assert_eq!(t.len(), 1);
+        // the retry re-inserts the same row
         assert!(t.occ_lock(b, T2).is_ok());
         assert_eq!(t.get(b).unwrap().lock(), Some(T2));
         assert_eq!(t.occ_install(b, T2, Bytes::synth(0x0202, 2)), 1);
@@ -548,13 +475,12 @@ mod tests {
         assert!(t.occ_lock(far, T1).is_ok());
         assert!(t.occ_lock(2, T1).is_ok());
         assert_eq!(chunks(&t), [true, false, false, true]);
-        assert_eq!(Table::cell(far).idx(), far as usize);
         let copy = t.replica();
         assert_eq!((copy.len(), copy.bytes()), (t.len(), t.bytes()));
         assert_eq!(chunks(&copy), chunks(&t), "the copy keeps the holes");
         assert_eq!(copy.get(2).unwrap().lock(), None);
         assert_eq!(copy.get(far).unwrap().version, 0);
-        // the primary's abort empties the cell past the holes
+        // the primary's abort empties the row past the holes
         t.occ_unlock(far, T1);
         assert!(t.get(far).is_none());
         assert_eq!(t.get(chunk + 1).unwrap().value, Bytes::synth(chunk + 1, 8));
@@ -603,18 +529,70 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past the cell limit 4294967294")]
-    fn a_key_past_the_cell_limit_panics() {
-        assert_eq!(Table::cell(Cell::LIMIT).idx() as u64, Cell::LIMIT);
+    #[should_panic(expected = "past the key limit 4294967294")]
+    fn a_key_past_the_key_limit_panics() {
         assert_eq!(
-            Table::new().occ_read(Cell::LIMIT, T1),
+            Table::new().occ_read(Table::KEY_LIMIT, T1),
             OpOutcome::Ok { version: 0 }
         );
-        Table::new().occ_lock(Cell::LIMIT + 1, T1);
+        Table::new().occ_lock(Table::KEY_LIMIT + 1, T1);
+    }
+
+    /// Every key-addressed call panics one past the key limit, before it
+    /// allocates anything, naming the limit; a read at the limit sees
+    /// version 0.
+    #[test]
+    fn every_key_addressed_call_panics_past_the_key_limit() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let at = Table::KEY_LIMIT;
+        let t = Table::populated(2, 8);
+        assert_eq!(t.occ_read(at, T1), OpOutcome::Ok { version: 0 });
+        assert_eq!(t.occ_validate_read(at, 0, T1), OpOutcome::Ok { version: 0 });
+        assert!(t.get(at).is_none());
+        const PAST: Key = Table::KEY_LIMIT + 1;
+        type Call = fn(&mut Table);
+        let calls: [(&str, Call); 8] = [
+            ("get", |t| {
+                t.get(PAST);
+            }),
+            ("occ_read", |t| {
+                t.occ_read(PAST, T1);
+            }),
+            ("occ_validate_read", |t| {
+                t.occ_validate_read(PAST, 0, T1);
+            }),
+            ("occ_lock", |t| {
+                t.occ_lock(PAST, T1);
+            }),
+            ("occ_install", |t| {
+                t.occ_install(PAST, T1, Bytes::synth(1, 8));
+            }),
+            ("occ_unlock", |t| t.occ_unlock(PAST, T1)),
+            ("apply_replicated", |t| {
+                t.apply_replicated(PAST, 1, Bytes::synth(1, 8))
+            }),
+            ("upsert", |t| t.upsert(PAST, Bytes::synth(1, 8))),
+        ];
+        for (name, call) in calls {
+            let mut copy = t.clone();
+            let err = catch_unwind(AssertUnwindSafe(|| call(&mut copy)))
+                .expect_err(name)
+                .downcast::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                err.ends_with("past the key limit 4294967294"),
+                "{name}: {err}"
+            );
+            assert_eq!(
+                (copy.len(), copy.bytes(), chunks(&copy)),
+                (2, 16, vec![]),
+                "{name} changed the table"
+            );
+        }
     }
 
     #[test]
-    fn replicas_keep_their_own_rows_at_the_same_cells() {
+    fn replicas_keep_their_own_rows_at_the_same_keys() {
         let mut primary = Table::populated(4, 8);
         let mut secondary = Table::populated(4, 8);
         let [a, b] = [INS, INS + 1];
@@ -622,7 +600,7 @@ mod tests {
             assert!(primary.occ_lock(key, T1).is_ok());
             primary.occ_install(key, T1, Bytes::synth(key, 8));
         }
-        // the secondary applies `b` first, at the cell the primary used
+        // the secondary applies `b` first
         secondary.apply_replicated(b, 1, Bytes::synth(b, 8));
         assert!(secondary.get(a).is_none());
         assert_eq!(secondary.get(b), primary.get(b));
@@ -632,10 +610,7 @@ mod tests {
         let copy = secondary.replica();
         assert_eq!(copy.dense_len(), primary.dense_len());
         assert!(copy.get(a).is_none());
-        // a cell past the dense range is its key, the same everywhere
-        assert_eq!(Table::cell(b).idx(), b as usize);
-        assert_eq!(copy.row(Table::cell(b)), primary.row(Table::cell(b)));
-        assert_eq!(copy.row(Table::cell(a)), None);
+        assert_eq!(copy.get(b), primary.get(b));
     }
 
     #[test]

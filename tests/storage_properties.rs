@@ -1,12 +1,11 @@
 //! Property tests on the OCC storage layer: randomized interleavings of
 //! lock/validate/install/abort must preserve version monotonicity and lock
-//! hygiene, replication must converge to the primary state, a `Table` must
-//! behave exactly like a plain ordered map of `(version, lock, value)`, and
-//! so must every replica of a partition, whether rows are addressed by key
-//! or by cell.
+//! hygiene, replication must converge to the primary state, and a `Table`
+//! must behave exactly like a plain ordered map of `(version, lock, value)`,
+//! on every replica of a partition.
 
 use lion::common::{Key, PartitionId, TxnId};
-use lion::storage::{Bytes, Cell, OpOutcome, ReplicaStore, Table};
+use lion::storage::{Bytes, OpOutcome, ReplicaStore, Table};
 use lion::workloads::tpcc::INSERTED_BASE;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -157,27 +156,6 @@ fn arb_op(keys: usize) -> impl Strategy<Value = Op> {
     )
 }
 
-/// How [`step`] addresses a row: by key, or by the cell its key resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Addr {
-    Key,
-    Cell,
-}
-
-/// One table call on `k`, made by key or at the cell `k` resolves to.
-fn call<R>(
-    t: &mut Table,
-    addr: Addr,
-    k: Key,
-    by_key: impl FnOnce(&mut Table, Key) -> R,
-    by_cell: impl FnOnce(&mut Table, Cell) -> R,
-) -> R {
-    match addr {
-        Addr::Key => by_key(t, k),
-        Addr::Cell => by_cell(t, Table::cell(k)),
-    }
-}
-
 /// The oracle: every row as `(version, lock holder, value)`, key-ordered.
 type Model = BTreeMap<Key, (u64, Option<TxnId>, Bytes)>;
 
@@ -196,26 +174,14 @@ fn model_read(m: &Model, key: Key, txn: TxnId) -> OpOutcome {
 
 /// Applies `op` to both the table and the model; returns the table's
 /// outcome and the model's for the calls that answer one.
-fn step(
-    t: &mut Table,
-    addr: Addr,
-    m: &mut Model,
-    keys: &[Key],
-    op: Op,
-) -> Option<(OpOutcome, OpOutcome)> {
+fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome, OpOutcome)> {
     let Op {
         key, txn, value, n, ..
     } = op;
     let k = keys[key];
     match op.kind {
         Kind::Read => {
-            let got = call(
-                t,
-                addr,
-                k,
-                |t, k| t.occ_read(k, txn),
-                |t, c| t.occ_read_cell(c, txn),
-            );
+            let got = t.occ_read(k, txn);
             Some((got, model_read(m, k, txn)))
         }
         Kind::Lock => {
@@ -227,13 +193,7 @@ fn step(
                     OpOutcome::Ok { version: row.0 }
                 }
             };
-            let got = call(
-                t,
-                addr,
-                k,
-                |t, k| t.occ_lock(k, txn),
-                |t, c| t.occ_lock_cell(c, txn),
-            );
+            let got = t.occ_lock(k, txn);
             Some((got, want))
         }
         Kind::Install => {
@@ -244,31 +204,18 @@ fn step(
             *row = (row.0 + 1, None, value);
             let want = OpOutcome::Ok { version: row.0 };
             let got = OpOutcome::Ok {
-                version: call(
-                    t,
-                    addr,
-                    k,
-                    |t, k| t.occ_install(k, txn, value),
-                    |t, c| t.occ_install_cell(c, txn, value),
-                ),
+                version: t.occ_install(k, txn, value),
             };
             Some((got, want))
         }
         Kind::Unlock => {
             model_unlock(m, k, txn);
-            call(
-                t,
-                addr,
-                k,
-                |t, k| t.occ_unlock(k, txn),
-                |t, c| t.occ_unlock_cell(c, txn),
-            );
+            t.occ_unlock(k, txn);
             None
         }
         Kind::AbortedInsert => {
             let lock = step(
                 t,
-                addr,
                 m,
                 keys,
                 Op {
@@ -278,7 +225,6 @@ fn step(
             );
             step(
                 t,
-                addr,
                 m,
                 keys,
                 Op {
@@ -296,24 +242,12 @@ fn step(
                 },
                 other => other,
             };
-            let got = call(
-                t,
-                addr,
-                k,
-                |t, k| t.occ_validate_read(k, n, txn),
-                |t, c| t.occ_validate_read_cell(c, n, txn),
-            );
+            let got = t.occ_validate_read(k, n, txn);
             Some((got, want))
         }
         Kind::Replicate => {
             model_apply(m, k, n, value);
-            call(
-                t,
-                addr,
-                k,
-                |t, k| t.apply_replicated(k, n, value),
-                |t, c| t.apply_replicated_cell(c, n, value),
-            );
+            t.apply_replicated(k, n, value);
             None
         }
         Kind::Upsert => {
@@ -431,10 +365,9 @@ fn arb_replica_step(keys: usize) -> impl Strategy<Value = ReplicaStep> {
     })
 }
 
-/// Runs `steps` over one partition's replicas, addressing the primary's
-/// rows and the log entries it ships by `addr`, and checks every replica
+/// Runs `steps` over one partition's replicas and checks every replica
 /// against its own oracle after each step.
-fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestCaseError> {
+fn run_replicas(steps: &[ReplicaStep]) -> Result<(), proptest::TestCaseError> {
     let keys = model_keys();
     let part = PartitionId(0);
     let mut primary = ReplicaStore::new_primary(part, DENSE, 16);
@@ -444,14 +377,12 @@ fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestC
     for s in steps {
         match *s {
             ReplicaStep::Primary(op) => {
-                let out = step(&mut primary.table, addr, &mut pm, &keys, op);
+                let out = step(&mut primary.table, &mut pm, &keys, op);
                 if let Some((got, want)) = out {
                     prop_assert_eq!(got, want, "{:?}: {:?} != {:?}", op, got, want);
                 }
                 if let (Kind::Install, Some((OpOutcome::Ok { version }, _))) = (op.kind, out) {
-                    let k = keys[op.key];
-                    let cell = Some(Table::cell(k)).filter(|_| addr == Addr::Cell);
-                    primary.log.append_cell(part, k, cell, version, op.value);
+                    primary.log.append(part, keys[op.key], version, op.value);
                 }
             }
             ReplicaStep::Ship { r, n } => {
@@ -477,15 +408,6 @@ fn run_replicas(steps: &[ReplicaStep], addr: Addr) -> Result<(), proptest::TestC
         check(&primary.table, &pm, &keys, s)?;
         for (store, m) in &replicas {
             check(&store.table, m, &keys, s)?;
-            for &k in &keys {
-                let probe = TxnId(0);
-                prop_assert_eq!(
-                    store.table.occ_read_cell(Table::cell(k), probe),
-                    store.table.occ_read(k, probe),
-                    "cell of {:#x}",
-                    k
-                );
-            }
         }
     }
     Ok(())
@@ -505,18 +427,7 @@ proptest! {
     fn replicas_each_behave_like_their_own_map(
         steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
     ) {
-        run_replicas(&steps, Addr::Key)?;
-    }
-
-    /// The same model check with every primary call made at the cell its
-    /// key resolves to, and every install logged and applied at that cell:
-    /// each replica still agrees with its oracle through the key-addressed
-    /// `get`, and reads a key's row at its cell.
-    #[test]
-    fn a_cell_addresses_the_same_row_on_every_replica(
-        steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
-    ) {
-        run_replicas(&steps, Addr::Cell)?;
+        run_replicas(&steps)?;
     }
 }
 
@@ -526,7 +437,7 @@ proptest! {
     /// Model check: after every step of a random interleaving, `get` on
     /// every key, `len` and `bytes` agree with the ordered-map oracle, and
     /// every OCC call answers what the oracle answers. Covers the dense
-    /// range, the arena and its directory holes, the cells aborted inserts
+    /// range, the arena and its directory holes, the rows aborted inserts
     /// empty for their retries, and replica copies taken with prepare-locks
     /// held.
     #[test]
@@ -537,7 +448,7 @@ proptest! {
         let mut t = Table::populated(DENSE, 16);
         let mut m = populated_model();
         for op in &ops {
-            if let Some((got, want)) = step(&mut t, Addr::Key, &mut m, &keys, *op) {
+            if let Some((got, want)) = step(&mut t, &mut m, &keys, *op) {
                 prop_assert_eq!(got, want, "{:?}: {:?} != {:?}", op, got, want);
             }
             check(&t, &m, &keys, op)?;
