@@ -42,7 +42,7 @@ pub(crate) fn on_wake(eng: &mut Engine, txn: TxnId, tagv: u32) {
             eng.load_declared_sets(txn);
             eng.commit(txn);
         }
-        K_DEFER => eng.abort_defer(txn),
+        K_DEFER => eng.abort(txn),
         _ => unreachable!("batch kit wake of kind {kind}"),
     }
 }

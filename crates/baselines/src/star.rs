@@ -174,7 +174,7 @@ impl Protocol for Star {
         if executed && eng.validate_at(home, txn) {
             eng.commit(txn);
         } else {
-            eng.abort_defer(txn);
+            eng.abort(txn);
         }
     }
 }

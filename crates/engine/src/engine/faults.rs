@@ -56,7 +56,7 @@ impl Engine {
         self.abort_open_epochs();
         // In flight on the dead node: coordinator, participant, or accessed
         // primary.
-        self.fault_abort(self.requeue_after_fault(), |cluster, ctx| {
+        self.fault_abort(Requeue::Retry, |cluster, ctx| {
             ctx.home == node
                 || ctx.participants.contains(&node)
                 || ctx
@@ -199,8 +199,7 @@ impl Engine {
     /// none of these attempts has installed anything, since writes install
     /// only in [`Engine::commit`].
     pub(super) fn abort_executed_on(&mut self, part: PartitionId) {
-        let to = self.requeue_after_fault();
-        self.abort_selected(to, false, |_, ctx| ctx.executed_on(part));
+        self.abort_selected(Requeue::Retry, false, |_, ctx| ctx.executed_on(part));
     }
 
     /// Aborts every in-flight, non-parked attempt `touches` selects, in
@@ -224,16 +223,6 @@ impl Engine {
         victims.sort_unstable();
         for (_, txn) in victims {
             self.abort_attempt(txn, fault, to);
-        }
-    }
-
-    /// Where an attempt `abort_selected` ended retries from: the normal abort
-    /// paths (back-off in standard mode, the next batch in batch mode).
-    pub(super) fn requeue_after_fault(&self) -> Requeue {
-        if self.batch_mode {
-            Requeue::NextBatch
-        } else {
-            Requeue::Backoff
         }
     }
 

@@ -14,17 +14,10 @@ use lion_storage::{OpOutcome, Table};
 /// Why a data operation could not run right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpFail {
-    /// The partition is blocked by an in-flight remaster/migration; retry
-    /// after the given time.
-    Blocked {
-        /// Earliest time the partition is available again.
-        until: Time,
-    },
+    /// The partition is blocked by an in-flight remaster/migration.
+    Blocked,
     /// The node no longer hosts the primary (placement moved underneath).
-    NotPrimary {
-        /// Current primary holder.
-        primary: NodeId,
-    },
+    NotPrimary,
     /// The row is prepare-locked by a conflicting transaction.
     Locked,
     /// An active split-brain window cuts the transaction's home side off
@@ -36,11 +29,9 @@ pub enum OpFail {
 /// Where an aborted attempt waits for its next one.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Requeue {
-    /// An `Ev::Retry` after the configured back-off.
-    Backoff,
-    /// The next batch (batch mode): joins the deferred list and counts
-    /// toward the current batch's barrier.
-    NextBatch,
+    /// Where the engine's mode says: an `Ev::Retry` after the configured
+    /// back-off in standard mode, the next batch in batch mode.
+    Retry,
     /// The heal-waiter list, drained — filtered by reachability — at every
     /// split promotion and fully at heal.
     Heal,
@@ -255,7 +246,7 @@ impl Engine {
     /// race — probes a row or two and mutates nothing.
     ///
     /// Only this function takes locks; only [`Engine::commit`], a failure
-    /// here and [`Engine::release_all`] drop them.
+    /// here and an abort (`release_all`) drop them.
     pub fn validate_at(&mut self, node: NodeId, txn: TxnId) -> bool {
         let Engine { txns, cluster, .. } = self;
         let ctx = txns.get_mut(txn).expect("live transaction");
@@ -359,7 +350,7 @@ impl Engine {
     }
 
     /// Releases any prepare-locks `txn` may hold anywhere (abort path).
-    pub fn release_all(&mut self, txn: TxnId) {
+    fn release_all(&mut self, txn: TxnId) {
         let Engine { txns, cluster, .. } = self;
         let ctx = txns.get(txn).expect("live transaction");
         for w in &ctx.write_set {
@@ -474,23 +465,18 @@ impl Engine {
         self.ack_or_park(ack, fenced);
     }
 
-    /// Aborts the current attempt and schedules a retry after the configured
-    /// back-off (standard mode).
-    pub fn abort_retry(&mut self, txn: TxnId) {
-        self.abort_attempt(txn, false, Requeue::Backoff);
-    }
-
-    /// Aborts the current attempt and defers the transaction to the next
-    /// batch (Aria-style carry-over; batch mode only).
-    pub fn abort_defer(&mut self, txn: TxnId) {
-        debug_assert!(self.batch_mode, "defer is a batch-mode operation");
-        self.abort_attempt(txn, false, Requeue::NextBatch);
+    /// Ends the current attempt of `txn`, which failed, and requeues it by
+    /// the engine's mode: a retry after the configured back-off in standard
+    /// mode, the next batch (Aria-style carry-over) in batch mode.
+    pub fn abort(&mut self, txn: TxnId) {
+        self.abort_attempt(txn, false, Requeue::Retry);
     }
 
     /// Ends `txn`'s current attempt — records the abort, releases the
     /// prepare-locks it took, if any, resets the context (its scheduled
     /// wakes go stale: the engine delivers none to a later attempt) — and
-    /// parks it at `to` until its next one.
+    /// parks it at `to` until its next one. In batch mode the attempt
+    /// leaves the armed batch either way.
     pub(super) fn abort_attempt(&mut self, txn: TxnId, fault: bool, to: Requeue) {
         let now = self.now();
         self.emit(MetricEvent::Abort {
@@ -503,22 +489,25 @@ impl Engine {
         }
         self.txns.next_attempt(txn).parked = true;
         match to {
-            Requeue::Backoff => {
-                let backoff = self.cfg.sim.retry_backoff_us;
-                self.queue.schedule(backoff, Ev::Retry(txn));
-            }
-            Requeue::NextBatch => {
-                self.deferred.push(txn);
-                self.batch_done_one();
-            }
-            Requeue::Heal => {
-                // The issuing client blocks with it: no goodput is faked
-                // while the partition it needs sits across the cut.
-                self.heal_waiters.push(txn);
-                if self.batch_mode {
-                    self.batch_done_one();
-                }
-            }
+            Requeue::Retry => self.requeue(txn),
+            // The issuing client blocks with it: no goodput is faked while
+            // the partition it needs sits across the cut.
+            Requeue::Heal => self.heal_waiters.push(txn),
+        }
+        if self.batch_mode {
+            self.batch_done_one();
+        }
+    }
+
+    /// Queues parked `txn` for its next attempt by the engine's mode: an
+    /// `Ev::Retry` after the back-off, or the deferred list the next batch
+    /// starts with.
+    pub(super) fn requeue(&mut self, txn: TxnId) {
+        if self.batch_mode {
+            self.deferred.push(txn);
+        } else {
+            let backoff = self.cfg.sim.retry_backoff_us;
+            self.queue.schedule(backoff, Ev::Retry(txn));
         }
     }
 }
@@ -553,14 +542,11 @@ fn exec_ops(
     walk: OpWalk<'_>,
 ) -> Result<(), OpFail> {
     let part = walk.ops[0].partition;
-    let until = cluster.available_at(part);
-    if until > now {
-        return Err(OpFail::Blocked { until });
+    if cluster.available_at(part) > now {
+        return Err(OpFail::Blocked);
     }
     if !cluster.placement.is_primary(part, node) {
-        return Err(OpFail::NotPrimary {
-            primary: cluster.placement.primary_of(part),
-        });
+        return Err(OpFail::NotPrimary);
     }
     if cluster.split_active() && !cluster.same_side(walk.home, node) {
         // Honest split-brain: the serving primary is on the far side of

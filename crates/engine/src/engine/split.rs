@@ -26,17 +26,14 @@ impl Engine {
     /// reachable from their home side again (after a split promotion, or
     /// after the heal closed the window entirely).
     fn resume_reachable_waiters(&mut self) {
-        let backoff = self.cfg.sim.retry_backoff_us;
         for txn in std::mem::take(&mut self.heal_waiters) {
             if !self.is_live(txn) {
                 continue;
             }
-            if !self.txn_reachable(txn) {
-                self.heal_waiters.push(txn);
-            } else if self.batch_mode {
-                self.deferred.push(txn);
+            if self.txn_reachable(txn) {
+                self.requeue(txn);
             } else {
-                self.queue.schedule(backoff, Ev::Retry(txn));
+                self.heal_waiters.push(txn);
             }
         }
     }
@@ -176,7 +173,7 @@ impl Engine {
         let steps = plan_heal(&self.cluster);
         // Prepare-locks must release while the placement that granted them
         // still routes there.
-        self.fault_abort(self.requeue_after_fault(), |_, ctx| {
+        self.fault_abort(Requeue::Retry, |_, ctx| {
             steps
                 .iter()
                 .any(|s| s.shadow.is_some() && ctx.parts.contains(&s.part))

@@ -30,8 +30,8 @@ pub trait StandardPolicy {
     fn name(&self) -> &'static str;
     /// True when the engine should arm whole batches instead of running
     /// closed-loop clients (§IV-D). A batch is submitted transaction by
-    /// transaction; a failed vote or failed local validation defers the
-    /// transaction to the next batch instead of retrying after a back-off.
+    /// transaction; every abort then defers the transaction to the next
+    /// batch instead of retrying after a back-off.
     fn batch(&self) -> bool {
         false
     }
@@ -73,15 +73,6 @@ fn submit<P: StandardPolicy>(policy: &mut P, eng: &mut Engine, txn: TxnId) {
     eng.net(bytes, Phase::Scheduling, txn, t);
 }
 
-/// Ends the attempt after a failed vote or failed local validation.
-fn abort(eng: &mut Engine, txn: TxnId, batch: bool) {
-    if batch {
-        eng.abort_defer(txn);
-    } else {
-        eng.abort_retry(txn);
-    }
-}
-
 /// Executes the ops of group `gi` at `node`, the group's primary. Returns
 /// false when the attempt ended (lock conflict) or the group must be looked
 /// at again shortly (placement or blocking raced).
@@ -89,7 +80,7 @@ fn exec_group(eng: &mut Engine, txn: TxnId, gi: usize, node: NodeId) -> bool {
     match eng.exec_group_at(node, txn, gi) {
         Ok(()) => true,
         Err(OpFail::Locked) => {
-            eng.abort_retry(txn);
+            eng.abort(txn);
             false
         }
         Err(_) => {
@@ -199,7 +190,7 @@ fn begin_commit(eng: &mut Engine, txn: TxnId) {
     }
 }
 
-fn prepare_branch(eng: &mut Engine, txn: TxnId, idx: u16, batch: bool) {
+fn prepare_branch(eng: &mut Engine, txn: TxnId, idx: u16) {
     let node = if idx == COORD_IDX {
         eng.txn(txn).home
     } else {
@@ -210,11 +201,11 @@ fn prepare_branch(eng: &mut Engine, txn: TxnId, idx: u16, batch: bool) {
         let t = tag(K_PREP_REPL, idx);
         eng.replicate_prepare(node, txn, t);
     } else {
-        branch_done(eng, txn, false, batch);
+        branch_done(eng, txn, false);
     }
 }
 
-fn branch_done(eng: &mut Engine, txn: TxnId, ok: bool, batch: bool) {
+fn branch_done(eng: &mut Engine, txn: TxnId, ok: bool) {
     match eng.join_arrive(txn, ok) {
         None => {}
         Some(true) => {
@@ -234,7 +225,7 @@ fn branch_done(eng: &mut Engine, txn: TxnId, ok: bool, batch: bool) {
             for _ in 0..n {
                 eng.net_fire_and_forget(16);
             }
-            abort(eng, txn, batch);
+            eng.abort(txn);
         }
     }
 }
@@ -263,14 +254,14 @@ impl<P: StandardPolicy> Protocol for P {
         match kind {
             K_ROUTED | K_BLOCKED => process_group(self, eng, txn),
             K_GROUP => finish_group(self, eng, txn, idx == 1),
-            K_PREP => prepare_branch(eng, txn, idx, self.batch()),
-            K_PREP_REPL => branch_done(eng, txn, true, self.batch()),
+            K_PREP => prepare_branch(eng, txn, idx),
+            K_PREP_REPL => branch_done(eng, txn, true),
             K_LOC_COMMIT => {
                 let home = eng.txn(txn).home;
                 if eng.validate_at(home, txn) {
                     eng.commit(txn);
                 } else {
-                    abort(eng, txn, self.batch());
+                    eng.abort(txn);
                 }
             }
             K_COMMIT => eng.commit(txn),

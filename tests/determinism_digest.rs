@@ -208,6 +208,10 @@ const SCENARIOS: &[Scenario] = &[
     // gives; commits 135,126 → 136,668. Re-pinned again, from
     // `0x506d26705698eccf`: 2PC installs at its commit slice (the reason
     // `2pc-ycsb` gives). Commits 136,668 → 135,599, aborts 37,442 → 37,832,
+    // fault aborts 30 either way. Re-pinned again, from `0x164c48f318e137d6`:
+    // a read that meets a prepare-lock now waits for the next batch like
+    // every other batch-mode abort, where it used to back off and retry
+    // inside the batch. Commits 135,599 → 137,021, aborts 37,832 → 38,275,
     // fault aborts 30 either way.
     Scenario {
         name: "lion-batch-crash-recover",
@@ -215,7 +219,7 @@ const SCENARIOS: &[Scenario] = &[
         world: ycsb,
         faults: crash_recover,
         horizon: SECOND,
-        golden: 0x164c48f318e137d6,
+        golden: 0x2f0fc33d82e498a9,
     },
     // The five batch baselines, without faults and through a crash: pinned
     // by PR 17 at its parent commit `3e42397`, before `engine.rs` was split
@@ -283,7 +287,7 @@ const SCENARIOS: &[Scenario] = &[
         horizon: SECOND,
         golden: 0x3a0ed04d0a511eb5,
     },
-    // Aria: parallel execution, reservation check, `abort_defer` carry-over.
+    // Aria: parallel execution, reservation check, next-batch carry-over.
     Scenario {
         name: "aria-ycsb",
         build: || Box::new(Aria::new()),
