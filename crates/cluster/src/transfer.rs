@@ -5,7 +5,7 @@
 use crate::cluster::Cluster;
 use crate::failure::FailoverCtx;
 use crate::replicas::Store;
-use lion_common::{NodeId, PartitionId, Time, BYTES_PER_US};
+use lion_common::{wire_us, NodeId, PartitionId, Time};
 use std::fmt;
 
 /// Per-µs cost of syncing one lagging log entry during remastering (and,
@@ -233,8 +233,7 @@ impl Cluster {
     /// primary after `fixed_us` of setup.
     fn snapshot_cost(&self, part: PartitionId, fixed_us: Time) -> (Time, u64) {
         let bytes = self.primary_store(part).table.bytes() + 16 * self.cfg.keys_per_partition;
-        let transit = (bytes as f64 / BYTES_PER_US).ceil() as Time;
-        (fixed_us + transit, bytes)
+        (fixed_us + wire_us(bytes), bytes)
     }
 
     // ------------------------------------------------------------------

@@ -13,7 +13,12 @@ use crate::Time;
 
 /// Link bandwidth in bytes per µs: 937 Mbit/s ≈ 117 B/µs, the iperf3
 /// measurement of §VI-A.
-pub const BYTES_PER_US: f64 = 117.0;
+pub const BYTES_PER_US: u64 = 117;
+
+/// Serialization time of `bytes` on one link: whole µs, rounded up.
+pub fn wire_us(bytes: u64) -> Time {
+    bytes.div_ceil(BYTES_PER_US)
+}
 
 /// Fixed per-message framing overhead in bytes.
 pub const MSG_OVERHEAD_BYTES: u32 = 64;
@@ -45,8 +50,7 @@ impl Default for NetConfig {
 impl NetConfig {
     /// Delay for a message carrying `payload` bytes (zone-local path).
     pub fn delay(&self, payload: u32) -> Time {
-        let bytes = (payload + MSG_OVERHEAD_BYTES) as f64;
-        self.one_way_us + (bytes / BYTES_PER_US).ceil() as Time
+        self.one_way_us + wire_us(u64::from(payload) + u64::from(MSG_OVERHEAD_BYTES))
     }
 
     /// Delay for a message carrying `payload` bytes between two zones: the
@@ -237,6 +241,15 @@ mod tests {
         let big = net.delay(117_000);
         assert!(small >= net.one_way_us);
         assert!(big >= small + 1_000, "1000 µs of serialization for ~117 kB");
+    }
+
+    #[test]
+    fn wire_time_is_the_f64_ceiling_it_replaced() {
+        let f64_ceil = |b: u64| (b as f64 / 117.0).ceil() as Time;
+        let near_u32_max = u64::from(u32::MAX) - 300..=u64::from(u32::MAX) + 300;
+        for b in (0..=1 << 20).chain(near_u32_max) {
+            assert_eq!(wire_us(b), f64_ceil(b), "{b} bytes");
+        }
     }
 
     #[test]

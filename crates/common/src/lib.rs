@@ -15,7 +15,7 @@ pub mod ops;
 pub mod placement;
 pub mod workload;
 
-pub use config::{NetConfig, SimConfig, BYTES_PER_US, MSG_OVERHEAD_BYTES};
+pub use config::{wire_us, NetConfig, SimConfig, BYTES_PER_US, MSG_OVERHEAD_BYTES};
 pub use ids::{ClientId, Key, NodeId, PartitionId, TxnId, ZoneId};
 pub use ops::{Op, OpKind, Phase, TxnRecord, TxnRequest};
 pub use placement::{FailoverRecord, Placement, PlacementError, PlacementPolicy};

@@ -417,16 +417,12 @@ impl Engine {
         // slot reuse decouples from `TxnId`.
         let seq = self.submitted;
         self.submitted += 1;
-        let id = self.txns.insert_with(|id, bufs| {
-            let mut ctx = TxnCtx::with_buffers(bufs, id, client, req, now);
-            ctx.seq = seq;
-            ctx
-        });
+        let id = self.txns.insert(client, req, now);
+        let ctx = self.txns.get_mut(id).expect("live transaction");
+        ctx.seq = seq;
         if self.history.len() < self.cfg.history_cap {
-            self.history.push(TxnRecord {
-                at: now,
-                parts: self.txn(id).parts.clone(),
-            });
+            let parts = ctx.parts.clone();
+            self.history.push(TxnRecord { at: now, parts });
         }
         id
     }

@@ -418,18 +418,19 @@ impl Engine {
     // Completion
     // ----------------------------------------------------------------
 
-    /// Commits `txn`: installs its writes, records commit metrics and frees
-    /// the context, all in this one instant, so no attempt is ever both
-    /// installed and abortable. Every successful attempt ends here. The
-    /// *client-visible ack* depends on the durability mode: ack-at-commit
-    /// releases it here (and re-arms the issuing client in standard mode);
-    /// epoch group commit parks it in the open epoch until the epoch's
-    /// replication is durable. Batch protocols always advance their batch
-    /// barrier here — their pacing is the batch loop, not the ack.
+    /// Commits `txn`: installs its writes, records commit metrics and
+    /// retires the context's slot, all in this one instant, so no attempt
+    /// is ever both installed and abortable. Every successful attempt ends
+    /// here. The *client-visible ack* depends on the durability mode:
+    /// ack-at-commit releases it here (and re-arms the issuing client in
+    /// standard mode); epoch group commit parks it in the open epoch until
+    /// the epoch's replication is durable. Batch protocols always advance
+    /// their batch barrier here — their pacing is the batch loop, not the
+    /// ack.
     pub fn commit(&mut self, txn: TxnId) {
         self.install(txn);
         let now = self.now();
-        let ctx = self.txns.remove(txn).expect("live transaction");
+        let ctx = self.txns.get(txn).expect("live transaction");
         // Quorum fence: during an active split a commit whose writes touch a
         // partition served from the non-quorum side can never replicate its
         // writes to a majority of the replica set — its ack must not be
@@ -441,19 +442,13 @@ impl Engine {
                 .write_set
                 .iter()
                 .any(|w| self.cluster.quorum_side_of(w.part) != self.cluster.side_of(ctx.home));
-        self.emit(MetricEvent::Commit {
+        let commit = MetricEvent::Commit {
             at: now,
             latency_us: now.saturating_sub(ctx.start),
             class: ctx.class,
             node: ctx.home,
             phase_us: ctx.phase_us,
-        });
-        if fenced {
-            self.emit(MetricEvent::MinorityCommit { at: now });
-        }
-        if self.batch_mode {
-            self.batch_done_one();
-        }
+        };
         let ack = PendingAck {
             txn,
             client: ctx.client,
@@ -461,7 +456,14 @@ impl Engine {
             start: ctx.start,
             committed_at: now,
         };
-        self.txns.recycle(ctx);
+        self.txns.remove(txn);
+        self.emit(commit);
+        if fenced {
+            self.emit(MetricEvent::MinorityCommit { at: now });
+        }
+        if self.batch_mode {
+            self.batch_done_one();
+        }
         self.ack_or_park(ack, fenced);
     }
 

@@ -96,53 +96,69 @@ pub struct TxnCtx {
     /// only state in which an abort has anything to release.
     pub holds_locks: bool,
     /// Declared ops regrouped by partition in first-touch order, flattened.
-    /// Built once at creation (`req` never changes), so the per-wake group
-    /// walks of the protocol state machines are allocation-free.
+    /// Built once per transaction (`req` never changes), so the per-wake
+    /// group walks of the protocol state machines are allocation-free.
     grouped_ops: Vec<Op>,
     /// Per-group ranges into `grouped_ops`.
-    group_index: Vec<GroupRange>,
-}
-
-/// The heap buffers of a finished context, cleared: what
-/// [`TxnSlab::recycle`](crate::TxnSlab::recycle) keeps so that the next
-/// context is built in their capacity instead of allocating its own.
-#[derive(Debug, Default)]
-pub struct TxnBufs {
-    parts: Vec<PartitionId>,
-    read_set: Vec<ReadEntry>,
-    write_set: Vec<WriteEntry>,
-    participants: Vec<NodeId>,
-    grouped_ops: Vec<Op>,
     group_index: Vec<GroupRange>,
 }
 
 impl TxnCtx {
     /// Creates a fresh context.
     pub fn new(id: TxnId, client: ClientId, req: TxnRequest, now: Time) -> Self {
-        Self::with_buffers(TxnBufs::default(), id, client, req, now)
+        let mut ctx = TxnCtx {
+            id,
+            seq: 0,
+            client,
+            req,
+            parts: Vec::new(),
+            start: now,
+            attempts: 1,
+            read_set: Vec::new(),
+            write_set: Vec::new(),
+            pending: 0,
+            failed: false,
+            home: NodeId(0),
+            participants: Vec::new(),
+            class: CommitClass::SingleNode,
+            step: 0,
+            phase_us: [0; 5],
+            parked: false,
+            holds_locks: false,
+            grouped_ops: Vec::new(),
+            group_index: Vec::new(),
+        };
+        ctx.group_ops();
+        ctx
     }
 
-    /// Creates a context in the capacity of `bufs`.
-    pub fn with_buffers(
-        bufs: TxnBufs,
-        id: TxnId,
-        client: ClientId,
-        req: TxnRequest,
-        now: Time,
-    ) -> Self {
-        let TxnBufs {
-            mut parts,
-            mut read_set,
-            mut write_set,
-            participants,
-            mut grouped_ops,
-            mut group_index,
-        } = bufs;
-        // Group the ops by partition once, preserving first-touch order:
-        // stable scratch for every later group walk.
-        for op in &req.ops {
-            if !group_index.iter().any(|g| g.part == op.partition) {
-                group_index.push(GroupRange {
+    /// Re-begins this context as a new transaction in its own buffers:
+    /// every field ends as [`TxnCtx::new`] would set it.
+    pub(crate) fn begin(&mut self, id: TxnId, client: ClientId, req: TxnRequest, now: Time) {
+        // The attempt's fields, then the transaction's.
+        self.reset_for_retry();
+        self.id = id;
+        self.seq = 0;
+        self.client = client;
+        self.req = req;
+        self.start = now;
+        self.attempts = 1;
+        self.home = NodeId(0);
+        self.phase_us = [0; 5];
+        self.parked = false;
+        self.parts.clear();
+        self.grouped_ops.clear();
+        self.group_index.clear();
+        self.group_ops();
+    }
+
+    /// Groups `req`'s ops by partition once, preserving first-touch order:
+    /// stable scratch for every later group walk. The buffers are empty.
+    fn group_ops(&mut self) {
+        let ops = &self.req.ops;
+        for op in ops {
+            if !self.group_index.iter().any(|g| g.part == op.partition) {
+                self.group_index.push(GroupRange {
                     part: op.partition,
                     start: 0,
                     end: 0,
@@ -151,65 +167,22 @@ impl TxnCtx {
             }
         }
         // `reserve_exact`: a fresh buffer gets exactly what this request
-        // needs, a recycled one is used as it is.
-        grouped_ops.reserve_exact(req.ops.len());
-        for g in &mut group_index {
-            g.start = grouped_ops.len() as u32;
-            for op in req.ops.iter().filter(|o| o.partition == g.part) {
-                if op.kind == OpKind::Read {
-                    g.reads += 1;
-                }
-                grouped_ops.push(*op);
+        // needs, a reused one is used as it is.
+        self.grouped_ops.reserve_exact(ops.len());
+        for g in &mut self.group_index {
+            g.start = self.grouped_ops.len() as u32;
+            for op in ops.iter().filter(|o| o.partition == g.part) {
+                g.reads += (op.kind == OpKind::Read) as u32;
+                self.grouped_ops.push(*op);
             }
-            g.end = grouped_ops.len() as u32;
+            g.end = self.grouped_ops.len() as u32;
         }
-        parts.reserve_exact(group_index.len());
-        parts.extend(group_index.iter().map(|g| g.part));
-        parts.sort_unstable();
-        let reads: usize = group_index.iter().map(|g| g.reads as usize).sum();
-        read_set.reserve_exact(reads);
-        write_set.reserve_exact(grouped_ops.len() - reads);
-        TxnCtx {
-            id,
-            seq: 0,
-            client,
-            req,
-            parts,
-            start: now,
-            attempts: 1,
-            read_set,
-            write_set,
-            pending: 0,
-            failed: false,
-            home: NodeId(0),
-            participants,
-            class: CommitClass::SingleNode,
-            step: 0,
-            phase_us: [0; 5],
-            parked: false,
-            holds_locks: false,
-            grouped_ops,
-            group_index,
-        }
-    }
-
-    /// The context's buffers, cleared; the request is dropped.
-    pub fn into_buffers(self) -> TxnBufs {
-        let mut bufs = TxnBufs {
-            parts: self.parts,
-            read_set: self.read_set,
-            write_set: self.write_set,
-            participants: self.participants,
-            grouped_ops: self.grouped_ops,
-            group_index: self.group_index,
-        };
-        bufs.parts.clear();
-        bufs.read_set.clear();
-        bufs.write_set.clear();
-        bufs.participants.clear();
-        bufs.grouped_ops.clear();
-        bufs.group_index.clear();
-        bufs
+        self.parts.reserve_exact(self.group_index.len());
+        self.parts.extend(self.group_index.iter().map(|g| g.part));
+        self.parts.sort_unstable();
+        let reads: usize = self.group_index.iter().map(|g| g.reads as usize).sum();
+        self.read_set.reserve_exact(reads);
+        self.write_set.reserve_exact(self.grouped_ops.len() - reads);
     }
 
     /// Number of partition groups (distinct partitions touched, in

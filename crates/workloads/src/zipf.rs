@@ -14,6 +14,9 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `1 + 0.5^θ`: a draw whose `u · zetan` lies in `[1, rank1_below)` is
+    /// rank 1.
+    rank1_below: f64,
     #[cfg_attr(not(test), allow(dead_code))]
     zeta2: f64,
 }
@@ -31,6 +34,7 @@ impl Zipf {
                 alpha: 0.0,
                 zetan: 0.0,
                 eta: 0.0,
+                rank1_below: 0.0,
                 zeta2: 0.0,
             };
         }
@@ -44,6 +48,7 @@ impl Zipf {
             alpha,
             zetan,
             eta,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
             zeta2,
         }
     }
@@ -80,7 +85,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1;
         }
         let v = ((self.eta * u) - self.eta + 1.0).powf(self.alpha);
