@@ -6,7 +6,7 @@ use crate::freq::FreqTracker;
 use crate::replicas::populate_stores;
 use crate::split::SplitBrain;
 use crate::transfer::{PartitionRuntime, Transfer};
-use lion_common::{FastMap, NodeId, PartitionId, SimConfig, Time, ZoneId};
+use lion_common::{NodeId, PartitionId, SimConfig, Time, ZoneId};
 use lion_sim::MultiServer;
 use lion_storage::{ReplicaRole, ReplicaStore};
 
@@ -32,8 +32,8 @@ pub struct Cluster {
     /// zone-aware decision — cross-zone network pricing, anti-affinity
     /// eviction, correlated crash scenarios — reads this one vector.
     pub zone_of: Vec<ZoneId>,
-    /// Per-node stores by partition; only `replicas.rs` inserts or removes.
-    pub(crate) stores: Vec<FastMap<u32, ReplicaStore>>,
+    /// Stores by node, then partition; only `replicas.rs` fills or empties a slot.
+    pub(crate) stores: Vec<Vec<Option<ReplicaStore>>>,
     /// Active split-brain window, when a `split_brain` fault plan has a
     /// partition open (`None` outside windows and on the legacy path).
     pub(crate) split: Option<SplitBrain>,
@@ -92,12 +92,12 @@ impl Cluster {
 
     /// Replica store hosted by `node` for `part`, if any.
     pub fn store(&self, node: NodeId, part: PartitionId) -> Option<&ReplicaStore> {
-        self.stores[node.idx()].get(&part.0)
+        self.stores[node.idx()].get(part.idx())?.as_ref()
     }
 
     /// Mutable replica store.
     pub fn store_mut(&mut self, node: NodeId, part: PartitionId) -> Option<&mut ReplicaStore> {
-        self.stores[node.idx()].get_mut(&part.0)
+        self.stores[node.idx()].get_mut(part.idx())?.as_mut()
     }
 
     /// Store of the current primary replica.
@@ -190,12 +190,11 @@ impl Cluster {
             // Every store of the partition, listed or left on a down node's
             // disk, holds the same populated key range.
             let dense = store.table.dense_len();
-            let foreign = |m: &FastMap<u32, ReplicaStore>| {
-                m.get(&part.0).is_some_and(|s| s.table.dense_len() != dense)
-            };
-            if let Some(n) = self.stores.iter().position(foreign) {
+            let unlike = |s: &ReplicaStore| s.table.dense_len() != dense;
+            let foreign = |&n: &NodeId| self.store(n, part).is_some_and(unlike);
+            if let Some(n) = self.node_ids().find(foreign) {
                 return Err(format!(
-                    "{part}: store on N{n} has a dense range unlike the primary's {dense}"
+                    "{part}: store on {n} has a dense range unlike the primary's {dense}"
                 ));
             }
             for &sec in self.placement.secondaries_of(part) {

@@ -122,7 +122,7 @@ impl Cluster {
     /// Moves what `node` logged for `part` and never shipped into the
     /// partition's failover replay, behind what is already there.
     fn recover_prepare_log(&mut self, part: PartitionId, node: NodeId) {
-        let store = self.stores[node.idx()].get_mut(&part.0);
+        let store = self.stores[node.idx()][part.idx()].as_mut();
         if let (Some(ctx), Some(store)) = (&mut self.parts[part.idx()].failover, store) {
             ctx.replay.extend(store.log.take_pending());
         }

@@ -7,7 +7,7 @@
 //! in a sliding window plus a per-(partition, node) last-use stamp for
 //! eviction tie-breaks.
 
-use lion_common::{FastMap, NodeId, PartitionId, Time};
+use lion_common::{NodeId, PartitionId, Time};
 
 /// Sliding-window access counters.
 #[derive(Debug, Clone)]
@@ -22,7 +22,8 @@ pub struct FreqTracker {
     /// slice of the planner's cost model: rebuilt in `roll_window` for the
     /// same reason, because every routed attempt reads all of it.
     heat: Vec<f64>,
-    last_used: FastMap<(PartitionId, NodeId), Time>,
+    /// Last-use stamp by partition, then node; 0 (or no slot) is "never".
+    last_used: Vec<Vec<Time>>,
 }
 
 impl FreqTracker {
@@ -33,7 +34,7 @@ impl FreqTracker {
             previous: vec![0; n_partitions],
             previous_max: 0,
             heat: vec![0.0; n_partitions],
-            last_used: FastMap::default(),
+            last_used: vec![Vec::new(); n_partitions],
         }
     }
 
@@ -47,13 +48,15 @@ impl FreqTracker {
     /// [`FreqTracker::record_access`] in one.
     pub fn record_accesses(&mut self, part: PartitionId, node: NodeId, now: Time, n: u64) {
         self.window[part.idx()] += n;
-        self.last_used.insert((part, node), now);
+        self.touch(part, node, now);
     }
 
     /// Marks a replica as used without counting an access (remaster target,
     /// fresh copy), so brand-new replicas aren't immediately evicted.
     pub fn touch(&mut self, part: PartitionId, node: NodeId, now: Time) {
-        self.last_used.insert((part, node), now);
+        let stamps = &mut self.last_used[part.idx()];
+        stamps.resize(stamps.len().max(node.idx() + 1), 0);
+        stamps[node.idx()] = now;
     }
 
     /// Rolls the window (called on planner ticks): current counts become the
@@ -91,7 +94,7 @@ impl FreqTracker {
 
     /// Last time a replica of `part` on `node` was used (0 if never).
     pub fn last_used(&self, part: PartitionId, node: NodeId) -> Time {
-        self.last_used.get(&(part, node)).copied().unwrap_or(0)
+        *self.last_used[part.idx()].get(node.idx()).unwrap_or(&0)
     }
 
     /// Among `candidates`, the coldest replica holder of `part` (lowest
@@ -103,9 +106,9 @@ impl FreqTracker {
             .min_by_key(|&n| self.last_used(part, n))
     }
 
-    /// Drops bookkeeping for a removed replica.
+    /// Drops bookkeeping for a removed replica: its stamp reads "never".
     pub fn forget(&mut self, part: PartitionId, node: NodeId) {
-        self.last_used.remove(&(part, node));
+        self.touch(part, node, 0);
     }
 }
 

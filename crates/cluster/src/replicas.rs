@@ -1,18 +1,15 @@
 //! A partition's replica set: who holds it and what has been shipped to
 //! whom. Two rules live here and nowhere else:
 //!
-//! * **only this file writes `placement` or inserts into / removes from
-//!   `stores`**, so a placement entry and the store behind it change in one
+//! * **only this file writes `placement` or fills / empties a `stores`
+//!   slot**, so a placement entry and the store behind it change in one
 //!   function (`attach`, `detach`, `swap_primary`, `move_primary`);
 //! * **every log entry that leaves a primary goes through `ship`**, which
 //!   never crosses an open cut or reaches a dead node.
 
 use crate::cluster::Cluster;
 use crate::transfer::AdaptorError;
-use lion_common::{
-    fast_map_with_capacity, FastMap, NodeId, PartitionId, Placement, PlacementError, SimConfig,
-    Time,
-};
+use lion_common::{NodeId, PartitionId, Placement, PlacementError, SimConfig, Time};
 use lion_storage::{LogEntry, ReplicaRole, ReplicaStore};
 
 /// What an epoch flush shipped (returned by
@@ -38,34 +35,25 @@ pub(crate) enum Store {
     KeptOnDisk,
 }
 
-/// The deployment-time stores of `placement`: a populated primary and
-/// in-sync secondaries for every partition. Each node's map is sized once
-/// for the replicas it hosts, so populating frees nothing. Maps grown by
-/// rehashing leave freed blocks between the row vectors, and a process that
-/// builds one cluster after another (a figure grid, the benchmark's set-ups)
-/// then faults most of the previous cluster's pages back in; sized once, it
-/// reuses them.
+/// The deployment-time stores of `placement`, by node then partition: a
+/// populated primary and in-sync secondaries for every partition. Every
+/// node has a slot for every partition, so a replica set changes by filling
+/// or emptying a slot and the vectors are never resized.
 pub(crate) fn populate_stores(
     cfg: &SimConfig,
     placement: &Placement,
-) -> Vec<FastMap<u32, ReplicaStore>> {
-    let mut stores: Vec<FastMap<u32, ReplicaStore>> = (0..cfg.nodes)
-        .map(|n| {
-            let hosted = (0..placement.n_partitions())
-                .filter(|&p| placement.has_replica(PartitionId(p as u32), NodeId(n as u16)))
-                .count();
-            fast_map_with_capacity(hosted)
-        })
-        .collect();
+) -> Vec<Vec<Option<ReplicaStore>>> {
+    let n_parts = placement.n_partitions();
+    let mut stores = vec![vec![None; n_parts]; cfg.nodes];
     let (keys, value_size) = (cfg.keys_per_partition, cfg.value_size);
-    for p in 0..placement.n_partitions() {
+    for p in 0..n_parts {
         let part = PartitionId(p as u32);
         let primary = ReplicaStore::new_primary(part, keys, value_size);
         for &sec in placement.secondaries_of(part) {
             let store = ReplicaStore::new_secondary(part, keys, value_size);
-            stores[sec.idx()].insert(part.0, store);
+            stores[sec.idx()][part.idx()] = Some(store);
         }
-        stores[placement.primary_of(part).idx()].insert(part.0, primary);
+        stores[placement.primary_of(part).idx()][part.idx()] = Some(primary);
     }
     stores
 }
@@ -82,7 +70,7 @@ impl Cluster {
             Err(e) => panic!("{e}: ids come from this cluster's own config"),
         }
         let snapshot = ReplicaStore::from_snapshot(part, self.primary_store(part));
-        self.stores[node.idx()].insert(part.0, snapshot);
+        self.stores[node.idx()][part.idx()] = Some(snapshot);
         Ok(())
     }
 
@@ -98,7 +86,7 @@ impl Cluster {
         }
         self.freq.forget(part, node);
         if store == Store::Dropped {
-            self.stores[node.idx()].remove(&part.0);
+            self.stores[node.idx()][part.idx()] = None;
         }
     }
 
@@ -126,8 +114,8 @@ impl Cluster {
     /// move, not a copy).
     pub(crate) fn move_primary(&mut self, part: PartitionId, to: NodeId, now: Time) {
         let from = self.placement.primary_of(part);
-        let mut moved = self.stores[from.idx()]
-            .remove(&part.0)
+        let mut moved = self.stores[from.idx()][part.idx()]
+            .take()
             .expect("primary store must exist");
         let head = moved.log.head_lsn();
         if self.placement.has_secondary(part, to) {
@@ -139,7 +127,7 @@ impl Cluster {
             self.detach(part, from, Store::Dropped);
         } else {
             moved.applied_lsn = head;
-            self.stores[to.idx()].insert(part.0, moved);
+            self.stores[to.idx()][part.idx()] = Some(moved);
             self.placement
                 .migrate_primary(part, to)
                 .expect("ids come from this cluster's own config");
@@ -165,7 +153,7 @@ impl Cluster {
             if !self.reachable(from, sec) {
                 continue;
             }
-            if let Some(store) = self.stores[sec.idx()].get_mut(&part.0) {
+            if let Some(store) = &mut self.stores[sec.idx()][part.idx()] {
                 store.apply_entries(entries);
                 bytes += entry_bytes;
             }

@@ -35,6 +35,61 @@ fn construction_matches_placement() {
     assert!(c.store(n(2), p(0)).is_none());
 }
 
+/// `store` and `store_mut` answer `None`, not a panic, for a partition the
+/// node does not host and for a partition id past the cluster's; and they
+/// follow every change to a replica set.
+#[test]
+fn stores_answer_by_id_and_follow_every_replica_set_change() {
+    use crate::replicas::Store;
+    let mut c = Cluster::new(small_cfg());
+    for node in [n(0), n(1), n(2)] {
+        for past in [p(6), p(7), p(u32::MAX)] {
+            assert!(c.store(node, past).is_none(), "{node} {past}");
+            assert!(c.store_mut(node, past).is_none(), "{node} {past}");
+        }
+    }
+    assert!(c.store(n(2), p(0)).is_none() && c.store_mut(n(2), p(0)).is_none());
+
+    c.attach(p(0), n(2)).unwrap();
+    let attached = c.store(n(2), p(0)).map(|s| s.role);
+    assert_eq!(attached, Some(ReplicaRole::Secondary));
+    assert!(c.store_mut(n(2), p(0)).is_some());
+    c.detach(p(0), n(2), Store::Dropped);
+    assert!(c.store(n(2), p(0)).is_none() && c.store_mut(n(2), p(0)).is_none());
+    c.check_invariants().unwrap();
+
+    // A down node's store is its disk: detached, the entry goes and the
+    // store stays for `recover_node`.
+    c.attach(p(0), n(2)).unwrap();
+    c.node_up[2] = false;
+    c.detach(p(0), n(2), Store::KeptOnDisk);
+    assert!(!c.placement.has_secondary(p(0), n(2)));
+    assert!(c.store(n(2), p(0)).is_some() && c.store_mut(n(2), p(0)).is_some());
+
+    // A move to a node without a copy, and one to a secondary: either way
+    // the source's slot empties and the moved table is the target's.
+    let mut c = Cluster::new(small_cfg());
+    let spare = (0..3).map(n).find(|&x| c.store(x, p(0)).is_none()).unwrap();
+    let secondary = c.placement.secondaries_of(p(1))[0];
+    for (part, to, value) in [(p(0), spare, 0xA0), (p(1), secondary, 0xA1)] {
+        let from = c.placement.primary_of(part);
+        let table = &mut c.primary_store_mut(part).table;
+        table.occ_lock(5, TxnId(1));
+        table.occ_install(5, TxnId(1), Bytes::synth(value, 16));
+        c.move_primary(part, to, 10);
+        assert!(
+            c.store(from, part).is_none(),
+            "{part}: {from} still holds it"
+        );
+        assert!(c.store_mut(from, part).is_none());
+        let moved = c.store(to, part).expect("the target holds the move");
+        assert_eq!(moved.role, ReplicaRole::Primary);
+        assert_eq!(moved.table.get(5).unwrap().value, Bytes::synth(value, 16));
+        assert_eq!(c.placement.primary_of(part), to);
+    }
+    c.check_invariants().unwrap();
+}
+
 #[test]
 fn a_store_with_another_dense_range_is_reported() {
     let mut c = Cluster::new(small_cfg());

@@ -21,21 +21,15 @@ pub use ops::{Op, OpKind, Phase, TxnRecord, TxnRequest};
 pub use placement::{FailoverRecord, Placement, PlacementError, PlacementPolicy};
 pub use workload::Workload;
 
-/// Deterministic fast hash map for hot-path state (row tables, transaction
-/// maps, planner graphs). Backed by the vendored Fx hasher: no per-process
-/// SipHash seed, so the same keys hash — and the same capacity resizes
-/// happen — identically in every run, and small-integer keys hash in a few
-/// cycles instead of a full SipHash permutation.
+/// Deterministic fast hash map for state keyed by sparse ids (heat-graph
+/// adjacency, predictor templates, batch-kit reservations); state keyed by
+/// a dense id is a vector indexed by that id. Backed by the vendored Fx
+/// hasher: no per-process SipHash seed, so the same keys hash — and the
+/// same capacity resizes happen — identically in every run.
 pub type FastMap<K, V> = fxhash::FxHashMap<K, V>;
 
 /// Deterministic fast hash set; see [`FastMap`].
 pub type FastSet<T> = fxhash::FxHashSet<T>;
-
-/// Builds a [`FastMap`] pre-sized for `cap` entries (the `HashMap::new`-style
-/// constructors are not available for custom hashers).
-pub fn fast_map_with_capacity<K, V>(cap: usize) -> FastMap<K, V> {
-    FastMap::with_capacity_and_hasher(cap, Default::default())
-}
 
 /// Virtual time in microseconds. The whole simulation runs on this clock.
 pub type Time = u64;

@@ -20,7 +20,7 @@ use crate::config::LionConfig;
 use crate::provision::{PlanRound, Trigger};
 use crate::router::route_txn;
 use lion_cluster::{AdaptorError, Transfer};
-use lion_common::{FastMap, NodeId, PartitionId, Time, TxnId};
+use lion_common::{NodeId, PartitionId, Time, TxnId};
 use lion_engine::{CommitClass, Engine, FaultNotice, RemoteAction, StandardPolicy, TickKind};
 use lion_planner::{HeatGraph, TxnPlacementClass};
 use lion_predictor::WorkloadPredictor;
@@ -29,12 +29,12 @@ use lion_predictor::WorkloadPredictor;
 pub struct Lion {
     pub(crate) cfg: LionConfig,
     pub(crate) predictor: WorkloadPredictor,
-    /// Router affinity: the planner's clump destination per partition.
+    /// Router affinity: the planner's clump destination, by partition.
     /// "Transactions accessing the same partitions are deliberately routed
     /// to the same node, which reduces ping-pong remastering" (§III) — the
     /// affinity keeps routing stable while replica copies are in flight, so
     /// the greedy cost model cannot undo the plan mid-transition.
-    pub(crate) affinity: FastMap<u32, NodeId>,
+    pub(crate) affinity: Vec<Option<NodeId>>,
     /// The heat graph the last round planned from: the co-access behind
     /// `affinity`. `None` until the first round.
     pub(crate) plan_graph: Option<HeatGraph>,
@@ -55,7 +55,7 @@ impl Lion {
         Lion {
             predictor: WorkloadPredictor::new(cfg.predictor),
             cfg,
-            affinity: FastMap::default(),
+            affinity: Vec::new(),
             plan_graph: None,
             unplanned: 0,
             early_armed: true,
@@ -79,16 +79,21 @@ impl Lion {
         &self.cfg
     }
 
+    /// The planned destination of `part`, if a round assigned it one.
+    pub(crate) fn planned(&self, part: PartitionId) -> Option<NodeId> {
+        self.affinity.get(part.idx()).copied().flatten()
+    }
+
     /// Consensus affinity of a transaction's partitions: the planned
     /// destination when every accessed partition agrees on one.
     fn affinity_of(&self, eng: &Engine, txn: TxnId) -> Option<NodeId> {
         let parts = &eng.txn(txn).parts;
         let mut dest: Option<NodeId> = None;
-        for p in parts {
-            match (self.affinity.get(&p.0), dest) {
+        for &p in parts {
+            match (self.planned(p), dest) {
                 (None, _) => return None,
-                (Some(&n), None) => dest = Some(n),
-                (Some(&n), Some(d)) if n != d => return None,
+                (Some(n), None) => dest = Some(n),
+                (Some(n), Some(d)) if n != d => return None,
                 _ => {}
             }
         }
@@ -156,7 +161,7 @@ impl StandardPolicy for Lion {
             for part in parts {
                 if !eng.cluster.placement.is_primary(part, home)
                     && eng.cluster.placement.has_secondary(part, home)
-                    && self.affinity.get(&part.0).is_none_or(|&a| a == home)
+                    && self.planned(part).is_none_or(|a| a == home)
                 {
                     Self::remaster_to(eng, txn, part, home);
                 }
@@ -177,7 +182,7 @@ impl StandardPolicy for Lion {
         let home = eng.txn(txn).home;
         if !self.cfg.batch
             && eng.cluster.placement.has_secondary(part, home)
-            && self.affinity.get(&part.0).is_none_or(|&a| a == home)
+            && self.planned(part).is_none_or(|a| a == home)
             && route_txn(eng, txn).0 == home
         {
             if let Some(wait) = Self::remaster_to(eng, txn, part, home) {
@@ -199,7 +204,9 @@ impl StandardPolicy for Lion {
                 // Stale affinity toward a dead node would keep the router
                 // pinning transactions to it; drop those entries immediately
                 // and let the next provision round re-assign the clumps.
-                self.affinity.retain(|_, dest| dest != node);
+                for dest in &mut self.affinity {
+                    dest.take_if(|d| d == node);
+                }
                 self.replan_pending = true;
             }
             FaultNotice::FailoverComplete { .. } => {
@@ -230,7 +237,7 @@ impl StandardPolicy for Lion {
 mod tests {
     use super::*;
     use lion_baselines::two_pc;
-    use lion_common::{SimConfig, SECOND};
+    use lion_common::{ClientId, Op, SimConfig, TxnRequest, SECOND};
     use lion_engine::Engine;
     use lion_workloads::{YcsbConfig, YcsbWorkload};
 
@@ -252,6 +259,34 @@ mod tests {
                 .with_mix(cross, skew)
                 .with_seed(seed),
         ))
+    }
+
+    /// A transaction has a consensus affinity only when every partition it
+    /// touches has an entry that agrees: a partition without one, a hole in
+    /// the table or an id past its end, leaves the transaction unplanned.
+    #[test]
+    fn affinity_of_needs_an_entry_for_every_partition() {
+        let mut eng = Engine::new(cfg(4), ycsb(4, 0.0, 0.0, 68));
+        let mut lion = Lion::standard();
+        lion.plan_affinity(PartitionId(0), NodeId(2));
+        lion.plan_affinity(PartitionId(2), NodeId(2));
+        assert_eq!(lion.affinity.len(), 3, "the table grows to the entry");
+        let mut affinity_of = |lion: &Lion, parts: &[u32]| {
+            let ops = parts
+                .iter()
+                .map(|&p| Op::write(PartitionId(p), 0))
+                .collect();
+            let txn = eng.inject_txn(ClientId(0), TxnRequest::new(ops));
+            lion.affinity_of(&eng, txn)
+        };
+        assert_eq!(affinity_of(&lion, &[0, 2]), Some(NodeId(2)));
+        // P1 is a hole; P3 and P15 lie past the table's end.
+        for parts in [[0, 1], [1, 2], [2, 3], [15, 0]] {
+            assert_eq!(affinity_of(&lion, &parts), None, "{parts:?}");
+        }
+        lion.plan_affinity(PartitionId(1), NodeId(3));
+        assert_eq!(affinity_of(&lion, &[0, 1]), None, "the entries disagree");
+        assert_eq!(affinity_of(&lion, &[1]), Some(NodeId(3)));
     }
 
     /// The headline behaviour: on a 100% cross-partition workload with
@@ -373,7 +408,9 @@ mod tests {
             replans[0].at
         );
         assert!(
-            lion.affinity.values().all(|&n| n != lion_common::NodeId(1)),
+            lion.affinity
+                .iter()
+                .all(|&n| n != Some(lion_common::NodeId(1))),
             "no routing affinity may point at the dead node"
         );
         assert!(r.commits > 500, "commits {}", r.commits);

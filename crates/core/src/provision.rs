@@ -21,7 +21,7 @@
 
 use crate::config::Partitioning;
 use crate::protocol::Lion;
-use lion_common::{PartitionId, Time, TxnId, TxnRecord};
+use lion_common::{NodeId, PartitionId, Time, TxnId, TxnRecord};
 use lion_engine::Engine;
 use lion_planner::{generate_clumps, rearrange_with_topology, schism_plan, HeatGraph, PlanAction};
 
@@ -75,7 +75,7 @@ impl Lion {
         let Some(graph) = &self.plan_graph else {
             return false;
         };
-        let dest = |p: &PartitionId| self.affinity.get(&p.0);
+        let dest = |p: &PartitionId| self.planned(*p);
         if parts.iter().any(|p| dest(p).is_none()) {
             return false;
         }
@@ -111,6 +111,15 @@ impl Lion {
         }
         self.plan_round(eng, Trigger::Early);
         true
+    }
+
+    /// Sets the router affinity of `part` to `dest`, growing the table to
+    /// reach it.
+    pub(crate) fn plan_affinity(&mut self, part: PartitionId, dest: NodeId) {
+        if self.affinity.len() <= part.idx() {
+            self.affinity.resize(part.idx() + 1, None);
+        }
+        self.affinity[part.idx()] = Some(dest);
     }
 
     /// Drains the engine's routed-transaction records, feeding the
@@ -217,8 +226,8 @@ impl Lion {
         // Refresh the router affinity table (deliberate routing, §III) for
         // every partition the plan assigned this round.
         for (parts, dest) in &plan.assignments {
-            for p in parts {
-                self.affinity.insert(p.0, *dest);
+            for &p in parts {
+                self.plan_affinity(p, *dest);
             }
         }
         // --- Asynchronous adjustment (§III) -------------------------------
@@ -393,6 +402,7 @@ mod tests {
         assert_eq!(lion.unplanned, 0, "nothing counts before the first round");
         lion.on_tick(&mut eng, TickKind::Planner);
         assert_eq!(lion.affinity.len(), 16);
+        assert!(lion.affinity.iter().all(Option::is_some));
         (eng, lion)
     }
 
@@ -410,8 +420,8 @@ mod tests {
         let wl = Box::new(YcsbWorkload::new(YcsbConfig::for_cluster(4, 4, 1024)));
         let mut eng = Engine::new(cfg(), wl);
         let mut lion = Lion::standard();
-        lion.affinity.insert(0, NodeId(0));
-        lion.affinity.insert(1, NodeId(1));
+        lion.plan_affinity(PartitionId(0), NodeId(0));
+        lion.plan_affinity(PartitionId(1), NodeId(1));
         for _ in 0..2 * lion.cfg.planner.history_cap {
             route(&mut lion, &mut eng, &[0, 1]);
         }
@@ -423,9 +433,9 @@ mod tests {
     #[test]
     fn a_split_the_round_saw_never_counts() {
         let (mut eng, mut lion) = planned_world();
-        let kept = lion.affinity[&0];
+        let kept = lion.affinity[0].unwrap();
         let away = NodeId((kept.0 + 1) % 4);
-        lion.affinity.insert(1, away);
+        lion.plan_affinity(PartitionId(1), away);
         let seen = lion.plan_graph.as_ref().unwrap();
         assert!(seen.edge_weight(PartitionId(0), PartitionId(1)) > 0.0);
         for _ in 0..2 * lion.cfg.planner.history_cap {
@@ -453,7 +463,8 @@ mod tests {
         let after_early = (0, vec![Trigger::Tick, Trigger::Early]);
         assert_eq!((lion.unplanned, triggers(&lion)), after_early);
         assert_eq!(
-            lion.affinity[&p], lion.affinity[&q],
+            lion.affinity[p as usize].unwrap(),
+            lion.affinity[q as usize].unwrap(),
             "the early round planned the new pair onto one node"
         );
 
@@ -481,7 +492,7 @@ mod tests {
     fn partitions_without_affinity_after_node_down_do_not_count() {
         let (mut eng, mut lion) = planned_world();
         let [p, q] = unseen_split_pair(&lion);
-        let dead = lion.affinity[&p];
+        let dead = lion.affinity[p as usize].unwrap();
         lion.on_fault(&mut eng, &FaultNotice::NodeDown(dead));
         for _ in 0..2 * lion.cfg.planner.history_cap {
             route(&mut lion, &mut eng, &[p, q]);
