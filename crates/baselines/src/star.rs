@@ -313,7 +313,7 @@ mod tests {
         let version = |eng: &Engine| {
             let primary = eng.cluster.placement.primary_of(part);
             let table = &eng.cluster.store(primary, part).unwrap().table;
-            table.get(1).map_or(0, |r| r.version)
+            table.get(1).map_or(0, |r| r.version())
         };
         let before = version(&eng);
         // Armed at 0; the remaster lands at 4 and the wake fires at 39.

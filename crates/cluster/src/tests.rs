@@ -84,7 +84,7 @@ fn stores_answer_by_id_and_follow_every_replica_set_change() {
         assert!(c.store_mut(from, part).is_none());
         let moved = c.store(to, part).expect("the target holds the move");
         assert_eq!(moved.role, ReplicaRole::Primary);
-        assert_eq!(moved.table.get(5).unwrap().value, Bytes::synth(value, 16));
+        assert_eq!(moved.table.get(5).unwrap().value(), Bytes::synth(value, 16));
         assert_eq!(c.placement.primary_of(part), to);
     }
     c.check_invariants().unwrap();
@@ -140,7 +140,7 @@ fn remaster_syncs_pending_log() {
     assert!(bytes > 0);
     let new_primary = c.store(n(1), p(0)).unwrap();
     assert_eq!(
-        new_primary.table.get(5).unwrap().value,
+        new_primary.table.get(5).unwrap().value(),
         Bytes::synth(0x0707_0707_0707_0707, 16)
     );
     c.check_invariants().unwrap();
@@ -297,7 +297,7 @@ fn crash_failover_lifecycle_preserves_log_continuity() {
     let new_primary = c.store(n(1), part).unwrap();
     assert_eq!(new_primary.log.head_lsn(), head_before);
     assert_eq!(
-        new_primary.table.get(9).unwrap().value,
+        new_primary.table.get(9).unwrap().value(),
         Bytes::synth(0x0404_0404_0404_0404, 16),
         "replayed write visible at the new primary"
     );
@@ -569,7 +569,7 @@ fn epoch_flush_ships_to_all_secondaries() {
     assert_eq!(flush.frontiers, vec![(p(2), 1)]);
     let sec = c.placement.secondaries_of(p(2))[0];
     assert_eq!(
-        c.store(sec, p(2)).unwrap().table.get(0).unwrap().value,
+        c.store(sec, p(2)).unwrap().table.get(0).unwrap().value(),
         Bytes::synth(0x0303_0303_0303_0303, 16)
     );
     // flushing again is free and certifies nothing

@@ -163,7 +163,7 @@ fn conflicting_writes_abort_and_retry() {
             .table
             .get(0)
             .unwrap()
-            .version
+            .version()
     };
     assert_eq!(
         key_version,
@@ -288,7 +288,7 @@ fn row_states(eng: &Engine, part: PartitionId, key: Key) -> Vec<(u64, bool)> {
     let holders = eng.cluster.placement.replica_nodes(part);
     let state = |node| {
         let row = eng.cluster.store(node, part).unwrap().table.get(key);
-        row.map_or((0, false), |r| (r.version, r.lock().is_some()))
+        row.map_or((0, false), |r| (r.version(), r.lock().is_some()))
     };
     holders.into_iter().map(state).collect()
 }
@@ -366,7 +366,7 @@ fn a_remaster_landing_inside_the_2pc_window_aborts_the_transaction() {
 fn version(eng: &Engine, part: PartitionId, key: Key) -> u64 {
     let primary = eng.cluster.placement.primary_of(part);
     let table = &eng.cluster.store(primary, part).unwrap().table;
-    table.get(key).map_or(0, |r| r.version)
+    table.get(key).map_or(0, |r| r.version())
 }
 
 /// A remaster that lands after the 2PC decision but before the commit wake

@@ -60,14 +60,16 @@ impl MultiServer {
     }
 
     /// Acquires the earliest-free server at time `now` for `service` µs.
+    /// The server's free time is replaced in place: one sift, not a pop and
+    /// a push.
     pub fn acquire(&mut self, now: Time, service: Time) -> Grant {
-        let Reverse(free) = self
+        let mut earliest = self
             .free_at
-            .pop()
+            .peek_mut()
             .expect("heap always holds `servers` entries");
-        let start = free.max(now);
+        let start = earliest.0.max(now);
         let end = start + service;
-        self.free_at.push(Reverse(end));
+        *earliest = Reverse(end);
         self.busy_total += service;
         self.busy_window += service;
         Grant { start, end }

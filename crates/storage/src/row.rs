@@ -1,7 +1,8 @@
-//! Versioned, lockable rows: 32 bytes each, and 32 as `Option<Row>` too.
+//! Versioned, lockable rows: 24 bytes each, and 24 as `Option<Row>` too.
 
 use lion_common::TxnId;
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Immutable row payload: `len` bytes of an 8-byte stamp repeated
 /// little-endian.
@@ -16,16 +17,6 @@ use std::fmt;
 pub struct Bytes {
     stamp: u64,
     len: u32,
-    /// Fills what would be padding. Its 255 invalid values are the niche
-    /// that makes `Option<Row>` no larger than `Row`.
-    niche: Niche,
-}
-
-/// A byte with a single valid value (see [`Bytes::niche`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum Niche {
-    Zero = 0,
 }
 
 impl Bytes {
@@ -35,7 +26,6 @@ impl Bytes {
         Bytes {
             stamp: stamp & seen,
             len,
-            niche: Niche::Zero,
         }
     }
 
@@ -61,31 +51,59 @@ const FREE: u64 = u64::MAX;
 
 /// One stored row: payload bytes plus the OCC metadata words.
 ///
-/// `version` increases monotonically with every installed write; the lock
+/// The version increases monotonically with every installed write; the lock
 /// word holds the transaction currently preparing a write to this row
 /// (between 2PC prepare-validation and commit/abort), which blocks
 /// conflicting validations exactly as the paper's OCC baseline (§VI-A.2)
 /// does. The word is the holder's raw id, or a free sentinel no engine id
 /// reaches (slot and generation both `u32::MAX`), so it costs 8 bytes where
-/// `Option<TxnId>` cost 16.
+/// `Option<TxnId>` cost 16. The version is stored plus one in 32 bits: its
+/// zero is the niche that makes `Option<Row>` no larger than `Row`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Row {
-    /// Monotonic row version, bumped on every install.
-    pub version: u64,
+    /// The payload's stamp (see [`Bytes`]).
+    stamp: u64,
     /// Raw id of the prepare-lock holder, or [`FREE`].
     lock: u64,
-    /// Row payload.
-    pub value: Bytes,
+    /// The payload's length in bytes.
+    len: u32,
+    /// Monotonic row version plus one, bumped on every install.
+    version: NonZeroU32,
 }
 
 impl Row {
     /// Creates a fresh, unlocked row at version 1.
     pub fn new(value: Bytes) -> Self {
         Row {
-            version: 1,
+            stamp: value.stamp,
             lock: FREE,
-            value,
+            len: value.len,
+            version: NonZeroU32::MIN.saturating_add(1),
         }
+    }
+
+    /// Monotonic row version.
+    pub fn version(&self) -> u64 {
+        u64::from(self.version.get() - 1)
+    }
+
+    /// Row payload.
+    pub fn value(&self) -> Bytes {
+        Bytes {
+            stamp: self.stamp,
+            len: self.len,
+        }
+    }
+
+    /// Stores `value` at `version`, the one place a version narrows: past
+    /// `u32::MAX − 1` it panics rather than wrap.
+    pub(crate) fn set(&mut self, version: u64, value: Bytes) {
+        self.version = u32::try_from(version)
+            .ok()
+            .and_then(|v| NonZeroU32::MIN.checked_add(v))
+            .expect("a row's version is past the version limit 4294967294");
+        self.stamp = value.stamp;
+        self.len = value.len;
     }
 
     /// Transaction holding the prepare-lock, if any.
@@ -118,9 +136,9 @@ impl Row {
 impl fmt::Debug for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Row")
-            .field("version", &self.version)
+            .field("version", &self.version())
             .field("lock", &self.lock())
-            .field("value", &self.value)
+            .field("value", &self.value())
             .finish()
     }
 }
@@ -132,9 +150,9 @@ mod tests {
     #[test]
     fn new_rows_start_unlocked_at_v1() {
         let r = Row::new(Bytes::synth(0x03_02_01, 3));
-        assert_eq!(r.version, 1);
+        assert_eq!(r.version(), 1);
         assert!(r.lock().is_none());
-        assert_eq!(r.value.to_vec(), [1, 2, 3]);
+        assert_eq!(r.value().to_vec(), [1, 2, 3]);
     }
 
     #[test]
@@ -172,13 +190,20 @@ mod tests {
     }
 
     #[test]
-    fn a_payload_is_sixteen_bytes_not_a_heap_handle() {
+    fn a_row_is_twenty_four_bytes_present_or_absent() {
+        assert_eq!(std::mem::size_of::<Row>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Row>>(), 24);
         assert_eq!(std::mem::size_of::<Bytes>(), 16);
     }
 
     #[test]
-    fn a_row_is_thirty_two_bytes_present_or_absent() {
-        assert_eq!(std::mem::size_of::<Row>(), 32);
-        assert_eq!(std::mem::size_of::<Option<Row>>(), 32);
+    fn a_row_holds_every_version_up_to_the_limit_and_any_length() {
+        let big = Bytes::synth(0xAB, 100_000);
+        let mut r = Row::new(big);
+        assert_eq!((r.value(), r.value().len()), (big, 100_000));
+        for v in [0, 1, u64::from(u32::MAX >> 1), u64::from(u32::MAX - 1)] {
+            r.set(v, big);
+            assert_eq!((r.version(), r.value()), (v, big));
+        }
     }
 }

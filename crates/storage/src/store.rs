@@ -174,12 +174,12 @@ mod tests {
         assert_eq!(secondary.lag_behind(primary.log.head_lsn()), 0);
         for k in [1u64, 2] {
             assert_eq!(
-                secondary.table.get(k).unwrap().value,
-                primary.table.get(k).unwrap().value
+                secondary.table.get(k).unwrap().value(),
+                primary.table.get(k).unwrap().value()
             );
             assert_eq!(
-                secondary.table.get(k).unwrap().version,
-                primary.table.get(k).unwrap().version
+                secondary.table.get(k).unwrap().version(),
+                primary.table.get(k).unwrap().version()
             );
         }
     }
@@ -232,14 +232,14 @@ mod tests {
         assert_eq!(secondary.applied_lsn, 3);
         assert!(!secondary.has_gap());
         assert_eq!(
-            secondary.table.get(3).unwrap().value,
-            primary.table.get(3).unwrap().value
+            secondary.table.get(3).unwrap().value(),
+            primary.table.get(3).unwrap().value()
         );
         // Duplicate replay is idempotent.
-        let ver_before = secondary.table.get(2).unwrap().version;
+        let ver_before = secondary.table.get(2).unwrap().version();
         secondary.apply_entries(&entries);
         assert_eq!(secondary.applied_lsn, 3);
-        assert_eq!(secondary.table.get(2).unwrap().version, ver_before);
+        assert_eq!(secondary.table.get(2).unwrap().version(), ver_before);
     }
 
     #[test]
@@ -257,8 +257,8 @@ mod tests {
         let copy = ReplicaStore::from_snapshot(p(), &primary);
         assert_eq!(copy.lag_behind(primary.log.head_lsn()), 0);
         assert_eq!(
-            copy.table.get(3).unwrap().value,
-            primary.table.get(3).unwrap().value
+            copy.table.get(3).unwrap().value(),
+            primary.table.get(3).unwrap().value()
         );
         assert_eq!(copy.role, ReplicaRole::Secondary);
     }

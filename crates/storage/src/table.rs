@@ -1,6 +1,6 @@
 //! A single partition replica's key→row table with OCC operations.
 //!
-//! Rows are 32-byte slots (`Option<Row>`) held in two places: a directly
+//! Rows are 24-byte slots (`Option<Row>`) held in two places: a directly
 //! indexed vector for the contiguous populated range, and the replica's own
 //! arena for every key past it (the rows transactions insert), key `k` at
 //! arena position `k − dense.len()`.
@@ -132,7 +132,7 @@ impl Table {
     /// A fresh insert placeholder: not yet visible (version 0).
     fn placeholder() -> Row {
         let mut r = Row::new(Bytes::synth(0, 0));
-        r.version = 0;
+        r.set(0, r.value());
         r
     }
 
@@ -202,7 +202,7 @@ impl Table {
     }
 
     /// Allocates arena chunk `c`, extending the directory to reach it. Out
-    /// of line and built on the heap: a 32 KB chunk array in
+    /// of line and built on the heap: a 24 KB chunk array in
     /// `row_or_placeholder`'s frame would make every caller probe its stack.
     #[cold]
     #[inline(never)]
@@ -218,7 +218,7 @@ impl Table {
     pub fn upsert(&mut self, key: Key, value: Bytes) {
         let add = value.len() as u64;
         let row = self.row_or_placeholder(key);
-        let old = row.value.len() as u64;
+        let old = row.value().len() as u64;
         *row = Row::new(value);
         self.bytes = self.bytes - old + add;
     }
@@ -233,7 +233,7 @@ impl Table {
             Some(row) => match row.lock() {
                 Some(holder) if holder != txn => OpOutcome::Locked { holder },
                 _ => OpOutcome::Ok {
-                    version: row.version,
+                    version: row.version(),
                 },
             },
         }
@@ -249,7 +249,7 @@ impl Table {
         }
         row.lock_for(txn);
         OpOutcome::Ok {
-            version: row.version,
+            version: row.version(),
         }
     }
 
@@ -274,15 +274,14 @@ impl Table {
                         return OpOutcome::Locked { holder };
                     }
                 }
-                if row.version != observed {
+                let version = row.version();
+                if version != observed {
                     OpOutcome::VersionMismatch {
                         expected: observed,
-                        found: row.version,
+                        found: version,
                     }
                 } else {
-                    OpOutcome::Ok {
-                        version: row.version,
-                    }
+                    OpOutcome::Ok { version }
                 }
             }
         }
@@ -295,11 +294,10 @@ impl Table {
         let add = value.len() as u64;
         let row = self.row_or_placeholder(key);
         debug_assert!(row.lockable_by(txn), "installing over a foreign lock");
-        let old = row.value.len() as u64;
-        row.value = value;
-        row.version += 1;
+        let old = row.value().len() as u64;
+        let version = row.version() + 1;
+        row.set(version, value);
         row.unlock();
-        let version = row.version;
         self.bytes = self.bytes - old + add;
         version
     }
@@ -318,8 +316,8 @@ impl Table {
         };
         if let Some(row) = slot.as_mut().filter(|r| r.lock() == Some(txn)) {
             row.unlock();
-            if row.version == 0 {
-                self.bytes -= row.value.len() as u64;
+            if row.version() == 0 {
+                self.bytes -= row.value().len() as u64;
                 *slot = None; // insert placeholder never became visible
                 self.rows -= 1;
             }
@@ -332,10 +330,9 @@ impl Table {
         let add = value.len() as u64;
         let row = self.row_or_placeholder(key);
         // Idempotent, ordered apply: never regress.
-        if version >= row.version {
-            let old = row.value.len() as u64;
-            row.value = value;
-            row.version = version;
+        if version >= row.version() {
+            let old = row.value().len() as u64;
+            row.set(version, value);
             self.bytes = self.bytes - old + add;
         }
     }
@@ -403,7 +400,7 @@ mod tests {
         t.upsert(6, Bytes::synth(0x0101, 2));
         assert!(t.occ_lock(6, T1).is_ok());
         t.occ_unlock(6, T1);
-        assert_eq!(t.get(6).unwrap().version, 1);
+        assert_eq!(t.get(6).unwrap().version(), 1);
     }
 
     /// A key past every dense range in these tests: TPC-C's first inserted
@@ -417,7 +414,7 @@ mod tests {
         assert!(t.occ_lock(2, T1).is_ok());
         t.occ_unlock(2, T1);
         assert_eq!(t.len(), 4, "existing dense row survives an aborted lock");
-        assert_eq!(t.get(2).unwrap().version, 1);
+        assert_eq!(t.get(2).unwrap().version(), 1);
         // A copy taken while a write and an insert are prepare-locked
         // carries both rows unlocked; the insert as a version-0 row.
         assert!(t.occ_lock(2, T1).is_ok());
@@ -426,13 +423,13 @@ mod tests {
         assert_eq!((copy.len(), copy.bytes()), (5, 32));
         assert_eq!(copy.get(2).unwrap().lock(), None);
         let row = copy.get(INS).unwrap();
-        assert_eq!((row.version, row.lock()), (0, None));
+        assert_eq!((row.version(), row.lock()), (0, None));
         // The primary's abort empties its own row only.
         t.occ_unlock(INS, T1);
         assert!(t.get(INS).is_none());
         assert_eq!(t.len(), 4);
         copy.occ_unlock(INS, T1); // T1 holds nothing on the copy
-        assert_eq!((copy.len(), copy.get(INS).unwrap().version), (5, 0));
+        assert_eq!((copy.len(), copy.get(INS).unwrap().version()), (5, 0));
         assert!(copy.occ_lock(INS, T2).is_ok(), "v0 row is lockable");
         assert_eq!(copy.occ_install(INS, T2, Bytes::synth(0x0101, 8)), 1);
     }
@@ -452,7 +449,7 @@ mod tests {
         assert_eq!(t.occ_install(b, T2, Bytes::synth(0x0202, 2)), 1);
         assert!(t.occ_lock(c, T1).is_ok());
         assert_eq!(t.occ_install(c, T1, Bytes::synth(0x0303, 2)), 1);
-        assert_eq!(t.get(a).unwrap().value, Bytes::synth(0x0101, 2));
+        assert_eq!(t.get(a).unwrap().value(), Bytes::synth(0x0101, 2));
         assert_eq!((t.len(), t.bytes()), (3, 6));
     }
 
@@ -479,11 +476,14 @@ mod tests {
         assert_eq!((copy.len(), copy.bytes()), (t.len(), t.bytes()));
         assert_eq!(chunks(&copy), chunks(&t), "the copy keeps the holes");
         assert_eq!(copy.get(2).unwrap().lock(), None);
-        assert_eq!(copy.get(far).unwrap().version, 0);
+        assert_eq!(copy.get(far).unwrap().version(), 0);
         // the primary's abort empties the row past the holes
         t.occ_unlock(far, T1);
         assert!(t.get(far).is_none());
-        assert_eq!(t.get(chunk + 1).unwrap().value, Bytes::synth(chunk + 1, 8));
+        assert_eq!(
+            t.get(chunk + 1).unwrap().value(),
+            Bytes::synth(chunk + 1, 8)
+        );
         assert_eq!(t.len(), 2 + Table::CHUNK);
     }
 
@@ -523,7 +523,7 @@ mod tests {
             assert_eq!(copy.get(key), t.get(key), "key {key}");
         }
         let row = copy.get(INS + 2).unwrap();
-        assert_eq!((row.version, row.lock()), (0, None));
+        assert_eq!((row.version(), row.lock()), (0, None));
         assert!(copy.get(INS + Table::CHUNK as u64).is_none(), "a hole");
         assert_eq!((copy.len(), copy.bytes()), (8, 56));
     }
@@ -613,6 +613,36 @@ mod tests {
         assert_eq!(copy.get(b), primary.get(b));
     }
 
+    /// A version narrows to 32 bits without wrapping: the install past the
+    /// limit panics naming it, and so does a replicated apply past it.
+    #[test]
+    fn a_version_past_the_version_limit_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let limit = u32::MAX as u64 - 1;
+        let mut t = Table::new();
+        t.apply_replicated(1, limit, Bytes::synth(1, 8));
+        assert_eq!(t.occ_read(1, T1), OpOutcome::Ok { version: limit });
+        type Call = fn(&mut Table);
+        let calls: [(&str, Call); 2] = [
+            ("occ_install", |t| {
+                t.occ_install(1, T1, Bytes::synth(2, 8));
+            }),
+            ("apply_replicated", |t| {
+                t.apply_replicated(1, u32::MAX as u64, Bytes::synth(2, 8))
+            }),
+        ];
+        for (name, call) in calls {
+            let err = catch_unwind(AssertUnwindSafe(|| call(&mut t)))
+                .expect_err(name)
+                .downcast::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                err.ends_with("past the version limit 4294967294"),
+                "{name}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn insert_validates_against_version_zero() {
         let mut t = Table::new();
@@ -633,10 +663,10 @@ mod tests {
         let mut t = Table::new();
         t.apply_replicated(1, 3, Bytes::synth(0x0303_0303, 4));
         t.apply_replicated(1, 2, Bytes::synth(0x0202_0202, 4)); // stale: ignored
-        assert_eq!(t.get(1).unwrap().version, 3);
-        assert_eq!(t.get(1).unwrap().value.to_vec(), [3u8; 4]);
+        assert_eq!(t.get(1).unwrap().version(), 3);
+        assert_eq!(t.get(1).unwrap().value().to_vec(), [3u8; 4]);
         t.apply_replicated(1, 3, Bytes::synth(0x0303_0303, 4)); // duplicate: fine
-        assert_eq!(t.get(1).unwrap().version, 3);
+        assert_eq!(t.get(1).unwrap().version(), 3);
     }
 
     #[test]
@@ -648,8 +678,8 @@ mod tests {
         assert_eq!(copy.len(), t.len());
         assert_eq!(copy.bytes(), t.bytes());
         for k in 0..16 {
-            assert_eq!(copy.get(k).unwrap().version, t.get(k).unwrap().version);
-            assert_eq!(copy.get(k).unwrap().value, t.get(k).unwrap().value);
+            assert_eq!(copy.get(k).unwrap().version(), t.get(k).unwrap().version());
+            assert_eq!(copy.get(k).unwrap().value(), t.get(k).unwrap().value());
         }
     }
 
@@ -660,11 +690,11 @@ mod tests {
         assert_eq!(t.len(), 9);
         assert!(t.occ_lock(INS + 7, T1).is_ok());
         t.occ_install(INS + 7, T1, Bytes::synth(0x0606_0606_0606_0606, 8));
-        assert_eq!(t.get(INS + 7).unwrap().version, 2);
-        assert_eq!(t.get(7).unwrap().version, 1);
+        assert_eq!(t.get(INS + 7).unwrap().version(), 2);
+        assert_eq!(t.get(7).unwrap().version(), 1);
         let copy = t.replica();
         assert_eq!(copy.len(), 9);
-        assert_eq!(copy.get(INS + 7).unwrap().version, 2);
+        assert_eq!(copy.get(INS + 7).unwrap().version(), 2);
         // aborting an arena insert placeholder removes it again
         assert!(t.occ_lock(INS + 1, T2).is_ok());
         t.occ_unlock(INS + 1, T2);
@@ -696,7 +726,7 @@ mod tests {
 
     #[test]
     fn synth_value_bytes_match_the_stamp_formula() {
-        // Byte i is `(stamp >> ((i % 8) * 8)) as u8` with
+        // Byte i is the low byte of `stamp >> ((i % 8) * 8)` with
         // stamp = 3 · 0x9E37_79B9_7F4A_7C15 + 2 (mod 2^64).
         let want = [
             0x41, 0x74, 0xDF, 0x7D, 0x2C, 0x6D, 0xA6, 0xDA, 0x41, 0x74, 0xDF, 0x7D, 0x2C, 0x6D,

@@ -488,8 +488,8 @@ proptest! {
         prop_assert!(!secondary.has_gap());
         for k in 0..n_entries {
             prop_assert_eq!(
-                &secondary.table.get(k).unwrap().value,
-                &primary.table.get(k).unwrap().value
+                secondary.table.get(k).unwrap().value(),
+                primary.table.get(k).unwrap().value()
             );
         }
     }

@@ -255,7 +255,7 @@ fn secondaries_equal_their_primary_at_quiesce() {
             .store(cluster.placement.primary_of(part), part)
             .unwrap()
             .table;
-        let row = |t: &Table, key| t.get(key).map(|r| (r.version, r.value, r.lock()));
+        let row = |t: &Table, key| t.get(key).map(|r| (r.version(), r.value(), r.lock()));
         for &s in cluster.placement.secondaries_of(part) {
             let secondary = &cluster.store(s, part).unwrap().table;
             assert_eq!(

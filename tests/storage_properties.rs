@@ -86,8 +86,8 @@ proptest! {
         for key in 0..16u64 {
             let p = primary.table.get(key).unwrap();
             let s = secondary.table.get(key).unwrap();
-            prop_assert_eq!(p.version, s.version);
-            prop_assert_eq!(&p.value, &s.value);
+            prop_assert_eq!(p.version(), s.version());
+            prop_assert_eq!(p.value(), s.value());
         }
     }
 }
@@ -295,7 +295,7 @@ fn check(
     after: &dyn std::fmt::Debug,
 ) -> Result<(), proptest::TestCaseError> {
     for &k in keys {
-        let got = t.get(k).map(|r| (r.version, r.lock(), r.value));
+        let got = t.get(k).map(|r| (r.version(), r.lock(), r.value()));
         let want = m.get(&k).copied();
         prop_assert_eq!(
             got,
