@@ -310,7 +310,7 @@ impl Engine {
                 || ctx.write_set.iter().all(|w| {
                     let primary = cluster.placement.primary_of(w.part);
                     let table = &cluster.store(primary, w.part).expect("primary store").table;
-                    table.get(w.key).and_then(|row| row.lock()) == Some(txn)
+                    table.lock_holder(w.key) == Some(txn)
                 }),
             "{txn} installs a row it does not hold locked at its primary"
         );

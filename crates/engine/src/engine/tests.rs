@@ -287,8 +287,9 @@ fn one_txn(proto: &mut RouteTo, ops: Vec<Op>, remaster_us: u64) -> (Engine, TxnI
 fn row_states(eng: &Engine, part: PartitionId, key: Key) -> Vec<(u64, bool)> {
     let holders = eng.cluster.placement.replica_nodes(part);
     let state = |node| {
-        let row = eng.cluster.store(node, part).unwrap().table.get(key);
-        row.map_or((0, false), |r| (r.version(), r.lock().is_some()))
+        let table = &eng.cluster.store(node, part).unwrap().table;
+        let version = table.get(key).map_or(0, |r| r.version());
+        (version, table.lock_holder(key).is_some())
     };
     holders.into_iter().map(state).collect()
 }
@@ -339,9 +340,9 @@ fn a_remaster_landing_inside_the_2pc_window_aborts_the_transaction() {
     // The participant's vote prepares P at ~242 µs; the decision is due at
     // ~324.
     eng.run(&mut proto, 250);
-    let locked = eng.cluster.store(participant, p).unwrap().table.get(1);
+    let table = &eng.cluster.store(participant, p).unwrap().table;
     assert_eq!(
-        locked.unwrap().lock(),
+        table.lock_holder(1),
         Some(txn),
         "prepared at the participant"
     );
@@ -450,7 +451,7 @@ fn rows_and_locks(eng: &Engine, part: PartitionId, keys: &[Key]) -> Vec<(usize, 
     let holders = eng.cluster.placement.replica_nodes(part);
     let count = |node| {
         let table = &eng.cluster.store(node, part).unwrap().table;
-        let locked = keys.iter().filter_map(|&k| table.get(k)?.lock()).count();
+        let locked = keys.iter().filter_map(|&k| table.lock_holder(k)).count();
         (table.len(), locked)
     };
     holders.into_iter().map(count).collect()
@@ -504,7 +505,7 @@ fn failed_validation_mutates_nothing() {
     assert_eq!(rows_and_locks(&eng, part, &keys), before);
     assert!(!eng.txn(blocked).holds_locks);
     let table = &eng.cluster.store(home, part).unwrap().table;
-    assert_eq!(table.get(5).unwrap().lock(), Some(holder));
+    assert_eq!(table.lock_holder(5), Some(holder));
     eng.abort(holder);
 
     // Own locks are re-entrant under the new order too: a row the

@@ -1,7 +1,7 @@
 //! # lion-storage
 //!
 //! The storage substrate of the reproduced cluster (§II-A): in-memory
-//! versioned tables with per-row lock words for OCC, a primary-to-secondary
+//! versioned tables with per-row lock bits for OCC, a primary-to-secondary
 //! replication log with epoch-batched shipping, and replica copies for
 //! replica add. A row is addressed by its key on every replica.
 //!

@@ -1,6 +1,6 @@
-//! Versioned, lockable rows: 24 bytes each, and 24 as `Option<Row>` too.
+//! Versioned rows: 16 bytes each, and 16 as `Option<Row>` too; a
+//! prepare-lock is one bit of the row.
 
-use lion_common::TxnId;
 use std::fmt;
 use std::num::NonZeroU32;
 
@@ -46,40 +46,39 @@ impl Bytes {
     }
 }
 
-/// Lock word of a row no transaction holds.
-const FREE: u64 = u64::MAX;
-
-/// One stored row: payload bytes plus the OCC metadata words.
+/// One stored row: payload bytes plus the OCC metadata, 16 bytes.
 ///
-/// The version increases monotonically with every installed write; the lock
-/// word holds the transaction currently preparing a write to this row
-/// (between 2PC prepare-validation and commit/abort), which blocks
-/// conflicting validations exactly as the paper's OCC baseline (§VI-A.2)
-/// does. The word is the holder's raw id, or a free sentinel no engine id
-/// reaches (slot and generation both `u32::MAX`), so it costs 8 bytes where
-/// `Option<TxnId>` cost 16. The version is stored plus one in 32 bits: its
-/// zero is the niche that makes `Option<Row>` no larger than `Row`.
+/// The version increases monotonically with every installed write. While a
+/// transaction holds the row's prepare-lock (between 2PC prepare-validation
+/// and commit/abort), the top bit of the length is set, and the holder is
+/// listed by the row's [`Table`](crate::Table). The lock blocks conflicting
+/// validations exactly as the paper's OCC baseline (§VI-A.2) does. The bit
+/// limits a length to 31 bits. The version is stored plus one in 32 bits:
+/// its zero is the niche that makes `Option<Row>` no larger than `Row`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Row {
     /// The payload's stamp (see [`Bytes`]).
     stamp: u64,
-    /// Raw id of the prepare-lock holder, or [`FREE`].
-    lock: u64,
-    /// The payload's length in bytes.
+    /// The payload's length in bytes, with [`Row::LOCKED`] set while a
+    /// transaction holds the prepare-lock.
     len: u32,
     /// Monotonic row version plus one, bumped on every install.
     version: NonZeroU32,
 }
 
 impl Row {
+    /// The length bit that marks a prepare-locked row.
+    const LOCKED: u32 = 1 << 31;
+
     /// Creates a fresh, unlocked row at version 1.
     pub fn new(value: Bytes) -> Self {
-        Row {
-            stamp: value.stamp,
-            lock: FREE,
-            len: value.len,
-            version: NonZeroU32::MIN.saturating_add(1),
-        }
+        let mut row = Row {
+            stamp: 0,
+            len: 0,
+            version: NonZeroU32::MIN,
+        };
+        row.set(1, value);
+        row
     }
 
     /// Monotonic row version.
@@ -91,45 +90,37 @@ impl Row {
     pub fn value(&self) -> Bytes {
         Bytes {
             stamp: self.stamp,
-            len: self.len,
+            len: self.len & !Self::LOCKED,
         }
     }
 
-    /// Stores `value` at `version`, the one place a version narrows: past
-    /// `u32::MAX − 1` it panics rather than wrap.
+    /// Stores `value` at `version`, keeping the lock bit: the one place a
+    /// version and a length narrow. Past `u32::MAX − 1` a version panics
+    /// rather than wrap, and so does a length past `2³¹ − 1` rather than
+    /// reach the lock bit.
     pub(crate) fn set(&mut self, version: u64, value: Bytes) {
-        self.version = u32::try_from(version)
+        let stored = u32::try_from(version)
             .ok()
             .and_then(|v| NonZeroU32::MIN.checked_add(v))
             .expect("a row's version is past the version limit 4294967294");
+        let len = Some(value.len)
+            .filter(|len| len & Self::LOCKED == 0)
+            .expect("a row's payload is past the length limit 2147483647");
+        self.version = stored;
         self.stamp = value.stamp;
-        self.len = value.len;
+        self.len = len | (self.len & Self::LOCKED);
     }
 
-    /// Transaction holding the prepare-lock, if any.
+    /// True while a transaction holds the prepare-lock.
     #[inline]
-    pub fn lock(&self) -> Option<TxnId> {
-        (self.lock != FREE).then_some(TxnId(self.lock))
+    pub(crate) fn is_locked(&self) -> bool {
+        self.len & Self::LOCKED != 0
     }
 
-    /// Hands the prepare-lock to `txn`.
+    /// Sets or clears the lock bit.
     #[inline]
-    pub(crate) fn lock_for(&mut self, txn: TxnId) {
-        debug_assert_ne!(txn.0, FREE, "the free sentinel is not a holder");
-        self.lock = txn.0;
-    }
-
-    /// Releases the prepare-lock.
-    #[inline]
-    pub(crate) fn unlock(&mut self) {
-        self.lock = FREE;
-    }
-
-    /// True when `txn` may lock this row: the row is unlocked or `txn`
-    /// already holds the lock (re-entrant within one transaction).
-    #[inline]
-    pub fn lockable_by(&self, txn: TxnId) -> bool {
-        self.lock == FREE || self.lock == txn.0
+    pub(crate) fn set_locked(&mut self, locked: bool) {
+        self.len = self.len & !Self::LOCKED | if locked { Self::LOCKED } else { 0 };
     }
 }
 
@@ -137,7 +128,7 @@ impl fmt::Debug for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Row")
             .field("version", &self.version())
-            .field("lock", &self.lock())
+            .field("locked", &self.is_locked())
             .field("value", &self.value())
             .finish()
     }
@@ -151,33 +142,22 @@ mod tests {
     fn new_rows_start_unlocked_at_v1() {
         let r = Row::new(Bytes::synth(0x03_02_01, 3));
         assert_eq!(r.version(), 1);
-        assert!(r.lock().is_none());
+        assert!(!r.is_locked());
         assert_eq!(r.value().to_vec(), [1, 2, 3]);
     }
 
     #[test]
-    fn reentrant_lock_check() {
-        let mut r = Row::new(Bytes::synth(0, 4));
-        assert!(r.lockable_by(TxnId(1)));
-        r.lock_for(TxnId(1));
-        assert_eq!(r.lock(), Some(TxnId(1)));
-        assert!(r.lockable_by(TxnId(1)));
-        assert!(!r.lockable_by(TxnId(2)));
-        r.unlock();
-        assert!(r.lock().is_none());
-        assert!(r.lockable_by(TxnId(2)));
-    }
-
-    #[test]
-    fn the_lock_word_holds_any_engine_id() {
-        // Slot 0 at generation 0 is `TxnId(0)`; the highest generation of
-        // the highest slot but one is the largest id short of the sentinel.
-        for id in [TxnId(0), TxnId::compose(u32::MAX - 1, u32::MAX)] {
-            let mut r = Row::new(Bytes::synth(0, 1));
-            r.lock_for(id);
-            assert_eq!(r.lock(), Some(id));
-            assert!(!r.lockable_by(TxnId(7)));
-        }
+    fn the_lock_bit_hides_from_the_payload_and_survives_a_set() {
+        let mut r = Row::new(Bytes::synth(0x0102, 4));
+        r.set_locked(true);
+        assert!(r.is_locked());
+        assert_eq!(r.value(), Bytes::synth(0x0102, 4));
+        r.set(7, Bytes::synth(0x0304, 9));
+        assert!(r.is_locked(), "an ordered apply keeps the bit");
+        assert_eq!((r.version(), r.value()), (7, Bytes::synth(0x0304, 9)));
+        r.set_locked(false);
+        assert!(!r.is_locked());
+        assert_eq!(r.value(), Bytes::synth(0x0304, 9));
     }
 
     #[test]
@@ -190,9 +170,9 @@ mod tests {
     }
 
     #[test]
-    fn a_row_is_twenty_four_bytes_present_or_absent() {
-        assert_eq!(std::mem::size_of::<Row>(), 24);
-        assert_eq!(std::mem::size_of::<Option<Row>>(), 24);
+    fn a_row_is_sixteen_bytes_present_or_absent() {
+        assert_eq!(std::mem::size_of::<Row>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Row>>(), 16);
         assert_eq!(std::mem::size_of::<Bytes>(), 16);
     }
 
@@ -205,5 +185,37 @@ mod tests {
             r.set(v, big);
             assert_eq!((r.version(), r.value()), (v, big));
         }
+    }
+
+    /// A length narrows to 31 bits without reaching the lock bit: the
+    /// limit itself is stored, one past it panics naming it, through
+    /// `new` and `set` alike.
+    #[test]
+    fn a_payload_past_the_length_limit_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let limit = Row::LOCKED - 1;
+        let mut r = Row::new(Bytes::synth(1, limit));
+        assert_eq!((r.value().len(), r.is_locked()), (2_147_483_647, false));
+        type Call = fn(&mut Row);
+        let calls: [(&str, Call); 2] = [
+            ("new", |r| *r = Row::new(Bytes::synth(2, Row::LOCKED))),
+            ("set", |r| r.set(2, Bytes::synth(2, u32::MAX))),
+        ];
+        for (name, call) in calls {
+            let err = catch_unwind(AssertUnwindSafe(|| call(&mut r)))
+                .expect_err(name)
+                .downcast::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                err.ends_with("past the length limit 2147483647"),
+                "{name}: {err}"
+            );
+        }
+        let kept = (r.version(), r.value());
+        assert_eq!(
+            kept,
+            (1, Bytes::synth(1, limit)),
+            "a refused set stores nothing"
+        );
     }
 }

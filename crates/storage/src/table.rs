@@ -1,9 +1,11 @@
 //! A single partition replica's key→row table with OCC operations.
 //!
-//! Rows are 24-byte slots (`Option<Row>`) held in two places: a directly
+//! Rows are 16-byte slots (`Option<Row>`) held in two places: a directly
 //! indexed vector for the contiguous populated range, and the replica's own
 //! arena for every key past it (the rows transactions insert), key `k` at
-//! arena position `k − dense.len()`.
+//! arena position `k − dense.len()`. A prepare-locked row carries a bit;
+//! its holder is in the table's lock list, one `(key, holder)` entry per
+//! locked row, read only when the bit is set.
 //!
 //! Every operation addresses a row by its key, the same on every replica of
 //! the partition: nothing maps keys to places. A key past `u32::MAX − 1`
@@ -47,9 +49,15 @@ impl OpOutcome {
 /// — `(key, row)` behavior is identical on both paths — and the two never
 /// overlap: a key belongs to the dense vector iff `key < dense.len()`.
 ///
+/// # Prepare-locks
+///
+/// A locked row has its lock bit set, and its holder is the one entry for
+/// its key in the lock list. Locks are held only between a prepare and its
+/// decision, so the list is short, and an unlocked row never reads it.
+///
 /// A clone of a `Table` is another replica of the same partition (so is
-/// [`Table::replica`]): it keeps its own rows, `len` and `bytes`, at the
-/// same keys.
+/// [`Table::replica`]): it keeps its own rows, `len`, `bytes` and locks, at
+/// the same keys.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Direct-indexed rows for the contiguous populated range; `None` means
@@ -64,6 +72,9 @@ pub struct Table {
     rows: usize,
     /// Payload bytes currently stored (maintained incrementally).
     bytes: u64,
+    /// The holder of every locked row, one entry per row whose lock bit is
+    /// set, in no order.
+    locks: Vec<(Key, TxnId)>,
 }
 
 /// [`Table::CHUNK`] consecutive slots of the arena.
@@ -110,13 +121,17 @@ impl Table {
     /// an in-flight insert's placeholder arrives as an unlocked version-0
     /// row.
     pub fn replica(&self) -> Table {
-        let mut copy = self.clone();
-        let arena = copy.arena.iter_mut().flatten().flat_map(|c| c.iter_mut());
-        copy.dense
-            .iter_mut()
-            .chain(arena)
-            .flatten()
-            .for_each(|row| row.unlock());
+        let mut copy = Table {
+            dense: self.dense.clone(),
+            arena: self.arena.clone(),
+            rows: self.rows,
+            bytes: self.bytes,
+            locks: Vec::new(),
+        };
+        for &(key, _) in &self.locks {
+            // A locked row is present, so this materialises nothing.
+            copy.row_or_placeholder(key).set_locked(false);
+        }
         copy
     }
 
@@ -214,13 +229,31 @@ impl Table {
         self.arena[c] = Some(chunk.try_into().expect("a chunk is CHUNK slots"));
     }
 
-    /// Inserts or replaces a row wholesale (population, migration apply).
-    pub fn upsert(&mut self, key: Key, value: Bytes) {
-        let add = value.len() as u64;
-        let row = self.row_or_placeholder(key);
-        let old = row.value().len() as u64;
-        *row = Row::new(value);
-        self.bytes = self.bytes - old + add;
+    /// Transaction holding `key`'s prepare-lock, if any.
+    pub fn lock_holder(&self, key: Key) -> Option<TxnId> {
+        self.get(key)
+            .filter(|row| row.is_locked())
+            .map(|_| self.holder(key))
+    }
+
+    /// Every held prepare-lock as `(key, holder)`, in no order.
+    pub fn held_locks(&self) -> impl Iterator<Item = (Key, TxnId)> + '_ {
+        self.locks.iter().copied()
+    }
+
+    /// Position of locked `key`'s entry in the lock list.
+    #[inline]
+    fn lock_entry(&self, key: Key) -> usize {
+        self.locks
+            .iter()
+            .position(|&(k, _)| k == key)
+            .expect("a locked row has a lock-list entry")
+    }
+
+    /// Holder of locked `key`.
+    #[inline]
+    fn holder(&self, key: Key) -> TxnId {
+        self.locks[self.lock_entry(key)].1
     }
 
     /// OCC read: returns the current version (0 for missing rows, which is
@@ -230,12 +263,17 @@ impl Table {
     pub fn occ_read(&self, key: Key, txn: TxnId) -> OpOutcome {
         match self.get(key) {
             None => OpOutcome::Ok { version: 0 },
-            Some(row) => match row.lock() {
-                Some(holder) if holder != txn => OpOutcome::Locked { holder },
-                _ => OpOutcome::Ok {
+            Some(row) => {
+                if row.is_locked() {
+                    let holder = self.holder(key);
+                    if holder != txn {
+                        return OpOutcome::Locked { holder };
+                    }
+                }
+                OpOutcome::Ok {
                     version: row.version(),
-                },
-            },
+                }
+            }
         }
     }
 
@@ -244,13 +282,16 @@ impl Table {
     #[inline]
     pub fn occ_lock(&mut self, key: Key, txn: TxnId) -> OpOutcome {
         let row = self.row_or_placeholder(key);
-        if let Some(holder) = row.lock().filter(|&h| h != txn) {
-            return OpOutcome::Locked { holder };
+        let version = row.version();
+        if row.is_locked() {
+            return match self.holder(key) {
+                holder if holder == txn => OpOutcome::Ok { version },
+                holder => OpOutcome::Locked { holder },
+            };
         }
-        row.lock_for(txn);
-        OpOutcome::Ok {
-            version: row.version(),
-        }
+        row.set_locked(true);
+        self.locks.push((key, txn));
+        OpOutcome::Ok { version }
     }
 
     /// OCC read-set validation: the observed version must still be current
@@ -269,7 +310,8 @@ impl Table {
                 }
             }
             Some(row) => {
-                if let Some(holder) = row.lock() {
+                if row.is_locked() {
+                    let holder = self.holder(key);
                     if holder != txn {
                         return OpOutcome::Locked { holder };
                     }
@@ -293,12 +335,17 @@ impl Table {
     pub fn occ_install(&mut self, key: Key, txn: TxnId, value: Bytes) -> u64 {
         let add = value.len() as u64;
         let row = self.row_or_placeholder(key);
-        debug_assert!(row.lockable_by(txn), "installing over a foreign lock");
         let old = row.value().len() as u64;
         let version = row.version() + 1;
         row.set(version, value);
-        row.unlock();
+        let locked = row.is_locked();
+        row.set_locked(false);
         self.bytes = self.bytes - old + add;
+        if locked {
+            let at = self.lock_entry(key);
+            debug_assert_eq!(self.locks[at].1, txn, "installing over a foreign lock");
+            self.locks.swap_remove(at);
+        }
         version
     }
 
@@ -314,13 +361,18 @@ impl Table {
                 _ => return,
             },
         };
-        if let Some(row) = slot.as_mut().filter(|r| r.lock() == Some(txn)) {
-            row.unlock();
-            if row.version() == 0 {
-                self.bytes -= row.value().len() as u64;
-                *slot = None; // insert placeholder never became visible
-                self.rows -= 1;
-            }
+        let Some(row) = slot.as_mut().filter(|r| r.is_locked()) else {
+            return;
+        };
+        let Some(at) = self.locks.iter().position(|&e| e == (key, txn)) else {
+            return; // another transaction's lock
+        };
+        self.locks.swap_remove(at);
+        row.set_locked(false);
+        if row.version() == 0 {
+            self.bytes -= row.value().len() as u64;
+            *slot = None; // insert placeholder never became visible
+            self.rows -= 1;
         }
     }
 
@@ -357,7 +409,8 @@ mod tests {
         assert!(t.occ_lock(1, T1).is_ok());
         let v = t.occ_install(1, T1, Bytes::synth(0x0909_0909, 4));
         assert_eq!(v, 1);
-        assert!(t.get(1).unwrap().lock().is_none());
+        assert_eq!(t.lock_holder(1), None);
+        assert_eq!(t.held_locks().count(), 0);
         assert_eq!(t.occ_read(1, T2), OpOutcome::Ok { version: 1 });
     }
 
@@ -397,7 +450,7 @@ mod tests {
         t.occ_unlock(5, T1);
         assert!(t.get(5).is_none());
         // but aborting a lock on an existing row keeps the row
-        t.upsert(6, Bytes::synth(0x0101, 2));
+        t.apply_replicated(6, 1, Bytes::synth(0x0101, 2));
         assert!(t.occ_lock(6, T1).is_ok());
         t.occ_unlock(6, T1);
         assert_eq!(t.get(6).unwrap().version(), 1);
@@ -406,6 +459,43 @@ mod tests {
     /// A key past every dense range in these tests: TPC-C's first inserted
     /// row.
     const INS: Key = 1 << 20;
+
+    /// The lock list, key-ordered.
+    fn locks(t: &Table) -> Vec<(Key, TxnId)> {
+        let mut held: Vec<_> = t.held_locks().collect();
+        held.sort();
+        held
+    }
+
+    #[test]
+    fn a_lock_is_a_bit_and_one_list_entry_per_row() {
+        let mut t = Table::populated(4, 8);
+        // Any engine id holds a lock: slot 0 at generation 0 and the
+        // highest generation of the highest slot.
+        let [lo, hi] = [TxnId(0), TxnId::compose(u32::MAX, u32::MAX)];
+        assert!(t.occ_lock(1, lo).is_ok());
+        assert!(t.occ_lock(INS, hi).is_ok());
+        assert!(t.occ_lock(1, lo).is_ok(), "re-entrant");
+        assert_eq!(locks(&t), [(1, lo), (INS, hi)], "one entry per row");
+        assert_eq!((t.lock_holder(1), t.lock_holder(INS)), (Some(lo), Some(hi)));
+        assert_eq!((t.lock_holder(0), t.lock_holder(INS + 1)), (None, None));
+        assert_eq!(t.occ_lock(INS, T1), OpOutcome::Locked { holder: hi });
+        assert_eq!(
+            t.occ_validate_read(1, 1, T1),
+            OpOutcome::Locked { holder: lo }
+        );
+        // A foreign unlock releases nothing; the holder's does.
+        t.occ_unlock(1, T1);
+        assert_eq!(t.lock_holder(1), Some(lo));
+        t.occ_unlock(1, lo);
+        assert_eq!(locks(&t), [(INS, hi)]);
+        assert_eq!(t.get(1).unwrap().value(), Table::synth_value(1, 1, 8));
+        // An install releases its own entry and keeps the others.
+        assert!(t.occ_lock(2, T2).is_ok());
+        assert_eq!(t.occ_install(INS, hi, Bytes::synth(3, 8)), 1);
+        assert_eq!(locks(&t), [(2, T2)]);
+        assert_eq!(t.occ_read(INS, T1), OpOutcome::Ok { version: 1 });
+    }
 
     #[test]
     fn a_replica_copy_clears_locks_and_keeps_in_flight_placeholders() {
@@ -421,9 +511,10 @@ mod tests {
         assert!(t.occ_lock(INS, T1).is_ok());
         let mut copy = t.replica();
         assert_eq!((copy.len(), copy.bytes()), (5, 32));
-        assert_eq!(copy.get(2).unwrap().lock(), None);
-        let row = copy.get(INS).unwrap();
-        assert_eq!((row.version(), row.lock()), (0, None));
+        assert_eq!(copy.lock_holder(2), None);
+        assert_eq!(copy.get(INS).unwrap().version(), 0);
+        assert_eq!(copy.lock_holder(INS), None);
+        assert_eq!(copy.held_locks().count(), 0);
         // The primary's abort empties its own row only.
         t.occ_unlock(INS, T1);
         assert!(t.get(INS).is_none());
@@ -438,14 +529,14 @@ mod tests {
     fn an_aborted_insert_empties_its_row_for_the_retry() {
         let mut t = Table::new();
         let [a, b, c] = [0, 1, 2].map(|i| INS + i);
-        t.upsert(a, Bytes::synth(0x0101, 2));
+        t.apply_replicated(a, 1, Bytes::synth(0x0101, 2));
         assert!(t.occ_lock(b, T1).is_ok());
         t.occ_unlock(b, T1);
         assert!(t.get(b).is_none());
         assert_eq!(t.len(), 1);
         // the retry re-inserts the same row
         assert!(t.occ_lock(b, T2).is_ok());
-        assert_eq!(t.get(b).unwrap().lock(), Some(T2));
+        assert_eq!(t.lock_holder(b), Some(T2));
         assert_eq!(t.occ_install(b, T2, Bytes::synth(0x0202, 2)), 1);
         assert!(t.occ_lock(c, T1).is_ok());
         assert_eq!(t.occ_install(c, T1, Bytes::synth(0x0303, 2)), 1);
@@ -464,7 +555,7 @@ mod tests {
         let chunk = Table::CHUNK as u64;
         // keys just past the dense range fill the first chunk
         for k in 2..2 + chunk {
-            t.upsert(k, Bytes::synth(k, 8));
+            t.apply_replicated(k, 1, Bytes::synth(k, 8));
         }
         assert_eq!(chunks(&t), [true], "{chunk} keys fill one chunk");
         // a key three chunks further opens its own chunk, leaving holes
@@ -475,7 +566,7 @@ mod tests {
         let copy = t.replica();
         assert_eq!((copy.len(), copy.bytes()), (t.len(), t.bytes()));
         assert_eq!(chunks(&copy), chunks(&t), "the copy keeps the holes");
-        assert_eq!(copy.get(2).unwrap().lock(), None);
+        assert_eq!(copy.lock_holder(2), None);
         assert_eq!(copy.get(far).unwrap().version(), 0);
         // the primary's abort empties the row past the holes
         t.occ_unlock(far, T1);
@@ -490,7 +581,7 @@ mod tests {
     #[test]
     fn a_read_in_a_hole_sees_version_zero_and_an_unlock_there_is_a_no_op() {
         let mut t = Table::populated(4, 8);
-        t.upsert(INS, Bytes::synth(1, 8));
+        t.apply_replicated(INS, 1, Bytes::synth(1, 8));
         let chunk = Table::CHUNK as u64;
         // one key in a hole of the directory, one past its end
         for key in [4 + chunk, INS + 5 * chunk] {
@@ -522,8 +613,8 @@ mod tests {
         for key in (0..4).chain(keys) {
             assert_eq!(copy.get(key), t.get(key), "key {key}");
         }
-        let row = copy.get(INS + 2).unwrap();
-        assert_eq!((row.version(), row.lock()), (0, None));
+        assert_eq!(copy.get(INS + 2).unwrap().version(), 0);
+        assert_eq!(copy.lock_holder(INS + 2), None);
         assert!(copy.get(INS + Table::CHUNK as u64).is_none(), "a hole");
         assert_eq!((copy.len(), copy.bytes()), (8, 56));
     }
@@ -571,7 +662,9 @@ mod tests {
             ("apply_replicated", |t| {
                 t.apply_replicated(PAST, 1, Bytes::synth(1, 8))
             }),
-            ("upsert", |t| t.upsert(PAST, Bytes::synth(1, 8))),
+            ("lock_holder", |t| {
+                t.lock_holder(PAST);
+            }),
         ];
         for (name, call) in calls {
             let mut copy = t.clone();
@@ -686,7 +779,7 @@ mod tests {
     #[test]
     fn arena_keys_coexist_with_dense_rows() {
         let mut t = Table::populated(8, 8);
-        t.upsert(INS + 7, Bytes::synth(0x0505_0505_0505_0505, 8));
+        t.apply_replicated(INS + 7, 1, Bytes::synth(0x0505_0505_0505_0505, 8));
         assert_eq!(t.len(), 9);
         assert!(t.occ_lock(INS + 7, T1).is_ok());
         t.occ_install(INS + 7, T1, Bytes::synth(0x0606_0606_0606_0606, 8));
@@ -705,9 +798,9 @@ mod tests {
     #[test]
     fn bytes_tracking_follows_updates() {
         let mut t = Table::new();
-        t.upsert(1, Bytes::synth(0, 10));
+        t.apply_replicated(1, 1, Bytes::synth(0, 10));
         assert_eq!(t.bytes(), 10);
-        t.upsert(1, Bytes::synth(0, 4));
+        t.apply_replicated(1, 2, Bytes::synth(0, 4));
         assert_eq!(t.bytes(), 4);
         t.occ_lock(1, T1);
         t.occ_install(1, T1, Bytes::synth(0, 20));

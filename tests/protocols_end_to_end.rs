@@ -49,11 +49,10 @@ fn assert_replicas_in_sync(eng: &mut Engine) {
 /// Lock audit at the horizon: every row still prepare-locked is held by a
 /// transaction that is live, in flight (not parked between attempts) and
 /// knows it holds locks — the flag an abort consults before it releases
-/// anything. YCSB tables are the dense range `0..keys_per_partition`, so the
-/// key walk sees every row. (2PC and Clay end their runs with a handful of
-/// rows inside a commit window; the others with none.)
+/// anything. Every table's lock list names every locked row, dense or
+/// inserted. (2PC and Clay end their runs with a handful of rows inside a
+/// commit window; the others with none.)
 fn audit_locks(eng: &Engine) {
-    let keys = eng.config().sim.keys_per_partition;
     for n in 0..eng.cluster.n_nodes() {
         let node = lion::common::NodeId(n as u16);
         for p in 0..eng.cluster.n_partitions() {
@@ -61,7 +60,7 @@ fn audit_locks(eng: &Engine) {
             let Some(store) = eng.cluster.store(node, part) else {
                 continue;
             };
-            for holder in (0..keys).filter_map(|k| store.table.get(k)?.lock()) {
+            for (_, holder) in store.table.held_locks() {
                 assert!(
                     eng.is_live(holder) && !eng.txn(holder).parked && eng.txn(holder).holds_locks,
                     "{part} on {node}: row locked by {holder:?}, which is not in flight"
@@ -207,6 +206,7 @@ fn tpcc_runs_on_lion_and_2pc() {
         };
         assert!(r.commits > 20, "tpcc commits {}", r.commits);
         eng.cluster.check_invariants().unwrap();
+        audit_locks(&eng);
         assert_replicas_in_sync(&mut eng);
     }
 }
@@ -255,7 +255,10 @@ fn secondaries_equal_their_primary_at_quiesce() {
             .store(cluster.placement.primary_of(part), part)
             .unwrap()
             .table;
-        let row = |t: &Table, key| t.get(key).map(|r| (r.version(), r.value(), r.lock()));
+        let row = |t: &Table, key| {
+            let row = t.get(key).map(|r| (r.version(), r.value()));
+            (row, t.lock_holder(key))
+        };
         for &s in cluster.placement.secondaries_of(part) {
             let secondary = &cluster.store(s, part).unwrap().table;
             assert_eq!(

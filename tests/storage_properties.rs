@@ -119,7 +119,6 @@ enum Kind {
     Validate,
     /// `apply_replicated` at version `n`.
     Replicate,
-    Upsert,
     /// The table is replaced by its own [`Table::replica`] copy.
     Copy,
 }
@@ -144,8 +143,7 @@ fn arb_op(keys: usize) -> impl Strategy<Value = Op> {
                 12..=14 => Kind::Unlock,
                 15..=17 => Kind::AbortedInsert,
                 18..=19 => Kind::Validate,
-                20..=21 => Kind::Replicate,
-                22 => Kind::Upsert,
+                20..=22 => Kind::Replicate,
                 _ => Kind::Copy,
             },
             key,
@@ -250,11 +248,6 @@ fn step(t: &mut Table, m: &mut Model, keys: &[Key], op: Op) -> Option<(OpOutcome
             t.apply_replicated(k, n, value);
             None
         }
-        Kind::Upsert => {
-            m.insert(k, (1, None, value));
-            t.upsert(k, value);
-            None
-        }
         Kind::Copy => {
             *m = model_copy(m);
             *t = t.replica();
@@ -287,7 +280,8 @@ fn model_unlock(m: &mut Model, key: Key, txn: TxnId) {
     }
 }
 
-/// `get` on every key, `len` and `bytes` agree with the oracle.
+/// `get` and `lock_holder` on every key, the lock list, `len` and `bytes`
+/// agree with the oracle.
 fn check(
     t: &Table,
     m: &Model,
@@ -295,7 +289,7 @@ fn check(
     after: &dyn std::fmt::Debug,
 ) -> Result<(), proptest::TestCaseError> {
     for &k in keys {
-        let got = t.get(k).map(|r| (r.version(), r.lock(), r.value()));
+        let got = t.get(k).map(|r| (r.version(), t.lock_holder(k), r.value()));
         let want = m.get(&k).copied();
         prop_assert_eq!(
             got,
@@ -307,6 +301,17 @@ fn check(
             want
         );
     }
+    let mut held: Vec<_> = t.held_locks().collect();
+    held.sort();
+    let want: Vec<_> = m.iter().filter_map(|(&k, r)| Some((k, r.1?))).collect();
+    prop_assert_eq!(
+        &held,
+        &want,
+        "held locks after {:?}: {:?} != {:?}",
+        after,
+        held,
+        want
+    );
     prop_assert_eq!(
         t.len(),
         m.len(),
@@ -349,8 +354,8 @@ enum ReplicaStep {
 fn arb_replica_step(keys: usize) -> impl Strategy<Value = ReplicaStep> {
     (0u8..9, arb_op(keys), 0usize..2, 1usize..6).prop_map(|(pick, mut op, r, n)| match pick {
         0..=5 => {
-            // A transaction's calls only: replicated applies, upserts and
-            // copies reach a replica through the log and `from_snapshot`.
+            // A transaction's calls only: replicated applies and copies
+            // reach a replica through the log and `from_snapshot`.
             op.kind = match op.n {
                 0 => Kind::Read,
                 1 => Kind::Lock,
@@ -421,8 +426,9 @@ proptest! {
     /// Transactions lock, install, unlock and abort inserts on the primary;
     /// installs are logged and shipped to each replica in random chunks.
     /// After every step each replica agrees with its own oracle — `get`,
-    /// `len` and `bytes` — so no replica sees another's rows, placeholders
-    /// or locks, and no two keys ever share a row.
+    /// `lock_holder`, the lock list, `len` and `bytes` — so no replica sees
+    /// another's rows, placeholders or locks, and no two keys ever share a
+    /// row.
     #[test]
     fn replicas_each_behave_like_their_own_map(
         steps in proptest::collection::vec(arb_replica_step(model_keys().len()), 1..300),
@@ -434,8 +440,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Model check: after every step of a random interleaving, `get` on
-    /// every key, `len` and `bytes` agree with the ordered-map oracle, and
+    /// Model check: after every step of a random interleaving, `get` and
+    /// `lock_holder` on every key, the lock list, `len` and `bytes` agree
+    /// with the ordered-map oracle, and
     /// every OCC call answers what the oracle answers. Covers the dense
     /// range, the arena and its directory holes, the rows aborted inserts
     /// empty for their retries, and replica copies taken with prepare-locks
